@@ -147,19 +147,3 @@ class NotReachable(SynthError):
     def __init__(self, analysis, msg: str = ""):
         self.analysis = analysis
         super().__init__(msg or "target not reachable from the given polytope")
-
-
-# -- simulation -------------------------------------------------------------
-
-class SimulationError(ReachctlError):
-    pass
-
-
-class ControllerGap(SimulationError):
-    """No controller piece contains the queried state."""
-
-
-# -- problem files ----------------------------------------------------------
-
-class ProblemFormatError(ReachctlError):
-    """Problem file failed validation; message carries the field path."""

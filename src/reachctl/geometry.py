@@ -3,8 +3,23 @@
 Vertex/halfspace conversions are done by brute-force enumeration over
 n-subsets with LP-based redundancy and membership filters.  At this scale
 (a handful of vertices, n <= 4) the combinatorial cost is negligible and
-the code stays auditable.  All predicates use a single absolute tolerance
-``TOL_GEOM`` and assume inputs scaled so the polytope diameter is O(1).
+the code stays auditable.
+
+Every geometric comparison in the package uses one of the named
+constants below, each fixed to one role, and assumes inputs scaled so the
+polytope diameter is O(1): ``TOL_GEOM`` (sides and levels),
+``TOL_INCIDENCE`` (incidence and membership), ``TOL_MERGE`` (coincident
+points, a target in a facet's plane), ``TOL_RANK`` (affine rank),
+``TOL_ZERO`` (singular systems and ties) and ``TOL_VOLUME`` (negligible
+gaps), plus the decimals of the rounded point and halfspace keys.  The LP
+solver, the synthesis margins and the simulator keep their own constants
+(``lp.TOL_LP``, ``synth.TOL_INV`` and ``SLACK_MIN``, ``sim.TOL_SIM``).
+
+Constructions take no tolerance argument.  Only predicates that callers
+use at more than one tolerance keep a ``tol`` argument: ``point_in_hull``,
+the ``contains`` methods and ``Hyperplane.side`` here,
+``SystemGeometry.on_equilibrium_plane``, and ``check_no_equilibrium``,
+``PWAController.lookup`` and ``PWAController.control`` in ``synth``.
 """
 
 from __future__ import annotations
@@ -19,10 +34,32 @@ import numpy as np
 from .errors import Degenerate, DimensionDeficient, GeometryError, Unbounded
 from . import lp
 
+# absolute: which side of a plane a point lies on, equal drift levels,
+# whether a point is extreme in a point set
 TOL_GEOM = 1e-9
+# absolute: a vertex lies on a facet, in a target's hull or on the
+# equilibrium plane; a candidate vertex satisfies an H-representation
+TOL_INCIDENCE = 1e-8
+# absolute: points closer than this (inf-norm) are one point; a target
+# lies in a facet's plane; a cut keeps the target
+TOL_MERGE = 1e-7
+# relative to the largest singular value (or 1): smaller singular values
+# do not count towards an affine rank
+TOL_RANK = 1e-9
+# numerically zero: determinant of a singular square system, and the
+# margin that separates a better score from a tie
+TOL_ZERO = 1e-12
+# share of a polytope's volume (or of 1) below which a gap counts as none
+TOL_VOLUME = 1e-8
 
-# vertices closer than this collapse to one point during deduplication
-_DEDUPE_TOL = 1e-7
+# decimals of the rounded keys that identify a vertex (lexicographic
+# order, simplex keys, shared facets of simplices)
+KEY_DECIMALS = 9
+# decimals of the key that identifies one facet found from several
+# vertex subsets
+HALFSPACE_KEY_DECIMALS = 8
+# decimals of the keys that decide whether a target equals a facet
+FACE_MATCH_DECIMALS = 7
 
 
 def _as_points(points) -> np.ndarray:
@@ -36,7 +73,7 @@ def _lex_order(points: np.ndarray) -> np.ndarray:
     """Indices sorting rows lexicographically (rounded to kill float noise)."""
     if len(points) == 0:
         return np.arange(0)
-    keys = np.round(points, 9)
+    keys = np.round(points, KEY_DECIMALS)
     return np.lexsort(keys.T[::-1])
 
 
@@ -44,16 +81,20 @@ def lex_sorted(points: np.ndarray) -> np.ndarray:
     return points[_lex_order(points)]
 
 
-def dedupe_points(points: np.ndarray, tol: float = _DEDUPE_TOL) -> np.ndarray:
+def point_key(v: np.ndarray) -> tuple:
+    return tuple(np.round(v, KEY_DECIMALS))
+
+
+def dedupe_points(points: np.ndarray) -> np.ndarray:
     pts = _as_points(points)
     keep: list[np.ndarray] = []
     for p in pts:
-        if not any(np.linalg.norm(p - q, ord=np.inf) <= tol for q in keep):
+        if not any(np.linalg.norm(p - q, ord=np.inf) <= TOL_MERGE for q in keep):
             keep.append(p)
     return np.array(keep) if keep else pts[:0]
 
 
-def affine_dimension(points, tol: float = TOL_GEOM) -> int:
+def affine_dimension(points) -> int:
     pts = dedupe_points(_as_points(points))
     if len(pts) == 0:
         return -1
@@ -62,10 +103,10 @@ def affine_dimension(points, tol: float = TOL_GEOM) -> int:
     diffs = pts[1:] - pts[0]
     s = np.linalg.svd(diffs, compute_uv=False)
     scale = max(s[0], 1.0)
-    return int(np.sum(s > 1e-9 * scale))
+    return int(np.sum(s > TOL_RANK * scale))
 
 
-def affine_basis(points, tol: float = TOL_GEOM) -> tuple[np.ndarray, np.ndarray]:
+def affine_basis(points) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis (columns) of the affine hull, plus its origin."""
     pts = dedupe_points(_as_points(points))
     origin = pts[0]
@@ -74,7 +115,7 @@ def affine_basis(points, tol: float = TOL_GEOM) -> tuple[np.ndarray, np.ndarray]
         return origin, np.zeros((pts.shape[1], 0))
     u, s, vt = np.linalg.svd(diffs, full_matrices=False)
     scale = max(s[0], 1.0) if len(s) else 1.0
-    rank = int(np.sum(s > 1e-9 * scale))
+    rank = int(np.sum(s > TOL_RANK * scale))
     return origin, vt[:rank].T
 
 
@@ -161,8 +202,7 @@ class Face:
 
     @staticmethod
     def from_vertices(points, supporting: Optional[HalfSpace] = None) -> "Face":
-        pts = extreme_points(dedupe_points(_as_points(points)))
-        pts = lex_sorted(pts)
+        pts = lex_sorted(extreme_points(points))
         return Face(pts, supporting, affine_dimension(pts))
 
 
@@ -186,14 +226,12 @@ class Polytope:
         return Polytope(np.zeros((0, n)), [], -1)
 
     @staticmethod
-    def from_vertices(points, tol: float = TOL_GEOM, allow_lower: bool = True) -> "Polytope":
-        return convex_hull(points, tol=tol, allow_lower=allow_lower)
+    def from_vertices(points, allow_lower: bool = True) -> "Polytope":
+        return convex_hull(points, allow_lower=allow_lower)
 
     @staticmethod
-    def from_halfspaces(halfspaces: Iterable[HalfSpace], tol: float = TOL_GEOM) -> "Polytope":
-        hs = list(halfspaces)
-        verts = hrep_to_vrep(hs, tol=tol)
-        return convex_hull(verts, tol=tol, allow_lower=True)
+    def from_halfspaces(halfspaces: Iterable[HalfSpace]) -> "Polytope":
+        return convex_hull(hrep_to_vrep(list(halfspaces)))
 
     @staticmethod
     def box(lower, upper) -> "Polytope":
@@ -233,19 +271,16 @@ class Polytope:
     def volume(self) -> float:
         return volume(self)
 
-    def facets(self, tol: float = TOL_GEOM) -> list[Face]:
+    def facets(self) -> list[Face]:
         """Facets as faces, ordered like ``halfspaces``."""
         out = []
         for h in self.halfspaces:
-            tight = self.vertices[np.abs(self.vertices @ h.normal - h.offset) <= max(tol, 1e-8)]
+            tight = self.vertices[np.abs(self.vertices @ h.normal - h.offset) <= TOL_INCIDENCE]
             out.append(Face(lex_sorted(tight), h, affine_dimension(tight)))
         return out
 
-    def interior_point(self) -> np.ndarray:
-        return self.centroid()
-
-    def split(self, plane: Hyperplane, tol: float = TOL_GEOM) -> tuple["Polytope", "Polytope"]:
-        return split_by_hyperplane(self, plane, tol=tol)
+    def split(self, plane: Hyperplane) -> tuple["Polytope", "Polytope"]:
+        return split_by_hyperplane(self, plane)
 
     def __repr__(self) -> str:
         return f"Polytope(n={self.n}, dim={self.dim}, nv={len(self.vertices)}, nh={len(self.halfspaces)})"
@@ -293,7 +328,7 @@ def point_in_hull(point, vertices, tol: float = TOL_GEOM) -> bool:
     return out.value <= tol
 
 
-def extreme_points(points, tol: float = TOL_GEOM) -> np.ndarray:
+def extreme_points(points) -> np.ndarray:
     """Minimal subset with the same convex hull (LP membership test per point)."""
     pts = dedupe_points(_as_points(points))
     if len(pts) <= 1:
@@ -301,7 +336,7 @@ def extreme_points(points, tol: float = TOL_GEOM) -> np.ndarray:
     keep = []
     for i in range(len(pts)):
         others = np.delete(pts, i, axis=0)
-        if not point_in_hull(pts[i], others, tol=max(tol, 1e-9)):
+        if not point_in_hull(pts[i], others, TOL_GEOM):
             keep.append(i)
     return pts[keep] if keep else pts[:1]
 
@@ -310,7 +345,21 @@ def extreme_points(points, tol: float = TOL_GEOM) -> np.ndarray:
 # representation conversion
 # ---------------------------------------------------------------------------
 
-def hrep_to_vrep(halfspaces: list[HalfSpace], tol: float = TOL_GEOM) -> np.ndarray:
+def _enumerate_vertices(A: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
+    """Solutions of every nonsingular n-subset of A x == b that satisfy all
+    of A x <= b."""
+    cands = []
+    for idx in itertools.combinations(range(len(A)), A.shape[1]):
+        M = A[list(idx)]
+        if abs(np.linalg.det(M)) <= TOL_ZERO:
+            continue
+        x = np.linalg.solve(M, b[list(idx)])
+        if np.all(A @ x - b <= TOL_INCIDENCE):
+            cands.append(x)
+    return cands
+
+
+def hrep_to_vrep(halfspaces: list[HalfSpace]) -> np.ndarray:
     """Vertices of the (bounded) intersection of halfspaces.
 
     Enumerates all n-subsets of constraints; a candidate is kept when it
@@ -322,8 +371,7 @@ def hrep_to_vrep(halfspaces: list[HalfSpace], tol: float = TOL_GEOM) -> np.ndarr
     n = len(hs[0].normal)
     A = np.array([h.normal for h in hs])
     b = np.array([h.offset for h in hs])
-    m = len(hs)
-    if m < n:
+    if len(hs) < n:
         raise Unbounded("fewer constraints than dimensions")
 
     for i in range(n):
@@ -337,21 +385,13 @@ def hrep_to_vrep(halfspaces: list[HalfSpace], tol: float = TOL_GEOM) -> np.ndarr
                 return np.zeros((0, n))
         c[i] = 0.0
 
-    cands = []
-    feas_tol = max(tol, 1e-8)
-    for idx in itertools.combinations(range(m), n):
-        M = A[list(idx)]
-        if abs(np.linalg.det(M)) <= 1e-12:
-            continue
-        x = np.linalg.solve(M, b[list(idx)])
-        if np.all(A @ x - b <= feas_tol):
-            cands.append(x)
+    cands = _enumerate_vertices(A, b)
     if not cands:
         return np.zeros((0, n))
     return lex_sorted(dedupe_points(np.array(cands)))
 
 
-def vrep_to_hrep(vertices, tol: float = TOL_GEOM) -> list[HalfSpace]:
+def vrep_to_hrep(vertices) -> list[HalfSpace]:
     """Minimal halfspace representation of a full-dimensional hull.
 
     Enumerates n-subsets of vertices; a subset spanning a hyperplane with
@@ -360,41 +400,40 @@ def vrep_to_hrep(vertices, tol: float = TOL_GEOM) -> list[HalfSpace]:
     """
     V = dedupe_points(_as_points(vertices))
     k, n = V.shape
-    d = affine_dimension(V, tol)
+    d = affine_dimension(V)
     if d < n:
         raise Degenerate(f"vertex set spans only dimension {d}")
     if n == 1:
         lo, hi = float(V.min()), float(V.max())
         return [HalfSpace(np.array([-1.0]), -lo), HalfSpace(np.array([1.0]), hi)]
-    side_tol = max(tol, 1e-9)
     found: dict[tuple, HalfSpace] = {}
     for idx in itertools.combinations(range(k), n):
         pts = V[list(idx)]
         diffs = pts[1:] - pts[0]
         u, s, vt = np.linalg.svd(diffs)
-        if s.min() <= 1e-9 * max(s.max(), 1.0):
+        if s.min() <= TOL_RANK * max(s.max(), 1.0):
             continue  # subset does not span a hyperplane
         normal = vt[-1]
         offset = float(normal @ pts[0])
         vals = V @ normal - offset
-        if np.all(vals <= side_tol):
+        if np.all(vals <= TOL_GEOM):
             pass
-        elif np.all(vals >= -side_tol):
+        elif np.all(vals >= -TOL_GEOM):
             normal, offset, vals = -normal, -offset, -vals
         else:
             continue
-        tight = V[np.abs(vals) <= side_tol]
-        if affine_dimension(tight, tol) != n - 1:
+        tight = V[np.abs(vals) <= TOL_GEOM]
+        if affine_dimension(tight) != n - 1:
             continue
         h = HalfSpace(normal, offset)
-        key = tuple(np.round(np.concatenate([h.normal, [h.offset]]), 8))
+        key = tuple(np.round(np.concatenate([h.normal, [h.offset]]), HALFSPACE_KEY_DECIMALS))
         found.setdefault(key, h)
     if not found:
         raise Degenerate("no facets found")
     return [found[k] for k in sorted(found)]
 
 
-def convex_hull(points, tol: float = TOL_GEOM, allow_lower: bool = True) -> "Polytope":
+def convex_hull(points, allow_lower: bool = True) -> "Polytope":
     """Convex hull with minimal V-rep (and H-rep when full-dimensional).
 
     Raises DimensionDeficient for degenerate input unless ``allow_lower``,
@@ -404,38 +443,18 @@ def convex_hull(points, tol: float = TOL_GEOM, allow_lower: bool = True) -> "Pol
     if len(pts) == 0:
         return Polytope.empty(_as_points(points).shape[1])
     n = pts.shape[1]
-    d = affine_dimension(pts, tol)
-    if d < n:
-        if not allow_lower:
-            raise DimensionDeficient(d)
-        if d <= 0:
-            return Polytope(lex_sorted(pts[:1]), [], d)
-        origin, basis = affine_basis(pts, tol)
-        proj = (pts - origin) @ basis
-        ext_idx = _extreme_indices_full(proj, tol)
-        verts = lex_sorted(pts[ext_idx])
-        return Polytope(verts, [], d)
-    ext_idx = _extreme_indices_full(pts, tol)
-    verts = lex_sorted(pts[ext_idx])
-    hs = vrep_to_hrep(verts, tol)
-    return Polytope(verts, hs, n)
-
-
-def _extreme_indices_full(pts: np.ndarray, tol: float) -> list[int]:
-    keep = []
-    for i in range(len(pts)):
-        others = np.delete(pts, i, axis=0)
-        if len(others) == 0 or not point_in_hull(pts[i], others, tol=max(tol, 1e-9)):
-            keep.append(i)
-    return keep or [0]
+    d = affine_dimension(pts)
+    if d < n and not allow_lower:
+        raise DimensionDeficient(d)
+    verts = lex_sorted(extreme_points(pts))
+    return Polytope(verts, vrep_to_hrep(verts) if d == n else [], d)
 
 
 # ---------------------------------------------------------------------------
 # splitting, clipping
 # ---------------------------------------------------------------------------
 
-def split_by_hyperplane(p: Polytope, plane: Hyperplane,
-                        tol: float = TOL_GEOM) -> tuple[Polytope, Polytope]:
+def split_by_hyperplane(p: Polytope, plane: Hyperplane) -> tuple[Polytope, Polytope]:
     """Split into (lower, upper) pieces: {normal.x <= offset} and >=.
 
     When the plane misses the interior, the polytope comes back whole on
@@ -444,114 +463,97 @@ def split_by_hyperplane(p: Polytope, plane: Hyperplane,
     if p.is_empty:
         return p, p
     vals = p.vertices @ plane.normal - plane.offset
-    if np.all(vals <= tol):
+    if np.all(vals <= TOL_GEOM):
         return p, Polytope.empty(p.n)
-    if np.all(vals >= -tol):
+    if np.all(vals >= -TOL_GEOM):
         return Polytope.empty(p.n), p
     if p.is_full_dim:
-        lower = Polytope.from_halfspaces(p.halfspaces + [plane.lower()], tol)
-        upper = Polytope.from_halfspaces(p.halfspaces + [plane.upper()], tol)
+        lower = Polytope.from_halfspaces(p.halfspaces + [plane.lower()])
+        upper = Polytope.from_halfspaces(p.halfspaces + [plane.upper()])
         return lower, upper
-    return (clip_to_halfspace(p, plane.lower(), tol),
-            clip_to_halfspace(p, plane.upper(), tol))
+    return clip_to_halfspace(p, plane.lower()), clip_to_halfspace(p, plane.upper())
 
 
-def clip_to_halfspace(p: Polytope, half: HalfSpace, tol: float = TOL_GEOM) -> Polytope:
+def clip_to_halfspace(p: Polytope, half: HalfSpace) -> Polytope:
     """Intersection with a halfspace; works for lower-dimensional polytopes
     by clipping inside the affine hull."""
     if p.is_empty:
         return p
     vals = np.array([half.value(v) for v in p.vertices])
-    if np.all(vals <= tol):
+    if np.all(vals <= TOL_GEOM):
         return p
-    if np.all(vals >= -tol):
-        kept = p.vertices[vals <= tol]
-        return convex_hull(kept, tol) if len(kept) else Polytope.empty(p.n)
+    if np.all(vals >= -TOL_GEOM):
+        kept = p.vertices[vals <= TOL_GEOM]
+        return convex_hull(kept) if len(kept) else Polytope.empty(p.n)
     if p.is_full_dim:
-        return Polytope.from_halfspaces(p.halfspaces + [half], tol)
-    origin, basis = affine_basis(p.vertices, tol)
+        return Polytope.from_halfspaces(p.halfspaces + [half])
+    origin, basis = affine_basis(p.vertices)
     proj = (p.vertices - origin) @ basis
     nproj = basis.T @ half.normal
-    if np.linalg.norm(nproj) <= tol:
+    if np.linalg.norm(nproj) <= TOL_GEOM:
         return p  # halfspace parallel to the hull and mixed signs: numeric noise
     o = half.offset - half.normal @ origin
-    sub = convex_hull(proj, tol, allow_lower=True)
+    sub = convex_hull(proj, allow_lower=True)
     if sub.dim == sub.n:
-        clipped = Polytope.from_halfspaces(sub.halfspaces + [HalfSpace(nproj, o)], tol)
+        clipped = Polytope.from_halfspaces(sub.halfspaces + [HalfSpace(nproj, o)])
     else:
-        clipped = _clip_lower(sub, HalfSpace(nproj, o), tol)
+        clipped = _clip_lower(sub, HalfSpace(nproj, o))
     verts = clipped.vertices @ basis.T + origin
-    return convex_hull(verts, tol) if len(verts) else Polytope.empty(p.n)
+    return convex_hull(verts) if len(verts) else Polytope.empty(p.n)
 
 
-def _clip_lower(p: Polytope, half: HalfSpace, tol: float) -> Polytope:
+def _clip_lower(p: Polytope, half: HalfSpace) -> Polytope:
     # segment base case after projections
     vals = np.array([half.value(v) for v in p.vertices])
-    inside = [v for v, s in zip(p.vertices, vals) if s <= tol]
+    inside = [v for v, s in zip(p.vertices, vals) if s <= TOL_GEOM]
     for (i, j) in itertools.combinations(range(len(p.vertices)), 2):
         a, b = vals[i], vals[j]
-        if a * b < -tol * tol:
+        if a * b < -TOL_GEOM * TOL_GEOM:
             t = a / (a - b)
             inside.append(p.vertices[i] + t * (p.vertices[j] - p.vertices[i]))
     if not inside:
         return Polytope.empty(p.n)
-    return convex_hull(np.array(inside), tol, allow_lower=True)
+    return convex_hull(np.array(inside), allow_lower=True)
 
 
-def intersect(p: Polytope, q: Polytope, tol: float = TOL_GEOM) -> np.ndarray:
+def intersect(p: Polytope, q: Polytope) -> np.ndarray:
     """Vertices of p intersect q (possibly lower-dimensional, possibly empty)."""
     hs = p.halfspaces + q.halfspaces
     if not hs:
         raise GeometryError("intersection requires halfspace data")
-    A = np.array([h.normal for h in hs])
-    b = np.array([h.offset for h in hs])
-    n = p.n
-    feas_tol = max(tol, 1e-8)
-    cands = []
-    for idx in itertools.combinations(range(len(hs)), n):
-        M = A[list(idx)]
-        if abs(np.linalg.det(M)) <= 1e-12:
-            continue
-        x = np.linalg.solve(M, b[list(idx)])
-        if np.all(A @ x - b <= feas_tol):
-            cands.append(x)
+    cands = _enumerate_vertices(np.array([h.normal for h in hs]),
+                                np.array([h.offset for h in hs]))
     # vertices of either polytope lying inside the other are candidates too
-    for v in p.vertices:
-        if q.contains(v, feas_tol):
-            cands.append(v)
-    for v in q.vertices:
-        if p.contains(v, feas_tol):
-            cands.append(v)
+    cands += [v for v in p.vertices if q.contains(v, TOL_INCIDENCE)]
+    cands += [v for v in q.vertices if p.contains(v, TOL_INCIDENCE)]
     if not cands:
-        return np.zeros((0, n))
-    pts = dedupe_points(np.array(cands))
-    return lex_sorted(extreme_points(pts, tol))
+        return np.zeros((0, p.n))
+    return lex_sorted(extreme_points(np.array(cands)))
 
 
-def common_face(p: Polytope, q: Polytope, tol: float = TOL_GEOM) -> Face:
+def common_face(p: Polytope, q: Polytope) -> Face:
     """Intersection of two polytopes as a face value (empty allowed);
     the adjacency predicate is dim == n-1."""
-    verts = intersect(p, q, tol)
+    verts = intersect(p, q)
     if len(verts) == 0:
         return Face.empty(p.n)
-    return Face(verts, None, affine_dimension(verts, tol))
+    return Face(verts, None, affine_dimension(verts))
 
 
 # ---------------------------------------------------------------------------
 # faces and volumes
 # ---------------------------------------------------------------------------
 
-def faces_of(p: Polytope, d: int, tol: float = TOL_GEOM) -> list[Face]:
+def faces_of(p: Polytope, d: int) -> list[Face]:
     """Faces of dimension d, found from facet-incidence intersections."""
     if not p.is_full_dim:
         raise Degenerate("faces_of expects a full-dimensional polytope")
     n = p.n
     if d == n:
         return [Face(p.vertices, None, n)]
-    side_tol = max(tol, 1e-8)
     tight_sets = []
     for h in p.halfspaces:
-        mask = np.abs(p.vertices @ h.normal - h.offset) <= side_tol
+        mask = np.abs(p.vertices @ h.normal - h.offset) <= TOL_INCIDENCE
         tight_sets.append(frozenset(np.flatnonzero(mask)))
     m = len(tight_sets)
     out: dict[frozenset, Face] = {}
@@ -562,11 +564,20 @@ def faces_of(p: Polytope, d: int, tol: float = TOL_GEOM) -> list[Face]:
             if not shared or shared in out:
                 continue
             verts = p.vertices[sorted(shared)]
-            fd = affine_dimension(verts, tol)
+            fd = affine_dimension(verts)
             if fd == d:
                 sup = p.halfspaces[combo[0]] if size == 1 else None
                 out[shared] = Face(lex_sorted(verts), sup, fd)
     return [out[k] for k in sorted(out, key=lambda s: tuple(sorted(s)))]
+
+
+def carrying_facet(p: Polytope, f: Face) -> Optional[int]:
+    """Index into ``p.halfspaces`` (and ``p.facets()``) of the first facet
+    whose plane holds every vertex of ``f``; None when no facet does."""
+    for k, h in enumerate(p.halfspaces):
+        if all(abs(h.value(v)) <= TOL_MERGE for v in f.vertices):
+            return k
+    return None
 
 
 def simplex_volume(vertices: np.ndarray) -> float:
@@ -592,67 +603,52 @@ def volume(p: Polytope) -> float:
     return total
 
 
-def triangulate_point_set(vertices: np.ndarray, anchor: Optional[np.ndarray] = None,
-                          tol: float = TOL_GEOM) -> list[np.ndarray]:
+def _fan(anchor: np.ndarray, facets) -> list[np.ndarray]:
+    """Simplices coning ``anchor`` over the triangulation of every facet
+    that misses it; ``facets`` pairs each facet's vertices with the
+    anchor's signed distance to the facet's plane."""
+    out = []
+    for verts, dist in facets:
+        if any(np.linalg.norm(v - anchor, ord=np.inf) <= TOL_MERGE for v in verts):
+            continue
+        if abs(dist) <= TOL_GEOM:
+            continue  # anchor lies on the facet plane: skip to avoid flat cells
+        out += [np.vstack([anchor[None, :], sub]) for sub in triangulate_point_set(verts)]
+    return out
+
+
+def triangulate_point_set(vertices: np.ndarray,
+                          anchor: Optional[np.ndarray] = None) -> list[np.ndarray]:
     """Triangulate the convex hull of a d-dimensional point set in R^n.
 
     Returns vertex arrays of (d+1) rows each.  The fan anchor defaults to
     the lexicographically smallest vertex, making the result deterministic
     for a fixed vertex set.
     """
-    V = lex_sorted(extreme_points(dedupe_points(_as_points(vertices)), tol))
-    d = affine_dimension(V, tol)
+    V = lex_sorted(extreme_points(vertices))
+    d = affine_dimension(V)
     if d <= 0:
         return [V[:1]]
+    origin, basis = affine_basis(V)
     if d == 1:
-        origin, basis = affine_basis(V, tol)
         t = (V - origin) @ basis[:, 0]
         return [np.array([V[np.argmin(t)], V[np.argmax(t)]])]
-    if anchor is None:
-        anchor = V[0]
-    anchor = np.asarray(anchor, dtype=float)
-    origin, basis = affine_basis(V, tol)
-    proj = (V - origin) @ basis
-    hull = convex_hull(proj, tol, allow_lower=False)
-    out = []
-    for face in hull.facets():
-        orig_face = face.vertices @ basis.T + origin
-        if any(np.linalg.norm(fv - anchor, ord=np.inf) <= _DEDUPE_TOL for fv in orig_face):
-            continue
-        if face.supporting is not None:
-            a_proj = basis.T @ (anchor - origin)
-            if abs(face.supporting.value(a_proj)) <= max(tol, 1e-9):
-                continue  # anchor lies on the facet plane: skip to avoid flat cells
-        for sub in triangulate_point_set(orig_face, None, tol):
-            out.append(np.vstack([anchor[None, :], sub]))
-    return out
+    anchor = np.asarray(V[0] if anchor is None else anchor, dtype=float)
+    hull = convex_hull((V - origin) @ basis, allow_lower=False)
+    a_proj = basis.T @ (anchor - origin)
+    return _fan(anchor, [(face.vertices @ basis.T + origin, face.supporting.value(a_proj))
+                         for face in hull.facets()])
 
 
-def triangulate_face(face: Face, anchor: Optional[np.ndarray] = None,
-                     tol: float = TOL_GEOM) -> list[np.ndarray]:
-    """Triangulation of an (n-1)-dimensional face into (n-1)-simplices,
-    each returned as an array of n vertex rows."""
-    return triangulate_point_set(face.vertices, anchor, tol)
-
-
-def fan_triangulation_simplices(p: Polytope, anchor: Optional[np.ndarray] = None,
-                                tol: float = TOL_GEOM) -> list[np.ndarray]:
+def fan_triangulation_simplices(p: Polytope,
+                                anchor: Optional[np.ndarray] = None) -> list[np.ndarray]:
     """Full-dimensional simplices (vertex arrays) fanning ``p`` from a
-    vertex; anchor defaults to the lexicographically smallest vertex."""
+    vertex over its own facets; anchor defaults to the lexicographically
+    smallest vertex."""
     if not p.is_full_dim:
         raise Degenerate("fan triangulation expects a full-dimensional polytope")
-    if anchor is None:
-        anchor = p.vertices[0]
-    anchor = np.asarray(anchor, dtype=float)
-    out = []
-    for face in p.facets():
-        if any(np.linalg.norm(fv - anchor, ord=np.inf) <= _DEDUPE_TOL for fv in face.vertices):
-            continue
-        if face.supporting is not None and abs(face.supporting.value(anchor)) <= max(tol, 1e-9):
-            continue
-        for sub in triangulate_face(face, None, tol):
-            out.append(np.vstack([anchor[None, :], sub]))
-    return out
+    anchor = np.asarray(p.vertices[0] if anchor is None else anchor, dtype=float)
+    return _fan(anchor, [(face.vertices, face.supporting.value(anchor)) for face in p.facets()])
 
 
 # ---------------------------------------------------------------------------
@@ -712,7 +708,7 @@ class Simplex:
         return Polytope(lex_sorted(self.vertices), hs, self.n)
 
     def vertex_key(self) -> tuple:
-        return tuple(map(tuple, np.round(lex_sorted(self.vertices), 9)))
+        return tuple(point_key(v) for v in lex_sorted(self.vertices))
 
     def __repr__(self) -> str:
         return f"Simplex(n={self.n})"
@@ -723,7 +719,7 @@ class Simplex:
 # ---------------------------------------------------------------------------
 
 def uncovered_volume(domain: Polytope, pieces: list[Polytope],
-                     cut_planes: list[Hyperplane], tol: float = TOL_GEOM) -> float:
+                     cut_planes: list[Hyperplane]) -> float:
     """Volume of domain not covered by any piece.
 
     The cut planes must include every hyperplane used to carve the pieces
@@ -734,7 +730,7 @@ def uncovered_volume(domain: Polytope, pieces: list[Polytope],
     for plane in cut_planes:
         nxt = []
         for c in cells:
-            lo, hi = split_by_hyperplane(c, plane, tol)
+            lo, hi = split_by_hyperplane(c, plane)
             for part in (lo, hi):
                 if not part.is_empty and part.is_full_dim:
                     nxt.append(part)
@@ -743,6 +739,6 @@ def uncovered_volume(domain: Polytope, pieces: list[Polytope],
     gap = 0.0
     for c in cells:
         x = c.centroid()
-        if not any(piece.contains(x, max(tol, 1e-8)) for piece in pieces if not piece.is_empty):
+        if not any(piece.contains(x, TOL_INCIDENCE) for piece in pieces if not piece.is_empty):
             gap += c.volume()
     return gap

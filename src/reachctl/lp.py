@@ -23,7 +23,9 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _PIVOT_TOL = 1e-10
+_RATIO_TIE = 1e-12      # ratio-test values closer than this tie (Bland's rule breaks it)
 _MAX_ITERS = 50_000
+_SLACK_CAP = 1.0        # upper bound of the slack variable in max_slack_feasibility
 
 
 @dataclass(frozen=True)
@@ -35,10 +37,6 @@ class LinearProgram:
     ineq_rhs: np.ndarray
     eq_lhs: Optional[np.ndarray] = None
     eq_rhs: Optional[np.ndarray] = None
-
-    @property
-    def nvars(self) -> int:
-        return len(self.objective)
 
 
 @dataclass(frozen=True)
@@ -72,7 +70,7 @@ def _run_simplex(T: np.ndarray, basis: list[int], ncols: int) -> str:
             a = T[i, enter]
             if a > _PIVOT_TOL:
                 ratio = T[i, -1] / a
-                if ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12 and (leave < 0 or basis[i] < basis[leave])):
+                if ratio < best - _RATIO_TIE or (abs(ratio - best) <= _RATIO_TIE and (leave < 0 or basis[i] < basis[leave])):
                     best, leave = ratio, i
         if leave < 0:
             return UNBOUNDED
@@ -174,31 +172,24 @@ def solve_lp(c, G=None, h=None, E=None, f=None) -> LPOutcome:
     return solve(LinearProgram(np.asarray(c, dtype=float), G, h, E, f))
 
 
-def max_slack_feasibility(ineq_lhs, ineq_rhs, cap: float = 1.0,
-                          normalize: bool = False) -> tuple[float, np.ndarray]:
+def max_slack_feasibility(ineq_lhs, ineq_rhs) -> tuple[float, np.ndarray]:
     """Largest uniform slack of the system g.x <= h.
 
-    Solves max t s.t. g.x <= h - t (t capped above to keep the LP finite).
-    Positive slack certifies strict feasibility, zero means the system is
-    tight, negative means infeasible.  With ``normalize`` the rows are
-    rescaled to unit norm first, so the slack is a Euclidean margin.
+    Solves max t s.t. g.x <= h - t, with t capped at ``_SLACK_CAP`` to keep
+    the LP finite.  Positive slack certifies strict feasibility, zero
+    means the system is tight, negative means infeasible.
     """
     G = np.atleast_2d(np.asarray(ineq_lhs, dtype=float))
     h = np.asarray(ineq_rhs, dtype=float).ravel()
     if G.shape[0] == 0:
         raise ValueError("need at least one constraint")
-    if normalize:
-        norms = np.linalg.norm(G, axis=1)
-        norms[norms == 0.0] = 1.0
-        G = G / norms[:, None]
-        h = h / norms
     n = G.shape[1]
-    # variables (x, t): minimize -t  s.t.  G x + t <= h,  t <= cap
+    # variables (x, t): minimize -t  s.t.  G x + t <= h,  t <= _SLACK_CAP
     c = np.zeros(n + 1)
     c[-1] = -1.0
     lhs = np.hstack([G, np.ones((G.shape[0], 1))])
     lhs = np.vstack([lhs, np.concatenate([np.zeros(n), [1.0]])])
-    rhs = np.concatenate([h, [cap]])
+    rhs = np.concatenate([h, [_SLACK_CAP]])
     out = solve_lp(c, lhs, rhs)
     if out.status != OPTIMAL:
         raise NumericalFailure(f"slack LP ended with status {out.status}")

@@ -10,17 +10,18 @@ produce a closed polytope on which the problem is solvable.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import lp
 from .errors import CommonHyperplane, CutConstructionFailed, EpsTooLarge
-from .geometry import (TOL_GEOM, Face, HalfSpace, Hyperplane, Polytope,
-                       affine_basis, affine_dimension, clip_to_halfspace,
-                       convex_hull, dedupe_points, faces_of, lex_sorted,
-                       point_in_hull, split_by_hyperplane, uncovered_volume)
+from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_MERGE, TOL_VOLUME,
+                       TOL_ZERO, Face, Hyperplane, Polytope, affine_basis,
+                       affine_dimension, clip_to_halfspace, convex_hull,
+                       dedupe_points, faces_of, lex_sorted, point_in_hull,
+                       split_by_hyperplane, uncovered_volume)
 from .system import AffineSystem, SystemGeometry
 
 
@@ -68,13 +69,12 @@ class EpsilonCut:
 def _argopt_vertex(vertices: np.ndarray, beta: np.ndarray, minimize: bool) -> np.ndarray:
     vals = vertices @ beta
     best = vals.min() if minimize else vals.max()
-    mask = np.abs(vals - best) <= 1e-12 + 1e-9 * abs(best)
+    mask = np.abs(vals - best) <= TOL_ZERO + TOL_GEOM * abs(best)
     cands = lex_sorted(vertices[mask])
     return cands[0]
 
 
-def _hull_meets_planes(vertices: np.ndarray, planes: list[Hyperplane],
-                       tol: float = TOL_GEOM) -> bool:
+def _hull_meets_planes(vertices: np.ndarray, planes: list[Hyperplane]) -> bool:
     """Does conv(vertices) intersect all given hyperplanes simultaneously?"""
     V = np.atleast_2d(vertices)
     k = V.shape[0]
@@ -91,16 +91,14 @@ def _hull_meets_planes(vertices: np.ndarray, planes: list[Hyperplane],
     return out.status == lp.OPTIMAL
 
 
-def _level_face(p: Polytope, beta: np.ndarray, level: float,
-                tol: float = TOL_GEOM) -> Polytope:
+def _level_face(p: Polytope, beta: np.ndarray, level: float) -> Polytope:
     """P intersected with the plane beta.x == level (lower-dimensional)."""
     plane = Hyperplane(beta, level)
-    piece = clip_to_halfspace(p, plane.lower(), tol)
-    return clip_to_halfspace(piece, plane.upper(), tol)
+    piece = clip_to_halfspace(p, plane.lower())
+    return clip_to_halfspace(piece, plane.upper())
 
 
-def analyze(sys: AffineSystem, geom: SystemGeometry, p: Polytope, f: Face,
-            tol: float = TOL_GEOM) -> ReachAnalysis:
+def analyze(sys: AffineSystem, geom: SystemGeometry, p: Polytope, f: Face) -> ReachAnalysis:
     """Exact reachability verdict for steering all of ``p`` to ``f``.
 
     Condition (a): nothing lies strictly below the target's lowest drift
@@ -120,38 +118,38 @@ def analyze(sys: AffineSystem, geom: SystemGeometry, p: Polytope, f: Face,
     notes: list[str] = []
 
     # sub-level and super-level blocks relative to the target
-    if beta_min < lvl_minus - tol:
-        h_minus, _ = split_by_hyperplane(p, Hyperplane(beta, lvl_minus), tol)
+    if beta_min < lvl_minus - TOL_GEOM:
+        h_minus, _ = split_by_hyperplane(p, Hyperplane(beta, lvl_minus))
     else:
-        h_minus = _level_face(p, beta, lvl_minus, tol)
-    if beta_max > lvl_plus + tol:
-        _, h_plus = split_by_hyperplane(p, Hyperplane(beta, lvl_plus), tol)
+        h_minus = _level_face(p, beta, lvl_minus)
+    if beta_max > lvl_plus + TOL_GEOM:
+        _, h_plus = split_by_hyperplane(p, Hyperplane(beta, lvl_plus))
     else:
-        h_plus = _level_face(p, beta, lvl_plus, tol)
+        h_plus = _level_face(p, beta, lvl_plus)
 
-    top_verts = p.vertices[np.abs(p_levels - beta_max) <= max(tol, 1e-9)]
-    p_plus = Face(lex_sorted(top_verts), None, affine_dimension(top_verts, tol))
+    top_verts = p.vertices[np.abs(p_levels - beta_max) <= TOL_GEOM]
+    p_plus = Face(lex_sorted(top_verts), None, affine_dimension(top_verts))
 
     # equilibrium slice at the target's low level, active only when it
     # meets the target
     o_plane = geom.equilibrium_plane
     b_plane = Hyperplane(beta, lvl_minus)
-    b_minus_active = _hull_meets_planes(f.vertices, [b_plane, o_plane], tol)
+    b_minus_active = _hull_meets_planes(f.vertices, [b_plane, o_plane])
     if b_minus_active:
-        slice_b = _level_face(p, beta, lvl_minus, tol)
+        slice_b = _level_face(p, beta, lvl_minus)
         b_minus = clip_to_halfspace(
-            clip_to_halfspace(slice_b, o_plane.lower(), tol), o_plane.upper(), tol)
+            clip_to_halfspace(slice_b, o_plane.lower()), o_plane.upper())
     else:
         b_minus = Polytope.empty(p.n)
 
     # condition (a)
     def covered(x) -> bool:
-        if point_in_hull(x, f.vertices, max(tol, 1e-8)):
+        if point_in_hull(x, f.vertices, TOL_INCIDENCE):
             return True
         return b_minus_active and (not b_minus.is_empty) and \
-            point_in_hull(x, b_minus.vertices, max(tol, 1e-8))
+            point_in_hull(x, b_minus.vertices, TOL_INCIDENCE)
 
-    if beta_min < lvl_minus - max(tol, 1e-9):
+    if beta_min < lvl_minus - TOL_GEOM:
         condition_a = False
         a_minus = h_minus
     else:
@@ -172,11 +170,11 @@ def analyze(sys: AffineSystem, geom: SystemGeometry, p: Polytope, f: Face,
                 # whole level face as the closure and flag the ambiguity
                 bad_verts = list(h_minus.vertices)
                 notes.append("sub-level face not convexly covered by target and equilibrium slice")
-            a_minus = convex_hull(np.array(bad_verts), tol, allow_lower=True)
+            a_minus = convex_hull(np.array(bad_verts), allow_lower=True)
 
     # condition (b)
-    in_o = all(geom.on_equilibrium_plane(v, max(tol, 1e-8)) for v in p_plus.vertices)
-    strictly_above = beta_max > lvl_plus + max(tol, 1e-9)
+    in_o = all(geom.on_equilibrium_plane(v, TOL_INCIDENCE) for v in p_plus.vertices)
+    strictly_above = beta_max > lvl_plus + TOL_GEOM
     condition_b = (not in_o) or (not strictly_above)
     a_plus = p_plus if not condition_b else Face.empty(p.n)
 
@@ -194,11 +192,10 @@ def default_eps(geom: SystemGeometry, p: Polytope) -> float:
 # margin cuts
 # ---------------------------------------------------------------------------
 
-def _edge_level_points(p: Polytope, beta: np.ndarray, level: float,
-                       tol: float = TOL_GEOM) -> np.ndarray:
+def _edge_level_points(p: Polytope, beta: np.ndarray, level: float) -> np.ndarray:
     """Boundary points of p at the given drift level, taken on edges."""
     pts = []
-    for edge in faces_of(p, 1, tol):
+    for edge in faces_of(p, 1):
         if len(edge.vertices) < 2:
             continue
         a, b = edge.vertices[0], edge.vertices[-1]
@@ -208,27 +205,26 @@ def _edge_level_points(p: Polytope, beta: np.ndarray, level: float,
             pts.append(a + t * (b - a))
         else:
             for v, lv in ((a, la), (b, lb)):
-                if abs(lv - level) <= tol:
+                if abs(lv - level) <= TOL_GEOM:
                     pts.append(v)
     if not pts:
         return np.zeros((0, p.n))
     return lex_sorted(dedupe_points(np.array(pts)))
 
 
-def _fit_hyperplane(points: np.ndarray, tol: float = TOL_GEOM) -> Optional[Hyperplane]:
+def _fit_hyperplane(points: np.ndarray) -> Optional[Hyperplane]:
     pts = dedupe_points(points)
     n = pts.shape[1]
-    if affine_dimension(pts, tol) != n - 1:
+    if affine_dimension(pts) != n - 1:
         return None
-    origin, basis = affine_basis(pts, tol)
+    origin, basis = affine_basis(pts)
     # normal orthogonal to the spanned directions
     u, s, vt = np.linalg.svd(basis.T, full_matrices=True)
     normal = vt[-1]
     return Hyperplane(normal, float(normal @ origin))
 
 
-def _flat_target_pivot(f: Face, offenders: np.ndarray,
-                       tol: float = TOL_GEOM) -> np.ndarray:
+def _flat_target_pivot(f: Face, offenders: np.ndarray) -> np.ndarray:
     """For a target lying entirely at one drift level, pick the face of the
     target whose outer side holds every offending point; the cut pivots on
     that face."""
@@ -239,26 +235,25 @@ def _flat_target_pivot(f: Face, offenders: np.ndarray,
         direction /= np.linalg.norm(direction)
         ta, tb = 0.0, float(direction @ (b - a))
         toff = [float(direction @ (o - a)) for o in offenders]
-        if all(t >= tb - tol for t in toff):
+        if all(t >= tb - TOL_GEOM for t in toff):
             return np.array([b])
-        if all(t <= ta + tol for t in toff):
+        if all(t <= ta + TOL_GEOM for t in toff):
             return np.array([a])
         raise CutConstructionFailed("offending points on both sides of a flat target")
     # polygonal target: test each in-plane edge
-    origin, basis = affine_basis(f.vertices, tol)
+    origin, basis = affine_basis(f.vertices)
     proj = (f.vertices - origin) @ basis
-    hull = convex_hull(proj, tol, allow_lower=False)
+    hull = convex_hull(proj, allow_lower=False)
     off_proj = (offenders - origin) @ basis
     for face in hull.facets():
         sup = face.supporting
-        if all(sup.value(o) >= -tol for o in off_proj):
+        if all(sup.value(o) >= -TOL_GEOM for o in off_proj):
             return face.vertices @ basis.T + origin
     raise CutConstructionFailed("no target face separates the offending points")
 
 
 def _cut_low_failure(p: Polytope, f: Face, geom: SystemGeometry,
-                     analysis: ReachAnalysis, eps: float,
-                     tol: float = TOL_GEOM) -> tuple[Hyperplane, int]:
+                     analysis: ReachAnalysis, eps: float) -> tuple[Hyperplane, int]:
     """Cut hyperplane removing the low-end failure set with margin eps.
 
     Returns the plane and the sign of its failure side (+1 means the
@@ -269,29 +264,28 @@ def _cut_low_failure(p: Polytope, f: Face, geom: SystemGeometry,
     n = p.n
 
     f_levels = f.vertices @ beta
-    flat = float(f_levels.max() - f_levels.min()) <= max(tol, 1e-9)
+    flat = float(f_levels.max() - f_levels.min()) <= TOL_GEOM
 
-    cov_tol = max(tol, 1e-8)
     offenders = np.array([v for v in analysis.h_minus.vertices
-                          if not point_in_hull(v, f.vertices, cov_tol)
+                          if not point_in_hull(v, f.vertices, TOL_INCIDENCE)
                           and not (analysis.b_minus_active and not analysis.b_minus.is_empty
-                                   and point_in_hull(v, analysis.b_minus.vertices, cov_tol))])
+                                   and point_in_hull(v, analysis.b_minus.vertices, TOL_INCIDENCE))])
     if len(offenders) == 0:
         offenders = analysis.a_minus.vertices
 
     if flat:
-        pivots = _flat_target_pivot(f, offenders, tol)
+        pivots = _flat_target_pivot(f, offenders)
     else:
-        pivots = f.vertices[np.abs(f_levels - lvl) <= max(tol, 1e-9)]
+        pivots = f.vertices[np.abs(f_levels - lvl) <= TOL_GEOM]
 
     level_hi = lvl + eps
-    if level_hi >= float((p.vertices @ beta).max()) - max(tol, 1e-9):
+    if level_hi >= float((p.vertices @ beta).max()) - TOL_GEOM:
         raise EpsTooLarge("margin exceeds the drift extent of the polytope")
-    anchors = _edge_level_points(p, beta, level_hi, tol)
+    anchors = _edge_level_points(p, beta, level_hi)
     if len(anchors) == 0:
         raise EpsTooLarge("no boundary points at the shifted level")
 
-    need = n - affine_dimension(pivots, tol) - 1
+    need = n - affine_dimension(pivots) - 1
     if need <= 0:
         cand_sets = [()]
     else:
@@ -300,34 +294,34 @@ def _cut_low_failure(p: Polytope, f: Face, geom: SystemGeometry,
     f_verts = f.vertices
     for combo in cand_sets:
         pts = np.vstack([pivots] + [anchors[list(combo)]]) if combo else pivots
-        plane = _fit_hyperplane(pts, tol)
+        plane = _fit_hyperplane(pts)
         if plane is None:
             continue
         # orient: failure side is where the offenders live
         off_vals = np.array([plane.value(o) for o in offenders])
-        if np.all(off_vals >= -cov_tol):
+        if np.all(off_vals >= -TOL_INCIDENCE):
             sign = 1
-        elif np.all(off_vals <= cov_tol):
+        elif np.all(off_vals <= TOL_INCIDENCE):
             sign = -1
         else:
             continue
         # the target must sit entirely on the keep side
         f_vals = np.array([plane.value(v) for v in f_verts]) * sign
-        if np.any(f_vals > cov_tol):
+        if np.any(f_vals > TOL_INCIDENCE):
             continue
         # margin attained: every point of the plane inside p stays within
         # eps of the pivot level
-        lo, hi = split_by_hyperplane(p, plane, tol)
+        lo, hi = split_by_hyperplane(p, plane)
         cut_piece = hi if sign > 0 else lo
         keep_piece = lo if sign > 0 else hi
         if cut_piece.is_empty or keep_piece.is_empty or not keep_piece.is_full_dim:
             continue
         iface = [v for v in keep_piece.vertices
-                 if abs(plane.value(v)) <= max(tol, 1e-7)]
+                 if abs(plane.value(v)) <= TOL_MERGE]
         if not iface:
             continue
         dists = [abs(float(beta @ v) - lvl) for v in iface]
-        if max(dists) > eps + 1e-7:
+        if max(dists) > eps + TOL_MERGE:
             continue
         return plane, sign
     raise CutConstructionFailed("no admissible cut hyperplane at this margin")
@@ -335,8 +329,7 @@ def _cut_low_failure(p: Polytope, f: Face, geom: SystemGeometry,
 
 def epsilon_cut(sys: AffineSystem, geom: SystemGeometry, p: Polytope, f: Face,
                 eps: Optional[float] = None,
-                analysis: Optional[ReachAnalysis] = None,
-                tol: float = TOL_GEOM) -> EpsilonCut:
+                analysis: Optional[ReachAnalysis] = None) -> EpsilonCut:
     """Remove both failure sets with margin ``eps``.
 
     The low-end failure is cut along a tilted hyperplane pivoting on the
@@ -346,7 +339,7 @@ def epsilon_cut(sys: AffineSystem, geom: SystemGeometry, p: Polytope, f: Face,
     back whole.
     """
     if analysis is None:
-        analysis = analyze(sys, geom, p, f, tol)
+        analysis = analyze(sys, geom, p, f)
     if eps is None:
         eps = default_eps(geom, p)
     if eps <= 0:
@@ -363,12 +356,12 @@ def epsilon_cut(sys: AffineSystem, geom: SystemGeometry, p: Polytope, f: Face,
     # removing the failure set
     lvl_minus = float(beta @ analysis.v_minus)
     beta_max = float((p.vertices @ beta).max())
-    if not analysis.a_minus.is_empty and lvl_minus >= beta_max - max(tol, 1e-9):
+    if not analysis.a_minus.is_empty and lvl_minus >= beta_max - TOL_GEOM:
         return EpsilonCut(float(eps), p, Polytope.empty(p.n), Polytope.empty(p.n), ())
 
     if not analysis.a_minus.is_empty:
-        plane, sign = _cut_low_failure(p, f, geom, analysis, eps, tol)
-        lo, hi = split_by_hyperplane(reach, plane, tol)
+        plane, sign = _cut_low_failure(p, f, geom, analysis, eps)
+        lo, hi = split_by_hyperplane(reach, plane)
         a_eps_minus, reach = (hi, lo) if sign > 0 else (lo, hi)
         planes.append(plane)
 
@@ -376,35 +369,34 @@ def epsilon_cut(sys: AffineSystem, geom: SystemGeometry, p: Polytope, f: Face,
         beta_max = float((p.vertices @ beta).max())
         lvl_plus = float(beta @ analysis.v_plus)
         cut_level = beta_max - eps
-        if cut_level <= lvl_plus + max(tol, 1e-9):
+        if cut_level <= lvl_plus + TOL_GEOM:
             raise EpsTooLarge("margin would cut into the target's top level")
         plane = Hyperplane(beta, cut_level)
-        lo, hi = split_by_hyperplane(reach, plane, tol)
+        lo, hi = split_by_hyperplane(reach, plane)
         reach, a_eps_plus = lo, hi
         planes.append(plane)
 
     if reach.is_empty or not reach.is_full_dim:
         raise EpsTooLarge("nothing full-dimensional remains after the cuts")
     for v in f.vertices:
-        if not reach.contains(v, max(tol, 1e-7)):
+        if not reach.contains(v, TOL_MERGE):
             raise EpsTooLarge("cut removed part of the target")
     return EpsilonCut(float(eps), a_eps_minus, a_eps_plus, reach, tuple(planes))
 
 
 def reach_eps_pair(sys: AffineSystem, geom: SystemGeometry, p: Polytope,
-                   f1: Face, f2: Face, eps: float,
-                   tol: float = TOL_GEOM) -> tuple[EpsilonCut, EpsilonCut, bool]:
+                   f1: Face, f2: Face, eps: float) -> tuple[EpsilonCut, EpsilonCut, bool]:
     """Margin-cut reach sets for two boundary targets, plus a flag telling
     whether the two sets jointly cover the polytope."""
     both = np.vstack([f1.vertices, f2.vertices])
-    if affine_dimension(both, tol) < p.n:
+    if affine_dimension(both) < p.n:
         raise CommonHyperplane("targets lie on a common hyperplane")
-    cut1 = epsilon_cut(sys, geom, p, f1, eps, tol=tol)
-    cut2 = epsilon_cut(sys, geom, p, f2, eps, tol=tol)
+    cut1 = epsilon_cut(sys, geom, p, f1, eps)
+    cut2 = epsilon_cut(sys, geom, p, f2, eps)
     planes = list(cut1.cut_planes) + list(cut2.cut_planes)
-    gap = uncovered_volume(p, [cut1.reach_eps, cut2.reach_eps], planes, tol)
-    covers = gap <= 1e-8 * max(p.volume(), 1.0)
+    gap = uncovered_volume(p, [cut1.reach_eps, cut2.reach_eps], planes)
+    covers = gap <= TOL_VOLUME * max(p.volume(), 1.0)
     if covers:
-        covers = all(cut1.reach_eps.contains(v, 1e-7) or cut2.reach_eps.contains(v, 1e-7)
+        covers = all(cut1.reach_eps.contains(v, TOL_MERGE) or cut2.reach_eps.contains(v, TOL_MERGE)
                      for v in p.vertices)
     return cut1, cut2, covers

@@ -3,16 +3,13 @@ verification of synthesized controllers."""
 
 from __future__ import annotations
 
-import io
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .geometry import Face, Polytope, point_in_hull
-from .synth import AffinePiece, PWAController
+from .geometry import TOL_GEOM, Face, Polytope, point_in_hull
+from .synth import PWAController
 from .system import AffineSystem
 
 TOL_SIM = 1e-6
@@ -39,7 +36,6 @@ class Trajectory:
     piece_ids: np.ndarray
     outcome: Outcome
     max_violation: float = 0.0
-    chattering: bool = False
 
     @property
     def success(self) -> bool:
@@ -90,12 +86,10 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
         return float((normals @ state - offs).max())
 
     def on_target(state):
-        return f is not None and point_in_hull(state, f.vertices, 1e-6)
+        return f is not None and point_in_hull(state, f.vertices, TOL_SIM)
 
     times, states, controls, ids = [0.0], [x.copy()], [], []
     max_viol = max(violation(x), 0.0)
-    switches: list[int] = []
-    chattering = False
 
     if on_target(x):
         piece = ctrl.lookup(x, TOL_SIM)
@@ -105,20 +99,13 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
                           np.array(ids), Outcome(REACHED, 0.0), max_viol)
 
     t = 0.0
-    last_piece = None
     while t < tmax:
         piece = ctrl.lookup(x, TOL_SIM)
         if piece is None:
             controls.append(np.zeros(sys.m))
             ids.append(-1)
             return Trajectory(np.array(times), np.array(states), np.array(controls),
-                              np.array(ids), Outcome(GAP, t), max_viol, chattering)
-        if last_piece is not None and piece.index != last_piece:
-            switches.append(len(times))
-            recent = [s for s in switches if s > len(times) - 10]
-            if len(recent) > 10:
-                chattering = True
-        last_piece = piece.index
+                              np.array(ids), Outcome(GAP, t), max_viol)
         A_cl, b_cl = piece.closed_loop(sys)
         controls.append(piece.control(x))
         ids.append(piece.index)
@@ -146,7 +133,7 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
                 facet = int(np.argmax(normals @ x_exit - offs))
                 out = Outcome(LEFT, t_exit, facet)
             return Trajectory(np.array(times), np.array(states), np.array(controls),
-                              np.array(ids), out, max_viol, chattering)
+                              np.array(ids), out, max_viol)
         t += h
         x = x_new
         max_viol = max(max_viol, violation(x))
@@ -156,11 +143,11 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
             return Trajectory(np.array(times), np.array(states),
                               np.array(controls + [piece.control(x)]),
                               np.array(ids + [piece.index]),
-                              Outcome(REACHED, t), max_viol, chattering)
+                              Outcome(REACHED, t), max_viol)
     controls.append(np.zeros(sys.m))
     ids.append(-1)
     return Trajectory(np.array(times), np.array(states), np.array(controls),
-                      np.array(ids), Outcome(TIMEOUT, t), max_viol, chattering)
+                      np.array(ids), Outcome(TIMEOUT, t), max_viol)
 
 
 @dataclass
@@ -207,7 +194,7 @@ def sample_states(p: Polytope, nsamples: int, rng: np.random.Generator) -> np.nd
     out = []
     while len(out) < nsamples:
         batch = rng.uniform(lo, hi, size=(max(64, 4 * nsamples), p.n))
-        inside = np.all(batch @ normals.T - offs <= -1e-9, axis=1)
+        inside = np.all(batch @ normals.T - offs <= -TOL_GEOM, axis=1)
         out.extend(batch[inside][: nsamples - len(out)])
     return np.array(out)
 
@@ -217,23 +204,13 @@ def verify(sys: AffineSystem, ctrl: PWAController, p: Polytope, f: Face,
            tmax: Optional[float] = None) -> VerifyReport:
     """Sampled closed-loop verification over the controller's domain.
 
-    Deterministic for a fixed seed; REACHCTL_THREADS > 1 runs samples on a
-    thread pool (results are ordered by sample index either way).
+    Deterministic for a fixed seed; samples run in index order.
     """
     if nsamples <= 0:
         return VerifyReport(0, 0, [], [], 0.0, [], seed)
     rng = np.random.default_rng(seed)
     starts = sample_states(p, nsamples, rng)
-
-    def run(i: int) -> Trajectory:
-        return integrate(sys, ctrl, starts[i], dt, tmax, f, p)
-
-    threads = int(os.environ.get("REACHCTL_THREADS", "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trajs = list(pool.map(run, range(nsamples)))
-    else:
-        trajs = [run(i) for i in range(nsamples)]
+    trajs = [integrate(sys, ctrl, x0, dt, tmax, f, p) for x0 in starts]
 
     outcomes = [tr.outcome.kind for tr in trajs]
     successes = sum(tr.success for tr in trajs)
@@ -241,21 +218,3 @@ def verify(sys: AffineSystem, ctrl: PWAController, p: Polytope, f: Face,
     max_viol = max((tr.max_violation for tr in trajs), default=0.0)
     failures = [i for i, tr in enumerate(trajs) if not tr.success]
     return VerifyReport(nsamples, successes, outcomes, times, max_viol, failures, seed)
-
-
-def trajectory_to_csv(traj: Trajectory, sys: AffineSystem) -> str:
-    """Rows of (t, state..., control..., piece id)."""
-    n, m = sys.n, sys.m
-    buf = io.StringIO()
-    cols = ["t"] + [f"x{i+1}" for i in range(n)] + [f"u{i+1}" for i in range(m)] + ["piece"]
-    buf.write(",".join(cols) + "\n")
-    k = len(traj.times)
-    for i in range(k):
-        u = traj.controls[i] if i < len(traj.controls) else np.zeros(m)
-        pid = traj.piece_ids[i] if i < len(traj.piece_ids) else -1
-        row = [f"{traj.times[i]:.17g}"]
-        row += [f"{v:.17g}" for v in traj.states[i]]
-        row += [f"{v:.17g}" for v in np.atleast_1d(u)]
-        row.append(str(int(pid)))
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()

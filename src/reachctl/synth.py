@@ -9,19 +9,19 @@ greedy pass that always finishes the lowest-drift exit facet first.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
 from . import lp
 from .errors import (AssumptionViolated, CaseViolation, Infeasible,
                      NotReachable, SingularVertexMatrix, Stuck,
-                     SynthesisFailed, VStarInFbar)
-from .geometry import (TOL_GEOM, Face, Polytope, Simplex, lex_sorted,
-                       point_in_hull)
-from .reach import analyze, default_eps, epsilon_cut
+                     SynthesisFailed)
+from .geometry import (FACE_MATCH_DECIMALS, TOL_GEOM, TOL_INCIDENCE,
+                       TOL_MERGE, TOL_ZERO, Face, Polytope, Simplex,
+                       carrying_facet, point_in_hull, point_key)
+from .reach import analyze, epsilon_cut
 from .system import (AffineSystem, SystemGeometry, check_assumptions,
                      compute_geometry)
 from .triangulate import (Cover, Triangulation, basic_triangulation,
@@ -31,6 +31,7 @@ from .triangulate import (Cover, Triangulation, basic_triangulation,
 
 TOL_INV = 1e-8      # invariance residual tolerance
 SLACK_MIN = 1e-6    # margin standing in for strict inequalities
+_VERTEX_DET_MIN = 1e-14   # vertex-matrix determinant below which interpolation is refused
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class PWAController:
         for k, piece in enumerate(self.pieces):
             piece.index = k
 
-    def lookup(self, x, tol: float = 1e-7) -> Optional[AffinePiece]:
+    def lookup(self, x, tol: float = TOL_MERGE) -> Optional[AffinePiece]:
         x = np.asarray(x, dtype=float)
         best = None
         best_key = None
@@ -86,7 +87,7 @@ class PWAController:
                     best, best_key = piece, key
         return best
 
-    def control(self, x, tol: float = 1e-7) -> Optional[np.ndarray]:
+    def control(self, x, tol: float = TOL_MERGE) -> Optional[np.ndarray]:
         piece = self.lookup(x, tol)
         return None if piece is None else piece.control(x)
 
@@ -150,7 +151,7 @@ def vertex_controls_lp(sys: AffineSystem, s: Simplex, exit_facet: int,
 def _solve_direction(sys: AffineSystem, vi: np.ndarray, target_dir: np.ndarray):
     """Solve drift(vi) + B u = lam * target_dir for (u, lam)."""
     M = np.hstack([-sys.B, target_dir[:, None]])
-    if abs(np.linalg.det(M)) <= 1e-12:
+    if abs(np.linalg.det(M)) <= TOL_ZERO:
         raise CaseViolation("aim direction lies in the input span")
     sol = np.linalg.solve(M, sys.drift(vi))
     return sol[:-1], float(sol[-1])
@@ -158,14 +159,13 @@ def _solve_direction(sys: AffineSystem, vi: np.ndarray, target_dir: np.ndarray):
 
 def _input_solve(sys: AffineSystem, rhs: np.ndarray) -> np.ndarray:
     u, res, *_ = np.linalg.lstsq(sys.B, rhs, rcond=None)
-    if np.linalg.norm(sys.B @ u - rhs) > 1e-8:
+    if np.linalg.norm(sys.B @ u - rhs) > TOL_INCIDENCE:
         raise CaseViolation("required field is outside the input span")
     return u
 
 
 def vertex_controls_constructive(sys: AffineSystem, geom: SystemGeometry,
-                                 s: Simplex, exit_facet: int,
-                                 tol: float = TOL_GEOM) -> VertexControls:
+                                 s: Simplex, exit_facet: int) -> VertexControls:
     """Controls from the constructive case split: vertices off the
     equilibrium plane aim at an interior point (or along the apex
     direction at the lowest drift level); vertices on the plane move
@@ -188,20 +188,20 @@ def vertex_controls_constructive(sys: AffineSystem, geom: SystemGeometry,
         # walking from the centroid toward the lowest exit vertex
         for t in (0.0, 0.25, 0.5, 0.75, 0.9):
             cand = centroid + t * (w_minus - centroid)
-            if float(beta @ cand) < level - max(tol, 1e-9):
+            if float(beta @ cand) < level - TOL_GEOM:
                 return cand
         raise CaseViolation("no interior aim point below the required level")
 
     us = np.zeros((nv, sys.m))
     for i in range(nv):
         vi = verts[i]
-        on_plane = abs(float(beta @ sys.drift(vi))) <= max(tol, 1e-9)
+        on_plane = abs(float(beta @ sys.drift(vi))) <= TOL_GEOM
         lvl_i = float(beta @ vi)
         if not on_plane:
-            if lvl_i > lvl_minus + max(tol, 1e-9):
+            if lvl_i > lvl_minus + TOL_GEOM:
                 u, lam = _solve_direction(sys, vi, aim_below(lvl_i) - vi)
-            elif lvl_i >= lvl_minus - max(tol, 1e-9):
-                if lvl_apex <= lvl_minus + max(tol, 1e-9):
+            elif lvl_i >= lvl_minus - TOL_GEOM:
+                if lvl_apex <= lvl_minus + TOL_GEOM:
                     raise CaseViolation("apex not above the lowest exit level")
                 u, lam = _solve_direction(sys, vi, aim_below(lvl_apex) - apex)
             else:
@@ -210,16 +210,16 @@ def vertex_controls_constructive(sys: AffineSystem, geom: SystemGeometry,
                 raise CaseViolation("aim direction points against the drift")
             us[i] = u
         else:
-            if lvl_plus + max(tol, 1e-9) >= lvl_apex >= lvl_minus - max(tol, 1e-9):
-                if lvl_plus - lvl_minus <= max(tol, 1e-9):
+            if lvl_plus + TOL_GEOM >= lvl_apex >= lvl_minus - TOL_GEOM:
+                if lvl_plus - lvl_minus <= TOL_GEOM:
                     p_prime = w_minus
                 else:
                     t = (lvl_apex - lvl_minus) / (lvl_plus - lvl_minus)
                     p_prime = w_minus + np.clip(t, 0.0, 1.0) * (w_plus - w_minus)
-                if np.linalg.norm(p_prime - apex) <= tol:
+                if np.linalg.norm(p_prime - apex) <= TOL_GEOM:
                     raise CaseViolation("no same-level aim point distinct from the apex")
                 us[i] = _input_solve(sys, (p_prime - apex) - sys.drift(vi))
-            elif lvl_apex > lvl_plus + max(tol, 1e-9):
+            elif lvl_apex > lvl_plus + TOL_GEOM:
                 rows = [beta]
                 rhs = [0.0]
                 for j in range(nv):
@@ -228,7 +228,7 @@ def vertex_controls_constructive(sys: AffineSystem, geom: SystemGeometry,
                     rows.append(s.normals[j])
                     rhs.append(-1.0)
                 M = np.array(rows)
-                if abs(np.linalg.det(M)) <= 1e-12:
+                if abs(np.linalg.det(M)) <= TOL_ZERO:
                     raise CaseViolation("facet normals degenerate with the drift normal")
                 y = np.linalg.solve(M, np.array(rhs))
                 us[i] = _input_solve(sys, y - sys.drift(vi))
@@ -268,12 +268,12 @@ def affine_from_vertex_controls(s: Simplex, vc: VertexControls) -> tuple[np.ndar
     """Unique affine law matching the vertex controls."""
     nv = s.n + 1
     M = np.vstack([s.vertices.T, np.ones((1, nv))])
-    if abs(np.linalg.det(M)) <= 1e-14:
+    if abs(np.linalg.det(M)) <= _VERTEX_DET_MIN:
         raise SingularVertexMatrix("simplex vertex matrix is singular")
     sol = vc.u.T @ np.linalg.inv(M)
     gain, offset = sol[:, :-1], sol[:, -1]
     resid = max(np.linalg.norm(gain @ v + offset - u) for v, u in zip(s.vertices, vc.u))
-    if resid > 1e-9:
+    if resid > TOL_GEOM:
         raise SingularVertexMatrix(f"interpolation residual {resid:.2e}")
     return gain, offset
 
@@ -284,7 +284,7 @@ def check_no_equilibrium(sys: AffineSystem, s: Simplex, gain: np.ndarray,
     A_cl = sys.A + sys.B @ gain
     b_cl = sys.a + sys.B @ offset
     scale = max(np.abs(A_cl).max(), 1.0)
-    if abs(np.linalg.det(A_cl)) > 1e-12 * scale ** s.n:
+    if abs(np.linalg.det(A_cl)) > TOL_ZERO * scale ** s.n:
         x_star = np.linalg.solve(A_cl, -b_cl)
         return not s.contains(x_star, tol)
     # singular closed loop: stationary set is an affine subspace
@@ -322,7 +322,7 @@ def _single_affine_piece(sys: AffineSystem, geom: SystemGeometry, s: Simplex,
 
 
 def synth_simplex(sys: AffineSystem, geom: SystemGeometry, s: Simplex,
-                  exit_facet: int, tol: float = TOL_GEOM) -> list[AffinePiece]:
+                  exit_facet: int) -> list[AffinePiece]:
     """Feedback for one simplex exiting through the given facet.
 
     Normally a single affine piece; when the apex sits above the whole
@@ -336,10 +336,10 @@ def synth_simplex(sys: AffineSystem, geom: SystemGeometry, s: Simplex,
     levels = np.array([beta @ s.vertices[j] for j in exit_ids])
     lvl_minus, lvl_plus = float(levels.min()), float(levels.max())
     lvl_apex = float(beta @ apex)
-    exit_on_plane = all(abs(float(beta @ sys.drift(s.vertices[j]))) <= max(tol, 1e-8)
+    exit_on_plane = all(abs(float(beta @ sys.drift(s.vertices[j]))) <= TOL_INCIDENCE
                         for j in exit_ids)
 
-    if lvl_apex > lvl_plus + max(tol, 1e-9) and exit_on_plane:
+    if lvl_apex > lvl_plus + TOL_GEOM and exit_on_plane:
         # split at the drift midlevel of the exit facet
         w_minus_id = exit_ids[int(np.argmin(levels))]
         w_minus = s.vertices[w_minus_id]
@@ -379,16 +379,15 @@ class GreedyResult:
 
 
 def _facet_index(s: Simplex, face_vertices: np.ndarray) -> int:
-    keys = {tuple(np.round(v, 9)) for v in face_vertices}
+    keys = {point_key(v) for v in face_vertices}
     for j in range(s.n + 1):
         base = np.delete(s.vertices, j, axis=0)
-        if {tuple(np.round(v, 9)) for v in base} == keys:
+        if {point_key(v) for v in base} == keys:
             return j
     raise ValueError("face is not a facet of the simplex")
 
 
-def greedy_paths(tri: Triangulation, geom: SystemGeometry, f: Face,
-                 tol: float = TOL_GEOM) -> GreedyResult:
+def greedy_paths(tri: Triangulation, geom: SystemGeometry, f: Face) -> GreedyResult:
     """Order the simplices so each one exits into an already-finished
     neighbor, always picking the pair whose shared facet has the lowest
     drift level (ties: most facet vertices at that level, then index)."""
@@ -401,7 +400,7 @@ def greedy_paths(tri: Triangulation, geom: SystemGeometry, f: Face,
     def facet_stats(face_vertices: np.ndarray) -> tuple[float, int]:
         lv = face_vertices @ beta
         lo = float(lv.min())
-        return lo, int(np.sum(np.abs(lv - lo) <= max(tol, 1e-9)))
+        return lo, int(np.sum(np.abs(lv - lo) <= TOL_GEOM))
 
     while unfinished:
         best = None
@@ -411,7 +410,7 @@ def greedy_paths(tri: Triangulation, geom: SystemGeometry, f: Face,
             if i in tri.target_indices:
                 for j in range(s.n + 1):
                     base = np.delete(s.vertices, j, axis=0)
-                    if all(point_in_hull(v, f.vertices, max(tol, 1e-8)) for v in base):
+                    if all(point_in_hull(v, f.vertices, TOL_INCIDENCE) for v in base):
                         lo, cnt = facet_stats(base)
                         key = (lo, -cnt, i, -1)
                         if best_key is None or key < best_key:
@@ -441,101 +440,108 @@ def greedy_paths(tri: Triangulation, geom: SystemGeometry, f: Face,
 # whole-polytope synthesis
 # ---------------------------------------------------------------------------
 
-def _is_facet_of(p: Polytope, f: Face, tol: float = TOL_GEOM) -> bool:
-    fkeys = {tuple(np.round(v, 7)) for v in f.vertices}
-    for face in p.facets():
-        keys = {tuple(np.round(v, 7)) for v in face.vertices}
-        if keys == fkeys:
-            return True
-    return False
+def _is_facet_of(p: Polytope, f: Face) -> bool:
+    def keys(vertices):
+        return {tuple(np.round(v, FACE_MATCH_DECIMALS)) for v in vertices}
+    fkeys = keys(f.vertices)
+    return any(keys(face.vertices) == fkeys for face in p.facets())
 
 
-def _rerank(pieces: list[AffinePiece], base: int) -> list[AffinePiece]:
-    return [replace_rank(piece, (base,) + piece.rank) for piece in pieces]
+@dataclass(frozen=True)
+class _Split:
+    """A branch that hands sub-problems back to ``synth_polytope``:
+    (polytope, target, rank prefix or None) each, in synthesis order, plus
+    the note it adds and the domain of the assembled controller."""
+
+    subs: list
+    note: str
+    domain: Polytope
 
 
-def replace_rank(piece: AffinePiece, rank: tuple) -> AffinePiece:
-    piece.rank = rank
-    return piece
+def _cover_subs(cover: Cover) -> list:
+    return [(cp.polytope, cp.target, 0 if cp.role == "target" else 1) for cp in cover.pieces]
+
+
+def _branch(sys: AffineSystem, p: Polytope, f: Face, eps: Optional[float]
+            ) -> Union[_Split, tuple[Triangulation, SystemGeometry]]:
+    """The construction for one (polytope, target) instance: a split into
+    sub-problems, or a leaf triangulation with its geometry."""
+    rep = check_assumptions(sys, p, f)
+    if not (rep.a1_input_rank and rep.a2_controllable and rep.a4_target_valid):
+        raise AssumptionViolated(rep)
+    if not rep.a3_interior_clear:
+        return _Split(_cover_subs(cover_wrt_O(sys, p, f, eps)),
+                      "covered along the equilibrium plane", p)
+
+    geom = compute_geometry(sys, p)
+    ra = analyze(sys, geom, p, f)
+    if not ra.reachable:
+        cut = epsilon_cut(sys, geom, p, f, eps, analysis=ra)
+        if cut.reach_eps.is_empty or not cut.reach_eps.is_full_dim:
+            raise NotReachable(ra)
+        return _Split([(cut.reach_eps, f, None)],
+                      f"failure sets cut off with margin {cut.eps:g}", cut.reach_eps)
+
+    if _is_facet_of(p, f):
+        tri = basic_triangulation(p, select_vstar(p, f, geom))
+        mark_target(tri, f)
+        return tri, geom
+    # non-facet target: prefer an anchor clear of the carrying facet, then
+    # a cover pivoting on a top-face target vertex, and finally the far split
+    k = carrying_facet(p, f)
+    if k is None:
+        raise AssumptionViolated(rep, "target does not lie in a facet")
+    fbar = p.halfspaces[k]
+    off_fbar = [v for v in qualifying_vertices(p, f, geom)
+                if abs(fbar.value(v)) > TOL_INCIDENCE]
+    if off_fbar:
+        return triangulation_wrt_F(p, f, off_fbar[0]), geom
+    top_level = float((p.vertices @ geom.beta).max())
+    if any(abs(float(geom.beta @ v) - top_level) <= TOL_INCIDENCE for v in f.vertices):
+        return _Split(_cover_subs(cover_wrt_F(p, f, geom)),
+                      "covered around the non-facet target", p)
+    fs = split_far_case(p, f, geom)
+    return _Split([(fs.p1, f, 0), (fs.p2, fs.interface, 1)],
+                  "split away from the far target", p)
 
 
 def synth_polytope(sys: AffineSystem, p: Polytope, f: Face,
-                   eps: Optional[float] = None,
-                   tol: float = TOL_GEOM) -> PWAController:
-    """End-to-end synthesis: handle an equilibrium plane crossing the
-    interior by covering, cut failure sets off with a margin, dispatch on
-    whether the target is a facet, triangulate, order greedily, and emit
-    one affine law per simplex (two where a split is needed)."""
-    rep = check_assumptions(sys, p, f, tol)
-    if not (rep.a1_input_rank and rep.a2_controllable and rep.a4_target_valid):
-        raise AssumptionViolated(rep)
+                   eps: Optional[float] = None) -> PWAController:
+    """End-to-end synthesis, one branch per call, tried in this order:
 
-    if not rep.a3_interior_clear:
-        cover = cover_wrt_O(sys, p, f, eps, tol)
+    1. equilibrium plane crossing the interior: cover w.r.t. the plane;
+    2. target not reachable: cut the failure sets off with margin ``eps``
+       and synthesize on the cut polytope, which becomes the domain;
+    3. target is a facet: anchored fan triangulation;
+    4. an anchor lies off the facet carrying the target: triangulation
+       w.r.t. the target;
+    5. a target vertex lies on the top drift face: cover w.r.t. the target;
+    6. otherwise: the far split.
+
+    Branches 1, 2, 5 and 6 recurse on their sub-problems in order and
+    concatenate the pieces and notes, the branch's note first.  A cover or
+    split prefixes each sub-piece's rank with 0 when its sub-problem drives
+    to the original target and with 1 when it feeds an interface; the cut
+    leaves ranks as they are.  Leaves are ordered greedily and get one
+    affine law per simplex (two where a split is needed)."""
+    branch = _branch(sys, p, f, eps)
+    if isinstance(branch, _Split):
         pieces: list[AffinePiece] = []
-        notes = ["covered along the equilibrium plane"]
-        for k, cp in enumerate(cover.pieces):
-            sub = synth_polytope(sys, cp.polytope, cp.target, eps, tol)
-            base = 0 if cp.role == "target" else 1
-            pieces.extend(_rerank(sub.pieces, base))
-            notes.extend(sub.notes)
-        return PWAController(pieces, p, notes)
+        notes = [branch.note]
+        for sub_p, sub_f, prefix in branch.subs:
+            sub = synth_polytope(sys, sub_p, sub_f, eps)
+            if prefix is not None:
+                for piece in sub.pieces:
+                    piece.rank = (prefix,) + piece.rank
+            pieces += sub.pieces
+            notes += sub.notes
+        return PWAController(pieces, branch.domain, notes)
 
-    geom = compute_geometry(sys, p, tol)
-    ra = analyze(sys, geom, p, f, tol)
-    if not ra.reachable:
-        cut = epsilon_cut(sys, geom, p, f, eps, analysis=ra, tol=tol)
-        if cut.reach_eps.is_empty or not cut.reach_eps.is_full_dim:
-            raise NotReachable(ra)
-        sub = synth_polytope(sys, cut.reach_eps, f, eps, tol)
-        sub.notes.insert(0, f"failure sets cut off with margin {cut.eps:g}")
-        return sub
-
-    if _is_facet_of(p, f, tol):
-        vstar = select_vstar(p, f, geom, tol)
-        tri = basic_triangulation(p, vstar, tol)
-        mark_target(tri, f, tol)
-    else:
-        # non-facet target: prefer an anchor clear of the carrying facet,
-        # then a cover pivoting on a top-face target vertex, and finally
-        # the far split
-        fbar = None
-        for face in p.facets():
-            if all(abs(face.supporting.value(v)) <= max(tol, 1e-7) for v in f.vertices):
-                fbar = face
-                break
-        if fbar is None:
-            raise AssumptionViolated(rep, "target does not lie in a facet")
-        quals = qualifying_vertices(p, f, geom, tol)
-        off_fbar = [v for v in quals if abs(fbar.supporting.value(v)) > max(tol, 1e-8)]
-        if off_fbar:
-            tri = triangulation_wrt_F(p, f, off_fbar[0], tol)
-        else:
-            levels = p.vertices @ geom.beta
-            top_level = float(levels.max())
-            touching = any(abs(float(geom.beta @ v) - top_level) <= max(tol, 1e-8)
-                           for v in f.vertices)
-            if touching:
-                cover = cover_wrt_F(p, f, geom, tol)
-                pieces = []
-                notes = ["covered around the non-facet target"]
-                for cp in cover.pieces:
-                    sub = synth_polytope(sys, cp.polytope, cp.target, eps, tol)
-                    base = 0 if cp.role == "target" else 1
-                    pieces.extend(_rerank(sub.pieces, base))
-                    notes.extend(sub.notes)
-                return PWAController(pieces, p, notes)
-            fs = split_far_case(p, f, geom, tol)
-            sub1 = synth_polytope(sys, fs.p1, f, eps, tol)
-            sub2 = synth_polytope(sys, fs.p2, fs.interface, eps, tol)
-            pieces = _rerank(sub1.pieces, 0) + _rerank(sub2.pieces, 1)
-            return PWAController(pieces, p, ["split away from the far target"]
-                                 + sub1.notes + sub2.notes)
-
-    greedy = greedy_paths(tri, geom, f, tol)
+    tri, geom = branch
+    greedy = greedy_paths(tri, geom, f)
     pieces = []
     for i in greedy.order:
-        for piece in synth_simplex(sys, geom, tri.simplices[i], greedy.exit_facet[i], tol):
+        for piece in synth_simplex(sys, geom, tri.simplices[i], greedy.exit_facet[i]):
             piece.path_len = greedy.path_len[i]
             pieces.append(piece)
     return PWAController(pieces, p)

@@ -9,9 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateO, SignAmbiguous
-from .geometry import TOL_GEOM, Face, Hyperplane, Polytope
-
-_RANK_REL_TOL = 1e-9
+from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_RANK, Face, Hyperplane,
+                       Polytope, carrying_facet)
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ class AffineSystem:
 
     def input_rank(self) -> int:
         s = np.linalg.svd(self.B, compute_uv=False)
-        return int(np.sum(s > _RANK_REL_TOL * max(s[0], 1.0))) if len(s) else 0
+        return int(np.sum(s > TOL_RANK * max(s[0], 1.0))) if len(s) else 0
 
     def controllability_rank(self) -> int:
         blocks = [self.B]
@@ -61,7 +60,7 @@ class AffineSystem:
             blocks.append(M)
         C = np.hstack(blocks)
         s = np.linalg.svd(C, compute_uv=False)
-        return int(np.sum(s > _RANK_REL_TOL * max(s[0], 1.0))) if len(s) else 0
+        return int(np.sum(s > TOL_RANK * max(s[0], 1.0))) if len(s) else 0
 
 
 @dataclass(frozen=True)
@@ -78,9 +77,6 @@ class SystemGeometry:
     beta: np.ndarray
     input_basis: np.ndarray
     equilibrium_plane: Hyperplane
-
-    def beta_value(self, x) -> float:
-        return float(self.beta @ np.asarray(x, dtype=float))
 
     def on_equilibrium_plane(self, x, tol: float = TOL_GEOM) -> bool:
         return self.equilibrium_plane.side(x, tol) == 0
@@ -113,17 +109,15 @@ def _unit_left_null_vector(B: np.ndarray) -> np.ndarray:
     return u[:, -1]
 
 
-def interior_clear_of_equilibria(sys: AffineSystem, p: Polytope,
-                                 tol: float = TOL_GEOM) -> bool:
+def interior_clear_of_equilibria(sys: AffineSystem, p: Polytope) -> bool:
     """True when the equilibrium plane does not cross the interior of p
     (it may touch the boundary)."""
     beta = _unit_left_null_vector(sys.B)
     vals = np.array([beta @ sys.drift(v) for v in p.vertices])
-    return not (vals.min() < -tol and vals.max() > tol)
+    return not (vals.min() < -TOL_GEOM and vals.max() > TOL_GEOM)
 
 
-def check_assumptions(sys: AffineSystem, p: Polytope, f: Face,
-                      tol: float = TOL_GEOM) -> AssumptionReport:
+def check_assumptions(sys: AffineSystem, p: Polytope, f: Face) -> AssumptionReport:
     """Flag the standing requirements for an instance: input rank n-1,
     controllability, equilibrium plane clear of the interior, and a
     target that is an (n-1)-dimensional polytope on the boundary."""
@@ -138,23 +132,20 @@ def check_assumptions(sys: AffineSystem, p: Polytope, f: Face,
     a2 = cr == n
     details["controllability_rank"] = cr
 
-    a3 = interior_clear_of_equilibria(sys, p, tol)
+    a3 = interior_clear_of_equilibria(sys, p)
 
     a4 = True
     if f.dim != n - 1:
         a4 = False
         details["target_dim"] = f.dim
     else:
-        on_boundary = all(p.contains(v, max(tol, 1e-8)) for v in f.vertices)
+        on_boundary = all(p.contains(v, TOL_INCIDENCE) for v in f.vertices)
         if on_boundary and p.is_full_dim:
             # an (n-1)-dimensional convex subset of the boundary lies in a facet
-            hit = False
-            for h in p.halfspaces:
-                if all(abs(h.value(v)) <= max(tol, 1e-7) for v in f.vertices):
-                    hit = True
-                    details["target_facet_normal"] = h.normal.tolist()
-                    break
-            on_boundary = hit
+            k = carrying_facet(p, f)
+            if k is not None:
+                details["target_facet_normal"] = p.halfspaces[k].normal.tolist()
+            on_boundary = k is not None
         if not on_boundary:
             a4 = False
             details["target_on_boundary"] = False
@@ -162,29 +153,28 @@ def check_assumptions(sys: AffineSystem, p: Polytope, f: Face,
     return AssumptionReport(a1, a2, a3, a4, details)
 
 
-def compute_geometry(sys: AffineSystem, p: Polytope,
-                     tol: float = TOL_GEOM) -> SystemGeometry:
+def compute_geometry(sys: AffineSystem, p: Polytope) -> SystemGeometry:
     """Signed drift normal, input-span basis and equilibrium plane for a
     system restricted to a polytope whose interior avoids the equilibria."""
     beta = _unit_left_null_vector(sys.B)
     vals = np.array([beta @ sys.drift(v) for v in p.vertices])
-    if vals.max() > tol:
-        if vals.min() < -tol:
+    if vals.max() > TOL_GEOM:
+        if vals.min() < -TOL_GEOM:
             raise SignAmbiguous(
                 "drift changes sign across the polytope; split along the equilibrium plane first")
         beta = -beta
     # deterministic orientation for the degenerate all-zero-drift case
-    if np.abs(vals).max() <= tol:
+    if np.abs(vals).max() <= TOL_GEOM:
         idx = np.argmax(np.abs(beta))
         if beta[idx] < 0:
             beta = -beta
 
     u, s, _ = np.linalg.svd(sys.B, full_matrices=False)
-    rank = int(np.sum(s > _RANK_REL_TOL * max(s[0], 1.0)))
+    rank = int(np.sum(s > TOL_RANK * max(s[0], 1.0)))
     basis = u[:, :rank]
 
     normal = beta @ sys.A
-    if np.linalg.norm(normal) <= tol:
+    if np.linalg.norm(normal) <= TOL_GEOM:
         raise DegenerateO("equilibrium set is not a hyperplane")
     plane = Hyperplane(normal, -float(beta @ sys.a))
     return SystemGeometry(beta, basis, plane)

@@ -11,14 +11,16 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CoverIncomplete, NoQualifyingVertex, VStarInFbar
-from .geometry import (TOL_GEOM, Face, HalfSpace, Hyperplane, Polytope,
-                       Simplex, affine_basis, affine_dimension,
-                       clip_to_halfspace, common_face, convex_hull,
-                       dedupe_points, lex_sorted, point_in_hull,
+from .errors import (CoverIncomplete, CutConstructionFailed, EpsTooLarge,
+                     NoQualifyingVertex, VStarInFbar)
+from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_MERGE, TOL_RANK,
+                       TOL_VOLUME, TOL_ZERO, Face, HalfSpace, Hyperplane,
+                       Polytope, Simplex, affine_basis, affine_dimension,
+                       carrying_facet, clip_to_halfspace, common_face,
+                       convex_hull, lex_sorted, point_in_hull, point_key,
                        split_by_hyperplane, triangulate_point_set,
                        uncovered_volume)
-from .reach import EpsilonCut, ReachAnalysis, analyze, default_eps, epsilon_cut
+from .reach import EpsilonCut, default_eps, epsilon_cut
 from .system import AffineSystem, SystemGeometry, compute_geometry
 
 
@@ -58,14 +60,10 @@ class Cover:
     cut_planes: tuple[Hyperplane, ...] = ()
 
 
-def _vertex_key(v: np.ndarray) -> tuple:
-    return tuple(np.round(v, 9))
-
-
 def _facet_adjacency(simplices: list[Simplex]) -> list[tuple[int, int, Face]]:
     """Pairs sharing exactly n vertices; the shared set is their common facet."""
     out = []
-    keysets = [set(map(_vertex_key, s.vertices)) for s in simplices]
+    keysets = [set(map(point_key, s.vertices)) for s in simplices]
     n = simplices[0].n if simplices else 0
     for i, j in itertools.combinations(range(len(simplices)), 2):
         shared = keysets[i] & keysets[j]
@@ -75,18 +73,17 @@ def _facet_adjacency(simplices: list[Simplex]) -> list[tuple[int, int, Face]]:
     return out
 
 
-def select_vstar(p: Polytope, f: Face, geom: SystemGeometry,
-                 tol: float = TOL_GEOM) -> np.ndarray:
+def select_vstar(p: Polytope, f: Face, geom: SystemGeometry) -> np.ndarray:
     """Anchor vertex on the top drift face: prefer one off the equilibrium
     plane, otherwise one inside the target; lexicographically first among
     qualifiers.  Failing both, the reachability premise is violated."""
     levels = p.vertices @ geom.beta
-    top = p.vertices[np.abs(levels - levels.max()) <= max(tol, 1e-9)]
+    top = p.vertices[np.abs(levels - levels.max()) <= TOL_GEOM]
     top = lex_sorted(top)
-    off_plane = [v for v in top if not geom.on_equilibrium_plane(v, max(tol, 1e-8))]
+    off_plane = [v for v in top if not geom.on_equilibrium_plane(v, TOL_INCIDENCE)]
     if off_plane:
         return off_plane[0]
-    in_target = [v for v in top if point_in_hull(v, f.vertices, max(tol, 1e-8))]
+    in_target = [v for v in top if point_in_hull(v, f.vertices, TOL_INCIDENCE)]
     if in_target:
         return in_target[0]
     raise NoQualifyingVertex("no admissible anchor vertex on the top face")
@@ -96,87 +93,78 @@ def _cone(vstar: np.ndarray, base: np.ndarray) -> Simplex:
     return Simplex(np.vstack([vstar[None, :], base]))
 
 
-def _facet_contains_point(face: Face, x: np.ndarray, tol: float) -> bool:
-    if face.supporting is not None:
-        return abs(face.supporting.value(x)) <= max(tol, 1e-9)
-    return point_in_hull(x, face.vertices, tol)
+def _facet_contains_point(face: Face, x: np.ndarray) -> bool:
+    return abs(face.supporting.value(x)) <= TOL_GEOM
 
 
-def basic_triangulation(p: Polytope, vstar: np.ndarray,
-                        tol: float = TOL_GEOM) -> Triangulation:
+def basic_triangulation(p: Polytope, vstar: np.ndarray) -> Triangulation:
     """Fan over the facet triangulations of every facet whose plane does
     not contain the anchor; every output simplex has the anchor as a
     vertex."""
     vstar = np.asarray(vstar, dtype=float)
     simplices: list[Simplex] = []
     for face in p.facets():
-        if _facet_contains_point(face, vstar, tol):
+        if _facet_contains_point(face, vstar):
             continue
-        for base in triangulate_point_set(face.vertices, None, tol):
+        for base in triangulate_point_set(face.vertices):
             simplices.append(_cone(vstar, base))
     simplices.sort(key=lambda s: s.vertex_key())
     return Triangulation(simplices, vstar, [])
 
 
-def mark_target(tri: Triangulation, f: Face, tol: float = TOL_GEOM) -> None:
+def mark_target(tri: Triangulation, f: Face) -> None:
     """Tag simplices having a whole facet inside the target."""
     tri.target_indices = []
     for idx, s in enumerate(tri.simplices):
         for j in range(s.n + 1):
             base = np.delete(s.vertices, j, axis=0)
-            if all(point_in_hull(v, f.vertices, max(tol, 1e-8)) for v in base):
+            if all(point_in_hull(v, f.vertices, TOL_INCIDENCE) for v in base):
                 tri.target_indices.append(idx)
                 break
 
 
-def _complement_pieces(region: Polytope, carve: Face,
-                       tol: float = TOL_GEOM) -> list[np.ndarray]:
+def _complement_pieces(region: Polytope, carve: Face) -> list[np.ndarray]:
     """Convex pieces of region minus carve, by sequential clipping along
     the carve's supporting planes inside the region's affine hull."""
-    origin, basis = affine_basis(region.vertices, tol)
-    reg = convex_hull((region.vertices - origin) @ basis, tol, allow_lower=False)
-    car = convex_hull((carve.vertices - origin) @ basis, tol, allow_lower=False)
+    origin, basis = affine_basis(region.vertices)
+    reg = convex_hull((region.vertices - origin) @ basis, allow_lower=False)
+    car = convex_hull((carve.vertices - origin) @ basis, allow_lower=False)
     remainder = reg
     out = []
     for h in car.halfspaces:
-        piece = clip_to_halfspace(remainder, h.flipped(), tol)
+        piece = clip_to_halfspace(remainder, h.flipped())
         if not piece.is_empty and piece.dim == reg.dim:
             out.append(piece.vertices @ basis.T + origin)
-        remainder = clip_to_halfspace(remainder, h, tol)
+        remainder = clip_to_halfspace(remainder, h)
     return out
 
 
-def triangulation_wrt_F(p: Polytope, f: Face, vstar: np.ndarray,
-                        tol: float = TOL_GEOM) -> Triangulation:
+def triangulation_wrt_F(p: Polytope, f: Face, vstar: np.ndarray) -> Triangulation:
     """Anchored triangulation refined so that, on the facet carrying the
     target, every piece lies inside the target or misses its interior."""
     vstar = np.asarray(vstar, dtype=float)
     facets = p.facets()
-    fbar_idx = None
-    for k, face in enumerate(facets):
-        if all(abs(face.supporting.value(v)) <= max(tol, 1e-7) for v in f.vertices):
-            fbar_idx = k
-            break
+    fbar_idx = carrying_facet(p, f)
     if fbar_idx is None:
         raise ValueError("target does not lie in any facet of the polytope")
-    if _facet_contains_point(facets[fbar_idx], vstar, tol):
+    if _facet_contains_point(facets[fbar_idx], vstar):
         raise VStarInFbar("anchor lies on the facet carrying the target")
 
     simplices: list[Simplex] = []
     targets: list[int] = []
     for k, face in enumerate(facets):
-        if _facet_contains_point(face, vstar, tol):
+        if _facet_contains_point(face, vstar):
             continue
         if k == fbar_idx:
-            for base in triangulate_point_set(f.vertices, None, tol):
+            for base in triangulate_point_set(f.vertices):
                 targets.append(len(simplices))
                 simplices.append(_cone(vstar, base))
             for piece in _complement_pieces(
-                    Polytope(face.vertices, [], p.n - 1), f, tol):
-                for base in triangulate_point_set(piece, None, tol):
+                    Polytope(face.vertices, [], p.n - 1), f):
+                for base in triangulate_point_set(piece):
                     simplices.append(_cone(vstar, base))
         else:
-            for base in triangulate_point_set(face.vertices, None, tol):
+            for base in triangulate_point_set(face.vertices):
                 simplices.append(_cone(vstar, base))
     order = sorted(range(len(simplices)), key=lambda i: simplices[i].vertex_key())
     simplices = [simplices[i] for i in order]
@@ -188,20 +176,18 @@ def triangulation_wrt_F(p: Polytope, f: Face, vstar: np.ndarray,
 # covers and splits for a non-facet target
 # ---------------------------------------------------------------------------
 
-def qualifying_vertices(p: Polytope, f: Face, geom: SystemGeometry,
-                        tol: float = TOL_GEOM) -> np.ndarray:
+def qualifying_vertices(p: Polytope, f: Face, geom: SystemGeometry) -> np.ndarray:
     """Vertices on the top drift face admissible as fan anchors: off the
     equilibrium plane or inside the target."""
     levels = p.vertices @ geom.beta
-    top = p.vertices[np.abs(levels - levels.max()) <= max(tol, 1e-9)]
+    top = p.vertices[np.abs(levels - levels.max()) <= TOL_GEOM]
     quals = [v for v in top
-             if not geom.on_equilibrium_plane(v, max(tol, 1e-8))
-             or point_in_hull(v, f.vertices, max(tol, 1e-8))]
+             if not geom.on_equilibrium_plane(v, TOL_INCIDENCE)
+             or point_in_hull(v, f.vertices, TOL_INCIDENCE)]
     return lex_sorted(np.array(quals)) if quals else np.zeros((0, p.n))
 
 
-def _split_plane_through(p: Polytope, a: np.ndarray, b: np.ndarray,
-                         tol: float = TOL_GEOM) -> Hyperplane:
+def _split_plane_through(p: Polytope, a: np.ndarray, b: np.ndarray) -> Hyperplane:
     """Hyperplane through the segment [a, b] splitting p into two
     full-dimensional pieces; extra support points are chosen among the
     vertices to maximize the smaller piece, with coordinate-direction
@@ -214,12 +200,12 @@ def _split_plane_through(p: Polytope, a: np.ndarray, b: np.ndarray,
         candidates.append(Hyperplane(normal, float(normal @ a)))
     else:
         extra_pool = [v for v in p.vertices
-                      if affine_dimension(np.vstack([a, b, v]), tol) == 2]
+                      if affine_dimension(np.vstack([a, b, v])) == 2]
         for combo in itertools.combinations(range(len(extra_pool)), n - 2):
             pts = np.vstack([a, b] + [extra_pool[i] for i in combo])
-            if affine_dimension(pts, tol) != n - 1:
+            if affine_dimension(pts) != n - 1:
                 continue
-            origin, basis = affine_basis(pts, tol)
+            origin, basis = affine_basis(pts)
             u, s, vt = np.linalg.svd(basis.T, full_matrices=True)
             normal = vt[-1]
             candidates.append(Hyperplane(normal, float(normal @ a)))
@@ -227,11 +213,11 @@ def _split_plane_through(p: Polytope, a: np.ndarray, b: np.ndarray,
             e = np.zeros(n)
             e[k] = 1.0
             pts = np.vstack([a, b, a + e])
-            if affine_dimension(pts, tol) < min(3, n - 1) + 1 - 1:
+            if affine_dimension(pts) < min(3, n - 1) + 1 - 1:
                 continue
             dirs = np.vstack([axis, [e]])
             u, s, vt = np.linalg.svd(dirs, full_matrices=True)
-            if s.min() <= 1e-9:
+            if s.min() <= TOL_RANK:
                 continue
             normal = vt[-1]
             candidates.append(Hyperplane(normal, float(normal @ a)))
@@ -239,19 +225,18 @@ def _split_plane_through(p: Polytope, a: np.ndarray, b: np.ndarray,
     best = None
     best_score = -1.0
     for plane in candidates:
-        lo, hi = split_by_hyperplane(p, plane, tol)
+        lo, hi = split_by_hyperplane(p, plane)
         if lo.is_empty or hi.is_empty or not (lo.is_full_dim and hi.is_full_dim):
             continue
         score = min(lo.volume(), hi.volume())
-        if score > best_score + 1e-12:
+        if score > best_score + TOL_ZERO:
             best, best_score = plane, score
     if best is None:
         raise NoQualifyingVertex("no hyperplane through the anchor segment splits the polytope")
     return best
 
 
-def cover_wrt_F(p: Polytope, f: Face, geom: SystemGeometry,
-                tol: float = TOL_GEOM) -> Cover:
+def cover_wrt_F(p: Polytope, f: Face, geom: SystemGeometry) -> Cover:
     """Three-piece cover for a target inside a facet: one piece has the
     target as a facet, the other two drive to the interface slice.
 
@@ -259,7 +244,7 @@ def cover_wrt_F(p: Polytope, f: Face, geom: SystemGeometry,
     back as a single piece.
     """
     for face in p.facets():
-        shared = all(any(np.linalg.norm(v - w, ord=np.inf) <= 1e-7 for w in face.vertices)
+        shared = all(any(np.linalg.norm(v - w, ord=np.inf) <= TOL_MERGE for w in face.vertices)
                      for v in f.vertices)
         if shared and len(face.vertices) == len(f.vertices):
             return Cover((CoverPiece(p, f, "target"),))
@@ -267,16 +252,16 @@ def cover_wrt_F(p: Polytope, f: Face, geom: SystemGeometry,
     levels = p.vertices @ geom.beta
     top_level = levels.max()
     f_levels = f.vertices @ geom.beta
-    quals = [v for v in f.vertices if abs(float(geom.beta @ v) - top_level) <= max(tol, 1e-8)]
+    quals = [v for v in f.vertices if abs(float(geom.beta @ v) - top_level) <= TOL_INCIDENCE]
     if not quals:
         raise NoQualifyingVertex("no target vertex on the top drift face")
     vstar = lex_sorted(np.array(quals))[0]
-    v_minus = lex_sorted(f.vertices[np.abs(f_levels - f_levels.min()) <= max(tol, 1e-9)])[0]
+    v_minus = lex_sorted(f.vertices[np.abs(f_levels - f_levels.min()) <= TOL_GEOM])[0]
 
-    plane = _split_plane_through(p, v_minus, vstar, tol)
-    p2, p3 = split_by_hyperplane(p, plane, tol)
-    interface = common_face(p2, p3, tol)
-    p1 = convex_hull(np.vstack([f.vertices, interface.vertices]), tol)
+    plane = _split_plane_through(p, v_minus, vstar)
+    p2, p3 = split_by_hyperplane(p, plane)
+    interface = common_face(p2, p3)
+    p1 = convex_hull(np.vstack([f.vertices, interface.vertices]))
     f23 = Face(interface.vertices, None, interface.dim)
     return Cover((CoverPiece(p1, f, "target"),
                   CoverPiece(p2, f23, "feeder"),
@@ -293,8 +278,7 @@ class FarSplit:
     plane: Optional[Hyperplane] = None
 
 
-def split_far_case(p: Polytope, f: Face, geom: SystemGeometry,
-                   tol: float = TOL_GEOM) -> FarSplit:
+def split_far_case(p: Polytope, f: Face, geom: SystemGeometry) -> FarSplit:
     """Split along the input-plane through the target's top vertex when no
     target vertex reaches the polytope's top face; the piece holding the
     target then has a top-face target vertex, the other feeds the
@@ -303,15 +287,15 @@ def split_far_case(p: Polytope, f: Face, geom: SystemGeometry,
     levels = p.vertices @ geom.beta
     top_level = float(levels.max())
     f_levels = f.vertices @ geom.beta
-    if any(abs(float(lv) - top_level) <= max(tol, 1e-8) for lv in f_levels):
+    if any(abs(float(lv) - top_level) <= TOL_INCIDENCE for lv in f_levels):
         return FarSplit(p, Polytope.empty(p.n), Face.empty(p.n), False)
 
-    v_plus = lex_sorted(f.vertices[np.abs(f_levels - f_levels.max()) <= max(tol, 1e-9)])[0]
+    v_plus = lex_sorted(f.vertices[np.abs(f_levels - f_levels.max()) <= TOL_GEOM])[0]
     plane = geom.input_plane_through(v_plus)
-    lo, hi = split_by_hyperplane(p, plane, tol)
+    lo, hi = split_by_hyperplane(p, plane)
     # the target sits on the low-drift side of the plane
     p1, p2 = lo, hi
-    interface = common_face(p1, p2, tol)
+    interface = common_face(p1, p2)
     return FarSplit(p1, p2, Face(interface.vertices, None, interface.dim), True, plane)
 
 
@@ -319,17 +303,16 @@ def split_far_case(p: Polytope, f: Face, geom: SystemGeometry,
 # cover with respect to the equilibrium plane
 # ---------------------------------------------------------------------------
 
-def _clip_face(f: Face, half: HalfSpace, tol: float = TOL_GEOM) -> Face:
+def _clip_face(f: Face, half: HalfSpace) -> Face:
     poly = Polytope(f.vertices, [], f.dim)
-    clipped = clip_to_halfspace(poly, half, tol)
+    clipped = clip_to_halfspace(poly, half)
     if clipped.is_empty:
         return Face.empty(f.vertices.shape[1])
     return Face(clipped.vertices, f.supporting, clipped.dim)
 
 
 def cover_wrt_O(sys: AffineSystem, p: Polytope, f: Face,
-                eps: Optional[float] = None,
-                tol: float = TOL_GEOM) -> Cover:
+                eps: Optional[float] = None) -> Cover:
     """Cover of a polytope crossed by the equilibrium plane.
 
     The polytope is split along the plane; each side gets a margin-cut
@@ -342,24 +325,22 @@ def cover_wrt_O(sys: AffineSystem, p: Polytope, f: Face,
     beta0 = np.linalg.svd(sys.B, full_matrices=True)[0][:, -1]
     normal = beta0 @ sys.A
     o_plane = Hyperplane(normal, -float(beta0 @ sys.a))
-    side1, side2 = split_by_hyperplane(p, o_plane, tol)
+    side1, side2 = split_by_hyperplane(p, o_plane)
     if side1.is_empty or side2.is_empty:
         return Cover((CoverPiece(p, f, "target"),))
 
     sides = [side1, side2]
-    targets = [_clip_face(f, o_plane.lower(), tol), _clip_face(f, o_plane.upper(), tol)]
+    targets = [_clip_face(f, o_plane.lower()), _clip_face(f, o_plane.upper())]
     cuts: list[Optional[EpsilonCut]] = [None, None]
-    geoms = [compute_geometry(sys, s, tol) for s in sides]
+    geoms = [compute_geometry(sys, s) for s in sides]
     if eps is None:
         eps = min(default_eps(geoms[0], sides[0]), default_eps(geoms[1], sides[1]))
-
-    from .errors import CutConstructionFailed, EpsTooLarge
 
     direct: list[Optional[Polytope]] = [None, None]
     for i in (0, 1):
         if targets[i].dim == p.n - 1:
             try:
-                cut = epsilon_cut(sys, geoms[i], sides[i], targets[i], eps, tol=tol)
+                cut = epsilon_cut(sys, geoms[i], sides[i], targets[i], eps)
             except (EpsTooLarge, CutConstructionFailed) as exc:
                 raise CoverIncomplete(np.inf, f"direct cut on side {i} failed: {exc}")
             if not cut.reach_eps.is_empty:
@@ -377,15 +358,15 @@ def cover_wrt_O(sys: AffineSystem, p: Polytope, f: Face,
         if direct[j] is None:
             continue
         if direct[i] is not None and \
-                abs(direct[i].volume() - sides[i].volume()) <= 1e-12 * max(sides[i].volume(), 1.0):
+                abs(direct[i].volume() - sides[i].volume()) <= TOL_ZERO * max(sides[i].volume(), 1.0):
             continue  # this side is already covered by its direct piece
         iface_poly = clip_to_halfspace(
-            clip_to_halfspace(direct[j], o_plane.lower(), tol), o_plane.upper(), tol)
+            clip_to_halfspace(direct[j], o_plane.lower()), o_plane.upper())
         if iface_poly.is_empty or iface_poly.dim != p.n - 1:
             continue
         iface = Face(iface_poly.vertices, None, iface_poly.dim)
         try:
-            cut = epsilon_cut(sys, geoms[i], sides[i], iface, eps, tol=tol)
+            cut = epsilon_cut(sys, geoms[i], sides[i], iface, eps)
         except (EpsTooLarge, CutConstructionFailed) as exc:
             raise CoverIncomplete(np.inf, f"interface cut on side {i} failed: {exc}")
         if cut.reach_eps.is_empty:
@@ -393,7 +374,7 @@ def cover_wrt_O(sys: AffineSystem, p: Polytope, f: Face,
         pieces.append(CoverPiece(cut.reach_eps, iface, "feeder", cut))
         planes.extend(cut.cut_planes)
 
-    gap = uncovered_volume(p, [piece.polytope for piece in pieces], planes, tol)
-    if gap > 1e-8 * max(p.volume(), 1.0):
+    gap = uncovered_volume(p, [piece.polytope for piece in pieces], planes)
+    if gap > TOL_VOLUME * max(p.volume(), 1.0):
         raise CoverIncomplete(gap)
     return Cover(tuple(pieces), tuple(planes))

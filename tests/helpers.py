@@ -60,6 +60,54 @@ def two_target_fixture():
     return double_integrator(), p, f1, f2
 
 
+def integrator_3d():
+    A = np.zeros((3, 3))
+    A[0, 2] = 1.0
+    B = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    return AffineSystem(A, np.zeros(3), B)
+
+
+def ill1_fixture():
+    """Target strictly inside a slanted facet; an anchor exists off the
+    carrying facet."""
+    p = geo.convex_hull([(0, 0), (3, 0), (2, 1), (0, 1)])
+    f = face_from([(2.5, 0.5), (3, 0)])
+    return double_integrator(), p, f
+
+
+def ill3_fixture():
+    """3-D tetrahedron whose only admissible anchors sit on the facet
+    carrying the target, but a target vertex reaches the top face."""
+    p = geo.convex_hull([(0, 0, 0), (0, 1, 0), (3, 0.5, 0.5), (1, 0.5, 1)])
+    f = face_from([(0, 0, 0), (0, 0.6, 0), (3, 0.5, 0.5)])
+    return integrator_3d(), p, f
+
+
+def ill2_fixture():
+    """No target vertex on the top face: the far split applies."""
+    p = geo.convex_hull([(0, 0), (2, 0), (2, -1)])
+    f = face_from([(0, 0), (1.5, -0.75)])
+    return double_integrator(), p, f
+
+
+def o_cross_fixture():
+    """Equilibrium plane through the interior; the target hangs on the
+    upper right."""
+    p = geo.convex_hull([(0, 0), (0, 1), (3, 1), (3, -1), (1, -1)])
+    f = face_from([(3, 0), (3, 1)])
+    return double_integrator(), p, f
+
+
+def diamond_fixture():
+    """Slanted equilibrium plane crossing the interior; both sides carry
+    an (n-1)-dimensional share of the target, and a single pinned corner
+    forces every piece to shave a margin sliver there."""
+    sys = AffineSystem([[1.0, 1.0], [0.0, 0.0]], [0.0, 0.0], [[0.0], [1.0]])
+    p = geo.convex_hull([(2, 0), (0, 2), (-1, 1), (0, -2)])
+    f = face_from([(2, 0), (0, -2)])
+    return sys, p, f
+
+
 # -- exact affine stepping ---------------------------------------------------
 
 def affine_stepper(A, dt):

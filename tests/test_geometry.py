@@ -205,7 +205,7 @@ class TestTriangulateFace:
     def test_square_facet_in_3d(self):
         cube = geo.Polytope.box([0, 0, 0], [1, 1, 1])
         facet = geo.faces_of(cube, 2)[0]
-        tris = geo.triangulate_face(facet)
+        tris = geo.triangulate_point_set(facet.vertices)
         assert len(tris) == 2
         area = sum(geo.simplex_volume(t) for t in tris)
         assert area == pytest.approx(1.0, abs=1e-9)
@@ -213,7 +213,7 @@ class TestTriangulateFace:
     def test_segment_facet_is_itself(self):
         square = geo.convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
         facet = square.facets()[0]
-        tris = geo.triangulate_face(facet)
+        tris = geo.triangulate_point_set(facet.vertices)
         assert len(tris) == 1
         assert tris[0].shape == (2, 2)
 
@@ -221,7 +221,7 @@ class TestTriangulateFace:
         ang = np.linspace(0, 2 * np.pi, 6)[:-1] + 0.2
         pts3 = np.stack([np.cos(ang), np.sin(ang), np.ones(5)], axis=1)
         face = geo.Face.from_vertices(pts3)
-        tris = geo.triangulate_face(face)
+        tris = geo.triangulate_point_set(face.vertices)
         assert len(tris) == 3
         area = sum(geo.simplex_volume(t) for t in tris)
         expected = shoelace(angular_order(pts3[:, :2]))

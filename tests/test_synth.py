@@ -4,11 +4,13 @@ import pytest
 from reachctl import geometry as geo
 from reachctl import reach, synth
 from reachctl import triangulate as tri
-from reachctl.errors import SynthesisFailed
+from reachctl.errors import CoverIncomplete, SynthesisFailed
+from reachctl.sim import sample_states
 from reachctl.system import AffineSystem, compute_geometry
-from reachctl.errors import SignAmbiguous
 
-from helpers import box_fixture, double_integrator, face_from, wedge_fixture
+from helpers import (box_fixture, diamond_fixture, double_integrator,
+                     ill1_fixture, ill2_fixture, ill3_fixture, o_cross_fixture,
+                     wedge_fixture)
 
 
 def split_case_simplex():
@@ -253,23 +255,49 @@ class TestGreedyPaths:
             done += 1
 
 
+# one case per branch of synth_polytope: fixture, eps, piece count (None:
+# not pinned), ranks (None: all empty), notes, whether the domain shrinks
+BRANCH_CASES = {
+    "box": (box_fixture, None, 2, None, [], False),
+    "wedge": (wedge_fixture, 0.1, 3, None, ["failure sets cut off with margin 0.1"], True),
+    "ill1": (ill1_fixture, None, 3, None, [], False),
+    "ill3": (ill3_fixture, None, None, [(0,), (1,), (1,)],
+             ["covered around the non-facet target"], False),
+    "ill2": (ill2_fixture, None, None, [(0,), (1,), (1,)],
+             ["split away from the far target"], False),
+    "o_cross": (o_cross_fixture, None, None, [(0,), (0,), (1,), (1,)],
+                ["covered along the equilibrium plane"], False),
+}
+
+
 class TestSynthPolytope:
-    def test_box_two_pieces(self):
-        sys, p, f = box_fixture()
-        ctrl = synth.synth_polytope(sys, p, f)
-        assert len(ctrl.pieces) == 2
+    @pytest.mark.parametrize("case", list(BRANCH_CASES))
+    def test_branch(self, case):
+        fixture, eps, npieces, ranks, notes, shrinks = BRANCH_CASES[case]
+        sys, p, f = fixture()
+        ctrl = synth.synth_polytope(sys, p, f, eps=eps)
+        if npieces is not None:
+            assert len(ctrl.pieces) == npieces
+        assert [piece.rank for piece in ctrl.pieces] == (ranks or [()] * len(ctrl.pieces))
+        assert ctrl.notes == notes
+        if shrinks:
+            assert ctrl.domain.volume() < p.volume()
+        else:
+            assert ctrl.domain is p
+        for piece in ctrl.pieces:
+            vc = synth.VertexControls(
+                np.array([piece.control(v) for v in piece.region.vertices]), 0.0)
+            assert synth.invariance_margin(sys, piece.region, vc, piece.exit_facet) >= -1e-8
+            assert synth.check_no_equilibrium(sys, piece.region, piece.gain, piece.offset)
         # lookup is total on the domain
         rng = np.random.default_rng(2)
-        from reachctl.sim import sample_states
-        for x in sample_states(p, 50, rng):
+        for x in sample_states(ctrl.domain, 50, rng):
             assert ctrl.lookup(x) is not None
 
-    def test_wedge_needs_cut(self):
-        sys, p, f = wedge_fixture()
-        ctrl = synth.synth_polytope(sys, p, f, eps=0.1)
-        assert any("margin" in note for note in ctrl.notes)
-        assert len(ctrl.pieces) == 3
-        assert ctrl.domain.volume() < p.volume()
+    def test_cover_wrt_O_incomplete(self):
+        sys, p, f = diamond_fixture()
+        with pytest.raises(CoverIncomplete):
+            synth.synth_polytope(sys, p, f)
 
     def test_invariance_residuals_all_pieces(self):
         sys, p, f = wedge_fixture()

@@ -4,58 +4,11 @@ import pytest
 from reachctl import geometry as geo
 from reachctl import reach, triangulate as tri
 from reachctl.errors import CoverIncomplete, NoQualifyingVertex, VStarInFbar
-from reachctl.system import AffineSystem, compute_geometry
+from reachctl.system import compute_geometry
 
-from helpers import (box_fixture, double_integrator, face_from, facet_face,
-                     wedge_fixture)
-
-
-def integrator_3d():
-    A = np.zeros((3, 3))
-    A[0, 2] = 1.0
-    B = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    return AffineSystem(A, np.zeros(3), B)
-
-
-def ill1_fixture():
-    """Target strictly inside a slanted facet; an anchor exists off the
-    carrying facet."""
-    p = geo.convex_hull([(0, 0), (3, 0), (2, 1), (0, 1)])
-    f = face_from([(2.5, 0.5), (3, 0)])
-    return double_integrator(), p, f
-
-
-def ill3_fixture():
-    """3-D tetrahedron whose only admissible anchors sit on the facet
-    carrying the target, but a target vertex reaches the top face."""
-    p = geo.convex_hull([(0, 0, 0), (0, 1, 0), (3, 0.5, 0.5), (1, 0.5, 1)])
-    f = face_from([(0, 0, 0), (0, 0.6, 0), (3, 0.5, 0.5)])
-    return integrator_3d(), p, f
-
-
-def ill2_fixture():
-    """No target vertex on the top face: the far split applies."""
-    p = geo.convex_hull([(0, 0), (2, 0), (2, -1)])
-    f = face_from([(0, 0), (1.5, -0.75)])
-    return double_integrator(), p, f
-
-
-def o_cross_fixture():
-    """Equilibrium plane through the interior; the target hangs on the
-    upper right."""
-    p = geo.convex_hull([(0, 0), (0, 1), (3, 1), (3, -1), (1, -1)])
-    f = face_from([(3, 0), (3, 1)])
-    return double_integrator(), p, f
-
-
-def diamond_fixture():
-    """Slanted equilibrium plane crossing the interior; both sides carry
-    an (n-1)-dimensional share of the target, and a single pinned corner
-    forces every piece to shave a margin sliver there."""
-    sys = AffineSystem([[1.0, 1.0], [0.0, 0.0]], [0.0, 0.0], [[0.0], [1.0]])
-    p = geo.convex_hull([(2, 0), (0, 2), (-1, 1), (0, -2)])
-    f = face_from([(2, 0), (0, -2)])
-    return sys, p, f
+from helpers import (box_fixture, diamond_fixture, double_integrator, face_from,
+                     facet_face, ill1_fixture, ill2_fixture, ill3_fixture,
+                     o_cross_fixture, wedge_fixture)
 
 
 def simplices_valid(p, simplices):
