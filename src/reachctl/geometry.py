@@ -3,7 +3,10 @@
 Vertex/halfspace conversions are done by brute-force enumeration over
 n-subsets with LP-based redundancy and membership filters.  At this scale
 (a handful of vertices, n <= 4) the combinatorial cost is negligible and
-the code stays auditable.
+the code stays auditable.  The membership test ``point_in_hull`` solves
+its LP only when two exact closed forms leave the answer open: a point
+near a vertex is in, and a point outside the vertices' bounding box by
+more than the tolerance is out.
 
 Every geometric comparison in the package uses one of the named
 constants below, each fixed to one role, and assumes inputs scaled so the
@@ -86,7 +89,13 @@ def point_key(v: np.ndarray) -> tuple:
 
 
 def dedupe_points(points: np.ndarray) -> np.ndarray:
+    """Points with near-duplicates (inf-norm within ``TOL_MERGE``) dropped,
+    the first of each cluster kept in input order.  When no two points are
+    that close the input comes back as it is."""
     pts = _as_points(points)
+    close = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2) <= TOL_MERGE
+    if np.count_nonzero(close) == len(pts):  # each point is close to itself only
+        return pts
     keep: list[np.ndarray] = []
     for p in pts:
         if not any(np.linalg.norm(p - q, ord=np.inf) <= TOL_MERGE for q in keep):
@@ -293,7 +302,11 @@ class Polytope:
 def point_in_hull(point, vertices, tol: float = TOL_GEOM) -> bool:
     """Is ``point`` within ``tol`` (inf-norm) of conv(vertices)?
 
-    Solved as min s  s.t.  |V^T lam - point| <= s, sum lam = 1, lam >= 0.
+    A point within ``tol`` of a vertex is in; a point more than ``tol``
+    outside the vertices' bounding box is out, exactly, because its
+    inf-norm distance to the hull is at least its gap to the box.  Only
+    the rest is solved as the LP
+    min s  s.t.  |V^T lam - point| <= s, sum lam = 1, lam >= 0.
     """
     V = _as_points(vertices)
     if len(V) == 0:
@@ -302,6 +315,8 @@ def point_in_hull(point, vertices, tol: float = TOL_GEOM) -> bool:
     k, n = V.shape
     if np.min(np.max(np.abs(V - x), axis=1)) <= tol:
         return True
+    if np.any(x < V.min(axis=0) - tol) or np.any(x > V.max(axis=0) + tol):
+        return False
     # variables: lam (k), s (1)
     c = np.zeros(k + 1)
     c[-1] = 1.0

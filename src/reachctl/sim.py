@@ -1,14 +1,25 @@
 """Closed-loop integration with boundary-event detection, and sampled
-verification of synthesized controllers."""
+verification of synthesized controllers.
+
+Each step of ``integrate`` asks which piece holds the state (one product
+with the controller's stacked facet table, see ``PWAController``) and
+whether the state is on the target face.  The target test screens first:
+``target_screen``, built once per run from valid inequalities G y <= c of
+the face's hull, rules out a state with g.x - c > 2 |g|_1 TOL_SIM for
+some row g, which is more than 2 TOL_SIM (inf-norm) from the face, with
+no LP.  Every other state goes to the LP of ``point_in_hull``, so the
+verdicts are the LP's alone.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import TOL_GEOM, Face, Polytope, point_in_hull
+from .geometry import (TOL_GEOM, Face, Polytope, affine_basis, point_in_hull,
+                       vrep_to_hrep)
 from .synth import PWAController
 from .system import AffineSystem
 
@@ -62,6 +73,28 @@ def default_dt(sys: AffineSystem, ctrl: PWAController) -> float:
     return 1e-3 * extent / max(vmax, 1e-9)
 
 
+def target_screen(vertices) -> Callable[[np.ndarray], bool]:
+    """A test that is true only for states more than 2 TOL_SIM (inf-norm)
+    from conv(vertices).
+
+    It checks valid inequalities G y <= c of the hull: the equations of
+    the affine hull, both ways, and the facets of the hull within its
+    affine hull, lifted back.  Each bound is its row's maximum over the
+    vertices, so the inequalities hold however the rows are rounded, and
+    a state with g.x - c > 2 |g|_1 TOL_SIM is more than 2 TOL_SIM from
+    every point of the hull."""
+    V = np.asarray(vertices, dtype=float)
+    origin, basis = affine_basis(V)
+    normal = np.eye(V.shape[1]) - basis @ basis.T
+    rows = [normal, -normal]
+    if basis.shape[1]:
+        rows.append(np.array([basis @ h.normal for h in vrep_to_hrep((V - origin) @ basis)]))
+    G = np.vstack(rows)
+    c = (V @ G.T).max(axis=0)
+    reject = 2.0 * TOL_SIM * np.abs(G).sum(axis=1)
+    return lambda state: bool(np.any(G @ state - c > reject))
+
+
 def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = None,
               tmax: Optional[float] = None, f: Optional[Face] = None,
               domain: Optional[Polytope] = None) -> Trajectory:
@@ -85,8 +118,10 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
     def violation(state):
         return float((normals @ state - offs).max())
 
+    off_target = target_screen(f.vertices) if f is not None else lambda state: True
+
     def on_target(state):
-        return f is not None and point_in_hull(state, f.vertices, TOL_SIM)
+        return not off_target(state) and point_in_hull(state, f.vertices, TOL_SIM)
 
     times, states, controls, ids = [0.0], [x.copy()], [], []
     max_viol = max(violation(x), 0.0)
@@ -98,6 +133,7 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
         return Trajectory(np.array(times), np.array(states), np.array(controls),
                           np.array(ids), Outcome(REACHED, 0.0), max_viol)
 
+    closed_loops: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     t = 0.0
     while t < tmax:
         piece = ctrl.lookup(x, TOL_SIM)
@@ -106,13 +142,16 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
             ids.append(-1)
             return Trajectory(np.array(times), np.array(states), np.array(controls),
                               np.array(ids), Outcome(GAP, t), max_viol)
-        A_cl, b_cl = piece.closed_loop(sys)
+        if piece.index not in closed_loops:
+            closed_loops[piece.index] = piece.closed_loop(sys)
+        A_cl, b_cl = closed_loops[piece.index]
         controls.append(piece.control(x))
         ids.append(piece.index)
 
         h = min(dt, tmax - t)
         x_new = _rk4_step(A_cl, b_cl, x, h)
-        if violation(x_new) > TOL_SIM:
+        viol = violation(x_new)
+        if viol > TOL_SIM:
             # bisect the first crossing time within this step
             lo_t, hi_t = 0.0, h
             while hi_t - lo_t > _EVENT_TIME_TOL:
@@ -136,7 +175,7 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
                               np.array(ids), out, max_viol)
         t += h
         x = x_new
-        max_viol = max(max_viol, violation(x))
+        max_viol = max(max_viol, viol)
         times.append(t)
         states.append(x.copy())
         if on_target(x):

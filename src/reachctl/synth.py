@@ -67,6 +67,12 @@ class PWAController:
 
     On overlaps the lookup prefers pieces closer to the original target:
     lower cover rank first, then shorter path, then fixed index order.
+
+    The constructor numbers the pieces and stacks the facet rows of every
+    region, in that order of preference, into one table; a lookup is one
+    matrix product and the first block of rows that all hold.  Pieces are
+    final once assembled: a region, rank or path length changed afterwards
+    is not seen by ``lookup``.
     """
 
     def __init__(self, pieces: list[AffinePiece], domain: Polytope, notes=()):
@@ -75,17 +81,18 @@ class PWAController:
         self.notes = list(notes)
         for k, piece in enumerate(self.pieces):
             piece.index = k
+        self._preferred = sorted(self.pieces, key=lambda pc: (pc.rank, pc.path_len,
+                                                              pc.sub_rank, pc.index))
+        self._normals = np.vstack([pc.region.normals for pc in self._preferred]
+                                  + [np.zeros((0, domain.n))])
+        self._offsets = np.concatenate([pc.region.offsets for pc in self._preferred]
+                                       + [np.zeros(0)])
 
     def lookup(self, x, tol: float = TOL_MERGE) -> Optional[AffinePiece]:
         x = np.asarray(x, dtype=float)
-        best = None
-        best_key = None
-        for piece in self.pieces:
-            if piece.region.contains(x, tol):
-                key = (piece.rank, piece.path_len, piece.sub_rank, piece.index)
-                if best_key is None or key < best_key:
-                    best, best_key = piece, key
-        return best
+        held = (self._normals @ x - self._offsets <= tol).reshape(-1, self.domain.n + 1)
+        inside = np.flatnonzero(held.all(axis=1))
+        return self._preferred[inside[0]] if len(inside) else None
 
     def control(self, x, tol: float = TOL_MERGE) -> Optional[np.ndarray]:
         piece = self.lookup(x, tol)
@@ -402,20 +409,25 @@ def greedy_paths(tri: Triangulation, geom: SystemGeometry, f: Face) -> GreedyRes
         lo = float(lv.min())
         return lo, int(np.sum(np.abs(lv - lo) <= TOL_GEOM))
 
+    # each target simplex exits through its first facet inside the target
+    target_exit: dict[int, tuple[int, float, int]] = {}
+    for i in tri.target_indices:
+        s = tri.simplices[i]
+        for j in range(s.n + 1):
+            base = np.delete(s.vertices, j, axis=0)
+            if all(point_in_hull(v, f.vertices, TOL_INCIDENCE) for v in base):
+                target_exit[i] = (j, *facet_stats(base))
+                break
+
     while unfinished:
         best = None
         best_key = None
         for i in sorted(unfinished):
-            s = tri.simplices[i]
-            if i in tri.target_indices:
-                for j in range(s.n + 1):
-                    base = np.delete(s.vertices, j, axis=0)
-                    if all(point_in_hull(v, f.vertices, TOL_INCIDENCE) for v in base):
-                        lo, cnt = facet_stats(base)
-                        key = (lo, -cnt, i, -1)
-                        if best_key is None or key < best_key:
-                            best, best_key = (i, -1, j), key
-                        break
+            if i in target_exit:
+                j, lo, cnt = target_exit[i]
+                key = (lo, -cnt, i, -1)
+                if best_key is None or key < best_key:
+                    best, best_key = (i, -1, j), key
             for j, face in tri.neighbors(i):
                 if j not in finished:
                     continue
@@ -523,7 +535,10 @@ def synth_polytope(sys: AffineSystem, p: Polytope, f: Face,
     split prefixes each sub-piece's rank with 0 when its sub-problem drives
     to the original target and with 1 when it feeds an interface; the cut
     leaves ranks as they are.  Leaves are ordered greedily and get one
-    affine law per simplex (two where a split is needed)."""
+    affine law per simplex (two where a split is needed).  Every rank and
+    path length is set before the returned controller is built, because a
+    controller reads them once (a sub-problem's own controller is
+    discarded)."""
     branch = _branch(sys, p, f, eps)
     if isinstance(branch, _Split):
         pieces: list[AffinePiece] = []

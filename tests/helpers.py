@@ -4,8 +4,11 @@ import itertools
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.optimize import linprog
 
 from reachctl import geometry as geo
+from reachctl import lp, sim
+from reachctl.synth import PWAController
 from reachctl.system import AffineSystem, compute_geometry
 
 VIOL_TOL = 1e-6
@@ -65,6 +68,13 @@ def integrator_3d():
     A[0, 2] = 1.0
     B = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     return AffineSystem(A, np.zeros(3), B)
+
+
+def cube_fixture():
+    """Unit cube under the 3-D chain integrator, with the x1 = 1 facet as
+    target."""
+    p = geo.Polytope.box([0, 0, 0], [1, 1, 1])
+    return integrator_3d(), p, facet_face(p, [1, 0, 0])
 
 
 def ill1_fixture():
@@ -254,3 +264,69 @@ def interior_grid(p, k=20, shrink=1e-3):
     b_hs = np.array([h.offset for h in p.halfspaces])
     inside = np.all(pts @ A_hs.T - b_hs <= -1e-9, axis=1)
     return pts[inside]
+
+
+# -- references for the closed loop ------------------------------------------
+
+def hull_distance(point, vertices):
+    """Inf-norm distance from ``point`` to conv(vertices), by scipy's LP:
+    min s  s.t.  |V^T lam - point| <= s, sum lam = 1, lam >= 0."""
+    V = np.atleast_2d(np.asarray(vertices, dtype=float))
+    x = np.asarray(point, dtype=float)
+    k, n = V.shape
+    ones = -np.ones((n, 1))
+    A_ub = np.vstack([np.hstack([V.T, ones]), np.hstack([-V.T, ones])])
+    b_ub = np.concatenate([x, -x])
+    A_eq = np.concatenate([np.ones(k), [0.0]])[None, :]
+    res = linprog(np.eye(k + 1)[-1], A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
+                  bounds=[(0, None)] * (k + 1), method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def lp_point_in_hull(point, vertices, tol=geo.TOL_GEOM):
+    """Membership by the package's own LP after the vertex check alone,
+    with no closed-form rejection."""
+    V = np.atleast_2d(np.asarray(vertices, dtype=float))
+    x = np.asarray(point, dtype=float)
+    k, n = V.shape
+    if np.min(np.max(np.abs(V - x), axis=1)) <= tol:
+        return True
+    c = np.zeros(k + 1)
+    c[-1] = 1.0
+    rows, rhs = [], []
+    for i in range(n):
+        r = np.zeros(k + 1)
+        r[:k] = V[:, i]
+        r[-1] = -1.0
+        rows += [r, -r + np.concatenate([np.zeros(k), [-2.0]])]
+        rhs += [x[i], -x[i]]
+    for j in range(k):
+        r = np.zeros(k + 1)
+        r[j] = -1.0
+        rows.append(r)
+        rhs.append(0.0)
+    eq = np.zeros((1, k + 1))
+    eq[0, :k] = 1.0
+    out = lp.solve_lp(c, np.array(rows), np.array(rhs), eq, np.array([1.0]))
+    return out.status == lp.OPTIMAL and out.value <= tol
+
+
+def loop_lookup(ctrl, x, tol=geo.TOL_MERGE):
+    """The preferred piece holding ``x``, by a scan over every piece."""
+    x = np.asarray(x, dtype=float)
+    best, best_key = None, None
+    for piece in ctrl.pieces:
+        if piece.region.contains(x, tol):
+            key = (piece.rank, piece.path_len, piece.sub_rank, piece.index)
+            if best_key is None or key < best_key:
+                best, best_key = piece, key
+    return best
+
+
+def use_reference_stepper(monkeypatch):
+    """Make ``sim.integrate`` resolve pieces by ``loop_lookup`` and test the
+    target by ``lp_point_in_hull`` alone, with no target screen."""
+    monkeypatch.setattr(PWAController, "lookup", loop_lookup)
+    monkeypatch.setattr(sim, "point_in_hull", lp_point_in_hull)
+    monkeypatch.setattr(sim, "target_screen", lambda vertices: lambda state: False)

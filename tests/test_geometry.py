@@ -40,6 +40,28 @@ def angular_order(points):
     return points[np.argsort(ang)]
 
 
+def greedy_dedupe(points):
+    """Keep each point unless an earlier kept one is within TOL_MERGE."""
+    keep = []
+    for p in points:
+        if not any(np.max(np.abs(p - q)) <= geo.TOL_MERGE for q in keep):
+            keep.append(p)
+    return np.array(keep).reshape(-1, points.shape[1])
+
+
+class TestDedupe:
+    def test_matches_greedy_loop(self):
+        rng = np.random.default_rng(0)
+        for k in (0, 1, 2, 5, 12):
+            base = rng.normal(size=(k, 3))
+            # half the draws repeat earlier points moved by under TOL_MERGE
+            for pts in (base, np.vstack([base, base[: k // 2] + 5e-8])):
+                pts = pts[rng.permutation(len(pts))]
+                out = geo.dedupe_points(pts)
+                assert np.array_equal(out, greedy_dedupe(pts))
+                assert np.array_equal(geo.dedupe_points(out), out)
+
+
 class TestConvexHull:
     def test_unit_square(self):
         p = geo.convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
