@@ -89,18 +89,15 @@ def point_key(v: np.ndarray) -> tuple:
 
 
 def dedupe_points(points: np.ndarray) -> np.ndarray:
-    """Points with near-duplicates (inf-norm within ``TOL_MERGE``) dropped,
-    the first of each cluster kept in input order.  When no two points are
-    that close the input comes back as it is."""
+    """A copy of ``points`` without near-duplicates: a point is dropped
+    when an earlier kept point is within ``TOL_MERGE`` (inf-norm)."""
     pts = _as_points(points)
-    close = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2) <= TOL_MERGE
-    if np.count_nonzero(close) == len(pts):  # each point is close to itself only
-        return pts
-    keep: list[np.ndarray] = []
-    for p in pts:
-        if not any(np.linalg.norm(p - q, ord=np.inf) <= TOL_MERGE for q in keep):
-            keep.append(p)
-    return np.array(keep) if keep else pts[:0]
+    gaps = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2, initial=0.0)
+    earlier = np.tril(gaps <= TOL_MERGE, -1)
+    keep = np.ones(len(pts), dtype=bool)
+    for i in np.flatnonzero(earlier.any(axis=1)):
+        keep[i] = not (earlier[i] & keep).any()
+    return pts[keep]
 
 
 def affine_dimension(points) -> int:

@@ -4,11 +4,10 @@ verification of synthesized controllers.
 Each step of ``integrate`` asks which piece holds the state (one product
 with the controller's stacked facet table, see ``PWAController``) and
 whether the state is on the target face.  The target test screens first:
-``target_screen``, built once per run from valid inequalities G y <= c of
-the face's hull, rules out a state with g.x - c > 2 |g|_1 TOL_SIM for
-some row g, which is more than 2 TOL_SIM (inf-norm) from the face, with
-no LP.  Every other state goes to the LP of ``point_in_hull``, so the
-verdicts are the LP's alone.
+``target_screen``, built once per run from the equations of the face's
+affine hull, rules out a state more than 2 TOL_SIM (inf-norm) off that
+affine hull with no LP.  Every other state goes to ``point_in_hull``,
+whose bounding-box check or LP gives the verdict, as without the screen.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geometry import (TOL_GEOM, Face, Polytope, affine_basis, point_in_hull,
-                       vrep_to_hrep)
+from .geometry import TOL_GEOM, Face, Polytope, affine_basis, point_in_hull
 from .synth import PWAController
 from .system import AffineSystem
 
@@ -77,19 +75,15 @@ def target_screen(vertices) -> Callable[[np.ndarray], bool]:
     """A test that is true only for states more than 2 TOL_SIM (inf-norm)
     from conv(vertices).
 
-    It checks valid inequalities G y <= c of the hull: the equations of
-    the affine hull, both ways, and the facets of the hull within its
-    affine hull, lifted back.  Each bound is its row's maximum over the
+    It checks the equations of the hull's affine hull, both ways, as
+    valid inequalities G y <= c.  Each bound is its row's maximum over the
     vertices, so the inequalities hold however the rows are rounded, and
     a state with g.x - c > 2 |g|_1 TOL_SIM is more than 2 TOL_SIM from
     every point of the hull."""
     V = np.asarray(vertices, dtype=float)
-    origin, basis = affine_basis(V)
+    _, basis = affine_basis(V)
     normal = np.eye(V.shape[1]) - basis @ basis.T
-    rows = [normal, -normal]
-    if basis.shape[1]:
-        rows.append(np.array([basis @ h.normal for h in vrep_to_hrep((V - origin) @ basis)]))
-    G = np.vstack(rows)
+    G = np.vstack([normal, -normal])
     c = (V @ G.T).max(axis=0)
     reject = 2.0 * TOL_SIM * np.abs(G).sum(axis=1)
     return lambda state: bool(np.any(G @ state - c > reject))
@@ -133,7 +127,9 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
         return Trajectory(np.array(times), np.array(states), np.array(controls),
                           np.array(ids), Outcome(REACHED, 0.0), max_viol)
 
-    closed_loops: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    # keyed by identity, not ``index``: a piece given to another controller
+    # is renumbered there
+    closed_loops = {id(pc): pc.closed_loop(sys) for pc in ctrl.pieces}
     t = 0.0
     while t < tmax:
         piece = ctrl.lookup(x, TOL_SIM)
@@ -142,9 +138,7 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
             ids.append(-1)
             return Trajectory(np.array(times), np.array(states), np.array(controls),
                               np.array(ids), Outcome(GAP, t), max_viol)
-        if piece.index not in closed_loops:
-            closed_loops[piece.index] = piece.closed_loop(sys)
-        A_cl, b_cl = closed_loops[piece.index]
+        A_cl, b_cl = closed_loops[id(piece)]
         controls.append(piece.control(x))
         ids.append(piece.index)
 

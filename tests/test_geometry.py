@@ -61,6 +61,19 @@ class TestDedupe:
                 assert np.array_equal(out, greedy_dedupe(pts))
                 assert np.array_equal(geo.dedupe_points(out), out)
 
+    def test_chain_keeps_point_near_dropped_one_only(self):
+        # the middle point is dropped, so the last one, within TOL_MERGE of
+        # the middle but not of the first, is kept
+        pts = np.outer([0.0, 0.6, 1.2], [geo.TOL_MERGE, 0.0])
+        out = geo.dedupe_points(pts)
+        assert np.array_equal(out, pts[[0, 2]])
+        assert np.array_equal(out, greedy_dedupe(pts))
+
+    def test_returns_a_copy(self):
+        pts = np.eye(3)
+        out = geo.dedupe_points(pts)
+        assert np.array_equal(out, pts) and not np.shares_memory(out, pts)
+
 
 class TestConvexHull:
     def test_unit_square(self):

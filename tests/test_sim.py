@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from reachctl import geometry as geo
 from reachctl import lp, sim, synth
 
-from helpers import (box_fixture, cube_fixture, hull_distance,
+from helpers import (affine_stepper, box_fixture, cube_fixture, hull_distance,
                      pinned_corner_fixture, use_reference_stepper,
                      wedge_fixture)
 
@@ -47,12 +48,25 @@ class TestIntegrate:
         feeder = full.pieces[-1]
         x0 = feeder.region.centroid()
         assert full.lookup(x0) is feeder
-        partial = synth.PWAController([feeder], p)
+        # a copy, since a controller renumbers the pieces it is given
+        partial = synth.PWAController([dataclasses.replace(feeder)], p)
         tr = sim.integrate(sys, partial, x0, f=f)
         assert tr.outcome.kind == sim.GAP
         assert tr.outcome.time > 0.0
         assert tr.piece_ids[-1] == -1
         assert np.all(tr.piece_ids[:-1] == 0)
+
+    def test_steps_follow_each_pieces_closed_loop(self, box):
+        sys, p, f, ctrl = box
+        x0 = ctrl.pieces[-1].region.centroid()
+        tr = sim.integrate(sys, ctrl, x0, f=f)
+        assert tr.outcome.kind == sim.REACHED
+        assert len(set(tr.piece_ids.tolist())) == len(ctrl.pieces) > 1
+        for k in range(len(tr.times) - 1):
+            piece = ctrl.pieces[tr.piece_ids[k]]
+            E, M = affine_stepper(sys.A + sys.B @ piece.gain, tr.times[k + 1] - tr.times[k])
+            exact = E @ tr.states[k] + M @ (sys.a + sys.B @ piece.offset)
+            assert np.allclose(tr.states[k + 1], exact, rtol=0, atol=1e-9), k
 
     def test_tiny_horizon_times_out(self, box):
         sys, p, f, ctrl = box
@@ -127,6 +141,14 @@ def _face_and_points(rng, n, d):
     return V, np.vstack([near, far, edge])
 
 
+def _affine_hull_distance(x, V):
+    """Euclidean distance from ``x`` to the affine hull of ``V``, by least
+    squares."""
+    D = (V[1:] - V[0]).T
+    lam = np.linalg.lstsq(D, x - V[0], rcond=None)[0]
+    return float(np.linalg.norm(V[0] + D @ lam - x))
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_rejections_are_sound(n):
     rng = np.random.default_rng(n)
@@ -143,6 +165,6 @@ def test_rejections_are_sound(n):
             assert geo.point_in_hull(x, V, tol) == (dist <= tol)
             if off_target(x):
                 assert dist > tol
-            if dist > 0.05:
+            if _affine_hull_distance(x, V) > 0.05:
                 assert off_target(x)
     assert checked > 25 * n
