@@ -61,8 +61,6 @@ KEY_DECIMALS = 9
 # decimals of the key that identifies one facet found from several
 # vertex subsets
 HALFSPACE_KEY_DECIMALS = 8
-# decimals of the keys that decide whether a target equals a facet
-FACE_MATCH_DECIMALS = 7
 
 
 def _as_points(points) -> np.ndarray:
@@ -590,6 +588,20 @@ def carrying_facet(p: Polytope, f: Face) -> Optional[int]:
         if all(abs(h.value(v)) <= TOL_MERGE for v in f.vertices):
             return k
     return None
+
+
+def whole_facet(p: Polytope, f: Face) -> Optional[int]:
+    """Index of the facet of ``p`` that ``f`` is, or None: the facet
+    carrying ``f``, when every vertex of either is within ``TOL_MERGE``
+    (inf-norm) of a vertex of the other."""
+    k = carrying_facet(p, f)
+    if k is None:
+        return None
+    h = p.halfspaces[k]
+    tight = p.vertices[np.abs(p.vertices @ h.normal - h.offset) <= TOL_INCIDENCE]
+    gaps = np.abs(tight[:, None, :] - f.vertices[None, :, :]).max(axis=2)
+    matched = gaps.min(axis=0).max() <= TOL_MERGE and gaps.min(axis=1).max() <= TOL_MERGE
+    return k if matched else None
 
 
 def simplex_volume(vertices: np.ndarray) -> float:

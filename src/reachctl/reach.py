@@ -36,7 +36,6 @@ class ReachAnalysis:
     v_minus: np.ndarray
     v_plus: np.ndarray
     h_minus: Polytope
-    h_plus: Polytope
     p_plus: Face
     b_minus: Polytope
     b_minus_active: bool
@@ -49,10 +48,6 @@ class ReachAnalysis:
     @property
     def reachable(self) -> bool:
         return self.condition_a and self.condition_b
-
-    @property
-    def has_failure_sets(self) -> bool:
-        return (not self.a_minus.is_empty) or (not self.a_plus.is_empty)
 
 
 @dataclass(frozen=True)
@@ -117,15 +112,11 @@ def analyze(sys: AffineSystem, geom: SystemGeometry, p: Polytope, f: Face) -> Re
     beta_max = float(p_levels.max())
     notes: list[str] = []
 
-    # sub-level and super-level blocks relative to the target
+    # sub-level block relative to the target
     if beta_min < lvl_minus - TOL_GEOM:
         h_minus, _ = split_by_hyperplane(p, Hyperplane(beta, lvl_minus))
     else:
         h_minus = _level_face(p, beta, lvl_minus)
-    if beta_max > lvl_plus + TOL_GEOM:
-        _, h_plus = split_by_hyperplane(p, Hyperplane(beta, lvl_plus))
-    else:
-        h_plus = _level_face(p, beta, lvl_plus)
 
     top_verts = p.vertices[np.abs(p_levels - beta_max) <= TOL_GEOM]
     p_plus = Face(lex_sorted(top_verts), None, affine_dimension(top_verts))
@@ -178,7 +169,7 @@ def analyze(sys: AffineSystem, geom: SystemGeometry, p: Polytope, f: Face) -> Re
     condition_b = (not in_o) or (not strictly_above)
     a_plus = p_plus if not condition_b else Face.empty(p.n)
 
-    return ReachAnalysis(v_minus, v_plus, h_minus, h_plus, p_plus,
+    return ReachAnalysis(v_minus, v_plus, h_minus, p_plus,
                          b_minus, b_minus_active, a_minus, a_plus,
                          condition_a, condition_b, tuple(notes))
 

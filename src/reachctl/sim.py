@@ -127,9 +127,7 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
         return Trajectory(np.array(times), np.array(states), np.array(controls),
                           np.array(ids), Outcome(REACHED, 0.0), max_viol)
 
-    # keyed by identity, not ``index``: a piece given to another controller
-    # is renumbered there
-    closed_loops = {id(pc): pc.closed_loop(sys) for pc in ctrl.pieces}
+    closed_loops = [pc.closed_loop(sys) for pc in ctrl.pieces]
     t = 0.0
     while t < tmax:
         piece = ctrl.lookup(x, TOL_SIM)
@@ -138,7 +136,7 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
             ids.append(-1)
             return Trajectory(np.array(times), np.array(states), np.array(controls),
                               np.array(ids), Outcome(GAP, t), max_viol)
-        A_cl, b_cl = closed_loops[id(piece)]
+        A_cl, b_cl = closed_loops[piece.index]
         controls.append(piece.control(x))
         ids.append(piece.index)
 

@@ -9,7 +9,7 @@ greedy pass that always finishes the lowest-drift exit facet first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -18,9 +18,8 @@ from . import lp
 from .errors import (AssumptionViolated, CaseViolation, Infeasible,
                      NotReachable, SingularVertexMatrix, Stuck,
                      SynthesisFailed)
-from .geometry import (FACE_MATCH_DECIMALS, TOL_GEOM, TOL_INCIDENCE,
-                       TOL_MERGE, TOL_ZERO, Face, Polytope, Simplex,
-                       carrying_facet, point_in_hull, point_key)
+from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_MERGE, TOL_ZERO, Face,
+                       Polytope, Simplex, carrying_facet, whole_facet)
 from .reach import analyze, epsilon_cut
 from .system import (AffineSystem, SystemGeometry, check_assumptions,
                      compute_geometry)
@@ -68,19 +67,19 @@ class PWAController:
     On overlaps the lookup prefers pieces closer to the original target:
     lower cover rank first, then shorter path, then fixed index order.
 
-    The constructor numbers the pieces and stacks the facet rows of every
-    region, in that order of preference, into one table; a lookup is one
-    matrix product and the first block of rows that all hold.  Pieces are
-    final once assembled: a region, rank or path length changed afterwards
-    is not seen by ``lookup``.
+    The constructor keeps copies of the pieces it is given, numbered by
+    position (``index``), so the pieces it was given keep their own
+    numbers.  It stacks the facet rows of every region, in that order of
+    preference, into one table; a lookup is one matrix product and the
+    first block of rows that all hold.  Pieces are final once assembled: a
+    region, rank or path length changed afterwards is not seen by
+    ``lookup``.
     """
 
     def __init__(self, pieces: list[AffinePiece], domain: Polytope, notes=()):
-        self.pieces = list(pieces)
+        self.pieces = [replace(piece, index=k) for k, piece in enumerate(pieces)]
         self.domain = domain
         self.notes = list(notes)
-        for k, piece in enumerate(self.pieces):
-            piece.index = k
         self._preferred = sorted(self.pieces, key=lambda pc: (pc.rank, pc.path_len,
                                                               pc.sub_rank, pc.index))
         self._normals = np.vstack([pc.region.normals for pc in self._preferred]
@@ -385,19 +384,14 @@ class GreedyResult:
     w_levels: list[float]
 
 
-def _facet_index(s: Simplex, face_vertices: np.ndarray) -> int:
-    keys = {point_key(v) for v in face_vertices}
-    for j in range(s.n + 1):
-        base = np.delete(s.vertices, j, axis=0)
-        if {point_key(v) for v in base} == keys:
-            return j
-    raise ValueError("face is not a facet of the simplex")
-
-
-def greedy_paths(tri: Triangulation, geom: SystemGeometry, f: Face) -> GreedyResult:
+def greedy_paths(tri: Triangulation, geom: SystemGeometry) -> GreedyResult:
     """Order the simplices so each one exits into an already-finished
     neighbor, always picking the pair whose shared facet has the lowest
-    drift level (ties: most facet vertices at that level, then index)."""
+    drift level (ties: most facet vertices at that level, then index).
+
+    A target simplex may also exit into the target itself, through the
+    facet its triangulation records in ``target_exits``; the facet shared
+    with a neighbour comes from the triangulation's adjacency."""
     beta = geom.beta
     q = len(tri.simplices)
     unfinished = set(range(q))
@@ -409,15 +403,8 @@ def greedy_paths(tri: Triangulation, geom: SystemGeometry, f: Face) -> GreedyRes
         lo = float(lv.min())
         return lo, int(np.sum(np.abs(lv - lo) <= TOL_GEOM))
 
-    # each target simplex exits through its first facet inside the target
-    target_exit: dict[int, tuple[int, float, int]] = {}
-    for i in tri.target_indices:
-        s = tri.simplices[i]
-        for j in range(s.n + 1):
-            base = np.delete(s.vertices, j, axis=0)
-            if all(point_in_hull(v, f.vertices, TOL_INCIDENCE) for v in base):
-                target_exit[i] = (j, *facet_stats(base))
-                break
+    target_exit = {i: (j, *facet_stats(np.delete(tri.simplices[i].vertices, j, axis=0)))
+                   for i, j in tri.target_exits.items()}
 
     while unfinished:
         best = None
@@ -428,13 +415,13 @@ def greedy_paths(tri: Triangulation, geom: SystemGeometry, f: Face) -> GreedyRes
                 key = (lo, -cnt, i, -1)
                 if best_key is None or key < best_key:
                     best, best_key = (i, -1, j), key
-            for j, face in tri.neighbors(i):
+            for j, k, face in tri.neighbors(i):
                 if j not in finished:
                     continue
                 lo, cnt = facet_stats(face.vertices)
                 key = (lo, -cnt, i, j)
                 if best_key is None or key < best_key:
-                    best, best_key = (i, j, _facet_index(tri.simplices[i], face.vertices)), key
+                    best, best_key = (i, j, k), key
         if best is None:
             raise Stuck(sorted(unfinished))
         i, j, facet_id = best
@@ -451,13 +438,6 @@ def greedy_paths(tri: Triangulation, geom: SystemGeometry, f: Face) -> GreedyRes
 # ---------------------------------------------------------------------------
 # whole-polytope synthesis
 # ---------------------------------------------------------------------------
-
-def _is_facet_of(p: Polytope, f: Face) -> bool:
-    def keys(vertices):
-        return {tuple(np.round(v, FACE_MATCH_DECIMALS)) for v in vertices}
-    fkeys = keys(f.vertices)
-    return any(keys(face.vertices) == fkeys for face in p.facets())
-
 
 @dataclass(frozen=True)
 class _Split:
@@ -494,9 +474,10 @@ def _branch(sys: AffineSystem, p: Polytope, f: Face, eps: Optional[float]
         return _Split([(cut.reach_eps, f, None)],
                       f"failure sets cut off with margin {cut.eps:g}", cut.reach_eps)
 
-    if _is_facet_of(p, f):
+    k = whole_facet(p, f)
+    if k is not None:
         tri = basic_triangulation(p, select_vstar(p, f, geom))
-        mark_target(tri, f)
+        mark_target(tri, p.halfspaces[k])
         return tri, geom
     # non-facet target: prefer an anchor clear of the carrying facet, then
     # a cover pivoting on a top-face target vertex, and finally the far split
@@ -537,8 +518,9 @@ def synth_polytope(sys: AffineSystem, p: Polytope, f: Face,
     leaves ranks as they are.  Leaves are ordered greedily and get one
     affine law per simplex (two where a split is needed).  Every rank and
     path length is set before the returned controller is built, because a
-    controller reads them once (a sub-problem's own controller is
-    discarded)."""
+    controller copies its pieces and reads them once; a split sets the
+    ranks on the pieces of each sub-problem's controller, which it then
+    discards."""
     branch = _branch(sys, p, f, eps)
     if isinstance(branch, _Split):
         pieces: list[AffinePiece] = []
@@ -553,7 +535,7 @@ def synth_polytope(sys: AffineSystem, p: Polytope, f: Face,
         return PWAController(pieces, branch.domain, notes)
 
     tri, geom = branch
-    greedy = greedy_paths(tri, geom, f)
+    greedy = greedy_paths(tri, geom)
     pieces = []
     for i in greedy.order:
         for piece in synth_simplex(sys, geom, tri.simplices[i], greedy.exit_facet[i]):

@@ -1,7 +1,10 @@
 """Partitioning constructions driven by the control problem: anchored fan
 triangulations, refinement with respect to a boundary target that is not a
 facet, the far-target split, and the cover used when the equilibrium plane
-crosses the polytope."""
+crosses the polytope.  A triangulation records what its construction
+decides, the exit facet of each target simplex and the facet each simplex
+shares with a neighbour, so synthesis reads these instead of recomputing
+them."""
 
 from __future__ import annotations
 
@@ -13,37 +16,44 @@ import numpy as np
 
 from .errors import (CoverIncomplete, CutConstructionFailed, EpsTooLarge,
                      NoQualifyingVertex, VStarInFbar)
-from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_MERGE, TOL_RANK,
-                       TOL_VOLUME, TOL_ZERO, Face, HalfSpace, Hyperplane,
-                       Polytope, Simplex, affine_basis, affine_dimension,
+from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_RANK, TOL_VOLUME,
+                       TOL_ZERO, Face, HalfSpace, Hyperplane, Polytope,
+                       Simplex, affine_basis, affine_dimension,
                        carrying_facet, clip_to_halfspace, common_face,
                        convex_hull, lex_sorted, point_in_hull, point_key,
                        split_by_hyperplane, triangulate_point_set,
-                       uncovered_volume)
-from .reach import EpsilonCut, default_eps, epsilon_cut
+                       uncovered_volume, whole_facet)
+from .reach import default_eps, epsilon_cut
 from .system import AffineSystem, SystemGeometry, compute_geometry
 
 
 @dataclass
 class Triangulation:
-    """Simplices of an anchored triangulation, facet adjacency, and the
-    indices whose base facet lies inside the target."""
+    """Simplices of an anchored triangulation with what its construction
+    decided about them.
+
+    ``target_exits`` maps each simplex having a whole facet inside the
+    target to the index of that facet (facet j omits vertex j).
+    ``adjacency`` lists each pair (a, b) of simplices sharing a facet as
+    (a, b, that facet's index in a, its index in b, the shared face).
+    """
 
     simplices: list[Simplex]
     vstar: np.ndarray
-    target_indices: list[int]
-    adjacency: list[tuple[int, int, Face]] = field(default_factory=list)
+    target_exits: dict[int, int]
+    adjacency: list[tuple[int, int, int, int, Face]] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.adjacency:
             self.adjacency = _facet_adjacency(self.simplices)
 
     def neighbors(self, i: int):
-        for a, b, face in self.adjacency:
+        """(neighbour, index of the shared facet in simplex i, shared face)."""
+        for a, b, ka, kb, face in self.adjacency:
             if a == i:
-                yield b, face
+                yield b, ka, face
             elif b == i:
-                yield a, face
+                yield a, kb, face
 
 
 @dataclass(frozen=True)
@@ -51,7 +61,6 @@ class CoverPiece:
     polytope: Polytope
     target: Face
     role: str  # "target" drives to the original target, "feeder" to an interface
-    cut: Optional[EpsilonCut] = None
 
 
 @dataclass(frozen=True)
@@ -60,16 +69,20 @@ class Cover:
     cut_planes: tuple[Hyperplane, ...] = ()
 
 
-def _facet_adjacency(simplices: list[Simplex]) -> list[tuple[int, int, Face]]:
-    """Pairs sharing exactly n vertices; the shared set is their common facet."""
+def _facet_adjacency(simplices: list[Simplex]) -> list[tuple[int, int, int, int, Face]]:
+    """Pairs sharing exactly n vertices; the shared set is their common
+    facet, which omits the one vertex of each simplex not in it."""
     out = []
-    keysets = [set(map(point_key, s.vertices)) for s in simplices]
+    keys = [list(map(point_key, s.vertices)) for s in simplices]
+    keysets = [set(k) for k in keys]
     n = simplices[0].n if simplices else 0
     for i, j in itertools.combinations(range(len(simplices)), 2):
         shared = keysets[i] & keysets[j]
         if len(shared) == n:
             verts = np.array(sorted(shared))
-            out.append((i, j, Face(lex_sorted(verts), None, n - 1)))
+            ki = next(k for k, key in enumerate(keys[i]) if key not in shared)
+            kj = next(k for k, key in enumerate(keys[j]) if key not in shared)
+            out.append((i, j, ki, kj, Face(lex_sorted(verts), None, n - 1)))
     return out
 
 
@@ -109,18 +122,19 @@ def basic_triangulation(p: Polytope, vstar: np.ndarray) -> Triangulation:
         for base in triangulate_point_set(face.vertices):
             simplices.append(_cone(vstar, base))
     simplices.sort(key=lambda s: s.vertex_key())
-    return Triangulation(simplices, vstar, [])
+    return Triangulation(simplices, vstar, {})
 
 
-def mark_target(tri: Triangulation, f: Face) -> None:
-    """Tag simplices having a whole facet inside the target."""
-    tri.target_indices = []
+def mark_target(tri: Triangulation, target: HalfSpace) -> None:
+    """Set ``tri.target_exits`` for a target that is a whole facet, given by
+    its halfspace: a simplex facet lies in it exactly when its n vertices
+    lie on its plane within ``TOL_INCIDENCE``, so a simplex with one vertex
+    off the plane exits through the facet omitting that vertex."""
+    tri.target_exits = {}
     for idx, s in enumerate(tri.simplices):
-        for j in range(s.n + 1):
-            base = np.delete(s.vertices, j, axis=0)
-            if all(point_in_hull(v, f.vertices, TOL_INCIDENCE) for v in base):
-                tri.target_indices.append(idx)
-                break
+        off = np.flatnonzero(np.abs(s.vertices @ target.normal - target.offset) > TOL_INCIDENCE)
+        if len(off) == 1:
+            tri.target_exits[idx] = int(off[0])
 
 
 def _complement_pieces(region: Polytope, carve: Face) -> list[np.ndarray]:
@@ -141,7 +155,10 @@ def _complement_pieces(region: Polytope, carve: Face) -> list[np.ndarray]:
 
 def triangulation_wrt_F(p: Polytope, f: Face, vstar: np.ndarray) -> Triangulation:
     """Anchored triangulation refined so that, on the facet carrying the
-    target, every piece lies inside the target or misses its interior."""
+    target, every piece lies inside the target or misses its interior.
+
+    Each cone over a piece inside the target exits through its base, which
+    is facet 0 because the anchor is vertex 0."""
     vstar = np.asarray(vstar, dtype=float)
     facets = p.facets()
     fbar_idx = carrying_facet(p, f)
@@ -168,8 +185,8 @@ def triangulation_wrt_F(p: Polytope, f: Face, vstar: np.ndarray) -> Triangulatio
                 simplices.append(_cone(vstar, base))
     order = sorted(range(len(simplices)), key=lambda i: simplices[i].vertex_key())
     simplices = [simplices[i] for i in order]
-    targets = sorted(order.index(t) for t in targets)
-    return Triangulation(simplices, vstar, targets)
+    exits = {i: 0 for i in sorted(order.index(t) for t in targets)}
+    return Triangulation(simplices, vstar, exits)
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +260,8 @@ def cover_wrt_F(p: Polytope, f: Face, geom: SystemGeometry) -> Cover:
     Degenerate case: when the target already is a facet the polytope comes
     back as a single piece.
     """
-    for face in p.facets():
-        shared = all(any(np.linalg.norm(v - w, ord=np.inf) <= TOL_MERGE for w in face.vertices)
-                     for v in f.vertices)
-        if shared and len(face.vertices) == len(f.vertices):
-            return Cover((CoverPiece(p, f, "target"),))
+    if whole_facet(p, f) is not None:
+        return Cover((CoverPiece(p, f, "target"),))
 
     levels = p.vertices @ geom.beta
     top_level = levels.max()
@@ -331,11 +345,12 @@ def cover_wrt_O(sys: AffineSystem, p: Polytope, f: Face,
 
     sides = [side1, side2]
     targets = [_clip_face(f, o_plane.lower()), _clip_face(f, o_plane.upper())]
-    cuts: list[Optional[EpsilonCut]] = [None, None]
     geoms = [compute_geometry(sys, s) for s in sides]
     if eps is None:
         eps = min(default_eps(geoms[0], sides[0]), default_eps(geoms[1], sides[1]))
 
+    pieces: list[CoverPiece] = []
+    planes: list[Hyperplane] = [o_plane]
     direct: list[Optional[Polytope]] = [None, None]
     for i in (0, 1):
         if targets[i].dim == p.n - 1:
@@ -345,14 +360,8 @@ def cover_wrt_O(sys: AffineSystem, p: Polytope, f: Face,
                 raise CoverIncomplete(np.inf, f"direct cut on side {i} failed: {exc}")
             if not cut.reach_eps.is_empty:
                 direct[i] = cut.reach_eps
-                cuts[i] = cut
-
-    pieces: list[CoverPiece] = []
-    planes: list[Hyperplane] = [o_plane]
-    for i in (0, 1):
-        if direct[i] is not None:
-            pieces.append(CoverPiece(direct[i], targets[i], "target", cuts[i]))
-            planes.extend(cuts[i].cut_planes)
+                pieces.append(CoverPiece(cut.reach_eps, targets[i], "target"))
+                planes.extend(cut.cut_planes)
 
     for i, j in ((0, 1), (1, 0)):
         if direct[j] is None:
@@ -371,7 +380,7 @@ def cover_wrt_O(sys: AffineSystem, p: Polytope, f: Face,
             raise CoverIncomplete(np.inf, f"interface cut on side {i} failed: {exc}")
         if cut.reach_eps.is_empty:
             continue
-        pieces.append(CoverPiece(cut.reach_eps, iface, "feeder", cut))
+        pieces.append(CoverPiece(cut.reach_eps, iface, "feeder"))
         planes.extend(cut.cut_planes)
 
     gap = uncovered_volume(p, [piece.polytope for piece in pieces], planes)

@@ -108,6 +108,14 @@ def o_cross_fixture():
     return double_integrator(), p, f
 
 
+def top_edge_fixture():
+    """Trapezoid whose top edge is the target; the anchor is that edge's
+    drift-top end, so the target simplex exits through a facet other
+    than the one opposite the anchor."""
+    p = geo.convex_hull([(0, 1.5), (2, 1.5), (1.5, 0.5), (0.5, 0.5)])
+    return double_integrator(), p, facet_face(p, [0, 1])
+
+
 def diamond_fixture():
     """Slanted equilibrium plane crossing the interior; both sides carry
     an (n-1)-dimensional share of the target, and a single pinned corner
@@ -310,6 +318,20 @@ def lp_point_in_hull(point, vertices, tol=geo.TOL_GEOM):
     eq[0, :k] = 1.0
     out = lp.solve_lp(c, np.array(rows), np.array(rhs), eq, np.array([1.0]))
     return out.status == lp.OPTIMAL and out.value <= tol
+
+
+def lp_target_exits(tri, f):
+    """The LP rule for target exits: each simplex exits through its first
+    facet whose vertices all lie in conv(f), by ``lp_point_in_hull`` at
+    TOL_INCIDENCE; a simplex with no such facet is absent."""
+    exits = {}
+    for idx, s in enumerate(tri.simplices):
+        for j in range(s.n + 1):
+            base = np.delete(s.vertices, j, axis=0)
+            if all(lp_point_in_hull(v, f.vertices, geo.TOL_INCIDENCE) for v in base):
+                exits[idx] = j
+                break
+    return exits
 
 
 def loop_lookup(ctrl, x, tol=geo.TOL_MERGE):

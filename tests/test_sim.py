@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import numpy as np
@@ -48,13 +47,20 @@ class TestIntegrate:
         feeder = full.pieces[-1]
         x0 = feeder.region.centroid()
         assert full.lookup(x0) is feeder
-        # a copy, since a controller renumbers the pieces it is given
-        partial = synth.PWAController([dataclasses.replace(feeder)], p)
+        partial = synth.PWAController([feeder], p)
         tr = sim.integrate(sys, partial, x0, f=f)
         assert tr.outcome.kind == sim.GAP
         assert tr.outcome.time > 0.0
         assert tr.piece_ids[-1] == -1
         assert np.all(tr.piece_ids[:-1] == 0)
+
+    def test_a_second_controller_keeps_the_first_ones_indices(self):
+        sys, p, f = box_fixture()
+        ctrl = synth.synth_polytope(sys, p, f)
+        partial = synth.PWAController([ctrl.pieces[1]], p)
+        assert [pc.index for pc in ctrl.pieces] == [0, 1]
+        assert [pc.index for pc in partial.pieces] == [0]
+        assert ctrl.lookup(ctrl.pieces[1].region.centroid()) is ctrl.pieces[1]
 
     def test_steps_follow_each_pieces_closed_loop(self, box):
         sys, p, f, ctrl = box

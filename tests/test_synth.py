@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from reachctl import geometry as geo
-from reachctl import reach, synth
+from reachctl import lp, reach, synth
 from reachctl import triangulate as tri
 from reachctl.errors import CoverIncomplete, SynthesisFailed
 from reachctl.sim import sample_states
 from reachctl.system import AffineSystem, compute_geometry
 
-from helpers import (box_fixture, diamond_fixture, double_integrator,
-                     ill1_fixture, ill2_fixture, ill3_fixture, o_cross_fixture,
+from helpers import (box_fixture, cube_fixture, diamond_fixture,
+                     double_integrator, ill1_fixture, ill2_fixture,
+                     ill3_fixture, lp_target_exits, o_cross_fixture,
                      wedge_fixture)
 
 
@@ -204,8 +205,8 @@ class TestGreedyPaths:
         sys, p, f = box_fixture()
         geom = compute_geometry(sys, p)
         s = geo.Simplex([(0.0, 0.0), (2.0, 0.0), (2.0, 1.0)])
-        t = tri.Triangulation([s], np.array([0.0, 0.0]), [0])
-        res = synth.greedy_paths(t, geom, f)
+        t = tri.Triangulation([s], np.array([0.0, 0.0]), {0: 0})
+        res = synth.greedy_paths(t, geom)
         assert res.order == [0]
         assert res.path_len[0] == 1
 
@@ -215,8 +216,8 @@ class TestGreedyPaths:
         cut = reach.epsilon_cut(sys, geom, p, f, 0.1)
         vstar = tri.select_vstar(cut.reach_eps, f, geom)
         t = tri.basic_triangulation(cut.reach_eps, vstar)
-        tri.mark_target(t, f)
-        res = synth.greedy_paths(t, geom, f)
+        tri.mark_target(t, cut.reach_eps.halfspaces[geo.whole_facet(cut.reach_eps, f)])
+        res = synth.greedy_paths(t, geom)
         # finish order follows a chain of increasing path lengths
         assert [res.path_len[i] for i in res.order] == [1, 2, 3]
         first, second, third = res.order
@@ -249,10 +250,29 @@ class TestGreedyPaths:
                 continue
             vstar = tri.select_vstar(p, f, geom)
             t = tri.basic_triangulation(p, vstar)
-            tri.mark_target(t, f)
-            res = synth.greedy_paths(t, geom, f)
+            tri.mark_target(t, f.supporting)
+            assert t.target_exits == lp_target_exits(t, f)
+            res = synth.greedy_paths(t, geom)
             assert len(res.order) == len(t.simplices)
             done += 1
+
+    @pytest.mark.parametrize("fixture", [box_fixture, cube_fixture])
+    def test_marking_and_ordering_solve_no_lp(self, fixture, monkeypatch):
+        sys, p, f = fixture()
+        geom = compute_geometry(sys, p)
+        t = tri.basic_triangulation(p, tri.select_vstar(p, f, geom))
+        calls = []
+        solve = lp.solve
+
+        def counting(prog):
+            calls.append(1)
+            return solve(prog)
+
+        monkeypatch.setattr(lp, "solve", counting)
+        tri.mark_target(t, f.supporting)
+        res = synth.greedy_paths(t, geom)
+        assert len(calls) == 0
+        assert t.target_exits and len(res.order) == len(t.simplices)
 
 
 # one case per branch of synth_polytope: fixture, eps, piece count (None:

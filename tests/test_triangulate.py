@@ -6,9 +6,11 @@ from reachctl import reach, triangulate as tri
 from reachctl.errors import CoverIncomplete, NoQualifyingVertex, VStarInFbar
 from reachctl.system import compute_geometry
 
-from helpers import (box_fixture, diamond_fixture, double_integrator, face_from,
-                     facet_face, ill1_fixture, ill2_fixture, ill3_fixture,
-                     o_cross_fixture, wedge_fixture)
+from helpers import (box_fixture, cube_fixture, diamond_fixture,
+                     double_integrator, face_from, facet_face, ill1_fixture,
+                     ill2_fixture, ill3_fixture, lp_target_exits,
+                     o_cross_fixture, pinned_corner_fixture,
+                     top_edge_fixture, wedge_fixture)
 
 
 def simplices_valid(p, simplices):
@@ -80,6 +82,54 @@ class TestBasicTriangulation:
         simplices_valid(cube, t.simplices)
 
 
+def _marked_leaf(fixture, eps):
+    """The triangulation ``synth_polytope`` builds for a whole-facet target,
+    after the margin cut when the target is not reachable."""
+    sys, p, f = fixture()
+    geom = compute_geometry(sys, p)
+    ra = reach.analyze(sys, geom, p, f)
+    if not ra.reachable:
+        p = reach.epsilon_cut(sys, geom, p, f, eps, analysis=ra).reach_eps
+        geom = compute_geometry(sys, p)
+    k = geo.whole_facet(p, f)
+    assert k is not None
+    t = tri.basic_triangulation(p, tri.select_vstar(p, f, geom))
+    tri.mark_target(t, p.halfspaces[k])
+    return t, f
+
+
+class TestMarkTarget:
+    @pytest.mark.parametrize("fixture,eps", [(box_fixture, None), (wedge_fixture, 0.1),
+                                             (pinned_corner_fixture, None),
+                                             (cube_fixture, None), (top_edge_fixture, None)])
+    def test_plane_rule_matches_lp_rule(self, fixture, eps):
+        t, f = _marked_leaf(fixture, eps)
+        assert t.target_exits
+        assert t.target_exits == lp_target_exits(t, f)
+
+    def test_anchor_on_target_exits_elsewhere(self):
+        t, f = _marked_leaf(top_edge_fixture, None)
+        assert geo.point_in_hull(t.vstar, f.vertices, 1e-9)
+        assert t.target_exits == {1: 2}
+
+
+class TestWholeFacet:
+    def test_perturbed_facet_is_whole(self):
+        p = geo.Polytope.box([0, 0, 0], [1, 1, 1])
+        k = next(i for i, h in enumerate(p.halfspaces) if h.normal[0] > 0.9)
+        verts = p.facets()[k].vertices
+        jitter = np.random.default_rng(0).choice([-5e-8, 5e-8], size=verts.shape)
+        assert geo.whole_facet(p, geo.Face(verts + jitter, None, 2)) == k
+
+    def test_strict_sub_segment_is_not(self):
+        sys, p, f = box_fixture()
+        assert p.halfspaces[geo.whole_facet(p, f)] is f.supporting
+        assert geo.whole_facet(p, face_from([(2, 0), (2, 0.5)])) is None
+        assert geo.whole_facet(p, face_from([(2, 0.5), (2, 1)])) is None
+        # no facet plane holds both ends
+        assert geo.whole_facet(p, face_from([(1, 0), (2, 0.5)])) is None
+
+
 class TestTriangulationWrtF:
     def test_ill1_refinement(self):
         sys, p, f = ill1_fixture()
@@ -88,11 +138,12 @@ class TestTriangulationWrtF:
         assert any(np.allclose(q, [0, 1]) for q in quals)
         t = tri.triangulation_wrt_F(p, f, np.array([0.0, 1.0]))
         assert len(t.simplices) == 3
-        assert len(t.target_indices) == 1
+        assert list(t.target_exits.values()) == [0]
+        assert t.target_exits == lp_target_exits(t, f)
         simplices_valid(p, t.simplices)
         # every simplex base on the carrying facet is inside or outside
         for idx, s in enumerate(t.simplices):
-            tagged = idx in t.target_indices
+            tagged = idx in t.target_exits
             c = np.delete(s.vertices, 0, axis=0).mean(axis=0)
             on_fbar = abs(c @ np.array([1, 1]) / np.sqrt(2) - 3 / np.sqrt(2)) < 1e-9
             if tagged:
@@ -112,8 +163,8 @@ class TestTriangulationWrtF:
         f = face_from([(0, 0), (0.5, 0)])
         t = tri.triangulation_wrt_F(p, f, np.array([1.0, 1.0]))
         assert len(t.simplices) == 3
-        assert len(t.target_indices) == 1
-        s = t.simplices[t.target_indices[0]]
+        assert list(t.target_exits.values()) == [0]
+        s = t.simplices[next(iter(t.target_exits))]
         for v in np.delete(s.vertices, 0, axis=0):
             assert geo.point_in_hull(v, f.vertices, 1e-9)
 
