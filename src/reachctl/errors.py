@@ -74,10 +74,6 @@ class CutConstructionFailed(ReachError):
     """No valid cut hyperplane could be constructed for the margin."""
 
 
-class CommonHyperplane(ReachError):
-    """Two target sets lie on a common hyperplane."""
-
-
 # -- triangulation / covers -------------------------------------------------
 
 class TriangulateError(ReachctlError):

@@ -1,12 +1,21 @@
 """Low-dimensional polytope computations (ambient dimension <= 4).
 
-Vertex/halfspace conversions are done by brute-force enumeration over
-n-subsets with LP-based redundancy and membership filters.  At this scale
-(a handful of vertices, n <= 4) the combinatorial cost is negligible and
-the code stays auditable.  The membership test ``point_in_hull`` solves
-its LP only when two exact closed forms leave the answer open: a point
-near a vertex is in, and a point outside the vertices' bounding box by
-more than the tolerance is out.
+The conversions enumerate n-subsets: ``hrep_to_vrep`` solves every
+n-subset of the constraints and ``vrep_to_hrep`` fits a plane through
+every n-subset of the vertices.  At this scale (a handful of vertices,
+n <= 4) the combinatorial cost is negligible and the code stays
+auditable.  Clipping and splitting by a hyperplane work by vertex-facet
+incidence, as the one-halfspace update of the double-description method
+does: the vertices inside stay, each edge the plane crosses adds its
+crossing point, and the facets are the halfspaces whose tight vertices
+span a hyperplane.
+
+LPs remain in three places: the boundedness LPs of ``hrep_to_vrep``,
+which converts caller input; ``extreme_points``, one membership LP per
+point, which ``convex_hull`` uses; and ``point_in_hull``, which solves its
+LP only when two exact closed forms leave the answer open: a point near a
+vertex is in, and a point outside the vertices' bounding box by more than
+the tolerance is out.
 
 Every geometric comparison in the package uses one of the named
 constants below, each fixed to one role, and assumes inputs scaled so the
@@ -30,7 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -98,16 +107,20 @@ def dedupe_points(points: np.ndarray) -> np.ndarray:
     return pts[keep]
 
 
+def _rank(rows: np.ndarray) -> int:
+    """Rank of a matrix, counting singular values above ``TOL_RANK``
+    relative to the largest (or 1); 0 for a matrix without rows."""
+    if len(rows) == 0:
+        return 0
+    s = np.linalg.svd(rows, compute_uv=False)
+    return int(np.sum(s > TOL_RANK * max(s[0], 1.0)))
+
+
 def affine_dimension(points) -> int:
     pts = dedupe_points(_as_points(points))
     if len(pts) == 0:
         return -1
-    if len(pts) == 1:
-        return 0
-    diffs = pts[1:] - pts[0]
-    s = np.linalg.svd(diffs, compute_uv=False)
-    scale = max(s[0], 1.0)
-    return int(np.sum(s > TOL_RANK * scale))
+    return _rank(pts[1:] - pts[0])
 
 
 def affine_basis(points) -> tuple[np.ndarray, np.ndarray]:
@@ -232,10 +245,6 @@ class Polytope:
     @staticmethod
     def from_vertices(points, allow_lower: bool = True) -> "Polytope":
         return convex_hull(points, allow_lower=allow_lower)
-
-    @staticmethod
-    def from_halfspaces(halfspaces: Iterable[HalfSpace]) -> "Polytope":
-        return convex_hull(hrep_to_vrep(list(halfspaces)))
 
     @staticmethod
     def box(lower, upper) -> "Polytope":
@@ -436,11 +445,16 @@ def vrep_to_hrep(vertices) -> list[HalfSpace]:
         if affine_dimension(tight) != n - 1:
             continue
         h = HalfSpace(normal, offset)
-        key = tuple(np.round(np.concatenate([h.normal, [h.offset]]), HALFSPACE_KEY_DECIMALS))
-        found.setdefault(key, h)
+        found.setdefault(_halfspace_key(h), h)
     if not found:
         raise Degenerate("no facets found")
     return [found[k] for k in sorted(found)]
+
+
+def _halfspace_key(h: HalfSpace) -> tuple:
+    """Rounded (normal, offset): one key for a facet found more than once,
+    and the order of every facet list."""
+    return tuple(np.round(np.concatenate([h.normal, [h.offset]]), HALFSPACE_KEY_DECIMALS))
 
 
 def convex_hull(points, allow_lower: bool = True) -> "Polytope":
@@ -468,7 +482,8 @@ def split_by_hyperplane(p: Polytope, plane: Hyperplane) -> tuple[Polytope, Polyt
     """Split into (lower, upper) pieces: {normal.x <= offset} and >=.
 
     When the plane misses the interior, the polytope comes back whole on
-    its own side together with an empty polytope.
+    its own side together with an empty polytope; otherwise the pieces are
+    the clips to the plane's two halfspaces.
     """
     if p.is_empty:
         return p, p
@@ -477,53 +492,43 @@ def split_by_hyperplane(p: Polytope, plane: Hyperplane) -> tuple[Polytope, Polyt
         return p, Polytope.empty(p.n)
     if np.all(vals >= -TOL_GEOM):
         return Polytope.empty(p.n), p
-    if p.is_full_dim:
-        lower = Polytope.from_halfspaces(p.halfspaces + [plane.lower()])
-        upper = Polytope.from_halfspaces(p.halfspaces + [plane.upper()])
-        return lower, upper
     return clip_to_halfspace(p, plane.lower()), clip_to_halfspace(p, plane.upper())
 
 
 def clip_to_halfspace(p: Polytope, half: HalfSpace) -> Polytope:
-    """Intersection with a halfspace; works for lower-dimensional polytopes
-    by clipping inside the affine hull."""
+    """Intersection with a halfspace, by incidence for every dimension.
+
+    The vertices within ``TOL_GEOM`` of the halfspace stay, and every
+    segment from a vertex below ``-TOL_GEOM`` to one above ``TOL_GEOM``
+    adds its crossing point: the edges of a full-dimensional ``p``, every
+    vertex pair of a lower-dimensional one, whose points are then hulled.
+    A full-dimensional result takes as facets those of ``p.halfspaces``
+    and ``half`` whose tight vertices span a hyperplane, so it needs no
+    LP.  A halfspace holding every vertex returns ``p`` itself, and one
+    that meets ``p`` only on its boundary plane returns the face there.
+    """
     if p.is_empty:
         return p
-    vals = np.array([half.value(v) for v in p.vertices])
+    vals = p.vertices @ half.normal - half.offset
     if np.all(vals <= TOL_GEOM):
         return p
     if np.all(vals >= -TOL_GEOM):
         kept = p.vertices[vals <= TOL_GEOM]
         return convex_hull(kept) if len(kept) else Polytope.empty(p.n)
-    if p.is_full_dim:
-        return Polytope.from_halfspaces(p.halfspaces + [half])
-    origin, basis = affine_basis(p.vertices)
-    proj = (p.vertices - origin) @ basis
-    nproj = basis.T @ half.normal
-    if np.linalg.norm(nproj) <= TOL_GEOM:
-        return p  # halfspace parallel to the hull and mixed signs: numeric noise
-    o = half.offset - half.normal @ origin
-    sub = convex_hull(proj, allow_lower=True)
-    if sub.dim == sub.n:
-        clipped = Polytope.from_halfspaces(sub.halfspaces + [HalfSpace(nproj, o)])
-    else:
-        clipped = _clip_lower(sub, HalfSpace(nproj, o))
-    verts = clipped.vertices @ basis.T + origin
-    return convex_hull(verts) if len(verts) else Polytope.empty(p.n)
-
-
-def _clip_lower(p: Polytope, half: HalfSpace) -> Polytope:
-    # segment base case after projections
-    vals = np.array([half.value(v) for v in p.vertices])
-    inside = [v for v, s in zip(p.vertices, vals) if s <= TOL_GEOM]
-    for (i, j) in itertools.combinations(range(len(p.vertices)), 2):
-        a, b = vals[i], vals[j]
-        if a * b < -TOL_GEOM * TOL_GEOM:
-            t = a / (a - b)
-            inside.append(p.vertices[i] + t * (p.vertices[j] - p.vertices[i]))
-    if not inside:
-        return Polytope.empty(p.n)
-    return convex_hull(np.array(inside), allow_lower=True)
+    pairs = edges(p) if p.is_full_dim else itertools.combinations(range(len(vals)), 2)
+    pts = list(p.vertices[vals <= TOL_GEOM])
+    for i, j in pairs:
+        if min(vals[i], vals[j]) < -TOL_GEOM and max(vals[i], vals[j]) > TOL_GEOM:
+            t = vals[i] / (vals[i] - vals[j])
+            pts.append(p.vertices[i] + t * (p.vertices[j] - p.vertices[i]))
+    if not p.is_full_dim:
+        return convex_hull(np.array(pts))
+    verts = lex_sorted(dedupe_points(np.array(pts)))
+    facets: dict[tuple, HalfSpace] = {}
+    for h in p.halfspaces + [half]:
+        if affine_dimension(verts[np.abs(verts @ h.normal - h.offset) <= TOL_INCIDENCE]) == p.n - 1:
+            facets.setdefault(_halfspace_key(h), h)
+    return Polytope(verts, [facets[k] for k in sorted(facets)], p.n)
 
 
 def intersect(p: Polytope, q: Polytope) -> np.ndarray:
@@ -554,31 +559,17 @@ def common_face(p: Polytope, q: Polytope) -> Face:
 # faces and volumes
 # ---------------------------------------------------------------------------
 
-def faces_of(p: Polytope, d: int) -> list[Face]:
-    """Faces of dimension d, found from facet-incidence intersections."""
+def edges(p: Polytope) -> list[tuple[int, int]]:
+    """Index pairs i < j of the vertices of a full-dimensional polytope
+    that span an edge: the facets tight (``TOL_INCIDENCE``) at both
+    vertices have normals of rank n-1."""
     if not p.is_full_dim:
-        raise Degenerate("faces_of expects a full-dimensional polytope")
-    n = p.n
-    if d == n:
-        return [Face(p.vertices, None, n)]
-    tight_sets = []
-    for h in p.halfspaces:
-        mask = np.abs(p.vertices @ h.normal - h.offset) <= TOL_INCIDENCE
-        tight_sets.append(frozenset(np.flatnonzero(mask)))
-    m = len(tight_sets)
-    out: dict[frozenset, Face] = {}
-    max_take = min(m, n)
-    for size in range(1, max_take + 1):
-        for combo in itertools.combinations(range(m), size):
-            shared = frozenset.intersection(*[tight_sets[i] for i in combo])
-            if not shared or shared in out:
-                continue
-            verts = p.vertices[sorted(shared)]
-            fd = affine_dimension(verts)
-            if fd == d:
-                sup = p.halfspaces[combo[0]] if size == 1 else None
-                out[shared] = Face(lex_sorted(verts), sup, fd)
-    return [out[k] for k in sorted(out, key=lambda s: tuple(sorted(s)))]
+        raise Degenerate("edges expects a full-dimensional polytope")
+    normals = np.array([h.normal for h in p.halfspaces])
+    offsets = np.array([h.offset for h in p.halfspaces])
+    tight = np.abs(p.vertices @ normals.T - offsets) <= TOL_INCIDENCE
+    return [(i, j) for i, j in itertools.combinations(range(len(p.vertices)), 2)
+            if _rank(normals[tight[i] & tight[j]]) == p.n - 1]
 
 
 def carrying_facet(p: Polytope, f: Face) -> Optional[int]:
@@ -684,6 +675,8 @@ class Simplex:
     vertex j, with unit outward normal ``normals[j]`` and offset
     ``offsets[j]`` so that normals[j].v_i == offsets[j] for i != j and
     normals[j].v_j < offsets[j]."""
+
+    __slots__ = ("vertices", "normals", "offsets")  # one per controller piece
 
     def __init__(self, vertices):
         V = _as_points(vertices)

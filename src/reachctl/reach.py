@@ -16,12 +16,11 @@ from typing import Optional
 import numpy as np
 
 from . import lp
-from .errors import CommonHyperplane, CutConstructionFailed, EpsTooLarge
-from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_MERGE, TOL_VOLUME,
-                       TOL_ZERO, Face, Hyperplane, Polytope, affine_basis,
-                       affine_dimension, clip_to_halfspace, convex_hull,
-                       dedupe_points, faces_of, lex_sorted, point_in_hull,
-                       split_by_hyperplane, uncovered_volume)
+from .errors import CutConstructionFailed, EpsTooLarge
+from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_MERGE, TOL_ZERO, Face,
+                       Hyperplane, Polytope, affine_basis, affine_dimension,
+                       clip_to_halfspace, convex_hull, dedupe_points, edges,
+                       lex_sorted, point_in_hull, split_by_hyperplane)
 from .system import AffineSystem, SystemGeometry
 
 
@@ -186,10 +185,8 @@ def default_eps(geom: SystemGeometry, p: Polytope) -> float:
 def _edge_level_points(p: Polytope, beta: np.ndarray, level: float) -> np.ndarray:
     """Boundary points of p at the given drift level, taken on edges."""
     pts = []
-    for edge in faces_of(p, 1):
-        if len(edge.vertices) < 2:
-            continue
-        a, b = edge.vertices[0], edge.vertices[-1]
+    for i, j in edges(p):
+        a, b = p.vertices[i], p.vertices[j]
         la, lb = float(beta @ a), float(beta @ b)
         if (la - level) * (lb - level) < 0.0:
             t = (level - la) / (lb - la)
@@ -373,21 +370,3 @@ def epsilon_cut(sys: AffineSystem, geom: SystemGeometry, p: Polytope, f: Face,
         if not reach.contains(v, TOL_MERGE):
             raise EpsTooLarge("cut removed part of the target")
     return EpsilonCut(float(eps), a_eps_minus, a_eps_plus, reach, tuple(planes))
-
-
-def reach_eps_pair(sys: AffineSystem, geom: SystemGeometry, p: Polytope,
-                   f1: Face, f2: Face, eps: float) -> tuple[EpsilonCut, EpsilonCut, bool]:
-    """Margin-cut reach sets for two boundary targets, plus a flag telling
-    whether the two sets jointly cover the polytope."""
-    both = np.vstack([f1.vertices, f2.vertices])
-    if affine_dimension(both) < p.n:
-        raise CommonHyperplane("targets lie on a common hyperplane")
-    cut1 = epsilon_cut(sys, geom, p, f1, eps)
-    cut2 = epsilon_cut(sys, geom, p, f2, eps)
-    planes = list(cut1.cut_planes) + list(cut2.cut_planes)
-    gap = uncovered_volume(p, [cut1.reach_eps, cut2.reach_eps], planes)
-    covers = gap <= TOL_VOLUME * max(p.volume(), 1.0)
-    if covers:
-        covers = all(cut1.reach_eps.contains(v, TOL_MERGE) or cut2.reach_eps.contains(v, TOL_MERGE)
-                     for v in p.vertices)
-    return cut1, cut2, covers

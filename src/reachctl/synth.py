@@ -39,9 +39,12 @@ class VertexControls:
     slack: float       # certified margin of the blocking conditions
 
 
-@dataclass
+@dataclass(slots=True)
 class AffinePiece:
-    """One affine law u = gain x + offset on a simplex region."""
+    """One affine law u = gain x + offset on a simplex region.
+
+    Slotted, and its arrays own their data: a controller holds several
+    pieces, and a caller may keep many controllers."""
 
     region: Simplex
     gain: np.ndarray
@@ -277,7 +280,7 @@ def affine_from_vertex_controls(s: Simplex, vc: VertexControls) -> tuple[np.ndar
     if abs(np.linalg.det(M)) <= _VERTEX_DET_MIN:
         raise SingularVertexMatrix("simplex vertex matrix is singular")
     sol = vc.u.T @ np.linalg.inv(M)
-    gain, offset = sol[:, :-1], sol[:, -1]
+    gain, offset = sol[:, :-1].copy(), sol[:, -1].copy()
     resid = max(np.linalg.norm(gain @ v + offset - u) for v, u in zip(s.vertices, vc.u))
     if resid > TOL_GEOM:
         raise SingularVertexMatrix(f"interpolation residual {resid:.2e}")

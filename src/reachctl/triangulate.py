@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (CoverIncomplete, CutConstructionFailed, EpsTooLarge,
                      NoQualifyingVertex, VStarInFbar)
-from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_RANK, TOL_VOLUME,
+from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_VOLUME,
                        TOL_ZERO, Face, HalfSpace, Hyperplane, Polytope,
                        Simplex, affine_basis, affine_dimension,
                        carrying_facet, clip_to_halfspace, common_face,
@@ -206,9 +206,9 @@ def qualifying_vertices(p: Polytope, f: Face, geom: SystemGeometry) -> np.ndarra
 
 def _split_plane_through(p: Polytope, a: np.ndarray, b: np.ndarray) -> Hyperplane:
     """Hyperplane through the segment [a, b] splitting p into two
-    full-dimensional pieces; extra support points are chosen among the
-    vertices to maximize the smaller piece, with coordinate-direction
-    fallbacks."""
+    full-dimensional pieces, maximizing the smaller piece.  Candidates
+    pass through the segment and n-2 vertices, and in 3-D also along each
+    coordinate direction."""
     n = p.n
     axis = b - a
     candidates: list[Hyperplane] = []
@@ -226,16 +226,13 @@ def _split_plane_through(p: Polytope, a: np.ndarray, b: np.ndarray) -> Hyperplan
             u, s, vt = np.linalg.svd(basis.T, full_matrices=True)
             normal = vt[-1]
             candidates.append(Hyperplane(normal, float(normal @ a)))
+    if n == 3:
         for k in range(n):
             e = np.zeros(n)
             e[k] = 1.0
-            pts = np.vstack([a, b, a + e])
-            if affine_dimension(pts) < min(3, n - 1) + 1 - 1:
-                continue
-            dirs = np.vstack([axis, [e]])
-            u, s, vt = np.linalg.svd(dirs, full_matrices=True)
-            if s.min() <= TOL_RANK:
-                continue
+            if affine_dimension(np.vstack([a, b, a + e])) < 2:
+                continue  # a, b and a + e are collinear
+            _, _, vt = np.linalg.svd(np.vstack([axis, e]), full_matrices=True)
             normal = vt[-1]
             candidates.append(Hyperplane(normal, float(normal @ a)))
 

@@ -9,7 +9,7 @@ from scipy.optimize import linprog
 from reachctl import geometry as geo
 from reachctl import lp, sim
 from reachctl.synth import PWAController
-from reachctl.system import AffineSystem, compute_geometry
+from reachctl.system import AffineSystem
 
 VIOL_TOL = 1e-6
 
@@ -53,14 +53,6 @@ def pinned_corner_fixture():
     p = geo.convex_hull([(0, 0), (3, 0), (2.5, 1), (1, 1)])
     f = face_from([(3, 0), (2.5, 1)])
     return double_integrator(), p, f
-
-
-def two_target_fixture():
-    """Neither target is reachable alone but their union is."""
-    p = geo.convex_hull([(0, 0), (3, 0), (2, 1), (0.5, 1)])
-    f1 = face_from([(2.5, 0.5), (3, 0)])
-    f2 = face_from([(0, 0), (0.8, 0)])
-    return double_integrator(), p, f1, f2
 
 
 def integrator_3d():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reachctl import geometry as geo
+from reachctl import lp
 from reachctl.errors import DimensionDeficient
 
 
@@ -189,6 +190,82 @@ class TestSplit:
             assert total == pytest.approx(p.volume(), rel=1e-8, abs=1e-10)
 
 
+def random_hull(rng, n):
+    while True:
+        pts = rng.normal(size=(n + 3, n))
+        if geo.affine_dimension(pts) == n:
+            return geo.convex_hull(pts)
+
+
+def clip_cases(rng, p):
+    """(halfspace, shift) pairs: halfspaces through an interior point and
+    through a vertex (shift 0), and halfspaces shifted off a vertex by half
+    of TOL_GEOM to either side."""
+    for k in range(6):
+        normal = rng.normal(size=p.n)
+        normal /= np.linalg.norm(normal)
+        v = p.vertices[rng.integers(len(p.vertices))]
+        point = [p.centroid() + 0.3 * (v - p.centroid()), v, v, v][k % 4]
+        shift = [0.0, 0.0, 0.5, -0.5][k % 4] * geo.TOL_GEOM
+        yield geo.HalfSpace(normal, float(normal @ point) + shift), shift
+
+
+def same_points(a, b, atol=1e-9):
+    return a.shape == b.shape and np.allclose(a, b, atol=atol, rtol=0)
+
+
+class TestClip:
+    """The incidence clip against the n-subset enumeration of
+    ``hrep_to_vrep`` on the same halfspaces."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_full_dimensional_clip_matches_enumeration(self, n):
+        rng = np.random.default_rng(10 + n)
+        for _ in range(4):
+            p = random_hull(rng, n)
+            for h, shift in clip_cases(rng, p):
+                out = geo.clip_to_halfspace(p, h)
+                assert same_points(out.vertices, geo.lex_sorted(geo.hrep_to_vrep(p.halfspaces + [h])))
+                if not out.is_full_dim:
+                    continue
+                # the facets describe the clipped polytope; off a vertex by
+                # under TOL_GEOM, the enumeration may return a crossing point
+                # near it in its place, one point by the TOL_MERGE rule
+                assert same_points(geo.lex_sorted(geo.hrep_to_vrep(out.halfspaces)), out.vertices,
+                                   atol=1e-9 if shift == 0.0 else geo.TOL_MERGE)
+                if shift == 0.0:
+                    # off a vertex by under TOL_GEOM, vrep_to_hrep also
+                    # reports planes tilted through that vertex
+                    assert len(out.halfspaces) == len(geo.vrep_to_hrep(out.vertices))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_facet_clip_matches_enumeration(self, n):
+        rng = np.random.default_rng(20 + n)
+        for _ in range(2 if n < 4 else 1):
+            p = random_hull(rng, n)
+            for h, _ in clip_cases(rng, p):
+                for face in p.facets():
+                    out = geo.clip_to_halfspace(geo.Polytope(face.vertices, [], n - 1), h)
+                    ref = geo.hrep_to_vrep(p.halfspaces + [h, face.supporting.flipped()])
+                    assert same_points(out.vertices, geo.lex_sorted(ref))
+                    assert out.halfspaces == [] and out.dim == geo.affine_dimension(ref)
+
+    def test_full_dimensional_split_solves_no_lp(self, monkeypatch):
+        p = random_hull(np.random.default_rng(30), 4)
+        calls = []
+        solve = lp.solve
+
+        def counting(prog):
+            calls.append(1)
+            return solve(prog)
+
+        monkeypatch.setattr(lp, "solve", counting)
+        normal = np.array([1.0, 0.5, 0.0, -0.5])
+        lo, hi = p.split(geo.Hyperplane(normal, float(normal @ p.centroid())))
+        assert lo.is_full_dim and hi.is_full_dim
+        assert len(calls) == 0
+
+
 class TestVolume:
     def test_unit_square(self):
         assert geo.convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)]).volume() == pytest.approx(1.0)
@@ -231,15 +308,16 @@ class TestFaces:
 
     def test_faces_of_cube(self):
         cube = geo.Polytope.box([0, 0, 0], [1, 1, 1])
-        assert len(geo.faces_of(cube, 2)) == 6
-        assert len(geo.faces_of(cube, 1)) == 12
-        assert len(geo.faces_of(cube, 0)) == 8
+        assert len(cube.facets()) == 6
+        assert len(geo.edges(cube)) == 12
+        assert len(cube.vertices) == 8
+        assert len(geo.edges(geo.Polytope.box([0] * 4, [1] * 4))) == 32
 
 
 class TestTriangulateFace:
     def test_square_facet_in_3d(self):
         cube = geo.Polytope.box([0, 0, 0], [1, 1, 1])
-        facet = geo.faces_of(cube, 2)[0]
+        facet = cube.facets()[0]
         tris = geo.triangulate_point_set(facet.vertices)
         assert len(tris) == 2
         area = sum(geo.simplex_volume(t) for t in tris)

@@ -3,12 +3,11 @@ import pytest
 
 from reachctl import geometry as geo
 from reachctl import reach
-from reachctl.errors import CommonHyperplane, EpsTooLarge
+from reachctl.errors import EpsTooLarge
 from reachctl.system import compute_geometry
 
-from helpers import (box_fixture, double_integrator, face_from, facet_face,
-                     interior_grid, oracle_reaches, pinned_corner_fixture,
-                     two_target_fixture, wedge_fixture)
+from helpers import (box_fixture, face_from, interior_grid, oracle_reaches,
+                     pinned_corner_fixture, wedge_fixture)
 
 
 def analysis_for(sys, p, f):
@@ -124,56 +123,6 @@ class TestEpsilonCut:
         geom, ra = analysis_for(sys, p, f)
         with pytest.raises(EpsTooLarge):
             reach.epsilon_cut(sys, geom, p, f, 5.0, analysis=ra)
-
-
-class TestReachPair:
-    def test_two_targets_cover(self):
-        sys, p, f1, f2 = two_target_fixture()
-        geom = compute_geometry(sys, p)
-        ra1 = reach.analyze(sys, geom, p, f1)
-        ra2 = reach.analyze(sys, geom, p, f2)
-        assert not ra1.reachable and not ra2.reachable
-        cut1, cut2, covers = reach.reach_eps_pair(sys, geom, p, f1, f2, 0.05)
-        assert covers
-
-    def test_union_verified_by_oracle(self):
-        sys, p, f1, f2 = two_target_fixture()
-        grid = interior_grid(p, k=8)
-        r1 = oracle_reaches(sys, p, f1, grid, full=True)
-        r2 = oracle_reaches(sys, p, f2, grid, full=True)
-        assert (r1 | r2).all()
-
-    def test_eps_monotone_flip(self):
-        sys, p, f1, f2 = two_target_fixture()
-        geom = compute_geometry(sys, p)
-        results = []
-        for eps in (0.6, 0.3, 0.1, 0.05):
-            try:
-                _, _, covers = reach.reach_eps_pair(sys, geom, p, f1, f2, eps)
-            except EpsTooLarge:
-                covers = False
-            results.append(covers)
-        assert results[-1]
-        # once covering, stays covering as eps shrinks
-        seen_true = False
-        for c in results:
-            seen_true = seen_true or c
-            if seen_true and not c:
-                pytest.fail("covering flag regressed as eps decreased")
-
-    def test_common_hyperplane_rejected(self):
-        sys, p, f1, _ = two_target_fixture()
-        geom = compute_geometry(sys, p)
-        with pytest.raises(CommonHyperplane):
-            reach.reach_eps_pair(sys, geom, p, f1, f1, 0.05)
-
-    def test_reachable_alone_is_trivial_cover(self):
-        sys, p, f = box_fixture()
-        geom = compute_geometry(sys, p)
-        f2 = face_from([(0, 0), (0, 1)])
-        cut1, _, covers = reach.reach_eps_pair(sys, geom, p, f, f2, 0.05)
-        assert cut1.reach_eps.volume() == pytest.approx(p.volume())
-        assert covers
 
 
 class TestInvariance:
