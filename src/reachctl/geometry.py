@@ -8,7 +8,9 @@ auditable.  Clipping and splitting by a hyperplane work by vertex-facet
 incidence, as the one-halfspace update of the double-description method
 does: the vertices inside stay, each edge the plane crosses adds its
 crossing point, and the facets are the halfspaces whose tight vertices
-span a hyperplane.
+span a hyperplane.  Where that does not hold (a lower-dimensional
+polytope, a vertex within about ``TOL_MERGE`` of the plane whose crossing
+points merge with it, a sliver result) the points go to ``convex_hull``.
 
 LPs remain in three places: the boundedness LPs of ``hrep_to_vrep``,
 which converts caller input; ``extreme_points``, one membership LP per
@@ -501,10 +503,11 @@ def clip_to_halfspace(p: Polytope, half: HalfSpace) -> Polytope:
     The vertices within ``TOL_GEOM`` of the halfspace stay, and every
     segment from a vertex below ``-TOL_GEOM`` to one above ``TOL_GEOM``
     adds its crossing point: the edges of a full-dimensional ``p``, every
-    vertex pair of a lower-dimensional one, whose points are then hulled.
-    A full-dimensional result takes as facets those of ``p.halfspaces``
-    and ``half`` whose tight vertices span a hyperplane, so it needs no
-    LP.  A halfspace holding every vertex returns ``p`` itself, and one
+    vertex pair of a lower-dimensional one.  When ``p`` and the result
+    are full-dimensional and no two points merged (``TOL_MERGE``), the
+    facets are those of ``p.halfspaces`` and ``half`` whose tight vertices
+    span a hyperplane, and the clip needs no LP; otherwise the points are
+    hulled.  A halfspace holding every vertex returns ``p`` itself, and one
     that meets ``p`` only on its boundary plane returns the face there.
     """
     if p.is_empty:
@@ -521,9 +524,11 @@ def clip_to_halfspace(p: Polytope, half: HalfSpace) -> Polytope:
         if min(vals[i], vals[j]) < -TOL_GEOM and max(vals[i], vals[j]) > TOL_GEOM:
             t = vals[i] / (vals[i] - vals[j])
             pts.append(p.vertices[i] + t * (p.vertices[j] - p.vertices[i]))
-    if not p.is_full_dim:
-        return convex_hull(np.array(pts))
     verts = lex_sorted(dedupe_points(np.array(pts)))
+    if not p.is_full_dim or len(verts) < len(pts) or affine_dimension(verts) < p.n:
+        # a vertex within about TOL_MERGE of the plane merges with its
+        # crossing points, and then incidence no longer tells the facets
+        return convex_hull(verts)
     facets: dict[tuple, HalfSpace] = {}
     for h in p.halfspaces + [half]:
         if affine_dimension(verts[np.abs(verts @ h.normal - h.offset) <= TOL_INCIDENCE]) == p.n - 1:

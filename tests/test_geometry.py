@@ -197,21 +197,62 @@ def random_hull(rng, n):
             return geo.convex_hull(pts)
 
 
+# offsets of the clip plane from a vertex: inside the on-plane band of
+# TOL_GEOM, past it, and far enough past it that crossing points merge with
+# the vertex by the TOL_MERGE rule
+SHIFTS = [0.5 * geo.TOL_GEOM, -0.5 * geo.TOL_GEOM, 3 * geo.TOL_GEOM, -3 * geo.TOL_GEOM,
+          0.5 * geo.TOL_MERGE, -0.5 * geo.TOL_MERGE]
+
+
 def clip_cases(rng, p):
     """(halfspace, shift) pairs: halfspaces through an interior point and
-    through a vertex (shift 0), and halfspaces shifted off a vertex by half
-    of TOL_GEOM to either side."""
-    for k in range(6):
-        normal = rng.normal(size=p.n)
-        normal /= np.linalg.norm(normal)
-        v = p.vertices[rng.integers(len(p.vertices))]
-        point = [p.centroid() + 0.3 * (v - p.centroid()), v, v, v][k % 4]
-        shift = [0.0, 0.0, 0.5, -0.5][k % 4] * geo.TOL_GEOM
-        yield geo.HalfSpace(normal, float(normal @ point) + shift), shift
+    through a vertex (shift 0), and halfspaces shifted off a vertex by each
+    of SHIFTS, whose planes cut through ``p``."""
+    for shift in [None, 0.0] + SHIFTS:
+        while True:
+            normal = rng.normal(size=p.n)
+            normal /= np.linalg.norm(normal)
+            v = p.vertices[rng.integers(len(p.vertices))]
+            vals = (p.vertices - v) @ normal
+            if shift in (None, 0.0) or (vals.min() < -1e-3 and vals.max() > 1e-3):
+                break
+        point = p.centroid() + 0.3 * (v - p.centroid()) if shift is None else v
+        yield geo.HalfSpace(normal, float(normal @ point) + (shift or 0.0)), shift or 0.0
 
 
 def same_points(a, b, atol=1e-9):
     return a.shape == b.shape and np.allclose(a, b, atol=atol, rtol=0)
+
+
+def near_points(a, b, atol):
+    """Every point of either set within ``atol`` (inf-norm) of one of the
+    other: two tolerance rules may keep different points of a cluster."""
+    if len(a) == 0 or len(b) == 0:
+        return len(a) == len(b)
+    gaps = np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
+    return gaps.min(axis=0).max() <= atol and gaps.min(axis=1).max() <= atol
+
+
+def matches(out, ref, shift):
+    """Off a vertex by less than TOL_GEOM, the vertices agree one for one;
+    farther off, the crossing points near the vertex merge by TOL_MERGE, in
+    the clip and in the enumeration, each keeping its own point."""
+    if abs(shift) < geo.TOL_GEOM:
+        return same_points(out, geo.lex_sorted(ref))
+    return near_points(out, ref, 10 * geo.TOL_MERGE)
+
+
+def describes_clip(out, p, h, rng):
+    """The facets of ``out`` cut out p and h: sample points around ``p``,
+    away from every plane of p and h, are inside ``out`` exactly when they
+    are inside both."""
+    planes = p.halfspaces + [h]
+    lo, hi = p.bounding_box()
+    for x in rng.uniform(lo - 0.5, hi + 0.5, size=(200, p.n)):
+        vals = np.array([g.value(x) for g in planes])
+        if np.abs(vals).min() > 1e-4 and out.contains(x) != bool(np.all(vals < 0)):
+            return False
+    return True
 
 
 class TestClip:
@@ -225,17 +266,13 @@ class TestClip:
             p = random_hull(rng, n)
             for h, shift in clip_cases(rng, p):
                 out = geo.clip_to_halfspace(p, h)
-                assert same_points(out.vertices, geo.lex_sorted(geo.hrep_to_vrep(p.halfspaces + [h])))
+                assert matches(out.vertices, geo.hrep_to_vrep(p.halfspaces + [h]), shift)
                 if not out.is_full_dim:
                     continue
-                # the facets describe the clipped polytope; off a vertex by
-                # under TOL_GEOM, the enumeration may return a crossing point
-                # near it in its place, one point by the TOL_MERGE rule
-                assert same_points(geo.lex_sorted(geo.hrep_to_vrep(out.halfspaces)), out.vertices,
-                                   atol=1e-9 if shift == 0.0 else geo.TOL_MERGE)
+                assert describes_clip(out, p, h, rng)
                 if shift == 0.0:
-                    # off a vertex by under TOL_GEOM, vrep_to_hrep also
-                    # reports planes tilted through that vertex
+                    # off a vertex, vrep_to_hrep also reports planes
+                    # tilted through that vertex
                     assert len(out.halfspaces) == len(geo.vrep_to_hrep(out.vertices))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -243,12 +280,31 @@ class TestClip:
         rng = np.random.default_rng(20 + n)
         for _ in range(2 if n < 4 else 1):
             p = random_hull(rng, n)
-            for h, _ in clip_cases(rng, p):
+            for h, shift in clip_cases(rng, p):
                 for face in p.facets():
+                    vals = face.vertices @ h.normal - h.offset
+                    if shift and geo.TOL_GEOM < vals.min() <= geo.TOL_INCIDENCE:
+                        # a face past the plane by under TOL_INCIDENCE: the
+                        # clip drops it, the enumeration keeps its vertex
+                        continue
                     out = geo.clip_to_halfspace(geo.Polytope(face.vertices, [], n - 1), h)
                     ref = geo.hrep_to_vrep(p.halfspaces + [h, face.supporting.flipped()])
-                    assert same_points(out.vertices, geo.lex_sorted(ref))
+                    assert matches(out.vertices, ref, shift)
                     assert out.halfspaces == [] and out.dim == geo.affine_dimension(ref)
+
+    def test_clip_near_a_vertex_keeps_every_facet(self):
+        # the crossing points on the edges from the z = 0 vertices merge
+        # into them; the slanted facet stays
+        cube = geo.Polytope.box([0, 0, 0], [1, 1, 1])
+        out = geo.clip_to_halfspace(cube, geo.HalfSpace(np.array([1.0, 0.0, -0.5]), 5e-8))
+        assert out.is_full_dim and len(out.vertices) == 6 and len(out.halfspaces) == 5
+        assert not out.contains(np.array([0.4, 0.5, 0.1]))
+
+    def test_sliver_clip_is_lower_dimensional(self):
+        square = geo.Polytope.box([0, 0], [1, 1])
+        out = geo.clip_to_halfspace(square, geo.HalfSpace(np.array([1.0, 0.0]), 5e-8))
+        assert out.dim == 1 and same_points(out.vertices, np.array([[0.0, 0.0], [0.0, 1.0]]))
+        assert not out.contains(np.array([5.0, 0.5]))
 
     def test_full_dimensional_split_solves_no_lp(self, monkeypatch):
         p = random_hull(np.random.default_rng(30), 4)
