@@ -12,12 +12,12 @@ span a hyperplane.  Where that does not hold (a lower-dimensional
 polytope, a vertex within about ``TOL_MERGE`` of the plane whose crossing
 points merge with it, a sliver result) the points go to ``convex_hull``.
 
-LPs remain in three places: the boundedness LPs of ``hrep_to_vrep``,
-which converts caller input; ``extreme_points``, one membership LP per
-point, which ``convex_hull`` uses; and ``point_in_hull``, which solves its
-LP only when two exact closed forms leave the answer open: a point near a
-vertex is in, and a point outside the vertices' bounding box by more than
-the tolerance is out.
+``convex_hull`` finds the facets first and then the vertices by
+incidence, so no hull solves an LP.  LPs remain in two places: the
+boundedness LPs of ``hrep_to_vrep``, which converts caller input, and
+``point_in_hull``, which solves its LP only when two exact closed forms
+leave the answer open: a point near a vertex is in, and a point outside
+the vertices' bounding box by more than the tolerance is out.
 
 Every geometric comparison in the package uses one of the named
 constants below, each fixed to one role, and assumes inputs scaled so the
@@ -49,7 +49,7 @@ from .errors import Degenerate, DimensionDeficient, GeometryError, Unbounded
 from . import lp
 
 # absolute: which side of a plane a point lies on, equal drift levels,
-# whether a point is extreme in a point set
+# which points a hull's facet holds
 TOL_GEOM = 1e-9
 # absolute: a vertex lies on a facet, in a target's hull or on the
 # equilibrium plane; a candidate vertex satisfies an H-representation
@@ -69,8 +69,8 @@ TOL_VOLUME = 1e-8
 # decimals of the rounded keys that identify a vertex (lexicographic
 # order, simplex keys, shared facets of simplices)
 KEY_DECIMALS = 9
-# decimals of the key that identifies one facet found from several
-# vertex subsets
+# decimals of the halfspace key, which orders facet lists and merges the
+# clip's candidate facets
 HALFSPACE_KEY_DECIMALS = 8
 
 
@@ -197,6 +197,19 @@ class Hyperplane:
         return HalfSpace(-self.normal, -self.offset)
 
 
+def hyperplane_through(points) -> Optional[Hyperplane]:
+    """The hyperplane through points that span n-1 dimensions, with the
+    first point as origin; None for any other span."""
+    origin, basis = affine_basis(points)
+    n = basis.shape[0]
+    if basis.shape[1] != n - 1:
+        return None
+    # normal orthogonal to the spanned directions
+    u, s, vt = np.linalg.svd(basis.T, full_matrices=True)
+    normal = vt[-1]
+    return Hyperplane(normal, float(normal @ origin))
+
+
 @dataclass(frozen=True)
 class Face:
     """Face of a polytope: vertex set, optional supporting halfspace, dim."""
@@ -221,8 +234,8 @@ class Face:
 
     @staticmethod
     def from_vertices(points, supporting: Optional[HalfSpace] = None) -> "Face":
-        pts = lex_sorted(extreme_points(points))
-        return Face(pts, supporting, affine_dimension(pts))
+        hull = convex_hull(points)
+        return Face(hull.vertices, supporting, hull.dim)
 
 
 class Polytope:
@@ -245,15 +258,11 @@ class Polytope:
         return Polytope(np.zeros((0, n)), [], -1)
 
     @staticmethod
-    def from_vertices(points, allow_lower: bool = True) -> "Polytope":
-        return convex_hull(points, allow_lower=allow_lower)
-
-    @staticmethod
     def box(lower, upper) -> "Polytope":
         lo = np.asarray(lower, dtype=float)
         hi = np.asarray(upper, dtype=float)
         corners = np.array(list(itertools.product(*zip(lo, hi))))
-        return Polytope.from_vertices(corners)
+        return convex_hull(corners)
 
     # -- basic queries -------------------------------------------------------
 
@@ -302,7 +311,7 @@ class Polytope:
 
 
 # ---------------------------------------------------------------------------
-# membership / extremality via LP
+# membership via LP
 # ---------------------------------------------------------------------------
 
 def point_in_hull(point, vertices, tol: float = TOL_GEOM) -> bool:
@@ -347,19 +356,6 @@ def point_in_hull(point, vertices, tol: float = TOL_GEOM) -> bool:
     if out.status != lp.OPTIMAL:
         return False
     return out.value <= tol
-
-
-def extreme_points(points) -> np.ndarray:
-    """Minimal subset with the same convex hull (LP membership test per point)."""
-    pts = dedupe_points(_as_points(points))
-    if len(pts) <= 1:
-        return pts
-    keep = []
-    for i in range(len(pts)):
-        others = np.delete(pts, i, axis=0)
-        if not point_in_hull(pts[i], others, TOL_GEOM):
-            keep.append(i)
-    return pts[keep] if keep else pts[:1]
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +411,13 @@ def hrep_to_vrep(halfspaces: list[HalfSpace]) -> np.ndarray:
 def vrep_to_hrep(vertices) -> list[HalfSpace]:
     """Minimal halfspace representation of a full-dimensional hull.
 
-    Enumerates n-subsets of vertices; a subset spanning a hyperplane with
-    all vertices on one side contributes a facet when the tight vertex set
-    is (n-1)-dimensional.
+    Every n-subset of the points that spans a hyperplane with all points
+    on one side (``TOL_GEOM``) is a candidate, identified by its set of
+    tight points; the first plane found stands for each set.  A set is a
+    facet when its points span n-1 dimensions and no other candidate's
+    set contains it: a plane tight at only part of another's set is tilted
+    through points within ``TOL_GEOM`` of that facet.  Facets come sorted
+    by ``_halfspace_key``.
     """
     V = dedupe_points(_as_points(vertices))
     k, n = V.shape
@@ -427,7 +427,7 @@ def vrep_to_hrep(vertices) -> list[HalfSpace]:
     if n == 1:
         lo, hi = float(V.min()), float(V.max())
         return [HalfSpace(np.array([-1.0]), -lo), HalfSpace(np.array([1.0]), hi)]
-    found: dict[tuple, HalfSpace] = {}
+    found: dict[bytes, tuple[np.ndarray, HalfSpace]] = {}
     for idx in itertools.combinations(range(k), n):
         pts = V[list(idx)]
         diffs = pts[1:] - pts[0]
@@ -443,37 +443,59 @@ def vrep_to_hrep(vertices) -> list[HalfSpace]:
             normal, offset, vals = -normal, -offset, -vals
         else:
             continue
-        tight = V[np.abs(vals) <= TOL_GEOM]
-        if affine_dimension(tight) != n - 1:
-            continue
-        h = HalfSpace(normal, offset)
-        found.setdefault(_halfspace_key(h), h)
-    if not found:
+        tight = np.abs(vals) <= TOL_GEOM
+        found.setdefault(tight.tobytes(), (tight, HalfSpace(normal, offset)))
+    masks = np.array([tight for tight, _ in found.values()], dtype=bool).reshape(-1, k)
+    # inside[i, j]: candidate i's tight set lies in candidate j's
+    inside = masks.astype(int) @ (~masks).T.astype(int) == 0
+    np.fill_diagonal(inside, False)
+    facets = [h for (tight, h), covered in zip(found.values(), inside.any(axis=1))
+              if not covered and affine_dimension(V[tight]) == n - 1]
+    if not facets:
         raise Degenerate("no facets found")
-    return [found[k] for k in sorted(found)]
+    return sorted(facets, key=_halfspace_key)
 
 
 def _halfspace_key(h: HalfSpace) -> tuple:
-    """Rounded (normal, offset): one key for a facet found more than once,
-    and the order of every facet list."""
+    """Rounded (normal, offset): the order of every facet list, and one
+    key for a facet the clip finds more than once."""
     return tuple(np.round(np.concatenate([h.normal, [h.offset]]), HALFSPACE_KEY_DECIMALS))
 
 
 def convex_hull(points, allow_lower: bool = True) -> "Polytope":
     """Convex hull with minimal V-rep (and H-rep when full-dimensional).
 
-    Raises DimensionDeficient for degenerate input unless ``allow_lower``,
-    in which case a lower-dimensional polytope (vertices only) is returned.
+    Facets first, then vertices by incidence, with no LP: the facets are
+    ``vrep_to_hrep`` of the deduplicated points, in the coordinates of
+    their affine hull when that is lower-dimensional, and a point is a
+    vertex when the normals of the facets tight at it (``TOL_GEOM``) have
+    the rank of the hull's dimension.  The vertices are given points, lex
+    sorted.  Raises DimensionDeficient for degenerate input unless
+    ``allow_lower``, in which case a lower-dimensional polytope (vertices
+    only) is returned.
     """
-    pts = dedupe_points(_as_points(points))
+    pts = lex_sorted(dedupe_points(_as_points(points)))
     if len(pts) == 0:
         return Polytope.empty(_as_points(points).shape[1])
     n = pts.shape[1]
-    d = affine_dimension(pts)
+    origin, basis = affine_basis(pts)
+    d = basis.shape[1]
     if d < n and not allow_lower:
         raise DimensionDeficient(d)
-    verts = lex_sorted(extreme_points(pts))
-    return Polytope(verts, vrep_to_hrep(verts) if d == n else [], d)
+    if d == 0:
+        return Polytope(pts[:1], [], 0)
+    coords = pts if d == n else (pts - origin) @ basis
+    hs = vrep_to_hrep(coords)
+    normals = np.array([h.normal for h in hs])
+    tight = np.abs(coords @ normals.T - np.array([h.offset for h in hs])) <= TOL_GEOM
+    verts = pts[[i for i in range(len(pts)) if _rank(normals[tight[i]]) == d]]
+    return Polytope(verts, hs if d == n else [], d)
+
+
+def extreme_points(points) -> np.ndarray:
+    """Minimal subset with the same convex hull, lex sorted: the vertices
+    of ``convex_hull``."""
+    return convex_hull(points).vertices
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +558,9 @@ def clip_to_halfspace(p: Polytope, half: HalfSpace) -> Polytope:
     return Polytope(verts, [facets[k] for k in sorted(facets)], p.n)
 
 
-def intersect(p: Polytope, q: Polytope) -> np.ndarray:
-    """Vertices of p intersect q (possibly lower-dimensional, possibly empty)."""
+def intersect(p: Polytope, q: Polytope) -> Polytope:
+    """p intersect q as a polytope (possibly lower-dimensional, possibly
+    empty) without halfspace data."""
     hs = p.halfspaces + q.halfspaces
     if not hs:
         raise GeometryError("intersection requires halfspace data")
@@ -547,17 +570,16 @@ def intersect(p: Polytope, q: Polytope) -> np.ndarray:
     cands += [v for v in p.vertices if q.contains(v, TOL_INCIDENCE)]
     cands += [v for v in q.vertices if p.contains(v, TOL_INCIDENCE)]
     if not cands:
-        return np.zeros((0, p.n))
-    return lex_sorted(extreme_points(np.array(cands)))
+        return Polytope.empty(p.n)
+    hull = convex_hull(np.array(cands))
+    return Polytope(hull.vertices, [], hull.dim)
 
 
 def common_face(p: Polytope, q: Polytope) -> Face:
     """Intersection of two polytopes as a face value (empty allowed);
     the adjacency predicate is dim == n-1."""
-    verts = intersect(p, q)
-    if len(verts) == 0:
-        return Face.empty(p.n)
-    return Face(verts, None, affine_dimension(verts))
+    cap = intersect(p, q)
+    return Face(cap.vertices, None, cap.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -645,11 +667,11 @@ def triangulate_point_set(vertices: np.ndarray,
     the lexicographically smallest vertex, making the result deterministic
     for a fixed vertex set.
     """
-    V = lex_sorted(extreme_points(vertices))
-    d = affine_dimension(V)
-    if d <= 0:
-        return [V[:1]]
+    V = lex_sorted(dedupe_points(_as_points(vertices)))
     origin, basis = affine_basis(V)
+    d = basis.shape[1]
+    if d == 0:
+        return [V[:1]]
     if d == 1:
         t = (V - origin) @ basis[:, 0]
         return [np.array([V[np.argmin(t)], V[np.argmax(t)]])]

@@ -20,7 +20,8 @@ from .errors import CutConstructionFailed, EpsTooLarge
 from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_MERGE, TOL_ZERO, Face,
                        Hyperplane, Polytope, affine_basis, affine_dimension,
                        clip_to_halfspace, convex_hull, dedupe_points, edges,
-                       lex_sorted, point_in_hull, split_by_hyperplane)
+                       hyperplane_through, lex_sorted, point_in_hull,
+                       split_by_hyperplane)
 from .system import AffineSystem, SystemGeometry
 
 
@@ -200,18 +201,6 @@ def _edge_level_points(p: Polytope, beta: np.ndarray, level: float) -> np.ndarra
     return lex_sorted(dedupe_points(np.array(pts)))
 
 
-def _fit_hyperplane(points: np.ndarray) -> Optional[Hyperplane]:
-    pts = dedupe_points(points)
-    n = pts.shape[1]
-    if affine_dimension(pts) != n - 1:
-        return None
-    origin, basis = affine_basis(pts)
-    # normal orthogonal to the spanned directions
-    u, s, vt = np.linalg.svd(basis.T, full_matrices=True)
-    normal = vt[-1]
-    return Hyperplane(normal, float(normal @ origin))
-
-
 def _flat_target_pivot(f: Face, offenders: np.ndarray) -> np.ndarray:
     """For a target lying entirely at one drift level, pick the face of the
     target whose outer side holds every offending point; the cut pivots on
@@ -282,7 +271,7 @@ def _cut_low_failure(p: Polytope, f: Face, geom: SystemGeometry,
     f_verts = f.vertices
     for combo in cand_sets:
         pts = np.vstack([pivots] + [anchors[list(combo)]]) if combo else pivots
-        plane = _fit_hyperplane(pts)
+        plane = hyperplane_through(pts)
         if plane is None:
             continue
         # orient: failure side is where the offenders live

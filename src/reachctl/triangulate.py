@@ -20,7 +20,8 @@ from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_VOLUME,
                        TOL_ZERO, Face, HalfSpace, Hyperplane, Polytope,
                        Simplex, affine_basis, affine_dimension,
                        carrying_facet, clip_to_halfspace, common_face,
-                       convex_hull, lex_sorted, point_in_hull, point_key,
+                       convex_hull, hyperplane_through, lex_sorted,
+                       point_in_hull, point_key,
                        split_by_hyperplane, triangulate_point_set,
                        uncovered_volume, whole_facet)
 from .reach import default_eps, epsilon_cut
@@ -219,13 +220,9 @@ def _split_plane_through(p: Polytope, a: np.ndarray, b: np.ndarray) -> Hyperplan
         extra_pool = [v for v in p.vertices
                       if affine_dimension(np.vstack([a, b, v])) == 2]
         for combo in itertools.combinations(range(len(extra_pool)), n - 2):
-            pts = np.vstack([a, b] + [extra_pool[i] for i in combo])
-            if affine_dimension(pts) != n - 1:
-                continue
-            origin, basis = affine_basis(pts)
-            u, s, vt = np.linalg.svd(basis.T, full_matrices=True)
-            normal = vt[-1]
-            candidates.append(Hyperplane(normal, float(normal @ a)))
+            plane = hyperplane_through(np.vstack([a, b] + [extra_pool[i] for i in combo]))
+            if plane is not None:
+                candidates.append(plane)
     if n == 3:
         for k in range(n):
             e = np.zeros(n)

@@ -270,7 +270,9 @@ def interior_grid(p, k=20, shrink=1e-3):
 
 def hull_distance(point, vertices):
     """Inf-norm distance from ``point`` to conv(vertices), by scipy's LP:
-    min s  s.t.  |V^T lam - point| <= s, sum lam = 1, lam >= 0."""
+    min s  s.t.  |V^T lam - point| <= s, sum lam = 1, lam >= 0.  HiGHS
+    runs at its tightest feasibility tolerances: at its default of 1e-7 it
+    reads a distance of a few TOL_GEOM as 0."""
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
     x = np.asarray(point, dtype=float)
     k, n = V.shape
@@ -279,7 +281,9 @@ def hull_distance(point, vertices):
     b_ub = np.concatenate([x, -x])
     A_eq = np.concatenate([np.ones(k), [0.0]])[None, :]
     res = linprog(np.eye(k + 1)[-1], A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
-                  bounds=[(0, None)] * (k + 1), method="highs")
+                  bounds=[(0, None)] * (k + 1), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
     assert res.status == 0, res.message
     return float(res.fun)
 

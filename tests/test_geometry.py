@@ -3,9 +3,24 @@ import itertools
 import numpy as np
 import pytest
 
+from helpers import hull_distance
 from reachctl import geometry as geo
 from reachctl import lp
 from reachctl.errors import DimensionDeficient
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """A list that gains one entry per ``lp.solve`` call."""
+    calls = []
+    solve = lp.solve
+
+    def counting(prog):
+        calls.append(1)
+        return solve(prog)
+
+    monkeypatch.setattr(lp, "solve", counting)
+    return calls
 
 
 def random_polygon(rng, nmax=8):
@@ -76,6 +91,31 @@ class TestDedupe:
         assert np.array_equal(out, pts) and not np.shares_memory(out, pts)
 
 
+# offsets of the facet points from their facet, along its outward normal:
+# on it, inside and past the TOL_GEOM band on either side, and clearly past
+FACET_OFFSETS = [0.0, 0.5 * geo.TOL_GEOM, -0.5 * geo.TOL_GEOM,
+                 3 * geo.TOL_GEOM, -3 * geo.TOL_GEOM, 1e-6]
+
+
+def vertex_cloud(rng, n, d, offset):
+    """Points spanning a random d-plane of R^n: the vertices of a random
+    d-simplex, a random point inside it, a random point of each facet moved
+    ``offset`` along the facet's outward normal, the edge midpoints and the
+    centroid."""
+    pts = rng.normal(size=(d + 1, d))
+    cloud = [pts, [rng.dirichlet(np.ones(d + 1)) @ pts, pts.mean(axis=0)]]
+    # row j: gradient of the barycentric coordinate of vertex j, which
+    # points into the simplex from the facet omitting vertex j
+    grads = np.linalg.inv(np.vstack([pts.T, np.ones(d + 1)]))[:, :d]
+    for j in range(d + 1):
+        facet = np.delete(pts, j, axis=0)
+        out = -grads[j] / np.linalg.norm(grads[j])
+        cloud.append([rng.dirichlet(np.ones(d)) @ facet + offset * out])
+    cloud.append([(a + b) / 2 for a, b in itertools.combinations(pts, 2)])
+    basis, _ = np.linalg.qr(rng.normal(size=(n, d)))
+    return np.vstack(cloud) @ basis.T + rng.normal(size=n)
+
+
 class TestConvexHull:
     def test_unit_square(self):
         p = geo.convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -104,6 +144,27 @@ class TestConvexHull:
             expected = geo.lex_sorted(np.array(expected))
             assert len(p.vertices) == len(expected)
             assert np.allclose(p.vertices, expected, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_vertices_match_distance_oracle(self, n):
+        # a deduplicated point is a vertex exactly when it lies more than
+        # TOL_GEOM from the hull of the others
+        rng = np.random.default_rng(40 + n)
+        for d in range(1, n + 1):
+            for offset in FACET_OFFSETS:
+                pts = geo.dedupe_points(vertex_cloud(rng, n, d, offset))
+                far = [hull_distance(x, np.delete(pts, i, axis=0)) > geo.TOL_GEOM
+                       for i, x in enumerate(pts)]
+                hull = geo.convex_hull(pts)
+                assert hull.dim == d
+                assert np.array_equal(hull.vertices, geo.lex_sorted(pts[far]))
+
+    def test_hull_solves_no_lp(self, lp_calls):
+        rng = np.random.default_rng(50)
+        for n in (2, 3, 4):
+            for d in range(1, n + 1):
+                assert geo.convex_hull(vertex_cloud(rng, n, d, 3 * geo.TOL_GEOM)).dim == d
+        assert len(lp_calls) == 0
 
     def test_degenerate_raises_with_dim(self):
         with pytest.raises(DimensionDeficient) as ei:
@@ -270,9 +331,9 @@ class TestClip:
                 if not out.is_full_dim:
                     continue
                 assert describes_clip(out, p, h, rng)
-                if shift == 0.0:
-                    # off a vertex, vrep_to_hrep also reports planes
-                    # tilted through that vertex
+                if abs(shift) <= 3 * geo.TOL_GEOM:
+                    # farther off, the vertices lie up to 1.6e-7 off the
+                    # clip's planes, and their hull has extra thin facets
                     assert len(out.halfspaces) == len(geo.vrep_to_hrep(out.vertices))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -306,20 +367,12 @@ class TestClip:
         assert out.dim == 1 and same_points(out.vertices, np.array([[0.0, 0.0], [0.0, 1.0]]))
         assert not out.contains(np.array([5.0, 0.5]))
 
-    def test_full_dimensional_split_solves_no_lp(self, monkeypatch):
+    def test_full_dimensional_split_solves_no_lp(self, lp_calls):
         p = random_hull(np.random.default_rng(30), 4)
-        calls = []
-        solve = lp.solve
-
-        def counting(prog):
-            calls.append(1)
-            return solve(prog)
-
-        monkeypatch.setattr(lp, "solve", counting)
         normal = np.array([1.0, 0.5, 0.0, -0.5])
         lo, hi = p.split(geo.Hyperplane(normal, float(normal @ p.centroid())))
         assert lo.is_full_dim and hi.is_full_dim
-        assert len(calls) == 0
+        assert len(lp_calls) == 0
 
 
 class TestVolume:
