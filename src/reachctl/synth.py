@@ -394,20 +394,21 @@ def greedy_paths(tri: Triangulation, geom: SystemGeometry) -> GreedyResult:
 
     A target simplex may also exit into the target itself, through the
     facet its triangulation records in ``target_exits``; the facet shared
-    with a neighbour comes from the triangulation's adjacency."""
+    with a neighbour comes from the triangulation's adjacency.  Both kinds
+    of facet take their levels from the simplex's own vertices."""
     beta = geom.beta
     q = len(tri.simplices)
     unfinished = set(range(q))
     finished: set[int] = set()
     result = GreedyResult([], {}, {}, {}, [])
 
-    def facet_stats(face_vertices: np.ndarray) -> tuple[float, int]:
-        lv = face_vertices @ beta
+    def facet_stats(i: int, k: int) -> tuple[float, int]:
+        """Lowest level on facet k of simplex i, and its vertices there."""
+        lv = np.delete(tri.simplices[i].vertices, k, axis=0) @ beta
         lo = float(lv.min())
         return lo, int(np.sum(np.abs(lv - lo) <= TOL_GEOM))
 
-    target_exit = {i: (j, *facet_stats(np.delete(tri.simplices[i].vertices, j, axis=0)))
-                   for i, j in tri.target_exits.items()}
+    target_exit = {i: (j, *facet_stats(i, j)) for i, j in tri.target_exits.items()}
 
     while unfinished:
         best = None
@@ -418,10 +419,10 @@ def greedy_paths(tri: Triangulation, geom: SystemGeometry) -> GreedyResult:
                 key = (lo, -cnt, i, -1)
                 if best_key is None or key < best_key:
                     best, best_key = (i, -1, j), key
-            for j, k, face in tri.neighbors(i):
+            for j, k in tri.neighbors(i):
                 if j not in finished:
                     continue
-                lo, cnt = facet_stats(face.vertices)
+                lo, cnt = facet_stats(i, k)
                 key = (lo, -cnt, i, j)
                 if best_key is None or key < best_key:
                     best, best_key = (i, j, k), key

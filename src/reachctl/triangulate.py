@@ -36,25 +36,25 @@ class Triangulation:
     ``target_exits`` maps each simplex having a whole facet inside the
     target to the index of that facet (facet j omits vertex j).
     ``adjacency`` lists each pair (a, b) of simplices sharing a facet as
-    (a, b, that facet's index in a, its index in b, the shared face).
+    (a, b, that facet's index in a, its index in b).
     """
 
     simplices: list[Simplex]
     vstar: np.ndarray
     target_exits: dict[int, int]
-    adjacency: list[tuple[int, int, int, int, Face]] = field(default_factory=list)
+    adjacency: list[tuple[int, int, int, int]] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.adjacency:
             self.adjacency = _facet_adjacency(self.simplices)
 
     def neighbors(self, i: int):
-        """(neighbour, index of the shared facet in simplex i, shared face)."""
-        for a, b, ka, kb, face in self.adjacency:
+        """(neighbour, index of the shared facet in simplex i)."""
+        for a, b, ka, kb in self.adjacency:
             if a == i:
-                yield b, ka, face
+                yield b, ka
             elif b == i:
-                yield a, kb, face
+                yield a, kb
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class Cover:
     cut_planes: tuple[Hyperplane, ...] = ()
 
 
-def _facet_adjacency(simplices: list[Simplex]) -> list[tuple[int, int, int, int, Face]]:
+def _facet_adjacency(simplices: list[Simplex]) -> list[tuple[int, int, int, int]]:
     """Pairs sharing exactly n vertices; the shared set is their common
     facet, which omits the one vertex of each simplex not in it."""
     out = []
@@ -80,10 +80,9 @@ def _facet_adjacency(simplices: list[Simplex]) -> list[tuple[int, int, int, int,
     for i, j in itertools.combinations(range(len(simplices)), 2):
         shared = keysets[i] & keysets[j]
         if len(shared) == n:
-            verts = np.array(sorted(shared))
             ki = next(k for k, key in enumerate(keys[i]) if key not in shared)
             kj = next(k for k, key in enumerate(keys[j]) if key not in shared)
-            out.append((i, j, ki, kj, Face(lex_sorted(verts), None, n - 1)))
+            out.append((i, j, ki, kj))
     return out
 
 

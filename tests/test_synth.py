@@ -9,9 +9,9 @@ from reachctl.sim import sample_states
 from reachctl.system import AffineSystem, compute_geometry
 
 from helpers import (box_fixture, cube_fixture, diamond_fixture,
-                     double_integrator, ill1_fixture, ill2_fixture,
-                     ill3_fixture, lp_target_exits, o_cross_fixture,
-                     wedge_fixture)
+                     double_integrator, facet_face, ill1_fixture,
+                     ill2_fixture, ill3_fixture, lp_target_exits,
+                     o_cross_fixture, wedge_fixture)
 
 
 def split_case_simplex():
@@ -255,6 +255,21 @@ class TestGreedyPaths:
             res = synth.greedy_paths(t, geom)
             assert len(res.order) == len(t.simplices)
             done += 1
+
+    def test_levels_come_from_the_simplex_vertices(self):
+        # at scales whose levels need more than 9 decimals, a level read
+        # from rounded vertex keys differs from the raw one
+        for scale in (1.2345678901, np.pi, 1 / 3, np.sqrt(2)):
+            sys, p, f = box_fixture()
+            p = geo.convex_hull(p.vertices * scale)
+            f = facet_face(p, [1, 0])
+            geom = compute_geometry(sys, p)
+            t = tri.basic_triangulation(p, tri.select_vstar(p, f, geom))
+            tri.mark_target(t, f.supporting)
+            res = synth.greedy_paths(t, geom)
+            raw = [(np.delete(t.simplices[i].vertices, res.exit_facet[i], axis=0) @ geom.beta).min()
+                   for i in res.order]
+            assert res.w_levels == raw
 
     @pytest.mark.parametrize("fixture", [box_fixture, cube_fixture])
     def test_marking_and_ordering_solve_no_lp(self, fixture, monkeypatch):
