@@ -204,7 +204,6 @@ def hyperplane_through(points) -> Optional[Hyperplane]:
     n = basis.shape[0]
     if basis.shape[1] != n - 1:
         return None
-    # normal orthogonal to the spanned directions
     u, s, vt = np.linalg.svd(basis.T, full_matrices=True)
     normal = vt[-1]
     return Hyperplane(normal, float(normal @ origin))
@@ -221,12 +220,6 @@ class Face:
     @property
     def is_empty(self) -> bool:
         return len(self.vertices) == 0
-
-    def centroid(self) -> np.ndarray:
-        return self.vertices.mean(axis=0)
-
-    def contains(self, x, tol: float = TOL_GEOM) -> bool:
-        return point_in_hull(x, self.vertices, tol)
 
     @staticmethod
     def empty(n: int) -> "Face":
@@ -411,13 +404,11 @@ def hrep_to_vrep(halfspaces: list[HalfSpace]) -> np.ndarray:
 def vrep_to_hrep(vertices) -> list[HalfSpace]:
     """Minimal halfspace representation of a full-dimensional hull.
 
-    Every n-subset of the points that spans a hyperplane with all points
-    on one side (``TOL_GEOM``) is a candidate, identified by its set of
-    tight points; the first plane found stands for each set.  A set is a
-    facet when its points span n-1 dimensions and no other candidate's
-    set contains it: a plane tight at only part of another's set is tilted
-    through points within ``TOL_GEOM`` of that facet.  Facets come sorted
-    by ``_halfspace_key``.
+    A candidate is a plane through an n-subset with all points on one side
+    (``TOL_GEOM``), the first found for its set of tight points.  A set is
+    a facet when it spans n-1 dimensions and lies in no other candidate's
+    set: a plane tight at part of a facet's set is tilted through points
+    within ``TOL_GEOM`` of that facet.
     """
     V = dedupe_points(_as_points(vertices))
     k, n = V.shape
@@ -445,12 +436,9 @@ def vrep_to_hrep(vertices) -> list[HalfSpace]:
             continue
         tight = np.abs(vals) <= TOL_GEOM
         found.setdefault(tight.tobytes(), (tight, HalfSpace(normal, offset)))
-    masks = np.array([tight for tight, _ in found.values()], dtype=bool).reshape(-1, k)
-    # inside[i, j]: candidate i's tight set lies in candidate j's
-    inside = masks.astype(int) @ (~masks).T.astype(int) == 0
-    np.fill_diagonal(inside, False)
-    facets = [h for (tight, h), covered in zip(found.values(), inside.any(axis=1))
-              if not covered and affine_dimension(V[tight]) == n - 1]
+    cands = list(found.values())
+    facets = [h for tight, h in cands if affine_dimension(V[tight]) == n - 1
+              and not any(np.all(tight <= other) and other.sum() > tight.sum() for other, _ in cands)]
     if not facets:
         raise Degenerate("no facets found")
     return sorted(facets, key=_halfspace_key)
@@ -465,19 +453,17 @@ def _halfspace_key(h: HalfSpace) -> tuple:
 def convex_hull(points, allow_lower: bool = True) -> "Polytope":
     """Convex hull with minimal V-rep (and H-rep when full-dimensional).
 
-    Facets first, then vertices by incidence, with no LP: the facets are
-    ``vrep_to_hrep`` of the deduplicated points, in the coordinates of
-    their affine hull when that is lower-dimensional, and a point is a
-    vertex when the normals of the facets tight at it (``TOL_GEOM``) have
-    the rank of the hull's dimension.  The vertices are given points, lex
-    sorted.  Raises DimensionDeficient for degenerate input unless
+    The facets are ``vrep_to_hrep`` of the points, in the coordinates of
+    their affine hull when that is lower-dimensional, and a given point is
+    a vertex when the normals of its tight facets have the hull's rank; no
+    LP is solved.  Raises DimensionDeficient for degenerate input unless
     ``allow_lower``, in which case a lower-dimensional polytope (vertices
     only) is returned.
     """
     pts = lex_sorted(dedupe_points(_as_points(points)))
-    if len(pts) == 0:
-        return Polytope.empty(_as_points(points).shape[1])
     n = pts.shape[1]
+    if len(pts) == 0:
+        return Polytope.empty(n)
     origin, basis = affine_basis(pts)
     d = basis.shape[1]
     if d < n and not allow_lower:
@@ -487,8 +473,8 @@ def convex_hull(points, allow_lower: bool = True) -> "Polytope":
     coords = pts if d == n else (pts - origin) @ basis
     hs = vrep_to_hrep(coords)
     normals = np.array([h.normal for h in hs])
-    tight = np.abs(coords @ normals.T - np.array([h.offset for h in hs])) <= TOL_GEOM
-    verts = pts[[i for i in range(len(pts)) if _rank(normals[tight[i]]) == d]]
+    tight = np.abs(coords @ normals.T - [h.offset for h in hs]) <= TOL_GEOM
+    verts = pts[[_rank(normals[t]) == d for t in tight]]
     return Polytope(verts, hs if d == n else [], d)
 
 
@@ -559,8 +545,8 @@ def clip_to_halfspace(p: Polytope, half: HalfSpace) -> Polytope:
 
 
 def intersect(p: Polytope, q: Polytope) -> Polytope:
-    """p intersect q as a polytope (possibly lower-dimensional, possibly
-    empty) without halfspace data."""
+    """p intersect q as the hull of its vertices (possibly
+    lower-dimensional, possibly empty)."""
     hs = p.halfspaces + q.halfspaces
     if not hs:
         raise GeometryError("intersection requires halfspace data")
@@ -571,15 +557,7 @@ def intersect(p: Polytope, q: Polytope) -> Polytope:
     cands += [v for v in q.vertices if p.contains(v, TOL_INCIDENCE)]
     if not cands:
         return Polytope.empty(p.n)
-    hull = convex_hull(np.array(cands))
-    return Polytope(hull.vertices, [], hull.dim)
-
-
-def common_face(p: Polytope, q: Polytope) -> Face:
-    """Intersection of two polytopes as a face value (empty allowed);
-    the adjacency predicate is dim == n-1."""
-    cap = intersect(p, q)
-    return Face(cap.vertices, None, cap.dim)
+    return convex_hull(np.array(cands))
 
 
 # ---------------------------------------------------------------------------
@@ -659,13 +637,12 @@ def _fan(anchor: np.ndarray, facets) -> list[np.ndarray]:
     return out
 
 
-def triangulate_point_set(vertices: np.ndarray,
-                          anchor: Optional[np.ndarray] = None) -> list[np.ndarray]:
+def triangulate_point_set(vertices: np.ndarray) -> list[np.ndarray]:
     """Triangulate the convex hull of a d-dimensional point set in R^n.
 
-    Returns vertex arrays of (d+1) rows each.  The fan anchor defaults to
-    the lexicographically smallest vertex, making the result deterministic
-    for a fixed vertex set.
+    Returns vertex arrays of (d+1) rows each.  The fan anchor is the
+    lexicographically smallest point, making the result deterministic for
+    a fixed point set.
     """
     V = lex_sorted(dedupe_points(_as_points(vertices)))
     origin, basis = affine_basis(V)
@@ -675,11 +652,10 @@ def triangulate_point_set(vertices: np.ndarray,
     if d == 1:
         t = (V - origin) @ basis[:, 0]
         return [np.array([V[np.argmin(t)], V[np.argmax(t)]])]
-    anchor = np.asarray(V[0] if anchor is None else anchor, dtype=float)
+    # the anchor V[0] is the origin of the hull's coordinates
     hull = convex_hull((V - origin) @ basis, allow_lower=False)
-    a_proj = basis.T @ (anchor - origin)
-    return _fan(anchor, [(face.vertices @ basis.T + origin, face.supporting.value(a_proj))
-                         for face in hull.facets()])
+    return _fan(V[0], [(face.vertices @ basis.T + origin, -face.supporting.offset)
+                       for face in hull.facets()])
 
 
 def fan_triangulation_simplices(p: Polytope,

@@ -19,8 +19,8 @@ from .errors import (CoverIncomplete, CutConstructionFailed, EpsTooLarge,
 from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_VOLUME,
                        TOL_ZERO, Face, HalfSpace, Hyperplane, Polytope,
                        Simplex, affine_basis, affine_dimension,
-                       carrying_facet, clip_to_halfspace, common_face,
-                       convex_hull, hyperplane_through, lex_sorted,
+                       carrying_facet, clip_to_halfspace, convex_hull,
+                       hyperplane_through, intersect, lex_sorted,
                        point_in_hull, point_key,
                        split_by_hyperplane, triangulate_point_set,
                        uncovered_volume, whole_facet)
@@ -267,7 +267,7 @@ def cover_wrt_F(p: Polytope, f: Face, geom: SystemGeometry) -> Cover:
 
     plane = _split_plane_through(p, v_minus, vstar)
     p2, p3 = split_by_hyperplane(p, plane)
-    interface = common_face(p2, p3)
+    interface = intersect(p2, p3)
     p1 = convex_hull(np.vstack([f.vertices, interface.vertices]))
     f23 = Face(interface.vertices, None, interface.dim)
     return Cover((CoverPiece(p1, f, "target"),
@@ -302,7 +302,7 @@ def split_far_case(p: Polytope, f: Face, geom: SystemGeometry) -> FarSplit:
     lo, hi = split_by_hyperplane(p, plane)
     # the target sits on the low-drift side of the plane
     p1, p2 = lo, hi
-    interface = common_face(p1, p2)
+    interface = intersect(p1, p2)
     return FarSplit(p1, p2, Face(interface.vertices, None, interface.dim), True, plane)
 
 

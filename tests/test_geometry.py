@@ -396,14 +396,14 @@ class TestFaces:
     def test_shared_edge(self):
         a = geo.convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
         b = geo.convex_hull([(1, 0), (2, 0), (2, 1), (1, 1)])
-        f = geo.common_face(a, b)
+        f = geo.intersect(a, b)
         assert f.dim == 1
         assert np.allclose(f.vertices, [[1, 0], [1, 1]])
 
     def test_corner_touch(self):
         a = geo.convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
         b = geo.convex_hull([(1, 1), (2, 1), (2, 2), (1, 2)])
-        f = geo.common_face(a, b)
+        f = geo.intersect(a, b)
         assert f.dim == 0
 
     def test_fan_shared_diagonal(self):
@@ -412,7 +412,7 @@ class TestFaces:
         assert len(tris) == 2
         s1 = geo.convex_hull(tris[0])
         s2 = geo.convex_hull(tris[1])
-        f = geo.common_face(s1, s2)
+        f = geo.intersect(s1, s2)
         assert f.dim == 1
 
     def test_faces_of_cube(self):
@@ -456,7 +456,7 @@ class TestTriangulationValidity:
         assert total == pytest.approx(p.volume(), rel=1e-8, abs=1e-10)
         polys = [geo.convex_hull(s) for s in simplices]
         for a, b in itertools.combinations(polys, 2):
-            f = geo.common_face(a, b)
+            f = geo.intersect(a, b)
             if f.is_empty:
                 continue
             # intersection vertices must be vertices of both simplices
