@@ -33,7 +33,7 @@ Constructions take no tolerance argument.  Only predicates that callers
 use at more than one tolerance keep a ``tol`` argument: ``point_in_hull``,
 the ``contains`` methods and ``Hyperplane.side`` here,
 ``SystemGeometry.on_equilibrium_plane``, and ``check_no_equilibrium``,
-``PWAController.lookup`` and ``PWAController.control`` in ``synth``.
+``PWAController.locate``, ``lookup`` and ``control`` in ``synth``.
 """
 
 from __future__ import annotations

@@ -150,12 +150,16 @@ def analyze(sys: AffineSystem, geom: SystemGeometry, p: Polytope, f: Face) -> Re
             probes.append(0.5 * (h_minus.vertices[i] + h_minus.vertices[j]))
         if nv:
             probes.append(h_minus.vertices.mean(axis=0))
-        uncovered = [x for x in probes if not covered(x)]
-        condition_a = len(uncovered) == 0
+        # drop exact repeats (the centroid of one vertex, of two or of a
+        # parallelogram is a vertex or a midpoint); the vertices stay first
+        probes = list({x.tobytes(): x for x in probes}.values())
+        flags = [covered(x) for x in probes]
+        condition_a = all(flags)
         if condition_a:
             a_minus = Polytope.empty(p.n)
         else:
-            bad_verts = [v for v in h_minus.vertices if not covered(v)]
+            # the first nv probes are the vertices themselves
+            bad_verts = [v for v, ok in zip(h_minus.vertices, flags) if not ok]
             if not bad_verts:
                 # vertices covered but interior probes are not; keep the
                 # whole level face as the closure and flag the ambiguity

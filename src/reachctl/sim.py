@@ -1,17 +1,27 @@
 """Closed-loop integration with boundary-event detection, and sampled
 verification of synthesized controllers.
 
-Each step of ``integrate`` asks which piece holds the state (one product
-with the controller's stacked facet table, see ``PWAController``) and
-whether the state is on the target face.  The target test screens first:
-``target_screen``, built once per run from the equations of the face's
-affine hull, rules out a state more than 2 TOL_SIM (inf-norm) off that
-affine hull with no LP.  Every other state goes to ``point_in_hull``,
-whose bounding-box check or LP gives the verdict, as without the screen.
+``integrate`` takes fixed RK4 steps of length dt and tests every state:
+is it inside the domain, on the target face, and which piece holds it.
+It takes them in blocks.  On one piece the closed loop is affine, so k
+RK4 steps from x are one affine map x -> x + D_k x + c_k, and the maps
+for k = 1 .. _BLOCK are built once per run and piece by doubling.  A
+block is then one product from its first state, and each of the three
+tests is one product over the block's states: the domain's facet rows,
+the controller's stacked facet table (``PWAController.locate``), and the
+target screen.  ``target_screen``, built once per run from the equations
+of the face's affine hull, rules out a state more than 2 TOL_SIM
+(inf-norm) off that affine hull with no LP; every other state goes, in
+step order, to ``point_in_hull``, whose bounding-box check or LP gives
+the verdict.  The block is kept up to its first event, exactly where a
+run of single steps would have stopped or switched piece, so the same
+steps are taken and tested; states differ from single steps only by
+rounding.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,6 +33,7 @@ from .system import AffineSystem
 
 TOL_SIM = 1e-6
 _EVENT_TIME_TOL = 1e-10
+_BLOCK = 256       # steps stepped as one batch of affine maps
 
 REACHED = "reached_target"
 LEFT = "left_domain"
@@ -71,9 +82,9 @@ def default_dt(sys: AffineSystem, ctrl: PWAController) -> float:
     return 1e-3 * extent / max(vmax, 1e-9)
 
 
-def target_screen(vertices) -> Callable[[np.ndarray], bool]:
+def target_screen(vertices) -> Callable[[np.ndarray], np.ndarray]:
     """A test that is true only for states more than 2 TOL_SIM (inf-norm)
-    from conv(vertices).
+    from conv(vertices), applied to a (k, n) array of states.
 
     It checks the equations of the hull's affine hull, both ways, as
     valid inequalities G y <= c.  Each bound is its row's maximum over the
@@ -86,15 +97,49 @@ def target_screen(vertices) -> Callable[[np.ndarray], bool]:
     G = np.vstack([normal, -normal])
     c = (V @ G.T).max(axis=0)
     reject = 2.0 * TOL_SIM * np.abs(G).sum(axis=1)
-    return lambda state: bool(np.any(G @ state - c > reject))
+    return lambda states: np.any(states @ G.T - c > reject, axis=1)
+
+
+def _block_maps(A_cl: np.ndarray, b_cl: np.ndarray, h: float):
+    """The maps x -> x + D_j x + c_j of j = 1 .. _BLOCK RK4 steps of length
+    h on x' = A_cl x + b_cl, as stacked (D_j, c_j).
+
+    One RK4 step on an affine field is the affine map with
+    D = hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 and
+    c = h (I + hA/2 + (hA)^2/6 + (hA)^3/24) b.  The j-step maps come by
+    doubling, (I + E_i)(I + E_k) = I + E_i + E_k + E_i E_k on the augmented
+    matrices E = [[D, c], [0, 0]]; the identity is kept apart so that the
+    small increments keep their precision over many steps."""
+    n = len(b_cl)
+    hA = h * A_cl
+    hA2 = hA @ hA
+    hA3 = hA2 @ hA
+    step = np.zeros((1, n + 1, n + 1))
+    step[0, :n, :n] = hA + hA2 / 2.0 + hA3 / 6.0 + hA3 @ hA / 24.0
+    step[0, :n, n] = h * (b_cl + hA @ b_cl / 2.0 + hA2 @ b_cl / 6.0 + hA3 @ b_cl / 24.0)
+    incs = step
+    while len(incs) < _BLOCK:
+        last = incs[-1]
+        incs = np.concatenate([incs, incs + last + incs @ last])
+    return incs[:, :n, :n], incs[:, :n, n]
 
 
 def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = None,
               tmax: Optional[float] = None, f: Optional[Face] = None,
               domain: Optional[Polytope] = None) -> Trajectory:
-    """Fixed-step closed-loop run with the active piece re-resolved every
-    step; the first boundary crossing is bisected in time and classified
-    as reaching the target or leaving the domain.
+    """Fixed-step RK4 closed-loop run, with the active piece re-resolved
+    after every step; the first boundary crossing is bisected in time and
+    classified as reaching the target or leaving the domain.
+
+    The run advances in blocks of up to _BLOCK steps on the piece that
+    holds the block's first state: every step of the block is the same
+    RK4 step of length dt, taken as one affine map (``_block_maps``), and
+    every state is tested (domain, target, piece) as if stepped alone.
+    The block is kept up to its first event, a step that leaves the
+    domain, a state on the target or a state whose preferred piece is
+    another one, and the run goes on from there.  Times are summed step by
+    step, as ``t += dt``.  A last step shorter than dt, before tmax, and
+    the bisection of a domain exit are single ``_rk4_step`` calls.
 
     A state with no containing piece ends the run with a gap outcome
     rather than extrapolating.
@@ -112,39 +157,80 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
     def violation(state):
         return float((normals @ state - offs).max())
 
-    off_target = target_screen(f.vertices) if f is not None else lambda state: True
+    off_target = target_screen(f.vertices) if f is not None else None
 
-    def on_target(state):
-        return not off_target(state) and point_in_hull(state, f.vertices, TOL_SIM)
+    def first_hit(X) -> Optional[int]:
+        """Position of the first state of X on the target, in order."""
+        if f is None:
+            return None
+        for j in np.flatnonzero(~off_target(X)):
+            if point_in_hull(X[j], f.vertices, TOL_SIM):
+                return int(j)
+        return None
 
-    times, states, controls, ids = [0.0], [x.copy()], [], []
+    times, states, controls, ids = [np.zeros(1)], [x[None]], [], []
     max_viol = max(violation(x), 0.0)
+    active = int(ctrl.locate(x[None], TOL_SIM)[0])
 
-    if on_target(x):
-        piece = ctrl.lookup(x, TOL_SIM)
-        controls.append(piece.control(x) if piece else np.zeros(sys.m))
-        ids.append(piece.index if piece else -1)
-        return Trajectory(np.array(times), np.array(states), np.array(controls),
-                          np.array(ids), Outcome(REACHED, 0.0), max_viol)
+    def finish(outcome, last_control, last_id):
+        controls.append(last_control[None])
+        ids.append([last_id])
+        return Trajectory(np.concatenate(times), np.concatenate(states),
+                          np.concatenate(controls), np.concatenate(ids).astype(int),
+                          outcome, max_viol)
 
-    closed_loops = [pc.closed_loop(sys) for pc in ctrl.pieces]
+    def law(X):
+        piece = ctrl.pieces[active]
+        return X @ piece.gain.T + piece.offset
+
+    if first_hit(x[None]) is not None:
+        return finish(Outcome(REACHED, 0.0), law(x) if active >= 0 else np.zeros(sys.m), active)
+
+    loops = [pc.closed_loop(sys) for pc in ctrl.pieces]
+    maps = {}
     t = 0.0
     while t < tmax:
-        piece = ctrl.lookup(x, TOL_SIM)
-        if piece is None:
-            controls.append(np.zeros(sys.m))
-            ids.append(-1)
-            return Trajectory(np.array(times), np.array(states), np.array(controls),
-                              np.array(ids), Outcome(GAP, t), max_viol)
-        A_cl, b_cl = closed_loops[piece.index]
-        controls.append(piece.control(x))
-        ids.append(piece.index)
-
-        h = min(dt, tmax - t)
-        x_new = _rk4_step(A_cl, b_cl, x, h)
-        viol = violation(x_new)
-        if viol > TOL_SIM:
+        if active < 0:
+            return finish(Outcome(GAP, t), np.zeros(sys.m), -1)
+        T = np.add.accumulate(np.concatenate([[t], np.full(_BLOCK, dt)]))
+        full = dt <= tmax - T[:-1]
+        nsteps = _BLOCK if full.all() else int(np.argmin(full))
+        if nsteps:
+            if active not in maps:
+                maps[active] = _block_maps(*loops[active], dt)
+            D, c = maps[active]
+            h, X, T = dt, x + (D[:nsteps] @ x + c[:nsteps]), T[:nsteps + 1]
+        else:
+            h = tmax - t
+            X, T = _rk4_step(*loops[active], x, h)[None], np.array([t, t + h])
+        viol = (X @ normals.T - offs).max(axis=1)
+        exits = np.flatnonzero(viol > TOL_SIM)
+        inside = exits[0] if len(exits) else len(X)
+        after = ctrl.locate(X[:inside], TOL_SIM)
+        moved = np.flatnonzero(after != active)
+        # a state is tested for the target before its piece is resolved
+        hit = first_hit(X[:moved[0] + 1] if len(moved) else X[:inside])
+        if hit is not None:
+            kept = hit + 1
+        elif len(moved):
+            kept = moved[0] + 1
+        else:
+            kept = inside
+        if kept:
+            times.append(T[1:kept + 1])
+            states.append(X[:kept])
+            controls.append(law(np.vstack([x[None], X[:kept - 1]])))
+            ids.append(np.full(kept, active))
+            max_viol = max(max_viol, float(viol[:kept].max()))
+            x, t = X[kept - 1], float(T[kept])
+        if hit is not None:
+            return finish(Outcome(REACHED, t), law(x), active)
+        if len(moved):
+            active = int(after[moved[0]])
+            continue
+        if inside < len(X):
             # bisect the first crossing time within this step
+            A_cl, b_cl = loops[active]
             lo_t, hi_t = 0.0, h
             while hi_t - lo_t > _EVENT_TIME_TOL:
                 mid = 0.5 * (lo_t + hi_t)
@@ -154,31 +240,15 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
                     lo_t = mid
             x_exit = _rk4_step(A_cl, b_cl, x, hi_t)
             t_exit = t + hi_t
-            times.append(t_exit)
-            states.append(x_exit.copy())
-            controls.append(piece.control(x_exit))
-            ids.append(piece.index)
-            if on_target(x_exit):
-                out = Outcome(REACHED, t_exit)
-            else:
-                facet = int(np.argmax(normals @ x_exit - offs))
-                out = Outcome(LEFT, t_exit, facet)
-            return Trajectory(np.array(times), np.array(states), np.array(controls),
-                              np.array(ids), out, max_viol)
-        t += h
-        x = x_new
-        max_viol = max(max_viol, viol)
-        times.append(t)
-        states.append(x.copy())
-        if on_target(x):
-            return Trajectory(np.array(times), np.array(states),
-                              np.array(controls + [piece.control(x)]),
-                              np.array(ids + [piece.index]),
-                              Outcome(REACHED, t), max_viol)
-    controls.append(np.zeros(sys.m))
-    ids.append(-1)
-    return Trajectory(np.array(times), np.array(states), np.array(controls),
-                      np.array(ids), Outcome(TIMEOUT, t), max_viol)
+            controls.append(law(x[None]))
+            ids.append([active])
+            times.append([t_exit])
+            states.append(x_exit[None])
+            if first_hit(x_exit[None]) is not None:
+                return finish(Outcome(REACHED, t_exit), law(x_exit), active)
+            facet = int(np.argmax(normals @ x_exit - offs))
+            return finish(Outcome(LEFT, t_exit, facet), law(x_exit), active)
+    return finish(Outcome(TIMEOUT, t), np.zeros(sys.m), -1)
 
 
 @dataclass
@@ -190,6 +260,7 @@ class VerifyReport:
     max_violation: float
     failures: list[int]
     seed: int
+    dwell_steps: dict[int, int]
 
     @property
     def success_fraction(self) -> float:
@@ -203,6 +274,10 @@ class VerifyReport:
     def mean_time(self) -> float:
         return float(np.mean(self.times)) if self.times else 0.0
 
+    @property
+    def outcome_counts(self) -> dict[str, int]:
+        return dict(Counter(self.outcomes))
+
     def to_dict(self) -> dict:
         return {
             "nsamples": self.nsamples,
@@ -213,6 +288,8 @@ class VerifyReport:
             "max_violation_depth": self.max_violation,
             "failure_indices": self.failures,
             "outcomes": self.outcomes,
+            "outcome_counts": self.outcome_counts,
+            "dwell_steps": self.dwell_steps,
             "seed": self.seed,
         }
 
@@ -230,22 +307,29 @@ def sample_states(p: Polytope, nsamples: int, rng: np.random.Generator) -> np.nd
     return np.array(out)
 
 
-def verify(sys: AffineSystem, ctrl: PWAController, p: Polytope, f: Face,
-           nsamples: int = 100, seed: int = 0, dt: Optional[float] = None,
+def verify(sys: AffineSystem, ctrl: PWAController, f: Face, nsamples: int = 100,
+           seed: int = 0, dt: Optional[float] = None,
            tmax: Optional[float] = None) -> VerifyReport:
-    """Sampled closed-loop verification over the controller's domain.
+    """Sampled closed-loop verification over the controller's domain: runs
+    from uniform samples of ``ctrl.domain``, each bounded by that domain.
 
-    Deterministic for a fixed seed; samples run in index order.
+    Deterministic for a fixed seed; samples run in index order.  The
+    report's ``dwell_steps`` counts, for every piece, the steps taken
+    under its law over all runs.
     """
     if nsamples <= 0:
-        return VerifyReport(0, 0, [], [], 0.0, [], seed)
+        return VerifyReport(0, 0, [], [], 0.0, [], seed, {pc.index: 0 for pc in ctrl.pieces})
     rng = np.random.default_rng(seed)
-    starts = sample_states(p, nsamples, rng)
-    trajs = [integrate(sys, ctrl, x0, dt, tmax, f, p) for x0 in starts]
+    starts = sample_states(ctrl.domain, nsamples, rng)
+    trajs = [integrate(sys, ctrl, x0, dt, tmax, f) for x0 in starts]
 
     outcomes = [tr.outcome.kind for tr in trajs]
     successes = sum(tr.success for tr in trajs)
     times = [tr.outcome.time for tr in trajs if tr.success]
     max_viol = max((tr.max_violation for tr in trajs), default=0.0)
     failures = [i for i, tr in enumerate(trajs) if not tr.success]
-    return VerifyReport(nsamples, successes, outcomes, times, max_viol, failures, seed)
+    # a run's last piece id labels its final state, not a step
+    steps = np.concatenate([tr.piece_ids[:-1] for tr in trajs])
+    counts = np.bincount(steps, minlength=len(ctrl.pieces))
+    dwell = {index: int(count) for index, count in enumerate(counts)}
+    return VerifyReport(nsamples, successes, outcomes, times, max_viol, failures, seed, dwell)

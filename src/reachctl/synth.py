@@ -73,28 +73,37 @@ class PWAController:
     The constructor keeps copies of the pieces it is given, numbered by
     position (``index``), so the pieces it was given keep their own
     numbers.  It stacks the facet rows of every region, in that order of
-    preference, into one table; a lookup is one matrix product and the
-    first block of rows that all hold.  Pieces are final once assembled: a
-    region, rank or path length changed afterwards is not seen by
-    ``lookup``.
+    preference, into one table; ``locate`` resolves a batch of states with
+    one matrix product, each to the first block of rows that all hold.
+    Pieces are final once assembled: a region, rank or path length changed
+    afterwards is not seen by ``locate`` or ``lookup``.
     """
 
     def __init__(self, pieces: list[AffinePiece], domain: Polytope, notes=()):
         self.pieces = [replace(piece, index=k) for k, piece in enumerate(pieces)]
         self.domain = domain
         self.notes = list(notes)
-        self._preferred = sorted(self.pieces, key=lambda pc: (pc.rank, pc.path_len,
-                                                              pc.sub_rank, pc.index))
-        self._normals = np.vstack([pc.region.normals for pc in self._preferred]
+        preferred = sorted(self.pieces, key=lambda pc: (pc.rank, pc.path_len,
+                                                        pc.sub_rank, pc.index))
+        self._order = np.array([pc.index for pc in preferred] + [-1], dtype=int)
+        self._normals = np.vstack([pc.region.normals for pc in preferred]
                                   + [np.zeros((0, domain.n))])
-        self._offsets = np.concatenate([pc.region.offsets for pc in self._preferred]
+        self._offsets = np.concatenate([pc.region.offsets for pc in preferred]
                                        + [np.zeros(0)])
 
+    def locate(self, X, tol: float = TOL_MERGE) -> np.ndarray:
+        """Index of the preferred piece holding each row of the (k, n)
+        array X, or -1 where none does."""
+        X = np.asarray(X, dtype=float)
+        held = (X @ self._normals.T - self._offsets <= tol)
+        held = held.reshape(len(X), len(self.pieces), self.domain.n + 1).all(axis=2)
+        # a last column that always holds stands for "no piece"
+        held = np.concatenate([held, np.ones((len(X), 1), dtype=bool)], axis=1)
+        return self._order[held.argmax(axis=1)]
+
     def lookup(self, x, tol: float = TOL_MERGE) -> Optional[AffinePiece]:
-        x = np.asarray(x, dtype=float)
-        held = (self._normals @ x - self._offsets <= tol).reshape(-1, self.domain.n + 1)
-        inside = np.flatnonzero(held.all(axis=1))
-        return self._preferred[inside[0]] if len(inside) else None
+        index = self.locate(np.asarray(x, dtype=float)[None], tol)[0]
+        return self.pieces[index] if index >= 0 else None
 
     def control(self, x, tol: float = TOL_MERGE) -> Optional[np.ndarray]:
         piece = self.lookup(x, tol)

@@ -330,21 +330,104 @@ def lp_target_exits(tri, f):
     return exits
 
 
-def loop_lookup(ctrl, x, tol=geo.TOL_MERGE):
-    """The preferred piece holding ``x``, by a scan over every piece."""
-    x = np.asarray(x, dtype=float)
-    best, best_key = None, None
-    for piece in ctrl.pieces:
-        if piece.region.contains(x, tol):
-            key = (piece.rank, piece.path_len, piece.sub_rank, piece.index)
-            if best_key is None or key < best_key:
-                best, best_key = piece, key
-    return best
+def loop_locate(ctrl, X, tol=geo.TOL_MERGE):
+    """Index of the preferred piece holding each row of X, or -1, by a
+    scan over every piece for every state."""
+    out = []
+    for x in np.asarray(X, dtype=float):
+        best, best_key = -1, None
+        for piece in ctrl.pieces:
+            if piece.region.contains(x, tol):
+                key = (piece.rank, piece.path_len, piece.sub_rank, piece.index)
+                if best_key is None or key < best_key:
+                    best, best_key = piece.index, key
+        out.append(best)
+    return np.array(out, dtype=int)
 
 
 def use_reference_stepper(monkeypatch):
-    """Make ``sim.integrate`` resolve pieces by ``loop_lookup`` and test the
+    """Make ``sim.integrate`` resolve pieces by ``loop_locate`` and test the
     target by ``lp_point_in_hull`` alone, with no target screen."""
-    monkeypatch.setattr(PWAController, "lookup", loop_lookup)
+    monkeypatch.setattr(PWAController, "locate", loop_locate)
     monkeypatch.setattr(sim, "point_in_hull", lp_point_in_hull)
-    monkeypatch.setattr(sim, "target_screen", lambda vertices: lambda state: False)
+    monkeypatch.setattr(sim, "target_screen",
+                        lambda vertices: lambda states: np.zeros(len(states), dtype=bool))
+
+
+def stepwise_integrate(sys, ctrl, x0, dt=None, tmax=None, f=None, domain=None):
+    """``sim.integrate`` one RK4 step at a time: the piece is looked up,
+    the step taken by ``sim._rk4_step`` and the domain and target tested
+    for each step in turn."""
+    domain = domain if domain is not None else ctrl.domain
+    if dt is None:
+        dt = sim.default_dt(sys, ctrl)
+    if tmax is None:
+        lo, hi = domain.bounding_box()
+        tmax = 1e4 * dt * max(1.0, float(np.linalg.norm(hi - lo)))
+    x = np.asarray(x0, dtype=float).copy()
+    normals = np.array([h.normal for h in domain.halfspaces])
+    offs = np.array([h.offset for h in domain.halfspaces])
+
+    def violation(state):
+        return float((normals @ state - offs).max())
+
+    def on_target(state):
+        return f is not None and geo.point_in_hull(state, f.vertices, sim.TOL_SIM)
+
+    def done(outcome):
+        return sim.Trajectory(np.array(times), np.array(states), np.array(controls),
+                              np.array(ids), outcome, max_viol)
+
+    times, states, controls, ids = [0.0], [x.copy()], [], []
+    max_viol = max(violation(x), 0.0)
+
+    if on_target(x):
+        piece = ctrl.lookup(x, sim.TOL_SIM)
+        controls.append(piece.control(x) if piece else np.zeros(sys.m))
+        ids.append(piece.index if piece else -1)
+        return done(sim.Outcome(sim.REACHED, 0.0))
+
+    t = 0.0
+    while t < tmax:
+        piece = ctrl.lookup(x, sim.TOL_SIM)
+        if piece is None:
+            controls.append(np.zeros(sys.m))
+            ids.append(-1)
+            return done(sim.Outcome(sim.GAP, t))
+        A_cl, b_cl = piece.closed_loop(sys)
+        controls.append(piece.control(x))
+        ids.append(piece.index)
+
+        h = min(dt, tmax - t)
+        x_new = sim._rk4_step(A_cl, b_cl, x, h)
+        viol = violation(x_new)
+        if viol > sim.TOL_SIM:
+            lo_t, hi_t = 0.0, h
+            while hi_t - lo_t > sim._EVENT_TIME_TOL:
+                mid = 0.5 * (lo_t + hi_t)
+                if violation(sim._rk4_step(A_cl, b_cl, x, mid)) > 0.0:
+                    hi_t = mid
+                else:
+                    lo_t = mid
+            x_exit = sim._rk4_step(A_cl, b_cl, x, hi_t)
+            t_exit = t + hi_t
+            times.append(t_exit)
+            states.append(x_exit.copy())
+            controls.append(piece.control(x_exit))
+            ids.append(piece.index)
+            if on_target(x_exit):
+                return done(sim.Outcome(sim.REACHED, t_exit))
+            facet = int(np.argmax(normals @ x_exit - offs))
+            return done(sim.Outcome(sim.LEFT, t_exit, facet))
+        t += h
+        x = x_new
+        max_viol = max(max_viol, viol)
+        times.append(t)
+        states.append(x.copy())
+        if on_target(x):
+            controls.append(piece.control(x))
+            ids.append(piece.index)
+            return done(sim.Outcome(sim.REACHED, t))
+    controls.append(np.zeros(sys.m))
+    ids.append(-1)
+    return done(sim.Outcome(sim.TIMEOUT, t))

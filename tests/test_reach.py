@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from reachctl import geometry as geo
-from reachctl import reach
+from reachctl import lp, reach
 from reachctl.errors import EpsTooLarge
 from reachctl.system import compute_geometry
 
-from helpers import (box_fixture, face_from, interior_grid, oracle_reaches,
+from helpers import (box_fixture, cube_fixture, face_from, interior_grid, oracle_reaches,
                      pinned_corner_fixture, wedge_fixture)
 
 
@@ -59,6 +59,35 @@ class TestAnalyze:
         c = ra.a_minus.centroid()
         pts = [c] + [0.7 * v + 0.3 * c for v in ra.a_minus.vertices]
         assert not oracle_reaches(sys, p, f, np.array(pts), full=True).any()
+
+    @pytest.mark.parametrize("fixture, target, failing", [
+        (cube_fixture, [(1, 0, 0), (1, 1, 0), (1, 0, 1)], [(1, 1, 1)]),
+        (box_fixture, [(2, 0.25), (2, 0.75)], [(2, 0), (2, 1)]),
+    ])
+    def test_level_face_probes_are_tested_once(self, monkeypatch, fixture, target, failing):
+        """A target inside the level face leaves corners of that face
+        uncovered: condition (a) fails on a vertex.  Each probe point is
+        tested once against each hull (the square's and the segment's
+        centroids are midpoints), within an LP budget of one per test."""
+        sys, p, _ = fixture()
+        tests, lps = [], []
+        in_hull, solve = reach.point_in_hull, lp.solve
+
+        def counting_hull(x, V, tol):
+            tests.append((np.asarray(x).tobytes(), np.asarray(V).tobytes()))
+            return in_hull(x, V, tol)
+
+        def counting_solve(prog):
+            lps.append(1)
+            return solve(prog)
+
+        monkeypatch.setattr(reach, "point_in_hull", counting_hull)
+        monkeypatch.setattr(lp, "solve", counting_solve)
+        geom, ra = analysis_for(sys, p, face_from(target))
+        assert not ra.condition_a and ra.notes == ()
+        assert np.array_equal(ra.a_minus.vertices, failing)
+        assert len(tests) == len(set(tests)) >= len(ra.h_minus.vertices)
+        assert len(lps) <= len(tests)
 
 
 class TestEpsilonCut:

@@ -7,8 +7,8 @@ from reachctl import geometry as geo
 from reachctl import lp, sim, synth
 
 from helpers import (affine_stepper, box_fixture, cube_fixture, hull_distance,
-                     pinned_corner_fixture, use_reference_stepper,
-                     wedge_fixture)
+                     pinned_corner_fixture, stepwise_integrate,
+                     use_reference_stepper, wedge_fixture)
 
 
 @pytest.fixture(scope="module")
@@ -82,9 +82,30 @@ class TestIntegrate:
 
     def test_verify_repeats_for_a_seed(self, box):
         sys, p, f, ctrl = box
-        first = sim.verify(sys, ctrl, p, f, nsamples=3, seed=7).to_dict()
-        assert first == sim.verify(sys, ctrl, p, f, nsamples=3, seed=7).to_dict()
+        first = sim.verify(sys, ctrl, f, nsamples=3, seed=7).to_dict()
+        assert first == sim.verify(sys, ctrl, f, nsamples=3, seed=7).to_dict()
         assert first["successes"] == 3
+
+    def test_verify_counts_outcomes_and_dwell_steps(self, box):
+        sys, p, f, ctrl = box
+        report = sim.verify(sys, ctrl, f, nsamples=4, seed=3).to_dict()
+        assert sum(report["outcome_counts"].values()) == report["nsamples"] == 4
+        starts = sim.sample_states(ctrl.domain, 4, np.random.default_rng(3))
+        steps = sum(len(sim.integrate(sys, ctrl, x0, f=f).times) - 1 for x0 in starts)
+        assert sorted(report["dwell_steps"]) == [pc.index for pc in ctrl.pieces]
+        assert sum(report["dwell_steps"].values()) == steps
+        assert min(report["dwell_steps"].values()) > 0
+
+
+def test_wedge_verify_samples_the_cut_domain():
+    """The wedge's domain is the polytope less its cut-off failure sets;
+    runs start there, so none starts outside every piece."""
+    sys, p, f = wedge_fixture()
+    ctrl = synth.synth_polytope(sys, p, f)
+    assert ctrl.domain.volume() < p.volume()
+    report = sim.verify(sys, ctrl, f, nsamples=20, seed=0)
+    assert sim.GAP not in report.outcome_counts
+    assert report.outcome_counts.get(sim.REACHED, 0) >= 18
 
 
 # -- agreement with the reference stepper --------------------------------------
@@ -112,6 +133,83 @@ def test_integrate_matches_reference_stepper(name, monkeypatch):
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
         assert a.outcome == b.outcome
         assert a.max_violation == b.max_violation
+
+
+# -- block stepping against one step at a time -------------------------------------
+
+def _assert_same_run(a, b):
+    assert a.outcome == b.outcome
+    assert np.array_equal(a.times, b.times)
+    assert np.array_equal(a.piece_ids, b.piece_ids)
+    assert a.states.shape == b.states.shape and a.controls.shape == b.controls.shape
+    assert np.abs(a.states - b.states).max() <= 1e-12
+    assert np.abs(a.controls - b.controls).max(initial=0.0) <= 1e-12
+    assert abs(a.max_violation - b.max_violation) <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_blocks_match_stepwise_runs(name):
+    sys, p, f = FIXTURES[name]()
+    ctrl = synth.synth_polytope(sys, p, f)
+    dt = sim.default_dt(sys, ctrl) * (4 if name == "wedge" else 1)
+    for x0 in sim.sample_states(ctrl.domain, 3, np.random.default_rng(5)):
+        _assert_same_run(sim.integrate(sys, ctrl, x0, dt, f=f),
+                         stepwise_integrate(sys, ctrl, x0, dt, f=f))
+
+
+def _steps(tr):
+    return len(tr.times) - 1
+
+
+def test_blocks_match_stepwise_events(box):
+    sys, p, f, ctrl = box
+    dt = sim.default_dt(sys, ctrl)
+    block = sim._BLOCK
+
+    def run(x0, c=ctrl, f=f, **kw):
+        tr = sim.integrate(sys, c, x0, dt, f=f, **kw)
+        _assert_same_run(tr, stepwise_integrate(sys, c, x0, dt, f=f, **kw))
+        return tr
+
+    switch = run(ctrl.pieces[-1].region.centroid())
+    first = int(np.flatnonzero(np.diff(switch.piece_ids[:-1]))[0]) + 1
+    assert 0 < first % block and len(set(switch.piece_ids.tolist())) > 1
+    assert switch.outcome.kind == sim.REACHED and _steps(switch) % block
+    assert _steps(switch) > 3 * block
+
+    left = run([0.5, 0.5], f=None)
+    assert left.outcome.kind == sim.LEFT and _steps(left) % block
+
+    partial = synth.PWAController([ctrl.pieces[-1]], p)
+    gap = run(ctrl.pieces[-1].region.centroid(), c=partial)
+    assert gap.outcome.kind == sim.GAP and gap.piece_ids[-1] == -1
+
+    tmax = (block + 37.25) * dt
+    timeout = run([0.1, 0.1], tmax=tmax)
+    assert timeout.outcome.kind == sim.TIMEOUT
+    assert _steps(timeout) == block + 38
+    assert timeout.times[-1] - timeout.times[-2] < dt
+
+    on_target = run([2.0, 0.5])
+    assert on_target.outcome == sim.Outcome(sim.REACHED, 0.0)
+
+
+def test_long_run_locates_in_blocks(box, monkeypatch):
+    """A run resolves its pieces once per block, not once per step."""
+    sys, p, f, ctrl = box
+    calls = []
+    locate = synth.PWAController.locate
+
+    def counting(self, X, tol=geo.TOL_MERGE):
+        calls.append(len(X))
+        return locate(self, X, tol)
+
+    monkeypatch.setattr(synth.PWAController, "locate", counting)
+    x0 = sim.sample_states(p, 1, np.random.default_rng(0))[0]
+    tr = sim.integrate(sys, ctrl, x0, dt=sim.default_dt(sys, ctrl) / 20, f=f)
+    assert tr.outcome.kind == sim.REACHED
+    assert _steps(tr) > 10_000
+    assert len(calls) <= _steps(tr) / 64 + 4
 
 
 def test_box_trajectory_solves_few_lps(box, monkeypatch):
@@ -162,15 +260,15 @@ def test_rejections_are_sound(n):
     checked = 0
     for d in range(n):
         V, pts = _face_and_points(rng, n, d)
-        off_target = sim.target_screen(V)
-        for x in pts:
+        off_target = sim.target_screen(V)(pts)
+        for x, off in zip(pts, off_target):
             dist = hull_distance(x, V)
             if abs(dist - tol) <= 1e-9:
                 continue
             checked += 1
             assert geo.point_in_hull(x, V, tol) == (dist <= tol)
-            if off_target(x):
+            if off:
                 assert dist > tol
             if _affine_hull_distance(x, V) > 0.05:
-                assert off_target(x)
+                assert off
     assert checked > 25 * n
