@@ -4,20 +4,21 @@ The conversions enumerate n-subsets: ``hrep_to_vrep`` solves every
 n-subset of the constraints and ``vrep_to_hrep`` fits a plane through
 every n-subset of the vertices.  At this scale (a handful of vertices,
 n <= 4) the combinatorial cost is negligible and the code stays
-auditable.  Clipping and splitting by a hyperplane work by vertex-facet
-incidence, as the one-halfspace update of the double-description method
-does: the vertices inside stay, each edge the plane crosses adds its
-crossing point, and the facets are the halfspaces whose tight vertices
-span a hyperplane.  Where that does not hold (a lower-dimensional
-polytope, a vertex within about ``TOL_MERGE`` of the plane whose crossing
-points merge with it, a sliver result) the points go to ``convex_hull``.
+auditable.  Clipping, splitting and sectioning by a hyperplane work by
+vertex-facet incidence, as the one-halfspace update of the
+double-description method does: the vertices inside (or on the plane)
+stay, and each edge the plane crosses adds its crossing point.  A clip's
+facets are the halfspaces whose tight vertices span a hyperplane.  Where
+that does not hold (a lower-dimensional polytope, a vertex within about
+``TOL_MERGE`` of the plane whose crossing points merge with it, a sliver
+result) the points go to ``convex_hull``, as a section's always do.
 
 ``convex_hull`` finds the facets first and then the vertices by
-incidence, so no hull solves an LP.  LPs remain in two places: the
-boundedness LPs of ``hrep_to_vrep``, which converts caller input, and
-``point_in_hull``, which solves its LP only when two exact closed forms
-leave the answer open: a point near a vertex is in, and a point outside
-the vertices' bounding box by more than the tolerance is out.
+incidence, so no hull, clip, split or section solves an LP.  LPs remain
+only in ``hrep_to_vrep``, whose boundedness LPs check caller input, and
+in ``point_in_hull``, which solves its LP only when two exact closed
+forms leave the answer open: a point near a vertex is in, and a point
+outside the vertices' bounding box by more than the tolerance is out.
 
 Every geometric comparison in the package uses one of the named
 constants below, each fixed to one role, and assumes inputs scaled so the
@@ -526,13 +527,8 @@ def clip_to_halfspace(p: Polytope, half: HalfSpace) -> Polytope:
     if np.all(vals >= -TOL_GEOM):
         kept = p.vertices[vals <= TOL_GEOM]
         return convex_hull(kept) if len(kept) else Polytope.empty(p.n)
-    pairs = edges(p) if p.is_full_dim else itertools.combinations(range(len(vals)), 2)
-    pts = list(p.vertices[vals <= TOL_GEOM])
-    for i, j in pairs:
-        if min(vals[i], vals[j]) < -TOL_GEOM and max(vals[i], vals[j]) > TOL_GEOM:
-            t = vals[i] / (vals[i] - vals[j])
-            pts.append(p.vertices[i] + t * (p.vertices[j] - p.vertices[i]))
-    verts = lex_sorted(dedupe_points(np.array(pts)))
+    pts = np.vstack([p.vertices[vals <= TOL_GEOM], _crossings(p, vals)])
+    verts = lex_sorted(dedupe_points(pts))
     if not p.is_full_dim or len(verts) < len(pts) or affine_dimension(verts) < p.n:
         # a vertex within about TOL_MERGE of the plane merges with its
         # crossing points, and then incidence no longer tells the facets
@@ -542,6 +538,36 @@ def clip_to_halfspace(p: Polytope, half: HalfSpace) -> Polytope:
         if affine_dimension(verts[np.abs(verts @ h.normal - h.offset) <= TOL_INCIDENCE]) == p.n - 1:
             facets.setdefault(_halfspace_key(h), h)
     return Polytope(verts, [facets[k] for k in sorted(facets)], p.n)
+
+
+def _crossings(p: Polytope, vals: np.ndarray) -> np.ndarray:
+    """Points where the segments from a vertex of ``p`` with ``vals``
+    below ``-TOL_GEOM`` to one above ``TOL_GEOM`` reach zero: the edges of
+    a full-dimensional ``p``, every vertex pair of a lower-dimensional
+    one (``vals`` is affine along them)."""
+    if not (np.any(vals < -TOL_GEOM) and np.any(vals > TOL_GEOM)):
+        return np.zeros((0, p.n))
+    pairs = edges(p) if p.is_full_dim else itertools.combinations(range(len(vals)), 2)
+    pts = [p.vertices[i] + vals[i] / (vals[i] - vals[j]) * (p.vertices[j] - p.vertices[i])
+           for i, j in pairs
+           if min(vals[i], vals[j]) < -TOL_GEOM and max(vals[i], vals[j]) > TOL_GEOM]
+    return np.array(pts).reshape(-1, p.n)
+
+
+def section(p: Polytope, plane: Hyperplane) -> Polytope:
+    """p intersected with a hyperplane, by incidence, as a polytope
+    without halfspaces: the vertices within ``TOL_GEOM`` of the plane and
+    the crossing points of the segments ``clip_to_halfspace`` takes.  For
+    a full-dimensional ``p`` these are the section's vertices; where the
+    clip hulls (a lower-dimensional ``p``, whose vertex pairs are not all
+    edges, or merged points) they are hulled.  Empty when the plane
+    misses ``p``."""
+    vals = p.vertices @ plane.normal - plane.offset
+    pts = np.vstack([p.vertices[np.abs(vals) <= TOL_GEOM], _crossings(p, vals)])
+    verts = lex_sorted(dedupe_points(pts))
+    if not p.is_full_dim or len(verts) < len(pts):
+        return convex_hull(verts)
+    return Polytope(verts, [], affine_dimension(verts))
 
 
 def intersect(p: Polytope, q: Polytope) -> Polytope:

@@ -5,6 +5,12 @@ to the target while remaining inside, exposes the two failure sets (the
 sub-level block at the target's low end, and the possible equilibria
 pinned on the top face), and cuts the failure sets off with a margin to
 produce a closed polytope on which the problem is solvable.
+
+Every slice of the polytope at a drift level or along the equilibrium
+plane (the level face, the equilibrium slice, the cut's anchors) is one
+``geometry.section``, and the plane is the one ``compute_geometry`` reads
+from ``system.equilibrium_plane``.  The analysis solves LPs only inside
+``point_in_hull``, when it tests a point against the target or the slice.
 """
 
 from __future__ import annotations
@@ -15,13 +21,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import lp
 from .errors import CutConstructionFailed, EpsTooLarge
 from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_MERGE, TOL_ZERO, Face,
                        Hyperplane, Polytope, affine_basis, affine_dimension,
-                       clip_to_halfspace, convex_hull, dedupe_points, edges,
-                       hyperplane_through, lex_sorted, point_in_hull,
-                       split_by_hyperplane)
+                       convex_hull, hyperplane_through, lex_sorted,
+                       point_in_hull, section, split_by_hyperplane)
 from .system import AffineSystem, SystemGeometry
 
 
@@ -31,6 +35,8 @@ class ReachAnalysis:
 
     ``a_minus`` / ``a_plus`` store closures of the failure sets; the true
     failure sets exclude their measure-zero overlap with the target.
+    ``uncovered`` holds the vertices of ``h_minus`` covered by neither the
+    target nor ``b_minus``.
     """
 
     v_minus: np.ndarray
@@ -43,6 +49,7 @@ class ReachAnalysis:
     a_plus: Face
     condition_a: bool
     condition_b: bool
+    uncovered: np.ndarray
     notes: tuple = ()
 
     @property
@@ -69,28 +76,9 @@ def _argopt_vertex(vertices: np.ndarray, beta: np.ndarray, minimize: bool) -> np
     return cands[0]
 
 
-def _hull_meets_planes(vertices: np.ndarray, planes: list[Hyperplane]) -> bool:
-    """Does conv(vertices) intersect all given hyperplanes simultaneously?"""
-    V = np.atleast_2d(vertices)
-    k = V.shape[0]
-    if k == 0:
-        return False
-    G = -np.eye(k)
-    h = np.zeros(k)
-    eq_rows = [np.ones(k)]
-    eq_rhs = [1.0]
-    for pl in planes:
-        eq_rows.append(V @ pl.normal)
-        eq_rhs.append(pl.offset)
-    out = lp.solve_lp(np.zeros(k), G, h, np.array(eq_rows), np.array(eq_rhs))
-    return out.status == lp.OPTIMAL
-
-
-def _level_face(p: Polytope, beta: np.ndarray, level: float) -> Polytope:
-    """P intersected with the plane beta.x == level (lower-dimensional)."""
-    plane = Hyperplane(beta, level)
-    piece = clip_to_halfspace(p, plane.lower())
-    return clip_to_halfspace(piece, plane.upper())
+def _at_level(points: np.ndarray, beta: np.ndarray, level: float) -> np.ndarray:
+    """The points whose drift level is within ``TOL_GEOM`` of ``level``."""
+    return points[np.abs(points @ beta - level) <= TOL_GEOM]
 
 
 def analyze(sys: AffineSystem, geom: SystemGeometry, p: Polytope, f: Face) -> ReachAnalysis:
@@ -100,6 +88,13 @@ def analyze(sys: AffineSystem, geom: SystemGeometry, p: Polytope, f: Face) -> Re
     level except points covered by the target or by the equilibrium slice
     of that level.  Condition (b): the top face of the polytope is not a
     set of forced equilibria away from the target.
+
+    The level face and the equilibrium slice are plane sections
+    (``geometry.section``).  The slice is active when the target's lowest
+    vertices lie on both sides of the equilibrium plane or on it, which
+    is when the target's lowest face meets the plane; no LP decides it.
+    The vertices of ``h_minus`` that neither covers are recorded once, in
+    ``uncovered``, for the margin cut.
     """
     beta = geom.beta
     v_minus = _argopt_vertex(f.vertices, beta, minimize=True)
@@ -113,59 +108,50 @@ def analyze(sys: AffineSystem, geom: SystemGeometry, p: Polytope, f: Face) -> Re
     notes: list[str] = []
 
     # sub-level block relative to the target
-    if beta_min < lvl_minus - TOL_GEOM:
-        h_minus, _ = split_by_hyperplane(p, Hyperplane(beta, lvl_minus))
-    else:
-        h_minus = _level_face(p, beta, lvl_minus)
+    b_plane = Hyperplane(beta, lvl_minus)
+    below = beta_min < lvl_minus - TOL_GEOM
+    h_minus = split_by_hyperplane(p, b_plane)[0] if below else section(p, b_plane)
 
-    top_verts = p.vertices[np.abs(p_levels - beta_max) <= TOL_GEOM]
+    top_verts = _at_level(p.vertices, beta, beta_max)
     p_plus = Face(lex_sorted(top_verts), None, affine_dimension(top_verts))
 
     # equilibrium slice at the target's low level, active only when it
     # meets the target
     o_plane = geom.equilibrium_plane
-    b_plane = Hyperplane(beta, lvl_minus)
-    b_minus_active = _hull_meets_planes(f.vertices, [b_plane, o_plane])
-    if b_minus_active:
-        slice_b = _level_face(p, beta, lvl_minus)
-        b_minus = clip_to_halfspace(
-            clip_to_halfspace(slice_b, o_plane.lower()), o_plane.upper())
-    else:
-        b_minus = Polytope.empty(p.n)
+    sides = {o_plane.side(v) for v in _at_level(f.vertices, beta, lvl_minus)}
+    b_minus_active = 0 in sides or sides >= {-1, 1}
+    b_minus = section(section(p, b_plane), o_plane) if b_minus_active else Polytope.empty(p.n)
 
     # condition (a)
     def covered(x) -> bool:
-        if point_in_hull(x, f.vertices, TOL_INCIDENCE):
-            return True
-        return b_minus_active and (not b_minus.is_empty) and \
-            point_in_hull(x, b_minus.vertices, TOL_INCIDENCE)
+        return point_in_hull(x, f.vertices, TOL_INCIDENCE) or \
+            (not b_minus.is_empty and point_in_hull(x, b_minus.vertices, TOL_INCIDENCE))
 
-    if beta_min < lvl_minus - TOL_GEOM:
+    uncovered = h_minus.vertices[[not covered(v) for v in h_minus.vertices]]
+    if below:
         condition_a = False
         a_minus = h_minus
+    elif len(uncovered):
+        condition_a = False
+        a_minus = convex_hull(uncovered, allow_lower=True)
     else:
-        probes = [v for v in h_minus.vertices]
+        # vertices all covered: probe the edge midpoints and the centroid,
+        # without exact repeats (the centroid of one vertex, of two or of a
+        # parallelogram is a vertex or a midpoint)
         nv = len(h_minus.vertices)
+        probes = list(h_minus.vertices)
         for i, j in itertools.combinations(range(nv), 2):
             probes.append(0.5 * (h_minus.vertices[i] + h_minus.vertices[j]))
         if nv:
             probes.append(h_minus.vertices.mean(axis=0))
-        # drop exact repeats (the centroid of one vertex, of two or of a
-        # parallelogram is a vertex or a midpoint); the vertices stay first
-        probes = list({x.tobytes(): x for x in probes}.values())
-        flags = [covered(x) for x in probes]
-        condition_a = all(flags)
+        probes = list({x.tobytes(): x for x in probes}.values())[nv:]
+        condition_a = all(covered(x) for x in probes)
         if condition_a:
             a_minus = Polytope.empty(p.n)
         else:
-            # the first nv probes are the vertices themselves
-            bad_verts = [v for v, ok in zip(h_minus.vertices, flags) if not ok]
-            if not bad_verts:
-                # vertices covered but interior probes are not; keep the
-                # whole level face as the closure and flag the ambiguity
-                bad_verts = list(h_minus.vertices)
-                notes.append("sub-level face not convexly covered by target and equilibrium slice")
-            a_minus = convex_hull(np.array(bad_verts), allow_lower=True)
+            # keep the whole level face as the closure and flag the ambiguity
+            a_minus = h_minus
+            notes.append("sub-level face not convexly covered by target and equilibrium slice")
 
     # condition (b)
     in_o = all(geom.on_equilibrium_plane(v, TOL_INCIDENCE) for v in p_plus.vertices)
@@ -175,7 +161,7 @@ def analyze(sys: AffineSystem, geom: SystemGeometry, p: Polytope, f: Face) -> Re
 
     return ReachAnalysis(v_minus, v_plus, h_minus, p_plus,
                          b_minus, b_minus_active, a_minus, a_plus,
-                         condition_a, condition_b, tuple(notes))
+                         condition_a, condition_b, uncovered, tuple(notes))
 
 
 def default_eps(geom: SystemGeometry, p: Polytope) -> float:
@@ -186,24 +172,6 @@ def default_eps(geom: SystemGeometry, p: Polytope) -> float:
 # ---------------------------------------------------------------------------
 # margin cuts
 # ---------------------------------------------------------------------------
-
-def _edge_level_points(p: Polytope, beta: np.ndarray, level: float) -> np.ndarray:
-    """Boundary points of p at the given drift level, taken on edges."""
-    pts = []
-    for i, j in edges(p):
-        a, b = p.vertices[i], p.vertices[j]
-        la, lb = float(beta @ a), float(beta @ b)
-        if (la - level) * (lb - level) < 0.0:
-            t = (level - la) / (lb - la)
-            pts.append(a + t * (b - a))
-        else:
-            for v, lv in ((a, la), (b, lb)):
-                if abs(lv - level) <= TOL_GEOM:
-                    pts.append(v)
-    if not pts:
-        return np.zeros((0, p.n))
-    return lex_sorted(dedupe_points(np.array(pts)))
-
 
 def _flat_target_pivot(f: Face, offenders: np.ndarray) -> np.ndarray:
     """For a target lying entirely at one drift level, pick the face of the
@@ -247,22 +215,17 @@ def _cut_low_failure(p: Polytope, f: Face, geom: SystemGeometry,
     f_levels = f.vertices @ beta
     flat = float(f_levels.max() - f_levels.min()) <= TOL_GEOM
 
-    offenders = np.array([v for v in analysis.h_minus.vertices
-                          if not point_in_hull(v, f.vertices, TOL_INCIDENCE)
-                          and not (analysis.b_minus_active and not analysis.b_minus.is_empty
-                                   and point_in_hull(v, analysis.b_minus.vertices, TOL_INCIDENCE))])
-    if len(offenders) == 0:
-        offenders = analysis.a_minus.vertices
+    offenders = analysis.uncovered if len(analysis.uncovered) else analysis.a_minus.vertices
 
     if flat:
         pivots = _flat_target_pivot(f, offenders)
     else:
-        pivots = f.vertices[np.abs(f_levels - lvl) <= TOL_GEOM]
+        pivots = _at_level(f.vertices, beta, lvl)
 
     level_hi = lvl + eps
     if level_hi >= float((p.vertices @ beta).max()) - TOL_GEOM:
         raise EpsTooLarge("margin exceeds the drift extent of the polytope")
-    anchors = _edge_level_points(p, beta, level_hi)
+    anchors = section(p, Hyperplane(beta, level_hi)).vertices
     if len(anchors) == 0:
         raise EpsTooLarge("no boundary points at the shifted level")
 

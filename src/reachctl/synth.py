@@ -506,8 +506,7 @@ def _branch(sys: AffineSystem, p: Polytope, f: Face, eps: Optional[float]
     if any(abs(float(geom.beta @ v) - top_level) <= TOL_INCIDENCE for v in f.vertices):
         return _Split(_cover_subs(cover_wrt_F(p, f, geom)),
                       "covered around the non-facet target", p)
-    fs = split_far_case(p, f, geom)
-    return _Split([(fs.p1, f, 0), (fs.p2, fs.interface, 1)],
+    return _Split(_cover_subs(split_far_case(p, f, geom)),
                   "split away from the far target", p)
 
 

@@ -70,7 +70,7 @@ class SystemGeometry:
     ``beta`` is the unit normal to the input span, signed so the drift
     component beta.(A x + a) is <= 0 on the whole polytope.
     ``input_basis`` spans the input subspace (columns, orthonormal).
-    ``equilibrium_plane`` is {x : beta.(A x + a) = 0}, the states where
+    ``equilibrium_plane`` is ``equilibrium_plane(sys)``, the states where
     some input makes the field vanish.
     """
 
@@ -109,11 +109,29 @@ def _unit_left_null_vector(B: np.ndarray) -> np.ndarray:
     return u[:, -1]
 
 
+def equilibrium_plane(sys: AffineSystem) -> Hyperplane:
+    """The plane {x : beta.(A x + a) = 0} of possible equilibria, with a
+    unit normal, for the unit left null vector beta of B.  Every side and
+    level test against it (A3, the drift's sign, the cover's split) reads
+    this one scale.  Raises DegenerateO when beta.A vanishes."""
+    beta = _unit_left_null_vector(sys.B)
+    normal = beta @ sys.A
+    if np.linalg.norm(normal) <= TOL_GEOM:
+        raise DegenerateO("equilibrium set is not a hyperplane")
+    return Hyperplane(normal, -float(beta @ sys.a))
+
+
 def interior_clear_of_equilibria(sys: AffineSystem, p: Polytope) -> bool:
     """True when the equilibrium plane does not cross the interior of p
-    (it may touch the boundary)."""
-    beta = _unit_left_null_vector(sys.B)
-    vals = np.array([beta @ sys.drift(v) for v in p.vertices])
+    (it may touch the boundary), which holds exactly when
+    ``split_by_hyperplane(p, equilibrium_plane(sys))`` leaves one piece
+    empty.  Without a plane, beta.(A x + a) is constant and crosses
+    nothing."""
+    try:
+        plane = equilibrium_plane(sys)
+    except DegenerateO:
+        return True
+    vals = p.vertices @ plane.normal - plane.offset
     return not (vals.min() < -TOL_GEOM and vals.max() > TOL_GEOM)
 
 
@@ -157,7 +175,8 @@ def compute_geometry(sys: AffineSystem, p: Polytope) -> SystemGeometry:
     """Signed drift normal, input-span basis and equilibrium plane for a
     system restricted to a polytope whose interior avoids the equilibria."""
     beta = _unit_left_null_vector(sys.B)
-    vals = np.array([beta @ sys.drift(v) for v in p.vertices])
+    plane = equilibrium_plane(sys)
+    vals = p.vertices @ plane.normal - plane.offset
     if vals.max() > TOL_GEOM:
         if vals.min() < -TOL_GEOM:
             raise SignAmbiguous(
@@ -172,9 +191,4 @@ def compute_geometry(sys: AffineSystem, p: Polytope) -> SystemGeometry:
     u, s, _ = np.linalg.svd(sys.B, full_matrices=False)
     rank = int(np.sum(s > TOL_RANK * max(s[0], 1.0)))
     basis = u[:, :rank]
-
-    normal = beta @ sys.A
-    if np.linalg.norm(normal) <= TOL_GEOM:
-        raise DegenerateO("equilibrium set is not a hyperplane")
-    plane = Hyperplane(normal, -float(beta @ sys.a))
     return SystemGeometry(beta, basis, plane)

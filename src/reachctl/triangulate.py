@@ -20,12 +20,12 @@ from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_VOLUME,
                        TOL_ZERO, Face, HalfSpace, Hyperplane, Polytope,
                        Simplex, affine_basis, affine_dimension,
                        carrying_facet, clip_to_halfspace, convex_hull,
-                       hyperplane_through, intersect, lex_sorted,
-                       point_in_hull, point_key,
-                       split_by_hyperplane, triangulate_point_set,
-                       uncovered_volume, whole_facet)
+                       hyperplane_through, lex_sorted, point_in_hull,
+                       point_key, section, split_by_hyperplane,
+                       triangulate_point_set, uncovered_volume, whole_facet)
 from .reach import default_eps, epsilon_cut
-from .system import AffineSystem, SystemGeometry, compute_geometry
+from .system import (AffineSystem, SystemGeometry, compute_geometry,
+                     equilibrium_plane)
 
 
 @dataclass
@@ -267,7 +267,7 @@ def cover_wrt_F(p: Polytope, f: Face, geom: SystemGeometry) -> Cover:
 
     plane = _split_plane_through(p, v_minus, vstar)
     p2, p3 = split_by_hyperplane(p, plane)
-    interface = intersect(p2, p3)
+    interface = section(p, plane)
     p1 = convex_hull(np.vstack([f.vertices, interface.vertices]))
     f23 = Face(interface.vertices, None, interface.dim)
     return Cover((CoverPiece(p1, f, "target"),
@@ -276,34 +276,26 @@ def cover_wrt_F(p: Polytope, f: Face, geom: SystemGeometry) -> Cover:
                  (plane,))
 
 
-@dataclass(frozen=True)
-class FarSplit:
-    p1: Polytope
-    p2: Polytope
-    interface: Face
-    split: bool
-    plane: Optional[Hyperplane] = None
-
-
-def split_far_case(p: Polytope, f: Face, geom: SystemGeometry) -> FarSplit:
+def split_far_case(p: Polytope, f: Face, geom: SystemGeometry) -> Cover:
     """Split along the input-plane through the target's top vertex when no
-    target vertex reaches the polytope's top face; the piece holding the
-    target then has a top-face target vertex, the other feeds the
-    interface slice.  When a target vertex already sits on the top face
-    the polytope passes through unsplit."""
+    target vertex reaches the polytope's top face: the "target" piece
+    holds the target and has a top-face target vertex, and the "feeder"
+    piece drives to the interface slice.  When a target vertex already
+    sits on the top face the polytope comes back as a single piece."""
     levels = p.vertices @ geom.beta
     top_level = float(levels.max())
     f_levels = f.vertices @ geom.beta
     if any(abs(float(lv) - top_level) <= TOL_INCIDENCE for lv in f_levels):
-        return FarSplit(p, Polytope.empty(p.n), Face.empty(p.n), False)
+        return Cover((CoverPiece(p, f, "target"),))
 
     v_plus = lex_sorted(f.vertices[np.abs(f_levels - f_levels.max()) <= TOL_GEOM])[0]
     plane = geom.input_plane_through(v_plus)
-    lo, hi = split_by_hyperplane(p, plane)
     # the target sits on the low-drift side of the plane
-    p1, p2 = lo, hi
-    interface = intersect(p1, p2)
-    return FarSplit(p1, p2, Face(interface.vertices, None, interface.dim), True, plane)
+    p1, p2 = split_by_hyperplane(p, plane)
+    interface = section(p, plane)
+    return Cover((CoverPiece(p1, f, "target"),
+                  CoverPiece(p2, Face(interface.vertices, None, interface.dim), "feeder")),
+                 (plane,))
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +314,16 @@ def cover_wrt_O(sys: AffineSystem, p: Polytope, f: Face,
                 eps: Optional[float] = None) -> Cover:
     """Cover of a polytope crossed by the equilibrium plane.
 
-    The polytope is split along the plane; each side gets a margin-cut
-    reach set toward its share of the target (when that share is a facet)
-    and toward the part of the interface covered from the other side.
+    The polytope is split along ``system.equilibrium_plane``, the plane
+    whose crossing fails A3, so a polytope that passes A3 comes back as
+    one piece.  Each side gets a margin-cut reach set toward its share of
+    the target (when that share is a facet) and toward the interface: the
+    section of the other side's direct piece by the plane.
     Raises CoverIncomplete when the pieces miss a region of positive
     volume, which signals that the margin must shrink or that some states
     are forced through a low-dimensional bottleneck.
     """
-    beta0 = np.linalg.svd(sys.B, full_matrices=True)[0][:, -1]
-    normal = beta0 @ sys.A
-    o_plane = Hyperplane(normal, -float(beta0 @ sys.a))
+    o_plane = equilibrium_plane(sys)
     side1, side2 = split_by_hyperplane(p, o_plane)
     if side1.is_empty or side2.is_empty:
         return Cover((CoverPiece(p, f, "target"),))
@@ -362,8 +354,7 @@ def cover_wrt_O(sys: AffineSystem, p: Polytope, f: Face,
         if direct[i] is not None and \
                 abs(direct[i].volume() - sides[i].volume()) <= TOL_ZERO * max(sides[i].volume(), 1.0):
             continue  # this side is already covered by its direct piece
-        iface_poly = clip_to_halfspace(
-            clip_to_halfspace(direct[j], o_plane.lower()), o_plane.upper())
+        iface_poly = section(direct[j], o_plane)
         if iface_poly.is_empty or iface_poly.dim != p.n - 1:
             continue
         iface = Face(iface_poly.vertices, None, iface_poly.dim)

@@ -7,9 +7,9 @@ from scipy.linalg import expm
 from scipy.optimize import linprog
 
 from reachctl import geometry as geo
-from reachctl import lp, sim
+from reachctl import lp, reach, sim
 from reachctl.synth import PWAController
-from reachctl.system import AffineSystem
+from reachctl.system import AffineSystem, compute_geometry
 
 VIOL_TOL = 1e-6
 
@@ -314,6 +314,42 @@ def lp_point_in_hull(point, vertices, tol=geo.TOL_GEOM):
     eq[0, :k] = 1.0
     out = lp.solve_lp(c, np.array(rows), np.array(rhs), eq, np.array([1.0]))
     return out.status == lp.OPTIMAL and out.value <= tol
+
+
+def lp_hull_meets_planes(vertices, planes):
+    """The LP the equilibrium slice's activity once took: does
+    conv(vertices) meet every given hyperplane in one point, i.e. is some
+    convex combination of the vertices on all of them?"""
+    V = np.atleast_2d(np.asarray(vertices, dtype=float))
+    k = len(V)
+    eq = np.array([np.ones(k)] + [V @ pl.normal for pl in planes])
+    rhs = np.array([1.0] + [pl.offset for pl in planes])
+    out = lp.solve_lp(np.zeros(k), -np.eye(k), np.zeros(k), eq, rhs)
+    return out.status == lp.OPTIMAL
+
+
+def right_target_polygons(count):
+    """The first ``count`` random polygons (seeded) under the double
+    integrator whose facet facing +x1 is a reachable target, as
+    (system, polytope, target, geometry, analysis)."""
+    rng = np.random.default_rng(5)
+    sys = double_integrator()
+    out = []
+    while len(out) < count:
+        pts = rng.uniform([0, 0.2], [3, 1.5], size=(rng.integers(4, 8), 2))
+        if geo.affine_dimension(pts) < 2:
+            continue
+        p = geo.convex_hull(pts)
+        # rightmost facet as target: reachable under rightward drift
+        f = next((geo.Face(face.vertices, face.supporting, face.dim) for face in p.facets()
+                  if face.supporting.normal[0] > 0.9), None)
+        if f is None:
+            continue
+        geom = compute_geometry(sys, p)
+        ra = reach.analyze(sys, geom, p, f)
+        if ra.reachable:
+            out.append((sys, p, f, geom, ra))
+    return out
 
 
 def lp_target_exits(tri, f):

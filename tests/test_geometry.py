@@ -265,11 +265,11 @@ SHIFTS = [0.5 * geo.TOL_GEOM, -0.5 * geo.TOL_GEOM, 3 * geo.TOL_GEOM, -3 * geo.TO
           0.5 * geo.TOL_MERGE, -0.5 * geo.TOL_MERGE]
 
 
-def clip_cases(rng, p):
+def clip_cases(rng, p, shifts=SHIFTS):
     """(halfspace, shift) pairs: halfspaces through an interior point and
     through a vertex (shift 0), and halfspaces shifted off a vertex by each
-    of SHIFTS, whose planes cut through ``p``."""
-    for shift in [None, 0.0] + SHIFTS:
+    of ``shifts``, whose planes cut through ``p``."""
+    for shift in [None, 0.0] + shifts:
         while True:
             normal = rng.normal(size=p.n)
             normal /= np.linalg.norm(normal)
@@ -372,6 +372,79 @@ class TestClip:
         normal = np.array([1.0, 0.5, 0.0, -0.5])
         lo, hi = p.split(geo.Hyperplane(normal, float(normal @ p.centroid())))
         assert lo.is_full_dim and hi.is_full_dim
+        assert len(lp_calls) == 0
+
+
+class TestSection:
+    """The incidence section against the n-subset enumeration of
+    ``hrep_to_vrep`` with both halfspaces of the plane, and, for a
+    full-dimensional ``p`` cut into two pieces, against ``intersect`` of
+    the pieces.
+
+    Through an interior point or a vertex all three agree within 1e-9.
+    Off a vertex by less than ``TOL_GEOM`` the section keeps the vertex,
+    and the enumeration keeps the crossing points of its edges, which lie
+    up to ``TOL_GEOM`` over the edge's slope from it (4.7e-7 on an edge
+    of slope 1e-3); farther off, both merge the crossing points near the
+    vertex, each keeping its own.  Both cases agree within 10
+    ``TOL_MERGE``.  Off a vertex the pieces' halfspaces include planes
+    meeting at tiny angles, where the enumeration of ``intersect`` admits
+    points far outside, so it is no reference there."""
+
+    @staticmethod
+    def cases(rng, p):
+        for h, shift in clip_cases(rng, p, SHIFTS[:4]):
+            yield geo.Hyperplane(h.normal, h.offset), shift
+
+    @staticmethod
+    def agree(out, ref, shift):
+        if shift:
+            return near_points(out, ref, 10 * geo.TOL_MERGE)
+        return same_points(out, ref)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_full_dimensional_section_matches_references(self, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(4):
+            p = random_hull(rng, n)
+            for plane, shift in self.cases(rng, p):
+                out = geo.section(p, plane)
+                ref = geo.hrep_to_vrep(p.halfspaces + [plane.lower(), plane.upper()])
+                assert self.agree(out.vertices, ref, shift) and out.halfspaces == []
+                lo, hi = geo.split_by_hyperplane(p, plane)
+                if lo.is_empty or hi.is_empty:
+                    continue  # a plane touching p at a vertex
+                assert out.dim == n - 1
+                if not shift:
+                    assert same_points(out.vertices, geo.intersect(lo, hi).vertices)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_facet_section_matches_enumeration(self, n):
+        rng = np.random.default_rng(50 + n)
+        for _ in range(2 if n < 4 else 1):
+            p = random_hull(rng, n)
+            for plane, shift in self.cases(rng, p):
+                for face in p.facets():
+                    vals = face.vertices @ plane.normal - plane.offset
+                    if geo.TOL_GEOM < np.abs(vals).min() <= geo.TOL_INCIDENCE \
+                            and (vals.min() > 0 or vals.max() < 0):
+                        # a face missing the plane by under TOL_INCIDENCE:
+                        # the section is empty, the enumeration keeps its vertex
+                        continue
+                    out = geo.section(geo.Polytope(face.vertices, [], n - 1), plane)
+                    ref = geo.hrep_to_vrep(p.halfspaces + [face.supporting.flipped(),
+                                                           plane.lower(), plane.upper()])
+                    assert self.agree(out.vertices, ref, shift)
+                    assert out.dim == geo.affine_dimension(ref)
+
+    def test_plane_missing_p_gives_empty(self):
+        square = geo.Polytope.box([0, 0], [1, 1])
+        assert geo.section(square, geo.Hyperplane(np.array([1.0, 1.0]), 3.0)).is_empty
+
+    def test_section_solves_no_lp(self, lp_calls):
+        p = random_hull(np.random.default_rng(31), 4)
+        normal = np.array([1.0, 0.5, 0.0, -0.5])
+        assert geo.section(p, geo.Hyperplane(normal, float(normal @ p.centroid()))).dim == 3
         assert len(lp_calls) == 0
 
 

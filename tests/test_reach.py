@@ -1,13 +1,17 @@
+import contextlib
+
 import numpy as np
 import pytest
 
 from reachctl import geometry as geo
 from reachctl import lp, reach
-from reachctl.errors import EpsTooLarge
+from reachctl.errors import CutConstructionFailed, EpsTooLarge
 from reachctl.system import compute_geometry
 
-from helpers import (box_fixture, cube_fixture, face_from, interior_grid, oracle_reaches,
-                     pinned_corner_fixture, wedge_fixture)
+from helpers import (box_fixture, cube_fixture, face_from, ill1_fixture, ill2_fixture,
+                     ill3_fixture, interior_grid, lp_hull_meets_planes, oracle_reaches,
+                     pinned_corner_fixture, right_target_polygons, top_edge_fixture,
+                     wedge_fixture)
 
 
 def analysis_for(sys, p, f):
@@ -88,6 +92,85 @@ class TestAnalyze:
         assert np.array_equal(ra.a_minus.vertices, failing)
         assert len(tests) == len(set(tests)) >= len(ra.h_minus.vertices)
         assert len(lps) <= len(tests)
+
+    @pytest.mark.parametrize("fixture, target, cut_fails", [
+        (cube_fixture, [(1, 0, 0), (1, 1, 0), (1, 0, 1)], False),
+        # the uncovered corners lie on both sides of the flat target
+        (box_fixture, [(2, 0.25), (2, 0.75)], True),
+    ])
+    def test_cut_reads_the_uncovered_vertices(self, monkeypatch, fixture, target, cut_fails):
+        """The margin cut takes its offending points from the analysis, so
+        the two together test each (point, vertex set) pair once."""
+        sys, p, _ = fixture()
+        tests = []
+        in_hull = reach.point_in_hull
+
+        def counting_hull(x, V, tol):
+            tests.append((np.asarray(x).tobytes(), np.asarray(V).tobytes()))
+            return in_hull(x, V, tol)
+
+        monkeypatch.setattr(reach, "point_in_hull", counting_hull)
+        f = face_from(target)
+        geom, ra = analysis_for(sys, p, f)
+        assert np.array_equal(ra.uncovered, ra.a_minus.vertices)
+        with pytest.raises(CutConstructionFailed) if cut_fails else contextlib.nullcontext():
+            reach.epsilon_cut(sys, geom, p, f, 0.1, analysis=ra)
+        assert len(tests) == len(set(tests))
+
+    @pytest.mark.parametrize("fixture, lps", [
+        (wedge_fixture, 0), (pinned_corner_fixture, 0), (box_fixture, 1), (cube_fixture, 5)])
+    def test_lp_budget(self, monkeypatch, fixture, lps):
+        """The analysis solves LPs only in ``point_in_hull``."""
+        calls = []
+        solve = lp.solve
+
+        def counting_solve(prog):
+            calls.append(1)
+            return solve(prog)
+
+        monkeypatch.setattr(lp, "solve", counting_solve)
+        analysis_for(*fixture())
+        assert len(calls) == lps
+
+
+class TestEquilibriumSlice:
+    """``b_minus_active`` against the LP it replaced: does the target's
+    hull meet the target's lowest drift level and the equilibrium plane
+    in one point?"""
+
+    @staticmethod
+    def lp_active(geom, ra, f):
+        level = geo.Hyperplane(geom.beta, float(geom.beta @ ra.v_minus))
+        return lp_hull_meets_planes(f.vertices, [level, geom.equilibrium_plane])
+
+    @pytest.mark.parametrize("fixture", [box_fixture, wedge_fixture, pinned_corner_fixture,
+                                         cube_fixture, ill1_fixture, ill2_fixture,
+                                         ill3_fixture, top_edge_fixture])
+    def test_fixtures(self, fixture):
+        sys, p, f = fixture()
+        geom, ra = analysis_for(sys, p, f)
+        assert ra.b_minus_active == self.lp_active(geom, ra, f)
+
+    def test_random_polygons(self):
+        for _, _, f, geom, ra in right_target_polygons(20):
+            assert ra.b_minus_active == self.lp_active(geom, ra, f)
+
+    @pytest.mark.parametrize("fixture, target, active", [
+        # the lowest vertex touches the plane x2 = 0
+        (box_fixture, [(2, 0), (1.5, 1)], True),
+        # the plane holds a vertex above the lowest level only
+        (box_fixture, [(2, 0.5), (1.5, 0)], False),
+        # the lowest edge crosses the plane x3 = 0
+        (cube_fixture, [(1, 0, -0.5), (1, 0, 0.5), (0.5, 1, 0)], True),
+        # the lowest edge lies above the plane
+        (cube_fixture, [(1, 0, 0.5), (1, 1, 0.5), (0.5, 1, 0)], False),
+    ])
+    def test_crafted_targets(self, fixture, target, active):
+        sys, p, _ = fixture()
+        f = face_from(target)
+        geom, ra = analysis_for(sys, p, f)
+        assert ra.b_minus_active == self.lp_active(geom, ra, f) == active
+        assert ra.b_minus.is_empty != active
 
 
 class TestEpsilonCut:

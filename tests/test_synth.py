@@ -4,14 +4,14 @@ import pytest
 from reachctl import geometry as geo
 from reachctl import lp, reach, synth
 from reachctl import triangulate as tri
-from reachctl.errors import CoverIncomplete, SynthesisFailed
+from reachctl.errors import CoverIncomplete, ReachctlError, SynthesisFailed
 from reachctl.sim import sample_states
 from reachctl.system import AffineSystem, compute_geometry
 
 from helpers import (box_fixture, cube_fixture, diamond_fixture,
                      double_integrator, facet_face, ill1_fixture,
                      ill2_fixture, ill3_fixture, lp_target_exits,
-                     o_cross_fixture, wedge_fixture)
+                     o_cross_fixture, right_target_polygons, wedge_fixture)
 
 
 def split_case_simplex():
@@ -228,33 +228,13 @@ class TestGreedyPaths:
         assert all(b >= a - 1e-12 for a, b in zip(res.w_levels, res.w_levels[1:]))
 
     def test_random_fixtures_terminate(self):
-        rng = np.random.default_rng(5)
-        sys = double_integrator()
-        done = 0
-        while done < 20:
-            pts = rng.uniform([0, 0.2], [3, 1.5], size=(rng.integers(4, 8), 2))
-            if geo.affine_dimension(pts) < 2:
-                continue
-            p = geo.convex_hull(pts)
-            # rightmost facet as target: reachable under rightward drift
-            f = None
-            for face in p.facets():
-                if face.supporting.normal[0] > 0.9:
-                    f = geo.Face(face.vertices, face.supporting, face.dim)
-                    break
-            if f is None:
-                continue
-            geom = compute_geometry(sys, p)
-            ra = reach.analyze(sys, geom, p, f)
-            if not ra.reachable:
-                continue
+        for sys, p, f, geom, ra in right_target_polygons(20):
             vstar = tri.select_vstar(p, f, geom)
             t = tri.basic_triangulation(p, vstar)
             tri.mark_target(t, f.supporting)
             assert t.target_exits == lp_target_exits(t, f)
             res = synth.greedy_paths(t, geom)
             assert len(res.order) == len(t.simplices)
-            done += 1
 
     def test_levels_come_from_the_simplex_vertices(self):
         # at scales whose levels need more than 9 decimals, a level read
@@ -328,6 +308,20 @@ class TestSynthPolytope:
         rng = np.random.default_rng(2)
         for x in sample_states(ctrl.domain, 50, rng):
             assert ctrl.lookup(x) is not None
+
+    def test_vertex_near_the_scaled_equilibrium_plane_terminates(self):
+        """Under A = [[0, 10], [0, 0]], beta.(A x + a) is 10 x2: the vertex
+        (0, -1.5e-10) lies 1.5e-9 below zero on that scale but 1.5e-10
+        from the equilibrium plane.  A3 and the cover's split read the
+        plane at one scale, so synthesis ends in a controller or a typed
+        error; it used to hand the whole polytope to itself without end."""
+        sys = AffineSystem(A=[[0.0, 10.0], [0.0, 0.0]], a=[0.0, 0.0], B=[[0.0], [1.0]])
+        p = geo.convex_hull([(0, -1.5e-10), (2, 0.5), (2, 1), (0, 1)])
+        try:
+            ctrl = synth.synth_polytope(sys, p, facet_face(p, [1, 0]))
+        except ReachctlError:
+            return
+        assert ctrl.pieces
 
     def test_cover_wrt_O_incomplete(self):
         sys, p, f = diamond_fixture()

@@ -4,7 +4,7 @@ import pytest
 from reachctl import geometry as geo
 from reachctl.errors import SignAmbiguous
 from reachctl.system import (AffineSystem, check_assumptions, compute_geometry,
-                             interior_clear_of_equilibria)
+                             equilibrium_plane, interior_clear_of_equilibria)
 
 
 def double_integrator():
@@ -51,6 +51,27 @@ class TestAssumptions:
         rep = check_assumptions(sys, p, right_edge_face(p))
         assert not rep.a3_interior_clear
         assert not interior_clear_of_equilibria(sys, p)
+
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 10.0])
+    def test_a3_fails_exactly_when_the_plane_splits_p(self, scale):
+        """|beta A| = scale; one vertex sits +-0.5 or +-3 TOL_GEOM off the
+        equilibrium plane and the others on one side of it.  A3 reads the
+        plane at the scale the cover's split does."""
+        rng = np.random.default_rng(int(10 * scale))
+        for offset in (0.5, -0.5, 3.0, -3.0):
+            for side in (1.0, -1.0):
+                Q = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+                r = rng.normal(size=2)
+                # in the rotated frame x1' = scale x2 and the input drives x2,
+                # so the equilibrium plane is x2 = 0
+                A = Q @ np.array([[0.0, scale], [0.0, 0.0]]) @ Q.T
+                sys = AffineSystem(A, -A @ r, Q @ np.array([[0.0], [1.0]]))
+                pts = [(0.0, offset * geo.TOL_GEOM), (2, side * 0.5), (2, side), (0, side)]
+                p = geo.convex_hull(np.array(pts) @ Q.T + r)
+                rep = check_assumptions(sys, p, geo.Face.from_vertices(p.vertices[:2]))
+                lo, hi = geo.split_by_hyperplane(p, equilibrium_plane(sys))
+                assert rep.a3_interior_clear == (lo.is_empty or hi.is_empty)
+                assert rep.a3_interior_clear == (offset * side > -1)
 
     def test_low_dim_target_fails_a4(self):
         sys = double_integrator()

@@ -225,18 +225,20 @@ class TestSplitFarCase:
     def test_ill2_split(self):
         sys, p, f = ill2_fixture()
         geom = compute_geometry(sys, p)
-        fs = tri.split_far_case(p, f, geom)
-        assert fs.split
+        cover = tri.split_far_case(p, f, geom)
+        p1, p2 = cover.pieces
+        assert (p1.role, p2.role) == ("target", "feeder")
+        assert p1.target is f and len(cover.cut_planes) == 1
         # the target lives in the low piece
         for v in f.vertices:
-            assert fs.p1.contains(v, 1e-8)
-        assert fs.interface.dim == 1
+            assert p1.polytope.contains(v, 1e-8)
+        assert p2.target.dim == 1
         # both sub-problems are solvable
-        ra1 = reach.analyze(sys, compute_geometry(sys, fs.p1), fs.p1, f)
-        ra2 = reach.analyze(sys, compute_geometry(sys, fs.p2), fs.p2, fs.interface)
-        assert ra1.reachable and ra2.reachable
+        for cp in cover.pieces:
+            g = compute_geometry(sys, cp.polytope)
+            assert reach.analyze(sys, g, cp.polytope, cp.target).reachable
         # volumes add up
-        assert fs.p1.volume() + fs.p2.volume() == pytest.approx(p.volume())
+        assert p1.polytope.volume() + p2.polytope.volume() == pytest.approx(p.volume())
 
     def test_guard_passthrough(self):
         sys, p, _ = box_fixture()
@@ -245,8 +247,9 @@ class TestSplitFarCase:
         # the right edge holds the drift-low end; craft a target touching
         # the top face instead
         f_top = face_from([(0, 0), (0, 1)])
-        fs = tri.split_far_case(p, f_top, geom)
-        assert not fs.split
+        cover = tri.split_far_case(p, f_top, geom)
+        assert len(cover.pieces) == 1 and cover.cut_planes == ()
+        assert cover.pieces[0].polytope is p and cover.pieces[0].role == "target"
 
 
 class TestCoverWrtO:
