@@ -26,15 +26,16 @@ polytope diameter is O(1): ``TOL_GEOM`` (sides and levels),
 ``TOL_INCIDENCE`` (incidence and membership), ``TOL_MERGE`` (coincident
 points, a target in a facet's plane), ``TOL_RANK`` (affine rank),
 ``TOL_ZERO`` (singular systems and ties) and ``TOL_VOLUME`` (negligible
-gaps), plus the decimals of the rounded point and halfspace keys.  The LP
+gaps), plus the decimals of the rounded point and halfspace keys.
+``TOL_GEOM`` is the only tolerance for equal drift levels: every set of
+points at one level comes from ``SystemGeometry.at_level``.  The LP
 solver, the synthesis margins and the simulator keep their own constants
 (``lp.TOL_LP``, ``synth.TOL_INV`` and ``SLACK_MIN``, ``sim.TOL_SIM``).
 
 Constructions take no tolerance argument.  Only predicates that callers
 use at more than one tolerance keep a ``tol`` argument: ``point_in_hull``,
-the ``contains`` methods and ``Hyperplane.side`` here,
-``SystemGeometry.on_equilibrium_plane``, and ``check_no_equilibrium``,
-``PWAController.locate``, ``lookup`` and ``control`` in ``synth``.
+the ``contains`` methods and ``Hyperplane.side`` here, and
+``PWAController.locate`` and ``lookup`` in ``synth``.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ import numpy as np
 from .errors import Degenerate, DimensionDeficient, GeometryError, Unbounded
 from . import lp
 
-# absolute: which side of a plane a point lies on, equal drift levels,
-# which points a hull's facet holds
+# absolute: which side of a plane a point lies on, equal drift levels (the
+# only tolerance for them), which points a hull's facet holds
 TOL_GEOM = 1e-9
 # absolute: a vertex lies on a facet, in a target's hull or on the
 # equilibrium plane; a candidate vertex satisfies an H-representation
@@ -649,16 +650,20 @@ def volume(p: Polytope) -> float:
     return total
 
 
-def _fan(anchor: np.ndarray, facets) -> list[np.ndarray]:
-    """Simplices coning ``anchor`` over the triangulation of every facet
-    that misses it; ``facets`` pairs each facet's vertices with the
-    anchor's signed distance to the facet's plane."""
+def fan(anchor: np.ndarray, faces) -> list[np.ndarray]:
+    """Simplices (vertex arrays, anchor first) coning ``anchor`` over the
+    triangulation of every face that misses it; ``faces`` pairs each
+    face's vertices with the anchor's signed distance to the face's plane.
+    A face with a vertex at the anchor (``TOL_MERGE``), or whose plane
+    lies within ``TOL_GEOM`` of it, adds no simplex.  Every anchored fan of the package is this one:
+    ``triangulate_point_set``, ``fan_triangulation_simplices`` and the
+    triangulations of ``triangulate``."""
     out = []
-    for verts, dist in facets:
+    for verts, dist in faces:
         if any(np.linalg.norm(v - anchor, ord=np.inf) <= TOL_MERGE for v in verts):
             continue
         if abs(dist) <= TOL_GEOM:
-            continue  # anchor lies on the facet plane: skip to avoid flat cells
+            continue  # anchor lies on the face's plane: skip to avoid flat cells
         out += [np.vstack([anchor[None, :], sub]) for sub in triangulate_point_set(verts)]
     return out
 
@@ -680,7 +685,7 @@ def triangulate_point_set(vertices: np.ndarray) -> list[np.ndarray]:
         return [np.array([V[np.argmin(t)], V[np.argmax(t)]])]
     # the anchor V[0] is the origin of the hull's coordinates
     hull = convex_hull((V - origin) @ basis, allow_lower=False)
-    return _fan(V[0], [(face.vertices @ basis.T + origin, -face.supporting.offset)
+    return fan(V[0], [(face.vertices @ basis.T + origin, -face.supporting.offset)
                        for face in hull.facets()])
 
 
@@ -692,7 +697,7 @@ def fan_triangulation_simplices(p: Polytope,
     if not p.is_full_dim:
         raise Degenerate("fan triangulation expects a full-dimensional polytope")
     anchor = np.asarray(p.vertices[0] if anchor is None else anchor, dtype=float)
-    return _fan(anchor, [(face.vertices, face.supporting.value(anchor)) for face in p.facets()])
+    return fan(anchor, [(face.vertices, face.supporting.value(anchor)) for face in p.facets()])
 
 
 # ---------------------------------------------------------------------------

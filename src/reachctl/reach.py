@@ -7,10 +7,13 @@ pinned on the top face), and cuts the failure sets off with a margin to
 produce a closed polytope on which the problem is solvable.
 
 Every slice of the polytope at a drift level or along the equilibrium
-plane (the level face, the equilibrium slice, the cut's anchors) is one
-``geometry.section``, and the plane is the one ``compute_geometry`` reads
-from ``system.equilibrium_plane``.  The analysis solves LPs only inside
-``point_in_hull``, when it tests a point against the target or the slice.
+plane (the level face, the equilibrium slice, the cut's anchors and
+interface) is one ``geometry.section``, and the plane is the one
+``compute_geometry`` reads from ``system.equilibrium_plane``.  Every set
+of points at one drift level (the target's lowest and highest vertices,
+the top face, the cut's pivots) comes from ``SystemGeometry.at_level``.
+The analysis solves LPs only inside ``point_in_hull``, when it tests a
+point against the target or the slice.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import CutConstructionFailed, EpsTooLarge
-from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_MERGE, TOL_ZERO, Face,
-                       Hyperplane, Polytope, affine_basis, affine_dimension,
-                       convex_hull, hyperplane_through, lex_sorted,
-                       point_in_hull, section, split_by_hyperplane)
+from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_MERGE, Face, Hyperplane,
+                       Polytope, affine_basis, affine_dimension,
+                       clip_to_halfspace, convex_hull, hyperplane_through,
+                       lex_sorted, point_in_hull, section,
+                       split_by_hyperplane)
 from .system import AffineSystem, SystemGeometry
 
 
@@ -68,19 +72,6 @@ class EpsilonCut:
     cut_planes: tuple = ()
 
 
-def _argopt_vertex(vertices: np.ndarray, beta: np.ndarray, minimize: bool) -> np.ndarray:
-    vals = vertices @ beta
-    best = vals.min() if minimize else vals.max()
-    mask = np.abs(vals - best) <= TOL_ZERO + TOL_GEOM * abs(best)
-    cands = lex_sorted(vertices[mask])
-    return cands[0]
-
-
-def _at_level(points: np.ndarray, beta: np.ndarray, level: float) -> np.ndarray:
-    """The points whose drift level is within ``TOL_GEOM`` of ``level``."""
-    return points[np.abs(points @ beta - level) <= TOL_GEOM]
-
-
 def analyze(sys: AffineSystem, geom: SystemGeometry, p: Polytope, f: Face) -> ReachAnalysis:
     """Exact reachability verdict for steering all of ``p`` to ``f``.
 
@@ -97,8 +88,9 @@ def analyze(sys: AffineSystem, geom: SystemGeometry, p: Polytope, f: Face) -> Re
     ``uncovered``, for the margin cut.
     """
     beta = geom.beta
-    v_minus = _argopt_vertex(f.vertices, beta, minimize=True)
-    v_plus = _argopt_vertex(f.vertices, beta, minimize=False)
+    f_levels = f.vertices @ beta
+    v_minus = lex_sorted(geom.at_level(f.vertices, f_levels.min()))[0]
+    v_plus = lex_sorted(geom.at_level(f.vertices, f_levels.max()))[0]
     lvl_minus = float(beta @ v_minus)
     lvl_plus = float(beta @ v_plus)
 
@@ -110,15 +102,15 @@ def analyze(sys: AffineSystem, geom: SystemGeometry, p: Polytope, f: Face) -> Re
     # sub-level block relative to the target
     b_plane = Hyperplane(beta, lvl_minus)
     below = beta_min < lvl_minus - TOL_GEOM
-    h_minus = split_by_hyperplane(p, b_plane)[0] if below else section(p, b_plane)
+    h_minus = clip_to_halfspace(p, b_plane.lower()) if below else section(p, b_plane)
 
-    top_verts = _at_level(p.vertices, beta, beta_max)
+    top_verts = geom.at_level(p.vertices, beta_max)
     p_plus = Face(lex_sorted(top_verts), None, affine_dimension(top_verts))
 
     # equilibrium slice at the target's low level, active only when it
     # meets the target
     o_plane = geom.equilibrium_plane
-    sides = {o_plane.side(v) for v in _at_level(f.vertices, beta, lvl_minus)}
+    sides = {o_plane.side(v) for v in geom.at_level(f.vertices, lvl_minus)}
     b_minus_active = 0 in sides or sides >= {-1, 1}
     b_minus = section(section(p, b_plane), o_plane) if b_minus_active else Polytope.empty(p.n)
 
@@ -154,7 +146,7 @@ def analyze(sys: AffineSystem, geom: SystemGeometry, p: Polytope, f: Face) -> Re
             notes.append("sub-level face not convexly covered by target and equilibrium slice")
 
     # condition (b)
-    in_o = all(geom.on_equilibrium_plane(v, TOL_INCIDENCE) for v in p_plus.vertices)
+    in_o = all(geom.on_equilibrium_plane(v) for v in p_plus.vertices)
     strictly_above = beta_max > lvl_plus + TOL_GEOM
     condition_b = (not in_o) or (not strictly_above)
     a_plus = p_plus if not condition_b else Face.empty(p.n)
@@ -220,7 +212,7 @@ def _cut_low_failure(p: Polytope, f: Face, geom: SystemGeometry,
     if flat:
         pivots = _flat_target_pivot(f, offenders)
     else:
-        pivots = _at_level(f.vertices, beta, lvl)
+        pivots = geom.at_level(f.vertices, lvl)
 
     level_hi = lvl + eps
     if level_hi >= float((p.vertices @ beta).max()) - TOL_GEOM:
@@ -253,19 +245,13 @@ def _cut_low_failure(p: Polytope, f: Face, geom: SystemGeometry,
         f_vals = np.array([plane.value(v) for v in f_verts]) * sign
         if np.any(f_vals > TOL_INCIDENCE):
             continue
-        # margin attained: every point of the plane inside p stays within
-        # eps of the pivot level
-        lo, hi = split_by_hyperplane(p, plane)
-        cut_piece = hi if sign > 0 else lo
-        keep_piece = lo if sign > 0 else hi
-        if cut_piece.is_empty or keep_piece.is_empty or not keep_piece.is_full_dim:
+        # both sides solid, and margin attained: every point of the plane
+        # inside p stays within eps of the pivot level
+        p_vals = p.vertices @ plane.normal - plane.offset
+        if not (p_vals.min() < -TOL_GEOM and p_vals.max() > TOL_GEOM):
             continue
-        iface = [v for v in keep_piece.vertices
-                 if abs(plane.value(v)) <= TOL_MERGE]
-        if not iface:
-            continue
-        dists = [abs(float(beta @ v) - lvl) for v in iface]
-        if max(dists) > eps + TOL_MERGE:
+        iface = section(p, plane).vertices
+        if not len(iface) or np.abs(iface @ beta - lvl).max() > eps + TOL_MERGE:
             continue
         return plane, sign
     raise CutConstructionFailed("no admissible cut hyperplane at this margin")

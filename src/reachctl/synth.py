@@ -105,10 +105,6 @@ class PWAController:
         index = self.locate(np.asarray(x, dtype=float)[None], tol)[0]
         return self.pieces[index] if index >= 0 else None
 
-    def control(self, x, tol: float = TOL_MERGE) -> Optional[np.ndarray]:
-        piece = self.lookup(x, tol)
-        return None if piece is None else piece.control(x)
-
 
 # ---------------------------------------------------------------------------
 # vertex controls
@@ -127,13 +123,11 @@ def _blocking_rows(sys: AffineSystem, s: Simplex, i: int, exit_facet: int):
     return np.array(G), np.array(h)
 
 
-def vertex_controls_lp(sys: AffineSystem, s: Simplex, exit_facet: int,
-                       outflow: bool = True) -> VertexControls:
+def vertex_controls_lp(sys: AffineSystem, s: Simplex, exit_facet: int) -> VertexControls:
     """Per-vertex max-slack controls for the blocking conditions.
 
-    With ``outflow`` the exit facet's vertices are also pushed outward
-    across the exit at the same margin when feasible; the plain problem is
-    solved otherwise.
+    The exit facet's vertices are also pushed outward across the exit at
+    the same margin when feasible; the plain problem is solved otherwise.
     """
     nv = s.n + 1
     us = np.zeros((nv, sys.m))
@@ -141,7 +135,7 @@ def vertex_controls_lp(sys: AffineSystem, s: Simplex, exit_facet: int,
     for i in range(nv):
         G, h = _blocking_rows(sys, s, i, exit_facet)
         tried = []
-        if outflow and i != exit_facet:
+        if i != exit_facet:
             drift = sys.drift(s.vertices[i])
             Ge = np.vstack([G, -(s.normals[exit_facet] @ sys.B)[None, :]])
             he = np.concatenate([h, [float(s.normals[exit_facet] @ drift)]])
@@ -213,9 +207,8 @@ def vertex_controls_constructive(sys: AffineSystem, geom: SystemGeometry,
     us = np.zeros((nv, sys.m))
     for i in range(nv):
         vi = verts[i]
-        on_plane = abs(float(beta @ sys.drift(vi))) <= TOL_GEOM
         lvl_i = float(beta @ vi)
-        if not on_plane:
+        if not geom.on_equilibrium_plane(vi):
             if lvl_i > lvl_minus + TOL_GEOM:
                 u, lam = _solve_direction(sys, vi, aim_below(lvl_i) - vi)
             elif lvl_i >= lvl_minus - TOL_GEOM:
@@ -297,14 +290,14 @@ def affine_from_vertex_controls(s: Simplex, vc: VertexControls) -> tuple[np.ndar
 
 
 def check_no_equilibrium(sys: AffineSystem, s: Simplex, gain: np.ndarray,
-                         offset: np.ndarray, tol: float = TOL_GEOM) -> bool:
+                         offset: np.ndarray) -> bool:
     """True when the closed loop has no stationary point in the simplex."""
     A_cl = sys.A + sys.B @ gain
     b_cl = sys.a + sys.B @ offset
     scale = max(np.abs(A_cl).max(), 1.0)
     if abs(np.linalg.det(A_cl)) > TOL_ZERO * scale ** s.n:
         x_star = np.linalg.solve(A_cl, -b_cl)
-        return not s.contains(x_star, tol)
+        return not s.contains(x_star, TOL_GEOM)
     # singular closed loop: stationary set is an affine subspace
     out = lp.solve_lp(np.zeros(s.n), s.normals, s.offsets, A_cl, -b_cl)
     return out.status != lp.OPTIMAL
@@ -354,8 +347,7 @@ def synth_simplex(sys: AffineSystem, geom: SystemGeometry, s: Simplex,
     levels = np.array([beta @ s.vertices[j] for j in exit_ids])
     lvl_minus, lvl_plus = float(levels.min()), float(levels.max())
     lvl_apex = float(beta @ apex)
-    exit_on_plane = all(abs(float(beta @ sys.drift(s.vertices[j]))) <= TOL_INCIDENCE
-                        for j in exit_ids)
+    exit_on_plane = all(geom.on_equilibrium_plane(s.vertices[j]) for j in exit_ids)
 
     if lvl_apex > lvl_plus + TOL_GEOM and exit_on_plane:
         # split at the drift midlevel of the exit facet
@@ -405,7 +397,6 @@ def greedy_paths(tri: Triangulation, geom: SystemGeometry) -> GreedyResult:
     facet its triangulation records in ``target_exits``; the facet shared
     with a neighbour comes from the triangulation's adjacency.  Both kinds
     of facet take their levels from the simplex's own vertices."""
-    beta = geom.beta
     q = len(tri.simplices)
     unfinished = set(range(q))
     finished: set[int] = set()
@@ -413,9 +404,9 @@ def greedy_paths(tri: Triangulation, geom: SystemGeometry) -> GreedyResult:
 
     def facet_stats(i: int, k: int) -> tuple[float, int]:
         """Lowest level on facet k of simplex i, and its vertices there."""
-        lv = np.delete(tri.simplices[i].vertices, k, axis=0) @ beta
-        lo = float(lv.min())
-        return lo, int(np.sum(np.abs(lv - lo) <= TOL_GEOM))
+        verts = np.delete(tri.simplices[i].vertices, k, axis=0)
+        lo = float((verts @ geom.beta).min())
+        return lo, len(geom.at_level(verts, lo))
 
     target_exit = {i: (j, *facet_stats(i, j)) for i, j in tri.target_exits.items()}
 
@@ -502,8 +493,7 @@ def _branch(sys: AffineSystem, p: Polytope, f: Face, eps: Optional[float]
                 if abs(fbar.value(v)) > TOL_INCIDENCE]
     if off_fbar:
         return triangulation_wrt_F(p, f, off_fbar[0]), geom
-    top_level = float((p.vertices @ geom.beta).max())
-    if any(abs(float(geom.beta @ v) - top_level) <= TOL_INCIDENCE for v in f.vertices):
+    if len(geom.at_level(f.vertices, float((p.vertices @ geom.beta).max()))):
         return _Split(_cover_subs(cover_wrt_F(p, f, geom)),
                       "covered around the non-facet target", p)
     return _Split(_cover_subs(split_far_case(p, f, geom)),

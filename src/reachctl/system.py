@@ -78,8 +78,17 @@ class SystemGeometry:
     input_basis: np.ndarray
     equilibrium_plane: Hyperplane
 
-    def on_equilibrium_plane(self, x, tol: float = TOL_GEOM) -> bool:
-        return self.equilibrium_plane.side(x, tol) == 0
+    def on_equilibrium_plane(self, x) -> bool:
+        """``x`` lies within ``TOL_INCIDENCE`` of the equilibrium plane."""
+        return self.equilibrium_plane.side(x, TOL_INCIDENCE) == 0
+
+    def at_level(self, points, level: float) -> np.ndarray:
+        """The rows of ``points``, in their order, whose drift level beta.x
+        is within ``TOL_GEOM`` of ``level``.  Every set of points at one
+        drift level (a top face, a target's lowest or highest vertices,
+        the margin cut's pivots) is taken here."""
+        points = np.asarray(points, dtype=float)
+        return points[np.abs(points @ self.beta - level) <= TOL_GEOM]
 
     def input_plane_through(self, x) -> Hyperplane:
         """Translate of the input subspace passing through ``x``."""

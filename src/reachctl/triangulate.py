@@ -1,10 +1,18 @@
 """Partitioning constructions driven by the control problem: anchored fan
 triangulations, refinement with respect to a boundary target that is not a
 facet, the far-target split, and the cover used when the equilibrium plane
-crosses the polytope.  A triangulation records what its construction
-decides, the exit facet of each target simplex and the facet each simplex
-shares with a neighbour, so synthesis reads these instead of recomputing
-them."""
+crosses the polytope.
+
+Both triangulations are ``geometry.fan`` of one anchor, chosen by one
+rule (``select_vstar`` takes the first of ``qualifying_vertices`` off the
+equilibrium plane): over the facets for a facet target, and over the
+other facets, the carrying facet's pieces outside the target and the
+target itself for a target inside a facet.  The points at one drift
+level (the top face, the target's end vertices) come from
+``SystemGeometry.at_level``.  A triangulation records what its
+construction decides, the exit facet of each target simplex and the
+facet each simplex shares with a neighbour, so synthesis reads these
+instead of recomputing them."""
 
 from __future__ import annotations
 
@@ -19,10 +27,10 @@ from .errors import (CoverIncomplete, CutConstructionFailed, EpsTooLarge,
 from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_VOLUME,
                        TOL_ZERO, Face, HalfSpace, Hyperplane, Polytope,
                        Simplex, affine_basis, affine_dimension,
-                       carrying_facet, clip_to_halfspace, convex_hull,
-                       hyperplane_through, lex_sorted, point_in_hull,
-                       point_key, section, split_by_hyperplane,
-                       triangulate_point_set, uncovered_volume, whole_facet)
+                       carrying_facet, clip_to_halfspace, convex_hull, fan,
+                       fan_triangulation_simplices, hyperplane_through,
+                       lex_sorted, point_in_hull, point_key, section,
+                       split_by_hyperplane, uncovered_volume, whole_facet)
 from .reach import default_eps, epsilon_cut
 from .system import (AffineSystem, SystemGeometry, compute_geometry,
                      equilibrium_plane)
@@ -86,42 +94,34 @@ def _facet_adjacency(simplices: list[Simplex]) -> list[tuple[int, int, int, int]
     return out
 
 
+def qualifying_vertices(p: Polytope, f: Face, geom: SystemGeometry) -> np.ndarray:
+    """Vertices on the top drift face admissible as fan anchors, in
+    lexicographic order: off the equilibrium plane or inside the target."""
+    top = geom.at_level(p.vertices, float((p.vertices @ geom.beta).max()))
+    quals = [v for v in top
+             if not geom.on_equilibrium_plane(v)
+             or point_in_hull(v, f.vertices, TOL_INCIDENCE)]
+    return lex_sorted(np.array(quals)) if quals else np.zeros((0, p.n))
+
+
 def select_vstar(p: Polytope, f: Face, geom: SystemGeometry) -> np.ndarray:
-    """Anchor vertex on the top drift face: prefer one off the equilibrium
-    plane, otherwise one inside the target; lexicographically first among
-    qualifiers.  Failing both, the reachability premise is violated."""
-    levels = p.vertices @ geom.beta
-    top = p.vertices[np.abs(levels - levels.max()) <= TOL_GEOM]
-    top = lex_sorted(top)
-    off_plane = [v for v in top if not geom.on_equilibrium_plane(v, TOL_INCIDENCE)]
-    if off_plane:
-        return off_plane[0]
-    in_target = [v for v in top if point_in_hull(v, f.vertices, TOL_INCIDENCE)]
-    if in_target:
-        return in_target[0]
-    raise NoQualifyingVertex("no admissible anchor vertex on the top face")
-
-
-def _cone(vstar: np.ndarray, base: np.ndarray) -> Simplex:
-    return Simplex(np.vstack([vstar[None, :], base]))
-
-
-def _facet_contains_point(face: Face, x: np.ndarray) -> bool:
-    return abs(face.supporting.value(x)) <= TOL_GEOM
+    """The anchor: the first qualifying vertex off the equilibrium plane,
+    else the first one (which lies inside the target).  With none, the
+    reachability premise is violated."""
+    quals = qualifying_vertices(p, f, geom)
+    if not len(quals):
+        raise NoQualifyingVertex("no admissible anchor vertex on the top face")
+    off_plane = [v for v in quals if not geom.on_equilibrium_plane(v)]
+    return off_plane[0] if off_plane else quals[0]
 
 
 def basic_triangulation(p: Polytope, vstar: np.ndarray) -> Triangulation:
-    """Fan over the facet triangulations of every facet whose plane does
-    not contain the anchor; every output simplex has the anchor as a
-    vertex."""
+    """The fan of ``vstar`` over every facet of ``p`` that misses it
+    (``fan_triangulation_simplices``), ordered by vertex key; the anchor
+    is vertex 0 of every simplex."""
     vstar = np.asarray(vstar, dtype=float)
-    simplices: list[Simplex] = []
-    for face in p.facets():
-        if _facet_contains_point(face, vstar):
-            continue
-        for base in triangulate_point_set(face.vertices):
-            simplices.append(_cone(vstar, base))
-    simplices.sort(key=lambda s: s.vertex_key())
+    simplices = sorted((Simplex(s) for s in fan_triangulation_simplices(p, vstar)),
+                       key=lambda s: s.vertex_key())
     return Triangulation(simplices, vstar, {})
 
 
@@ -137,11 +137,12 @@ def mark_target(tri: Triangulation, target: HalfSpace) -> None:
             tri.target_exits[idx] = int(off[0])
 
 
-def _complement_pieces(region: Polytope, carve: Face) -> list[np.ndarray]:
-    """Convex pieces of region minus carve, by sequential clipping along
-    the carve's supporting planes inside the region's affine hull."""
-    origin, basis = affine_basis(region.vertices)
-    reg = convex_hull((region.vertices - origin) @ basis, allow_lower=False)
+def _complement_pieces(region: np.ndarray, carve: Face) -> list[np.ndarray]:
+    """Convex pieces of the hull of the points ``region`` minus ``carve``,
+    by sequential clipping along the carve's supporting planes inside the
+    region's affine hull."""
+    origin, basis = affine_basis(region)
+    reg = convex_hull((region - origin) @ basis, allow_lower=False)
     car = convex_hull((carve.vertices - origin) @ basis, allow_lower=False)
     remainder = reg
     out = []
@@ -154,55 +155,35 @@ def _complement_pieces(region: Polytope, carve: Face) -> list[np.ndarray]:
 
 
 def triangulation_wrt_F(p: Polytope, f: Face, vstar: np.ndarray) -> Triangulation:
-    """Anchored triangulation refined so that, on the facet carrying the
-    target, every piece lies inside the target or misses its interior.
+    """The fan of ``vstar`` over the facets of ``p`` other than the one
+    carrying the target, over the pieces of that facet outside the
+    target, and over the target, ordered by vertex key.
 
-    Each cone over a piece inside the target exits through its base, which
-    is facet 0 because the anchor is vertex 0."""
+    Each cone over the target exits through its base, which is facet 0
+    because the anchor is vertex 0."""
     vstar = np.asarray(vstar, dtype=float)
-    facets = p.facets()
-    fbar_idx = carrying_facet(p, f)
-    if fbar_idx is None:
+    k = carrying_facet(p, f)
+    if k is None:
         raise ValueError("target does not lie in any facet of the polytope")
-    if _facet_contains_point(facets[fbar_idx], vstar):
+    facets = p.facets()
+    dist = facets[k].supporting.value(vstar)
+    if abs(dist) <= TOL_GEOM:
         raise VStarInFbar("anchor lies on the facet carrying the target")
 
-    simplices: list[Simplex] = []
-    targets: list[int] = []
-    for k, face in enumerate(facets):
-        if _facet_contains_point(face, vstar):
-            continue
-        if k == fbar_idx:
-            for base in triangulate_point_set(f.vertices):
-                targets.append(len(simplices))
-                simplices.append(_cone(vstar, base))
-            for piece in _complement_pieces(
-                    Polytope(face.vertices, [], p.n - 1), f):
-                for base in triangulate_point_set(piece):
-                    simplices.append(_cone(vstar, base))
-        else:
-            for base in triangulate_point_set(face.vertices):
-                simplices.append(_cone(vstar, base))
-    order = sorted(range(len(simplices)), key=lambda i: simplices[i].vertex_key())
-    simplices = [simplices[i] for i in order]
-    exits = {i: 0 for i in sorted(order.index(t) for t in targets)}
-    return Triangulation(simplices, vstar, exits)
+    rest = [(face.vertices, face.supporting.value(vstar))
+            for j, face in enumerate(facets) if j != k]
+    rest += [(piece, dist) for piece in _complement_pieces(facets[k].vertices, f)]
+    cones = [Simplex(s) for s in fan(vstar, [(f.vertices, dist)])]
+    n_target = len(cones)
+    cones += [Simplex(s) for s in fan(vstar, rest)]
+    order = sorted(range(len(cones)), key=lambda i: cones[i].vertex_key())
+    exits = {i: 0 for i, j in enumerate(order) if j < n_target}
+    return Triangulation([cones[j] for j in order], vstar, exits)
 
 
 # ---------------------------------------------------------------------------
 # covers and splits for a non-facet target
 # ---------------------------------------------------------------------------
-
-def qualifying_vertices(p: Polytope, f: Face, geom: SystemGeometry) -> np.ndarray:
-    """Vertices on the top drift face admissible as fan anchors: off the
-    equilibrium plane or inside the target."""
-    levels = p.vertices @ geom.beta
-    top = p.vertices[np.abs(levels - levels.max()) <= TOL_GEOM]
-    quals = [v for v in top
-             if not geom.on_equilibrium_plane(v, TOL_INCIDENCE)
-             or point_in_hull(v, f.vertices, TOL_INCIDENCE)]
-    return lex_sorted(np.array(quals)) if quals else np.zeros((0, p.n))
-
 
 def _split_plane_through(p: Polytope, a: np.ndarray, b: np.ndarray) -> Hyperplane:
     """Hyperplane through the segment [a, b] splitting p into two
@@ -256,14 +237,11 @@ def cover_wrt_F(p: Polytope, f: Face, geom: SystemGeometry) -> Cover:
     if whole_facet(p, f) is not None:
         return Cover((CoverPiece(p, f, "target"),))
 
-    levels = p.vertices @ geom.beta
-    top_level = levels.max()
-    f_levels = f.vertices @ geom.beta
-    quals = [v for v in f.vertices if abs(float(geom.beta @ v) - top_level) <= TOL_INCIDENCE]
-    if not quals:
+    quals = geom.at_level(f.vertices, float((p.vertices @ geom.beta).max()))
+    if not len(quals):
         raise NoQualifyingVertex("no target vertex on the top drift face")
-    vstar = lex_sorted(np.array(quals))[0]
-    v_minus = lex_sorted(f.vertices[np.abs(f_levels - f_levels.min()) <= TOL_GEOM])[0]
+    vstar = lex_sorted(quals)[0]
+    v_minus = lex_sorted(geom.at_level(f.vertices, float((f.vertices @ geom.beta).min())))[0]
 
     plane = _split_plane_through(p, v_minus, vstar)
     p2, p3 = split_by_hyperplane(p, plane)
@@ -282,13 +260,10 @@ def split_far_case(p: Polytope, f: Face, geom: SystemGeometry) -> Cover:
     holds the target and has a top-face target vertex, and the "feeder"
     piece drives to the interface slice.  When a target vertex already
     sits on the top face the polytope comes back as a single piece."""
-    levels = p.vertices @ geom.beta
-    top_level = float(levels.max())
-    f_levels = f.vertices @ geom.beta
-    if any(abs(float(lv) - top_level) <= TOL_INCIDENCE for lv in f_levels):
+    if len(geom.at_level(f.vertices, float((p.vertices @ geom.beta).max()))):
         return Cover((CoverPiece(p, f, "target"),))
 
-    v_plus = lex_sorted(f.vertices[np.abs(f_levels - f_levels.max()) <= TOL_GEOM])[0]
+    v_plus = lex_sorted(geom.at_level(f.vertices, float((f.vertices @ geom.beta).max())))[0]
     plane = geom.input_plane_through(v_plus)
     # the target sits on the low-drift side of the plane
     p1, p2 = split_by_hyperplane(p, plane)

@@ -1,5 +1,6 @@
 """Source checks that need no linter: every name a module of the package
-imports is used in that module or exported through its ``__all__``."""
+imports is used in that module or exported through its ``__all__``, and
+no module imports another module's private (``_``-prefixed) names."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,25 @@ def test_every_import_is_used(path):
 def test_check_sees_an_unused_import():
     source = "from math import pi, tau\nimport numpy as np\n__all__ = ['tau']\nx = np.zeros(1)\n"
     assert unused_imports(source) == ["pi (line 1)"]
+
+
+def private_imports(source: str) -> list[str]:
+    """The ``_``-prefixed names a module imports from a module of the
+    package, by relative import or by the package's name."""
+    tree = ast.parse(source)
+    return sorted(f"{alias.name} (line {node.lineno})" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level > 0 or (node.module or "").split(".")[0] == PACKAGE.name)
+                  for alias in node.names if alias.name.startswith("_"))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_crosses_modules(path):
+    assert private_imports(path.read_text()) == []
+
+
+def test_check_sees_a_private_import():
+    source = ("from __future__ import annotations\nfrom ._x import y\n"
+              "from .geometry import _fan, fan\nfrom reachctl.lp import _CAP\n"
+              "from numpy import _private\n")
+    assert private_imports(source) == ["_CAP (line 4)", "_fan (line 3)"]

@@ -9,7 +9,7 @@ from reachctl.sim import sample_states
 from reachctl.system import AffineSystem, compute_geometry
 
 from helpers import (box_fixture, cube_fixture, diamond_fixture,
-                     double_integrator, facet_face, ill1_fixture,
+                     double_integrator, face_from, facet_face, ill1_fixture,
                      ill2_fixture, ill3_fixture, lp_target_exits,
                      o_cross_fixture, right_target_polygons, wedge_fixture)
 
@@ -65,7 +65,7 @@ class TestVertexControlsLP:
         # with margin, so the capped slack variable reaches its bound
         sys = double_integrator()
         s = geo.Simplex([(0.0, 1.0), (1.0, 1.0), (0.0, 2.0)])
-        vc = synth.vertex_controls_lp(sys, s, 0, outflow=False)
+        vc = synth.vertex_controls_lp(sys, s, 0)
         assert vc.slack == pytest.approx(1.0, abs=1e-8)
 
     def test_blocked_residuals(self):
@@ -322,6 +322,22 @@ class TestSynthPolytope:
         except ReachctlError:
             return
         assert ctrl.pieces
+
+    @pytest.mark.parametrize("k", [0.1, 1.0, 10.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("vertices, target, pieces", [
+        ([(0, 5e-10), (3, 5e-10), (2.5, 1), (1, 1)], [(3, 5e-10), (2.5, 1)], 3),
+        ([(1, 5e-10), (2, 5e-10), (0, 1)], [(1, 5e-10), (2, 5e-10)], 2),
+    ], ids=["quad", "triangle"])
+    def test_vertices_near_the_equilibrium_plane_at_any_scale(self, k, vertices, target, pieces):
+        """Under A = [[0, k], [0, 0]] the vertices at x2 = 5e-10 lie
+        5e-10 from the equilibrium plane x2 = 0 whatever k is, but k 5e-10
+        from zero on the unnormalized scale beta.(A x + a).  The
+        constructive controls and the simplex split read the plane itself,
+        so the piece count does not depend on k."""
+        sys = AffineSystem(A=[[0.0, k], [0.0, 0.0]], a=[0.0, 0.0], B=[[0.0], [1.0]])
+        p = geo.convex_hull(vertices)
+        ctrl = synth.synth_polytope(sys, p, face_from(target))
+        assert len(ctrl.pieces) == pieces
 
     def test_cover_wrt_O_incomplete(self):
         sys, p, f = diamond_fixture()

@@ -168,6 +168,22 @@ class TestTriangulationWrtF:
         for v in np.delete(s.vertices, 0, axis=0):
             assert geo.point_in_hull(v, f.vertices, 1e-9)
 
+    @pytest.mark.parametrize("target, count, exits", [
+        ([(1, 0, 0), (1, 0.5, 0), (1, 0.5, 1), (1, 0, 1)], 8, 2),
+        ([(1, 0.2, 0.2), (1, 0.7, 0.3), (1, 0.4, 0.8)], 12, 1),
+    ], ids=["half_facet", "inner_triangle"])
+    def test_unit_cube(self, target, count, exits):
+        """In 3-D the anchor (0, 1, 1) fans over the three facets that miss
+        it, over the pieces of the facet x = 1 outside the target, and over
+        the target, whose cones are the exits."""
+        cube = geo.Polytope.box([0, 0, 0], [1, 1, 1])
+        f = face_from(target)
+        t = tri.triangulation_wrt_F(cube, f, np.array([0.0, 1.0, 1.0]))
+        assert len(t.simplices) == count
+        assert len(t.target_exits) == exits
+        assert t.target_exits == lp_target_exits(t, f)
+        simplices_valid(cube, t.simplices)
+
     def test_anchor_on_fbar_rejected(self):
         sys, p, f = ill1_fixture()
         with pytest.raises(VStarInFbar):
