@@ -1,32 +1,39 @@
 """Low-dimensional polytope computations (ambient dimension <= 4).
 
-The conversions enumerate n-subsets: ``hrep_to_vrep`` solves every
-n-subset of the constraints and ``vrep_to_hrep`` fits a plane through
-every n-subset of the vertices.  At this scale (a handful of vertices,
-n <= 4) the combinatorial cost is negligible and the code stays
-auditable.  Clipping, splitting and sectioning by a hyperplane work by
-vertex-facet incidence, as the one-halfspace update of the
-double-description method does: the vertices inside (or on the plane)
-stay, and each edge the plane crosses adds its crossing point.  A clip's
-facets are the halfspaces whose tight vertices span a hyperplane.  Where
-that does not hold (a lower-dimensional polytope, a vertex within about
-``TOL_MERGE`` of the plane whose crossing points merge with it, a sliver
-result) the points go to ``convex_hull``, as a section's always do.
+Faces are read from a polytope's vertex-facet incidence
+(``Polytope.incidence``, computed once) by the combinatorial tests of the
+double description method: a facet holds the vertices of its column, two
+vertices span an edge when no third lies on every facet they share, and
+the facets of a face F are the maximal nonempty proper sets F ∩ T_h, T_h
+a column.  The anchored ``fan`` cones its anchor over every facet that
+misses it and each lower face from its lexicographically first vertex,
+so its simplices are rows of the polytope's vertices and no face is
+hulled again.
 
-``convex_hull`` finds the facets first and then the vertices by
-incidence, so no hull, clip, split or section solves an LP.  LPs remain
-only in ``hrep_to_vrep``, whose boundedness LPs check caller input, and
-in ``point_in_hull``, which solves its LP only when two exact closed
-forms leave the answer open: a point near a vertex is in, and a point
-outside the vertices' bounding box by more than the tolerance is out.
+Clipping, splitting and sectioning by a hyperplane work as the
+one-halfspace update of that method: the vertices inside (or on the
+plane) stay, and each edge the plane crosses adds its crossing point.
+The clip and ``vrep_to_hrep`` (a plane through every n-subset of the
+points) share one facet rule: a candidate is a facet when its set of
+tight points is maximal among the candidates'.  Where incidence cannot
+tell the facets (a lower-dimensional polytope, crossing points merged
+with a vertex within about ``TOL_MERGE`` of the plane, a sliver) the
+points go to ``convex_hull``, as a section's always do.
+
+No hull, clip, split or section solves an LP.  LPs remain only in
+``hrep_to_vrep`` (every n-subset of the constraints), whose boundedness
+LPs check caller input, and in ``point_in_hull``, which solves its LP
+only when two exact closed forms leave the answer open: a point near a
+vertex is in, and a point outside the vertices' bounding box by more
+than the tolerance is out.
 
 Every geometric comparison in the package uses one of the named
 constants below, each fixed to one role, and assumes inputs scaled so the
 polytope diameter is O(1): ``TOL_GEOM`` (sides and levels),
 ``TOL_INCIDENCE`` (incidence and membership), ``TOL_MERGE`` (coincident
-points, a target in a facet's plane), ``TOL_RANK`` (affine rank),
-``TOL_ZERO`` (singular systems and ties) and ``TOL_VOLUME`` (negligible
-gaps), plus the decimals of the rounded point and halfspace keys.
+points, a target in a facet's plane), ``TOL_RANK`` (read by ``rank``
+alone), ``TOL_ZERO`` (singular systems and ties) and ``TOL_VOLUME``
+(negligible gaps), plus the decimals of the rounded point and halfspace keys.
 ``TOL_GEOM`` is the only tolerance for equal drift levels: every set of
 points at one level comes from ``SystemGeometry.at_level``.  The LP
 solver, the synthesis margins and the simulator keep their own constants
@@ -43,6 +50,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -71,8 +79,7 @@ TOL_VOLUME = 1e-8
 # decimals of the rounded keys that identify a vertex (lexicographic
 # order, simplex keys, shared facets of simplices)
 KEY_DECIMALS = 9
-# decimals of the halfspace key, which orders facet lists and merges the
-# clip's candidate facets
+# decimals of the halfspace key, which orders facet lists
 HALFSPACE_KEY_DECIMALS = 8
 
 
@@ -83,16 +90,9 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def _lex_order(points: np.ndarray) -> np.ndarray:
-    """Indices sorting rows lexicographically (rounded to kill float noise)."""
-    if len(points) == 0:
-        return np.arange(0)
-    keys = np.round(points, KEY_DECIMALS)
-    return np.lexsort(keys.T[::-1])
-
-
 def lex_sorted(points: np.ndarray) -> np.ndarray:
-    return points[_lex_order(points)]
+    """The rows in lexicographic order, rounded to kill float noise."""
+    return points[np.lexsort(np.round(points, KEY_DECIMALS).T[::-1])]
 
 
 def point_key(v: np.ndarray) -> tuple:
@@ -111,20 +111,23 @@ def dedupe_points(points: np.ndarray) -> np.ndarray:
     return pts[keep]
 
 
-def _rank(rows: np.ndarray) -> int:
+def rank(rows):
     """Rank of a matrix, counting singular values above ``TOL_RANK``
-    relative to the largest (or 1); 0 for a matrix without rows."""
-    if len(rows) == 0:
+    relative to the largest (or 1); 0 for a matrix without rows.  Given a
+    stack of matrices, the rank of each, as an array."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim == 2 and rows.size == 0:
         return 0
     s = np.linalg.svd(rows, compute_uv=False)
-    return int(np.sum(s > TOL_RANK * max(s[0], 1.0)))
+    out = np.sum(s > TOL_RANK * np.maximum(s[..., :1], 1.0), axis=-1)
+    return int(out) if rows.ndim == 2 else out
 
 
 def affine_dimension(points) -> int:
     pts = dedupe_points(_as_points(points))
     if len(pts) == 0:
         return -1
-    return _rank(pts[1:] - pts[0])
+    return rank(pts[1:] - pts[0])
 
 
 def affine_basis(points) -> tuple[np.ndarray, np.ndarray]:
@@ -134,15 +137,14 @@ def affine_basis(points) -> tuple[np.ndarray, np.ndarray]:
     diffs = pts[1:] - origin
     if len(diffs) == 0:
         return origin, np.zeros((pts.shape[1], 0))
-    u, s, vt = np.linalg.svd(diffs, full_matrices=False)
-    scale = max(s[0], 1.0) if len(s) else 1.0
-    rank = int(np.sum(s > TOL_RANK * scale))
-    return origin, vt[:rank].T
+    _, _, vt = np.linalg.svd(diffs, full_matrices=False)
+    return origin, vt[:rank(diffs)].T
 
 
 @dataclass(frozen=True)
-class HalfSpace:
-    """Closed halfspace {x : normal.x <= offset} with unit normal."""
+class _Plane:
+    """{x : normal.x == offset}, normalized to a unit normal, with the
+    signed value normal.x - offset."""
 
     normal: np.ndarray
     offset: float
@@ -151,13 +153,17 @@ class HalfSpace:
         n = np.asarray(self.normal, dtype=float)
         nrm = np.linalg.norm(n)
         if nrm <= TOL_GEOM:
-            raise GeometryError("halfspace normal is numerically zero")
+            raise GeometryError(f"{type(self).__name__.lower()} normal is numerically zero")
         object.__setattr__(self, "normal", n / nrm)
         object.__setattr__(self, "offset", float(self.offset) / nrm)
 
     def value(self, x) -> float:
-        """Signed violation normal.x - offset (<= 0 inside)."""
         return float(np.dot(self.normal, x) - self.offset)
+
+
+class HalfSpace(_Plane):
+    """Closed halfspace {x : normal.x <= offset} with unit normal;
+    ``value`` is the signed violation (<= 0 inside)."""
 
     def contains(self, x, tol: float = TOL_GEOM) -> bool:
         return self.value(x) <= tol
@@ -166,23 +172,8 @@ class HalfSpace:
         return HalfSpace(-self.normal, -self.offset)
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(_Plane):
     """{x : normal.x == offset} with unit normal."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        n = np.asarray(self.normal, dtype=float)
-        nrm = np.linalg.norm(n)
-        if nrm <= TOL_GEOM:
-            raise GeometryError("hyperplane normal is numerically zero")
-        object.__setattr__(self, "normal", n / nrm)
-        object.__setattr__(self, "offset", float(self.offset) / nrm)
-
-    def value(self, x) -> float:
-        return float(np.dot(self.normal, x) - self.offset)
 
     def side(self, x, tol: float = TOL_GEOM) -> int:
         v = self.value(x)
@@ -238,13 +229,18 @@ class Polytope:
 
     Full-dimensional polytopes have a consistent (minimal) halfspace list.
     Lower-dimensional ones carry vertices only; ``dim`` is the affine-hull
-    dimension, -1 for the empty polytope.
+    dimension, -1 for the empty polytope.  The vertices are in
+    lexicographic order.
+
+    No code changes a polytope after it is built, so its vertex-facet
+    ``incidence`` and its ``edges`` are computed once and kept.
     """
 
     def __init__(self, vertices: np.ndarray, halfspaces: list[HalfSpace], dim: int):
         self.vertices = vertices
         self.halfspaces = halfspaces
         self.dim = dim
+        self._edges: Optional[np.ndarray] = None
 
     # -- constructors -------------------------------------------------------
 
@@ -290,13 +286,19 @@ class Polytope:
     def volume(self) -> float:
         return volume(self)
 
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Boolean (vertex, halfspace) table: the vertex lies within
+        ``TOL_INCIDENCE`` of the halfspace's plane."""
+        normals = np.array([h.normal for h in self.halfspaces]).reshape(-1, self.n)
+        offsets = np.array([h.offset for h in self.halfspaces])
+        return np.abs(self.vertices @ normals.T - offsets) <= TOL_INCIDENCE
+
     def facets(self) -> list[Face]:
-        """Facets as faces, ordered like ``halfspaces``."""
-        out = []
-        for h in self.halfspaces:
-            tight = self.vertices[np.abs(self.vertices @ h.normal - h.offset) <= TOL_INCIDENCE]
-            out.append(Face(lex_sorted(tight), h, affine_dimension(tight)))
-        return out
+        """Facets as faces, ordered like ``halfspaces``: each holds the
+        vertices of its column of ``incidence``."""
+        return [Face(self.vertices[tight], h, self.n - 1)
+                for h, tight in zip(self.halfspaces, self.incidence.T)]
 
     def split(self, plane: Hyperplane) -> tuple["Polytope", "Polytope"]:
         return split_by_hyperplane(self, plane)
@@ -327,27 +329,14 @@ def point_in_hull(point, vertices, tol: float = TOL_GEOM) -> bool:
         return True
     if np.any(x < V.min(axis=0) - tol) or np.any(x > V.max(axis=0) + tol):
         return False
-    # variables: lam (k), s (1)
-    c = np.zeros(k + 1)
-    c[-1] = 1.0
-    rows = []
-    rhs = []
-    for i in range(n):
-        r = np.zeros(k + 1)
-        r[:k] = V[:, i]
-        r[-1] = -1.0
-        rows.append(r)
-        rhs.append(x[i])
-        rows.append(-r + np.concatenate([np.zeros(k), [-2.0]]))  # -V lam - s <= -x
-        rhs.append(-x[i])
-    for j in range(k):
-        r = np.zeros(k + 1)
-        r[j] = -1.0
-        rows.append(r)
-        rhs.append(0.0)
-    eq = np.zeros((1, k + 1))
-    eq[0, :k] = 1.0
-    out = lp.solve_lp(c, np.array(rows), np.array(rhs), eq, np.array([1.0]))
+    # variables lam (k) and s; per coordinate V^T lam - s <= x and
+    # -V^T lam - s <= -x, then -lam <= 0 (0.0 - keeps zeros unsigned)
+    ones = np.ones((n, 1))
+    rows = np.vstack([np.stack([np.hstack([V.T, -ones]), np.hstack([0.0 - V.T, -ones])],
+                               axis=1).reshape(2 * n, k + 1), 0.0 - np.eye(k, k + 1)])
+    rhs = np.concatenate([np.stack([x, -x], axis=1).ravel(), np.zeros(k)])
+    out = lp.solve_lp(np.eye(k + 1)[-1], rows, rhs, np.append(np.ones(k), 0.0)[None, :],
+                      np.array([1.0]))
     if out.status != lp.OPTIMAL:
         return False
     return out.value <= tol
@@ -357,25 +346,12 @@ def point_in_hull(point, vertices, tol: float = TOL_GEOM) -> bool:
 # representation conversion
 # ---------------------------------------------------------------------------
 
-def _enumerate_vertices(A: np.ndarray, b: np.ndarray) -> list[np.ndarray]:
-    """Solutions of every nonsingular n-subset of A x == b that satisfy all
-    of A x <= b."""
-    cands = []
-    for idx in itertools.combinations(range(len(A)), A.shape[1]):
-        M = A[list(idx)]
-        if abs(np.linalg.det(M)) <= TOL_ZERO:
-            continue
-        x = np.linalg.solve(M, b[list(idx)])
-        if np.all(A @ x - b <= TOL_INCIDENCE):
-            cands.append(x)
-    return cands
-
-
 def hrep_to_vrep(halfspaces: list[HalfSpace]) -> np.ndarray:
     """Vertices of the (bounded) intersection of halfspaces.
 
-    Enumerates all n-subsets of constraints; a candidate is kept when it
-    satisfies every constraint.  Boundedness is certified by coordinate LPs.
+    Solves every nonsingular n-subset of the constraints as equations; a
+    solution is kept when it satisfies every constraint within
+    ``TOL_INCIDENCE``.  Boundedness is certified by coordinate LPs.
     """
     hs = list(halfspaces)
     if not hs:
@@ -386,31 +362,40 @@ def hrep_to_vrep(halfspaces: list[HalfSpace]) -> np.ndarray:
     if len(hs) < n:
         raise Unbounded("fewer constraints than dimensions")
 
-    for i in range(n):
+    for i, sgn in itertools.product(range(n), (1.0, -1.0)):
         c = np.zeros(n)
-        for sgn in (1.0, -1.0):
-            c[i] = sgn
-            out = lp.solve_lp(c, A, b)
-            if out.status == lp.UNBOUNDED:
-                raise Unbounded(f"direction {i} unbounded")
-            if out.status == lp.INFEASIBLE:
-                return np.zeros((0, n))
-        c[i] = 0.0
+        c[i] = sgn
+        out = lp.solve_lp(c, A, b)
+        if out.status == lp.UNBOUNDED:
+            raise Unbounded(f"direction {i} unbounded")
+        if out.status == lp.INFEASIBLE:
+            return np.zeros((0, n))
 
-    cands = _enumerate_vertices(A, b)
-    if not cands:
-        return np.zeros((0, n))
-    return lex_sorted(dedupe_points(np.array(cands)))
+    subsets = np.array(list(itertools.combinations(range(len(A)), n)))
+    subsets = subsets[np.abs(np.linalg.det(A[subsets])) > TOL_ZERO]
+    X = np.linalg.solve(A[subsets], b[subsets][..., None])[..., 0]
+    return lex_sorted(dedupe_points(X[np.all(X @ A.T - b <= TOL_INCIDENCE, axis=1)]))
+
+
+def _maximal_sets(tight: np.ndarray) -> list[int]:
+    """The facet rule: indices of the rows of a boolean (candidate, point)
+    table whose set of points is nonempty and lies in no other row's
+    larger set, the first row of each such set."""
+    sets, first = np.unique(tight, axis=0, return_index=True)
+    counts = sets.astype(int)
+    sizes = counts.sum(axis=1)
+    inside = (counts @ counts.T == sizes[:, None]) & (sizes[None, :] > sizes[:, None])
+    return sorted(first[(sizes > 0) & ~inside.any(axis=1)].tolist())
 
 
 def vrep_to_hrep(vertices) -> list[HalfSpace]:
     """Minimal halfspace representation of a full-dimensional hull.
 
-    A candidate is a plane through an n-subset with all points on one side
-    (``TOL_GEOM``), the first found for its set of tight points.  A set is
-    a facet when it spans n-1 dimensions and lies in no other candidate's
-    set: a plane tight at part of a facet's set is tilted through points
-    within ``TOL_GEOM`` of that facet.
+    A candidate is a plane through an n-subset of the points that spans a
+    hyperplane, with every point on one side (``TOL_GEOM``).  The facets
+    are the candidates whose sets of tight points are maximal
+    (``_maximal_sets``): a plane tight at part of a facet's set is tilted
+    through points within ``TOL_GEOM`` of that facet.
     """
     V = dedupe_points(_as_points(vertices))
     k, n = V.shape
@@ -420,35 +405,25 @@ def vrep_to_hrep(vertices) -> list[HalfSpace]:
     if n == 1:
         lo, hi = float(V.min()), float(V.max())
         return [HalfSpace(np.array([-1.0]), -lo), HalfSpace(np.array([1.0]), hi)]
-    found: dict[bytes, tuple[np.ndarray, HalfSpace]] = {}
-    for idx in itertools.combinations(range(k), n):
-        pts = V[list(idx)]
-        diffs = pts[1:] - pts[0]
-        u, s, vt = np.linalg.svd(diffs)
-        if s.min() <= TOL_RANK * max(s.max(), 1.0):
-            continue  # subset does not span a hyperplane
-        normal = vt[-1]
-        offset = float(normal @ pts[0])
-        vals = V @ normal - offset
-        if np.all(vals <= TOL_GEOM):
-            pass
-        elif np.all(vals >= -TOL_GEOM):
-            normal, offset, vals = -normal, -offset, -vals
-        else:
-            continue
-        tight = np.abs(vals) <= TOL_GEOM
-        found.setdefault(tight.tobytes(), (tight, HalfSpace(normal, offset)))
-    cands = list(found.values())
-    facets = [h for tight, h in cands if affine_dimension(V[tight]) == n - 1
-              and not any(np.all(tight <= other) and other.sum() > tight.sum() for other, _ in cands)]
+    subsets = np.array(list(itertools.combinations(range(k), n)))
+    diffs = V[subsets[:, 1:]] - V[subsets[:, :1]]
+    spans = rank(diffs) == n - 1
+    subsets, diffs = subsets[spans], diffs[spans]
+    normals = np.linalg.svd(diffs)[2][:, -1]
+    offsets = np.einsum("ij,ij->i", normals, V[subsets[:, 0]])
+    vals = V @ normals.T - offsets
+    below = np.all(vals <= TOL_GEOM, axis=0)
+    one_side = np.flatnonzero(below | np.all(vals >= -TOL_GEOM, axis=0))
+    sign = np.where(below, 1.0, -1.0)
+    facets = [HalfSpace(sign[i] * normals[i], sign[i] * offsets[i])
+              for i in one_side[_maximal_sets(np.abs(vals[:, one_side].T) <= TOL_GEOM)]]
     if not facets:
         raise Degenerate("no facets found")
     return sorted(facets, key=_halfspace_key)
 
 
 def _halfspace_key(h: HalfSpace) -> tuple:
-    """Rounded (normal, offset): the order of every facet list, and one
-    key for a facet the clip finds more than once."""
+    """Rounded (normal, offset): the order of every facet list."""
     return tuple(np.round(np.concatenate([h.normal, [h.offset]]), HALFSPACE_KEY_DECIMALS))
 
 
@@ -476,7 +451,7 @@ def convex_hull(points, allow_lower: bool = True) -> "Polytope":
     hs = vrep_to_hrep(coords)
     normals = np.array([h.normal for h in hs])
     tight = np.abs(coords @ normals.T - [h.offset for h in hs]) <= TOL_GEOM
-    verts = pts[[_rank(normals[t]) == d for t in tight]]
+    verts = pts[[rank(normals[t]) == d for t in tight]]
     return Polytope(verts, hs if d == n else [], d)
 
 
@@ -513,12 +488,14 @@ def clip_to_halfspace(p: Polytope, half: HalfSpace) -> Polytope:
     The vertices within ``TOL_GEOM`` of the halfspace stay, and every
     segment from a vertex below ``-TOL_GEOM`` to one above ``TOL_GEOM``
     adds its crossing point: the edges of a full-dimensional ``p``, every
-    vertex pair of a lower-dimensional one.  When ``p`` and the result
-    are full-dimensional and no two points merged (``TOL_MERGE``), the
-    facets are those of ``p.halfspaces`` and ``half`` whose tight vertices
-    span a hyperplane, and the clip needs no LP; otherwise the points are
-    hulled.  A halfspace holding every vertex returns ``p`` itself, and one
-    that meets ``p`` only on its boundary plane returns the face there.
+    vertex pair of a lower-dimensional one.  When ``p`` is
+    full-dimensional and no two points merged (``TOL_MERGE``), the facets
+    are those of ``p.halfspaces`` and ``half`` whose sets of tight
+    vertices are maximal (``_maximal_sets``), and the clip needs no LP,
+    hull or rank; otherwise, or when fewer than n+1 facets remain (a
+    sliver), the points are hulled.  A halfspace holding every vertex
+    returns ``p`` itself, and one that meets ``p`` only on its boundary
+    plane returns the face there.
     """
     if p.is_empty:
         return p
@@ -528,43 +505,42 @@ def clip_to_halfspace(p: Polytope, half: HalfSpace) -> Polytope:
     if np.all(vals >= -TOL_GEOM):
         kept = p.vertices[vals <= TOL_GEOM]
         return convex_hull(kept) if len(kept) else Polytope.empty(p.n)
-    pts = np.vstack([p.vertices[vals <= TOL_GEOM], _crossings(p, vals)])
+    # the points on the plane come first: a vertex merging with them gives
+    # way, and the clip's face on the plane is ``section``'s
+    pts = np.vstack([_plane_points(p, vals), p.vertices[vals < -TOL_GEOM]])
     verts = lex_sorted(dedupe_points(pts))
-    if not p.is_full_dim or len(verts) < len(pts) or affine_dimension(verts) < p.n:
-        # a vertex within about TOL_MERGE of the plane merges with its
-        # crossing points, and then incidence no longer tells the facets
+    cands = p.halfspaces + [half]
+    facets = [cands[i] for i in _maximal_sets(Polytope(verts, cands, p.n).incidence.T)]
+    if not p.is_full_dim or len(verts) < len(pts) or len(facets) <= p.n:
+        # a vertex within about TOL_MERGE of the plane merged with its
+        # crossing points, or a sliver: incidence no longer tells the facets
         return convex_hull(verts)
-    facets: dict[tuple, HalfSpace] = {}
-    for h in p.halfspaces + [half]:
-        if affine_dimension(verts[np.abs(verts @ h.normal - h.offset) <= TOL_INCIDENCE]) == p.n - 1:
-            facets.setdefault(_halfspace_key(h), h)
-    return Polytope(verts, [facets[k] for k in sorted(facets)], p.n)
+    return Polytope(verts, sorted(facets, key=_halfspace_key), p.n)
 
 
-def _crossings(p: Polytope, vals: np.ndarray) -> np.ndarray:
-    """Points where the segments from a vertex of ``p`` with ``vals``
-    below ``-TOL_GEOM`` to one above ``TOL_GEOM`` reach zero: the edges of
-    a full-dimensional ``p``, every vertex pair of a lower-dimensional
-    one (``vals`` is affine along them)."""
-    if not (np.any(vals < -TOL_GEOM) and np.any(vals > TOL_GEOM)):
-        return np.zeros((0, p.n))
-    pairs = edges(p) if p.is_full_dim else itertools.combinations(range(len(vals)), 2)
-    pts = [p.vertices[i] + vals[i] / (vals[i] - vals[j]) * (p.vertices[j] - p.vertices[i])
-           for i, j in pairs
-           if min(vals[i], vals[j]) < -TOL_GEOM and max(vals[i], vals[j]) > TOL_GEOM]
-    return np.array(pts).reshape(-1, p.n)
+def _plane_points(p: Polytope, vals: np.ndarray) -> np.ndarray:
+    """The vertices of ``p`` whose ``vals`` lie within ``TOL_GEOM`` of
+    zero, then the points where the segments from a vertex below
+    ``-TOL_GEOM`` to one above ``TOL_GEOM`` reach zero: the edges of a
+    full-dimensional ``p``, every vertex pair of a lower-dimensional one
+    (``vals`` is affine along them)."""
+    i, j = (edges(p) if p.is_full_dim else np.transpose(np.triu_indices(len(vals), 1))).T
+    cut = (np.minimum(vals[i], vals[j]) < -TOL_GEOM) & (np.maximum(vals[i], vals[j]) > TOL_GEOM)
+    i, j = i[cut], j[cut]
+    t = vals[i] / (vals[i] - vals[j])
+    cross = p.vertices[i] + t[:, None] * (p.vertices[j] - p.vertices[i])
+    return np.vstack([p.vertices[np.abs(vals) <= TOL_GEOM], cross])
 
 
 def section(p: Polytope, plane: Hyperplane) -> Polytope:
     """p intersected with a hyperplane, by incidence, as a polytope
-    without halfspaces: the vertices within ``TOL_GEOM`` of the plane and
-    the crossing points of the segments ``clip_to_halfspace`` takes.  For
-    a full-dimensional ``p`` these are the section's vertices; where the
-    clip hulls (a lower-dimensional ``p``, whose vertex pairs are not all
-    edges, or merged points) they are hulled.  Empty when the plane
-    misses ``p``."""
+    without halfspaces: ``_plane_points``, the points the clip keeps on
+    the plane.  For a full-dimensional ``p`` these are the section's
+    vertices; where the clip hulls (a lower-dimensional ``p``, whose
+    vertex pairs are not all edges, or merged points) they are hulled.
+    Empty when the plane misses ``p``."""
     vals = p.vertices @ plane.normal - plane.offset
-    pts = np.vstack([p.vertices[np.abs(vals) <= TOL_GEOM], _crossings(p, vals)])
+    pts = _plane_points(p, vals)
     verts = lex_sorted(dedupe_points(pts))
     if not p.is_full_dim or len(verts) < len(pts):
         return convex_hull(verts)
@@ -572,36 +548,34 @@ def section(p: Polytope, plane: Hyperplane) -> Polytope:
 
 
 def intersect(p: Polytope, q: Polytope) -> Polytope:
-    """p intersect q as the hull of its vertices (possibly
-    lower-dimensional, possibly empty)."""
-    hs = p.halfspaces + q.halfspaces
-    if not hs:
+    """p intersect q: p clipped to each halfspace of q in turn
+    (``clip_to_halfspace``), possibly lower-dimensional, possibly
+    empty."""
+    if not q.halfspaces:
         raise GeometryError("intersection requires halfspace data")
-    cands = _enumerate_vertices(np.array([h.normal for h in hs]),
-                                np.array([h.offset for h in hs]))
-    # vertices of either polytope lying inside the other are candidates too
-    cands += [v for v in p.vertices if q.contains(v, TOL_INCIDENCE)]
-    cands += [v for v in q.vertices if p.contains(v, TOL_INCIDENCE)]
-    if not cands:
-        return Polytope.empty(p.n)
-    return convex_hull(np.array(cands))
+    for h in q.halfspaces:
+        p = clip_to_halfspace(p, h)
+    return p
 
 
 # ---------------------------------------------------------------------------
 # faces and volumes
 # ---------------------------------------------------------------------------
 
-def edges(p: Polytope) -> list[tuple[int, int]]:
-    """Index pairs i < j of the vertices of a full-dimensional polytope
-    that span an edge: the facets tight (``TOL_INCIDENCE``) at both
-    vertices have normals of rank n-1."""
+def edges(p: Polytope) -> np.ndarray:
+    """The rows (i, j), i < j, of index pairs of the vertices of a
+    full-dimensional polytope that span an edge: no third vertex lies on
+    every facet the two share (``incidence``), the combinatorial
+    adjacency test of the double description method.  Computed once per
+    polytope."""
     if not p.is_full_dim:
         raise Degenerate("edges expects a full-dimensional polytope")
-    normals = np.array([h.normal for h in p.halfspaces])
-    offsets = np.array([h.offset for h in p.halfspaces])
-    tight = np.abs(p.vertices @ normals.T - offsets) <= TOL_INCIDENCE
-    return [(i, j) for i, j in itertools.combinations(range(len(p.vertices)), 2)
-            if _rank(normals[tight[i] & tight[j]]) == p.n - 1]
+    if p._edges is None:
+        on = p.incidence.astype(int)
+        pairs = np.transpose(np.triu_indices(len(on), 1))
+        shared = on[pairs[:, 0]] & on[pairs[:, 1]]
+        p._edges = pairs[(shared @ on.T == shared.sum(axis=1)[:, None]).sum(axis=1) == 2]
+    return p._edges
 
 
 def carrying_facet(p: Polytope, f: Face) -> Optional[int]:
@@ -620,8 +594,7 @@ def whole_facet(p: Polytope, f: Face) -> Optional[int]:
     k = carrying_facet(p, f)
     if k is None:
         return None
-    h = p.halfspaces[k]
-    tight = p.vertices[np.abs(p.vertices @ h.normal - h.offset) <= TOL_INCIDENCE]
+    tight = p.vertices[p.incidence[:, k]]
     gaps = np.abs(tight[:, None, :] - f.vertices[None, :, :]).max(axis=2)
     matched = gaps.min(axis=0).max() <= TOL_MERGE and gaps.min(axis=1).max() <= TOL_MERGE
     return k if matched else None
@@ -640,64 +613,59 @@ def simplex_volume(vertices: np.ndarray) -> float:
 
 
 def volume(p: Polytope) -> float:
-    """Volume by fan triangulation from the lexicographically smallest
-    vertex; zero for lower-dimensional polytopes."""
+    """Volume by the fan from the lexicographically smallest vertex; zero
+    for lower-dimensional polytopes."""
     if p.is_empty or p.dim < p.n:
         return 0.0
-    total = 0.0
-    for s in fan_triangulation_simplices(p):
-        total += simplex_volume(s)
-    return total
+    return sum(simplex_volume(s) for s in fan(p, p.vertices[0]))
 
 
-def fan(anchor: np.ndarray, faces) -> list[np.ndarray]:
-    """Simplices (vertex arrays, anchor first) coning ``anchor`` over the
-    triangulation of every face that misses it; ``faces`` pairs each
-    face's vertices with the anchor's signed distance to the face's plane.
-    A face with a vertex at the anchor (``TOL_MERGE``), or whose plane
-    lies within ``TOL_GEOM`` of it, adds no simplex.  Every anchored fan of the package is this one:
-    ``triangulate_point_set``, ``fan_triangulation_simplices`` and the
-    triangulations of ``triangulate``."""
+def fan(p: Polytope, anchor) -> list[np.ndarray]:
+    """Simplices of a full-dimensional ``p``, rows of ``p.vertices`` with
+    the vertex ``anchor`` first: the cones from it over every facet that
+    misses it, triangulated by ``_cone``.  Every anchored fan of the
+    package is this one.  Raises GeometryError when no vertex lies within
+    ``TOL_MERGE`` of the anchor."""
+    if not p.is_full_dim:
+        raise Degenerate("fan triangulation expects a full-dimensional polytope")
+    hit = np.flatnonzero(np.abs(p.vertices - anchor).max(axis=1) <= TOL_MERGE)
+    if not len(hit):
+        raise GeometryError("fan anchor is not a vertex of the polytope")
+    return [p.vertices[s] for s in _cone(p.incidence, np.arange(len(p.vertices)), int(hit[0]))]
+
+
+def _cone(incidence: np.ndarray, face: np.ndarray, apex: int) -> list[list[int]]:
+    """Vertex index lists of the simplices coning vertex ``apex`` of
+    ``face`` (indices of ``incidence``'s rows, in lexicographic order)
+    over each facet of the face that misses it, each coned in turn from
+    its first vertex; a vertex is its own simplex.  The facets of a face
+    F are the maximal nonempty proper sets F ∩ T_h, T_h a column."""
+    if len(face) == 1:
+        return [[apex]]
+    on = incidence[face]
+    proper = on[:, ~on.all(axis=0)].T
     out = []
-    for verts, dist in faces:
-        if any(np.linalg.norm(v - anchor, ord=np.inf) <= TOL_MERGE for v in verts):
-            continue
-        if abs(dist) <= TOL_GEOM:
-            continue  # anchor lies on the face's plane: skip to avoid flat cells
-        out += [np.vstack([anchor[None, :], sub]) for sub in triangulate_point_set(verts)]
+    for r in _maximal_sets(proper):
+        sub = face[proper[r]]
+        if apex not in sub:
+            out += [[apex] + s for s in _cone(incidence, sub, int(sub[0]))]
     return out
 
 
 def triangulate_point_set(vertices: np.ndarray) -> list[np.ndarray]:
-    """Triangulate the convex hull of a d-dimensional point set in R^n.
-
-    Returns vertex arrays of (d+1) rows each.  The fan anchor is the
-    lexicographically smallest point, making the result deterministic for
-    a fixed point set.
-    """
+    """Triangulate the convex hull of a d-dimensional point set in R^n:
+    vertex arrays of (d+1) rows of the given points.  The points are
+    hulled once, in the coordinates of their affine hull, and coned as
+    ``fan`` cones, from the lexicographically smallest point (in R^n)."""
     V = lex_sorted(dedupe_points(_as_points(vertices)))
     origin, basis = affine_basis(V)
-    d = basis.shape[1]
-    if d == 0:
+    if basis.shape[1] == 0:
         return [V[:1]]
-    if d == 1:
-        t = (V - origin) @ basis[:, 0]
-        return [np.array([V[np.argmin(t)], V[np.argmax(t)]])]
-    # the anchor V[0] is the origin of the hull's coordinates
-    hull = convex_hull((V - origin) @ basis, allow_lower=False)
-    return fan(V[0], [(face.vertices @ basis.T + origin, -face.supporting.offset)
-                       for face in hull.facets()])
-
-
-def fan_triangulation_simplices(p: Polytope,
-                                anchor: Optional[np.ndarray] = None) -> list[np.ndarray]:
-    """Full-dimensional simplices (vertex arrays) fanning ``p`` from a
-    vertex over its own facets; anchor defaults to the lexicographically
-    smallest vertex."""
-    if not p.is_full_dim:
-        raise Degenerate("fan triangulation expects a full-dimensional polytope")
-    anchor = np.asarray(p.vertices[0] if anchor is None else anchor, dtype=float)
-    return fan(anchor, [(face.vertices, face.supporting.value(anchor)) for face in p.facets()])
+    coords = (V - origin) @ basis
+    hull = convex_hull(coords, allow_lower=False)
+    # the rows of V that are hull vertices, in V's order, and their hull rows
+    rows, at = np.nonzero((coords[:, None, :] == hull.vertices[None, :, :]).all(axis=2))
+    return [V[rows[s]] for s in _cone(hull.incidence[at], np.arange(len(rows)), 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -708,9 +676,10 @@ class Simplex:
     """n+1 affinely independent vertices; facet j is the one omitting
     vertex j, with unit outward normal ``normals[j]`` and offset
     ``offsets[j]`` so that normals[j].v_i == offsets[j] for i != j and
-    normals[j].v_j < offsets[j]."""
+    normals[j].v_j < offsets[j].  The three are views of one
+    (n+1, 2n+1) ``table``, as a controller holds a simplex per piece."""
 
-    __slots__ = ("vertices", "normals", "offsets")  # one per controller piece
+    __slots__ = ("table",)
 
     def __init__(self, vertices):
         V = _as_points(vertices)
@@ -719,9 +688,8 @@ class Simplex:
             raise GeometryError(f"simplex in R^{n} needs {n + 1} vertices, got {V.shape[0]}")
         if affine_dimension(V) != n:
             raise GeometryError("simplex vertices are affinely dependent")
-        self.vertices = V
-        normals = np.zeros((n + 1, n))
-        offsets = np.zeros(n + 1)
+        self.table = np.zeros((n + 1, 2 * n + 1))
+        self.table[:, :n] = V
         for j in range(n + 1):
             others = np.delete(V, j, axis=0)
             diffs = others[1:] - others[0]
@@ -731,14 +699,31 @@ class Simplex:
             if nrm @ V[j] > off:
                 nrm, off = -nrm, -off
             scale = np.linalg.norm(nrm)
-            normals[j] = nrm / scale
-            offsets[j] = off / scale
-        self.normals = normals
-        self.offsets = offsets
+            self.table[j, n:-1] = nrm / scale
+            self.table[j, -1] = off / scale
+
+    @classmethod
+    def of_table(cls, table: np.ndarray) -> "Simplex":
+        """The simplex whose ``table`` is given, as rows of a larger one."""
+        s = cls.__new__(cls)
+        s.table = table
+        return s
 
     @property
     def n(self) -> int:
-        return self.vertices.shape[1]
+        return self.table.shape[0] - 1
+
+    @property
+    def vertices(self) -> np.ndarray:
+        return self.table[:, :self.n]
+
+    @property
+    def normals(self) -> np.ndarray:
+        return self.table[:, self.n:-1]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return self.table[:, -1]
 
     def contains(self, x, tol: float = TOL_GEOM) -> bool:
         x = np.asarray(x, dtype=float)

@@ -43,12 +43,12 @@ class VertexControls:
 class AffinePiece:
     """One affine law u = gain x + offset on a simplex region.
 
-    Slotted, and its arrays own their data: a controller holds several
-    pieces, and a caller may keep many controllers."""
+    Slotted, with gain and offset kept as one array ``law`` = [gain |
+    offset] that owns its data: a controller holds several pieces, and a
+    caller may keep many controllers."""
 
     region: Simplex
-    gain: np.ndarray
-    offset: np.ndarray
+    law: np.ndarray
     exit_facet: int
     path_len: int = 0
     slack: float = 0.0
@@ -56,6 +56,14 @@ class AffinePiece:
     rank: tuple = ()
     sub_rank: int = 0
     index: int = 0
+
+    @property
+    def gain(self) -> np.ndarray:
+        return self.law[:, :-1]
+
+    @property
+    def offset(self) -> np.ndarray:
+        return self.law[:, -1]
 
     def control(self, x) -> np.ndarray:
         return self.gain @ np.asarray(x, dtype=float) + self.offset
@@ -72,31 +80,36 @@ class PWAController:
 
     The constructor keeps copies of the pieces it is given, numbered by
     position (``index``), so the pieces it was given keep their own
-    numbers.  It stacks the facet rows of every region, in that order of
-    preference, into one table; ``locate`` resolves a batch of states with
-    one matrix product, each to the first block of rows that all hold.
-    Pieces are final once assembled: a region, rank or path length changed
+    numbers.  It stacks the tables of the regions (``Simplex.table``), in
+    that order of preference, into one table, of which the copies'
+    regions are views, so a controller holds each region once; ``locate``
+    resolves a batch of states with one matrix product over its facet
+    columns, each to the first block of rows that all hold.  Pieces are
+    final once assembled: a region, rank or path length changed
     afterwards is not seen by ``locate`` or ``lookup``.
     """
 
     def __init__(self, pieces: list[AffinePiece], domain: Polytope, notes=()):
-        self.pieces = [replace(piece, index=k) for k, piece in enumerate(pieces)]
+        n = domain.n
+        order = sorted(range(len(pieces)), key=lambda k: (pieces[k].rank, pieces[k].path_len,
+                                                          pieces[k].sub_rank, k))
+        self._table = np.vstack([pieces[k].region.table for k in order]
+                                + [np.zeros((0, 2 * n + 1))])
+        row = {k: r * (n + 1) for r, k in enumerate(order)}
+        self.pieces = [replace(pc, index=k,
+                               region=Simplex.of_table(self._table[row[k]:row[k] + n + 1]))
+                       for k, pc in enumerate(pieces)]
         self.domain = domain
         self.notes = list(notes)
-        preferred = sorted(self.pieces, key=lambda pc: (pc.rank, pc.path_len,
-                                                        pc.sub_rank, pc.index))
-        self._order = np.array([pc.index for pc in preferred] + [-1], dtype=int)
-        self._normals = np.vstack([pc.region.normals for pc in preferred]
-                                  + [np.zeros((0, domain.n))])
-        self._offsets = np.concatenate([pc.region.offsets for pc in preferred]
-                                       + [np.zeros(0)])
+        self._order = np.array(order + [-1], dtype=int)
 
     def locate(self, X, tol: float = TOL_MERGE) -> np.ndarray:
         """Index of the preferred piece holding each row of the (k, n)
         array X, or -1 where none does."""
         X = np.asarray(X, dtype=float)
-        held = (X @ self._normals.T - self._offsets <= tol)
-        held = held.reshape(len(X), len(self.pieces), self.domain.n + 1).all(axis=2)
+        n = self.domain.n
+        held = (X @ self._table[:, n:-1].T - self._table[:, -1] <= tol)
+        held = held.reshape(len(X), len(self.pieces), n + 1).all(axis=2)
         # a last column that always holds stands for "no piece"
         held = np.concatenate([held, np.ones((len(X), 1), dtype=bool)], axis=1)
         return self._order[held.argmax(axis=1)]
@@ -325,7 +338,7 @@ def _single_affine_piece(sys: AffineSystem, geom: SystemGeometry, s: Simplex,
         if not check_no_equilibrium(sys, s, gain, offset):
             errors.append("closed-loop stationary point inside the simplex")
             continue
-        return AffinePiece(s, gain, offset, exit_facet,
+        return AffinePiece(s, np.column_stack([gain, offset]), exit_facet,
                            slack=float(margin),
                            exit_margin=exit_margin(sys, s, vc, exit_facet))
     raise SynthesisFailed({"simplex": s.vertices.tolist(),

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateO, SignAmbiguous
-from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_RANK, Face, Hyperplane,
-                       Polytope, carrying_facet)
+from .geometry import (TOL_GEOM, TOL_INCIDENCE, Face, Hyperplane, Polytope,
+                       carrying_facet, rank)
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,7 @@ class AffineSystem:
         return self.drift(x) + self.B @ np.asarray(u, dtype=float)
 
     def input_rank(self) -> int:
-        s = np.linalg.svd(self.B, compute_uv=False)
-        return int(np.sum(s > TOL_RANK * max(s[0], 1.0))) if len(s) else 0
+        return rank(self.B)
 
     def controllability_rank(self) -> int:
         blocks = [self.B]
@@ -58,9 +57,7 @@ class AffineSystem:
         for _ in range(self.n - 1):
             M = self.A @ M
             blocks.append(M)
-        C = np.hstack(blocks)
-        s = np.linalg.svd(C, compute_uv=False)
-        return int(np.sum(s > TOL_RANK * max(s[0], 1.0))) if len(s) else 0
+        return rank(np.hstack(blocks))
 
 
 @dataclass(frozen=True)
@@ -197,7 +194,5 @@ def compute_geometry(sys: AffineSystem, p: Polytope) -> SystemGeometry:
         if beta[idx] < 0:
             beta = -beta
 
-    u, s, _ = np.linalg.svd(sys.B, full_matrices=False)
-    rank = int(np.sum(s > TOL_RANK * max(s[0], 1.0)))
-    basis = u[:, :rank]
-    return SystemGeometry(beta, basis, plane)
+    u, _, _ = np.linalg.svd(sys.B, full_matrices=False)
+    return SystemGeometry(beta, u[:, :rank(sys.B)], plane)

@@ -3,12 +3,13 @@ triangulations, refinement with respect to a boundary target that is not a
 facet, the far-target split, and the cover used when the equilibrium plane
 crosses the polytope.
 
-Both triangulations are ``geometry.fan`` of one anchor, chosen by one
-rule (``select_vstar`` takes the first of ``qualifying_vertices`` off the
-equilibrium plane): over the facets for a facet target, and over the
-other facets, the carrying facet's pieces outside the target and the
-target itself for a target inside a facet.  The points at one drift
-level (the top face, the target's end vertices) come from
+Both triangulations are ``geometry.fan`` of one anchor, a vertex chosen
+by one rule (``select_vstar`` takes the first of ``qualifying_vertices``
+off the equilibrium plane).  The fan reads the faces from the polytope's
+vertex-facet incidence, so its simplices are rows of its vertices.  For
+a target inside a facet, the cones over that facet give way to cones
+over the target and over the facet's pieces outside it.  The points at
+one drift level (the top face, the target's end vertices) come from
 ``SystemGeometry.at_level``.  A triangulation records what its
 construction decides, the exit facet of each target simplex and the
 facet each simplex shares with a neighbour, so synthesis reads these
@@ -28,9 +29,9 @@ from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_VOLUME,
                        TOL_ZERO, Face, HalfSpace, Hyperplane, Polytope,
                        Simplex, affine_basis, affine_dimension,
                        carrying_facet, clip_to_halfspace, convex_hull, fan,
-                       fan_triangulation_simplices, hyperplane_through,
-                       lex_sorted, point_in_hull, point_key, section,
-                       split_by_hyperplane, uncovered_volume, whole_facet)
+                       hyperplane_through, lex_sorted, point_in_hull,
+                       point_key, section, split_by_hyperplane,
+                       triangulate_point_set, uncovered_volume, whole_facet)
 from .reach import default_eps, epsilon_cut
 from .system import (AffineSystem, SystemGeometry, compute_geometry,
                      equilibrium_plane)
@@ -116,12 +117,11 @@ def select_vstar(p: Polytope, f: Face, geom: SystemGeometry) -> np.ndarray:
 
 
 def basic_triangulation(p: Polytope, vstar: np.ndarray) -> Triangulation:
-    """The fan of ``vstar`` over every facet of ``p`` that misses it
-    (``fan_triangulation_simplices``), ordered by vertex key; the anchor
-    is vertex 0 of every simplex."""
+    """The fan of the vertex ``vstar`` over every facet of ``p`` that
+    misses it (``geometry.fan``), ordered by vertex key; the anchor is
+    vertex 0 of every simplex."""
     vstar = np.asarray(vstar, dtype=float)
-    simplices = sorted((Simplex(s) for s in fan_triangulation_simplices(p, vstar)),
-                       key=lambda s: s.vertex_key())
+    simplices = sorted((Simplex(s) for s in fan(p, vstar)), key=lambda s: s.vertex_key())
     return Triangulation(simplices, vstar, {})
 
 
@@ -155,9 +155,9 @@ def _complement_pieces(region: np.ndarray, carve: Face) -> list[np.ndarray]:
 
 
 def triangulation_wrt_F(p: Polytope, f: Face, vstar: np.ndarray) -> Triangulation:
-    """The fan of ``vstar`` over the facets of ``p`` other than the one
-    carrying the target, over the pieces of that facet outside the
-    target, and over the target, ordered by vertex key.
+    """The fan of the vertex ``vstar`` over the facets of ``p`` other than
+    the one carrying the target, with cones over the target and over the
+    pieces of that facet outside it, ordered by vertex key.
 
     Each cone over the target exits through its base, which is facet 0
     because the anchor is vertex 0."""
@@ -165,20 +165,24 @@ def triangulation_wrt_F(p: Polytope, f: Face, vstar: np.ndarray) -> Triangulatio
     k = carrying_facet(p, f)
     if k is None:
         raise ValueError("target does not lie in any facet of the polytope")
-    facets = p.facets()
-    dist = facets[k].supporting.value(vstar)
-    if abs(dist) <= TOL_GEOM:
+    h = p.halfspaces[k]
+    if abs(h.value(vstar)) <= TOL_GEOM:
         raise VStarInFbar("anchor lies on the facet carrying the target")
 
-    rest = [(face.vertices, face.supporting.value(vstar))
-            for j, face in enumerate(facets) if j != k]
-    rest += [(piece, dist) for piece in _complement_pieces(facets[k].vertices, f)]
-    cones = [Simplex(s) for s in fan(vstar, [(f.vertices, dist)])]
-    n_target = len(cones)
-    cones += [Simplex(s) for s in fan(vstar, rest)]
-    order = sorted(range(len(cones)), key=lambda i: cones[i].vertex_key())
+    def cones(region):
+        return [Simplex(np.vstack([vstar, s])) for s in triangulate_point_set(region)]
+
+    simplices = cones(f.vertices)
+    n_target = len(simplices)
+    # the fan's cones with their base on facet k give way to the cones
+    # over the target and over the pieces of facet k outside it
+    simplices += [Simplex(s) for s in fan(p, vstar)
+                  if np.abs(s[1:] @ h.normal - h.offset).max() > TOL_INCIDENCE]
+    for piece in _complement_pieces(p.facets()[k].vertices, f):
+        simplices += cones(piece)
+    order = sorted(range(len(simplices)), key=lambda i: simplices[i].vertex_key())
     exits = {i: 0 for i, j in enumerate(order) if j < n_target}
-    return Triangulation([cones[j] for j in order], vstar, exits)
+    return Triangulation([simplices[j] for j in order], vstar, exits)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,40 @@ def facet_face(p, normal):
     raise AssertionError(f"no facet with normal {normal}")
 
 
+# -- rank rules for faces, the oracles of the incidence rules ----------------
+
+def _tight(vertices, h):
+    return vertices[np.abs(vertices @ h.normal - h.offset) <= geo.TOL_INCIDENCE]
+
+
+def rank_edges(p):
+    """The rows (i, j), i < j, of vertex pairs whose shared tight facets
+    (TOL_INCIDENCE) have normals of rank n-1."""
+    normals = np.array([h.normal for h in p.halfspaces])
+    offsets = np.array([h.offset for h in p.halfspaces])
+    tight = np.abs(p.vertices @ normals.T - offsets) <= geo.TOL_INCIDENCE
+    return np.array([(i, j) for i, j in itertools.combinations(range(len(p.vertices)), 2)
+                     if geo.rank(normals[tight[i] & tight[j]]) == p.n - 1]).reshape(-1, 2)
+
+
+def rank_facets(p):
+    """Each halfspace's tight vertices (TOL_INCIDENCE), lex sorted, with
+    the dimension of their affine hull."""
+    tight = [geo.lex_sorted(_tight(p.vertices, h)) for h in p.halfspaces]
+    return [(t, geo.affine_dimension(t)) for t in tight]
+
+
+def rank_clip_facets(p, half, vertices):
+    """The halfspaces of ``p`` and ``half`` whose tight vertices among
+    ``vertices`` span a hyperplane, one per rounded key, in key order."""
+    n = vertices.shape[1]
+    keyed = {}
+    for h in p.halfspaces + [half]:
+        if geo.affine_dimension(_tight(vertices, h)) == n - 1:
+            keyed.setdefault(geo._halfspace_key(h), h)
+    return [keyed[k] for k in sorted(keyed)]
+
+
 # -- canonical fixtures ------------------------------------------------------
 
 def box_fixture():

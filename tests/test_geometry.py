@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import hull_distance
+from helpers import hull_distance, rank_clip_facets, rank_edges, rank_facets
 from reachctl import geometry as geo
 from reachctl import lp
-from reachctl.errors import DimensionDeficient
+from reachctl.errors import DimensionDeficient, GeometryError
 
 
 @pytest.fixture
@@ -363,9 +363,48 @@ class TestClip:
 
     def test_sliver_clip_is_lower_dimensional(self):
         square = geo.Polytope.box([0, 0], [1, 1])
-        out = geo.clip_to_halfspace(square, geo.HalfSpace(np.array([1.0, 0.0]), 5e-8))
-        assert out.dim == 1 and same_points(out.vertices, np.array([[0.0, 0.0], [0.0, 1.0]]))
+        half = geo.HalfSpace(np.array([1.0, 0.0]), 5e-8)
+        out = geo.clip_to_halfspace(square, half)
+        # the vertices at x = 0 merge into the crossing points on the plane
+        section = geo.section(square, geo.Hyperplane(half.normal, half.offset))
+        assert out.dim == 1 and same_points(out.vertices, section.vertices)
+        assert same_points(out.vertices, np.array([[5e-8, 0.0], [5e-8, 1.0]]))
         assert not out.contains(np.array([5.0, 0.5]))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_incidence_rules_match_rank_oracles(self, n):
+        """Edges, facets and the clip's facets by incidence against the
+        rank rules, on the clouds of
+        test_full_dimensional_clip_matches_enumeration.  Off a vertex by
+        TOL_GEOM or more, the clip's vertices lie up to 4e-7 off its
+        planes, both rules read an incidence that tolerances decide, and
+        they disagree on 5 of the 4-D clips: neither is a reference."""
+        rng = np.random.default_rng(10 + n)
+        for _ in range(4):
+            p = random_hull(rng, n)
+            assert np.array_equal(geo.edges(p), rank_edges(p))
+            for h, shift in clip_cases(rng, p):
+                out = geo.clip_to_halfspace(p, h)
+                if not out.is_full_dim or abs(shift) >= geo.TOL_GEOM:
+                    continue
+                assert np.array_equal(geo.edges(out), rank_edges(out))
+                for face, (ref, dim) in zip(out.facets(), rank_facets(out)):
+                    assert np.array_equal(face.vertices, ref) and face.dim == dim == n - 1
+                assert [geo._halfspace_key(g) for g in out.halfspaces] == \
+                    [geo._halfspace_key(g) for g in rank_clip_facets(p, h, out.vertices)]
+
+    def test_faces_and_clip_hull_nothing(self, monkeypatch):
+        p = random_hull(np.random.default_rng(32), 4)
+        normal = np.array([1.0, 0.5, 0.0, -0.5])
+        half = geo.HalfSpace(normal, float(normal @ p.centroid()))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a face was hulled or ranked")
+
+        for name in ("convex_hull", "affine_basis", "affine_dimension", "rank"):
+            monkeypatch.setattr(geo, name, refuse)
+        assert len(geo.edges(p)) and geo.whole_facet(p, p.facets()[0]) == 0
+        assert len(geo.fan(p, p.vertices[-1])) and geo.clip_to_halfspace(p, half).is_full_dim
 
     def test_full_dimensional_split_solves_no_lp(self, lp_calls):
         p = random_hull(np.random.default_rng(30), 4)
@@ -387,9 +426,8 @@ class TestSection:
     up to ``TOL_GEOM`` over the edge's slope from it (4.7e-7 on an edge
     of slope 1e-3); farther off, both merge the crossing points near the
     vertex, each keeping its own.  Both cases agree within 10
-    ``TOL_MERGE``.  Off a vertex the pieces' halfspaces include planes
-    meeting at tiny angles, where the enumeration of ``intersect`` admits
-    points far outside, so it is no reference there."""
+    ``TOL_MERGE``.  The intersection of the pieces, whose faces on the
+    plane are the section, agrees with it within 1e-9 in every case."""
 
     @staticmethod
     def cases(rng, p):
@@ -415,8 +453,7 @@ class TestSection:
                 if lo.is_empty or hi.is_empty:
                     continue  # a plane touching p at a vertex
                 assert out.dim == n - 1
-                if not shift:
-                    assert same_points(out.vertices, geo.intersect(lo, hi).vertices)
+                assert same_points(out.vertices, geo.intersect(lo, hi).vertices)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_facet_section_matches_enumeration(self, n):
@@ -436,6 +473,19 @@ class TestSection:
                                                            plane.lower(), plane.upper()])
                     assert self.agree(out.vertices, ref, shift)
                     assert out.dim == geo.affine_dimension(ref)
+
+    def test_intersect_of_pieces_cut_near_a_vertex(self):
+        # the 4-D hull of test_full_dimensional_section_matches_references
+        # cut 3 TOL_GEOM off a vertex: the pieces' planes meet at tiny
+        # angles, where an n-subset enumeration of their halfspaces admits
+        # points far outside (30 points, one 0.26 from every vertex)
+        rng = np.random.default_rng(44)
+        p = random_hull(rng, 4)
+        plane, shift = list(itertools.islice(self.cases(rng, p), 5))[-1]
+        assert shift == pytest.approx(3 * geo.TOL_GEOM)
+        ref = geo.section(p, plane)
+        out = geo.intersect(*geo.split_by_hyperplane(p, plane))
+        assert len(ref.vertices) == 8 and same_points(out.vertices, ref.vertices)
 
     def test_plane_missing_p_gives_empty(self):
         square = geo.Polytope.box([0, 0], [1, 1])
@@ -481,7 +531,7 @@ class TestFaces:
 
     def test_fan_shared_diagonal(self):
         square = geo.convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
-        tris = geo.fan_triangulation_simplices(square)
+        tris = geo.fan(square, square.vertices[0])
         assert len(tris) == 2
         s1 = geo.convex_hull(tris[0])
         s2 = geo.convex_hull(tris[1])
@@ -541,16 +591,36 @@ class TestTriangulationValidity:
         rng = np.random.default_rng(5)
         for _ in range(20):
             p = random_polygon(rng)
-            self.check_valid(p, geo.fan_triangulation_simplices(p))
+            self.check_valid(p, geo.fan(p, p.vertices[0]))
         for _ in range(10):
             p = random_polytope_3d(rng)
-            self.check_valid(p, geo.fan_triangulation_simplices(p))
+            self.check_valid(p, geo.fan(p, p.vertices[0]))
 
     def test_cube_fan_from_corner(self):
         cube = geo.Polytope.box([0, 0, 0], [1, 1, 1])
-        tris = geo.fan_triangulation_simplices(cube, anchor=np.zeros(3))
+        tris = geo.fan(cube, np.zeros(3))
         assert len(tris) == 6
         self.check_valid(cube, tris)
+
+
+class TestFan:
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_simplices_are_rows_of_the_vertices(self, n):
+        rng = np.random.default_rng(60 + n)
+        for _ in range(3):
+            p = random_hull(rng, n)
+            rows = {v.tobytes() for v in p.vertices}
+            for anchor in p.vertices:
+                simplices = geo.fan(p, anchor)
+                assert all(s.shape == (n + 1, n) and np.array_equal(s[0], anchor)
+                           and all(v.tobytes() in rows for v in s) for s in simplices)
+                assert sum(geo.simplex_volume(s) for s in simplices) == \
+                    pytest.approx(p.volume(), rel=1e-9)
+
+    def test_anchor_off_the_vertices_raises(self):
+        cube = geo.Polytope.box([0, 0, 0], [1, 1, 1])
+        with pytest.raises(GeometryError):
+            geo.fan(cube, np.array([0.5, 0.0, 0.0]))
 
 
 class TestSimplex:

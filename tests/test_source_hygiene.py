@@ -59,3 +59,33 @@ def test_check_sees_a_private_import():
               "from .geometry import _fan, fan\nfrom reachctl.lp import _CAP\n"
               "from numpy import _private\n")
     assert private_imports(source) == ["_CAP (line 4)", "_fan (line 3)"]
+
+
+def tol_rank_reads(source: str, inside: str = "rank") -> list[str]:
+    """Lines where the source reads ``TOL_RANK`` outside a function named
+    ``inside``: the one rank rule of the package lives in
+    ``geometry.rank``, and its definition assigns the name, not reads it."""
+    tree = ast.parse(source)
+    allowed = {id(node) for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name == inside
+               for node in ast.walk(fn)}
+    reads = [node for node in ast.walk(tree)
+             if (isinstance(node, ast.Name) and node.id == "TOL_RANK"
+                 and isinstance(node.ctx, ast.Load))
+             or (isinstance(node, ast.Attribute) and node.attr == "TOL_RANK")]
+    return sorted(f"line {node.lineno}" for node in reads if id(node) not in allowed)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_tol_rank_is_read_only_by_rank(path):
+    inside = "rank" if path.name == "geometry.py" else None
+    assert tol_rank_reads(path.read_text(), inside) == []
+
+
+def test_check_sees_a_second_rank_rule():
+    source = ("TOL_RANK = 1e-9\n"
+              "def rank(s):\n    return (s > TOL_RANK).sum()\n"
+              "def dim(s):\n    return (s > TOL_RANK * s[0]).sum()\n"
+              "def other(g):\n    return g.TOL_RANK\n")
+    assert tol_rank_reads(source) == ["line 5", "line 7"]
+    assert tol_rank_reads(source, inside=None) == ["line 3", "line 5", "line 7"]

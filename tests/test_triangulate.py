@@ -3,7 +3,8 @@ import pytest
 
 from reachctl import geometry as geo
 from reachctl import reach, triangulate as tri
-from reachctl.errors import CoverIncomplete, NoQualifyingVertex, VStarInFbar
+from reachctl.errors import (CoverIncomplete, GeometryError, NoQualifyingVertex,
+                             VStarInFbar)
 from reachctl.system import compute_geometry
 
 from helpers import (box_fixture, cube_fixture, diamond_fixture,
@@ -81,6 +82,22 @@ class TestBasicTriangulation:
         assert len(t.simplices) == 6
         simplices_valid(cube, t.simplices)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_simplices_are_rows_of_the_vertices(self, n):
+        rng = np.random.default_rng(70 + n)
+        for _ in range(3):
+            p = geo.convex_hull(rng.normal(size=(n + 4, n)))
+            rows = {v.tobytes() for v in p.vertices}
+            for anchor in p.vertices:
+                t = tri.basic_triangulation(p, anchor)
+                assert all(v.tobytes() in rows for s in t.simplices for v in s.vertices)
+                simplices_valid(p, t.simplices)
+
+    def test_anchor_off_the_vertices_raises(self):
+        cube = geo.Polytope.box([0, 0, 0], [1, 1, 1])
+        with pytest.raises(GeometryError):
+            tri.basic_triangulation(cube, np.array([0.5, 0.5, 1.0]))
+
 
 def _marked_leaf(fixture, eps):
     """The triangulation ``synth_polytope`` builds for a whole-facet target,
@@ -110,7 +127,11 @@ class TestMarkTarget:
     def test_anchor_on_target_exits_elsewhere(self):
         t, f = _marked_leaf(top_edge_fixture, None)
         assert geo.point_in_hull(t.vstar, f.vertices, 1e-9)
-        assert t.target_exits == {1: 2}
+        assert list(t.target_exits) == [1]
+        # the exit omits the one vertex off the target's line, not the anchor
+        j = t.target_exits[1]
+        off = [abs(f.supporting.value(v)) > 1e-9 for v in t.simplices[1].vertices]
+        assert j != 0 and off == [i == j for i in range(3)]
 
 
 class TestWholeFacet:
