@@ -113,10 +113,6 @@ class Infeasible(SynthError):
         super().__init__(msg or f"invariance conditions infeasible at vertex {vertex_index}")
 
 
-class CaseViolation(SynthError):
-    """None of the constructive cases applies; reachability premise false."""
-
-
 class SingularVertexMatrix(SynthError):
     """Vertex matrix of a simplex is singular; geometry is corrupt."""
 

@@ -37,7 +37,7 @@ alone), ``TOL_ZERO`` (singular systems and ties) and ``TOL_VOLUME``
 ``TOL_GEOM`` is the only tolerance for equal drift levels: every set of
 points at one level comes from ``SystemGeometry.at_level``.  The LP
 solver, the synthesis margins and the simulator keep their own constants
-(``lp.TOL_LP``, ``synth.TOL_INV`` and ``SLACK_MIN``, ``sim.TOL_SIM``).
+(``lp.TOL_LP``, ``synth.TOL_INV``, ``sim.TOL_SIM``).
 
 Constructions take no tolerance argument.  Only predicates that callers
 use at more than one tolerance keep a ``tol`` argument: ``point_in_hull``,
@@ -656,12 +656,15 @@ def triangulate_point_set(vertices: np.ndarray) -> list[np.ndarray]:
     """Triangulate the convex hull of a d-dimensional point set in R^n:
     vertex arrays of (d+1) rows of the given points.  The points are
     hulled once, in the coordinates of their affine hull, and coned as
-    ``fan`` cones, from the lexicographically smallest point (in R^n)."""
+    ``fan`` cones, from the lexicographically smallest point (in R^n).
+    A segment is its own simplex: its two end rows, in that order."""
     V = lex_sorted(dedupe_points(_as_points(vertices)))
     origin, basis = affine_basis(V)
     if basis.shape[1] == 0:
         return [V[:1]]
     coords = (V - origin) @ basis
+    if basis.shape[1] == 1:
+        return [V[np.sort([coords.argmin(), coords.argmax()])]]
     hull = convex_hull(coords, allow_lower=False)
     # the rows of V that are hull vertices, in V's order, and their hull rows
     rows, at = np.nonzero((coords[:, None, :] == hull.vertices[None, :, :]).all(axis=2))

@@ -25,7 +25,6 @@ UNBOUNDED = "unbounded"
 _PIVOT_TOL = 1e-10
 _RATIO_TIE = 1e-12      # ratio-test values closer than this tie (Bland's rule breaks it)
 _MAX_ITERS = 50_000
-_SLACK_CAP = 1.0        # upper bound of the slack variable in max_slack_feasibility
 
 
 @dataclass(frozen=True)
@@ -53,27 +52,35 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
             T[r] -= T[r, col] * T[row]
 
 
-def _run_simplex(T: np.ndarray, basis: list[int], ncols: int) -> str:
+def _run_simplex(T: np.ndarray, basis: list[int], ncols: int, bounded: bool = False) -> str:
     """Iterate to optimality with Bland's rule.  Objective row is last,
     written as z-row with reduced costs; we minimize, so we pivot while a
-    reduced cost is negative."""
+    reduced cost is negative.
+
+    A pivot must exceed ``_PIVOT_TOL`` times the largest entry of its
+    column (or 1): on degenerate tableaus, a tie of zero ratios would
+    otherwise pick entries of 1e-10 and blow the tableau up to 1e20.  A
+    column with a negative reduced cost but no pivot proves the LP
+    unbounded, unless the caller knows it is ``bounded`` (phase 1 is
+    bounded below by 0): then the reduced cost is roundoff, and the
+    column is passed over."""
     for _ in range(_MAX_ITERS):
-        enter = -1
-        for j in range(ncols):
-            if T[-1, j] < -TOL_LP:
-                enter = j
+        costs, rhs = T[-1, :ncols].tolist(), T[:-1, -1].tolist()
+        for enter in (j for j, cost in enumerate(costs) if cost < -TOL_LP):
+            column = T[:-1, enter].tolist()
+            least = _PIVOT_TOL * max([1.0] + column)
+            leave, best = -1, np.inf
+            for i, (a, b) in enumerate(zip(column, rhs)):
+                if a > least:
+                    ratio = b / a
+                    if ratio < best - _RATIO_TIE or (abs(ratio - best) <= _RATIO_TIE and (leave < 0 or basis[i] < basis[leave])):
+                        best, leave = ratio, i
+            if leave >= 0:
                 break
-        if enter < 0:
+            if not bounded:
+                return UNBOUNDED
+        else:
             return OPTIMAL
-        leave, best = -1, np.inf
-        for i in range(T.shape[0] - 1):
-            a = T[i, enter]
-            if a > _PIVOT_TOL:
-                ratio = T[i, -1] / a
-                if ratio < best - _RATIO_TIE or (abs(ratio - best) <= _RATIO_TIE and (leave < 0 or basis[i] < basis[leave])):
-                    best, leave = ratio, i
-        if leave < 0:
-            return UNBOUNDED
         _pivot(T, leave, enter)
         basis[leave] = enter
     raise NumericalFailure("simplex iteration limit exceeded")
@@ -129,9 +136,7 @@ def solve(lp: LinearProgram) -> LPOutcome:
         T[-1, 2 * n + mi:ncols] = 1.0
         for i in art_rows:
             T[-1] -= T[i]
-        status = _run_simplex(T, basis, ncols)
-        if status != OPTIMAL:
-            raise NumericalFailure("phase-1 simplex did not reach optimality")
+        _run_simplex(T, basis, ncols, bounded=True)
         if T[-1, -1] < -TOL_LP:
             return LPOutcome(INFEASIBLE, None, None)
         # drive remaining artificials out of the basis
@@ -170,27 +175,3 @@ def solve(lp: LinearProgram) -> LPOutcome:
 def solve_lp(c, G=None, h=None, E=None, f=None) -> LPOutcome:
     """Convenience wrapper around :func:`solve`."""
     return solve(LinearProgram(np.asarray(c, dtype=float), G, h, E, f))
-
-
-def max_slack_feasibility(ineq_lhs, ineq_rhs) -> tuple[float, np.ndarray]:
-    """Largest uniform slack of the system g.x <= h.
-
-    Solves max t s.t. g.x <= h - t, with t capped at ``_SLACK_CAP`` to keep
-    the LP finite.  Positive slack certifies strict feasibility, zero
-    means the system is tight, negative means infeasible.
-    """
-    G = np.atleast_2d(np.asarray(ineq_lhs, dtype=float))
-    h = np.asarray(ineq_rhs, dtype=float).ravel()
-    if G.shape[0] == 0:
-        raise ValueError("need at least one constraint")
-    n = G.shape[1]
-    # variables (x, t): minimize -t  s.t.  G x + t <= h,  t <= _SLACK_CAP
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    lhs = np.hstack([G, np.ones((G.shape[0], 1))])
-    lhs = np.vstack([lhs, np.concatenate([np.zeros(n), [1.0]])])
-    rhs = np.concatenate([h, [_SLACK_CAP]])
-    out = solve_lp(c, lhs, rhs)
-    if out.status != OPTIMAL:
-        raise NumericalFailure(f"slack LP ended with status {out.status}")
-    return float(out.x[-1]), out.x[:n].copy()

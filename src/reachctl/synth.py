@@ -1,10 +1,11 @@
 """Piecewise-affine feedback synthesis.
 
-Vertex controls are found by a max-slack LP over the blocking conditions
-at each simplex vertex (with the constructive procedure from the
-reachability proof as fallback and cross-check), interpolated into an
-affine law per simplex, and assembled over a triangulation ordered by a
-greedy pass that always finishes the lowest-drift exit facet first.
+Vertex controls are found by one LP per simplex vertex, which maximizes
+the margin of the blocking conditions and, as a tie-break, the push
+across the exit facet.  They are interpolated into an affine law per
+simplex, checked for a closed-loop equilibrium, and assembled over a
+triangulation ordered by a greedy pass that always finishes the
+lowest-drift exit facet first.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ from typing import Optional, Union
 import numpy as np
 
 from . import lp
-from .errors import (AssumptionViolated, CaseViolation, Infeasible,
-                     NotReachable, SingularVertexMatrix, Stuck,
+from .errors import (AssumptionViolated, Infeasible, NotReachable,
+                     NumericalFailure, SingularVertexMatrix, Stuck,
                      SynthesisFailed)
-from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_MERGE, TOL_ZERO, Face,
-                       Polytope, Simplex, carrying_facet, whole_facet)
+from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_MERGE, Face, Polytope,
+                       Simplex, carrying_facet, point_in_hull, whole_facet)
 from .reach import analyze, epsilon_cut
 from .system import (AffineSystem, SystemGeometry, check_assumptions,
                      compute_geometry)
@@ -29,7 +30,8 @@ from .triangulate import (Cover, Triangulation, basic_triangulation,
                           triangulation_wrt_F)
 
 TOL_INV = 1e-8      # invariance residual tolerance
-SLACK_MIN = 1e-6    # margin standing in for strict inequalities
+_CAP = 1.0          # upper bound of both margins of the vertex-control LP
+_PUSH = 1e-3        # weight of the exit push against the blocking margin
 _VERTEX_DET_MIN = 1e-14   # vertex-matrix determinant below which interpolation is refused
 
 
@@ -123,143 +125,48 @@ class PWAController:
 # vertex controls
 # ---------------------------------------------------------------------------
 
-def _blocking_rows(sys: AffineSystem, s: Simplex, i: int, exit_facet: int):
-    """LP rows forcing the field at vertex i inward across every facet
-    except the exit and the vertex's own opposite facet."""
-    drift = sys.drift(s.vertices[i])
-    G, h = [], []
-    for j in range(s.n + 1):
-        if j == i or j == exit_facet:
-            continue
-        G.append(s.normals[j] @ sys.B)
-        h.append(-float(s.normals[j] @ drift))
-    return np.array(G), np.array(h)
-
-
 def vertex_controls_lp(sys: AffineSystem, s: Simplex, exit_facet: int) -> VertexControls:
-    """Per-vertex max-slack controls for the blocking conditions.
+    """Per-vertex controls by one LP each (Habets, Collins & van Schuppen
+    2006), the apex included:
 
-    The exit facet's vertices are also pushed outward across the exit at
-    the same margin when feasible; the plain problem is solved otherwise.
+        max t_b + _PUSH t_e  over (u, t_b, t_e)
+        s.t. n_j.(drift + B u) <= -t_b  for each blocked facet j,
+             n_e.(drift + B u) >= t_e,  t_b <= _CAP,  t_e <= _CAP,
+
+    where the blocked facets are all but the exit facet e and the
+    vertex's own opposite facet.  t_b is the blocking margin, t_e the
+    outward push across the exit facet.  The push weight is small so that
+    the margin comes first and the push only breaks its ties: at a vertex
+    on the equilibrium plane the margin is pinned at 0, and among the
+    controls that attain it the margin alone may pick a zero field, a
+    closed-loop equilibrium at the vertex; the push picks one that points
+    out across the exit.  Raises ``Infeasible`` when a vertex's margin is
+    negative.
     """
-    nv = s.n + 1
-    us = np.zeros((nv, sys.m))
+    nv, m = s.n + 1, sys.m
+    n_exit = s.normals[exit_facet]
+    c = np.zeros(m + 2)
+    c[m:] = (-1.0, -_PUSH)
+    us = np.zeros((nv, m))
     slack = np.inf
     for i in range(nv):
-        G, h = _blocking_rows(sys, s, i, exit_facet)
-        tried = []
-        if i != exit_facet:
-            drift = sys.drift(s.vertices[i])
-            Ge = np.vstack([G, -(s.normals[exit_facet] @ sys.B)[None, :]])
-            he = np.concatenate([h, [float(s.normals[exit_facet] @ drift)]])
-            tried.append((Ge, he))
-        tried.append((G, h))
-        got = None
-        for Gi, hi in tried:
-            if len(Gi) == 0:
-                got = (np.inf, np.zeros(sys.m))
-                break
-            t, u = lp.max_slack_feasibility(Gi, hi)
-            if t >= SLACK_MIN:
-                got = (t, u)
-                break
-            if got is None or t > got[0]:
-                got = (t, u)
-        t, u = got
-        if t < -lp.TOL_LP:
+        blocked = s.normals[[j for j in range(nv) if j != i and j != exit_facet]]
+        k = len(blocked)
+        rows = np.zeros((k + 3, m + 2))
+        rows[:k, :m] = blocked @ sys.B
+        rows[:k, m] = 1.0
+        rows[k, :m] = -(n_exit @ sys.B)
+        # the exit row carries t_e; then the caps of t_b and t_e
+        rows[k:, m:] = ((0.0, 1.0), (1.0, 0.0), (0.0, 1.0))
+        drift = sys.drift(s.vertices[i])
+        rhs = np.concatenate([-(blocked @ drift), [n_exit @ drift, _CAP, _CAP]])
+        out = lp.solve_lp(c, rows, rhs)
+        if out.status != lp.OPTIMAL:
+            raise NumericalFailure(f"vertex-control LP ended with status {out.status}")
+        if out.x[m] < -lp.TOL_LP:
             raise Infeasible(i)
-        us[i] = u
-        slack = min(slack, t)
-    return VertexControls(us, float(slack))
-
-
-def _solve_direction(sys: AffineSystem, vi: np.ndarray, target_dir: np.ndarray):
-    """Solve drift(vi) + B u = lam * target_dir for (u, lam)."""
-    M = np.hstack([-sys.B, target_dir[:, None]])
-    if abs(np.linalg.det(M)) <= TOL_ZERO:
-        raise CaseViolation("aim direction lies in the input span")
-    sol = np.linalg.solve(M, sys.drift(vi))
-    return sol[:-1], float(sol[-1])
-
-
-def _input_solve(sys: AffineSystem, rhs: np.ndarray) -> np.ndarray:
-    u, res, *_ = np.linalg.lstsq(sys.B, rhs, rcond=None)
-    if np.linalg.norm(sys.B @ u - rhs) > TOL_INCIDENCE:
-        raise CaseViolation("required field is outside the input span")
-    return u
-
-
-def vertex_controls_constructive(sys: AffineSystem, geom: SystemGeometry,
-                                 s: Simplex, exit_facet: int) -> VertexControls:
-    """Controls from the constructive case split: vertices off the
-    equilibrium plane aim at an interior point (or along the apex
-    direction at the lowest drift level); vertices on the plane move
-    within the input span toward a same-level point, or along the unique
-    direction pushed uniformly inward across all blocked facets."""
-    beta = geom.beta
-    nv = s.n + 1
-    verts = s.vertices
-    apex = verts[exit_facet]
-    exit_ids = [j for j in range(nv) if j != exit_facet]
-    exit_levels = np.array([beta @ verts[j] for j in exit_ids])
-    w_minus = verts[exit_ids[int(np.argmin(exit_levels))]]
-    w_plus = verts[exit_ids[int(np.argmax(exit_levels))]]
-    lvl_minus, lvl_plus = float(exit_levels.min()), float(exit_levels.max())
-    lvl_apex = float(beta @ apex)
-    centroid = verts.mean(axis=0)
-
-    def aim_below(level: float) -> np.ndarray:
-        # interior point with drift level strictly below the bound,
-        # walking from the centroid toward the lowest exit vertex
-        for t in (0.0, 0.25, 0.5, 0.75, 0.9):
-            cand = centroid + t * (w_minus - centroid)
-            if float(beta @ cand) < level - TOL_GEOM:
-                return cand
-        raise CaseViolation("no interior aim point below the required level")
-
-    us = np.zeros((nv, sys.m))
-    for i in range(nv):
-        vi = verts[i]
-        lvl_i = float(beta @ vi)
-        if not geom.on_equilibrium_plane(vi):
-            if lvl_i > lvl_minus + TOL_GEOM:
-                u, lam = _solve_direction(sys, vi, aim_below(lvl_i) - vi)
-            elif lvl_i >= lvl_minus - TOL_GEOM:
-                if lvl_apex <= lvl_minus + TOL_GEOM:
-                    raise CaseViolation("apex not above the lowest exit level")
-                u, lam = _solve_direction(sys, vi, aim_below(lvl_apex) - apex)
-            else:
-                raise CaseViolation("vertex below the lowest exit level")
-            if lam <= 0:
-                raise CaseViolation("aim direction points against the drift")
-            us[i] = u
-        else:
-            if lvl_plus + TOL_GEOM >= lvl_apex >= lvl_minus - TOL_GEOM:
-                if lvl_plus - lvl_minus <= TOL_GEOM:
-                    p_prime = w_minus
-                else:
-                    t = (lvl_apex - lvl_minus) / (lvl_plus - lvl_minus)
-                    p_prime = w_minus + np.clip(t, 0.0, 1.0) * (w_plus - w_minus)
-                if np.linalg.norm(p_prime - apex) <= TOL_GEOM:
-                    raise CaseViolation("no same-level aim point distinct from the apex")
-                us[i] = _input_solve(sys, (p_prime - apex) - sys.drift(vi))
-            elif lvl_apex > lvl_plus + TOL_GEOM:
-                rows = [beta]
-                rhs = [0.0]
-                for j in range(nv):
-                    if j in (i, exit_facet):
-                        continue
-                    rows.append(s.normals[j])
-                    rhs.append(-1.0)
-                M = np.array(rows)
-                if abs(np.linalg.det(M)) <= TOL_ZERO:
-                    raise CaseViolation("facet normals degenerate with the drift normal")
-                y = np.linalg.solve(M, np.array(rhs))
-                us[i] = _input_solve(sys, y - sys.drift(vi))
-            else:
-                raise CaseViolation("apex below the lowest exit level")
-
-    slack = invariance_margin(sys, s, VertexControls(us, 0.0), exit_facet)
+        us[i] = out.x[:m]
+        slack = min(slack, float(out.x[m]))
     return VertexControls(us, slack)
 
 
@@ -304,45 +211,34 @@ def affine_from_vertex_controls(s: Simplex, vc: VertexControls) -> tuple[np.ndar
 
 def check_no_equilibrium(sys: AffineSystem, s: Simplex, gain: np.ndarray,
                          offset: np.ndarray) -> bool:
-    """True when the closed loop has no stationary point in the simplex."""
-    A_cl = sys.A + sys.B @ gain
-    b_cl = sys.a + sys.B @ offset
-    scale = max(np.abs(A_cl).max(), 1.0)
-    if abs(np.linalg.det(A_cl)) > TOL_ZERO * scale ** s.n:
-        x_star = np.linalg.solve(A_cl, -b_cl)
-        return not s.contains(x_star, TOL_GEOM)
-    # singular closed loop: stationary set is an affine subspace
-    out = lp.solve_lp(np.zeros(s.n), s.normals, s.offsets, A_cl, -b_cl)
-    return out.status != lp.OPTIMAL
+    """True when the closed loop has no stationary point in the simplex.
+
+    The closed-loop field f(x) = (A + B gain) x + a + B offset is affine,
+    so it maps the simplex onto conv{f(v_i)}: the simplex holds a
+    stationary point iff 0 lies in the hull of the fields at its vertices
+    (within ``TOL_GEOM``, inf-norm), singular closed loops included."""
+    fields = s.vertices @ (sys.A + sys.B @ gain).T + (sys.a + sys.B @ offset)
+    return not point_in_hull(np.zeros(s.n), fields, TOL_GEOM)
 
 
 # ---------------------------------------------------------------------------
 # simplex synthesis
 # ---------------------------------------------------------------------------
 
-def _single_affine_piece(sys: AffineSystem, geom: SystemGeometry, s: Simplex,
-                         exit_facet: int) -> AffinePiece:
-    errors = []
-    for maker in (lambda: vertex_controls_lp(sys, s, exit_facet),
-                  lambda: vertex_controls_constructive(sys, geom, s, exit_facet)):
-        try:
-            vc = maker()
-        except (Infeasible, CaseViolation) as exc:
-            errors.append(str(exc))
-            continue
-        margin = invariance_margin(sys, s, vc, exit_facet)
-        if margin < -TOL_INV:
-            errors.append(f"blocking margin {margin:.2e}")
-            continue
-        gain, offset = affine_from_vertex_controls(s, vc)
-        if not check_no_equilibrium(sys, s, gain, offset):
-            errors.append("closed-loop stationary point inside the simplex")
-            continue
-        return AffinePiece(s, np.column_stack([gain, offset]), exit_facet,
-                           slack=float(margin),
-                           exit_margin=exit_margin(sys, s, vc, exit_facet))
-    raise SynthesisFailed({"simplex": s.vertices.tolist(),
-                           "exit_facet": exit_facet, "errors": errors})
+def _single_affine_piece(sys: AffineSystem, s: Simplex, exit_facet: int) -> AffinePiece:
+    cert = {"simplex": s.vertices.tolist(), "exit_facet": exit_facet}
+    try:
+        vc = vertex_controls_lp(sys, s, exit_facet)
+    except Infeasible as exc:
+        raise SynthesisFailed({**cert, "error": str(exc)}) from exc
+    margin = invariance_margin(sys, s, vc, exit_facet)
+    if margin < -TOL_INV:
+        raise SynthesisFailed({**cert, "error": f"blocking margin {margin:.2e}"})
+    gain, offset = affine_from_vertex_controls(s, vc)
+    if not check_no_equilibrium(sys, s, gain, offset):
+        raise SynthesisFailed({**cert, "error": "closed-loop stationary point inside the simplex"})
+    return AffinePiece(s, np.column_stack([gain, offset]), exit_facet, slack=float(margin),
+                       exit_margin=exit_margin(sys, s, vc, exit_facet))
 
 
 def synth_simplex(sys: AffineSystem, geom: SystemGeometry, s: Simplex,
@@ -379,13 +275,13 @@ def synth_simplex(sys: AffineSystem, geom: SystemGeometry, s: Simplex,
         lo_verts[exit_facet] = v_prime
         lower = Simplex(lo_verts)
 
-        lower_piece = _single_affine_piece(sys, geom, lower, exit_facet)
-        upper_piece = _single_affine_piece(sys, geom, upper, exit_facet)
+        lower_piece = _single_affine_piece(sys, lower, exit_facet)
+        upper_piece = _single_affine_piece(sys, upper, exit_facet)
         lower_piece.sub_rank = 0
         upper_piece.sub_rank = 1
         return [lower_piece, upper_piece]
 
-    return [_single_affine_piece(sys, geom, s, exit_facet)]
+    return [_single_affine_piece(sys, s, exit_facet)]
 
 
 # ---------------------------------------------------------------------------

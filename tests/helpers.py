@@ -322,6 +322,37 @@ def hull_distance(point, vertices):
     return float(res.fun)
 
 
+def reference_no_equilibrium(sys, s, gain, offset):
+    """Reference for ``synth.check_no_equilibrium`` by three paths: solve
+    for the stationary point of a nonsingular closed loop and test it
+    against the simplex; for a singular one, ask the package's LP for a
+    point of the simplex on the stationary set."""
+    A_cl = sys.A + sys.B @ gain
+    b_cl = sys.a + sys.B @ offset
+    scale = max(np.abs(A_cl).max(), 1.0)
+    if abs(np.linalg.det(A_cl)) > geo.TOL_ZERO * scale ** s.n:
+        x_star = np.linalg.solve(A_cl, -b_cl)
+        return not s.contains(x_star, geo.TOL_GEOM)
+    out = lp.solve_lp(np.zeros(s.n), s.normals, s.offsets, A_cl, -b_cl)
+    return out.status != lp.OPTIMAL
+
+
+def flow_margin(fields):
+    """The flow certificate of a simplex's closed loop, by scipy's LP:
+    max mu  s.t.  xi.f_i >= mu for every vertex field f_i, |xi|_inf <= 1.
+    mu > 0 certifies that every trajectory leaves the simplex, since
+    xi.x grows at rate mu or more; mu is the 1-norm distance from 0 to
+    conv{f_i}, so mu = 0 exactly where the simplex holds a stationary
+    point."""
+    F = np.atleast_2d(np.asarray(fields, dtype=float))
+    n = F.shape[1]
+    A_ub = np.hstack([-F, np.ones((len(F), 1))])
+    res = linprog(-np.eye(n + 1)[-1], A_ub=A_ub, b_ub=np.zeros(len(F)),
+                  bounds=[(-1, 1)] * n + [(None, None)], method="highs")
+    assert res.status == 0, res.message
+    return -float(res.fun)
+
+
 def lp_point_in_hull(point, vertices, tol=geo.TOL_GEOM):
     """Membership by the package's own LP after the vertex check alone,
     with no closed-form rejection."""

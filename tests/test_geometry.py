@@ -177,6 +177,28 @@ class TestConvexHull:
         assert len(p.vertices) == 2
 
 
+class TestPointInHull:
+    def test_degenerate_phase_one_reaches_its_optimum(self):
+        """Point 18 of this 4-D cloud lies in the hull of the others.  Its
+        LP is degenerate: phase 1 meets a column with a negative reduced
+        cost and no pivot above 1e-10, which it must pass over, since a
+        sum of artificials bounded below by 0 cannot be unbounded."""
+        pts = geo.dedupe_points(vertex_cloud(np.random.default_rng(0), 4, 4, 3 * geo.TOL_GEOM))
+        rest = np.delete(pts, 18, axis=0)
+        assert hull_distance(pts[18], rest) <= geo.TOL_GEOM
+        assert geo.point_in_hull(pts[18], rest)
+
+    def test_clouds_match_distance_oracle(self):
+        # each point of 40 clouds with facet points 3 TOL_GEOM out, tested
+        # against the rest; the distances are 0 or above 1.5 TOL_GEOM
+        for seed in range(40):
+            pts = geo.dedupe_points(vertex_cloud(np.random.default_rng(seed), 4, 4,
+                                                 3 * geo.TOL_GEOM))
+            for i, x in enumerate(pts):
+                rest = np.delete(pts, i, axis=0)
+                assert geo.point_in_hull(x, rest) == (hull_distance(x, rest) <= geo.TOL_GEOM)
+
+
 class TestRepConversion:
     def test_triangle_hrep(self):
         p = geo.convex_hull([(0, 0), (2, 0), (0, 2)])
@@ -561,6 +583,30 @@ class TestTriangulateFace:
         tris = geo.triangulate_point_set(facet.vertices)
         assert len(tris) == 1
         assert tris[0].shape == (2, 2)
+
+    def test_segments_match_the_hull_of_their_line(self, monkeypatch):
+        """A collinear point set gives its two end rows, in lexicographic
+        order, as hulling it in its line's coordinates does, without the
+        hull."""
+        rng = np.random.default_rng(8)
+        cases = []
+        for n in (2, 3, 4):
+            for _ in range(30):
+                t = rng.uniform(-1, 2, size=rng.integers(2, 7))
+                pts = rng.normal(size=n) + t[:, None] * rng.normal(size=n)
+                pts += rng.choice([0.0, 1e-12]) * rng.normal(size=pts.shape)
+                V = geo.lex_sorted(geo.dedupe_points(pts))
+                origin, basis = geo.affine_basis(V)
+                coords = (V - origin) @ basis
+                ends = geo.convex_hull(coords).vertices
+                rows = np.nonzero((coords[:, None, :] == ends[None, :, :]).all(axis=2))[0]
+                cases.append((pts, V[rows]))
+        hulls = []
+        monkeypatch.setattr(geo, "convex_hull", lambda *args, **kw: hulls.append(1))
+        for pts, expected in cases:
+            got = geo.triangulate_point_set(pts)
+            assert len(got) == 1 and np.array_equal(got[0], expected)
+        assert not hulls
 
     def test_pentagon_matches_shoelace(self):
         ang = np.linspace(0, 2 * np.pi, 6)[:-1] + 0.2

@@ -115,26 +115,3 @@ def test_determinism_bit_for_bit():
     assert a.status == b.status
     assert a.value == b.value
     assert np.array_equal(a.x, b.x)
-
-
-def test_max_slack_interval():
-    G = np.array([[1.0], [-1.0]])
-    h = np.array([1.0, 0.0])
-    slack, x = lp.max_slack_feasibility(G, h)
-    assert slack == pytest.approx(0.5, abs=1e-9)
-    assert x[0] == pytest.approx(0.5, abs=1e-9)
-
-
-def test_max_slack_boundary():
-    G = np.array([[1.0], [-1.0]])
-    h = np.array([0.0, 0.0])
-    slack, x = lp.max_slack_feasibility(G, h)
-    assert slack == pytest.approx(0.0, abs=1e-9)
-    assert x[0] == pytest.approx(0.0, abs=1e-9)
-
-
-def test_max_slack_infeasible():
-    G = np.array([[1.0], [-1.0]])
-    h = np.array([-1.0, 0.0])
-    slack, _ = lp.max_slack_feasibility(G, h)
-    assert slack < -1e-9

@@ -1,6 +1,7 @@
 """Source checks that need no linter: every name a module of the package
-imports is used in that module or exported through its ``__all__``, and
-no module imports another module's private (``_``-prefixed) names."""
+imports is used in that module or exported through its ``__all__``, no
+module imports another module's private (``_``-prefixed) names, and
+every error class is raised somewhere or is the base of one that is."""
 
 import ast
 from pathlib import Path
@@ -89,3 +90,39 @@ def test_check_sees_a_second_rank_rule():
               "def other(g):\n    return g.TOL_RANK\n")
     assert tol_rank_reads(source) == ["line 5", "line 7"]
     assert tol_rank_reads(source, inside=None) == ["line 3", "line 5", "line 7"]
+
+
+def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:
+    """The classes of ``errors_source`` that no source raises (by name, as
+    ``raise X`` or ``raise X(...)``) and that are no base of one raised."""
+    bases = {node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+             for node in ast.parse(errors_source).body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+                raised.add(name)
+    used = set()
+    todo = [name for name in raised if name in bases]
+    while todo:
+        name = todo.pop()
+        if name not in used:
+            used.add(name)
+            todo += [b for b in bases[name] if b in bases]
+    return sorted(set(bases) - used)
+
+
+def test_every_error_is_raised():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unraised_errors((PACKAGE / "errors.py").read_text(), sources) == []
+
+
+def test_check_sees_an_unraised_error():
+    errors = ("class Base(Exception):\n    pass\n\nclass Mid(Base):\n    pass\n\n"
+              "class Leaf(Mid):\n    pass\n\nclass Spare(Base):\n    pass\n\n"
+              "class Alone(Exception):\n    pass\n")
+    source = "from .errors import Leaf\ndef f():\n    raise Leaf('x')\n"
+    assert unraised_errors(errors, [source]) == ["Alone", "Spare"]
+    assert unraised_errors(errors, [source, "raise errors.Alone\n"]) == ["Spare"]

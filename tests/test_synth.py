@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from reachctl import geometry as geo
 from reachctl import lp, reach, synth
 from reachctl import triangulate as tri
-from reachctl.errors import CoverIncomplete, ReachctlError, SynthesisFailed
+from reachctl.errors import (CoverIncomplete, Infeasible, ReachctlError,
+                             SynthesisFailed)
 from reachctl.sim import sample_states
 from reachctl.system import AffineSystem, compute_geometry
 
 from helpers import (box_fixture, cube_fixture, diamond_fixture,
-                     double_integrator, face_from, facet_face, ill1_fixture,
-                     ill2_fixture, ill3_fixture, lp_target_exits,
-                     o_cross_fixture, right_target_polygons, wedge_fixture)
+                     double_integrator, face_from, facet_face, flow_margin,
+                     ill1_fixture, ill2_fixture, ill3_fixture, lp_target_exits,
+                     o_cross_fixture, pinned_corner_fixture,
+                     reference_no_equilibrium, right_target_polygons,
+                     wedge_fixture)
 
 
 def split_case_simplex():
@@ -49,6 +53,34 @@ def random_reachable_simplex(rng):
         # no reachable exit facet for this draw; try again
 
 
+def random_closed_loop(rng, n, singular):
+    """A random system with n-1 inputs, simplex, gain and offset whose
+    closed loop is stationary at a random point of the simplex's affine
+    hull: inside it, or outside with one barycentric coordinate in
+    [-1, -0.05], as often as not.  ``singular`` makes beta.A = 0 (beta the
+    left normal of B), so A + B K is singular for every gain K and the
+    stationary set is a line through that point; a quarter of those draws
+    shift a along beta, which leaves no stationary point at all."""
+    V = rng.normal(size=(n + 1, n))
+    B = rng.normal(size=(n, n - 1))
+    beta = np.linalg.svd(B.T)[2][-1]
+    A = rng.normal(size=(n, n))
+    if singular:
+        A -= np.outer(beta, beta @ A)
+    gain = rng.normal(size=(n - 1, n))
+    offset = rng.normal(size=n - 1)
+    lam = rng.dirichlet(np.ones(n + 1))
+    if rng.random() < 0.5:
+        k = rng.integers(n + 1)
+        lam *= (1.0 + rng.uniform(0.05, 1.0)) / (1.0 - lam[k])
+        lam[k] = 1.0 - (lam.sum() - lam[k])
+    x0 = lam @ V
+    a = -(A + B @ gain) @ x0 - B @ offset
+    if singular and rng.random() < 0.25:
+        a += beta
+    return AffineSystem(A, a, B), geo.Simplex(V), gain, offset
+
+
 class TestVertexControlsLP:
     def test_box_triangle_feasible(self):
         sys = double_integrator()
@@ -75,42 +107,44 @@ class TestVertexControlsLP:
             vc = synth.vertex_controls_lp(sys, s, e)
             assert synth.invariance_margin(sys, s, vc, e) >= -1e-8
 
-
-class TestVertexControlsConstructive:
-    def test_interior_aim_case(self):
+    def test_apex_on_the_equilibrium_plane_is_pushed_to_the_exit(self):
+        """At the apex (0, 0) the blocking margin is 0 for every control
+        u >= 0, and a max-margin LP alone may pick u = 0: a zero field, a
+        closed-loop equilibrium at the vertex.  The exit push picks a
+        control that leaves across the exit facet instead."""
         sys = double_integrator()
-        p = geo.convex_hull([(0, 0.5), (2, 0.5), (0, 1.5)])
-        geom = compute_geometry(sys, p)
-        s = geo.Simplex([(0.0, 0.5), (2.0, 0.5), (0.0, 1.5)])
-        vc = synth.vertex_controls_constructive(sys, geom, s, 2)
-        assert synth.invariance_margin(sys, s, vc, 2) > 0
+        s = geo.Simplex([(0.0, 1.0), (0.0, 0.0), (2.0, 0.0)])
+        vc = synth.vertex_controls_lp(sys, s, 1)
+        assert vc.slack == pytest.approx(0.0, abs=1e-9)
+        field = sys.field(s.vertices[1], vc.u[1])
+        assert s.normals[1] @ field > 0.1
+        gain, offset = synth.affine_from_vertex_controls(s, vc)
+        assert synth.check_no_equilibrium(sys, s, gain, offset)
 
-    def test_equilibrium_line_vertex_case(self):
-        # a vertex on the equilibrium line moves within the input span
-        sys, s, e = split_case_simplex()
-        geom = compute_geometry(sys, s.as_polytope())
-        # lower sub-simplex of the split has its apex inside the drift range
-        lower = geo.Simplex([(1.0, 0.0), (2.0, 0.0), (1.5, 0.25)])
-        vc = synth.vertex_controls_constructive(sys, geom, lower, 2)
-        assert synth.invariance_margin(sys, lower, vc, 2) >= -1e-9
+    def test_infeasible_vertex_raises(self):
+        # at (1, 1) the facet x1 = 1 is blocked, but the field's x1
+        # component is x2 = 1 whatever the control
+        sys = double_integrator()
+        s = geo.Simplex([(0.0, 1.0), (1.0, 1.0), (1.0, 2.0)])
+        with pytest.raises(Infeasible) as ei:
+            synth.vertex_controls_lp(sys, s, 2)
+        assert ei.value.vertex_index == 1
 
-    def test_agreement_with_lp_on_random_simplices(self):
-        rng = np.random.default_rng(7)
-        count = 0
-        while count < 50:
+    def test_margin_matches_the_plain_max_margin_lp(self):
+        """The push breaks ties only: each vertex's blocking margin is the
+        optimum of the LP without it, max t s.t. G u + t <= h, t <= 1."""
+        rng = np.random.default_rng(5)
+        for _ in range(10):
             sys, geom, s, e = random_reachable_simplex(rng)
-            try:
-                vc_lp = synth.vertex_controls_lp(sys, s, e)
-            except Exception:
-                continue
-            try:
-                vc_c = synth.vertex_controls_constructive(sys, geom, s, e)
-            except Exception:
-                continue
-            # controls differ, but both must satisfy the blocking signs
-            assert synth.invariance_margin(sys, s, vc_lp, e) >= -1e-8
-            assert synth.invariance_margin(sys, s, vc_c, e) >= -1e-8
-            count += 1
+            vc = synth.vertex_controls_lp(sys, s, e)
+            for i in range(s.n + 1):
+                blocked = s.normals[[j for j in range(s.n + 1) if j not in (i, e)]]
+                G = np.hstack([blocked @ sys.B, np.ones((len(blocked), 1))])
+                h = -(blocked @ sys.drift(s.vertices[i]))
+                res = linprog([0.0] * sys.m + [-1.0], A_ub=G, b_ub=h,
+                              bounds=[(None, None)] * sys.m + [(None, 1.0)], method="highs")
+                margin = min(-(blocked @ sys.field(s.vertices[i], vc.u[i])).min(), 1.0)
+                assert margin == pytest.approx(-res.fun, abs=1e-9)
 
 
 class TestAffineInterpolation:
@@ -163,6 +197,44 @@ class TestNoEquilibrium:
         # is the x1 axis, which crosses the simplex
         gain = np.array([[0.0, 0.0]])
         assert not synth.check_no_equilibrium(sys, s, gain, np.zeros(1))
+        assert not reference_no_equilibrium(sys, s, gain, np.zeros(1))
+        assert flow_margin(s.vertices @ sys.A.T) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("singular", [False, True], ids=["regular", "singular"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_reference_and_flow_oracle(self, n, singular):
+        """Outside a band of 1e-6 around the boundary, in the flow margin
+        mu, the hull test agrees with the three-path reference, and both
+        find an equilibrium exactly when mu is 0."""
+        rng = np.random.default_rng(20 + n)
+        verdicts = []
+        for _ in range(60):
+            sys, s, gain, offset = random_closed_loop(rng, n, singular)
+            A_cl, b_cl = sys.A + sys.B @ gain, sys.a + sys.B @ offset
+            mu = flow_margin(s.vertices @ A_cl.T + b_cl)
+            band = 1e-6 * max(1.0, np.abs(A_cl).max())
+            if 1e-12 < mu < band:
+                continue
+            got = synth.check_no_equilibrium(sys, s, gain, offset)
+            assert got == reference_no_equilibrium(sys, s, gain, offset) == (mu >= band)
+            verdicts.append(got)
+        assert 10 <= sum(verdicts) <= len(verdicts) - 10
+
+    @pytest.mark.parametrize("fixture", [box_fixture, wedge_fixture, pinned_corner_fixture,
+                                         cube_fixture, o_cross_fixture, ill1_fixture,
+                                         ill2_fixture, ill3_fixture, diamond_fixture])
+    def test_fixture_pieces_carry_a_flow_certificate(self, fixture, monkeypatch):
+        """Every piece's closed loop has a flow direction xi with
+        xi.f(v_i) >= mu > 0 at its vertices.  The diamond's cover misses a
+        region, so its pieces are taken with the gap test off."""
+        if fixture is diamond_fixture:
+            monkeypatch.setattr(tri, "uncovered_volume", lambda *args: 0.0)
+        sys, p, f = fixture()
+        ctrl = synth.synth_polytope(sys, p, f, eps=0.1 if fixture is wedge_fixture else None)
+        for piece in ctrl.pieces:
+            A_cl, b_cl = piece.closed_loop(sys)
+            assert flow_margin(piece.region.vertices @ A_cl.T + b_cl) > 1e-3
+            assert reference_no_equilibrium(sys, piece.region, piece.gain, piece.offset)
 
 
 class TestSynthSimplex:
@@ -331,9 +403,9 @@ class TestSynthPolytope:
     def test_vertices_near_the_equilibrium_plane_at_any_scale(self, k, vertices, target, pieces):
         """Under A = [[0, k], [0, 0]] the vertices at x2 = 5e-10 lie
         5e-10 from the equilibrium plane x2 = 0 whatever k is, but k 5e-10
-        from zero on the unnormalized scale beta.(A x + a).  The
-        constructive controls and the simplex split read the plane itself,
-        so the piece count does not depend on k."""
+        from zero on the unnormalized scale beta.(A x + a).  The simplex
+        split reads the plane itself, so the piece count does not depend
+        on k."""
         sys = AffineSystem(A=[[0.0, k], [0.0, 0.0]], a=[0.0, 0.0], B=[[0.0], [1.0]])
         p = geo.convex_hull(vertices)
         ctrl = synth.synth_polytope(sys, p, face_from(target))
