@@ -114,7 +114,7 @@ class Infeasible(SynthError):
 
 
 class SingularVertexMatrix(SynthError):
-    """Vertex matrix of a simplex is singular; geometry is corrupt."""
+    """The affine law misses a vertex control; the simplex is corrupt."""
 
 
 class Stuck(SynthError):

@@ -625,13 +625,17 @@ def fan(p: Polytope, anchor) -> list[np.ndarray]:
     the vertex ``anchor`` first: the cones from it over every facet that
     misses it, triangulated by ``_cone``.  Every anchored fan of the
     package is this one.  Raises GeometryError when no vertex lies within
-    ``TOL_MERGE`` of the anchor."""
+    ``TOL_MERGE`` of the anchor, or when ambiguous incidence (vertices
+    about ``TOL_INCIDENCE`` off their facets) gives a cone without n+1 rows."""
     if not p.is_full_dim:
         raise Degenerate("fan triangulation expects a full-dimensional polytope")
     hit = np.flatnonzero(np.abs(p.vertices - anchor).max(axis=1) <= TOL_MERGE)
     if not len(hit):
         raise GeometryError("fan anchor is not a vertex of the polytope")
-    return [p.vertices[s] for s in _cone(p.incidence, np.arange(len(p.vertices)), int(hit[0]))]
+    cones = _cone(p.incidence, np.arange(len(p.vertices)), int(hit[0]))
+    if any(len(s) != p.n + 1 for s in cones):
+        raise GeometryError("fan cone without n+1 vertices: ambiguous incidence")
+    return [p.vertices[s] for s in cones]
 
 
 def _cone(incidence: np.ndarray, face: np.ndarray, apex: int) -> list[list[int]]:
@@ -680,7 +684,10 @@ class Simplex:
     vertex j, with unit outward normal ``normals[j]`` and offset
     ``offsets[j]`` so that normals[j].v_i == offsets[j] for i != j and
     normals[j].v_j < offsets[j].  The three are views of one
-    (n+1, 2n+1) ``table``, as a controller holds a simplex per piece."""
+    (n+1, 2n+1) ``table``, as a controller holds a simplex per piece.  Its
+    facet rows are the normalized barycentric inverse W = [V | 1]^-1:
+    column j, the coordinate lambda_j of vertex j, with its x part negated,
+    over the norm of that part."""
 
     __slots__ = ("table",)
 
@@ -689,21 +696,11 @@ class Simplex:
         n = V.shape[1]
         if V.shape[0] != n + 1:
             raise GeometryError(f"simplex in R^{n} needs {n + 1} vertices, got {V.shape[0]}")
-        if affine_dimension(V) != n:
+        if rank(V[1:] - V[0]) != n:
             raise GeometryError("simplex vertices are affinely dependent")
-        self.table = np.zeros((n + 1, 2 * n + 1))
-        self.table[:, :n] = V
-        for j in range(n + 1):
-            others = np.delete(V, j, axis=0)
-            diffs = others[1:] - others[0]
-            _, _, vt = np.linalg.svd(diffs)
-            nrm = vt[-1]
-            off = float(nrm @ others[0])
-            if nrm @ V[j] > off:
-                nrm, off = -nrm, -off
-            scale = np.linalg.norm(nrm)
-            self.table[j, n:-1] = nrm / scale
-            self.table[j, -1] = off / scale
+        W = np.linalg.inv(np.column_stack([V, np.ones(n + 1)]))
+        W[:n] *= -1.0
+        self.table = np.column_stack([V, (W / np.linalg.norm(W[:n], axis=0)).T])
 
     @classmethod
     def of_table(cls, table: np.ndarray) -> "Simplex":
@@ -727,6 +724,12 @@ class Simplex:
     @property
     def offsets(self) -> np.ndarray:
         return self.table[:, -1]
+
+    def barycentric(self) -> np.ndarray:
+        """W = [V | 1]^-1 read back from the table: column j is (-normals[j],
+        offsets[j]) over the height of vertex j above facet j."""
+        heights = self.offsets - np.einsum("ij,ij->i", self.normals, self.vertices)
+        return (np.column_stack([-self.normals, self.offsets]) / heights[:, None]).T
 
     def contains(self, x, tol: float = TOL_GEOM) -> bool:
         x = np.asarray(x, dtype=float)

@@ -77,9 +77,9 @@ def default_dt(sys: AffineSystem, ctrl: PWAController) -> float:
     extent = float(np.linalg.norm(hi - lo))
     vmax = 0.0
     for piece in ctrl.pieces:
-        for v in piece.region.vertices:
-            vmax = max(vmax, float(np.linalg.norm(sys.field(v, piece.control(v)))))
-    return 1e-3 * extent / max(vmax, 1e-9)
+        A_cl, b_cl = piece.closed_loop(sys)
+        vmax = max(vmax, np.linalg.norm(piece.region.vertices @ A_cl.T + b_cl, axis=1).max())
+    return 1e-3 * extent / max(float(vmax), 1e-9)
 
 
 def target_screen(vertices) -> Callable[[np.ndarray], np.ndarray]:

@@ -2,10 +2,10 @@
 
 Vertex controls are found by one LP per simplex vertex, which maximizes
 the margin of the blocking conditions and, as a tie-break, the push
-across the exit facet.  They are interpolated into an affine law per
-simplex, checked for a closed-loop equilibrium, and assembled over a
-triangulation ordered by a greedy pass that always finishes the
-lowest-drift exit facet first.
+across the exit facet.  A simplex's law is their barycentric
+interpolation (``Simplex.barycentric``), checked for a closed-loop
+equilibrium; the laws are assembled over a triangulation ordered by a
+greedy pass that always finishes the lowest-drift exit facet first.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .triangulate import (Cover, Triangulation, basic_triangulation,
 TOL_INV = 1e-8      # invariance residual tolerance
 _CAP = 1.0          # upper bound of both margins of the vertex-control LP
 _PUSH = 1e-3        # weight of the exit push against the blocking margin
-_VERTEX_DET_MIN = 1e-14   # vertex-matrix determinant below which interpolation is refused
 
 
 @dataclass(frozen=True)
@@ -170,40 +169,31 @@ def vertex_controls_lp(sys: AffineSystem, s: Simplex, exit_facet: int) -> Vertex
     return VertexControls(us, slack)
 
 
+def _facet_fields(sys: AffineSystem, s: Simplex, vc: VertexControls) -> np.ndarray:
+    """n_j . F_i over (facet j, vertex i), F = V A^T + a + U B^T."""
+    return s.normals @ (s.vertices @ sys.A.T + sys.a + vc.u @ sys.B.T).T
+
+
 def invariance_margin(sys: AffineSystem, s: Simplex, vc: VertexControls,
                       exit_facet: int) -> float:
     """Smallest inward margin over all blocked (vertex, facet) pairs."""
-    worst = np.inf
-    for i in range(s.n + 1):
-        fld = sys.field(s.vertices[i], vc.u[i])
-        for j in range(s.n + 1):
-            if j == i or j == exit_facet:
-                continue
-            worst = min(worst, -float(s.normals[j] @ fld))
-    return worst
+    blocked = ~np.eye(s.n + 1, dtype=bool)
+    blocked[exit_facet] = False
+    return float(-_facet_fields(sys, s, vc)[blocked].max())
 
 
 def exit_margin(sys: AffineSystem, s: Simplex, vc: VertexControls,
                 exit_facet: int) -> float:
     """Smallest outward component across the exit facet at its vertices."""
-    worst = np.inf
-    for i in range(s.n + 1):
-        if i == exit_facet:
-            continue
-        fld = sys.field(s.vertices[i], vc.u[i])
-        worst = min(worst, float(s.normals[exit_facet] @ fld))
-    return worst
+    return float(np.delete(_facet_fields(sys, s, vc)[exit_facet], exit_facet).min())
 
 
 def affine_from_vertex_controls(s: Simplex, vc: VertexControls) -> tuple[np.ndarray, np.ndarray]:
-    """Unique affine law matching the vertex controls."""
-    nv = s.n + 1
-    M = np.vstack([s.vertices.T, np.ones((1, nv))])
-    if abs(np.linalg.det(M)) <= _VERTEX_DET_MIN:
-        raise SingularVertexMatrix("simplex vertex matrix is singular")
-    sol = vc.u.T @ np.linalg.inv(M)
-    gain, offset = sol[:, :-1].copy(), sol[:, -1].copy()
-    resid = max(np.linalg.norm(gain @ v + offset - u) for v, u in zip(s.vertices, vc.u))
+    """u(x) = sum_j lambda_j(x) u_j = [x, 1] W U: (gain, offset) = (W U)^T;
+    SingularVertexMatrix when it misses a vertex control by ``TOL_GEOM``."""
+    law = (s.barycentric() @ vc.u).T
+    gain, offset = law[:, :-1], law[:, -1]
+    resid = np.linalg.norm(s.vertices @ gain.T + offset - vc.u, axis=1).max()
     if resid > TOL_GEOM:
         raise SingularVertexMatrix(f"interpolation residual {resid:.2e}")
     return gain, offset

@@ -330,9 +330,8 @@ def cover_wrt_O(sys: AffineSystem, p: Polytope, f: Face,
     for i, j in ((0, 1), (1, 0)):
         if direct[j] is None:
             continue
-        if direct[i] is not None and \
-                abs(direct[i].volume() - sides[i].volume()) <= TOL_ZERO * max(sides[i].volume(), 1.0):
-            continue  # this side is already covered by its direct piece
+        if direct[i] is sides[i]:
+            continue  # epsilon_cut cut nothing: this side is covered
         iface_poly = section(direct[j], o_plane)
         if iface_poly.is_empty or iface_poly.dim != p.n - 1:
             continue

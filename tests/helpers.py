@@ -103,6 +103,16 @@ def cube_fixture():
     return integrator_3d(), p, facet_face(p, [1, 0, 0])
 
 
+def box4d_fixture():
+    """Unit 4-D box under the 4-D chain integrator, with the x1 = 1 facet
+    as target."""
+    A = np.zeros((4, 4))
+    A[0, 3] = 1.0
+    B = np.vstack([np.zeros((1, 3)), np.eye(3)])
+    p = geo.Polytope.box([0] * 4, [1] * 4)
+    return AffineSystem(A, np.zeros(4), B), p, facet_face(p, [1, 0, 0, 0])
+
+
 def ill1_fixture():
     """Target strictly inside a slanted facet; an anchor exists off the
     carrying facet."""
@@ -298,6 +308,51 @@ def interior_grid(p, k=20, shrink=1e-3):
     b_hs = np.array([h.offset for h in p.halfspaces])
     inside = np.all(pts @ A_hs.T - b_hs <= -1e-9, axis=1)
     return pts[inside]
+
+
+# -- reference for the simplex table -----------------------------------------
+
+def reference_simplex_table(vertices):
+    """The (V | normals | offsets) table of ``geo.Simplex`` built one facet
+    at a time: facet j's normal is the null vector of its edge vectors
+    (SVD), signed so that the omitted vertex j lies below it."""
+    V = np.asarray(vertices, dtype=float)
+    n = V.shape[1]
+    table = np.zeros((n + 1, 2 * n + 1))
+    table[:, :n] = V
+    for j in range(n + 1):
+        others = np.delete(V, j, axis=0)
+        normal = np.linalg.svd(others[1:] - others[0])[2][-1]
+        offset = float(normal @ others[0])
+        if normal @ V[j] > offset:
+            normal, offset = -normal, -offset
+        table[j, n:-1] = normal / np.linalg.norm(normal)
+        table[j, -1] = offset / np.linalg.norm(normal)
+    return table
+
+
+# heights of the slivers among ``random_simplices``, as a share of the width
+SLIVERS = (1.0, 1e-2, 1e-3)
+
+
+def random_simplices(rng, n):
+    """Vertices of random n-simplices, four of each kind at each scale
+    1e-5, 1e-4, ..., 1e5: flat slivers (the last coordinate squeezed) and
+    caps (vertex 0 pulled towards the centroid of its facet), of relative
+    heights ``SLIVERS``, 1 giving plain simplices.  A sliver whose height
+    would fall below 1e-7 is left out: ``geo.rank`` counts singular values
+    below 1 against the absolute ``TOL_RANK``."""
+    for scale in 10.0 ** np.arange(-5, 6):
+        for thin in SLIVERS:
+            if thin * scale < 1e-7:
+                continue
+            for _ in range(4):
+                flat = rng.normal(size=(n + 1, n))
+                flat[:, -1] *= thin
+                cap = rng.normal(size=(n + 1, n))
+                cap[0] = cap[1:].mean(axis=0) + thin * (cap[0] - cap[1:].mean(axis=0))
+                yield flat * scale
+                yield cap * scale
 
 
 # -- references for the closed loop ------------------------------------------

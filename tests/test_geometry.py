@@ -2,8 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
-from helpers import hull_distance, rank_clip_facets, rank_edges, rank_facets
+from helpers import (hull_distance, rank_clip_facets, rank_edges, rank_facets,
+                     random_simplices, reference_simplex_table)
 from reachctl import geometry as geo
 from reachctl import lp
 from reachctl.errors import DimensionDeficient, GeometryError
@@ -668,6 +670,25 @@ class TestFan:
         with pytest.raises(GeometryError):
             geo.fan(cube, np.array([0.5, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("seed, n, case, hull_volume", [
+        (33, 3, 6, 0.068046), (6, 4, 7, 0.018028)], ids=["3d", "4d"])
+    def test_cone_without_n_plus_1_rows_raises(self, seed, n, case, hull_volume):
+        """Clips TOL_MERGE/2 off a vertex whose vertices lie off their own
+        facet planes by about TOL_INCIDENCE: the incidence gives the fan a
+        cone of more than n+1 rows (5 in 3-D, 6 in 4-D), which ``volume``
+        used to read as zero volume (0.06592 and 0.00836 against scipy's
+        hull volumes)."""
+        rng = np.random.default_rng(seed)
+        p = random_hull(rng, n)
+        h, shift = list(clip_cases(rng, p))[case]
+        out = geo.clip_to_halfspace(p, h)
+        assert abs(shift) == 0.5 * geo.TOL_MERGE and out.is_full_dim
+        assert ConvexHull(out.vertices).volume == pytest.approx(hull_volume, abs=1e-6)
+        with pytest.raises(GeometryError):
+            geo.fan(out, out.vertices[0])
+        with pytest.raises(GeometryError):
+            out.volume()
+
 
 class TestSimplex:
     def test_normal_conventions(self):
@@ -685,6 +706,27 @@ class TestSimplex:
                     else:
                         assert abs(val) <= 1e-9
             assert abs(np.linalg.norm(s.normals, axis=1) - 1).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_table_matches_the_per_facet_reference(self, n):
+        """The normalized barycentric inverse gives the normals and offsets
+        of the per-facet SVD construction within 1e-12 relative, at any
+        scale and for slivers; each vertex lies on its n facets and strictly
+        inside the one it omits."""
+        rng = np.random.default_rng(70 + n)
+        for V in random_simplices(rng, n):
+            table = geo.Simplex(V).table
+            ref = reference_simplex_table(V)
+            assert np.array_equal(table[:, :n], V)
+            assert np.abs(table[:, n:-1] - ref[:, n:-1]).max() <= 1e-12
+            assert np.abs(table[:, -1] - ref[:, -1]).max() <= 1e-12 * np.abs(V).max()
+            vals = table[:, n:-1] @ V.T - table[:, -1:]
+            assert np.abs(vals[~np.eye(n + 1, dtype=bool)]).max() <= 1e-12 * np.abs(V).max()
+            assert np.all(np.diag(vals) < 0.0)
+
+    def test_affinely_dependent_vertices_raise(self):
+        with pytest.raises(GeometryError):
+            geo.Simplex([(0, 0), (1, 1), (2, 2)])
 
     def test_contains(self):
         s = geo.Simplex([(0, 0), (1, 0), (0, 1)])

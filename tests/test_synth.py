@@ -6,16 +6,16 @@ from reachctl import geometry as geo
 from reachctl import lp, reach, synth
 from reachctl import triangulate as tri
 from reachctl.errors import (CoverIncomplete, Infeasible, ReachctlError,
-                             SynthesisFailed)
+                             SingularVertexMatrix, SynthesisFailed)
 from reachctl.sim import sample_states
 from reachctl.system import AffineSystem, compute_geometry
 
-from helpers import (box_fixture, cube_fixture, diamond_fixture,
-                     double_integrator, face_from, facet_face, flow_margin,
-                     ill1_fixture, ill2_fixture, ill3_fixture, lp_target_exits,
-                     o_cross_fixture, pinned_corner_fixture,
-                     reference_no_equilibrium, right_target_polygons,
-                     wedge_fixture)
+from helpers import (box4d_fixture, box_fixture, cube_fixture,
+                     diamond_fixture, double_integrator, face_from, facet_face,
+                     flow_margin, ill1_fixture, ill2_fixture, ill3_fixture,
+                     lp_target_exits, o_cross_fixture, pinned_corner_fixture,
+                     random_simplices, reference_no_equilibrium,
+                     right_target_polygons, wedge_fixture)
 
 
 def split_case_simplex():
@@ -176,6 +176,24 @@ class TestAffineInterpolation:
             gain, offset = synth.affine_from_vertex_controls(s, synth.VertexControls(u, 0.0))
             for v, ui in zip(s.vertices, u):
                 assert np.linalg.norm(gain @ v + offset - ui) < 1e-9
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_law_reproduces_vertex_controls_at_any_scale(self, n):
+        rng = np.random.default_rng(80 + n)
+        for V in random_simplices(rng, n):
+            u = rng.normal(size=(n + 1, n - 1))
+            gain, offset = synth.affine_from_vertex_controls(geo.Simplex(V),
+                                                             synth.VertexControls(u, 0.0))
+            assert np.abs(V @ gain.T + offset - u).max() <= geo.TOL_GEOM
+
+    def test_corrupt_table_raises(self):
+        # a facet row that no longer passes through its vertices: the law
+        # read from it misses the vertex controls
+        table = geo.Simplex([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]).table.copy()
+        table[0, -1] += 0.1
+        vc = synth.VertexControls(np.array([[1.0], [2.0], [3.0]]), 0.0)
+        with pytest.raises(SingularVertexMatrix):
+            synth.affine_from_vertex_controls(geo.Simplex.of_table(table), vc)
 
 
 class TestNoEquilibrium:
@@ -424,3 +442,19 @@ class TestSynthPolytope:
                 np.array([piece.control(v) for v in piece.region.vertices]), 0.0)
             assert synth.invariance_margin(sys, piece.region, vc, piece.exit_facet) >= -1e-8
             assert synth.check_no_equilibrium(sys, piece.region, piece.gain, piece.offset)
+
+    @pytest.mark.parametrize("fixture", [box_fixture, wedge_fixture, pinned_corner_fixture,
+                                         cube_fixture, ill3_fixture, box4d_fixture])
+    def test_piece_count_does_not_depend_on_scale(self, fixture):
+        """x -> k x maps each fixture's problem (a = 0) to itself with
+        u -> k u, so every scale keeps the piece count of scale 1.  An
+        absolute determinant threshold on the vertex matrix refused the
+        cube and ill3 at 1e-5 and the 4-D box at 1e-5 and 1e-4."""
+        sys, p, f = fixture()
+        counts = {}
+        for k in (1e-5, 1e-4, 1e-3, 1.0, 1e3, 1e4, 1e5):
+            pk = geo.convex_hull(p.vertices * k)
+            fk = facet_face(pk, f.supporting.normal) if f.supporting else face_from(f.vertices * k)
+            eps = 0.1 * k if fixture is wedge_fixture else None
+            counts[k] = len(synth.synth_polytope(sys, pk, fk, eps=eps).pieces)
+        assert counts == dict.fromkeys(counts, counts[1.0])
