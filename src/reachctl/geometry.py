@@ -8,7 +8,8 @@ the facets of a face F are the maximal nonempty proper sets F ∩ T_h, T_h
 a column.  The anchored ``fan`` cones its anchor over every facet that
 misses it and each lower face from its lexicographically first vertex,
 so its simplices are rows of the polytope's vertices and no face is
-hulled again.
+hulled again.  It is the package's only triangulation: a set of lower
+dimension is triangulated as the base of a full-dimensional pyramid.
 
 Clipping, splitting and sectioning by a hyperplane work as the
 one-halfspace update of that method: the vertices inside (or on the
@@ -67,8 +68,8 @@ TOL_INCIDENCE = 1e-8
 # absolute: points closer than this (inf-norm) are one point; a target
 # lies in a facet's plane; a cut keeps the target
 TOL_MERGE = 1e-7
-# relative to the largest singular value (or 1): smaller singular values
-# do not count towards an affine rank
+# relative to the largest singular value: smaller singular values do not
+# count towards an affine rank
 TOL_RANK = 1e-9
 # numerically zero: determinant of a singular square system, and the
 # margin that separates a better score from a tie
@@ -113,13 +114,14 @@ def dedupe_points(points: np.ndarray) -> np.ndarray:
 
 def rank(rows):
     """Rank of a matrix, counting singular values above ``TOL_RANK``
-    relative to the largest (or 1); 0 for a matrix without rows.  Given a
-    stack of matrices, the rank of each, as an array."""
+    times the largest, so it does not depend on the matrix's scale; 0 for
+    a matrix without rows or a zero matrix.  Given a stack of matrices,
+    the rank of each, as an array."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim == 2 and rows.size == 0:
         return 0
     s = np.linalg.svd(rows, compute_uv=False)
-    out = np.sum(s > TOL_RANK * np.maximum(s[..., :1], 1.0), axis=-1)
+    out = np.sum(s > TOL_RANK * s[..., :1], axis=-1)
     return int(out) if rows.ndim == 2 else out
 
 
@@ -335,8 +337,8 @@ def point_in_hull(point, vertices, tol: float = TOL_GEOM) -> bool:
     rows = np.vstack([np.stack([np.hstack([V.T, -ones]), np.hstack([0.0 - V.T, -ones])],
                                axis=1).reshape(2 * n, k + 1), 0.0 - np.eye(k, k + 1)])
     rhs = np.concatenate([np.stack([x, -x], axis=1).ravel(), np.zeros(k)])
-    out = lp.solve_lp(np.eye(k + 1)[-1], rows, rhs, np.append(np.ones(k), 0.0)[None, :],
-                      np.array([1.0]))
+    out = lp.solve(np.eye(k + 1)[-1], rows, rhs, np.append(np.ones(k), 0.0)[None, :],
+                   np.array([1.0]))
     if out.status != lp.OPTIMAL:
         return False
     return out.value <= tol
@@ -365,7 +367,7 @@ def hrep_to_vrep(halfspaces: list[HalfSpace]) -> np.ndarray:
     for i, sgn in itertools.product(range(n), (1.0, -1.0)):
         c = np.zeros(n)
         c[i] = sgn
-        out = lp.solve_lp(c, A, b)
+        out = lp.solve(c, A, b)
         if out.status == lp.UNBOUNDED:
             raise Unbounded(f"direction {i} unbounded")
         if out.status == lp.INFEASIBLE:
@@ -377,15 +379,17 @@ def hrep_to_vrep(halfspaces: list[HalfSpace]) -> np.ndarray:
     return lex_sorted(dedupe_points(X[np.all(X @ A.T - b <= TOL_INCIDENCE, axis=1)]))
 
 
-def _maximal_sets(tight: np.ndarray) -> list[int]:
+def _maximal_sets(tight: np.ndarray) -> np.ndarray:
     """The facet rule: indices of the rows of a boolean (candidate, point)
     table whose set of points is nonempty and lies in no other row's
-    larger set, the first row of each such set."""
-    sets, first = np.unique(tight, axis=0, return_index=True)
-    counts = sets.astype(int)
+    larger set, the first row of each such set.  One product tells, for
+    every pair of rows, whether the first set lies in the second."""
+    counts = tight.astype(float)
     sizes = counts.sum(axis=1)
-    inside = (counts @ counts.T == sizes[:, None]) & (sizes[None, :] > sizes[:, None])
-    return sorted(first[(sizes > 0) & ~inside.any(axis=1)].tolist())
+    within = counts @ counts.T == sizes[:, None]
+    superset = within & (sizes[None, :] > sizes[:, None])
+    earlier_copy = np.tril(within & within.T, -1)
+    return np.flatnonzero((sizes > 0) & ~superset.any(axis=1) & ~earlier_copy.any(axis=1))
 
 
 def vrep_to_hrep(vertices) -> list[HalfSpace]:
@@ -654,25 +658,6 @@ def _cone(incidence: np.ndarray, face: np.ndarray, apex: int) -> list[list[int]]
         if apex not in sub:
             out += [[apex] + s for s in _cone(incidence, sub, int(sub[0]))]
     return out
-
-
-def triangulate_point_set(vertices: np.ndarray) -> list[np.ndarray]:
-    """Triangulate the convex hull of a d-dimensional point set in R^n:
-    vertex arrays of (d+1) rows of the given points.  The points are
-    hulled once, in the coordinates of their affine hull, and coned as
-    ``fan`` cones, from the lexicographically smallest point (in R^n).
-    A segment is its own simplex: its two end rows, in that order."""
-    V = lex_sorted(dedupe_points(_as_points(vertices)))
-    origin, basis = affine_basis(V)
-    if basis.shape[1] == 0:
-        return [V[:1]]
-    coords = (V - origin) @ basis
-    if basis.shape[1] == 1:
-        return [V[np.sort([coords.argmin(), coords.argmax()])]]
-    hull = convex_hull(coords, allow_lower=False)
-    # the rows of V that are hull vertices, in V's order, and their hull rows
-    rows, at = np.nonzero((coords[:, None, :] == hull.vertices[None, :, :]).all(axis=2))
-    return [V[rows[s]] for s in _cone(hull.incidence[at], np.arange(len(rows)), 0)]
 
 
 # ---------------------------------------------------------------------------

@@ -28,17 +28,6 @@ _MAX_ITERS = 50_000
 
 
 @dataclass(frozen=True)
-class LinearProgram:
-    """min objective.x  s.t.  ineq_lhs x <= ineq_rhs,  eq_lhs x == eq_rhs."""
-
-    objective: np.ndarray
-    ineq_lhs: np.ndarray
-    ineq_rhs: np.ndarray
-    eq_lhs: Optional[np.ndarray] = None
-    eq_rhs: Optional[np.ndarray] = None
-
-
-@dataclass(frozen=True)
 class LPOutcome:
     status: str
     x: Optional[np.ndarray]
@@ -86,20 +75,16 @@ def _run_simplex(T: np.ndarray, basis: list[int], ncols: int, bounded: bool = Fa
     raise NumericalFailure("simplex iteration limit exceeded")
 
 
-def solve(lp: LinearProgram) -> LPOutcome:
-    """Solve a small dense LP; statuses are exact (optimal / infeasible /
-    unbounded) up to TOL_LP."""
-    c = np.asarray(lp.objective, dtype=float)
-    G = np.atleast_2d(np.asarray(lp.ineq_lhs, dtype=float)) if lp.ineq_lhs is not None else np.zeros((0, len(c)))
-    h = np.asarray(lp.ineq_rhs, dtype=float).ravel() if lp.ineq_rhs is not None else np.zeros(0)
-    if G.size == 0:
-        G = G.reshape(0, len(c))
-    E = np.atleast_2d(np.asarray(lp.eq_lhs, dtype=float)) if lp.eq_lhs is not None else np.zeros((0, len(c)))
-    f = np.asarray(lp.eq_rhs, dtype=float).ravel() if lp.eq_rhs is not None else np.zeros(0)
-    if E.size == 0:
-        E = E.reshape(0, len(c))
-
+def solve(c, G, h, E=None, f=None) -> LPOutcome:
+    """Solve the small dense LP  min c.x  s.t.  G x <= h,  E x == f;
+    statuses are exact (optimal / infeasible / unbounded) up to TOL_LP."""
+    c = np.asarray(c, dtype=float)
     n = len(c)
+    G = np.asarray(G, dtype=float).reshape(-1, n)
+    h = np.asarray(h, dtype=float).ravel()
+    E = np.zeros((0, n)) if E is None else np.asarray(E, dtype=float).reshape(-1, n)
+    f = np.zeros(0) if f is None else np.asarray(f, dtype=float).ravel()
+
     mi, me = G.shape[0], E.shape[0]
     m = mi + me
 
@@ -170,8 +155,3 @@ def solve(lp: LinearProgram) -> LPOutcome:
         xfull[bi] = T[i, -1]
     x = xfull[:n] - xfull[n:2 * n]
     return LPOutcome(OPTIMAL, x, float(c @ x))
-
-
-def solve_lp(c, G=None, h=None, E=None, f=None) -> LPOutcome:
-    """Convenience wrapper around :func:`solve`."""
-    return solve(LinearProgram(np.asarray(c, dtype=float), G, h, E, f))

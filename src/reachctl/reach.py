@@ -30,7 +30,7 @@ from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_MERGE, Face, Hyperplane,
                        clip_to_halfspace, convex_hull, hyperplane_through,
                        lex_sorted, point_in_hull, section,
                        split_by_hyperplane)
-from .system import AffineSystem, SystemGeometry
+from .system import SystemGeometry
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,7 @@ class EpsilonCut:
     cut_planes: tuple = ()
 
 
-def analyze(sys: AffineSystem, geom: SystemGeometry, p: Polytope, f: Face) -> ReachAnalysis:
+def analyze(geom: SystemGeometry, p: Polytope, f: Face) -> ReachAnalysis:
     """Exact reachability verdict for steering all of ``p`` to ``f``.
 
     Condition (a): nothing lies strictly below the target's lowest drift
@@ -257,7 +257,7 @@ def _cut_low_failure(p: Polytope, f: Face, geom: SystemGeometry,
     raise CutConstructionFailed("no admissible cut hyperplane at this margin")
 
 
-def epsilon_cut(sys: AffineSystem, geom: SystemGeometry, p: Polytope, f: Face,
+def epsilon_cut(geom: SystemGeometry, p: Polytope, f: Face,
                 eps: Optional[float] = None,
                 analysis: Optional[ReachAnalysis] = None) -> EpsilonCut:
     """Remove both failure sets with margin ``eps``.
@@ -269,7 +269,7 @@ def epsilon_cut(sys: AffineSystem, geom: SystemGeometry, p: Polytope, f: Face,
     back whole.
     """
     if analysis is None:
-        analysis = analyze(sys, geom, p, f)
+        analysis = analyze(geom, p, f)
     if eps is None:
         eps = default_eps(geom, p)
     if eps <= 0:

@@ -159,7 +159,7 @@ def vertex_controls_lp(sys: AffineSystem, s: Simplex, exit_facet: int) -> Vertex
         rows[k:, m:] = ((0.0, 1.0), (1.0, 0.0), (0.0, 1.0))
         drift = sys.drift(s.vertices[i])
         rhs = np.concatenate([-(blocked @ drift), [n_exit @ drift, _CAP, _CAP]])
-        out = lp.solve_lp(c, rows, rhs)
+        out = lp.solve(c, rows, rhs)
         if out.status != lp.OPTIMAL:
             raise NumericalFailure(f"vertex-control LP ended with status {out.status}")
         if out.x[m] < -lp.TOL_LP:
@@ -369,9 +369,9 @@ def _branch(sys: AffineSystem, p: Polytope, f: Face, eps: Optional[float]
                       "covered along the equilibrium plane", p)
 
     geom = compute_geometry(sys, p)
-    ra = analyze(sys, geom, p, f)
+    ra = analyze(geom, p, f)
     if not ra.reachable:
-        cut = epsilon_cut(sys, geom, p, f, eps, analysis=ra)
+        cut = epsilon_cut(geom, p, f, eps, analysis=ra)
         if cut.reach_eps.is_empty or not cut.reach_eps.is_full_dim:
             raise NotReachable(ra)
         return _Split([(cut.reach_eps, f, None)],

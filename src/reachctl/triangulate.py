@@ -6,12 +6,14 @@ crosses the polytope.
 Both triangulations are ``geometry.fan`` of one anchor, a vertex chosen
 by one rule (``select_vstar`` takes the first of ``qualifying_vertices``
 off the equilibrium plane).  The fan reads the faces from the polytope's
-vertex-facet incidence, so its simplices are rows of its vertices.  For
-a target inside a facet, the cones over that facet give way to cones
-over the target and over the facet's pieces outside it.  The points at
-one drift level (the top face, the target's end vertices) come from
-``SystemGeometry.at_level``.  A triangulation records what its
-construction decides, the exit facet of each target simplex and the
+vertex-facet incidence, so its simplices are rows of its vertices, and
+it is the only triangulation routine.  For a target inside a facet, the
+cones over that facet give way to the fans of pyramids from the anchor:
+the pyramid over the target, and the pieces of the pyramid over the
+facet outside it, so nothing is projected into a facet's frame.  The
+points at one drift level (the top face, the target's end vertices)
+come from ``SystemGeometry.at_level``.  A triangulation records what
+its construction decides, the exit facet of each target simplex and the
 facet each simplex shares with a neighbour, so synthesis reads these
 instead of recomputing them."""
 
@@ -25,13 +27,13 @@ import numpy as np
 
 from .errors import (CoverIncomplete, CutConstructionFailed, EpsTooLarge,
                      NoQualifyingVertex, VStarInFbar)
-from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_VOLUME,
+from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_MERGE, TOL_VOLUME,
                        TOL_ZERO, Face, HalfSpace, Hyperplane, Polytope,
-                       Simplex, affine_basis, affine_dimension,
-                       carrying_facet, clip_to_halfspace, convex_hull, fan,
+                       Simplex, affine_dimension, carrying_facet,
+                       clip_to_halfspace, convex_hull, fan,
                        hyperplane_through, lex_sorted, point_in_hull,
                        point_key, section, split_by_hyperplane,
-                       triangulate_point_set, uncovered_volume, whole_facet)
+                       uncovered_volume, whole_facet)
 from .reach import default_eps, epsilon_cut
 from .system import (AffineSystem, SystemGeometry, compute_geometry,
                      equilibrium_plane)
@@ -137,30 +139,18 @@ def mark_target(tri: Triangulation, target: HalfSpace) -> None:
             tri.target_exits[idx] = int(off[0])
 
 
-def _complement_pieces(region: np.ndarray, carve: Face) -> list[np.ndarray]:
-    """Convex pieces of the hull of the points ``region`` minus ``carve``,
-    by sequential clipping along the carve's supporting planes inside the
-    region's affine hull."""
-    origin, basis = affine_basis(region)
-    reg = convex_hull((region - origin) @ basis, allow_lower=False)
-    car = convex_hull((carve.vertices - origin) @ basis, allow_lower=False)
-    remainder = reg
-    out = []
-    for h in car.halfspaces:
-        piece = clip_to_halfspace(remainder, h.flipped())
-        if not piece.is_empty and piece.dim == reg.dim:
-            out.append(piece.vertices @ basis.T + origin)
-        remainder = clip_to_halfspace(remainder, h)
-    return out
-
-
 def triangulation_wrt_F(p: Polytope, f: Face, vstar: np.ndarray) -> Triangulation:
     """The fan of the vertex ``vstar`` over the facets of ``p`` other than
     the one carrying the target, with cones over the target and over the
     pieces of that facet outside it, ordered by vertex key.
 
-    Each cone over the target exits through its base, which is facet 0
-    because the anchor is vertex 0."""
+    Every cone is ``geometry.fan`` of a pyramid from the anchor.  The
+    cones over the target are the fan of ``target``, the hull of the
+    anchor and the target.  The pyramid over the carrying facet is
+    clipped to the outside of each facet of ``target`` through the
+    anchor in turn, and each full-dimensional piece is fanned; what
+    remains is ``target``.  Each cone over the target exits through its
+    base, which is facet 0 because the anchor is vertex 0."""
     vstar = np.asarray(vstar, dtype=float)
     k = carrying_facet(p, f)
     if k is None:
@@ -169,17 +159,21 @@ def triangulation_wrt_F(p: Polytope, f: Face, vstar: np.ndarray) -> Triangulatio
     if abs(h.value(vstar)) <= TOL_GEOM:
         raise VStarInFbar("anchor lies on the facet carrying the target")
 
-    def cones(region):
-        return [Simplex(np.vstack([vstar, s])) for s in triangulate_point_set(region)]
-
-    simplices = cones(f.vertices)
+    target = convex_hull(np.vstack([vstar, f.vertices]))
+    simplices = [Simplex(s) for s in fan(target, vstar)]
     n_target = len(simplices)
     # the fan's cones with their base on facet k give way to the cones
     # over the target and over the pieces of facet k outside it
     simplices += [Simplex(s) for s in fan(p, vstar)
                   if np.abs(s[1:] @ h.normal - h.offset).max() > TOL_INCIDENCE]
-    for piece in _complement_pieces(p.facets()[k].vertices, f):
-        simplices += cones(piece)
+    rest = convex_hull(np.vstack([vstar, p.vertices[p.incidence[:, k]]]))
+    apex = np.abs(target.vertices - vstar).max(axis=1) <= TOL_MERGE
+    for g, through in zip(target.halfspaces, target.incidence[apex].any(axis=0)):
+        if through:
+            piece = clip_to_halfspace(rest, g.flipped())
+            if piece.is_full_dim:
+                simplices += [Simplex(s) for s in fan(piece, vstar)]
+            rest = clip_to_halfspace(rest, g)
     order = sorted(range(len(simplices)), key=lambda i: simplices[i].vertex_key())
     exits = {i: 0 for i, j in enumerate(order) if j < n_target}
     return Triangulation([simplices[j] for j in order], vstar, exits)
@@ -319,7 +313,7 @@ def cover_wrt_O(sys: AffineSystem, p: Polytope, f: Face,
     for i in (0, 1):
         if targets[i].dim == p.n - 1:
             try:
-                cut = epsilon_cut(sys, geoms[i], sides[i], targets[i], eps)
+                cut = epsilon_cut(geoms[i], sides[i], targets[i], eps)
             except (EpsTooLarge, CutConstructionFailed) as exc:
                 raise CoverIncomplete(np.inf, f"direct cut on side {i} failed: {exc}")
             if not cut.reach_eps.is_empty:
@@ -337,7 +331,7 @@ def cover_wrt_O(sys: AffineSystem, p: Polytope, f: Face,
             continue
         iface = Face(iface_poly.vertices, None, iface_poly.dim)
         try:
-            cut = epsilon_cut(sys, geoms[i], sides[i], iface, eps)
+            cut = epsilon_cut(geoms[i], sides[i], iface, eps)
         except (EpsTooLarge, CutConstructionFailed) as exc:
             raise CoverIncomplete(np.inf, f"interface cut on side {i} failed: {exc}")
         if cut.reach_eps.is_empty:

@@ -32,6 +32,19 @@ def facet_face(p, normal):
     raise AssertionError(f"no facet with normal {normal}")
 
 
+# -- reference for the facet rule ---------------------------------------------
+
+def reference_maximal_sets(tight):
+    """The facet rule of ``geo._maximal_sets`` by distinct rows: the first
+    row of each distinct nonempty set of a boolean (candidate, point)
+    table that lies in no other distinct set larger than itself."""
+    sets, first = np.unique(tight, axis=0, return_index=True)
+    counts = sets.astype(int)
+    sizes = counts.sum(axis=1)
+    inside = (counts @ counts.T == sizes[:, None]) & (sizes[None, :] > sizes[:, None])
+    return sorted(first[(sizes > 0) & ~inside.any(axis=1)].tolist())
+
+
 # -- rank rules for faces, the oracles of the incidence rules ----------------
 
 def _tight(vertices, h):
@@ -332,20 +345,18 @@ def reference_simplex_table(vertices):
 
 
 # heights of the slivers among ``random_simplices``, as a share of the width
-SLIVERS = (1.0, 1e-2, 1e-3)
+SLIVERS = (1.0, 1e-2, 1e-3, 1e-4)
 
 
 def random_simplices(rng, n):
     """Vertices of random n-simplices, four of each kind at each scale
     1e-5, 1e-4, ..., 1e5: flat slivers (the last coordinate squeezed) and
     caps (vertex 0 pulled towards the centroid of its facet), of relative
-    heights ``SLIVERS``, 1 giving plain simplices.  A sliver whose height
-    would fall below 1e-7 is left out: ``geo.rank`` counts singular values
-    below 1 against the absolute ``TOL_RANK``."""
+    heights ``SLIVERS``, 1 giving plain simplices.  Every kind is kept at
+    every scale: ``geo.rank`` counts singular values against the largest,
+    so a sliver's height matters only relative to its width."""
     for scale in 10.0 ** np.arange(-5, 6):
         for thin in SLIVERS:
-            if thin * scale < 1e-7:
-                continue
             for _ in range(4):
                 flat = rng.normal(size=(n + 1, n))
                 flat[:, -1] *= thin
@@ -388,7 +399,7 @@ def reference_no_equilibrium(sys, s, gain, offset):
     if abs(np.linalg.det(A_cl)) > geo.TOL_ZERO * scale ** s.n:
         x_star = np.linalg.solve(A_cl, -b_cl)
         return not s.contains(x_star, geo.TOL_GEOM)
-    out = lp.solve_lp(np.zeros(s.n), s.normals, s.offsets, A_cl, -b_cl)
+    out = lp.solve(np.zeros(s.n), s.normals, s.offsets, A_cl, -b_cl)
     return out.status != lp.OPTIMAL
 
 
@@ -432,7 +443,7 @@ def lp_point_in_hull(point, vertices, tol=geo.TOL_GEOM):
         rhs.append(0.0)
     eq = np.zeros((1, k + 1))
     eq[0, :k] = 1.0
-    out = lp.solve_lp(c, np.array(rows), np.array(rhs), eq, np.array([1.0]))
+    out = lp.solve(c, np.array(rows), np.array(rhs), eq, np.array([1.0]))
     return out.status == lp.OPTIMAL and out.value <= tol
 
 
@@ -444,7 +455,7 @@ def lp_hull_meets_planes(vertices, planes):
     k = len(V)
     eq = np.array([np.ones(k)] + [V @ pl.normal for pl in planes])
     rhs = np.array([1.0] + [pl.offset for pl in planes])
-    out = lp.solve_lp(np.zeros(k), -np.eye(k), np.zeros(k), eq, rhs)
+    out = lp.solve(np.zeros(k), -np.eye(k), np.zeros(k), eq, rhs)
     return out.status == lp.OPTIMAL
 
 
@@ -466,7 +477,7 @@ def right_target_polygons(count):
         if f is None:
             continue
         geom = compute_geometry(sys, p)
-        ra = reach.analyze(sys, geom, p, f)
+        ra = reach.analyze(geom, p, f)
         if ra.reachable:
             out.append((sys, p, f, geom, ra))
     return out

@@ -5,7 +5,8 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from helpers import (hull_distance, rank_clip_facets, rank_edges, rank_facets,
-                     random_simplices, reference_simplex_table)
+                     random_simplices, reference_maximal_sets,
+                     reference_simplex_table)
 from reachctl import geometry as geo
 from reachctl import lp
 from reachctl.errors import DimensionDeficient, GeometryError
@@ -17,9 +18,9 @@ def lp_calls(monkeypatch):
     calls = []
     solve = lp.solve
 
-    def counting(prog):
+    def counting(*args):
         calls.append(1)
-        return solve(prog)
+        return solve(*args)
 
     monkeypatch.setattr(lp, "solve", counting)
     return calls
@@ -44,18 +45,6 @@ def mc_volume(p, rng, nsamples=200_000):
     inside = np.all(pts @ A.T - b <= 0.0, axis=1)
     box = np.prod(hi - lo)
     return box * inside.mean()
-
-
-def shoelace(poly2d):
-    v = poly2d
-    x, y = v[:, 0], v[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-
-def angular_order(points):
-    c = points.mean(axis=0)
-    ang = np.arctan2(points[:, 1] - c[1], points[:, 0] - c[0])
-    return points[np.argsort(ang)]
 
 
 def greedy_dedupe(points):
@@ -340,6 +329,33 @@ def describes_clip(out, p, h, rng):
     return True
 
 
+def random_tight_table(rng):
+    """A boolean (candidate, point) table whose rows repeat, contain one
+    another or are empty, in random order."""
+    rows, cols = rng.integers(1, 10), rng.integers(1, 9)
+    base = rng.random((rows, cols)) < rng.uniform(0.2, 0.8)
+    picks = rng.integers(0, rows, size=rng.integers(0, 2 * rows))
+    subsets = base[picks] & (rng.random((len(picks), cols)) < 0.6)
+    copies = base[rng.integers(0, rows, size=rng.integers(0, rows + 1))]
+    empty = np.zeros((rng.integers(0, 3), cols), dtype=bool)
+    table = np.vstack([base, subsets, copies, empty])
+    return table[rng.permutation(len(table))]
+
+
+class TestMaximalSets:
+    def test_matches_the_distinct_row_reference(self):
+        """The one-product rule picks the rows the ``np.unique`` rule
+        picks: the first row of each nonempty set in no larger set."""
+        rng = np.random.default_rng(21)
+        for _ in range(1500):
+            tight = random_tight_table(rng)
+            assert geo._maximal_sets(tight).tolist() == reference_maximal_sets(tight)
+
+    def test_tables_without_rows_or_points(self):
+        assert geo._maximal_sets(np.zeros((0, 4), dtype=bool)).tolist() == []
+        assert geo._maximal_sets(np.zeros((3, 0), dtype=bool)).tolist() == []
+
+
 class TestClip:
     """The incidence clip against the n-subset enumeration of
     ``hrep_to_vrep`` on the same halfspaces."""
@@ -568,57 +584,6 @@ class TestFaces:
         assert len(geo.edges(cube)) == 12
         assert len(cube.vertices) == 8
         assert len(geo.edges(geo.Polytope.box([0] * 4, [1] * 4))) == 32
-
-
-class TestTriangulateFace:
-    def test_square_facet_in_3d(self):
-        cube = geo.Polytope.box([0, 0, 0], [1, 1, 1])
-        facet = cube.facets()[0]
-        tris = geo.triangulate_point_set(facet.vertices)
-        assert len(tris) == 2
-        area = sum(geo.simplex_volume(t) for t in tris)
-        assert area == pytest.approx(1.0, abs=1e-9)
-
-    def test_segment_facet_is_itself(self):
-        square = geo.convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
-        facet = square.facets()[0]
-        tris = geo.triangulate_point_set(facet.vertices)
-        assert len(tris) == 1
-        assert tris[0].shape == (2, 2)
-
-    def test_segments_match_the_hull_of_their_line(self, monkeypatch):
-        """A collinear point set gives its two end rows, in lexicographic
-        order, as hulling it in its line's coordinates does, without the
-        hull."""
-        rng = np.random.default_rng(8)
-        cases = []
-        for n in (2, 3, 4):
-            for _ in range(30):
-                t = rng.uniform(-1, 2, size=rng.integers(2, 7))
-                pts = rng.normal(size=n) + t[:, None] * rng.normal(size=n)
-                pts += rng.choice([0.0, 1e-12]) * rng.normal(size=pts.shape)
-                V = geo.lex_sorted(geo.dedupe_points(pts))
-                origin, basis = geo.affine_basis(V)
-                coords = (V - origin) @ basis
-                ends = geo.convex_hull(coords).vertices
-                rows = np.nonzero((coords[:, None, :] == ends[None, :, :]).all(axis=2))[0]
-                cases.append((pts, V[rows]))
-        hulls = []
-        monkeypatch.setattr(geo, "convex_hull", lambda *args, **kw: hulls.append(1))
-        for pts, expected in cases:
-            got = geo.triangulate_point_set(pts)
-            assert len(got) == 1 and np.array_equal(got[0], expected)
-        assert not hulls
-
-    def test_pentagon_matches_shoelace(self):
-        ang = np.linspace(0, 2 * np.pi, 6)[:-1] + 0.2
-        pts3 = np.stack([np.cos(ang), np.sin(ang), np.ones(5)], axis=1)
-        face = geo.Face.from_vertices(pts3)
-        tris = geo.triangulate_point_set(face.vertices)
-        assert len(tris) == 3
-        area = sum(geo.simplex_volume(t) for t in tris)
-        expected = shoelace(angular_order(pts3[:, :2]))
-        assert area == pytest.approx(expected, abs=1e-9)
 
 
 class TestTriangulationValidity:

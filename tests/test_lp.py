@@ -30,7 +30,7 @@ def square_constraints():
 
 def test_min_x1_over_unit_square():
     G, h = square_constraints()
-    out = lp.solve_lp([1.0, 0.0], G, h)
+    out = lp.solve([1.0, 0.0], G, h)
     assert out.status == lp.OPTIMAL
     assert out.value == pytest.approx(0.0, abs=1e-9)
     assert out.x[0] == pytest.approx(0.0, abs=1e-9)
@@ -40,7 +40,7 @@ def test_triangle_hypotenuse_optimum():
     # triangle (0,0),(2,0),(0,2): min -x1-x2 attained on the hypotenuse
     G = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
     h = np.array([0.0, 0.0, 2.0])
-    out = lp.solve_lp([-1.0, -1.0], G, h)
+    out = lp.solve([-1.0, -1.0], G, h)
     assert out.status == lp.OPTIMAL
     assert out.value == pytest.approx(-2.0, abs=1e-9)
 
@@ -48,12 +48,12 @@ def test_triangle_hypotenuse_optimum():
 def test_infeasible_detected():
     G = np.array([[1.0], [-1.0]])
     h = np.array([-1.0, 0.0])  # x <= -1 and x >= 0
-    out = lp.solve_lp([1.0], G, h)
+    out = lp.solve([1.0], G, h)
     assert out.status == lp.INFEASIBLE
 
 
 def test_unbounded_detected():
-    out = lp.solve_lp([1.0, 0.0], np.array([[0.0, 1.0]]), np.array([1.0]))
+    out = lp.solve([1.0, 0.0], np.array([[0.0, 1.0]]), np.array([1.0]))
     assert out.status == lp.UNBOUNDED
 
 
@@ -61,7 +61,7 @@ def test_equality_constraints():
     # min x1 + x2 s.t. x1 + x2 = 1, x >= 0  -> value 1
     G = -np.eye(2)
     h = np.zeros(2)
-    out = lp.solve_lp([1.0, 1.0], G, h, np.array([[1.0, 1.0]]), np.array([1.0]))
+    out = lp.solve([1.0, 1.0], G, h, np.array([[1.0, 1.0]]), np.array([1.0]))
     assert out.status == lp.OPTIMAL
     assert out.value == pytest.approx(1.0, abs=1e-9)
 
@@ -75,7 +75,7 @@ def test_random_lps_match_vertex_enumeration():
         h = rng.uniform(0.2, 1.5, size=5)
         c = rng.normal(size=2)
         oracle = brute_force_2d_lp(c, G, h)
-        out = lp.solve_lp(c, G, h)
+        out = lp.solve(c, G, h)
         if oracle is None:
             continue
         # the oracle only sees bounded directions; skip unbounded cases
@@ -96,7 +96,7 @@ def test_weak_duality_spot_check():
         G = rng.normal(size=(6, 3))
         h = rng.uniform(0.5, 2.0, size=6)
         c = rng.normal(size=3)
-        out = lp.solve_lp(c, G, h)
+        out = lp.solve(c, G, h)
         if out.status != lp.OPTIMAL:
             continue
         for _ in range(20):
@@ -110,8 +110,8 @@ def test_determinism_bit_for_bit():
     G = rng.normal(size=(8, 3))
     h = rng.uniform(0.5, 2.0, size=8)
     c = rng.normal(size=3)
-    a = lp.solve_lp(c, G, h)
-    b = lp.solve_lp(c, G, h)
+    a = lp.solve(c, G, h)
+    b = lp.solve(c, G, h)
     assert a.status == b.status
     assert a.value == b.value
     assert np.array_equal(a.x, b.x)

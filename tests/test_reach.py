@@ -16,7 +16,7 @@ from helpers import (box_fixture, cube_fixture, face_from, ill1_fixture, ill2_fi
 
 def analysis_for(sys, p, f):
     geom = compute_geometry(sys, p)
-    return geom, reach.analyze(sys, geom, p, f)
+    return geom, reach.analyze(geom, p, f)
 
 
 class TestAnalyze:
@@ -81,9 +81,9 @@ class TestAnalyze:
             tests.append((np.asarray(x).tobytes(), np.asarray(V).tobytes()))
             return in_hull(x, V, tol)
 
-        def counting_solve(prog):
+        def counting_solve(*args):
             lps.append(1)
-            return solve(prog)
+            return solve(*args)
 
         monkeypatch.setattr(reach, "point_in_hull", counting_hull)
         monkeypatch.setattr(lp, "solve", counting_solve)
@@ -114,7 +114,7 @@ class TestAnalyze:
         geom, ra = analysis_for(sys, p, f)
         assert np.array_equal(ra.uncovered, ra.a_minus.vertices)
         with pytest.raises(CutConstructionFailed) if cut_fails else contextlib.nullcontext():
-            reach.epsilon_cut(sys, geom, p, f, 0.1, analysis=ra)
+            reach.epsilon_cut(geom, p, f, 0.1, analysis=ra)
         assert len(tests) == len(set(tests))
 
     @pytest.mark.parametrize("fixture, lps", [
@@ -124,9 +124,9 @@ class TestAnalyze:
         calls = []
         solve = lp.solve
 
-        def counting_solve(prog):
+        def counting_solve(*args):
             calls.append(1)
-            return solve(prog)
+            return solve(*args)
 
         monkeypatch.setattr(lp, "solve", counting_solve)
         analysis_for(*fixture())
@@ -177,7 +177,7 @@ class TestEpsilonCut:
     def test_no_failure_sets_returns_whole(self):
         sys, p, f = box_fixture()
         geom, ra = analysis_for(sys, p, f)
-        cut = reach.epsilon_cut(sys, geom, p, f, 0.1, analysis=ra)
+        cut = reach.epsilon_cut(geom, p, f, 0.1, analysis=ra)
         assert cut.a_eps_minus.is_empty and cut.a_eps_plus.is_empty
         assert cut.reach_eps.volume() == pytest.approx(p.volume())
 
@@ -185,7 +185,7 @@ class TestEpsilonCut:
         sys, p, f = wedge_fixture()
         geom, ra = analysis_for(sys, p, f)
         eps = 0.1
-        cut = reach.epsilon_cut(sys, geom, p, f, eps, analysis=ra)
+        cut = reach.epsilon_cut(geom, p, f, eps, analysis=ra)
         assert len(cut.reach_eps.vertices) == 5
         expected = np.array([(eps, 0), (2.5 - eps, 0), (2.5, 1), (1, 1), (eps, eps)])
         assert np.allclose(geo.lex_sorted(expected), cut.reach_eps.vertices, atol=1e-9)
@@ -206,7 +206,7 @@ class TestEpsilonCut:
         exact = lo.volume()
         gaps = []
         for eps in (0.2, 0.1, 0.05, 0.025):
-            cut = reach.epsilon_cut(sys, geom, p, f, eps, analysis=ra)
+            cut = reach.epsilon_cut(geom, p, f, eps, analysis=ra)
             gaps.append(exact - cut.reach_eps.volume())
         assert all(g > 0 for g in gaps)
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
@@ -214,8 +214,8 @@ class TestEpsilonCut:
     def test_monotone_nesting(self):
         sys, p, f = wedge_fixture()
         geom, ra = analysis_for(sys, p, f)
-        small = reach.epsilon_cut(sys, geom, p, f, 0.05, analysis=ra)
-        large = reach.epsilon_cut(sys, geom, p, f, 0.2, analysis=ra)
+        small = reach.epsilon_cut(geom, p, f, 0.05, analysis=ra)
+        large = reach.epsilon_cut(geom, p, f, 0.2, analysis=ra)
         for v in large.reach_eps.vertices:
             assert small.reach_eps.contains(v, 1e-8)
 
@@ -224,7 +224,7 @@ class TestEpsilonCut:
         geom, ra = analysis_for(sys, p, f)
         assert ra.a_minus.is_empty and not ra.a_plus.is_empty
         eps = 0.1
-        cut = reach.epsilon_cut(sys, geom, p, f, eps, analysis=ra)
+        cut = reach.epsilon_cut(geom, p, f, eps, analysis=ra)
         assert cut.a_eps_minus.is_empty
         assert cut.a_eps_plus.contains([0, 0], 1e-9)
         levels = cut.a_eps_plus.vertices @ geom.beta
@@ -234,7 +234,7 @@ class TestEpsilonCut:
         sys, p, f = wedge_fixture()
         geom, ra = analysis_for(sys, p, f)
         with pytest.raises(EpsTooLarge):
-            reach.epsilon_cut(sys, geom, p, f, 5.0, analysis=ra)
+            reach.epsilon_cut(geom, p, f, 5.0, analysis=ra)
 
 
 class TestInvariance:

@@ -217,9 +217,9 @@ def test_box_trajectory_solves_few_lps(box, monkeypatch):
     calls = []
     solve = lp.solve
 
-    def counting(prog):
+    def counting(*args):
         calls.append(1)
-        return solve(prog)
+        return solve(*args)
 
     monkeypatch.setattr(lp, "solve", counting)
     x0 = sim.sample_states(p, 1, np.random.default_rng(0))[0]

@@ -1,7 +1,8 @@
 """Source checks that need no linter: every name a module of the package
 imports is used in that module or exported through its ``__all__``, no
-module imports another module's private (``_``-prefixed) names, and
-every error class is raised somewhere or is the base of one that is."""
+module imports another module's private (``_``-prefixed) names, every
+error class is raised somewhere or is the base of one that is, and every
+function reads each of its parameters."""
 
 import ast
 from pathlib import Path
@@ -126,3 +127,37 @@ def test_check_sees_an_unraised_error():
     source = "from .errors import Leaf\ndef f():\n    raise Leaf('x')\n"
     assert unraised_errors(errors, [source]) == ["Alone", "Spare"]
     assert unraised_errors(errors, [source, "raise errors.Alone\n"]) == ["Spare"]
+
+
+def unread_parameters(source: str) -> list[str]:
+    """The parameters, ``self`` and ``cls`` aside, that the body of their
+    function (nested functions included) never reads."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + \
+            [a for a in (args.vararg, args.kwarg) if a is not None]
+        body = fn.body if isinstance(fn.body, list) else [fn.body]
+        read = {node.id for stmt in body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        name = getattr(fn, "name", "lambda")
+        out += [f"{name}.{a.arg} (line {fn.lineno})" for a in params
+                if a.arg not in ("self", "cls") and a.arg not in read]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    assert unread_parameters(path.read_text()) == []
+
+
+def test_check_sees_an_unread_parameter():
+    source = ("class A:\n    def m(self, x, *rest, key=1, **kw):\n        return x + key\n"
+              "    @classmethod\n    def c(cls, y):\n        def inner():\n            return y\n"
+              "        return inner\n"
+              "def f(sys, geom):\n    return geom\n"
+              "g = lambda a, b: a\n")
+    assert unread_parameters(source) == ["f.sys (line 9)", "lambda.b (line 11)",
+                                         "m.kw (line 2)", "m.rest (line 2)"]

@@ -47,7 +47,7 @@ def random_reachable_simplex(rng):
             continue
         for e in range(3):
             f = s.facet(e)
-            ra = reach.analyze(sys, geom, p, geo.Face(f.vertices, None, 1))
+            ra = reach.analyze(geom, p, geo.Face(f.vertices, None, 1))
             if ra.reachable:
                 return sys, geom, s, e
         # no reachable exit facet for this draw; try again
@@ -284,7 +284,7 @@ class TestSynthSimplex:
         # exit through the facet opposite (2,0): dragging everything
         # against the drift is infeasible
         f = s.facet(1)
-        ra = reach.analyze(sys, geom, s.as_polytope(), geo.Face(f.vertices, None, 1))
+        ra = reach.analyze(geom, s.as_polytope(), geo.Face(f.vertices, None, 1))
         assert not ra.reachable
         with pytest.raises(SynthesisFailed):
             synth.synth_simplex(sys, geom, s, 1)
@@ -303,7 +303,7 @@ class TestGreedyPaths:
     def test_pentagon_chain(self):
         sys, p, f = wedge_fixture()
         geom = compute_geometry(sys, p)
-        cut = reach.epsilon_cut(sys, geom, p, f, 0.1)
+        cut = reach.epsilon_cut(geom, p, f, 0.1)
         vstar = tri.select_vstar(cut.reach_eps, f, geom)
         t = tri.basic_triangulation(cut.reach_eps, vstar)
         tri.mark_target(t, cut.reach_eps.halfspaces[geo.whole_facet(cut.reach_eps, f)])
@@ -349,9 +349,9 @@ class TestGreedyPaths:
         calls = []
         solve = lp.solve
 
-        def counting(prog):
+        def counting(*args):
             calls.append(1)
-            return solve(prog)
+            return solve(*args)
 
         monkeypatch.setattr(lp, "solve", counting)
         tri.mark_target(t, f.supporting)

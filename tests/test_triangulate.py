@@ -23,8 +23,8 @@ class TestSelectVstar:
     def test_wedge_cut_anchor_unique(self):
         sys, p, f = wedge_fixture()
         geom = compute_geometry(sys, p)
-        ra = reach.analyze(sys, geom, p, f)
-        cut = reach.epsilon_cut(sys, geom, p, f, 0.1, analysis=ra)
+        ra = reach.analyze(geom, p, f)
+        cut = reach.epsilon_cut(geom, p, f, 0.1, analysis=ra)
         vstar = tri.select_vstar(cut.reach_eps, f, geom)
         assert np.allclose(vstar, [0.1, 0.1], atol=1e-12)
         # the other top-face vertex sits on the equilibrium line and off
@@ -70,7 +70,7 @@ class TestBasicTriangulation:
     def test_pentagon_three_simplices(self):
         sys, p, f = wedge_fixture()
         geom = compute_geometry(sys, p)
-        cut = reach.epsilon_cut(sys, geom, p, f, 0.1)
+        cut = reach.epsilon_cut(geom, p, f, 0.1)
         vstar = tri.select_vstar(cut.reach_eps, f, geom)
         t = tri.basic_triangulation(cut.reach_eps, vstar)
         assert len(t.simplices) == 3
@@ -104,9 +104,9 @@ def _marked_leaf(fixture, eps):
     after the margin cut when the target is not reachable."""
     sys, p, f = fixture()
     geom = compute_geometry(sys, p)
-    ra = reach.analyze(sys, geom, p, f)
+    ra = reach.analyze(geom, p, f)
     if not ra.reachable:
-        p = reach.epsilon_cut(sys, geom, p, f, eps, analysis=ra).reach_eps
+        p = reach.epsilon_cut(geom, p, f, eps, analysis=ra).reach_eps
         geom = compute_geometry(sys, p)
     k = geo.whole_facet(p, f)
     assert k is not None
@@ -205,6 +205,32 @@ class TestTriangulationWrtF:
         assert t.target_exits == lp_target_exits(t, f)
         simplices_valid(cube, t.simplices)
 
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_random_targets_inside_a_facet(self, n):
+        """Random hulls, a random facet, a target hulled from random convex
+        combinations of its vertices and an anchor off it: the simplices
+        fill the hull, the anchor is row 0 of each, the exits are the LP
+        rule's, and each base on the facet lies inside the target exactly
+        when its simplex exits."""
+        rng = np.random.default_rng(40 + n)
+        for _ in range(20):
+            p = geo.convex_hull(rng.normal(size=(n + 4, n)))
+            k = rng.integers(len(p.halfspaces))
+            h, on = p.halfspaces[k], p.incidence[:, k]
+            weights = rng.dirichlet(np.ones(on.sum()), size=n + rng.integers(0, 3))
+            f = face_from(weights @ p.vertices[on])
+            assert f.dim == n - 1
+            vstar = p.vertices[~on][rng.integers((~on).sum())]
+            t = tri.triangulation_wrt_F(p, f, vstar)
+            simplices_valid(p, t.simplices)
+            assert all(np.array_equal(s.vertices[0], vstar) for s in t.simplices)
+            assert t.target_exits == lp_target_exits(t, f)
+            for idx, s in enumerate(t.simplices):
+                base = s.vertices[1:]
+                if np.abs(base @ h.normal - h.offset).max() <= 1e-9:
+                    inside = geo.point_in_hull(base.mean(axis=0), f.vertices, 1e-8)
+                    assert inside == (idx in t.target_exits)
+
     def test_anchor_on_fbar_rejected(self):
         sys, p, f = ill1_fixture()
         with pytest.raises(VStarInFbar):
@@ -222,7 +248,7 @@ class TestCoverWrtF:
     def test_ill3_three_pieces(self):
         sys, p, f = ill3_fixture()
         geom = compute_geometry(sys, p)
-        ra = reach.analyze(sys, geom, p, f)
+        ra = reach.analyze(geom, p, f)
         assert ra.reachable
         cover = tri.cover_wrt_F(p, f, geom)
         assert len(cover.pieces) == 3
@@ -247,7 +273,7 @@ class TestCoverWrtF:
         cover = tri.cover_wrt_F(p, f, geom)
         for cp in cover.pieces:
             g = compute_geometry(sys, cp.polytope)
-            ra = reach.analyze(sys, g, cp.polytope, cp.target)
+            ra = reach.analyze(g, cp.polytope, cp.target)
             assert ra.reachable
         # interface endpoints: drift-low end matches the target's, top end
         # is the anchor vertex
@@ -273,7 +299,7 @@ class TestSplitFarCase:
         # both sub-problems are solvable
         for cp in cover.pieces:
             g = compute_geometry(sys, cp.polytope)
-            assert reach.analyze(sys, g, cp.polytope, cp.target).reachable
+            assert reach.analyze(g, cp.polytope, cp.target).reachable
         # volumes add up
         assert p1.polytope.volume() + p2.polytope.volume() == pytest.approx(p.volume())
 
