@@ -24,9 +24,10 @@ points go to ``convex_hull``, as a section's always do.
 No hull, clip, split or section solves an LP.  LPs remain only in
 ``hrep_to_vrep`` (every n-subset of the constraints), whose boundedness
 LPs check caller input, and in ``point_in_hull``, which solves its LP
-only when two exact closed forms leave the answer open: a point near a
-vertex is in, and a point outside the vertices' bounding box by more
-than the tolerance is out.
+only when its exact closed forms leave the answer open: a point near a
+vertex, or near the hull of affinely independent vertices, is in; a
+point far outside the bounding box, the affine hull or the simplex of
+the vertices is out, by bounds read off the vertices themselves.
 
 Every geometric comparison in the package uses one of the named
 constants below, each fixed to one role, and assumes inputs scaled so the
@@ -310,16 +311,31 @@ class Polytope:
 
 
 # ---------------------------------------------------------------------------
-# membership via LP
+# membership: closed-form certificates, then an LP
 # ---------------------------------------------------------------------------
 
 def point_in_hull(point, vertices, tol: float = TOL_GEOM) -> bool:
     """Is ``point`` within ``tol`` (inf-norm) of conv(vertices)?
 
-    A point within ``tol`` of a vertex is in; a point more than ``tol``
-    outside the vertices' bounding box is out, exactly, because its
-    inf-norm distance to the hull is at least its gap to the box.  Only
-    the rest is solved as the LP
+    Closed forms settle most points, each exactly:
+
+    * a point within ``tol`` of a vertex is in;
+    * a point more than ``tol`` outside the vertices' bounding box is out,
+      because its inf-norm distance to the hull is at least its gap to the
+      box;
+    * a point is out when a row g valid on the hull, bounded by
+      c = max_i g.v_i, has g.x - c > 2 tol |g|_1, because
+      g.(x - y) <= |g|_1 |x - y|_inf for every y of the hull.  The rows
+      are the equations of the vertices' affine hull, both ways, and, for
+      affinely independent vertices, the facets of their simplex in it
+      (the barycentric gradients).  The bound comes from the vertices
+      themselves, so however the rows are rounded it holds;
+    * for affinely independent vertices, a point is in when lam V lies
+      within ``tol`` of it, lam the barycentric coordinates of its
+      projection onto the affine hull, clipped at 0 and renormalized,
+      since lam V is then a point of the hull.
+
+    Only the rest is solved as the LP
     min s  s.t.  |V^T lam - point| <= s, sum lam = 1, lam >= 0.
     """
     V = _as_points(vertices)
@@ -327,9 +343,24 @@ def point_in_hull(point, vertices, tol: float = TOL_GEOM) -> bool:
         return False
     x = np.asarray(point, dtype=float)
     k, n = V.shape
-    if np.min(np.max(np.abs(V - x), axis=1)) <= tol:
-        return True
+    near = np.min(np.max(np.abs(V - x), axis=1)) <= tol
+    if near or k == 1:
+        return bool(near)
     if np.any(x < V.min(axis=0) - tol) or np.any(x > V.max(axis=0) + tol):
+        return False
+    D = V[1:] - V[0]
+    r = rank(D)
+    u, sv, vt = np.linalg.svd(D)
+    G = np.vstack([vt[r:], -vt[r:]])
+    if r == k - 1:
+        # lam_1.. of the projection are (x - v_0) P; lam_0 is 1 - their sum
+        P = vt[:r].T @ (u[:, :r] / sv[:r]).T
+        lam = (x - V[0]) @ P
+        lam = np.maximum(np.append(1.0 - lam.sum(), lam), 0.0)
+        if np.abs(lam @ V / lam.sum() - x).max() <= tol:
+            return True
+        G = np.vstack([G, P.sum(axis=1), -P.T])
+    if np.any(G @ x - (V @ G.T).max(axis=0) > 2.0 * tol * np.abs(G).sum(axis=1)):
         return False
     # variables lam (k) and s; per coordinate V^T lam - s <= x and
     # -V^T lam - s <= -x, then -lam <= 0 (0.0 - keeps zeros unsigned)

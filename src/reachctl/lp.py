@@ -5,6 +5,12 @@ dense, and must behave deterministically, so a self-contained two-phase
 tableau simplex with Bland's anti-cycling rule is used instead of an
 external solver.  Variables are free (unrestricted in sign): internally
 each is split into a difference of two nonnegative variables.
+
+Two callers remain, both in ``geometry``: ``point_in_hull``, for the
+points its closed-form certificates leave open, and ``hrep_to_vrep``,
+whose coordinate LPs certify that caller input is bounded.  The vertex
+controls of synthesis (``synth.vertex_controls_lp``) enumerate their
+LPs' bases instead and keep only ``TOL_LP`` from here.
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ the controller's stacked facet table (``PWAController.locate``), and the
 target screen.  ``target_screen``, built once per run from the equations
 of the face's affine hull, rules out a state more than 2 TOL_SIM
 (inf-norm) off that affine hull with no LP; every other state goes, in
-step order, to ``point_in_hull``, whose bounding-box check or LP gives
-the verdict.  The block is kept up to its first event, exactly where a
+step order, to ``point_in_hull``, whose closed-form certificates or LP
+give the verdict.  The block is kept up to its first event, exactly where a
 run of single steps would have stopped or switched piece, so the same
 steps are taken and tested; states differ from single steps only by
 rounding.

@@ -1,8 +1,11 @@
 """Piecewise-affine feedback synthesis.
 
-Vertex controls are found by one LP per simplex vertex, which maximizes
+Vertex controls solve one small LP per simplex vertex, which maximizes
 the margin of the blocking conditions and, as a tie-break, the push
-across the exit facet.  A simplex's law is their barycentric
+across the exit facet.  The LPs of a simplex are solved together and
+exactly by enumerating their bases, so synthesis runs no simplex
+tableau there (``vertex_controls_lp``); where optima tie, the control of
+least norm is taken.  A simplex's law is their barycentric
 interpolation (``Simplex.barycentric``), checked for a closed-loop
 equilibrium; the laws are assembled over a triangulation ordered by a
 greedy pass that always finishes the lowest-drift exit facet first.
@@ -10,6 +13,7 @@ greedy pass that always finishes the lowest-drift exit facet first.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -17,10 +21,10 @@ import numpy as np
 
 from . import lp
 from .errors import (AssumptionViolated, Infeasible, NotReachable,
-                     NumericalFailure, SingularVertexMatrix, Stuck,
-                     SynthesisFailed)
-from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_MERGE, Face, Polytope,
-                       Simplex, carrying_facet, point_in_hull, whole_facet)
+                     SingularVertexMatrix, Stuck, SynthesisFailed)
+from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_MERGE, TOL_ZERO, Face,
+                       Polytope, Simplex, carrying_facet, point_in_hull, rank,
+                       whole_facet)
 from .reach import analyze, epsilon_cut
 from .system import (AffineSystem, SystemGeometry, check_assumptions,
                      compute_geometry)
@@ -125,10 +129,10 @@ class PWAController:
 # ---------------------------------------------------------------------------
 
 def vertex_controls_lp(sys: AffineSystem, s: Simplex, exit_facet: int) -> VertexControls:
-    """Per-vertex controls by one LP each (Habets, Collins & van Schuppen
-    2006), the apex included:
+    """Per-vertex controls (Habets, Collins & van Schuppen 2006), the apex
+    included, each the optimum of the LP
 
-        max t_b + _PUSH t_e  over (u, t_b, t_e)
+        max t_b + _PUSH t_e  over z = (u, t_b, t_e)
         s.t. n_j.(drift + B u) <= -t_b  for each blocked facet j,
              n_e.(drift + B u) >= t_e,  t_b <= _CAP,  t_e <= _CAP,
 
@@ -141,32 +145,59 @@ def vertex_controls_lp(sys: AffineSystem, s: Simplex, exit_facet: int) -> Vertex
     closed-loop equilibrium at the vertex; the push picks one that points
     out across the exit.  Raises ``Infeasible`` when a vertex's margin is
     negative.
+
+    The LPs are solved together and exactly, without a tableau.  Each is
+    feasible (t_b, t_e -> -inf satisfy every row) and bounded by the caps,
+    and its rows hold n of the simplex's facet normals, which are
+    linearly independent, so with B of full column rank (A1) they have
+    rank m + 2 and the optimum is attained at a basic solution: m + 2
+    linearly independent rows held with equality.  Every vertex's rows
+    take one layout of n + 3: one per facet (facet j blocked, the exit
+    row at e, and the void row 0 <= 1 at the vertex's own facet) and then
+    the two caps.  Each (m + 2)-subset of them that ``rank`` finds
+    nonsingular is solved, in one stacked ``np.linalg.solve``; of the
+    solutions that satisfy every row within ``lp.TOL_LP``, the best is
+    the optimum.
+    Where optima tie (the caps bind) the control is the optimal basic one
+    of least norm, and then the one of the lexicographically first
+    subset, so it does not depend on a pivoting rule.
     """
     nv, m = s.n + 1, sys.m
-    n_exit = s.normals[exit_facet]
-    c = np.zeros(m + 2)
-    c[m:] = (-1.0, -_PUSH)
-    us = np.zeros((nv, m))
-    slack = np.inf
-    for i in range(nv):
-        blocked = s.normals[[j for j in range(nv) if j != i and j != exit_facet]]
-        k = len(blocked)
-        rows = np.zeros((k + 3, m + 2))
-        rows[:k, :m] = blocked @ sys.B
-        rows[:k, m] = 1.0
-        rows[k, :m] = -(n_exit @ sys.B)
-        # the exit row carries t_e; then the caps of t_b and t_e
-        rows[k:, m:] = ((0.0, 1.0), (1.0, 0.0), (0.0, 1.0))
-        drift = sys.drift(s.vertices[i])
-        rhs = np.concatenate([-(blocked @ drift), [n_exit @ drift, _CAP, _CAP]])
-        out = lp.solve(c, rows, rhs)
-        if out.status != lp.OPTIMAL:
-            raise NumericalFailure(f"vertex-control LP ended with status {out.status}")
-        if out.x[m] < -lp.TOL_LP:
-            raise Infeasible(i)
-        us[i] = out.x[:m]
-        slack = min(slack, float(out.x[m]))
-    return VertexControls(us, slack)
+    facets = s.normals @ sys.B
+    levels = s.normals @ (s.vertices @ sys.A.T + sys.a).T
+    rows = np.zeros((nv, nv + 2, m + 2))
+    rhs = np.full((nv, nv + 2), _CAP)
+    rows[:, :nv, :m] = facets
+    rows[:, :nv, m] = 1.0
+    rhs[:, :nv] = -levels.T
+    rows[:, exit_facet] = np.append(-facets[exit_facet], (0.0, 1.0))
+    rhs[:, exit_facet] = levels[exit_facet]
+    own = np.flatnonzero(np.arange(nv) != exit_facet)
+    rows[own, own] = 0.0
+    rhs[own, own] = 1.0
+    rows[:, nv, m] = rows[:, nv + 1, m + 1] = 1.0
+
+    subsets = np.array(list(itertools.combinations(range(nv + 2), m + 2)))
+    M, b = rows[:, subsets], rhs[:, subsets]
+    # a subset with the void row is singular; rank the others
+    basic = M.any(axis=3).all(axis=2)
+    basic[basic] = rank(M[basic]) == m + 2
+    z = np.full(b.shape, np.nan)
+    z[basic] = np.linalg.solve(M[basic], b[basic][..., None])[..., 0]
+    feasible = basic & np.all(np.einsum("irk,isk->isr", rows, z) <= rhs[:, None] + lp.TOL_LP,
+                              axis=2)
+    score = np.where(feasible, z[..., m] + _PUSH * z[..., m + 1], -np.inf)
+    tie = (TOL_ZERO * np.maximum(1.0, np.abs(rhs).max(axis=1)))[:, None]
+    norm = np.where(feasible & (score >= score.max(axis=1)[:, None] - tie),
+                    np.linalg.norm(z[..., :m], axis=2), np.inf)
+    pick = np.argmax(norm <= norm.min(axis=1)[:, None] + tie, axis=1)
+    best = z[np.arange(nv), pick]
+    # a vertex without a feasible basic solution (B of lower rank) has no margin
+    margin = np.where(feasible.any(axis=1), best[:, m], -np.inf)
+    short = np.flatnonzero(margin < -lp.TOL_LP)
+    if len(short):
+        raise Infeasible(int(short[0]))
+    return VertexControls(best[:, :m], float(margin.min()))
 
 
 def _facet_fields(sys: AffineSystem, s: Simplex, vc: VertexControls) -> np.ndarray:

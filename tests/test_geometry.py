@@ -168,16 +168,104 @@ class TestConvexHull:
         assert len(p.vertices) == 2
 
 
+def simplex_probes(rng, n, d, tol):
+    """The vertices V of a random d-simplex in R^n and probe points with
+    the verdict ``point_in_hull(x, V, tol)`` must give: points of the
+    simplex moved by up to tol / 2 per coordinate (in), and points at
+    inf-norm distance exactly tol (1 -+ 1e-3) from it (in, then out), with
+    that distance.  Such a point is y + delta sign(g), for a row g whose
+    maximum over the simplex is attained at y: a facet's outward
+    direction within the affine hull plus any normal of the hull.  Then
+    g.x - max g.V = delta |g|_1 bounds the distance below by delta, and y
+    bounds it above."""
+    frame, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    W = rng.normal(size=(d + 1, d))
+    V = W @ frame[:, :d].T + rng.normal(size=n)
+    inside = rng.dirichlet(np.ones(d + 1), size=10) @ V
+    near = inside + rng.uniform(-0.5, 0.5, size=inside.shape) * tol
+    probes = [(x, True, None) for x in near]
+    grads = np.linalg.inv(np.vstack([W.T, np.ones(d + 1)]))[:, :d] @ frame[:, :d].T
+    for _ in range(6):
+        g = frame[:, d:] @ rng.normal(size=n - d)
+        y = V[0]
+        if d:
+            j = rng.integers(d + 1)
+            g = g - grads[j]
+            y = rng.dirichlet(np.ones(d)) @ np.delete(V, j, axis=0)
+        for delta in (tol * (1 - 1e-3), tol * (1 + 1e-3)):
+            probes.append((y + delta * np.sign(g), delta <= tol, delta))
+    return V, probes
+
+
 class TestPointInHull:
-    def test_degenerate_phase_one_reaches_its_optimum(self):
+    def test_degenerate_phase_one_reaches_its_optimum(self, lp_calls):
         """Point 18 of this 4-D cloud lies in the hull of the others.  Its
         LP is degenerate: phase 1 meets a column with a negative reduced
         cost and no pivot above 1e-10, which it must pass over, since a
-        sum of artificials bounded below by 0 cannot be unbounded."""
+        sum of artificials bounded below by 0 cannot be unbounded.  No
+        closed form settles the point, so the tableau decides it."""
         pts = geo.dedupe_points(vertex_cloud(np.random.default_rng(0), 4, 4, 3 * geo.TOL_GEOM))
         rest = np.delete(pts, 18, axis=0)
         assert hull_distance(pts[18], rest) <= geo.TOL_GEOM
         assert geo.point_in_hull(pts[18], rest)
+        assert len(lp_calls) == 1
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-4])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_simplex_certificates_match_distance_oracle(self, n, tol, lp_calls):
+        """Affinely independent vertex sets of every dimension d <= n, with
+        points just inside and at tol (1 -+ 1e-3) from their hull: the
+        verdict is the constructed distance's, which the oracle confirms,
+        and the LP runs at most once per point at the tol boundary."""
+        rng = np.random.default_rng(70 + n)
+        probes = 0
+        for d in range(n + 1):
+            for _ in range(2):
+                V, points = simplex_probes(rng, n, d, tol)
+                for x, expect, delta in points:
+                    dist = hull_distance(x, V)
+                    assert dist <= 0.5 * tol if delta is None else \
+                        dist == pytest.approx(delta, abs=1e-4 * tol)
+                    assert geo.point_in_hull(x, V, tol) == expect
+                    probes += 1
+        assert len(lp_calls) <= probes - 20 * (n + 1)
+
+    @pytest.mark.parametrize("V", [
+        [(0, 0), (1000, 0), (500, 1e-7)],
+        [(0, 0, 0), (1000, 0, 0), (0, 1000, 0), (300, 300, 1e-7)],
+    ], ids=["2d", "3d"])
+    def test_sliver_below_the_rank_tolerance(self, V):
+        """A vertex 1e-7 off the plane of the others, 1000 long, is below
+        the rank tolerance, so the set counts as flat; but 1e-7 is 100
+        TOL_GEOM, so a bound on that plane's equation must come from the
+        vertices themselves.  Points of the sliver are in, points
+        3 TOL_GEOM below its base are out."""
+        V = np.array(V, dtype=float)
+        assert geo.rank(V[1:] - V[0]) < len(V) - 1
+        for lam in np.random.default_rng(7).dirichlet(np.ones(len(V)), size=10):
+            x = lam @ V
+            below = np.append(x[:-1], -3 * geo.TOL_GEOM)
+            assert hull_distance(x, V) == 0.0 and geo.point_in_hull(x, V)
+            assert hull_distance(below, V) > geo.TOL_GEOM and not geo.point_in_hull(below, V)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_lower_dimensional_clouds_match_distance_oracle(self, n):
+        """Each point of clouds that span a d-plane, d < n, against the
+        rest, and the same points moved off the plane by 3 TOL_GEOM or
+        0.5 TOL_GEOM per coordinate (so, for a point in the hull, its
+        distance is at most that)."""
+        rng = np.random.default_rng(90 + n)
+        for d in range(1, n):
+            for offset in (0.0, 3 * geo.TOL_GEOM, -3 * geo.TOL_GEOM):
+                pts = geo.dedupe_points(vertex_cloud(rng, n, d, offset))
+                for i, x in enumerate(pts):
+                    rest = np.delete(pts, i, axis=0)
+                    for shift in (0.0, 0.5, 3.0):
+                        y = x + shift * geo.TOL_GEOM * rng.choice((-1.0, 1.0), size=n)
+                        dist = hull_distance(y, rest)
+                        if abs(dist - geo.TOL_GEOM) <= 0.2 * geo.TOL_GEOM:
+                            continue
+                        assert geo.point_in_hull(y, rest) == (dist <= geo.TOL_GEOM)
 
     def test_clouds_match_distance_oracle(self):
         # each point of 40 clouds with facet points 3 TOL_GEOM out, tested

@@ -12,10 +12,11 @@ from reachctl.system import AffineSystem, compute_geometry
 
 from helpers import (box4d_fixture, box_fixture, cube_fixture,
                      diamond_fixture, double_integrator, face_from, facet_face,
-                     flow_margin, ill1_fixture, ill2_fixture, ill3_fixture,
-                     lp_target_exits, o_cross_fixture, pinned_corner_fixture,
-                     random_simplices, reference_no_equilibrium,
-                     right_target_polygons, wedge_fixture)
+                     flow_margin, hull_distance, ill1_fixture, ill2_fixture,
+                     ill3_fixture, lp_target_exits, o_cross_fixture,
+                     pinned_corner_fixture, random_simplices,
+                     reference_no_equilibrium, right_target_polygons,
+                     wedge_fixture)
 
 
 def split_case_simplex():
@@ -26,18 +27,18 @@ def split_case_simplex():
     return double_integrator(), s, exit_facet
 
 
-def random_reachable_simplex(rng):
-    """Random 2-D hypersurface system and simplex with a reachable exit
+def random_reachable_simplex(rng, n=2):
+    """Random n-D hypersurface system and simplex with a reachable exit
     facet (checked by the exact verdict)."""
     while True:
-        A = rng.normal(size=(2, 2))
-        a = rng.normal(size=2)
-        B = rng.normal(size=(2, 1))
+        A = rng.normal(size=(n, n))
+        a = rng.normal(size=n)
+        B = rng.normal(size=(n, n - 1))
         sys = AffineSystem(A, a, B)
-        if sys.input_rank() != 1 or sys.controllability_rank() != 2:
+        if sys.input_rank() != n - 1 or sys.controllability_rank() != n:
             continue
-        V = rng.normal(size=(3, 2)) * rng.uniform(0.5, 2.0)
-        if geo.affine_dimension(V) < 2:
+        V = rng.normal(size=(n + 1, n)) * rng.uniform(0.5, 2.0)
+        if geo.affine_dimension(V) < n:
             continue
         s = geo.Simplex(V)
         p = s.as_polytope()
@@ -45,9 +46,9 @@ def random_reachable_simplex(rng):
             geom = compute_geometry(sys, p)
         except Exception:
             continue
-        for e in range(3):
+        for e in range(n + 1):
             f = s.facet(e)
-            ra = reach.analyze(geom, p, geo.Face(f.vertices, None, 1))
+            ra = reach.analyze(geom, p, geo.Face(f.vertices, None, n - 1))
             if ra.reachable:
                 return sys, geom, s, e
         # no reachable exit facet for this draw; try again
@@ -146,6 +147,62 @@ class TestVertexControlsLP:
                 margin = min(-(blocked @ sys.field(s.vertices[i], vc.u[i])).min(), 1.0)
                 assert margin == pytest.approx(-res.fun, abs=1e-9)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_controls_attain_the_highs_optimum(self, n):
+        """Each vertex's t_b + _PUSH t_e, read off its control, is the
+        optimum scipy's HiGHS finds for its LP, and the returned slack
+        holds on every blocked row within lp.TOL_LP.  The 2-D draws add
+        the apex on the equilibrium plane, where the caps do not bind."""
+        rng = np.random.default_rng(60 + n)
+        cases = [random_reachable_simplex(rng, n) for _ in range(10)]
+        if n == 2:
+            cases.append((double_integrator(), None,
+                          geo.Simplex([(0.0, 1.0), (0.0, 0.0), (2.0, 0.0)]), 1))
+        for sys, _, s, e in cases:
+            vc = synth.vertex_controls_lp(sys, s, e)
+            m, n_exit = sys.m, s.normals[e]
+            margins = []
+            for i in range(n + 1):
+                blocked = s.normals[[j for j in range(n + 1) if j not in (i, e)]]
+                drift = sys.drift(s.vertices[i])
+                A_ub = np.vstack([np.column_stack([blocked @ sys.B, np.ones(len(blocked)),
+                                                   np.zeros(len(blocked))]),
+                                  np.append(-(n_exit @ sys.B), (0.0, 1.0))])
+                b_ub = np.append(-(blocked @ drift), n_exit @ drift)
+                res = linprog(np.append(np.zeros(m), (-1.0, -synth._PUSH)), A_ub=A_ub, b_ub=b_ub,
+                              bounds=[(None, None)] * m + [(None, synth._CAP)] * 2,
+                              method="highs")
+                field = sys.field(s.vertices[i], vc.u[i])
+                t_b = min(-(blocked @ field).max(), synth._CAP)
+                t_e = min(n_exit @ field, synth._CAP)
+                assert t_b + synth._PUSH * t_e == pytest.approx(-res.fun, abs=1e-9)
+                assert (blocked @ field).max() <= -vc.slack + lp.TOL_LP
+                margins.append(t_b)
+            assert vc.slack == pytest.approx(min(margins), abs=1e-9)
+
+    @pytest.mark.parametrize("fixture", [box_fixture, cube_fixture, box4d_fixture])
+    def test_synthesis_solves_no_vertex_control_lp(self, fixture, monkeypatch):
+        """The vertex controls enumerate their LPs' bases: synthesis of
+        the box, the cube and the 4-D box reaches the tableau only from
+        the reachability analysis."""
+        lps, inside = [], []
+        solve, controls = lp.solve, synth.vertex_controls_lp
+
+        def counting_solve(*args):
+            lps.append(len(inside))
+            return solve(*args)
+
+        def counting_controls(*args):
+            inside.append(1)
+            vc = controls(*args)
+            inside.pop()
+            return vc
+
+        monkeypatch.setattr(lp, "solve", counting_solve)
+        monkeypatch.setattr(synth, "vertex_controls_lp", counting_controls)
+        ctrl = synth.synth_polytope(*fixture())
+        assert ctrl.pieces and not any(lps)
+
 
 class TestAffineInterpolation:
     def test_constant_controls(self):
@@ -237,6 +294,22 @@ class TestNoEquilibrium:
             assert got == reference_no_equilibrium(sys, s, gain, offset) == (mu >= band)
             verdicts.append(got)
         assert 10 <= sum(verdicts) <= len(verdicts) - 10
+
+    @pytest.mark.parametrize("singular", [False, True], ids=["regular", "singular"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_field_hulls_match_the_distance_oracle(self, n, singular):
+        """The hull test on every draw of the test above, the band around
+        mu = 0 included: the singular draws (rng 22 for n = 2) have
+        affinely dependent fields.  It agrees with the inf-norm distance
+        from 0 to the fields' hull outside 0.2 TOL_GEOM of TOL_GEOM."""
+        rng = np.random.default_rng(20 + n)
+        for _ in range(60):
+            sys, s, gain, offset = random_closed_loop(rng, n, singular)
+            fields = s.vertices @ (sys.A + sys.B @ gain).T + (sys.a + sys.B @ offset)
+            dist = hull_distance(np.zeros(n), fields)
+            if abs(dist - geo.TOL_GEOM) <= 0.2 * geo.TOL_GEOM:
+                continue
+            assert geo.point_in_hull(np.zeros(n), fields) == (dist <= geo.TOL_GEOM)
 
     @pytest.mark.parametrize("fixture", [box_fixture, wedge_fixture, pinned_corner_fixture,
                                          cube_fixture, o_cross_fixture, ill1_fixture,
