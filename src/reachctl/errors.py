@@ -105,14 +105,6 @@ class SynthError(ReachctlError):
     pass
 
 
-class Infeasible(SynthError):
-    """Vertex invariance conditions are unsatisfiable."""
-
-    def __init__(self, vertex_index: int, msg: str = ""):
-        self.vertex_index = vertex_index
-        super().__init__(msg or f"invariance conditions infeasible at vertex {vertex_index}")
-
-
 class SingularVertexMatrix(SynthError):
     """The affine law misses a vertex control; the simplex is corrupt."""
 

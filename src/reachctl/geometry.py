@@ -34,8 +34,11 @@ constants below, each fixed to one role, and assumes inputs scaled so the
 polytope diameter is O(1): ``TOL_GEOM`` (sides and levels),
 ``TOL_INCIDENCE`` (incidence and membership), ``TOL_MERGE`` (coincident
 points, a target in a facet's plane), ``TOL_RANK`` (read by ``rank``
-alone), ``TOL_ZERO`` (singular systems and ties) and ``TOL_VOLUME``
-(negligible gaps), plus the decimals of the rounded point and halfspace keys.
+alone), ``TOL_ZERO`` (ties, and the relative determinant test of
+``nonsingular``, the one rule for a singular square system) and
+``TOL_VOLUME`` (negligible gaps), plus the decimals of the rounded point
+and halfspace keys.  ``rank`` and ``nonsingular`` are relative: scaling
+a matrix, or a row of a square one, does not change their verdicts.
 ``TOL_GEOM`` is the only tolerance for equal drift levels: every set of
 points at one level comes from ``SystemGeometry.at_level``.  The LP
 solver, the synthesis margins and the simulator keep their own constants
@@ -72,7 +75,8 @@ TOL_MERGE = 1e-7
 # relative to the largest singular value: smaller singular values do not
 # count towards an affine rank
 TOL_RANK = 1e-9
-# numerically zero: determinant of a singular square system, and the
+# relative: a square matrix is singular when |det| is at most this share of
+# the product of its row norms (Hadamard's bound, ``nonsingular``); and the
 # margin that separates a better score from a tie
 TOL_ZERO = 1e-12
 # share of a polytope's volume (or of 1) below which a gap counts as none
@@ -124,6 +128,16 @@ def rank(rows):
     s = np.linalg.svd(rows, compute_uv=False)
     out = np.sum(s > TOL_RANK * s[..., :1], axis=-1)
     return int(out) if rows.ndim == 2 else out
+
+
+def nonsingular(matrices):
+    """Whether a square matrix, or each of a stack, is nonsingular:
+    |det M| > ``TOL_ZERO`` prod_i |M_i|, the M_i its rows.  By Hadamard's
+    inequality the ratio |det M| / prod_i |M_i| lies in [0, 1], and it does
+    not change when a row is rescaled, so the verdict does not depend on
+    the scale of any row; a zero row is singular."""
+    M = np.asarray(matrices, dtype=float)
+    return np.abs(np.linalg.det(M)) > TOL_ZERO * np.prod(np.linalg.norm(M, axis=-1), axis=-1)
 
 
 def affine_dimension(points) -> int:
@@ -382,8 +396,8 @@ def point_in_hull(point, vertices, tol: float = TOL_GEOM) -> bool:
 def hrep_to_vrep(halfspaces: list[HalfSpace]) -> np.ndarray:
     """Vertices of the (bounded) intersection of halfspaces.
 
-    Solves every nonsingular n-subset of the constraints as equations; a
-    solution is kept when it satisfies every constraint within
+    Solves every n-subset of the constraints that ``nonsingular`` passes
+    as equations; a solution is kept when it satisfies every constraint within
     ``TOL_INCIDENCE``.  Boundedness is certified by coordinate LPs.
     """
     hs = list(halfspaces)
@@ -405,7 +419,7 @@ def hrep_to_vrep(halfspaces: list[HalfSpace]) -> np.ndarray:
             return np.zeros((0, n))
 
     subsets = np.array(list(itertools.combinations(range(len(A)), n)))
-    subsets = subsets[np.abs(np.linalg.det(A[subsets])) > TOL_ZERO]
+    subsets = subsets[nonsingular(A[subsets])]
     X = np.linalg.solve(A[subsets], b[subsets][..., None])[..., 0]
     return lex_sorted(dedupe_points(X[np.all(X @ A.T - b <= TOL_INCIDENCE, axis=1)]))
 
@@ -470,7 +484,9 @@ def convex_hull(points, allow_lower: bool = True) -> "Polytope":
     a vertex when the normals of its tight facets have the hull's rank; no
     LP is solved.  Raises DimensionDeficient for degenerate input unless
     ``allow_lower``, in which case a lower-dimensional polytope (vertices
-    only) is returned.
+    only) is returned.  Raises Degenerate when a d-dimensional hull keeps
+    fewer than d+1 vertices: tightness is read at the absolute
+    ``TOL_GEOM``, which coordinates of about 1e7 no longer resolve.
     """
     pts = lex_sorted(dedupe_points(_as_points(points)))
     n = pts.shape[1]
@@ -487,6 +503,8 @@ def convex_hull(points, allow_lower: bool = True) -> "Polytope":
     normals = np.array([h.normal for h in hs])
     tight = np.abs(coords @ normals.T - [h.offset for h in hs]) <= TOL_GEOM
     verts = pts[[rank(normals[t]) == d for t in tight]]
+    if len(verts) <= d:
+        raise Degenerate(f"a {d}-dimensional hull kept {len(verts)} vertices")
     return Polytope(verts, hs if d == n else [], d)
 
 
@@ -701,7 +719,8 @@ class Simplex:
     ``offsets[j]`` so that normals[j].v_i == offsets[j] for i != j and
     normals[j].v_j < offsets[j].  The three are views of one
     (n+1, 2n+1) ``table``, as a controller holds a simplex per piece.  Its
-    facet rows are the normalized barycentric inverse W = [V | 1]^-1:
+    facet rows are the normalized barycentric inverse W = [V | 1]^-1
+    (``barycentric`` reads W back):
     column j, the coordinate lambda_j of vertex j, with its x part negated,
     over the norm of that part."""
 
@@ -741,12 +760,6 @@ class Simplex:
     def offsets(self) -> np.ndarray:
         return self.table[:, -1]
 
-    def barycentric(self) -> np.ndarray:
-        """W = [V | 1]^-1 read back from the table: column j is (-normals[j],
-        offsets[j]) over the height of vertex j above facet j."""
-        heights = self.offsets - np.einsum("ij,ij->i", self.normals, self.vertices)
-        return (np.column_stack([-self.normals, self.offsets]) / heights[:, None]).T
-
     def contains(self, x, tol: float = TOL_GEOM) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(np.all(self.normals @ x - self.offsets <= tol))
@@ -770,6 +783,16 @@ class Simplex:
 
     def __repr__(self) -> str:
         return f"Simplex(n={self.n})"
+
+
+def barycentric(tables: np.ndarray) -> np.ndarray:
+    """W = [V | 1]^-1 of a simplex, or of each of a stack, read back from
+    its ``Simplex.table``: column j is (-normals[j], offsets[j]) over the
+    height of vertex j above facet j."""
+    n = tables.shape[-2] - 1
+    V, N, offsets = tables[..., :n], tables[..., n:-1], tables[..., -1:]
+    heights = offsets - np.einsum("...ij,...ij->...i", N, V)[..., None]
+    return np.swapaxes(np.concatenate([-N, offsets], axis=-1) / heights, -1, -2)
 
 
 # ---------------------------------------------------------------------------

@@ -2,29 +2,38 @@
 
 Vertex controls solve one small LP per simplex vertex, which maximizes
 the margin of the blocking conditions and, as a tie-break, the push
-across the exit facet.  The LPs of a simplex are solved together and
-exactly by enumerating their bases, so synthesis runs no simplex
-tableau there (``vertex_controls_lp``); where optima tie, the control of
-least norm is taken.  A simplex's law is their barycentric
-interpolation (``Simplex.barycentric``), checked for a closed-loop
+across the exit facet.  A simplex's law is their barycentric
+interpolation (``geometry.barycentric``), checked for a closed-loop
 equilibrium; the laws are assembled over a triangulation ordered by a
 greedy pass that always finishes the lowest-drift exit facet first.
+
+Once the greedy pass has ordered a leaf triangulation, its simplices
+(split at a drift midlevel where that applies) are synthesized together.
+``vertex_controls_lp`` solves the LPs of all their vertices at once and
+exactly, by enumerating the LPs' bases, so synthesis runs no simplex
+tableau; a basis is solved when it passes the relative determinant test
+of ``geometry.nonsingular``, whose verdict no row's scale changes, and
+where optima tie the control of least norm is taken.  Margins, laws and
+interpolation residuals come out as stacked arrays; only the equilibrium
+test runs once per piece.  Errors keep the greedy order: after every LP
+is solved the pieces are checked in turn, and the first that fails
+raises, as a loop over the simplices would.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import lp
-from .errors import (AssumptionViolated, Infeasible, NotReachable,
-                     SingularVertexMatrix, Stuck, SynthesisFailed)
+from .errors import (AssumptionViolated, NotReachable, SingularVertexMatrix,
+                     Stuck, SynthesisFailed)
 from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_MERGE, TOL_ZERO, Face,
-                       Polytope, Simplex, carrying_facet, point_in_hull, rank,
-                       whole_facet)
+                       Polytope, Simplex, barycentric, carrying_facet,
+                       nonsingular, point_in_hull, whole_facet)
 from .reach import analyze, epsilon_cut
 from .system import (AffineSystem, SystemGeometry, check_assumptions,
                      compute_geometry)
@@ -128,9 +137,11 @@ class PWAController:
 # vertex controls
 # ---------------------------------------------------------------------------
 
-def vertex_controls_lp(sys: AffineSystem, s: Simplex, exit_facet: int) -> VertexControls:
-    """Per-vertex controls (Habets, Collins & van Schuppen 2006), the apex
-    included, each the optimum of the LP
+def vertex_controls_lp(sys: AffineSystem, simplices: Sequence[Simplex],
+                       exit_facets: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-vertex controls (Habets, Collins & van Schuppen 2006) of every
+    simplex of a sequence, each exiting through its facet of
+    ``exit_facets``, the apex included: at each vertex the optimum of the LP
 
         max t_b + _PUSH t_e  over z = (u, t_b, t_e)
         s.t. n_j.(drift + B u) <= -t_b  for each blocked facet j,
@@ -143,8 +154,14 @@ def vertex_controls_lp(sys: AffineSystem, s: Simplex, exit_facet: int) -> Vertex
     on the equilibrium plane the margin is pinned at 0, and among the
     controls that attain it the margin alone may pick a zero field, a
     closed-loop equilibrium at the vertex; the push picks one that points
-    out across the exit.  Raises ``Infeasible`` when a vertex's margin is
-    negative.
+    out across the exit.
+
+    Returns (u, margins): u[k] is the (n+1, m) array of simplex k's vertex
+    controls and margins[k] its vertices' blocking margins, -inf at a
+    vertex whose LP has no feasible basic solution (B of lower rank).  A
+    margin below -``lp.TOL_LP`` marks an infeasible vertex.  Nothing is
+    raised here: ``synth_simplex`` solves a whole leaf in one call and
+    then raises the error of its first failing simplex, in greedy order.
 
     The LPs are solved together and exactly, without a tableau.  Each is
     feasible (t_b, t_e -> -inf satisfy every row) and bounded by the caps,
@@ -154,80 +171,87 @@ def vertex_controls_lp(sys: AffineSystem, s: Simplex, exit_facet: int) -> Vertex
     linearly independent rows held with equality.  Every vertex's rows
     take one layout of n + 3: one per facet (facet j blocked, the exit
     row at e, and the void row 0 <= 1 at the vertex's own facet) and then
-    the two caps.  Each (m + 2)-subset of them that ``rank`` finds
-    nonsingular is solved, in one stacked ``np.linalg.solve``; of the
-    solutions that satisfy every row within ``lp.TOL_LP``, the best is
-    the optimum.
+    the two caps.  The bases are the (m + 2)-subsets of them without the
+    void row, gathered over all vertices of all simplices; those that
+    ``nonsingular`` passes (|det M| above ``TOL_ZERO`` times the product
+    of M's row norms, a test no row's scale changes) are solved in one
+    stacked ``np.linalg.solve``.  Of the solutions that satisfy every row
+    of their vertex within ``lp.TOL_LP``, the best is the optimum.
     Where optima tie (the caps bind) the control is the optimal basic one
     of least norm, and then the one of the lexicographically first
     subset, so it does not depend on a pivoting rule.
     """
-    nv, m = s.n + 1, sys.m
-    facets = s.normals @ sys.B
-    levels = s.normals @ (s.vertices @ sys.A.T + sys.a).T
-    rows = np.zeros((nv, nv + 2, m + 2))
-    rhs = np.full((nv, nv + 2), _CAP)
-    rows[:, :nv, :m] = facets
-    rows[:, :nv, m] = 1.0
-    rhs[:, :nv] = -levels.T
-    rows[:, exit_facet] = np.append(-facets[exit_facet], (0.0, 1.0))
-    rhs[:, exit_facet] = levels[exit_facet]
-    own = np.flatnonzero(np.arange(nv) != exit_facet)
-    rows[own, own] = 0.0
-    rhs[own, own] = 1.0
-    rows[:, nv, m] = rows[:, nv + 1, m + 1] = 1.0
+    tables = np.stack([s.table for s in simplices])
+    q, nv = tables.shape[:2]
+    m = sys.m
+    V, N = tables[..., :nv - 1], tables[..., nv - 1:-1]
+    e = np.asarray(exit_facets, dtype=int)
+    k = np.arange(q)
+    facets = N @ sys.B
+    levels = N @ np.swapaxes(V @ sys.A.T + sys.a, 1, 2)          # (simplex, facet, vertex)
+    rows = np.zeros((q, nv, nv + 2, m + 2))
+    rhs = np.full((q, nv, nv + 2), _CAP)
+    rows[:, :, :nv, :m] = facets[:, None]
+    rows[:, :, :nv, m] = 1.0
+    rhs[:, :, :nv] = -np.swapaxes(levels, 1, 2)
+    rows[k, :, e, :m] = -facets[k, e][:, None]
+    rows[k, :, e, m:] = (0.0, 1.0)
+    rhs[k, :, e] = levels[k, e]
+    kv, iv = np.nonzero(np.arange(nv) != e[:, None])
+    rows[kv, iv, iv] = 0.0
+    rhs[kv, iv, iv] = 1.0
+    rows[:, :, nv, m] = rows[:, :, nv + 1, m + 1] = 1.0
 
     subsets = np.array(list(itertools.combinations(range(nv + 2), m + 2)))
-    M, b = rows[:, subsets], rhs[:, subsets]
-    # a subset with the void row is singular; rank the others
-    basic = M.any(axis=3).all(axis=2)
-    basic[basic] = rank(M[basic]) == m + 2
-    z = np.full(b.shape, np.nan)
-    z[basic] = np.linalg.solve(M[basic], b[basic][..., None])[..., 0]
-    feasible = basic & np.all(np.einsum("irk,isk->isr", rows, z) <= rhs[:, None] + lp.TOL_LP,
-                              axis=2)
+    # a basis of vertex i leaves out row i, its void row unless i is the apex
+    holds_own = (subsets[:, :, None] == np.arange(nv)).any(axis=1).T
+    kk, ii, cc = np.nonzero(~holds_own | (np.arange(nv) == e[:, None])[..., None])
+    M = rows[kk[:, None], ii[:, None], subsets[cc]]
+    b = rhs[kk[:, None], ii[:, None], subsets[cc]]
+    solved = nonsingular(M)
+    z = np.full((q, nv, len(subsets), m + 2), np.nan)
+    z[kk[solved], ii[solved], cc[solved]] = np.linalg.solve(M[solved], b[solved][..., None])[..., 0]
+    feasible = np.all(np.einsum("qirk,qisk->qisr", rows, z) <= rhs[:, :, None] + lp.TOL_LP,
+                      axis=3)
     score = np.where(feasible, z[..., m] + _PUSH * z[..., m + 1], -np.inf)
-    tie = (TOL_ZERO * np.maximum(1.0, np.abs(rhs).max(axis=1)))[:, None]
-    norm = np.where(feasible & (score >= score.max(axis=1)[:, None] - tie),
-                    np.linalg.norm(z[..., :m], axis=2), np.inf)
-    pick = np.argmax(norm <= norm.min(axis=1)[:, None] + tie, axis=1)
-    best = z[np.arange(nv), pick]
-    # a vertex without a feasible basic solution (B of lower rank) has no margin
-    margin = np.where(feasible.any(axis=1), best[:, m], -np.inf)
-    short = np.flatnonzero(margin < -lp.TOL_LP)
-    if len(short):
-        raise Infeasible(int(short[0]))
-    return VertexControls(best[:, :m], float(margin.min()))
+    tie = TOL_ZERO * np.maximum(1.0, np.abs(rhs).max(axis=2, keepdims=True))
+    norm = np.where(feasible & (score >= score.max(axis=2, keepdims=True) - tie),
+                    np.linalg.norm(z[..., :m], axis=3), np.inf)
+    pick = np.argmax(norm <= norm.min(axis=2, keepdims=True) + tie, axis=2)
+    best = np.take_along_axis(z, pick[..., None, None], axis=2)[:, :, 0]
+    return best[..., :m], np.where(feasible.any(axis=2), best[..., m], -np.inf)
 
 
-def _facet_fields(sys: AffineSystem, s: Simplex, vc: VertexControls) -> np.ndarray:
-    """n_j . F_i over (facet j, vertex i), F = V A^T + a + U B^T."""
-    return s.normals @ (s.vertices @ sys.A.T + sys.a + vc.u @ sys.B.T).T
+def _facet_fields(sys: AffineSystem, tables: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """n_j . F_i over (facet j, vertex i), F = V A^T + a + U B^T, for a
+    simplex table and its vertex controls, or for each of a stack."""
+    n = tables.shape[-2] - 1
+    F = tables[..., :n] @ sys.A.T + sys.a + u @ sys.B.T
+    return tables[..., n:-1] @ np.swapaxes(F, -1, -2)
+
+
+def _blocked(nv: int, exit_facets) -> np.ndarray:
+    """The (facet j, vertex i) pairs whose field must point inward: j is
+    neither i's own facet nor the exit facet; a mask per exit facet."""
+    exit_rows = np.arange(nv)[:, None] == np.asarray(exit_facets)[..., None, None]
+    return ~np.eye(nv, dtype=bool) & ~exit_rows
 
 
 def invariance_margin(sys: AffineSystem, s: Simplex, vc: VertexControls,
                       exit_facet: int) -> float:
     """Smallest inward margin over all blocked (vertex, facet) pairs."""
-    blocked = ~np.eye(s.n + 1, dtype=bool)
-    blocked[exit_facet] = False
-    return float(-_facet_fields(sys, s, vc)[blocked].max())
+    return float(-_facet_fields(sys, s.table, vc.u)[_blocked(s.n + 1, exit_facet)].max())
 
 
-def exit_margin(sys: AffineSystem, s: Simplex, vc: VertexControls,
-                exit_facet: int) -> float:
-    """Smallest outward component across the exit facet at its vertices."""
-    return float(np.delete(_facet_fields(sys, s, vc)[exit_facet], exit_facet).min())
-
-
-def affine_from_vertex_controls(s: Simplex, vc: VertexControls) -> tuple[np.ndarray, np.ndarray]:
-    """u(x) = sum_j lambda_j(x) u_j = [x, 1] W U: (gain, offset) = (W U)^T;
-    SingularVertexMatrix when it misses a vertex control by ``TOL_GEOM``."""
-    law = (s.barycentric() @ vc.u).T
-    gain, offset = law[:, :-1], law[:, -1]
-    resid = np.linalg.norm(s.vertices @ gain.T + offset - vc.u, axis=1).max()
-    if resid > TOL_GEOM:
-        raise SingularVertexMatrix(f"interpolation residual {resid:.2e}")
-    return gain, offset
+def affine_laws(tables: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u(x) = sum_j lambda_j(x) u_j = [x, 1] W U, W = ``barycentric``, for
+    a simplex table and its (n+1, m) vertex controls, or for each of a
+    stack: the law [gain | offset] = (W U)^T, (m, n+1), and its
+    interpolation residual, the largest miss of a vertex control."""
+    n = tables.shape[-2] - 1
+    laws = np.swapaxes(barycentric(tables) @ u, -1, -2)
+    at_vertices = tables[..., :n] @ np.swapaxes(laws[..., :n], -1, -2) + laws[..., None, :, n]
+    return laws, np.linalg.norm(at_vertices - u, axis=-1).max(axis=-1)
 
 
 def check_no_equilibrium(sys: AffineSystem, s: Simplex, gain: np.ndarray,
@@ -246,63 +270,88 @@ def check_no_equilibrium(sys: AffineSystem, s: Simplex, gain: np.ndarray,
 # simplex synthesis
 # ---------------------------------------------------------------------------
 
-def _single_affine_piece(sys: AffineSystem, s: Simplex, exit_facet: int) -> AffinePiece:
-    cert = {"simplex": s.vertices.tolist(), "exit_facet": exit_facet}
-    try:
-        vc = vertex_controls_lp(sys, s, exit_facet)
-    except Infeasible as exc:
-        raise SynthesisFailed({**cert, "error": str(exc)}) from exc
-    margin = invariance_margin(sys, s, vc, exit_facet)
-    if margin < -TOL_INV:
-        raise SynthesisFailed({**cert, "error": f"blocking margin {margin:.2e}"})
-    gain, offset = affine_from_vertex_controls(s, vc)
-    if not check_no_equilibrium(sys, s, gain, offset):
-        raise SynthesisFailed({**cert, "error": "closed-loop stationary point inside the simplex"})
-    return AffinePiece(s, np.column_stack([gain, offset]), exit_facet, slack=float(margin),
-                       exit_margin=exit_margin(sys, s, vc, exit_facet))
-
-
-def synth_simplex(sys: AffineSystem, geom: SystemGeometry, s: Simplex,
-                  exit_facet: int) -> list[AffinePiece]:
-    """Feedback for one simplex exiting through the given facet.
-
-    Normally a single affine piece; when the apex sits above the whole
-    exit facet and that facet lies on the equilibrium plane, the simplex
-    is split at an intermediate drift level into two pieces: the upper one
-    drains through the fresh interior facet, the lower one exits."""
-    beta = geom.beta
-    nv = s.n + 1
-    apex = s.vertices[exit_facet]
-    exit_ids = [j for j in range(nv) if j != exit_facet]
-    levels = np.array([beta @ s.vertices[j] for j in exit_ids])
+def _midlevel_split(geom: SystemGeometry, s: Simplex, exit_facet: int) -> list[Simplex]:
+    """The simplex itself, or, when the apex sits above the whole exit
+    facet and that facet lies on the equilibrium plane, its split at the
+    drift midlevel of the exit facet: the lower part keeps the original
+    exit, the upper one keeps the apex and drains through the fresh
+    interior facet, which is the same facet index."""
+    V, beta = s.vertices, geom.beta
+    apex = V[exit_facet]
+    exit_ids = [j for j in range(s.n + 1) if j != exit_facet]
+    levels = np.array([beta @ V[j] for j in exit_ids])
     lvl_minus, lvl_plus = float(levels.min()), float(levels.max())
     lvl_apex = float(beta @ apex)
-    exit_on_plane = all(geom.on_equilibrium_plane(s.vertices[j]) for j in exit_ids)
+    if not (lvl_apex > lvl_plus + TOL_GEOM
+            and all(geom.on_equilibrium_plane(V[j]) for j in exit_ids)):
+        return [s]
+    w_minus_id = exit_ids[int(np.argmin(levels))]
+    w_minus = V[w_minus_id]
+    mid = 0.5 * (lvl_minus + lvl_plus)
+    t = (mid - lvl_minus) / (lvl_apex - lvl_minus)
+    v_prime = w_minus + t * (apex - w_minus)
+    lo_verts = V.copy()
+    lo_verts[exit_facet] = v_prime
+    up_verts = V.copy()
+    up_verts[w_minus_id] = v_prime
+    return [Simplex(lo_verts), Simplex(up_verts)]
 
-    if lvl_apex > lvl_plus + TOL_GEOM and exit_on_plane:
-        # split at the drift midlevel of the exit facet
-        w_minus_id = exit_ids[int(np.argmin(levels))]
-        w_minus = s.vertices[w_minus_id]
-        mid = 0.5 * (lvl_minus + lvl_plus)
-        t = (mid - lvl_minus) / (lvl_apex - lvl_minus)
-        v_prime = w_minus + t * (apex - w_minus)
 
-        # the upper sub-simplex keeps the apex and exits through the fresh
-        # facet (opposite the apex); the lower one keeps the original exit
-        up_verts = s.vertices.copy()
-        up_verts[w_minus_id] = v_prime
-        upper = Simplex(up_verts)
-        lo_verts = s.vertices.copy()
-        lo_verts[exit_facet] = v_prime
-        lower = Simplex(lo_verts)
+def synth_simplex(sys: AffineSystem, geom: SystemGeometry, simplices: Sequence[Simplex],
+                  exit_facets: Sequence[int]) -> list[list[AffinePiece]]:
+    """Feedback for each simplex of a sequence, exiting through its facet
+    of ``exit_facets``: one list of pieces per simplex.
 
-        lower_piece = _single_affine_piece(sys, lower, exit_facet)
-        upper_piece = _single_affine_piece(sys, upper, exit_facet)
-        lower_piece.sub_rank = 0
-        upper_piece.sub_rank = 1
-        return [lower_piece, upper_piece]
+    A simplex normally gets a single affine piece; where the midlevel
+    split applies (``_midlevel_split``) it gets two, the lower one first
+    (``sub_rank`` 0 and 1).  The vertex controls of every piece come from
+    one ``vertex_controls_lp`` call, and the blocking and exit margins,
+    the affine laws (barycentric interpolation, ``geometry.barycentric``)
+    and their interpolation residuals from stacked arrays; only the
+    closed-loop equilibrium test runs once per piece.  The pieces are then
+    checked in order, and the first that fails raises, as one call per
+    simplex would: ``SynthesisFailed``, carrying the simplex, its exit
+    facet and the error, where a vertex's LP is infeasible, the blocking
+    margin is below -``TOL_INV`` or the closed loop has a stationary point
+    in the simplex, and ``SingularVertexMatrix`` where the law misses a
+    vertex control by ``TOL_GEOM``.  Each piece's law is a copy that owns
+    its data."""
+    parts = [_midlevel_split(geom, s, e) for s, e in zip(simplices, exit_facets)]
+    regions = [r for part in parts for r in part]
+    exits = [e for part, e in zip(parts, exit_facets) for _ in part]
+    u, margins = vertex_controls_lp(sys, regions, exits)
+    tables = np.stack([r.table for r in regions])
+    nv = tables.shape[1]
+    fields = _facet_fields(sys, tables, u)
+    slack = -np.where(_blocked(nv, exits), fields, -np.inf).max(axis=(1, 2))
+    # the outward push across the exit facet, at its vertices
+    exit_margin = np.where(np.eye(nv, dtype=bool)[exits], np.inf,
+                           fields[np.arange(len(exits)), exits]).min(axis=1)
+    laws, resid = affine_laws(tables, u)
 
-    return [_single_affine_piece(sys, s, exit_facet)]
+    out, j = [], 0
+    for part in parts:
+        pieces = []
+        for sub_rank, region in enumerate(part):
+            e = exits[j]
+            cert = {"simplex": region.vertices.tolist(), "exit_facet": e}
+            short = np.flatnonzero(margins[j] < -lp.TOL_LP)
+            if len(short):
+                raise SynthesisFailed({**cert, "error": "invariance conditions infeasible "
+                                                        f"at vertex {short[0]}"})
+            if slack[j] < -TOL_INV:
+                raise SynthesisFailed({**cert, "error": f"blocking margin {slack[j]:.2e}"})
+            if resid[j] > TOL_GEOM:
+                raise SingularVertexMatrix(f"interpolation residual {resid[j]:.2e}")
+            law = laws[j].copy()
+            if not check_no_equilibrium(sys, region, law[:, :-1], law[:, -1]):
+                raise SynthesisFailed({**cert, "error": "closed-loop stationary point "
+                                                        "inside the simplex"})
+            pieces.append(AffinePiece(region, law, e, slack=float(slack[j]),
+                                      exit_margin=float(exit_margin[j]), sub_rank=sub_rank))
+            j += 1
+        out.append(pieces)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +518,10 @@ def synth_polytope(sys: AffineSystem, p: Polytope, f: Face,
     tri, geom = branch
     greedy = greedy_paths(tri, geom)
     pieces = []
-    for i in greedy.order:
-        for piece in synth_simplex(sys, geom, tri.simplices[i], greedy.exit_facet[i]):
+    leaf = synth_simplex(sys, geom, [tri.simplices[i] for i in greedy.order],
+                         [greedy.exit_facet[i] for i in greedy.order])
+    for i, split in zip(greedy.order, leaf):
+        for piece in split:
             piece.path_len = greedy.path_len[i]
             pieces.append(piece)
     return PWAController(pieces, p)

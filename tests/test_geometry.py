@@ -278,6 +278,28 @@ class TestPointInHull:
                 assert geo.point_in_hull(x, rest) == (hull_distance(x, rest) <= geo.TOL_GEOM)
 
 
+class TestNonsingular:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_row_scaling_keeps_the_verdict(self, n):
+        """Well-conditioned matrices pass and rank-deficient ones (a row a
+        combination of the others, or zero) fail, whatever factor from
+        1e-5 to 1e5 scales each row; the rank rule agrees."""
+        rng = np.random.default_rng(90 + n)
+        for _ in range(20):
+            M = rng.normal(size=(n, n))
+            deficient = M.copy()
+            deficient[-1] = rng.normal(size=n - 1) @ deficient[:-1]
+            zero_row = M.copy()
+            zero_row[rng.integers(n)] = 0.0
+            stack = np.stack([M, deficient, zero_row])
+            expected = geo.rank(stack) == n
+            assert expected.tolist() == [True, False, False]
+            for _ in range(5):
+                scale = 10.0 ** rng.uniform(-5, 5, size=(3, n, 1))
+                assert geo.nonsingular(stack * scale).tolist() == expected.tolist()
+                assert bool(geo.nonsingular(M * scale[0])) is True
+
+
 class TestRepConversion:
     def test_triangle_hrep(self):
         p = geo.convex_hull([(0, 0), (2, 0), (0, 2)])

@@ -93,6 +93,40 @@ def test_check_sees_a_second_rank_rule():
     assert tol_rank_reads(source, inside=None) == ["line 3", "line 5", "line 7"]
 
 
+def det_calls(source: str) -> list[str]:
+    """The functions (by name, "<module>" outside any) that read
+    ``np.linalg.det`` or ``numpy.linalg.det``, once per read."""
+    tree = ast.parse(source)
+    owner = {}
+    # ast.walk reaches an enclosing function before the ones it holds, so
+    # each node ends with its innermost function's name
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                owner[id(node)] = fn.name
+    return sorted(owner.get(id(node), "<module>") for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "det"
+                  and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg")
+
+
+def test_determinants_only_in_the_nonsingularity_rule_and_volumes():
+    """One rule decides that a square system is singular,
+    ``geometry.nonsingular``, relative to its rows' norms; the only other
+    determinant is a simplex's volume.  No second determinant threshold
+    comes back."""
+    calls = {path.name: det_calls(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: got for name, got in calls.items() if got} == {
+        "geometry.py": ["nonsingular", "simplex_volume", "simplex_volume"]}
+
+
+def test_check_sees_a_second_determinant():
+    source = ("import numpy as np\nimport numpy\n"
+              "def ok(M):\n    return np.linalg.det(M)\n"
+              "class A:\n    def m(self, M):\n        return abs(numpy.linalg.det(M)) > 1e-12\n"
+              "d = np.linalg.det\n")
+    assert det_calls(source) == ["<module>", "m", "ok"]
+
+
 def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:
     """The classes of ``errors_source`` that no source raises (by name, as
     ``raise X`` or ``raise X(...)``) and that are no base of one raised."""

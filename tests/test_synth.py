@@ -5,7 +5,7 @@ from scipy.optimize import linprog
 from reachctl import geometry as geo
 from reachctl import lp, reach, synth
 from reachctl import triangulate as tri
-from reachctl.errors import (CoverIncomplete, Infeasible, ReachctlError,
+from reachctl.errors import (CoverIncomplete, ReachctlError,
                              SingularVertexMatrix, SynthesisFailed)
 from reachctl.sim import sample_states
 from reachctl.system import AffineSystem, compute_geometry
@@ -25,6 +25,13 @@ def split_case_simplex():
     s = geo.Simplex([(1.0, 0.0), (2.0, 0.0), (0.0, 1.0)])
     exit_facet = 2  # facet opposite the apex (0,1)
     return double_integrator(), s, exit_facet
+
+
+def controls(sys, s, exit_facet):
+    """The vertex controls of one simplex, a leaf of one, with its least
+    vertex margin as the slack."""
+    u, margins = synth.vertex_controls_lp(sys, [s], [exit_facet])
+    return synth.VertexControls(u[0], float(margins[0].min()))
 
 
 def random_reachable_simplex(rng, n=2):
@@ -86,7 +93,7 @@ class TestVertexControlsLP:
     def test_box_triangle_feasible(self):
         sys = double_integrator()
         s = geo.Simplex([(0.0, 0.0), (2.0, 0.0), (0.0, 1.0)])
-        vc = synth.vertex_controls_lp(sys, s, 2)
+        vc = controls(sys, s, 2)
         # the corner on the equilibrium line can only block the side facet
         # tangentially, so the certified margin is exactly zero
         assert vc.slack == pytest.approx(0.0, abs=1e-9)
@@ -98,14 +105,14 @@ class TestVertexControlsLP:
         # with margin, so the capped slack variable reaches its bound
         sys = double_integrator()
         s = geo.Simplex([(0.0, 1.0), (1.0, 1.0), (0.0, 2.0)])
-        vc = synth.vertex_controls_lp(sys, s, 0)
+        vc = controls(sys, s, 0)
         assert vc.slack == pytest.approx(1.0, abs=1e-8)
 
     def test_blocked_residuals(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             sys, geom, s, e = random_reachable_simplex(rng)
-            vc = synth.vertex_controls_lp(sys, s, e)
+            vc = controls(sys, s, e)
             assert synth.invariance_margin(sys, s, vc, e) >= -1e-8
 
     def test_apex_on_the_equilibrium_plane_is_pushed_to_the_exit(self):
@@ -115,21 +122,25 @@ class TestVertexControlsLP:
         control that leaves across the exit facet instead."""
         sys = double_integrator()
         s = geo.Simplex([(0.0, 1.0), (0.0, 0.0), (2.0, 0.0)])
-        vc = synth.vertex_controls_lp(sys, s, 1)
+        vc = controls(sys, s, 1)
         assert vc.slack == pytest.approx(0.0, abs=1e-9)
         field = sys.field(s.vertices[1], vc.u[1])
         assert s.normals[1] @ field > 0.1
-        gain, offset = synth.affine_from_vertex_controls(s, vc)
-        assert synth.check_no_equilibrium(sys, s, gain, offset)
+        law, _ = synth.affine_laws(s.table, vc.u)
+        assert synth.check_no_equilibrium(sys, s, law[:, :-1], law[:, -1])
 
     def test_infeasible_vertex_raises(self):
         # at (1, 1) the facet x1 = 1 is blocked, but the field's x1
         # component is x2 = 1 whatever the control
         sys = double_integrator()
         s = geo.Simplex([(0.0, 1.0), (1.0, 1.0), (1.0, 2.0)])
-        with pytest.raises(Infeasible) as ei:
-            synth.vertex_controls_lp(sys, s, 2)
-        assert ei.value.vertex_index == 1
+        _, margins = synth.vertex_controls_lp(sys, [s], [2])
+        assert np.flatnonzero(margins[0] < -lp.TOL_LP)[0] == 1
+        geom = compute_geometry(sys, s.as_polytope())
+        with pytest.raises(SynthesisFailed) as ei:
+            synth.synth_simplex(sys, geom, [s], [2])
+        assert ei.value.certificate == {"simplex": s.vertices.tolist(), "exit_facet": 2,
+                                        "error": "invariance conditions infeasible at vertex 1"}
 
     def test_margin_matches_the_plain_max_margin_lp(self):
         """The push breaks ties only: each vertex's blocking margin is the
@@ -137,7 +148,7 @@ class TestVertexControlsLP:
         rng = np.random.default_rng(5)
         for _ in range(10):
             sys, geom, s, e = random_reachable_simplex(rng)
-            vc = synth.vertex_controls_lp(sys, s, e)
+            vc = controls(sys, s, e)
             for i in range(s.n + 1):
                 blocked = s.normals[[j for j in range(s.n + 1) if j not in (i, e)]]
                 G = np.hstack([blocked @ sys.B, np.ones((len(blocked), 1))])
@@ -159,7 +170,7 @@ class TestVertexControlsLP:
             cases.append((double_integrator(), None,
                           geo.Simplex([(0.0, 1.0), (0.0, 0.0), (2.0, 0.0)]), 1))
         for sys, _, s, e in cases:
-            vc = synth.vertex_controls_lp(sys, s, e)
+            vc = controls(sys, s, e)
             m, n_exit = sys.m, s.normals[e]
             margins = []
             for i in range(n + 1):
@@ -184,33 +195,35 @@ class TestVertexControlsLP:
     def test_synthesis_solves_no_vertex_control_lp(self, fixture, monkeypatch):
         """The vertex controls enumerate their LPs' bases: synthesis of
         the box, the cube and the 4-D box reaches the tableau only from
-        the reachability analysis."""
-        lps, inside = [], []
-        solve, controls = lp.solve, synth.vertex_controls_lp
+        the reachability analysis, and solves each one's leaf in one
+        call."""
+        lps, inside, calls = [], [], []
+        solve, vertex_controls = lp.solve, synth.vertex_controls_lp
 
         def counting_solve(*args):
             lps.append(len(inside))
             return solve(*args)
 
         def counting_controls(*args):
+            calls.append(1)
             inside.append(1)
-            vc = controls(*args)
+            out = vertex_controls(*args)
             inside.pop()
-            return vc
+            return out
 
         monkeypatch.setattr(lp, "solve", counting_solve)
         monkeypatch.setattr(synth, "vertex_controls_lp", counting_controls)
         ctrl = synth.synth_polytope(*fixture())
         assert ctrl.pieces and not any(lps)
+        assert len(calls) == 1
 
 
 class TestAffineInterpolation:
     def test_constant_controls(self):
         s = geo.Simplex([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
-        vc = synth.VertexControls(np.full((3, 1), 4.2), 0.0)
-        gain, offset = synth.affine_from_vertex_controls(s, vc)
-        assert np.allclose(gain, 0.0, atol=1e-12)
-        assert offset[0] == pytest.approx(4.2)
+        law, _ = synth.affine_laws(s.table, np.full((3, 1), 4.2))
+        assert np.allclose(law[:, :-1], 0.0, atol=1e-12)
+        assert law[0, -1] == pytest.approx(4.2)
 
     def test_recovers_fabricated_affine_law(self):
         rng = np.random.default_rng(0)
@@ -218,9 +231,9 @@ class TestAffineInterpolation:
         K = rng.normal(size=(1, 2))
         d = rng.normal(size=1)
         u = np.array([K @ v + d for v in s.vertices])
-        gain, offset = synth.affine_from_vertex_controls(s, synth.VertexControls(u, 0.0))
-        assert np.allclose(gain, K, atol=1e-10)
-        assert np.allclose(offset, d, atol=1e-10)
+        law, _ = synth.affine_laws(s.table, u)
+        assert np.allclose(law[:, :-1], K, atol=1e-10)
+        assert np.allclose(law[:, -1], d, atol=1e-10)
 
     def test_random_interpolation_residual(self):
         rng = np.random.default_rng(1)
@@ -230,27 +243,36 @@ class TestAffineInterpolation:
                 continue
             s = geo.Simplex(V)
             u = rng.normal(size=(3, 1))
-            gain, offset = synth.affine_from_vertex_controls(s, synth.VertexControls(u, 0.0))
+            law, resid = synth.affine_laws(s.table, u)
             for v, ui in zip(s.vertices, u):
-                assert np.linalg.norm(gain @ v + offset - ui) < 1e-9
+                assert np.linalg.norm(law[:, :-1] @ v + law[:, -1] - ui) < 1e-9
+            assert resid < 1e-9
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_law_reproduces_vertex_controls_at_any_scale(self, n):
+        """Each law meets its vertex controls within TOL_GEOM, and the
+        laws of a stack of simplices are those of each one alone."""
         rng = np.random.default_rng(80 + n)
-        for V in random_simplices(rng, n):
-            u = rng.normal(size=(n + 1, n - 1))
-            gain, offset = synth.affine_from_vertex_controls(geo.Simplex(V),
-                                                             synth.VertexControls(u, 0.0))
-            assert np.abs(V @ gain.T + offset - u).max() <= geo.TOL_GEOM
+        simplices = [geo.Simplex(V) for V in random_simplices(rng, n)]
+        U = rng.normal(size=(len(simplices), n + 1, n - 1))
+        laws, resid = synth.affine_laws(np.stack([s.table for s in simplices]), U)
+        for s, u, law, r in zip(simplices, U, laws, resid):
+            one, one_resid = synth.affine_laws(s.table, u)
+            assert np.abs(law - one).max() <= 1e-12 * max(1.0, np.abs(one).max())
+            assert r == pytest.approx(one_resid, rel=1e-9, abs=1e-15)
+            assert np.abs(s.vertices @ law[:, :-1].T + law[:, -1] - u).max() <= geo.TOL_GEOM
 
     def test_corrupt_table_raises(self):
         # a facet row that no longer passes through its vertices: the law
         # read from it misses the vertex controls
-        table = geo.Simplex([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]).table.copy()
+        table = geo.Simplex([(0.0, 1.0), (1.0, 1.0), (0.0, 2.0)]).table.copy()
         table[0, -1] += 0.1
-        vc = synth.VertexControls(np.array([[1.0], [2.0], [3.0]]), 0.0)
+        s = geo.Simplex.of_table(table)
+        _, resid = synth.affine_laws(table, np.array([[1.0], [2.0], [3.0]]))
+        assert resid > geo.TOL_GEOM
+        sys = double_integrator()
         with pytest.raises(SingularVertexMatrix):
-            synth.affine_from_vertex_controls(geo.Simplex.of_table(table), vc)
+            synth.synth_simplex(sys, compute_geometry(sys, s.as_polytope()), [s], [0])
 
 
 class TestNoEquilibrium:
@@ -333,14 +355,14 @@ class TestSynthSimplex:
         rng = np.random.default_rng(11)
         for _ in range(10):
             sys, geom, s, e = random_reachable_simplex(rng)
-            pieces = synth.synth_simplex(sys, geom, s, e)
+            [pieces] = synth.synth_simplex(sys, geom, [s], [e])
             for piece in pieces:
                 assert synth.check_no_equilibrium(sys, piece.region, piece.gain, piece.offset)
 
     def test_split_case_two_pieces(self):
         sys, s, e = split_case_simplex()
         geom = compute_geometry(sys, s.as_polytope())
-        pieces = synth.synth_simplex(sys, geom, s, e)
+        [pieces] = synth.synth_simplex(sys, geom, [s], [e])
         assert len(pieces) == 2
         # pieces tile the simplex
         total = sum(p.region.volume() for p in pieces)
@@ -360,7 +382,122 @@ class TestSynthSimplex:
         ra = reach.analyze(geom, s.as_polytope(), geo.Face(f.vertices, None, 1))
         assert not ra.reachable
         with pytest.raises(SynthesisFailed):
-            synth.synth_simplex(sys, geom, s, 1)
+            synth.synth_simplex(sys, geom, [s], [1])
+
+
+def fixture_leaf(fixture):
+    """The system, geometry, and greedy-ordered simplices and exit facets
+    of a facet-target fixture's leaf triangulation."""
+    sys, p, f = fixture()
+    geom = compute_geometry(sys, p)
+    t = tri.basic_triangulation(p, tri.select_vstar(p, f, geom))
+    tri.mark_target(t, f.supporting)
+    res = synth.greedy_paths(t, geom)
+    return sys, geom, [t.simplices[i] for i in res.order], [res.exit_facet[i] for i in res.order]
+
+
+# a leaf per dimension, and a simplex whose exit facet 0 lies on the
+# equilibrium plane below the apex, which synth_simplex splits in two
+LEAVES = {2: box_fixture, 3: cube_fixture, 4: box4d_fixture}
+SPLIT_SIMPLICES = {
+    2: [(0, 1), (1, 0), (2, 0)],
+    3: [(0, 0, 1), (1, 0, 0), (2, 0, 0), (1, 1, 0)],
+    4: [(0, 0, 0, 1), (1, 0, 0, 0), (2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0)],
+}
+
+
+def one_at_a_time(sys, geom, simplices, exits):
+    return [synth.synth_simplex(sys, geom, [s], [e])[0] for s, e in zip(simplices, exits)]
+
+
+def first_error(fn):
+    """The class of the error ``fn`` raises and its certificate (its
+    message where it carries none), or None."""
+    try:
+        fn()
+    except ReachctlError as exc:
+        return type(exc), getattr(exc, "certificate", str(exc))
+    return None
+
+
+def failing_simplex(kind, S, E):
+    """A simplex of the leaf S, with exit facets E, and an exit facet on
+    which it fails: an infeasible vertex LP, a corrupt table whose law
+    misses the vertex controls, or (the 2-D box) a closed-loop
+    equilibrium."""
+    if kind == "infeasible":
+        return S[0], 1
+    if kind == "equilibrium":
+        return S[1], 2
+    table = S[1].table.copy()
+    table[0, -1] += 0.1
+    return geo.Simplex.of_table(table), E[1]
+
+
+class TestLeafBatching:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_batched_leaf_matches_one_simplex_at_a_time(self, n):
+        """A leaf in one call gives every piece that one call per simplex
+        gives, the midlevel split included, and each law owns its data."""
+        sys, geom, S, E = fixture_leaf(LEAVES[n])
+        S, E = S[:1] + [geo.Simplex(SPLIT_SIMPLICES[n])] + S[1:], E[:1] + [0] + E[1:]
+        batched = synth.synth_simplex(sys, geom, S, E)
+        single = one_at_a_time(sys, geom, S, E)
+        assert [len(pieces) for pieces in batched] == [len(pieces) for pieces in single]
+        assert len(batched[1]) == 2
+        for a, b in zip(sum(batched, []), sum(single, [])):
+            assert np.array_equal(a.region.table, b.region.table)
+            assert (a.exit_facet, a.sub_rank) == (b.exit_facet, b.sub_rank)
+            assert np.abs(a.law - b.law).max() <= 1e-12 * max(1.0, np.abs(b.law).max())
+            assert a.slack == pytest.approx(b.slack, rel=1e-12, abs=1e-14)
+            assert a.exit_margin == pytest.approx(b.exit_margin, rel=1e-12, abs=1e-14)
+            assert a.law.base is None
+
+    @pytest.mark.parametrize("n, kind", [(2, "infeasible"), (2, "singular"), (2, "equilibrium"),
+                                         (3, "infeasible"), (3, "singular"),
+                                         (4, "infeasible"), (4, "singular")])
+    def test_the_first_failing_simplex_raises(self, n, kind):
+        """The third simplex of a leaf fails, and so does one after it in
+        another way: the leaf raises the third one's error, as the loop
+        over the simplices does."""
+        sys, geom, S, E = fixture_leaf(LEAVES[n])
+        bad, bad_exit = failing_simplex(kind, S, E)
+        later, later_exit = failing_simplex("singular" if kind == "infeasible" else "infeasible",
+                                            S, E)
+        S, E = S[:2] + [bad] + S[2:] + [later], E[:2] + [bad_exit] + E[2:] + [later_exit]
+        got = first_error(lambda: synth.synth_simplex(sys, geom, S, E))
+        assert got is not None
+        assert got == first_error(lambda: one_at_a_time(sys, geom, S, E))
+        assert got == first_error(lambda: synth.synth_simplex(sys, geom, [bad], [bad_exit]))
+        expected = {"infeasible": "invariance conditions infeasible at vertex",
+                    "equilibrium": "closed-loop stationary point inside the simplex"}
+        if kind == "singular":
+            assert got[0] is SingularVertexMatrix
+        else:
+            assert got[0] is SynthesisFailed
+            assert got[1]["simplex"] == bad.vertices.tolist()
+            assert got[1]["error"].startswith(expected[kind])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_solved_bases_do_not_depend_on_scale(self, n, monkeypatch):
+        """x -> k x, k from 1e-5 to 1e5, leaves the bases that the
+        vertex controls of each leaf solve as they are: the determinant
+        test is relative to the rows' norms."""
+        sys, _, S, E = fixture_leaf(LEAVES[n])
+        verdicts = []
+        nonsingular = synth.nonsingular
+
+        def recording(M):
+            verdicts.append(nonsingular(M))
+            return verdicts[-1]
+
+        monkeypatch.setattr(synth, "nonsingular", recording)
+        synth.vertex_controls_lp(sys, S, E)
+        solved = verdicts.pop()
+        assert 0 < solved.sum() < len(solved)
+        for k in (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 10.0, 100.0, 1e3, 1e4, 1e5):
+            synth.vertex_controls_lp(sys, [geo.Simplex(s.vertices * k) for s in S], E)
+            assert np.array_equal(verdicts.pop(), solved)
 
 
 class TestGreedyPaths:
@@ -531,3 +668,19 @@ class TestSynthPolytope:
             eps = 0.1 * k if fixture is wedge_fixture else None
             counts[k] = len(synth.synth_polytope(sys, pk, fk, eps=eps).pieces)
         assert counts == dict.fromkeys(counts, counts[1.0])
+
+    @pytest.mark.parametrize("k", [1e7, 1e8])
+    @pytest.mark.parametrize("case", ["ill3", "cube_vertex_target"])
+    def test_hulls_that_lose_vertices_end_in_a_typed_error(self, case, k):
+        """At 1e7 and beyond, hull tightness read at the absolute TOL_GEOM
+        drops vertices: ill3's polytope and the cube's square target, given
+        by its vertices, kept fewer than d+1.  Synthesis then ended in an
+        untyped ValueError or TypeError; it ends in a controller or a
+        ReachctlError."""
+        sys, p, f = ill3_fixture() if case == "ill3" else cube_fixture()
+        try:
+            pk = geo.convex_hull(p.vertices * k)
+            ctrl = synth.synth_polytope(sys, pk, face_from(f.vertices * k))
+        except ReachctlError:
+            return
+        assert ctrl.pieces
