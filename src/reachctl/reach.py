@@ -12,8 +12,11 @@ interface) is one ``geometry.section``, and the plane is the one
 ``compute_geometry`` reads from ``system.equilibrium_plane``.  Every set
 of points at one drift level (the target's lowest and highest vertices,
 the top face, the cut's pivots) comes from ``SystemGeometry.at_level``.
-The analysis solves LPs only inside ``point_in_hull``, when it tests a
-point against the target or the slice.
+Condition (a) is settled on the vertices of the level face wherever
+convexity allows: the target and the slice are convex, so one that
+holds a set of vertices holds every convex combination of them.  Only
+the points this leaves open are probed.  LPs are solved only inside
+``point_in_hull``, for a vertex or probe its closed forms leave open.
 """
 
 from __future__ import annotations
@@ -86,6 +89,16 @@ def analyze(geom: SystemGeometry, p: Polytope, f: Face) -> ReachAnalysis:
     is when the target's lowest face meets the plane; no LP decides it.
     The vertices of ``h_minus`` that neither covers are recorded once, in
     ``uncovered``, for the margin cut.
+
+    With every vertex covered, condition (a) asks whether the convex
+    ``h_minus`` lies in the union of the target and the slice.  The
+    points within ``TOL_INCIDENCE`` (inf-norm) of a convex set form a
+    convex set, as the distance to it is a convex function, so a set
+    that holds every vertex holds ``h_minus``, and one that holds two
+    vertices holds their midpoint.  So nothing is probed when the target,
+    or the slice, holds every vertex; otherwise only the midpoints of
+    vertex pairs that share neither set and the centroid are probed.
+    Each vertex is tested against each set at most once.
     """
     beta = geom.beta
     f_levels = f.vertices @ beta
@@ -114,12 +127,19 @@ def analyze(geom: SystemGeometry, p: Polytope, f: Face) -> ReachAnalysis:
     b_minus_active = 0 in sides or sides >= {-1, 1}
     b_minus = section(section(p, b_plane), o_plane) if b_minus_active else Polytope.empty(p.n)
 
-    # condition (a)
-    def covered(x) -> bool:
-        return point_in_hull(x, f.vertices, TOL_INCIDENCE) or \
-            (not b_minus.is_empty and point_in_hull(x, b_minus.vertices, TOL_INCIDENCE))
+    # condition (a): which of F and b_minus holds each vertex of h_minus,
+    # each (point, hull) tested at most once
+    def in_f(x) -> bool:
+        return point_in_hull(x, f.vertices, TOL_INCIDENCE)
 
-    uncovered = h_minus.vertices[[not covered(v) for v in h_minus.vertices]]
+    def in_b(x) -> bool:
+        return not b_minus.is_empty and point_in_hull(x, b_minus.vertices, TOL_INCIDENCE)
+
+    verts = h_minus.vertices
+    vf = np.array([in_f(v) for v in verts], dtype=bool)
+    vb = np.zeros(len(verts), dtype=bool)
+    vb[~vf] = [in_b(v) for v in verts[~vf]]
+    uncovered = verts[~(vf | vb)]
     if below:
         condition_a = False
         a_minus = h_minus
@@ -127,17 +147,19 @@ def analyze(geom: SystemGeometry, p: Polytope, f: Face) -> ReachAnalysis:
         condition_a = False
         a_minus = convex_hull(uncovered, allow_lower=True)
     else:
-        # vertices all covered: probe the edge midpoints and the centroid,
-        # without exact repeats (the centroid of one vertex, of two or of a
-        # parallelogram is a vertex or a midpoint)
-        nv = len(h_minus.vertices)
-        probes = list(h_minus.vertices)
-        for i, j in itertools.combinations(range(nv), 2):
-            probes.append(0.5 * (h_minus.vertices[i] + h_minus.vertices[j]))
-        if nv:
-            probes.append(h_minus.vertices.mean(axis=0))
-        probes = list({x.tobytes(): x for x in probes}.values())[nv:]
-        condition_a = all(covered(x) for x in probes)
+        # vertices all covered: probe only what convexity leaves open,
+        # without exact repeats of a vertex or of each other
+        if not vf.all():
+            vb[vf] = [in_b(v) for v in verts[vf]]
+        probes = []
+        if not (vf.all() or vb.all()):
+            for i, j in itertools.combinations(range(len(verts)), 2):
+                if not (vf[i] and vf[j] or vb[i] and vb[j]):
+                    probes.append(0.5 * (verts[i] + verts[j]))
+            probes.append(verts.mean(axis=0))
+        vkeys = {v.tobytes() for v in verts}
+        probes = [x for key, x in {x.tobytes(): x for x in probes}.items() if key not in vkeys]
+        condition_a = all(in_f(x) or in_b(x) for x in probes)
         if condition_a:
             a_minus = Polytope.empty(p.n)
         else:

@@ -459,6 +459,29 @@ def lp_hull_meets_planes(vertices, planes):
     return out.status == lp.OPTIMAL
 
 
+def probe_everything_condition_a(f, analysis):
+    """Condition (a) and its failure closure by the rule ``reach.analyze``
+    once had, for an analysis with nothing below the target's lowest
+    level: with every vertex of ``h_minus`` covered by the target or
+    ``b_minus``, every pair's midpoint and the centroid are probed too,
+    whichever sets hold the vertices."""
+    h_minus, b_minus = analysis.h_minus, analysis.b_minus
+
+    def covered(x):
+        return geo.point_in_hull(x, f.vertices, geo.TOL_INCIDENCE) or \
+            (not b_minus.is_empty and geo.point_in_hull(x, b_minus.vertices, geo.TOL_INCIDENCE))
+
+    verts = h_minus.vertices
+    uncovered = verts[[not covered(v) for v in verts]]
+    if len(uncovered):
+        return False, geo.convex_hull(uncovered, allow_lower=True)
+    probes = [0.5 * (verts[i] + verts[j]) for i, j in itertools.combinations(range(len(verts)), 2)]
+    probes.append(verts.mean(axis=0))
+    if all(covered(x) for x in probes):
+        return True, geo.Polytope.empty(h_minus.n)
+    return False, h_minus
+
+
 def right_target_polygons(count):
     """The first ``count`` random polygons (seeded) under the double
     integrator whose facet facing +x1 is a reachable target, as
@@ -598,3 +621,24 @@ def stepwise_integrate(sys, ctrl, x0, dt=None, tmax=None, f=None, domain=None):
     controls.append(np.zeros(sys.m))
     ids.append(-1)
     return done(sim.Outcome(sim.TIMEOUT, t))
+
+
+def split_everything_uncovered_volume(domain, pieces, cut_planes):
+    """``geo.uncovered_volume`` by the rule it once had: every cell is
+    split by every plane, covered or not, and each final cell is tested
+    at its centroid."""
+    cells = [domain]
+    for plane in cut_planes:
+        nxt = []
+        for c in cells:
+            for part in geo.split_by_hyperplane(c, plane):
+                if not part.is_empty and part.is_full_dim:
+                    nxt.append(part)
+        if nxt:
+            cells = nxt
+    gap = 0.0
+    for c in cells:
+        x = c.centroid()
+        if not any(q.contains(x, geo.TOL_INCIDENCE) for q in pieces if not q.is_empty):
+            gap += c.volume()
+    return gap

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from reachctl import lp, reach
 from reachctl.errors import CutConstructionFailed, EpsTooLarge
 from reachctl.system import compute_geometry
 
-from helpers import (box_fixture, cube_fixture, face_from, ill1_fixture, ill2_fixture,
-                     ill3_fixture, interior_grid, lp_hull_meets_planes, oracle_reaches,
-                     pinned_corner_fixture, right_target_polygons, top_edge_fixture,
-                     wedge_fixture)
+from helpers import (box4d_fixture, box_fixture, cube_fixture, face_from, ill1_fixture,
+                     ill2_fixture, ill3_fixture, interior_grid, lp_hull_meets_planes,
+                     oracle_reaches, pinned_corner_fixture, probe_everything_condition_a,
+                     right_target_polygons, top_edge_fixture, wedge_fixture)
 
 
 def analysis_for(sys, p, f):
@@ -118,9 +119,12 @@ class TestAnalyze:
         assert len(tests) == len(set(tests))
 
     @pytest.mark.parametrize("fixture, lps", [
-        (wedge_fixture, 0), (pinned_corner_fixture, 0), (box_fixture, 0), (cube_fixture, 5)])
+        (wedge_fixture, 0), (pinned_corner_fixture, 0), (box_fixture, 0), (cube_fixture, 0),
+        (box4d_fixture, 0)])
     def test_lp_budget(self, monkeypatch, fixture, lps):
-        """The analysis solves LPs only in ``point_in_hull``."""
+        """The analysis solves LPs only in ``point_in_hull``, and none on
+        these fixtures: their level faces lie in the target, so no probe
+        runs, and each vertex is settled in closed form."""
         calls = []
         solve = lp.solve
 
@@ -131,6 +135,49 @@ class TestAnalyze:
         monkeypatch.setattr(lp, "solve", counting_solve)
         analysis_for(*fixture())
         assert len(calls) == lps
+
+    @pytest.mark.parametrize("fixture", [cube_fixture, box4d_fixture])
+    def test_level_face_in_the_target_is_not_probed(self, monkeypatch, fixture):
+        """Every vertex of the level face lies in the target, which is
+        convex, so condition (a) holds without a probe: ``point_in_hull``
+        is called once per vertex, on the target's vertices alone."""
+        sys, p, f = fixture()
+        tests = []
+        in_hull = reach.point_in_hull
+
+        def counting_hull(x, V, tol):
+            tests.append((np.asarray(x).tobytes(), np.asarray(V).tobytes()))
+            return in_hull(x, V, tol)
+
+        monkeypatch.setattr(reach, "point_in_hull", counting_hull)
+        geom, ra = analysis_for(sys, p, f)
+        assert ra.condition_a and ra.b_minus_active
+        assert sorted(x for x, _ in tests) == sorted(v.tobytes() for v in ra.h_minus.vertices)
+        assert {V for _, V in tests} == {f.vertices.tobytes()}
+
+    def test_mixed_cover_matches_probing_everything(self):
+        """Targets in the cube's level face that hold its top corners and
+        reach its bottom edge, which is ``b_minus``, at points near or far
+        from the bottom corners: where the vertices split between the
+        target and ``b_minus``, the verdict, ``a_minus`` and the notes
+        equal those of probing every midpoint and the centroid."""
+        sys, p, _ = cube_fixture()
+        geom = compute_geometry(sys, p)
+        mixed = set()
+        for d0, d1 in itertools.product([0.0, 5e-9, 1.5e-8, 3e-8, 0.2], repeat=2):
+            f = face_from([(1, d0, 0), (1, 1 - d1, 0), (1, 0, 1), (1, 1, 1)])
+            ra = reach.analyze(geom, p, f)
+            condition_a, a_minus = probe_everything_condition_a(f, ra)
+            assert ra.condition_a == condition_a
+            assert np.array_equal(ra.a_minus.vertices, a_minus.vertices)
+            assert ra.a_minus.dim == a_minus.dim
+            in_f = [geo.point_in_hull(v, f.vertices, geo.TOL_INCIDENCE)
+                    for v in ra.h_minus.vertices]
+            if not len(ra.uncovered) and not all(in_f):
+                mixed.add(condition_a)
+                assert ra.notes == (() if condition_a else (
+                    "sub-level face not convexly covered by target and equilibrium slice",))
+        assert mixed == {False, True}
 
 
 class TestEquilibriumSlice:

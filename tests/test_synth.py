@@ -194,9 +194,8 @@ class TestVertexControlsLP:
     @pytest.mark.parametrize("fixture", [box_fixture, cube_fixture, box4d_fixture])
     def test_synthesis_solves_no_vertex_control_lp(self, fixture, monkeypatch):
         """The vertex controls enumerate their LPs' bases: synthesis of
-        the box, the cube and the 4-D box reaches the tableau only from
-        the reachability analysis, and solves each one's leaf in one
-        call."""
+        the box, the cube and the 4-D box never reaches the tableau from
+        them, and solves each one's leaf in one call."""
         lps, inside, calls = [], [], []
         solve, vertex_controls = lp.solve, synth.vertex_controls_lp
 
@@ -217,6 +216,23 @@ class TestVertexControlsLP:
         assert ctrl.pieces and not any(lps)
         assert len(calls) == 1
 
+
+    @pytest.mark.parametrize("fixture", [box_fixture, wedge_fixture, pinned_corner_fixture,
+                                         cube_fixture, box4d_fixture])
+    def test_synthesis_solves_no_lp(self, fixture, monkeypatch):
+        """The whole synthesis of each fixture, with its analyses, cuts
+        and covers, solves no LP: condition (a) is settled on vertices in
+        closed form, and the vertex controls enumerate bases."""
+        lps = []
+        solve = lp.solve
+
+        def counting_solve(*args):
+            lps.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(lp, "solve", counting_solve)
+        assert synth.synth_polytope(*fixture()).pieces
+        assert lps == []
 
 class TestAffineInterpolation:
     def test_constant_controls(self):
