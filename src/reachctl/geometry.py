@@ -117,18 +117,22 @@ def dedupe_points(points: np.ndarray) -> np.ndarray:
     return pts[keep]
 
 
-def rank(rows, singular_values=None):
+def rank(rows=None, *, sv=None):
     """Rank of a matrix, counting singular values above ``TOL_RANK``
     times the largest, so it does not depend on the matrix's scale; 0 for
     a matrix without rows or a zero matrix.  Given a stack of matrices,
     the rank of each, as an array.  A caller that has taken the SVD of
-    ``rows`` passes its ``singular_values``, and no SVD is taken again."""
-    rows = np.asarray(rows, dtype=float)
-    if rows.ndim == 2 and rows.size == 0:
-        return 0
-    s = np.linalg.svd(rows, compute_uv=False) if singular_values is None else singular_values
-    out = np.sum(s > TOL_RANK * s[..., :1], axis=-1)
-    return int(out) if rows.ndim == 2 else out
+    the matrix passes its singular values alone, as ``sv``, and no SVD is
+    taken again."""
+    if (rows is None) == (sv is None):
+        raise TypeError("rank takes either the rows or their singular values")
+    if sv is None:
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim == 2 and rows.size == 0:
+            return 0
+        sv = np.linalg.svd(rows, compute_uv=False)
+    out = np.sum(sv > TOL_RANK * sv[..., :1], axis=-1)
+    return int(out) if sv.ndim == 1 else out
 
 
 def nonsingular(matrices):
@@ -365,7 +369,7 @@ def point_in_hull(point, vertices, tol: float = TOL_GEOM) -> bool:
         return False
     D = V[1:] - V[0]
     u, sv, vt = np.linalg.svd(D)
-    r = rank(D, sv)
+    r = rank(sv=sv)
     G = np.vstack([vt[r:], -vt[r:]])
     if r == k - 1:
         # lam_1.. of the projection are (x - v_0) P; lam_0 is 1 - their sum
@@ -807,26 +811,9 @@ def uncovered_volume(domain: Polytope, pieces: list[Polytope],
     The cut planes must include every hyperplane used to carve the pieces
     out of the domain, so that each arrangement cell is covered either
     fully or not at all; cell membership is then decided at the centroid.
-
-    A cell whose vertices all satisfy the facet rows of one
-    full-dimensional piece within ``TOL_INCIDENCE`` (``HalfSpace.contains``
-    on a stack of rows) lies in that piece, and so does every cell split
-    from it: it is dropped before the next plane, as its parts would add
-    no gap.  The other cells are split as before, so the uncovered cells,
-    their order and the gap summed over them are those of splitting every
-    cell.  When no cell left yields a full-dimensional part, the cells
-    stay as they were; when no cell is left, the gap is 0.
     """
-    rows = [(np.array([h.normal for h in q.halfspaces]),
-             np.array([h.offset for h in q.halfspaces]))
-            for q in pieces if q.is_full_dim and q.halfspaces]
-
-    def inside_one(c: Polytope) -> bool:
-        return any(np.all(c.vertices @ N.T - o <= TOL_INCIDENCE) for N, o in rows)
-
     cells = [domain]
     for plane in cut_planes:
-        cells = [c for c in cells if not inside_one(c)]
         nxt = []
         for c in cells:
             lo, hi = split_by_hyperplane(c, plane)

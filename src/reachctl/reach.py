@@ -12,10 +12,9 @@ interface) is one ``geometry.section``, and the plane is the one
 ``compute_geometry`` reads from ``system.equilibrium_plane``.  Every set
 of points at one drift level (the target's lowest and highest vertices,
 the top face, the cut's pivots) comes from ``SystemGeometry.at_level``.
-Condition (a) is settled on the vertices of the level face wherever
-convexity allows: the target and the slice are convex, so one that
-holds a set of vertices holds every convex combination of them.  Only
-the points this leaves open are probed.  LPs are solved only inside
+Condition (a) is settled on the vertices of the level face when the
+target holds them all: the target is convex, so it then holds the whole
+face, and nothing is probed.  LPs are solved only inside
 ``point_in_hull``, for a vertex or probe its closed forms leave open.
 """
 
@@ -92,13 +91,11 @@ def analyze(geom: SystemGeometry, p: Polytope, f: Face) -> ReachAnalysis:
 
     With every vertex covered, condition (a) asks whether the convex
     ``h_minus`` lies in the union of the target and the slice.  The
-    points within ``TOL_INCIDENCE`` (inf-norm) of a convex set form a
-    convex set, as the distance to it is a convex function, so a set
-    that holds every vertex holds ``h_minus``, and one that holds two
-    vertices holds their midpoint.  So nothing is probed when the target,
-    or the slice, holds every vertex; otherwise only the midpoints of
-    vertex pairs that share neither set and the centroid are probed.
-    Each vertex is tested against each set at most once.
+    points within ``TOL_INCIDENCE`` (inf-norm) of the convex target form a
+    convex set, as the distance to it is a convex function, so when the
+    target holds every vertex it holds ``h_minus`` and nothing is probed.
+    Otherwise every edge midpoint and the centroid are probed against
+    both sets.
     """
     beta = geom.beta
     f_levels = f.vertices @ beta
@@ -127,19 +124,16 @@ def analyze(geom: SystemGeometry, p: Polytope, f: Face) -> ReachAnalysis:
     b_minus_active = 0 in sides or sides >= {-1, 1}
     b_minus = section(section(p, b_plane), o_plane) if b_minus_active else Polytope.empty(p.n)
 
-    # condition (a): which of F and b_minus holds each vertex of h_minus,
-    # each (point, hull) tested at most once
-    def in_f(x) -> bool:
-        return point_in_hull(x, f.vertices, TOL_INCIDENCE)
-
+    # condition (a)
     def in_b(x) -> bool:
         return not b_minus.is_empty and point_in_hull(x, b_minus.vertices, TOL_INCIDENCE)
 
+    def covered(x) -> bool:
+        return point_in_hull(x, f.vertices, TOL_INCIDENCE) or in_b(x)
+
     verts = h_minus.vertices
-    vf = np.array([in_f(v) for v in verts], dtype=bool)
-    vb = np.zeros(len(verts), dtype=bool)
-    vb[~vf] = [in_b(v) for v in verts[~vf]]
-    uncovered = verts[~(vf | vb)]
+    in_f = [point_in_hull(v, f.vertices, TOL_INCIDENCE) for v in verts]
+    uncovered = verts[[not (a or in_b(v)) for a, v in zip(in_f, verts)]]
     if below:
         condition_a = False
         a_minus = h_minus
@@ -147,19 +141,19 @@ def analyze(geom: SystemGeometry, p: Polytope, f: Face) -> ReachAnalysis:
         condition_a = False
         a_minus = convex_hull(uncovered, allow_lower=True)
     else:
-        # vertices all covered: probe only what convexity leaves open,
-        # without exact repeats of a vertex or of each other
-        if not vf.all():
-            vb[vf] = [in_b(v) for v in verts[vf]]
+        # vertices all covered.  The target holds h_minus if it holds
+        # every vertex; otherwise probe the edge midpoints and the
+        # centroid, without exact repeats (the centroid of one vertex, of
+        # two or of a parallelogram is a vertex or a midpoint)
         probes = []
-        if not (vf.all() or vb.all()):
-            for i, j in itertools.combinations(range(len(verts)), 2):
-                if not (vf[i] and vf[j] or vb[i] and vb[j]):
-                    probes.append(0.5 * (verts[i] + verts[j]))
+        if not all(in_f):
+            nv = len(verts)
+            probes = list(verts)
+            for i, j in itertools.combinations(range(nv), 2):
+                probes.append(0.5 * (verts[i] + verts[j]))
             probes.append(verts.mean(axis=0))
-        vkeys = {v.tobytes() for v in verts}
-        probes = [x for key, x in {x.tobytes(): x for x in probes}.items() if key not in vkeys]
-        condition_a = all(in_f(x) or in_b(x) for x in probes)
+            probes = list({x.tobytes(): x for x in probes}.values())[nv:]
+        condition_a = all(covered(x) for x in probes)
         if condition_a:
             a_minus = Polytope.empty(p.n)
         else:

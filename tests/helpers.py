@@ -460,11 +460,11 @@ def lp_hull_meets_planes(vertices, planes):
 
 
 def probe_everything_condition_a(f, analysis):
-    """Condition (a) and its failure closure by the rule ``reach.analyze``
-    once had, for an analysis with nothing below the target's lowest
-    level: with every vertex of ``h_minus`` covered by the target or
-    ``b_minus``, every pair's midpoint and the centroid are probed too,
-    whichever sets hold the vertices."""
+    """Condition (a) and its failure closure for an analysis with nothing
+    below the target's lowest level, by the rule ``reach.analyze`` once
+    had for every level face: with every vertex of ``h_minus`` covered by
+    the target or ``b_minus``, every pair's midpoint and the centroid are
+    probed too, whichever sets hold the vertices."""
     h_minus, b_minus = analysis.h_minus, analysis.b_minus
 
     def covered(x):
@@ -621,24 +621,3 @@ def stepwise_integrate(sys, ctrl, x0, dt=None, tmax=None, f=None, domain=None):
     controls.append(np.zeros(sys.m))
     ids.append(-1)
     return done(sim.Outcome(sim.TIMEOUT, t))
-
-
-def split_everything_uncovered_volume(domain, pieces, cut_planes):
-    """``geo.uncovered_volume`` by the rule it once had: every cell is
-    split by every plane, covered or not, and each final cell is tested
-    at its centroid."""
-    cells = [domain]
-    for plane in cut_planes:
-        nxt = []
-        for c in cells:
-            for part in geo.split_by_hyperplane(c, plane):
-                if not part.is_empty and part.is_full_dim:
-                    nxt.append(part)
-        if nxt:
-            cells = nxt
-    gap = 0.0
-    for c in cells:
-        x = c.centroid()
-        if not any(q.contains(x, geo.TOL_INCIDENCE) for q in pieces if not q.is_empty):
-            gap += c.volume()
-    return gap

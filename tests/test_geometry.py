@@ -6,7 +6,7 @@ from scipy.spatial import ConvexHull
 
 from helpers import (hull_distance, rank_clip_facets, rank_edges, rank_facets,
                      random_simplices, reference_maximal_sets,
-                     reference_simplex_table, split_everything_uncovered_volume)
+                     reference_simplex_table)
 from reachctl import geometry as geo
 from reachctl import lp
 from reachctl.errors import DimensionDeficient, GeometryError
@@ -234,13 +234,16 @@ class TestPointInHull:
     def test_rank_of_its_own_svd(self, n):
         """The rank ``point_in_hull`` reads off the singular values of its
         full SVD is ``rank``'s, for difference matrices of every rank at
-        scales from 1e-5 to 1e5."""
+        scales from 1e-5 to 1e5; ``rank`` takes the matrix or its singular
+        values, not both."""
         rng = np.random.default_rng(60 + n)
         for k in range(1, n + 2):
             for d in range(min(k, n) + 1):
                 D = rng.normal(size=(k, d)) @ rng.normal(size=(d, n)) * 10.0 ** rng.uniform(-5, 5)
                 _, sv, _ = np.linalg.svd(D)
-                assert geo.rank(D, sv) == geo.rank(D) == d
+                assert geo.rank(sv=sv) == geo.rank(D) == d
+        with pytest.raises(TypeError):
+            geo.rank(D, sv=sv)
 
     @pytest.mark.parametrize("V", [
         [(0, 0), (1000, 0), (500, 1e-7)],
@@ -834,60 +837,3 @@ class TestUncoveredVolume:
         lo, _ = p.split(plane)
         gap = geo.uncovered_volume(p, [lo], [plane])
         assert gap == pytest.approx(1.0, abs=1e-9)
-
-    @staticmethod
-    def carve(p, planes):
-        """The full-dimensional cells of ``p`` split by each plane in turn."""
-        cells = [p]
-        for plane in planes:
-            cells = [part for c in cells for part in c.split(plane)
-                     if not part.is_empty and part.is_full_dim]
-        return cells
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_matches_splitting_every_cell(self, n):
-        """Random hulls cut by four random planes through them, covered by
-        the cells of the first two or three planes with one left out (a
-        gap), by all of them (no gap) or by the hull itself (covered from
-        the start): the same gap, to the bit, as splitting every cell."""
-        rng = np.random.default_rng(90 + n)
-        gaps = []
-        for _ in range(4):
-            p = geo.convex_hull(rng.normal(size=(2 * n + 3, n)))
-            planes = []
-            for _ in range(4):
-                normal = rng.normal(size=n)
-                inner = rng.dirichlet(np.ones(len(p.vertices))) @ p.vertices
-                planes.append(geo.Hyperplane(normal, normal @ inner))
-            carved = self.carve(p, planes[:rng.integers(2, 4)])
-            drop = rng.integers(len(carved))
-            for pieces in (carved[:drop] + carved[drop + 1:], carved, [p]):
-                gap = geo.uncovered_volume(p, pieces, planes)
-                assert gap == split_everything_uncovered_volume(p, pieces, planes)
-                gaps.append(gap)
-        gaps = np.reshape(gaps, (-1, 3))
-        assert np.all(gaps[:, 0] > 0.0) and np.all(gaps[:, 1:] == 0.0)
-
-    def test_covered_cells_are_not_split(self, monkeypatch):
-        """A cell inside one piece is dropped before the next plane: with
-        the left half of a rectangle and the lower quarter on its right as
-        pieces, the left cell of the first plane is not split by the
-        second; with the rectangle itself as piece, nothing is split."""
-        p = geo.convex_hull([(0, 0), (2, 0), (2, 1), (0, 1)])
-        first = geo.Hyperplane(np.array([1.0, 0.0]), 1.0)
-        second = geo.Hyperplane(np.array([0.0, 1.0]), 0.5)
-        lo, hi = p.split(first)
-        pieces = [lo, hi.split(second)[0]]
-        splits = []
-        split = geo.split_by_hyperplane
-
-        def counting_split(c, plane):
-            splits.append(plane.offset)
-            return split(c, plane)
-
-        monkeypatch.setattr(geo, "split_by_hyperplane", counting_split)
-        assert geo.uncovered_volume(p, pieces, [first, second]) == 0.5
-        assert splits == [1.0, 0.5]
-        splits.clear()
-        assert geo.uncovered_volume(p, [p], [first, second]) == 0.0
-        assert splits == []

@@ -216,7 +216,6 @@ class TestVertexControlsLP:
         assert ctrl.pieces and not any(lps)
         assert len(calls) == 1
 
-
     @pytest.mark.parametrize("fixture", [box_fixture, wedge_fixture, pinned_corner_fixture,
                                          cube_fixture, box4d_fixture])
     def test_synthesis_solves_no_lp(self, fixture, monkeypatch):
@@ -233,6 +232,7 @@ class TestVertexControlsLP:
         monkeypatch.setattr(lp, "solve", counting_solve)
         assert synth.synth_polytope(*fixture()).pieces
         assert lps == []
+
 
 class TestAffineInterpolation:
     def test_constant_controls(self):
