@@ -11,17 +11,6 @@ class GeometryError(ReachctlError):
     pass
 
 
-class DimensionDeficient(GeometryError):
-    """Input point set does not span the ambient space.
-
-    Carries the affine-hull dimension so callers can branch on it.
-    """
-
-    def __init__(self, dim: int, msg: str = ""):
-        self.dim = dim
-        super().__init__(msg or f"point set spans only a {dim}-dimensional affine hull")
-
-
 class Unbounded(GeometryError):
     """Halfspace intersection describes an unbounded set."""
 

@@ -60,7 +60,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import Degenerate, DimensionDeficient, GeometryError, Unbounded
+from .errors import Degenerate, GeometryError, Unbounded
 from . import lp
 
 # absolute: which side of a plane a point lies on, equal drift levels (the
@@ -159,8 +159,8 @@ def affine_basis(points) -> tuple[np.ndarray, np.ndarray]:
     diffs = pts[1:] - origin
     if len(diffs) == 0:
         return origin, np.zeros((pts.shape[1], 0))
-    _, _, vt = np.linalg.svd(diffs, full_matrices=False)
-    return origin, vt[:rank(diffs)].T
+    _, sv, vt = np.linalg.svd(diffs, full_matrices=False)
+    return origin, vt[:rank(sv=sv)].T
 
 
 @dataclass(frozen=True)
@@ -224,35 +224,15 @@ def hyperplane_through(points) -> Optional[Hyperplane]:
     return Hyperplane(normal, float(normal @ origin))
 
 
-@dataclass(frozen=True)
-class Face:
-    """Face of a polytope: vertex set, optional supporting halfspace, dim."""
-
-    vertices: np.ndarray
-    supporting: Optional[HalfSpace]
-    dim: int
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self.vertices) == 0
-
-    @staticmethod
-    def empty(n: int) -> "Face":
-        return Face(np.zeros((0, n)), None, -1)
-
-    @staticmethod
-    def from_vertices(points, supporting: Optional[HalfSpace] = None) -> "Face":
-        hull = convex_hull(points)
-        return Face(hull.vertices, supporting, hull.dim)
-
-
 class Polytope:
     """Bounded convex polytope carrying both representations.
 
     Full-dimensional polytopes have a consistent (minimal) halfspace list.
     Lower-dimensional ones carry vertices only; ``dim`` is the affine-hull
     dimension, -1 for the empty polytope.  The vertices are in
-    lexicographic order.
+    lexicographic order.  A target is any polytope of dimension n-1 (a
+    ``Face``, a section, a clip of a face): the constructions read its
+    vertices and ``dim`` alone.
 
     No code changes a polytope after it is built, so its vertex-facet
     ``incidence`` and its ``edges`` are computed once and kept.
@@ -322,11 +302,22 @@ class Polytope:
         return [Face(self.vertices[tight], h, self.n - 1)
                 for h, tight in zip(self.halfspaces, self.incidence.T)]
 
-    def split(self, plane: Hyperplane) -> tuple["Polytope", "Polytope"]:
-        return split_by_hyperplane(self, plane)
-
     def __repr__(self) -> str:
         return f"Polytope(n={self.n}, dim={self.dim}, nv={len(self.vertices)}, nh={len(self.halfspaces)})"
+
+
+class Face(Polytope):
+    """A lower-dimensional polytope, vertices only, with the halfspace
+    ``supporting`` it when it is a facet (``Polytope.facets``), else None."""
+
+    def __init__(self, vertices: np.ndarray, supporting: Optional[HalfSpace], dim: int):
+        super().__init__(vertices, [], dim)
+        self.supporting = supporting
+
+    @staticmethod
+    def from_vertices(points) -> "Face":
+        hull = convex_hull(points)
+        return Face(hull.vertices, None, hull.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -481,17 +472,17 @@ def _halfspace_key(h: HalfSpace) -> tuple:
     return tuple(np.round(np.concatenate([h.normal, [h.offset]]), HALFSPACE_KEY_DECIMALS))
 
 
-def convex_hull(points, allow_lower: bool = True) -> "Polytope":
+def convex_hull(points) -> "Polytope":
     """Convex hull with minimal V-rep (and H-rep when full-dimensional).
 
     The facets are ``vrep_to_hrep`` of the points, in the coordinates of
     their affine hull when that is lower-dimensional, and a given point is
     a vertex when the normals of its tight facets have the hull's rank; no
-    LP is solved.  Raises DimensionDeficient for degenerate input unless
-    ``allow_lower``, in which case a lower-dimensional polytope (vertices
-    only) is returned.  Raises Degenerate when a d-dimensional hull keeps
-    fewer than d+1 vertices: tightness is read at the absolute
-    ``TOL_GEOM``, which coordinates of about 1e7 no longer resolve.
+    LP is solved.  A hull of lower dimension d comes back as a polytope
+    with vertices only, of ``dim`` d.  Raises Degenerate when a
+    d-dimensional hull keeps fewer than d+1 vertices: tightness is read at
+    the absolute ``TOL_GEOM``, which coordinates of about 1e7 no longer
+    resolve.
     """
     pts = lex_sorted(dedupe_points(_as_points(points)))
     n = pts.shape[1]
@@ -499,8 +490,6 @@ def convex_hull(points, allow_lower: bool = True) -> "Polytope":
         return Polytope.empty(n)
     origin, basis = affine_basis(pts)
     d = basis.shape[1]
-    if d < n and not allow_lower:
-        raise DimensionDeficient(d)
     if d == 0:
         return Polytope(pts[:1], [], 0)
     coords = pts if d == n else (pts - origin) @ basis
@@ -636,7 +625,7 @@ def edges(p: Polytope) -> np.ndarray:
     return p._edges
 
 
-def carrying_facet(p: Polytope, f: Face) -> Optional[int]:
+def carrying_facet(p: Polytope, f: Polytope) -> Optional[int]:
     """Index into ``p.halfspaces`` (and ``p.facets()``) of the first facet
     whose plane holds every vertex of ``f``; None when no facet does."""
     for k, h in enumerate(p.halfspaces):
@@ -645,7 +634,7 @@ def carrying_facet(p: Polytope, f: Face) -> Optional[int]:
     return None
 
 
-def whole_facet(p: Polytope, f: Face) -> Optional[int]:
+def whole_facet(p: Polytope, f: Polytope) -> Optional[int]:
     """Index of the facet of ``p`` that ``f`` is, or None: the facet
     carrying ``f``, when every vertex of either is within ``TOL_MERGE``
     (inf-norm) of a vertex of the other."""
@@ -659,15 +648,14 @@ def whole_facet(p: Polytope, f: Face) -> Optional[int]:
 
 
 def simplex_volume(vertices: np.ndarray) -> float:
+    """Volume |det(V_1 - V_0, ..., V_n - V_0)| / n! of the simplex of n+1
+    points of R^n.  Raises GeometryError for any other number of points,
+    as ``Simplex`` does."""
     V = _as_points(vertices)
-    d = V.shape[0] - 1
-    if d <= 0:
-        return 0.0
-    diffs = V[1:] - V[0]
-    if V.shape[1] == d:
-        return abs(np.linalg.det(diffs)) / math.factorial(d)
-    g = diffs @ diffs.T
-    return float(np.sqrt(max(np.linalg.det(g), 0.0)) / math.factorial(d))
+    n = V.shape[1]
+    if V.shape[0] != n + 1:
+        raise GeometryError(f"simplex in R^{n} needs {n + 1} vertices, got {V.shape[0]}")
+    return abs(np.linalg.det(V[1:] - V[0])) / math.factorial(n)
 
 
 def volume(p: Polytope) -> float:

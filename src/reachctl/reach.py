@@ -52,7 +52,7 @@ class ReachAnalysis:
     b_minus: Polytope
     b_minus_active: bool
     a_minus: Polytope
-    a_plus: Face
+    a_plus: Polytope
     condition_a: bool
     condition_b: bool
     uncovered: np.ndarray
@@ -74,7 +74,7 @@ class EpsilonCut:
     cut_planes: tuple = ()
 
 
-def analyze(geom: SystemGeometry, p: Polytope, f: Face) -> ReachAnalysis:
+def analyze(geom: SystemGeometry, p: Polytope, f: Polytope) -> ReachAnalysis:
     """Exact reachability verdict for steering all of ``p`` to ``f``.
 
     Condition (a): nothing lies strictly below the target's lowest drift
@@ -139,7 +139,7 @@ def analyze(geom: SystemGeometry, p: Polytope, f: Face) -> ReachAnalysis:
         a_minus = h_minus
     elif len(uncovered):
         condition_a = False
-        a_minus = convex_hull(uncovered, allow_lower=True)
+        a_minus = convex_hull(uncovered)
     else:
         # vertices all covered.  The target holds h_minus if it holds
         # every vertex; otherwise probe the edge midpoints and the
@@ -165,7 +165,7 @@ def analyze(geom: SystemGeometry, p: Polytope, f: Face) -> ReachAnalysis:
     in_o = all(geom.on_equilibrium_plane(v) for v in p_plus.vertices)
     strictly_above = beta_max > lvl_plus + TOL_GEOM
     condition_b = (not in_o) or (not strictly_above)
-    a_plus = p_plus if not condition_b else Face.empty(p.n)
+    a_plus = p_plus if not condition_b else Polytope.empty(p.n)
 
     return ReachAnalysis(v_minus, v_plus, h_minus, p_plus,
                          b_minus, b_minus_active, a_minus, a_plus,
@@ -181,35 +181,22 @@ def default_eps(geom: SystemGeometry, p: Polytope) -> float:
 # margin cuts
 # ---------------------------------------------------------------------------
 
-def _flat_target_pivot(f: Face, offenders: np.ndarray) -> np.ndarray:
+def _flat_target_pivot(f: Polytope, offenders: np.ndarray) -> np.ndarray:
     """For a target lying entirely at one drift level, pick the face of the
     target whose outer side holds every offending point; the cut pivots on
-    that face."""
-    d = f.dim
-    if d == 1:
-        a, b = f.vertices[0], f.vertices[-1]
-        direction = b - a
-        direction /= np.linalg.norm(direction)
-        ta, tb = 0.0, float(direction @ (b - a))
-        toff = [float(direction @ (o - a)) for o in offenders]
-        if all(t >= tb - TOL_GEOM for t in toff):
-            return np.array([b])
-        if all(t <= ta + TOL_GEOM for t in toff):
-            return np.array([a])
-        raise CutConstructionFailed("offending points on both sides of a flat target")
-    # polygonal target: test each in-plane edge
+    that face.  The target is hulled in the coordinates of its affine hull,
+    where it is full-dimensional, and its facets there are tried in
+    order: the ends of a segment, the edges of a polygon."""
     origin, basis = affine_basis(f.vertices)
-    proj = (f.vertices - origin) @ basis
-    hull = convex_hull(proj, allow_lower=False)
+    hull = convex_hull((f.vertices - origin) @ basis)
     off_proj = (offenders - origin) @ basis
     for face in hull.facets():
-        sup = face.supporting
-        if all(sup.value(o) >= -TOL_GEOM for o in off_proj):
+        if all(face.supporting.value(o) >= -TOL_GEOM for o in off_proj):
             return face.vertices @ basis.T + origin
     raise CutConstructionFailed("no target face separates the offending points")
 
 
-def _cut_low_failure(p: Polytope, f: Face, geom: SystemGeometry,
+def _cut_low_failure(p: Polytope, f: Polytope, geom: SystemGeometry,
                      analysis: ReachAnalysis, eps: float) -> tuple[Hyperplane, int]:
     """Cut hyperplane removing the low-end failure set with margin eps.
 
@@ -273,7 +260,7 @@ def _cut_low_failure(p: Polytope, f: Face, geom: SystemGeometry,
     raise CutConstructionFailed("no admissible cut hyperplane at this margin")
 
 
-def epsilon_cut(geom: SystemGeometry, p: Polytope, f: Face,
+def epsilon_cut(geom: SystemGeometry, p: Polytope, f: Polytope,
                 eps: Optional[float] = None,
                 analysis: Optional[ReachAnalysis] = None) -> EpsilonCut:
     """Remove both failure sets with margin ``eps``.

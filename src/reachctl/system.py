@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateO, SignAmbiguous
-from .geometry import (TOL_GEOM, TOL_INCIDENCE, Face, Hyperplane, Polytope,
+from .geometry import (TOL_GEOM, TOL_INCIDENCE, Hyperplane, Polytope,
                        carrying_facet, rank)
 
 
@@ -141,7 +141,7 @@ def interior_clear_of_equilibria(sys: AffineSystem, p: Polytope) -> bool:
     return not (vals.min() < -TOL_GEOM and vals.max() > TOL_GEOM)
 
 
-def check_assumptions(sys: AffineSystem, p: Polytope, f: Face) -> AssumptionReport:
+def check_assumptions(sys: AffineSystem, p: Polytope, f: Polytope) -> AssumptionReport:
     """Flag the standing requirements for an instance: input rank n-1,
     controllability, equilibrium plane clear of the interior, and a
     target that is an (n-1)-dimensional polytope on the boundary."""
@@ -194,5 +194,5 @@ def compute_geometry(sys: AffineSystem, p: Polytope) -> SystemGeometry:
         if beta[idx] < 0:
             beta = -beta
 
-    u, _, _ = np.linalg.svd(sys.B, full_matrices=False)
-    return SystemGeometry(beta, u[:, :rank(sys.B)], plane)
+    u, sv, _ = np.linalg.svd(sys.B, full_matrices=False)
+    return SystemGeometry(beta, u[:, :rank(sv=sv)], plane)

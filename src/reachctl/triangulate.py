@@ -28,7 +28,7 @@ import numpy as np
 from .errors import (CoverIncomplete, CutConstructionFailed, EpsTooLarge,
                      NoQualifyingVertex, VStarInFbar)
 from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_MERGE, TOL_VOLUME,
-                       TOL_ZERO, Face, HalfSpace, Hyperplane, Polytope,
+                       TOL_ZERO, HalfSpace, Hyperplane, Polytope,
                        Simplex, affine_dimension, carrying_facet,
                        clip_to_halfspace, convex_hull, fan,
                        hyperplane_through, lex_sorted, point_in_hull,
@@ -46,18 +46,18 @@ class Triangulation:
 
     ``target_exits`` maps each simplex having a whole facet inside the
     target to the index of that facet (facet j omits vertex j).
-    ``adjacency`` lists each pair (a, b) of simplices sharing a facet as
-    (a, b, that facet's index in a, its index in b).
+    ``adjacency``, computed from the simplices, lists each pair (a, b) of
+    simplices sharing a facet as (a, b, that facet's index in a, its
+    index in b).
     """
 
     simplices: list[Simplex]
     vstar: np.ndarray
     target_exits: dict[int, int]
-    adjacency: list[tuple[int, int, int, int]] = field(default_factory=list)
+    adjacency: list[tuple[int, int, int, int]] = field(init=False)
 
     def __post_init__(self):
-        if not self.adjacency:
-            self.adjacency = _facet_adjacency(self.simplices)
+        self.adjacency = _facet_adjacency(self.simplices)
 
     def neighbors(self, i: int):
         """(neighbour, index of the shared facet in simplex i)."""
@@ -71,7 +71,7 @@ class Triangulation:
 @dataclass(frozen=True)
 class CoverPiece:
     polytope: Polytope
-    target: Face
+    target: Polytope
     role: str  # "target" drives to the original target, "feeder" to an interface
 
 
@@ -97,7 +97,7 @@ def _facet_adjacency(simplices: list[Simplex]) -> list[tuple[int, int, int, int]
     return out
 
 
-def qualifying_vertices(p: Polytope, f: Face, geom: SystemGeometry) -> np.ndarray:
+def qualifying_vertices(p: Polytope, f: Polytope, geom: SystemGeometry) -> np.ndarray:
     """Vertices on the top drift face admissible as fan anchors, in
     lexicographic order: off the equilibrium plane or inside the target."""
     top = geom.at_level(p.vertices, float((p.vertices @ geom.beta).max()))
@@ -107,7 +107,7 @@ def qualifying_vertices(p: Polytope, f: Face, geom: SystemGeometry) -> np.ndarra
     return lex_sorted(np.array(quals)) if quals else np.zeros((0, p.n))
 
 
-def select_vstar(p: Polytope, f: Face, geom: SystemGeometry) -> np.ndarray:
+def select_vstar(p: Polytope, f: Polytope, geom: SystemGeometry) -> np.ndarray:
     """The anchor: the first qualifying vertex off the equilibrium plane,
     else the first one (which lies inside the target).  With none, the
     reachability premise is violated."""
@@ -139,7 +139,7 @@ def mark_target(tri: Triangulation, target: HalfSpace) -> None:
             tri.target_exits[idx] = int(off[0])
 
 
-def triangulation_wrt_F(p: Polytope, f: Face, vstar: np.ndarray) -> Triangulation:
+def triangulation_wrt_F(p: Polytope, f: Polytope, vstar: np.ndarray) -> Triangulation:
     """The fan of the vertex ``vstar`` over the facets of ``p`` other than
     the one carrying the target, with cones over the target and over the
     pieces of that facet outside it, ordered by vertex key.
@@ -185,35 +185,21 @@ def triangulation_wrt_F(p: Polytope, f: Face, vstar: np.ndarray) -> Triangulatio
 
 def _split_plane_through(p: Polytope, a: np.ndarray, b: np.ndarray) -> Hyperplane:
     """Hyperplane through the segment [a, b] splitting p into two
-    full-dimensional pieces, maximizing the smaller piece.  Candidates
-    pass through the segment and n-2 vertices, and in 3-D also along each
-    coordinate direction."""
+    full-dimensional pieces, maximizing the smaller piece; the first
+    candidate wins a tie.  Each candidate is ``hyperplane_through`` a, b
+    and n-2 vertices (in 2-D, the line through a and b), and in 3-D also
+    a, b and a + e for each coordinate direction e."""
     n = p.n
-    axis = b - a
-    candidates: list[Hyperplane] = []
-    if n == 2:
-        normal = np.array([-axis[1], axis[0]])
-        candidates.append(Hyperplane(normal, float(normal @ a)))
-    else:
-        extra_pool = [v for v in p.vertices
-                      if affine_dimension(np.vstack([a, b, v])) == 2]
-        for combo in itertools.combinations(range(len(extra_pool)), n - 2):
-            plane = hyperplane_through(np.vstack([a, b] + [extra_pool[i] for i in combo]))
-            if plane is not None:
-                candidates.append(plane)
+    extra_pool = [v for v in p.vertices if affine_dimension(np.vstack([a, b, v])) == 2]
+    points = [[a, b, *extra] for extra in itertools.combinations(extra_pool, n - 2)]
     if n == 3:
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = 1.0
-            if affine_dimension(np.vstack([a, b, a + e])) < 2:
-                continue  # a, b and a + e are collinear
-            _, _, vt = np.linalg.svd(np.vstack([axis, e]), full_matrices=True)
-            normal = vt[-1]
-            candidates.append(Hyperplane(normal, float(normal @ a)))
-
+        points += [[a, b, a + e] for e in np.eye(n)]
     best = None
     best_score = -1.0
-    for plane in candidates:
+    for pts in points:
+        plane = hyperplane_through(np.vstack(pts))
+        if plane is None:
+            continue
         lo, hi = split_by_hyperplane(p, plane)
         if lo.is_empty or hi.is_empty or not (lo.is_full_dim and hi.is_full_dim):
             continue
@@ -225,7 +211,7 @@ def _split_plane_through(p: Polytope, a: np.ndarray, b: np.ndarray) -> Hyperplan
     return best
 
 
-def cover_wrt_F(p: Polytope, f: Face, geom: SystemGeometry) -> Cover:
+def cover_wrt_F(p: Polytope, f: Polytope, geom: SystemGeometry) -> Cover:
     """Three-piece cover for a target inside a facet: one piece has the
     target as a facet, the other two drive to the interface slice.
 
@@ -245,14 +231,13 @@ def cover_wrt_F(p: Polytope, f: Face, geom: SystemGeometry) -> Cover:
     p2, p3 = split_by_hyperplane(p, plane)
     interface = section(p, plane)
     p1 = convex_hull(np.vstack([f.vertices, interface.vertices]))
-    f23 = Face(interface.vertices, None, interface.dim)
     return Cover((CoverPiece(p1, f, "target"),
-                  CoverPiece(p2, f23, "feeder"),
-                  CoverPiece(p3, f23, "feeder")),
+                  CoverPiece(p2, interface, "feeder"),
+                  CoverPiece(p3, interface, "feeder")),
                  (plane,))
 
 
-def split_far_case(p: Polytope, f: Face, geom: SystemGeometry) -> Cover:
+def split_far_case(p: Polytope, f: Polytope, geom: SystemGeometry) -> Cover:
     """Split along the input-plane through the target's top vertex when no
     target vertex reaches the polytope's top face: the "target" piece
     holds the target and has a top-face target vertex, and the "feeder"
@@ -267,7 +252,7 @@ def split_far_case(p: Polytope, f: Face, geom: SystemGeometry) -> Cover:
     p1, p2 = split_by_hyperplane(p, plane)
     interface = section(p, plane)
     return Cover((CoverPiece(p1, f, "target"),
-                  CoverPiece(p2, Face(interface.vertices, None, interface.dim), "feeder")),
+                  CoverPiece(p2, interface, "feeder")),
                  (plane,))
 
 
@@ -275,15 +260,7 @@ def split_far_case(p: Polytope, f: Face, geom: SystemGeometry) -> Cover:
 # cover with respect to the equilibrium plane
 # ---------------------------------------------------------------------------
 
-def _clip_face(f: Face, half: HalfSpace) -> Face:
-    poly = Polytope(f.vertices, [], f.dim)
-    clipped = clip_to_halfspace(poly, half)
-    if clipped.is_empty:
-        return Face.empty(f.vertices.shape[1])
-    return Face(clipped.vertices, f.supporting, clipped.dim)
-
-
-def cover_wrt_O(sys: AffineSystem, p: Polytope, f: Face,
+def cover_wrt_O(sys: AffineSystem, p: Polytope, f: Polytope,
                 eps: Optional[float] = None) -> Cover:
     """Cover of a polytope crossed by the equilibrium plane.
 
@@ -302,7 +279,7 @@ def cover_wrt_O(sys: AffineSystem, p: Polytope, f: Face,
         return Cover((CoverPiece(p, f, "target"),))
 
     sides = [side1, side2]
-    targets = [_clip_face(f, o_plane.lower()), _clip_face(f, o_plane.upper())]
+    targets = [clip_to_halfspace(f, o_plane.lower()), clip_to_halfspace(f, o_plane.upper())]
     geoms = [compute_geometry(sys, s) for s in sides]
     if eps is None:
         eps = min(default_eps(geoms[0], sides[0]), default_eps(geoms[1], sides[1]))
@@ -326,10 +303,9 @@ def cover_wrt_O(sys: AffineSystem, p: Polytope, f: Face,
             continue
         if direct[i] is sides[i]:
             continue  # epsilon_cut cut nothing: this side is covered
-        iface_poly = section(direct[j], o_plane)
-        if iface_poly.is_empty or iface_poly.dim != p.n - 1:
+        iface = section(direct[j], o_plane)
+        if iface.is_empty or iface.dim != p.n - 1:
             continue
-        iface = Face(iface_poly.vertices, None, iface_poly.dim)
         try:
             cut = epsilon_cut(geoms[i], sides[i], iface, eps)
         except (EpsTooLarge, CutConstructionFailed) as exc:

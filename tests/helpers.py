@@ -474,7 +474,7 @@ def probe_everything_condition_a(f, analysis):
     verts = h_minus.vertices
     uncovered = verts[[not covered(v) for v in verts]]
     if len(uncovered):
-        return False, geo.convex_hull(uncovered, allow_lower=True)
+        return False, geo.convex_hull(uncovered)
     probes = [0.5 * (verts[i] + verts[j]) for i, j in itertools.combinations(range(len(verts)), 2)]
     probes.append(verts.mean(axis=0))
     if all(covered(x) for x in probes):

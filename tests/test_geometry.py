@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from helpers import (hull_distance, rank_clip_facets, rank_edges, rank_facets,
                      reference_simplex_table)
 from reachctl import geometry as geo
 from reachctl import lp
-from reachctl.errors import DimensionDeficient, GeometryError
+from reachctl.errors import GeometryError
 
 
 @pytest.fixture
@@ -156,11 +157,6 @@ class TestConvexHull:
             for d in range(1, n + 1):
                 assert geo.convex_hull(vertex_cloud(rng, n, d, 3 * geo.TOL_GEOM)).dim == d
         assert len(lp_calls) == 0
-
-    def test_degenerate_raises_with_dim(self):
-        with pytest.raises(DimensionDeficient) as ei:
-            geo.convex_hull([(0, 0), (1, 1), (2, 2)], allow_lower=False)
-        assert ei.value.dim == 1
 
     def test_degenerate_lower_allowed(self):
         p = geo.convex_hull([(0, 0), (1, 1), (2, 2)])
@@ -357,14 +353,14 @@ class TestRepConversion:
 class TestSplit:
     def test_square_split_volumes(self):
         p = geo.convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
-        lo, hi = p.split(geo.Hyperplane(np.array([1.0, 0.0]), 0.5))
+        lo, hi = geo.split_by_hyperplane(p, geo.Hyperplane(np.array([1.0, 0.0]), 0.5))
         assert lo.volume() == pytest.approx(0.5, abs=1e-12)
         assert hi.volume() == pytest.approx(0.5, abs=1e-12)
 
     def test_triangle_split_against_mc_oracle(self):
         p = geo.convex_hull([(0, 0), (2, 0), (0, 2)])
         plane = geo.Hyperplane(np.array([-1.0, 1.0]) / np.sqrt(2), 0.0)
-        lo, hi = p.split(plane)
+        lo, hi = geo.split_by_hyperplane(p, plane)
         assert lo.volume() == pytest.approx(1.0, abs=1e-9)
         assert hi.volume() == pytest.approx(1.0, abs=1e-9)
         rng = np.random.default_rng(2)
@@ -372,7 +368,7 @@ class TestSplit:
 
     def test_split_misses_polytope(self):
         p = geo.convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
-        lo, hi = p.split(geo.Hyperplane(np.array([1.0, 0.0]), 2.0))
+        lo, hi = geo.split_by_hyperplane(p, geo.Hyperplane(np.array([1.0, 0.0]), 2.0))
         assert not lo.is_empty and np.allclose(lo.vertices, p.vertices)
         assert hi.is_empty
 
@@ -384,7 +380,7 @@ class TestSplit:
             normal = rng.normal(size=p.n)
             normal /= np.linalg.norm(normal)
             plane = geo.Hyperplane(normal, float(normal @ c))
-            lo, hi = p.split(plane)
+            lo, hi = geo.split_by_hyperplane(p, plane)
             total = lo.volume() + hi.volume()
             assert total == pytest.approx(p.volume(), rel=1e-8, abs=1e-10)
 
@@ -574,7 +570,7 @@ class TestClip:
     def test_full_dimensional_split_solves_no_lp(self, lp_calls):
         p = random_hull(np.random.default_rng(30), 4)
         normal = np.array([1.0, 0.5, 0.0, -0.5])
-        lo, hi = p.split(geo.Hyperplane(normal, float(normal @ p.centroid())))
+        lo, hi = geo.split_by_hyperplane(p, geo.Hyperplane(normal, float(normal @ p.centroid())))
         assert lo.is_full_dim and hi.is_full_dim
         assert len(lp_calls) == 0
 
@@ -679,8 +675,25 @@ class TestVolume:
     def test_cube(self):
         assert geo.Polytope.box([0, 0, 0], [1, 1, 1]).volume() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_simplex_volume_needs_n_plus_1_points(self, n):
+        corner = np.vstack([np.zeros(n), 2.0 * np.eye(n)])
+        assert geo.simplex_volume(corner) == pytest.approx(2.0 ** n / math.factorial(n))
+        for k in (n, n + 2):
+            with pytest.raises(GeometryError):
+                geo.simplex_volume(np.vstack([corner, np.ones((1, n))])[:k])
+
 
 class TestFaces:
+    def test_a_face_is_a_lower_dimensional_polytope(self):
+        cube = geo.Polytope.box([0, 0, 0], [1, 1, 1])
+        facet = cube.facets()[0]
+        assert isinstance(facet, geo.Polytope) and facet.dim == 2 and facet.halfspaces == []
+        assert facet.supporting is cube.halfspaces[0]
+        half = geo.clip_to_halfspace(facet, geo.HalfSpace(np.array([0.0, 1.0, 0.0]), 0.5))
+        assert half.dim == 2 and len(half.vertices) == 4
+        assert geo.carrying_facet(cube, half) == 0
+
     def test_shared_edge(self):
         a = geo.convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
         b = geo.convex_hull([(1, 0), (2, 0), (2, 1), (1, 1)])
@@ -828,12 +841,12 @@ class TestUncoveredVolume:
     def test_exact_cover(self):
         p = geo.convex_hull([(0, 0), (2, 0), (2, 1), (0, 1)])
         plane = geo.Hyperplane(np.array([1.0, 0.0]), 1.0)
-        lo, hi = p.split(plane)
+        lo, hi = geo.split_by_hyperplane(p, plane)
         assert geo.uncovered_volume(p, [lo, hi], [plane]) == pytest.approx(0.0, abs=1e-12)
 
     def test_gap_detected(self):
         p = geo.convex_hull([(0, 0), (2, 0), (2, 1), (0, 1)])
         plane = geo.Hyperplane(np.array([1.0, 0.0]), 1.0)
-        lo, _ = p.split(plane)
+        lo, _ = geo.split_by_hyperplane(p, plane)
         gap = geo.uncovered_volume(p, [lo], [plane])
         assert gap == pytest.approx(1.0, abs=1e-9)

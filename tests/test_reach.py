@@ -249,7 +249,7 @@ class TestEpsilonCut:
         sys, p, f = wedge_fixture()
         geom, ra = analysis_for(sys, p, f)
         # exact solvable volume: everything left of the target's low level
-        lo, _ = p.split(geo.Hyperplane(np.array([1.0, 0.0]), 2.5))
+        lo, _ = geo.split_by_hyperplane(p, geo.Hyperplane(np.array([1.0, 0.0]), 2.5))
         exact = lo.volume()
         gaps = []
         for eps in (0.2, 0.1, 0.05, 0.025):
@@ -282,6 +282,54 @@ class TestEpsilonCut:
         geom, ra = analysis_for(sys, p, f)
         with pytest.raises(EpsTooLarge):
             reach.epsilon_cut(geom, p, f, 5.0, analysis=ra)
+
+
+class TestFlatTargetPivot:
+    """The pivot of the margin cut for a target at one drift level: the
+    face of the target whose outer side holds every offending point."""
+
+    @staticmethod
+    def segment_offenders(rng, a, b, sides):
+        """Points beyond the end b (side 1) or a (side 0) of the segment,
+        along its line, each moved off it by a perpendicular offset."""
+        out = []
+        for side in sides:
+            t = rng.uniform(1.05, 2.0) if side else rng.uniform(-1.0, -0.05)
+            off = rng.normal(size=len(a))
+            off -= (off @ (b - a)) / ((b - a) @ (b - a)) * (b - a)
+            out.append(a + t * (b - a) + off)
+        return np.array(out)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_segment_pivots_on_the_end_beyond_which_the_offenders_lie(self, n):
+        rng = np.random.default_rng(70 + n)
+        for _ in range(20):
+            f = face_from(rng.normal(size=(2, n)))
+            a, b = f.vertices
+            for side, end in ((1, b), (0, a)):
+                offenders = self.segment_offenders(rng, a, b, [side] * 3)
+                pivot = reach._flat_target_pivot(f, offenders)
+                assert pivot.shape == (1, n)
+                assert np.allclose(pivot[0], end, rtol=0.0, atol=1e-12)
+            with pytest.raises(CutConstructionFailed):
+                reach._flat_target_pivot(f, self.segment_offenders(rng, a, b, [0, 1, 1]))
+
+    def test_polygon_pivots_on_the_edge_facing_the_offenders(self):
+        # a triangle in a tilted plane of R^3, offenders in that plane
+        frame = np.linalg.qr(np.random.default_rng(72).normal(size=(3, 3)))[0][:, :2]
+
+        def lift(pts):
+            return np.asarray(pts, dtype=float) @ frame.T + np.array([0.3, -0.2, 0.5])
+
+        f = face_from(lift([(0, 0), (1, 0), (0, 1)]))
+        pivot = reach._flat_target_pivot(f, lift([(1, 1), (2, 0.5), (0.5, 0.6)]))
+        assert np.allclose(geo.lex_sorted(pivot), geo.lex_sorted(lift([(1, 0), (0, 1)])),
+                           rtol=0.0, atol=1e-12)
+        pivot = reach._flat_target_pivot(f, lift([(-1, 0.5), (-0.1, 0.9)]))
+        assert np.allclose(geo.lex_sorted(pivot), geo.lex_sorted(lift([(0, 0), (0, 1)])),
+                           rtol=0.0, atol=1e-12)
+        with pytest.raises(CutConstructionFailed):
+            reach._flat_target_pivot(f, lift([(1, 1), (-1, -1)]))
 
 
 class TestInvariance:

@@ -116,7 +116,7 @@ def test_determinants_only_in_the_nonsingularity_rule_and_volumes():
     comes back."""
     calls = {path.name: det_calls(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: got for name, got in calls.items() if got} == {
-        "geometry.py": ["nonsingular", "simplex_volume", "simplex_volume"]}
+        "geometry.py": ["nonsingular", "simplex_volume"]}
 
 
 def test_check_sees_a_second_determinant():

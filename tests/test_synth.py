@@ -5,10 +5,11 @@ from scipy.optimize import linprog
 from reachctl import geometry as geo
 from reachctl import lp, reach, synth
 from reachctl import triangulate as tri
-from reachctl.errors import (CoverIncomplete, ReachctlError,
-                             SingularVertexMatrix, SynthesisFailed)
+from reachctl.errors import (AssumptionViolated, CoverIncomplete,
+                             ReachctlError, SingularVertexMatrix,
+                             SynthesisFailed)
 from reachctl.sim import sample_states
-from reachctl.system import AffineSystem, compute_geometry
+from reachctl.system import AffineSystem, AssumptionReport, compute_geometry
 
 from helpers import (box4d_fixture, box_fixture, cube_fixture,
                      diamond_fixture, double_integrator, face_from, facet_face,
@@ -654,6 +655,26 @@ class TestSynthPolytope:
         p = geo.convex_hull(vertices)
         ctrl = synth.synth_polytope(sys, p, face_from(target))
         assert len(ctrl.pieces) == pieces
+
+    @pytest.mark.parametrize("case, failing", [("input_rank", "A1"), ("target_dim", "A4")])
+    def test_a_failed_assumption_raises_with_its_report(self, case, failing):
+        """A1: the 3-D chain x1' = x2, x2' = x3, x3' = u is controllable,
+        but its one input spans less than n-1 = 2 dimensions.  A4: the
+        cube's edge is a target of dimension 1, not 2."""
+        sys, p, f = cube_fixture()
+        if case == "input_rank":
+            sys = AffineSystem(A=np.eye(3, k=1), a=np.zeros(3), B=[[0.0], [0.0], [1.0]])
+        else:
+            f = face_from([(1, 0, 0), (1, 1, 0)])
+        with pytest.raises(AssumptionViolated) as ei:
+            synth.synth_polytope(sys, p, f)
+        rep = ei.value.report
+        assert isinstance(rep, AssumptionReport) and not rep.ok
+        flags = {"A1": rep.a1_input_rank, "A2": rep.a2_controllable,
+                 "A4": rep.a4_target_valid}
+        assert [k for k, ok in flags.items() if not ok] == [failing]
+        assert f"{failing}=FAIL" in str(ei.value)
+        assert all(f"{k}=pass" in str(ei.value) for k in flags if k != failing)
 
     def test_cover_wrt_O_incomplete(self):
         sys, p, f = diamond_fixture()

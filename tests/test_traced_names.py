@@ -1,10 +1,13 @@
 """Every name the benchmark reads from reachctl must exist: the functions
 its span tracer wraps by name (``perfbench/spans.py``, ``LAYERS``), and
-each attribute its sources read off a reachctl module or import from one."""
+each attribute its sources read off a reachctl module or import from one.
+Every call it makes to a reachctl callable must bind to that callable's
+signature, so a removed option or parameter cannot break it unseen."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -37,13 +40,12 @@ def _is_module(name: str) -> bool:
     return True
 
 
-def reachctl_reads(source: str) -> set[tuple[str, str]]:
-    """(module, name) for each name ``source`` imports from a reachctl
-    module, and for each attribute it reads off a reachctl module bound
-    to a name (``from reachctl import synth``, ``import reachctl.sim as
-    sim``)."""
-    tree = ast.parse(source)
-    modules, reads = {}, set()
+def _reachctl_imports(tree) -> tuple[dict, dict]:
+    """The reachctl modules bound to a name (``from reachctl import
+    synth``, ``import reachctl.sim as sim``), as name -> module, and the
+    other names imported from a reachctl module, as name -> (module,
+    attribute)."""
+    modules, names = {}, {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for a in node.names:
@@ -54,12 +56,74 @@ def reachctl_reads(source: str) -> set[tuple[str, str]]:
                 if _is_module(f"{node.module}.{a.name}"):
                     modules[a.asname or a.name] = f"{node.module}.{a.name}"
                 else:
-                    reads.add((node.module, a.name))
+                    names[a.asname or a.name] = (node.module, a.name)
+    return modules, names
+
+
+def reachctl_reads(source: str) -> set[tuple[str, str]]:
+    """(module, name) for each name ``source`` imports from a reachctl
+    module, and for each attribute it reads off a reachctl module bound
+    to a name."""
+    tree = ast.parse(source)
+    modules, names = _reachctl_imports(tree)
+    reads = set(names.values())
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
                 and node.value.id in modules:
             reads.add((modules[node.value.id], node.attr))
     return reads
+
+
+def reachctl_calls(source: str) -> list[tuple[str, object, int, list[str], bool]]:
+    """(label, callable, positional count, keywords, complete) for each
+    call in ``source`` of a reachctl callable named through an import:
+    ``f(...)`` for a name imported from a reachctl module, ``m.f(...)`` or
+    ``m.C.f(...)`` for a reachctl module bound to ``m``.  A call with
+    ``*args`` or ``**kwargs`` is not complete: only its other arguments
+    are known."""
+    tree = ast.parse(source)
+    modules, names = _reachctl_imports(tree)
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        path, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            path.insert(0, func.attr)
+            func = func.value
+        if not isinstance(func, ast.Name):
+            continue
+        if func.id in modules:
+            owner = importlib.import_module(modules[func.id])
+        elif func.id in names:
+            owner = importlib.import_module(names[func.id][0])
+            path.insert(0, names[func.id][1])
+        else:
+            continue
+        for part in path:
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            continue
+        positional = [a for a in node.args if not isinstance(a, ast.Starred)]
+        keywords = [k.arg for k in node.keywords if k.arg is not None]
+        complete = len(positional) == len(node.args) and len(keywords) == len(node.keywords)
+        out.append((f"line {node.lineno}: {ast.unparse(node.func)}", owner,
+                    len(positional), keywords, complete))
+    return out
+
+
+def unbound_calls(calls) -> list[str]:
+    """The calls whose arguments do not bind to their callable's
+    signature: too many or too few positionals, an unknown keyword."""
+    out = []
+    for label, fn, npos, keywords, complete in calls:
+        sig = inspect.signature(fn)
+        bind = sig.bind if complete else sig.bind_partial
+        try:
+            bind(*range(npos), **dict.fromkeys(keywords))
+        except TypeError as exc:
+            out.append(f"{label}: {exc}")
+    return out
 
 
 def missing_names(reads) -> list[str]:
@@ -88,3 +152,30 @@ def test_every_name_the_benchmark_reads_exists():
             ("reachctl.synth", "check_no_equilibrium"), ("reachctl.sim", "integrate"),
             ("reachctl.geometry", "Face")} <= reads
     assert missing_names(reads) == []
+
+
+def test_scanner_finds_calls_that_do_not_bind():
+    source = ("from reachctl import geometry as geo\n"
+              "from reachctl.synth import synth_polytope as run\n"
+              "run(1, 2, 3, eps=0.1)\n"
+              "run(1, 2, 3, 4, 5)\n"
+              "geo.Face.from_vertices(1)\n"
+              "geo.convex_hull(1, allow_lower=False)\n"
+              "geo.Polytope.box(*bounds)\n"
+              "geo.TOL_GEOM.real\n")
+    calls = reachctl_calls(source)
+    assert [label for label, *_ in calls] == [
+        "line 3: run", "line 4: run", "line 5: geo.Face.from_vertices",
+        "line 6: geo.convex_hull", "line 7: geo.Polytope.box"]
+    assert [label.split(":")[0] for label in unbound_calls(calls)] == ["line 4", "line 6"]
+
+
+def test_every_call_the_benchmark_makes_binds():
+    calls = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        calls += reachctl_calls(path.read_text())
+    called = {fn for _, fn, *_ in calls}
+    from reachctl import geometry, sim, synth
+    assert {geometry.Face, geometry.Face.from_vertices, geometry.convex_hull,
+            synth.synth_polytope, sim.integrate} <= called
+    assert unbound_calls(calls) == []

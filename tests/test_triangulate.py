@@ -1,5 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
 from reachctl import geometry as geo
 from reachctl import reach, triangulate as tri
@@ -235,6 +238,70 @@ class TestTriangulationWrtF:
         sys, p, f = ill1_fixture()
         with pytest.raises(VStarInFbar):
             tri.triangulation_wrt_F(p, f, np.array([2.0, 1.0]))
+
+
+def split_plane_candidates(p, a, b):
+    """Every plane through a, b and n-2 vertices of p, and in 3-D through
+    a, b and a + e for each coordinate direction e, each the null space
+    of its points' differences from a."""
+    n = p.n
+    spans = [np.vstack([b - a] + [v - a for v in extra])
+             for extra in itertools.combinations(p.vertices, n - 2)]
+    if n == 3:
+        spans += [np.vstack([b - a, e]) for e in np.eye(n)]
+    for D in spans:
+        N = null_space(D)
+        if N.shape[1] == 1:
+            yield geo.Hyperplane(N[:, 0], float(N[:, 0] @ a))
+
+
+def smaller_piece(p, plane):
+    """Volume of the smaller piece of p split by the plane, None unless
+    both pieces are full-dimensional."""
+    lo, hi = geo.split_by_hyperplane(p, plane)
+    if lo.is_empty or hi.is_empty or not (lo.is_full_dim and hi.is_full_dim):
+        return None
+    return min(lo.volume(), hi.volume())
+
+
+class TestSplitPlaneThrough:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_best_plane_through_the_segment(self, n):
+        rng = np.random.default_rng(60 + n)
+        checked = 0
+        while checked < 4:
+            p = geo.convex_hull(rng.normal(size=(n + 4, n)))
+            i, j = rng.choice(len(p.vertices), size=2, replace=False)
+            a, b = p.vertices[i], p.vertices[j]
+            scores = [s for s in (smaller_piece(p, c) for c in split_plane_candidates(p, a, b))
+                      if s is not None]
+            if not scores:
+                with pytest.raises(NoQualifyingVertex):
+                    tri._split_plane_through(p, a, b)
+                continue
+            plane = tri._split_plane_through(p, a, b)
+            assert abs(plane.value(a)) <= 1e-9 and abs(plane.value(b)) <= 1e-9
+            score = smaller_piece(p, plane)
+            assert score is not None
+            assert score >= max(scores) - 1e-9 * p.volume()
+            checked += 1
+
+    def test_line_through_the_segment_in_2d(self):
+        p = geo.convex_hull([(0, 0), (2, 0), (3, 1), (1.5, 2), (0, 1)])
+        plane = tri._split_plane_through(p, np.array([0.0, 0.0]), np.array([3.0, 1.0]))
+        assert np.allclose(np.abs(plane.normal), np.array([1.0, 3.0]) / np.sqrt(10.0))
+        assert plane.offset == pytest.approx(0.0, abs=1e-12)
+
+    def test_tetrahedron_splits_along_a_coordinate_direction(self):
+        sys, p, f = ill3_fixture()
+        geom = compute_geometry(sys, p)
+        levels = f.vertices @ geom.beta
+        a, b = f.vertices[levels.argmin()], f.vertices[levels.argmax()]
+        plane = tri._split_plane_through(p, a, b)
+        assert min(abs(plane.value(a + e)) for e in np.eye(3)) <= 1e-9
+        assert smaller_piece(p, plane) >= max(
+            s for s in (smaller_piece(p, c) for c in split_plane_candidates(p, a, b))
+            if s is not None) - 1e-12
 
 
 class TestCoverWrtF:
