@@ -13,7 +13,8 @@ dimension is triangulated as the base of a full-dimensional pyramid.
 
 Clipping, splitting and sectioning by a hyperplane work as the
 one-halfspace update of that method: the vertices inside (or on the
-plane) stay, and each edge the plane crosses adds its crossing point.
+plane) stay, and each edge the plane crosses adds its crossing point,
+computed once per split for both pieces.
 The clip and ``vrep_to_hrep`` (a plane through every n-subset of the
 points) share one facet rule: a candidate is a facet when its set of
 tight points is maximal among the candidates'.  Where incidence cannot
@@ -109,8 +110,11 @@ def dedupe_points(points: np.ndarray) -> np.ndarray:
     """A copy of ``points`` without near-duplicates: a point is dropped
     when an earlier kept point is within ``TOL_MERGE`` (inf-norm)."""
     pts = _as_points(points)
-    gaps = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2, initial=0.0)
-    earlier = np.tril(gaps <= TOL_MERGE, -1)
+    close = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2, initial=0.0) <= TOL_MERGE
+    if np.count_nonzero(close) == len(pts):
+        return pts.copy()
+    idx = np.arange(len(pts))
+    earlier = close & (idx[:, None] > idx)
     keep = np.ones(len(pts), dtype=bool)
     for i in np.flatnonzero(earlier.any(axis=1)):
         keep[i] = not (earlier[i] & keep).any()
@@ -154,7 +158,11 @@ def affine_dimension(points) -> int:
 
 def affine_basis(points) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis (columns) of the affine hull, plus its origin."""
-    pts = dedupe_points(_as_points(points))
+    return _affine_basis(dedupe_points(_as_points(points)))
+
+
+def _affine_basis(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``affine_basis`` of points without near-duplicates."""
     origin = pts[0]
     diffs = pts[1:] - origin
     if len(diffs) == 0:
@@ -346,7 +354,8 @@ def point_in_hull(point, vertices, tol: float = TOL_GEOM) -> bool:
       since lam V is then a point of the hull.
 
     Only the rest is solved as the LP
-    min s  s.t.  |V^T lam - point| <= s, sum lam = 1, lam >= 0.
+    min s  s.t.  |V^T lam - point| <= s, sum lam = 1, lam >= 0,
+    whose "in" needs the same certificate, from its lam or a simplex.
     """
     V = _as_points(vertices)
     if len(V) == 0:
@@ -366,8 +375,7 @@ def point_in_hull(point, vertices, tol: float = TOL_GEOM) -> bool:
         # lam_1.. of the projection are (x - v_0) P; lam_0 is 1 - their sum
         P = vt[:r].T @ (u[:, :r] / sv[:r]).T
         lam = (x - V[0]) @ P
-        lam = np.maximum(np.append(1.0 - lam.sum(), lam), 0.0)
-        if np.abs(lam @ V / lam.sum() - x).max() <= tol:
+        if _certified(np.append(1.0 - lam.sum(), lam), V, x, tol):
             return True
         G = np.vstack([G, P.sum(axis=1), -P.T])
     if np.any(G @ x - (V @ G.T).max(axis=0) > 2.0 * tol * np.abs(G).sum(axis=1)):
@@ -380,9 +388,23 @@ def point_in_hull(point, vertices, tol: float = TOL_GEOM) -> bool:
     rhs = np.concatenate([np.stack([x, -x], axis=1).ravel(), np.zeros(k)])
     out = lp.solve(np.eye(k + 1)[-1], rows, rhs, np.append(np.ones(k), 0.0)[None, :],
                    np.array([1.0]))
-    if out.status != lp.OPTIMAL:
+    if out.status != lp.OPTIMAL or out.value > tol:
         return False
-    return out.value <= tol
+    if _certified(out.x[:k], V, x, tol):
+        return True
+    # an optimum that breaks lam >= 0 proves nothing: try the simplices of
+    # r + 1 vertices, one of which holds a nearest hull point (Caratheodory)
+    W = V[np.array(list(itertools.combinations(range(k), r + 1)))]
+    lam = np.einsum("sn,snr->sr", x - W[:, 0], np.linalg.pinv(W[:, 1:] - W[:, :1]))
+    return bool(_certified(np.hstack([1.0 - lam.sum(axis=1, keepdims=True), lam]), W, x, tol).any())
+
+
+def _certified(lam: np.ndarray, V: np.ndarray, x: np.ndarray, tol: float):
+    """Whether weights of the rows of ``V`` (or of each of a stack),
+    clipped at 0 and renormalized, give a hull point within ``tol``."""
+    lam = np.maximum(lam, 0.0)
+    y = np.einsum("...m,...mn->...n", lam, V) / lam.sum(axis=-1)[..., None]
+    return np.abs(y - x).max(axis=-1) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +451,8 @@ def _maximal_sets(tight: np.ndarray) -> np.ndarray:
     sizes = counts.sum(axis=1)
     within = counts @ counts.T == sizes[:, None]
     superset = within & (sizes[None, :] > sizes[:, None])
-    earlier_copy = np.tril(within & within.T, -1)
+    idx = np.arange(len(tight))
+    earlier_copy = within & within.T & (idx[:, None] > idx)
     return np.flatnonzero((sizes > 0) & ~superset.any(axis=1) & ~earlier_copy.any(axis=1))
 
 
@@ -443,18 +466,23 @@ def vrep_to_hrep(vertices) -> list[HalfSpace]:
     through points within ``TOL_GEOM`` of that facet.
     """
     V = dedupe_points(_as_points(vertices))
-    k, n = V.shape
     d = affine_dimension(V)
-    if d < n:
+    if d < V.shape[1]:
         raise Degenerate(f"vertex set spans only dimension {d}")
+    return _hull_facets(V)
+
+
+def _hull_facets(V: np.ndarray) -> list[HalfSpace]:
+    """``vrep_to_hrep`` of deduplicated points: one SVD per n-subset
+    tells whether it spans a hyperplane and gives its normal."""
+    k, n = V.shape
     if n == 1:
         lo, hi = float(V.min()), float(V.max())
         return [HalfSpace(np.array([-1.0]), -lo), HalfSpace(np.array([1.0]), hi)]
     subsets = np.array(list(itertools.combinations(range(k), n)))
-    diffs = V[subsets[:, 1:]] - V[subsets[:, :1]]
-    spans = rank(diffs) == n - 1
-    subsets, diffs = subsets[spans], diffs[spans]
-    normals = np.linalg.svd(diffs)[2][:, -1]
+    _, sv, vt = np.linalg.svd(V[subsets[:, 1:]] - V[subsets[:, :1]])
+    spans = rank(sv=sv) == n - 1
+    subsets, normals = subsets[spans], vt[spans, -1]
     offsets = np.einsum("ij,ij->i", normals, V[subsets[:, 0]])
     vals = V @ normals.T - offsets
     below = np.all(vals <= TOL_GEOM, axis=0)
@@ -464,12 +492,13 @@ def vrep_to_hrep(vertices) -> list[HalfSpace]:
               for i in one_side[_maximal_sets(np.abs(vals[:, one_side].T) <= TOL_GEOM)]]
     if not facets:
         raise Degenerate("no facets found")
-    return sorted(facets, key=_halfspace_key)
+    return _facet_order(facets)
 
 
-def _halfspace_key(h: HalfSpace) -> tuple:
-    """Rounded (normal, offset): the order of every facet list."""
-    return tuple(np.round(np.concatenate([h.normal, [h.offset]]), HALFSPACE_KEY_DECIMALS))
+def _facet_order(facets: list[HalfSpace]) -> list[HalfSpace]:
+    """Every facet list's order: rounded (normal, offset), ties stable."""
+    keys = np.round([np.append(h.normal, h.offset) for h in facets], HALFSPACE_KEY_DECIMALS)
+    return [facets[i] for i in np.lexsort(keys.T[::-1])]
 
 
 def convex_hull(points) -> "Polytope":
@@ -488,12 +517,12 @@ def convex_hull(points) -> "Polytope":
     n = pts.shape[1]
     if len(pts) == 0:
         return Polytope.empty(n)
-    origin, basis = affine_basis(pts)
+    origin, basis = _affine_basis(pts)
     d = basis.shape[1]
     if d == 0:
         return Polytope(pts[:1], [], 0)
     coords = pts if d == n else (pts - origin) @ basis
-    hs = vrep_to_hrep(coords)
+    hs = _hull_facets(coords)
     normals = np.array([h.normal for h in hs])
     tight = np.abs(coords @ normals.T - [h.offset for h in hs]) <= TOL_GEOM
     verts = pts[[rank(normals[t]) == d for t in tight]]
@@ -517,16 +546,19 @@ def split_by_hyperplane(p: Polytope, plane: Hyperplane) -> tuple[Polytope, Polyt
 
     When the plane misses the interior, the polytope comes back whole on
     its own side together with an empty polytope; otherwise the pieces are
-    the clips to the plane's two halfspaces.
+    the clips to the plane's two halfspaces, which share their crossing
+    points: the upper one's values are the lower one's negated, bit for bit.
     """
     if p.is_empty:
         return p, p
-    vals = p.vertices @ plane.normal - plane.offset
+    lower, upper = plane.lower(), plane.upper()
+    vals = p.vertices @ lower.normal - lower.offset
     if np.all(vals <= TOL_GEOM):
         return p, Polytope.empty(p.n)
     if np.all(vals >= -TOL_GEOM):
         return Polytope.empty(p.n), p
-    return clip_to_halfspace(p, plane.lower()), clip_to_halfspace(p, plane.upper())
+    on = _plane_points(p, vals)
+    return _clip_across(p, lower, vals, on), _clip_across(p, upper, -vals, on)
 
 
 def clip_to_halfspace(p: Polytope, half: HalfSpace) -> Polytope:
@@ -552,9 +584,14 @@ def clip_to_halfspace(p: Polytope, half: HalfSpace) -> Polytope:
     if np.all(vals >= -TOL_GEOM):
         kept = p.vertices[vals <= TOL_GEOM]
         return convex_hull(kept) if len(kept) else Polytope.empty(p.n)
+    return _clip_across(p, half, vals, _plane_points(p, vals))
+
+
+def _clip_across(p: Polytope, half: HalfSpace, vals: np.ndarray, on: np.ndarray) -> Polytope:
+    """The clip by a halfspace crossing ``p``, given ``vals`` and ``on``."""
     # the points on the plane come first: a vertex merging with them gives
     # way, and the clip's face on the plane is ``section``'s
-    pts = np.vstack([_plane_points(p, vals), p.vertices[vals < -TOL_GEOM]])
+    pts = np.vstack([on, p.vertices[vals < -TOL_GEOM]])
     verts = lex_sorted(dedupe_points(pts))
     cands = p.halfspaces + [half]
     facets = [cands[i] for i in _maximal_sets(Polytope(verts, cands, p.n).incidence.T)]
@@ -562,7 +599,7 @@ def clip_to_halfspace(p: Polytope, half: HalfSpace) -> Polytope:
         # a vertex within about TOL_MERGE of the plane merged with its
         # crossing points, or a sliver: incidence no longer tells the facets
         return convex_hull(verts)
-    return Polytope(verts, sorted(facets, key=_halfspace_key), p.n)
+    return Polytope(verts, _facet_order(facets), p.n)
 
 
 def _plane_points(p: Polytope, vals: np.ndarray) -> np.ndarray:

@@ -122,7 +122,9 @@ def analyze(geom: SystemGeometry, p: Polytope, f: Polytope) -> ReachAnalysis:
     o_plane = geom.equilibrium_plane
     sides = {o_plane.side(v) for v in geom.at_level(f.vertices, lvl_minus)}
     b_minus_active = 0 in sides or sides >= {-1, 1}
-    b_minus = section(section(p, b_plane), o_plane) if b_minus_active else Polytope.empty(p.n)
+    b_minus = Polytope.empty(p.n)
+    if b_minus_active:
+        b_minus = section(section(p, b_plane) if below else h_minus, o_plane)
 
     # condition (a)
     def in_b(x) -> bool:

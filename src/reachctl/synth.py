@@ -22,6 +22,7 @@ raises, as a loop over the simplices would.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Union
@@ -375,46 +376,35 @@ def greedy_paths(tri: Triangulation, geom: SystemGeometry) -> GreedyResult:
     A target simplex may also exit into the target itself, through the
     facet its triangulation records in ``target_exits``; the facet shared
     with a neighbour comes from the triangulation's adjacency.  Both kinds
-    of facet take their levels from the simplex's own vertices."""
-    q = len(tri.simplices)
-    unfinished = set(range(q))
-    finished: set[int] = set()
+    of facet take their levels from the simplex's own vertices.  A pair
+    becomes a candidate when its neighbour finishes, so each (simplex,
+    facet) level is computed once, and the candidates wait in a heap
+    keyed (level, -count, simplex, neighbour), -1 for the target."""
+    neighbors = tri.neighbors()
     result = GreedyResult([], {}, {}, {}, [])
 
-    def facet_stats(i: int, k: int) -> tuple[float, int]:
-        """Lowest level on facet k of simplex i, and its vertices there."""
+    def candidate(i: int, j: int, k: int) -> tuple:
+        """Simplex i exiting into j through its facet k, keyed."""
         verts = np.delete(tri.simplices[i].vertices, k, axis=0)
         lo = float((verts @ geom.beta).min())
-        return lo, len(geom.at_level(verts, lo))
+        return lo, -len(geom.at_level(verts, lo)), i, j, k
 
-    target_exit = {i: (j, *facet_stats(i, j)) for i, j in tri.target_exits.items()}
-
-    while unfinished:
-        best = None
-        best_key = None
-        for i in sorted(unfinished):
-            if i in target_exit:
-                j, lo, cnt = target_exit[i]
-                key = (lo, -cnt, i, -1)
-                if best_key is None or key < best_key:
-                    best, best_key = (i, -1, j), key
-            for j, k in tri.neighbors(i):
-                if j not in finished:
-                    continue
-                lo, cnt = facet_stats(i, k)
-                key = (lo, -cnt, i, j)
-                if best_key is None or key < best_key:
-                    best, best_key = (i, j, k), key
-        if best is None:
-            raise Stuck(sorted(unfinished))
-        i, j, facet_id = best
-        unfinished.remove(i)
-        finished.add(i)
+    heap = [candidate(i, -1, k) for i, k in tri.target_exits.items()]
+    heapq.heapify(heap)
+    while heap:
+        lo, _, i, j, facet_id = heapq.heappop(heap)
+        if i in result.exit_facet:
+            continue
         result.order.append(i)
         result.exit_facet[i] = facet_id
         result.successor[i] = j
         result.path_len[i] = 1 if j == -1 else result.path_len[j] + 1
-        result.w_levels.append(best_key[0])
+        result.w_levels.append(lo)
+        for b, kb in neighbors[i]:
+            if b not in result.exit_facet:
+                heapq.heappush(heap, candidate(b, i, kb))
+    if len(result.order) < len(tri.simplices):
+        raise Stuck(sorted(set(range(len(tri.simplices))) - set(result.order)))
     return result
 
 

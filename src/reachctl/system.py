@@ -1,10 +1,14 @@
 """Affine control systems with (n-1)-dimensional input span, and the
 geometry they induce: the drift-monotone direction, the input subspace,
-and the plane of possible equilibria."""
+and the plane of possible equilibria.  A system is frozen, so B's left
+singular vectors and rank, the controllability rank and the equilibrium
+plane are derived once per system, on first use, and stored on it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -49,15 +53,25 @@ class AffineSystem:
         return self.drift(x) + self.B @ np.asarray(u, dtype=float)
 
     def input_rank(self) -> int:
-        return rank(self.B)
+        return self._invariants[1]
 
     def controllability_rank(self) -> int:
+        return self._invariants[2]
+
+    @cached_property
+    def _invariants(self) -> tuple[np.ndarray, int, int, Optional[Hyperplane]]:
+        """B's left singular vectors as columns, the last its unit left null
+        vector beta; B's rank; the controllability rank; and the plane
+        {x : beta.(A x + a) = 0}, None where beta.A vanishes."""
+        u, sv, _ = np.linalg.svd(self.B, full_matrices=True)
+        u.setflags(write=False)
         blocks = [self.B]
-        M = self.B
         for _ in range(self.n - 1):
-            M = self.A @ M
-            blocks.append(M)
-        return rank(np.hstack(blocks))
+            blocks.append(self.A @ blocks[-1])
+        normal = u[:, -1] @ self.A
+        plane = (Hyperplane(normal, -float(u[:, -1] @ self.a))
+                 if np.linalg.norm(normal) > TOL_GEOM else None)
+        return u, rank(sv=sv), rank(np.hstack(blocks)), plane
 
 
 @dataclass(frozen=True)
@@ -110,21 +124,16 @@ class AssumptionReport:
         return ", ".join(f"{k}={'pass' if v else 'FAIL'}" for k, v in flags)
 
 
-def _unit_left_null_vector(B: np.ndarray) -> np.ndarray:
-    u, s, vt = np.linalg.svd(B, full_matrices=True)
-    return u[:, -1]
-
-
 def equilibrium_plane(sys: AffineSystem) -> Hyperplane:
     """The plane {x : beta.(A x + a) = 0} of possible equilibria, with a
-    unit normal, for the unit left null vector beta of B.  Every side and
-    level test against it (A3, the drift's sign, the cover's split) reads
-    this one scale.  Raises DegenerateO when beta.A vanishes."""
-    beta = _unit_left_null_vector(sys.B)
-    normal = beta @ sys.A
-    if np.linalg.norm(normal) <= TOL_GEOM:
+    unit normal, for the unit left null vector beta of B, as stored on the
+    system.  Every side and level test against it (A3, the drift's sign,
+    the cover's split) reads this one plane.  Raises DegenerateO when
+    beta.A vanishes."""
+    plane = sys._invariants[3]
+    if plane is None:
         raise DegenerateO("equilibrium set is not a hyperplane")
-    return Hyperplane(normal, -float(beta @ sys.a))
+    return plane
 
 
 def interior_clear_of_equilibria(sys: AffineSystem, p: Polytope) -> bool:
@@ -180,7 +189,8 @@ def check_assumptions(sys: AffineSystem, p: Polytope, f: Polytope) -> Assumption
 def compute_geometry(sys: AffineSystem, p: Polytope) -> SystemGeometry:
     """Signed drift normal, input-span basis and equilibrium plane for a
     system restricted to a polytope whose interior avoids the equilibria."""
-    beta = _unit_left_null_vector(sys.B)
+    u, r = sys._invariants[:2]
+    beta = u[:, -1]
     plane = equilibrium_plane(sys)
     vals = p.vertices @ plane.normal - plane.offset
     if vals.max() > TOL_GEOM:
@@ -194,5 +204,4 @@ def compute_geometry(sys: AffineSystem, p: Polytope) -> SystemGeometry:
         if beta[idx] < 0:
             beta = -beta
 
-    u, sv, _ = np.linalg.svd(sys.B, full_matrices=False)
-    return SystemGeometry(beta, u[:, :rank(sv=sv)], plane)
+    return SystemGeometry(beta, u[:, :r], plane)

@@ -59,13 +59,14 @@ class Triangulation:
     def __post_init__(self):
         self.adjacency = _facet_adjacency(self.simplices)
 
-    def neighbors(self, i: int):
-        """(neighbour, index of the shared facet in simplex i)."""
+    def neighbors(self) -> list[list[tuple[int, int]]]:
+        """Per simplex i, its (neighbour j, index in j of the facet they
+        share) pairs, in adjacency order, from one pass over it."""
+        out: list[list[tuple[int, int]]] = [[] for _ in self.simplices]
         for a, b, ka, kb in self.adjacency:
-            if a == i:
-                yield b, ka
-            elif b == i:
-                yield a, kb
+            out[a].append((b, kb))
+            out[b].append((a, ka))
+        return out
 
 
 @dataclass(frozen=True)

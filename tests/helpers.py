@@ -68,6 +68,12 @@ def rank_facets(p):
     return [(t, geo.affine_dimension(t)) for t in tight]
 
 
+def halfspace_key(h):
+    """Rounded (normal, offset), per halfspace: the reference of the
+    facet order ``geo._facet_order`` computes for a whole list at once."""
+    return tuple(np.round(np.concatenate([h.normal, [h.offset]]), geo.HALFSPACE_KEY_DECIMALS))
+
+
 def rank_clip_facets(p, half, vertices):
     """The halfspaces of ``p`` and ``half`` whose tight vertices among
     ``vertices`` span a hyperplane, one per rounded key, in key order."""
@@ -75,7 +81,7 @@ def rank_clip_facets(p, half, vertices):
     keyed = {}
     for h in p.halfspaces + [half]:
         if geo.affine_dimension(_tight(vertices, h)) == n - 1:
-            keyed.setdefault(geo._halfspace_key(h), h)
+            keyed.setdefault(halfspace_key(h), h)
     return [keyed[k] for k in sorted(keyed)]
 
 

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from helpers import (hull_distance, rank_clip_facets, rank_edges, rank_facets,
-                     random_simplices, reference_maximal_sets,
+from helpers import (halfspace_key, hull_distance, rank_clip_facets, rank_edges,
+                     rank_facets, random_simplices, reference_maximal_sets,
                      reference_simplex_table)
 from reachctl import geometry as geo
 from reachctl import lp
@@ -81,6 +81,23 @@ class TestDedupe:
         pts = np.eye(3)
         out = geo.dedupe_points(pts)
         assert np.array_equal(out, pts) and not np.shares_memory(out, pts)
+
+    def test_cloud_without_near_duplicates_comes_back_whole(self):
+        """Clouds whose points are pairwise farther apart than TOL_MERGE,
+        the closest pair just past it: every point stays, in order, as a
+        copy the caller may change without changing the input."""
+        rng = np.random.default_rng(1)
+        for n in (1, 2, 3, 4):
+            for k in (0, 1, 2, 7, 30):
+                pts = rng.normal(size=(k, n))
+                if k > 1:
+                    pts[1] = pts[0] + 1.5 * geo.TOL_MERGE * rng.choice((-1.0, 1.0), size=n)
+                before = pts.copy()
+                out = geo.dedupe_points(pts)
+                assert np.array_equal(out, pts) and np.array_equal(out, greedy_dedupe(pts))
+                assert not np.shares_memory(out, pts)
+                out += 1.0
+                assert np.array_equal(pts, before)
 
 
 # offsets of the facet points from their facet, along its outward normal:
@@ -205,6 +222,38 @@ class TestPointInHull:
         assert hull_distance(pts[18], rest) <= geo.TOL_GEOM
         assert geo.point_in_hull(pts[18], rest)
         assert len(lp_calls) == 1
+
+    def test_lp_optimum_off_the_simplex_is_no_proof(self, lp_calls):
+        """The tableau's optimum for this point puts weight -1.5e-8 on a
+        vertex, breaking lam >= 0, at an objective within tol.  The point
+        is 1.5e-8 from the hull, so the verdict is out: no weights,
+        clipped at 0, give a hull point within 1e-8."""
+        x = np.array([1.0, 0.0, 0.0])
+        V = np.array([(1, 0, 1), (1, 1.5e-8, 0), (1, 1, 0), (1, 1, 1)], dtype=float)
+        assert hull_distance(x, V) > 1e-8
+        assert not geo.point_in_hull(x, V, 1e-8)
+        assert len(lp_calls) == 1
+
+    @pytest.mark.parametrize("x, inside", [
+        ((0.4, 0.2, 0.5, 0.5), True),
+        ((0.5 + 3e-9, 0.5 + 3e-9, 0.5, 0.5), False),
+    ], ids=["in", "out"])
+    def test_uncertified_optimum_falls_back_to_simplices(self, monkeypatch, x, inside):
+        """An LP answer of distance 0 whose weights, clipped at 0, give a
+        point far off decides nothing: the point is in exactly when a
+        simplex of the vertices certifies it.  The hull of 12 corners of
+        the 4-cube is x0 + x1 <= 1 in the cube; the second point is 3e-9
+        (inf-norm) past that facet, inside the bounding box."""
+        V = np.array(list(itertools.product((0.0, 1.0), repeat=4))[:12])
+        assert (hull_distance(x, V) <= geo.TOL_GEOM) == inside
+
+        def uncertified(c, G, h, E, f):
+            lam = np.full(len(c) - 1, -1.0)
+            lam[0] = len(lam)
+            return lp.LPOutcome(lp.OPTIMAL, np.append(lam, 0.0), 0.0)
+
+        monkeypatch.setattr(lp, "solve", uncertified)
+        assert geo.point_in_hull(x, V) == inside
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-4])
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -385,6 +434,58 @@ class TestSplit:
             assert total == pytest.approx(p.volume(), rel=1e-8, abs=1e-10)
 
 
+class TestSplitSharesCrossings:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_pieces_are_the_two_clips_bit_for_bit(self, n):
+        """A split computes its crossing points once for both pieces; each
+        piece is still exactly the clip to its halfspace: vertices, facet
+        normals and offsets, on random hulls, for planes through an
+        interior point, through a vertex and near a vertex (the shifts of
+        ``TestClip``)."""
+        rng = np.random.default_rng(40 + n)
+        crossed = 0
+        for _ in range(6):
+            p = random_hull(rng, n)
+            for h, _ in clip_cases(rng, p):
+                plane = geo.Hyperplane(h.normal, h.offset)
+                lo, hi = geo.split_by_hyperplane(p, plane)
+                if lo.is_empty or hi.is_empty:
+                    continue
+                crossed += 1
+                for piece, half in ((lo, plane.lower()), (hi, plane.upper())):
+                    ref = geo.clip_to_halfspace(p, half)
+                    assert piece.dim == ref.dim
+                    assert np.array_equal(piece.vertices, ref.vertices)
+                    assert [g.normal.tobytes() for g in piece.halfspaces] == \
+                        [g.normal.tobytes() for g in ref.halfspaces]
+                    assert [g.offset for g in piece.halfspaces] == \
+                        [g.offset for g in ref.halfspaces]
+        assert crossed >= 30
+
+
+class TestFacetOrder:
+    def test_matches_sorting_by_the_rounded_key(self):
+        """The one-lexsort order of facet lists is the order of sorting by
+        each halfspace's rounded key: ties (copies, and normals that agree
+        to ``HALFSPACE_KEY_DECIMALS``) keep their order, and -0.0 ties
+        with 0.0."""
+        rng = np.random.default_rng(5)
+        for n in (1, 2, 3, 4):
+            for _ in range(50):
+                base = [geo.HalfSpace(rng.normal(size=n), rng.normal()) for _ in range(4)]
+                grid = [geo.HalfSpace(np.append(1.0, rng.integers(-1, 2, size=n - 1)),
+                                      float(rng.integers(-1, 2))) for _ in range(4)]
+                signed = [geo.HalfSpace(np.where(rng.random(n) < 0.5, -0.0, 0.0)
+                                        + np.eye(n)[rng.integers(n)], -0.0) for _ in range(3)]
+                close = [geo.HalfSpace(h.normal + 1e-12 * rng.normal(size=n), h.offset)
+                         for h in base[:2]]
+                copies = [geo.HalfSpace(h.normal, h.offset) for h in base[:2] + signed[:1]]
+                hs = base + grid + signed + close + copies
+                hs = [hs[i] for i in rng.permutation(len(hs))]
+                expect = sorted(hs, key=halfspace_key)
+                assert [id(h) for h in geo._facet_order(hs)] == [id(h) for h in expect]
+
+
 def random_hull(rng, n):
     while True:
         pts = rng.normal(size=(n + 3, n))
@@ -551,8 +652,8 @@ class TestClip:
                 assert np.array_equal(geo.edges(out), rank_edges(out))
                 for face, (ref, dim) in zip(out.facets(), rank_facets(out)):
                     assert np.array_equal(face.vertices, ref) and face.dim == dim == n - 1
-                assert [geo._halfspace_key(g) for g in out.halfspaces] == \
-                    [geo._halfspace_key(g) for g in rank_clip_facets(p, h, out.vertices)]
+                assert [halfspace_key(g) for g in out.halfspaces] == \
+                    [halfspace_key(g) for g in rank_clip_facets(p, h, out.vertices)]
 
     def test_faces_and_clip_hull_nothing(self, monkeypatch):
         p = random_hull(np.random.default_rng(32), 4)

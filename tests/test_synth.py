@@ -9,7 +9,8 @@ from reachctl.errors import (AssumptionViolated, CoverIncomplete,
                              ReachctlError, SingularVertexMatrix,
                              SynthesisFailed)
 from reachctl.sim import sample_states
-from reachctl.system import AffineSystem, AssumptionReport, compute_geometry
+from reachctl.system import (AffineSystem, AssumptionReport, SystemGeometry,
+                             compute_geometry)
 
 from helpers import (box4d_fixture, box_fixture, cube_fixture,
                      diamond_fixture, double_integrator, face_from, facet_face,
@@ -17,7 +18,7 @@ from helpers import (box4d_fixture, box_fixture, cube_fixture,
                      ill3_fixture, lp_target_exits, o_cross_fixture,
                      pinned_corner_fixture, random_simplices,
                      reference_no_equilibrium, right_target_polygons,
-                     wedge_fixture)
+                     top_edge_fixture, wedge_fixture)
 
 
 def split_case_simplex():
@@ -587,6 +588,30 @@ class TestGreedyPaths:
         assert t.target_exits and len(res.order) == len(t.simplices)
 
 
+    @pytest.mark.parametrize("fixture", [box_fixture, top_edge_fixture, cube_fixture,
+                                         box4d_fixture])
+    def test_each_facet_level_is_evaluated_once(self, fixture, monkeypatch):
+        """A (simplex, facet) pair becomes a candidate once, when its
+        neighbour finishes or, for a target exit, at the start: the facet
+        levels read through ``at_level`` are distinct and number at most
+        the target exits plus the adjacent pairs."""
+        sys, p, f = fixture()
+        geom = compute_geometry(sys, p)
+        t = tri.basic_triangulation(p, tri.select_vstar(p, f, geom))
+        tri.mark_target(t, f.supporting)
+        seen = []
+        at_level = SystemGeometry.at_level
+
+        def recording(self, points, level):
+            seen.append((np.asarray(points).tobytes(), level))
+            return at_level(self, points, level)
+
+        monkeypatch.setattr(SystemGeometry, "at_level", recording)
+        res = synth.greedy_paths(t, geom)
+        assert len(res.order) == len(t.simplices)
+        assert len(seen) == len(set(seen)) <= len(t.target_exits) + len(t.adjacency)
+
+
 # one case per branch of synth_polytope: fixture, eps, piece count (None:
 # not pinned), ranks (None: all empty), notes, whether the domain shrinks
 BRANCH_CASES = {
@@ -721,3 +746,57 @@ class TestSynthPolytope:
         except ReachctlError:
             return
         assert ctrl.pieces
+
+
+def synthesis_record(sys, p, f, eps):
+    """Everything a synthesis returns, bit for bit: each piece's table,
+    law, exit facet, ranks, path length and margins, the domain and the
+    notes; or the error's type and message."""
+    try:
+        ctrl = synth.synth_polytope(sys, p, f, eps=eps)
+    except ReachctlError as exc:
+        return type(exc).__name__, str(exc)
+    pieces = [(pc.region.table.tobytes(), pc.law.tobytes(), pc.exit_facet, pc.rank,
+               pc.sub_rank, pc.path_len, pc.slack, pc.exit_margin) for pc in ctrl.pieces]
+    return pieces, ctrl.domain.vertices.tobytes(), ctrl.notes
+
+
+NAMED_FIXTURES = [(box_fixture, None), (wedge_fixture, 0.1), (pinned_corner_fixture, None),
+                  (top_edge_fixture, None), (ill1_fixture, None), (ill2_fixture, None),
+                  (ill3_fixture, None), (o_cross_fixture, None), (diamond_fixture, None),
+                  (cube_fixture, None), (box4d_fixture, None)]
+
+
+class TestStoredInvariants:
+    @pytest.mark.parametrize("fixture, eps", NAMED_FIXTURES,
+                             ids=[fx.__name__ for fx, _ in NAMED_FIXTURES])
+    def test_a_reused_system_synthesizes_as_a_fresh_one(self, fixture, eps):
+        """A system stores its invariants on first use; synthesizing again
+        on it, whose invariants exist, and on a fresh copy gives the same
+        controller (or error) and notes, bit for bit."""
+        sys, p, f = fixture()
+        first = synthesis_record(sys, p, f, eps)
+        reused = synthesis_record(sys, p, f, eps)
+        fresh = synthesis_record(AffineSystem(sys.A.copy(), sys.a.copy(), sys.B.copy()), p, f, eps)
+        assert reused == first and fresh == first
+
+    @pytest.mark.parametrize("fixture", [cube_fixture, box4d_fixture])
+    def test_no_svd_of_B_once_the_invariants_exist(self, fixture, monkeypatch):
+        """A synthesis visits many polytopes but takes B's SVD once per
+        system: once on a fresh system, and never on one whose invariants
+        exist."""
+        sys, p, f = fixture()
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(a, *args, **kwargs):
+            a = np.asarray(a)
+            calls.append(a.shape == sys.B.shape and np.array_equal(a, sys.B))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        synth.synth_polytope(sys, p, f)
+        assert sum(calls) == 1 and len(calls) > 1
+        calls.clear()
+        synth.synth_polytope(sys, p, f)
+        assert sum(calls) == 0 and len(calls) > 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reachctl import geometry as geo
-from reachctl.errors import SignAmbiguous
+from reachctl.errors import DegenerateO, SignAmbiguous
 from reachctl.system import (AffineSystem, check_assumptions, compute_geometry,
                              equilibrium_plane, interior_clear_of_equilibria)
 
@@ -178,3 +178,42 @@ class TestProperties:
                 assert np.linalg.norm(d2 - proj @ d2) > 1e-6
             count += 1
         assert count >= 80
+
+
+class TestStoredInvariants:
+    def test_invariants_match_their_definitions(self):
+        """The stored input rank, controllability rank, drift normal,
+        input basis and equilibrium plane are those of their definitions,
+        computed from scratch, bit for bit."""
+        rng = np.random.default_rng(8)
+        for n in (2, 3, 4):
+            for _ in range(10):
+                A, a, B = rng.normal(size=(n, n)), rng.normal(size=n), rng.normal(size=(n, n - 1))
+                sys = AffineSystem(A, a, B)
+                ctrb = np.hstack([np.linalg.matrix_power(A, j) @ B for j in range(n)])
+                assert sys.input_rank() == geo.rank(B) == n - 1
+                assert sys.controllability_rank() == geo.rank(ctrb)
+                beta = np.linalg.svd(B, full_matrices=True)[0][:, -1]
+                plane = equilibrium_plane(sys)
+                ref = geo.Hyperplane(beta @ A, -float(beta @ a))
+                assert plane.normal.tobytes() == ref.normal.tobytes() and plane.offset == ref.offset
+                p = geo.Polytope.box(-np.ones(n), np.ones(n))
+                p = geo.convex_hull(p.vertices + (plane.offset + 3.0) * plane.normal)
+                geom = compute_geometry(sys, p)
+                assert np.array_equal(np.abs(geom.beta), np.abs(beta))
+                basis = np.linalg.svd(B, full_matrices=False)[0]
+                assert np.array_equal(geom.input_basis, basis)
+
+    def test_degenerate_o_is_raised_on_every_read(self):
+        """Without an equilibrium plane (beta.A = 0) the system stores
+        that there is none: every read of the plane raises DegenerateO,
+        A3 holds, and the geometry, which needs the plane, raises too."""
+        sys = AffineSystem(A=np.zeros((2, 2)), a=[0.0, -1.0], B=[[1.0], [0.0]])
+        p = upper_box()
+        for _ in range(2):
+            with pytest.raises(DegenerateO):
+                equilibrium_plane(sys)
+            assert interior_clear_of_equilibria(sys, p)
+            assert check_assumptions(sys, p, right_edge_face(p)).a3_interior_clear
+            with pytest.raises(DegenerateO):
+                compute_geometry(sys, p)
