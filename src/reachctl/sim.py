@@ -4,36 +4,47 @@ verification of synthesized controllers.
 ``integrate`` takes fixed RK4 steps of length dt and tests every state:
 is it inside the domain, on the target face, and which piece holds it.
 It takes them in blocks.  On one piece the closed loop is affine, so k
-RK4 steps from x are one affine map x -> x + D_k x + c_k, and the maps
-for k = 1 .. _BLOCK are built once per run and piece by doubling.  A
-block is then one product from its first state, and each of the three
-tests is one product over the block's states: the domain's facet rows,
-the controller's stacked facet table (``PWAController.locate``), and the
-target screen.  ``target_screen``, built once per run from the equations
-of the face's affine hull, rules out a state more than 2 TOL_SIM
-(inf-norm) off that affine hull with no LP; every other state goes, in
-step order, to ``point_in_hull``, whose closed-form certificates or LP
-give the verdict.  The block is kept up to its first event, exactly where a
-run of single steps would have stopped or switched piece, so the same
-steps are taken and tested; states differ from single steps only by
-rounding.
+RK4 steps from x are one affine map x -> x + D_k x + c_k.  A piece's maps
+are built by doubling, stacked as a (k n, n) array of the D_k and a
+(k, n) array of the c_k, and extended by the same doubling only when a
+longer block needs them, so the maps already built never change.  A
+block is one matrix-vector product of that stack with its first state,
+and each of the three tests is one product over the block's states: the
+domain's facet rows, the controller's stacked facet table
+(``PWAController.locate``), and the target screen.  A block is _BLOCK
+steps after the start and after each piece switch, and doubles after
+each block that ends with no event, up to _BLOCK_CAP.
+
+``target_screen``, built once per run from the equations of the face's
+affine hull, rules out a state more than 2 TOL_SIM (inf-norm) off that
+affine hull with no LP; every other state goes, in step order, to
+``point_in_hull``, whose closed-form certificates or LP give the
+verdict.  The block is kept up to its first event, exactly where a run
+of single steps would have stopped or switched piece, so the same steps
+are taken and tested; states differ from single steps only by rounding.
+A step that leaves the domain is bisected on its own polynomial: one RK4
+step of length s on an affine loop is a quartic in s, so each facet's
+violation along it is a quartic whose coefficients are computed once.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from .errors import Degenerate
 from .geometry import TOL_GEOM, Face, Polytope, affine_basis, point_in_hull
 from .synth import PWAController
 from .system import AffineSystem
 
 TOL_SIM = 1e-6
 _EVENT_TIME_TOL = 1e-10
-_BLOCK = 256       # steps stepped as one batch of affine maps
+_BLOCK = 256             # steps of a block at the start and after a piece switch
+_BLOCK_CAP = 8 * _BLOCK  # longest block, reached by doubling on one piece
 
 REACHED = "reached_target"
 LEFT = "left_domain"
@@ -73,11 +84,15 @@ def _rk4_step(A_cl: np.ndarray, b_cl: np.ndarray, x: np.ndarray, h: float) -> np
 def default_dt(sys: AffineSystem, ctrl: PWAController) -> float:
     """Step scaled to cross the domain in about a thousand steps at the
     fastest vertex speed."""
+    return _default_step(ctrl, [pc.closed_loop(sys) for pc in ctrl.pieces])
+
+
+def _default_step(ctrl: PWAController, loops) -> float:
+    """``default_dt`` from the pieces' closed loops (A_cl, b_cl)."""
     lo, hi = ctrl.domain.bounding_box()
     extent = float(np.linalg.norm(hi - lo))
     vmax = 0.0
-    for piece in ctrl.pieces:
-        A_cl, b_cl = piece.closed_loop(sys)
+    for piece, (A_cl, b_cl) in zip(ctrl.pieces, loops):
         vmax = max(vmax, np.linalg.norm(piece.region.vertices @ A_cl.T + b_cl, axis=1).max())
     return 1e-3 * extent / max(float(vmax), 1e-9)
 
@@ -97,31 +112,63 @@ def target_screen(vertices) -> Callable[[np.ndarray], np.ndarray]:
     G = np.vstack([normal, -normal])
     c = (V @ G.T).max(axis=0)
     reject = 2.0 * TOL_SIM * np.abs(G).sum(axis=1)
-    return lambda states: np.any(states @ G.T - c > reject, axis=1)
+    return lambda states: np.any(G @ states.T - c[:, None] > reject[:, None], axis=0)
 
 
-def _block_maps(A_cl: np.ndarray, b_cl: np.ndarray, h: float):
-    """The maps x -> x + D_j x + c_j of j = 1 .. _BLOCK RK4 steps of length
-    h on x' = A_cl x + b_cl, as stacked (D_j, c_j).
-
-    One RK4 step on an affine field is the affine map with
-    D = hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 and
-    c = h (I + hA/2 + (hA)^2/6 + (hA)^3/24) b.  The j-step maps come by
-    doubling, (I + E_i)(I + E_k) = I + E_i + E_k + E_i E_k on the augmented
-    matrices E = [[D, c], [0, 0]]; the identity is kept apart so that the
-    small increments keep their precision over many steps."""
-    n = len(b_cl)
+def _step_map(A_cl: np.ndarray, b_cl: np.ndarray, h: float):
+    """The map x -> x + D x + c of one RK4 step of length h on
+    x' = A_cl x + b_cl, as the stacks (D, c) of one map: an affine field
+    gives D = hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 and
+    c = h (I + hA/2 + (hA)^2/6 + (hA)^3/24) b."""
     hA = h * A_cl
     hA2 = hA @ hA
     hA3 = hA2 @ hA
-    step = np.zeros((1, n + 1, n + 1))
-    step[0, :n, :n] = hA + hA2 / 2.0 + hA3 / 6.0 + hA3 @ hA / 24.0
-    step[0, :n, n] = h * (b_cl + hA @ b_cl / 2.0 + hA2 @ b_cl / 6.0 + hA3 @ b_cl / 24.0)
-    incs = step
-    while len(incs) < _BLOCK:
-        last = incs[-1]
-        incs = np.concatenate([incs, incs + last + incs @ last])
-    return incs[:, :n, :n], incs[:, :n, n]
+    D = hA + hA2 / 2.0 + hA3 / 6.0 + hA3 @ hA / 24.0
+    c = h * (b_cl + hA @ b_cl / 2.0 + hA2 @ b_cl / 6.0 + hA3 @ b_cl / 24.0)
+    return D, c[None]
+
+
+def _doubled(D: np.ndarray, c: np.ndarray):
+    """The maps of j = 1 .. 2k steps from those of j = 1 .. k, stacked as
+    D of shape (k n, n) and c of shape (k, n); the first k are kept as
+    they are.
+
+    On the augmented matrices E = [[D, c], [0, 0]] of the increments,
+    (I + E_j)(I + E_k) = I + E_j + E_k + E_j E_k, so map j + k is
+    D_j + D_k + D_j D_k with offset c_j + c_k + D_j c_k: one product of
+    the stack with [D_k | c_k].  The identity is kept apart so that the
+    small increments keep their precision over many steps."""
+    k, n = c.shape
+    last_D, last_c = D[-n:], c[-1]
+    prod = D @ np.concatenate([last_D, last_c[:, None]], axis=1)
+    more_D = (D.reshape(k, n, n) + last_D).reshape(k * n, n) + prod[:, :n]
+    more_c = c + last_c + prod[:, n].reshape(k, n)
+    return np.concatenate([D, more_D]), np.concatenate([c, more_c])
+
+
+def _exit_time(normals: np.ndarray, offs: np.ndarray, A_cl: np.ndarray, b_cl: np.ndarray,
+               x: np.ndarray, h: float) -> float:
+    """The time in (0, h] at which one RK4 step from x leaves
+    ``normals y <= offs``, bisected to _EVENT_TIME_TOL: the bracket's
+    upper end, where the step violates a facet.
+
+    A step of length s is x + sum_{k=1..4} s^k A^(k-1) (A x + b) / k!,
+    so each facet's violation is a quartic in s: its coefficients are
+    computed once, and each bisection point costs one Horner pass per
+    facet."""
+    terms = [A_cl @ x + b_cl]
+    for k in (2, 3, 4):
+        terms.append(A_cl @ terms[-1] / k)
+    # per facet, the coefficients of s^4, s^3, s^2, s and 1
+    quartics = np.column_stack([normals @ np.array(terms[::-1]).T, normals @ x - offs]).tolist()
+    lo_t, hi_t = 0.0, h
+    while hi_t - lo_t > _EVENT_TIME_TOL:
+        s = 0.5 * (lo_t + hi_t)
+        if max((((a * s + b) * s + c) * s + d) * s + e for a, b, c, d, e in quartics) > 0.0:
+            hi_t = s
+        else:
+            lo_t = s
+    return hi_t
 
 
 def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = None,
@@ -131,31 +178,38 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
     after every step; the first boundary crossing is bisected in time and
     classified as reaching the target or leaving the domain.
 
-    The run advances in blocks of up to _BLOCK steps on the piece that
-    holds the block's first state: every step of the block is the same
-    RK4 step of length dt, taken as one affine map (``_block_maps``), and
-    every state is tested (domain, target, piece) as if stepped alone.
-    The block is kept up to its first event, a step that leaves the
-    domain, a state on the target or a state whose preferred piece is
-    another one, and the run goes on from there.  Times are summed step by
-    step, as ``t += dt``.  A last step shorter than dt, before tmax, and
-    the bisection of a domain exit are single ``_rk4_step`` calls.
+    The run advances in blocks on the piece that holds the block's first
+    state: every step of the block is the same RK4 step of length dt,
+    taken as one affine map of a stack (``_step_map``, ``_doubled``) in
+    one matrix-vector product, and every state is tested (domain, target,
+    piece) as if stepped alone.  The block is kept up to its first event,
+    a step that leaves the domain, a state on the target or a state whose
+    preferred piece is another one, and the run goes on from there.  A
+    block is _BLOCK steps at the start and after a piece switch, and twice
+    the last one, up to _BLOCK_CAP, after a block with no event.  Times
+    are summed step by step, as ``t += dt``.  A domain exit is bisected on
+    the step's quartic (``_exit_time``) and its state is one
+    ``_rk4_step``; so is a last step shorter than dt, before tmax.
 
     A state with no containing piece ends the run with a gap outcome
-    rather than extrapolating.
+    rather than extrapolating.  Raises ValueError unless dt is finite and
+    positive and tmax finite and not negative.
     """
     domain = domain if domain is not None else ctrl.domain
+    loops = [pc.closed_loop(sys) for pc in ctrl.pieces]
     if dt is None:
-        dt = default_dt(sys, ctrl)
+        dt = _default_step(ctrl, loops)
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"step dt must be finite and positive, got {dt}")
     if tmax is None:
         lo, hi = domain.bounding_box()
         tmax = 1e4 * dt * max(1.0, float(np.linalg.norm(hi - lo)))
+    if not (math.isfinite(tmax) and tmax >= 0.0):
+        raise ValueError(f"horizon tmax must be finite and not negative, got {tmax}")
     x = np.asarray(x0, dtype=float).copy()
+    n = len(x)
     normals = np.array([h.normal for h in domain.halfspaces])
     offs = np.array([h.offset for h in domain.halfspaces])
-
-    def violation(state):
-        return float((normals @ state - offs).max())
 
     off_target = target_screen(f.vertices) if f is not None else None
 
@@ -169,7 +223,7 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
         return None
 
     times, states, controls, ids = [np.zeros(1)], [x[None]], [], []
-    max_viol = max(violation(x), 0.0)
+    max_viol = max(float((normals @ x - offs).max()), 0.0)
     active = int(ctrl.locate(x[None], TOL_SIM)[0])
 
     def finish(outcome, last_control, last_id):
@@ -186,24 +240,28 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
     if first_hit(x[None]) is not None:
         return finish(Outcome(REACHED, 0.0), law(x) if active >= 0 else np.zeros(sys.m), active)
 
-    loops = [pc.closed_loop(sys) for pc in ctrl.pieces]
     maps = {}
+    block = _BLOCK
     t = 0.0
     while t < tmax:
         if active < 0:
             return finish(Outcome(GAP, t), np.zeros(sys.m), -1)
-        T = np.add.accumulate(np.concatenate([[t], np.full(_BLOCK, dt)]))
+        T = np.add.accumulate(np.concatenate([[t], np.full(block, dt)]))
         full = dt <= tmax - T[:-1]
-        nsteps = _BLOCK if full.all() else int(np.argmin(full))
+        nsteps = block if full.all() else int(np.argmin(full))
         if nsteps:
-            if active not in maps:
-                maps[active] = _block_maps(*loops[active], dt)
-            D, c = maps[active]
-            h, X, T = dt, x + (D[:nsteps] @ x + c[:nsteps]), T[:nsteps + 1]
+            D, c = maps[active] if active in maps else _step_map(*loops[active], dt)
+            while len(c) < nsteps:
+                D, c = _doubled(D, c)
+            maps[active] = D, c
+            h, T = dt, T[:nsteps + 1]
+            X = x + ((D[:nsteps * n] @ x).reshape(nsteps, n) + c[:nsteps])
         else:
             h = tmax - t
             X, T = _rk4_step(*loops[active], x, h)[None], np.array([t, t + h])
-        viol = (X @ normals.T - offs).max(axis=1)
+        # (facet, state) layout, as in the target screen: numpy reduces one
+        # long axis far faster than many short ones
+        viol = (normals @ X.T - offs[:, None]).max(axis=0)
         exits = np.flatnonzero(viol > TOL_SIM)
         inside = exits[0] if len(exits) else len(X)
         after = ctrl.locate(X[:inside], TOL_SIM)
@@ -227,17 +285,11 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
             return finish(Outcome(REACHED, t), law(x), active)
         if len(moved):
             active = int(after[moved[0]])
+            block = _BLOCK
             continue
         if inside < len(X):
-            # bisect the first crossing time within this step
             A_cl, b_cl = loops[active]
-            lo_t, hi_t = 0.0, h
-            while hi_t - lo_t > _EVENT_TIME_TOL:
-                mid = 0.5 * (lo_t + hi_t)
-                if violation(_rk4_step(A_cl, b_cl, x, mid)) > 0.0:
-                    hi_t = mid
-                else:
-                    lo_t = mid
+            hi_t = _exit_time(normals, offs, A_cl, b_cl, x, h)
             x_exit = _rk4_step(A_cl, b_cl, x, hi_t)
             t_exit = t + hi_t
             controls.append(law(x[None]))
@@ -248,6 +300,7 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
                 return finish(Outcome(REACHED, t_exit), law(x_exit), active)
             facet = int(np.argmax(normals @ x_exit - offs))
             return finish(Outcome(LEFT, t_exit, facet), law(x_exit), active)
+        block = min(2 * block, _BLOCK_CAP)
     return finish(Outcome(TIMEOUT, t), np.zeros(sys.m), -1)
 
 
@@ -295,7 +348,11 @@ class VerifyReport:
 
 
 def sample_states(p: Polytope, nsamples: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform rejection sampling inside the polytope's bounding box."""
+    """Uniform rejection sampling inside the polytope's bounding box.
+    Raises ``Degenerate`` for an empty or lower-dimensional polytope,
+    which holds no sample."""
+    if not (p.is_full_dim and p.halfspaces):
+        raise Degenerate(f"cannot sample a {p.dim}-dimensional polytope in R^{p.n}")
     lo, hi = p.bounding_box()
     normals = np.array([h.normal for h in p.halfspaces])
     offs = np.array([h.offset for h in p.halfspaces])
@@ -313,14 +370,17 @@ def verify(sys: AffineSystem, ctrl: PWAController, f: Face, nsamples: int = 100,
     """Sampled closed-loop verification over the controller's domain: runs
     from uniform samples of ``ctrl.domain``, each bounded by that domain.
 
-    Deterministic for a fixed seed; samples run in index order.  The
-    report's ``dwell_steps`` counts, for every piece, the steps taken
-    under its law over all runs.
+    Deterministic for a fixed seed; samples run in index order, all with
+    one step, dt or else ``default_dt`` computed once.  The report's
+    ``dwell_steps`` counts, for every piece, the steps taken under its
+    law over all runs.
     """
     if nsamples <= 0:
         return VerifyReport(0, 0, [], [], 0.0, [], seed, {pc.index: 0 for pc in ctrl.pieces})
     rng = np.random.default_rng(seed)
     starts = sample_states(ctrl.domain, nsamples, rng)
+    if dt is None:
+        dt = default_dt(sys, ctrl)
     trajs = [integrate(sys, ctrl, x0, dt, tmax, f) for x0 in starts]
 
     outcomes = [tr.outcome.kind for tr in trajs]

@@ -123,11 +123,13 @@ class PWAController:
         array X, or -1 where none does."""
         X = np.asarray(X, dtype=float)
         n = self.domain.n
-        held = (X @ self._table[:, n:-1].T - self._table[:, -1] <= tol)
-        held = held.reshape(len(X), len(self.pieces), n + 1).all(axis=2)
-        # a last column that always holds stands for "no piece"
-        held = np.concatenate([held, np.ones((len(X), 1), dtype=bool)], axis=1)
-        return self._order[held.argmax(axis=1)]
+        # (row, state) layout: numpy reduces a long last axis far faster
+        # than many short ones
+        held = self._table[:, n:-1] @ X.T - self._table[:, -1:] <= tol
+        held = held.reshape(len(self.pieces), n + 1, len(X)).all(axis=1)
+        # a last row that always holds stands for "no piece"
+        held = np.concatenate([held, np.ones((1, len(X)), dtype=bool)])
+        return self._order[held.argmax(axis=0)]
 
     def lookup(self, x, tol: float = TOL_MERGE) -> Optional[AffinePiece]:
         index = self.locate(np.asarray(x, dtype=float)[None], tol)[0]

@@ -550,6 +550,20 @@ def use_reference_stepper(monkeypatch):
                         lambda vertices: lambda states: np.zeros(len(states), dtype=bool))
 
 
+def rk4_exit_time(normals, offs, A_cl, b_cl, x, h):
+    """The reference of ``sim._exit_time``: the same bisection, with each
+    point's state stepped by ``sim._rk4_step`` and tested against every
+    facet ``normals y <= offs``."""
+    lo_t, hi_t = 0.0, h
+    while hi_t - lo_t > sim._EVENT_TIME_TOL:
+        mid = 0.5 * (lo_t + hi_t)
+        if (normals @ sim._rk4_step(A_cl, b_cl, x, mid) - offs).max() > 0.0:
+            hi_t = mid
+        else:
+            lo_t = mid
+    return hi_t
+
+
 def stepwise_integrate(sys, ctrl, x0, dt=None, tmax=None, f=None, domain=None):
     """``sim.integrate`` one RK4 step at a time: the piece is looked up,
     the step taken by ``sim._rk4_step`` and the domain and target tested
@@ -598,13 +612,7 @@ def stepwise_integrate(sys, ctrl, x0, dt=None, tmax=None, f=None, domain=None):
         x_new = sim._rk4_step(A_cl, b_cl, x, h)
         viol = violation(x_new)
         if viol > sim.TOL_SIM:
-            lo_t, hi_t = 0.0, h
-            while hi_t - lo_t > sim._EVENT_TIME_TOL:
-                mid = 0.5 * (lo_t + hi_t)
-                if violation(sim._rk4_step(A_cl, b_cl, x, mid)) > 0.0:
-                    hi_t = mid
-                else:
-                    lo_t = mid
+            hi_t = rk4_exit_time(normals, offs, A_cl, b_cl, x, h)
             x_exit = sim._rk4_step(A_cl, b_cl, x, hi_t)
             t_exit = t + hi_t
             times.append(t_exit)

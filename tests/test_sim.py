@@ -5,9 +5,10 @@ import pytest
 
 from reachctl import geometry as geo
 from reachctl import lp, sim, synth
+from reachctl.errors import Degenerate
 
 from helpers import (affine_stepper, box_fixture, cube_fixture, hull_distance,
-                     pinned_corner_fixture, stepwise_integrate,
+                     pinned_corner_fixture, rk4_exit_time, stepwise_integrate,
                      use_reference_stepper, wedge_fixture)
 
 
@@ -96,6 +97,57 @@ class TestIntegrate:
         assert sum(report["dwell_steps"].values()) == steps
         assert min(report["dwell_steps"].values()) > 0
 
+    @pytest.mark.parametrize("kw", [{"dt": float("nan")}, {"dt": -0.01}, {"dt": 0.0},
+                                    {"dt": float("inf")}, {"tmax": float("nan")},
+                                    {"tmax": -1.0}, {"tmax": float("inf")}],
+                             ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_bad_step_or_horizon_raises(self, box, kw):
+        sys, p, f, ctrl = box
+        with pytest.raises(ValueError):
+            sim.integrate(sys, ctrl, [0.5, 0.5], f=f, **kw)
+
+    def test_zero_horizon_times_out_at_the_start(self, box):
+        sys, p, f, ctrl = box
+        tr = sim.integrate(sys, ctrl, [0.5, 0.5], f=f, tmax=0.0)
+        assert tr.outcome == sim.Outcome(sim.TIMEOUT, 0.0)
+        assert np.array_equal(tr.times, [0.0])
+
+
+@pytest.mark.parametrize("fixture", [box_fixture, wedge_fixture], ids=["box", "wedge"])
+def test_verify_takes_one_default_step_for_all_runs(fixture, monkeypatch):
+    """``verify`` computes ``default_dt`` once; its report is the one of
+    runs that each compute their own default step."""
+    sys, p, f = fixture()
+    ctrl = synth.synth_polytope(sys, p, f)
+    calls = []
+    default_dt = sim.default_dt
+
+    def counting(*args):
+        calls.append(1)
+        return default_dt(*args)
+
+    monkeypatch.setattr(sim, "default_dt", counting)
+    report = sim.verify(sys, ctrl, f, nsamples=20, seed=0).to_dict()
+    assert len(calls) == 1
+    integrate = sim.integrate
+    monkeypatch.setattr(sim, "integrate",
+                        lambda sys, ctrl, x0, dt, tmax, f: integrate(sys, ctrl, x0, None, tmax, f))
+    assert sim.verify(sys, ctrl, f, nsamples=20, seed=0).to_dict() == report
+    assert len(calls) == 2
+    # the counts of the per-run default step, as before the step was shared
+    expected = {box_fixture: ([], {0: 15347, 1: 1621}),
+                wedge_fixture: ([1, 9], {0: 190163, 1: 3380, 2: 369})}[fixture]
+    assert (report["failure_indices"], report["dwell_steps"]) == expected
+
+
+@pytest.mark.parametrize("polytope", [
+    geo.Polytope.empty(2),
+    geo.convex_hull([(0, 0), (1, 1), (2, 2)]),
+], ids=["empty", "segment"])
+def test_sampling_needs_a_full_dimensional_polytope(polytope):
+    with pytest.raises(Degenerate):
+        sim.sample_states(polytope, 3, np.random.default_rng(0))
+
 
 def test_wedge_verify_samples_the_cut_domain():
     """The wedge's domain is the polytope less its cut-off failure sets;
@@ -161,12 +213,19 @@ def _steps(tr):
     return len(tr.times) - 1
 
 
+def _stays(tr):
+    """The (piece, steps) of each stretch of a run's steps on one piece."""
+    ids = tr.piece_ids[:-1]
+    starts = np.flatnonzero(np.diff(ids, prepend=-2))
+    return [(int(ids[s]), int(e - s)) for s, e in zip(starts, np.append(starts[1:], len(ids)))]
+
+
 def test_blocks_match_stepwise_events(box):
     sys, p, f, ctrl = box
     dt = sim.default_dt(sys, ctrl)
     block = sim._BLOCK
 
-    def run(x0, c=ctrl, f=f, **kw):
+    def run(x0, c=ctrl, f=f, dt=dt, **kw):
         tr = sim.integrate(sys, c, x0, dt, f=f, **kw)
         _assert_same_run(tr, stepwise_integrate(sys, c, x0, dt, f=f, **kw))
         return tr
@@ -179,6 +238,17 @@ def test_blocks_match_stepwise_events(box):
 
     left = run([0.5, 0.5], f=None)
     assert left.outcome.kind == sim.LEFT and _steps(left) % block
+
+    # blocks double on one piece (256, 512, 1024, ...), so a stretch of more
+    # than 3 _BLOCK steps ends inside a grown block; a length that is no
+    # multiple of _BLOCK is no multiple of any block length either
+    grown = run([0.1, 0.1], dt=dt / 2)
+    (below, to_switch), (above, to_hit) = _stays(grown)
+    assert below != above and grown.outcome.kind == sim.REACHED
+    assert to_switch > 3 * block and to_switch % block
+    assert to_hit > 3 * block and to_hit % block
+    to_exit = _stays(left)[-1][1]
+    assert to_exit > 3 * block and to_exit % block
 
     partial = synth.PWAController([ctrl.pieces[-1]], p)
     gap = run(ctrl.pieces[-1].region.centroid(), c=partial)
@@ -209,7 +279,124 @@ def test_long_run_locates_in_blocks(box, monkeypatch):
     tr = sim.integrate(sys, ctrl, x0, dt=sim.default_dt(sys, ctrl) / 20, f=f)
     assert tr.outcome.kind == sim.REACHED
     assert _steps(tr) > 10_000
-    assert len(calls) <= _steps(tr) / 64 + 4
+    assert len(calls) <= _steps(tr) / 1024 + 8
+    assert max(calls) == sim._BLOCK_CAP
+
+    # blocks double on one piece and start again at _BLOCK after a switch
+    calls.clear()
+    tr = sim.integrate(sys, ctrl, [0.1, 0.1], dt=sim.default_dt(sys, ctrl) / 2, f=f)
+    (_, to_switch), _ = _stays(tr)
+    block = sim._BLOCK
+    assert 3 * block < to_switch <= 7 * block
+    # the third block holds the switch (its states are located up to the
+    # first that the frozen law would take out of the domain)
+    assert calls[:3] == [1, block, 2 * block] and calls[4:6] == [block, 2 * block]
+    assert to_switch - 3 * block < calls[3] <= 4 * block
+
+
+def test_rk4_steps_only_at_exits_and_short_last_steps(box, monkeypatch):
+    """Blocks take every full step; ``_rk4_step`` gives only the state of
+    a domain exit and a last step shorter than dt."""
+    sys, p, f, ctrl = box
+    dt = sim.default_dt(sys, ctrl)
+    calls = []
+    rk4 = sim._rk4_step
+
+    def counting(*args):
+        calls.append(1)
+        return rk4(*args)
+
+    monkeypatch.setattr(sim, "_rk4_step", counting)
+    assert sim.integrate(sys, ctrl, [0.5, 0.5], dt).outcome.kind == sim.LEFT
+    assert len(calls) == 1
+    tr = sim.integrate(sys, ctrl, [0.1, 0.1], dt, tmax=(1000 + 0.5) * dt, f=f)
+    assert tr.outcome.kind == sim.TIMEOUT and len(calls) == 2
+
+
+# -- the step maps and the exit bisection ------------------------------------------
+
+def test_grown_maps_keep_their_first_entries():
+    """Maps doubled up to the cap equal the _BLOCK-step maps bit for bit
+    on their first _BLOCK entries, and each is that many RK4 steps."""
+    rng = np.random.default_rng(2)
+    A, b, dt = rng.normal(size=(3, 3)), rng.normal(size=3), 1e-3
+    D, c = sim._step_map(A, b, dt)
+    while len(c) < sim._BLOCK:
+        D, c = sim._doubled(D, c)
+    D_cap, c_cap = D, c
+    while len(c_cap) < sim._BLOCK_CAP:
+        D_cap, c_cap = sim._doubled(D_cap, c_cap)
+    assert len(c) == sim._BLOCK and len(c_cap) == sim._BLOCK_CAP
+    assert D_cap.shape == (3 * sim._BLOCK_CAP, 3)
+    assert np.array_equal(D_cap[:len(D)], D) and np.array_equal(c_cap[:len(c)], c)
+    x = rng.normal(size=3)
+    X = x + ((D_cap @ x).reshape(-1, 3) + c_cap)
+    y = x
+    for j in range(sim._BLOCK_CAP):
+        y = sim._rk4_step(A, b, y, dt)
+        if (j + 1) % 97 == 0 or j + 1 == sim._BLOCK_CAP:
+            assert np.abs(X[j] - y).max() <= 1e-12 * max(1.0, np.abs(y).max())
+
+
+def _exits(rng, normals, offs, A, b, starts, h0):
+    """(x, h) for each start inside ``normals y <= offs`` from which an
+    RK4 step of some length h = h0 2^k, k < 30, leaves that set."""
+    out = []
+    for x in starts:
+        if (normals @ x - offs).max() > 0.0:
+            continue
+        h = h0 * rng.uniform(1.0, 2.0)
+        for _ in range(30):
+            if (normals @ sim._rk4_step(A, b, x, h) - offs).max() > 0.0:
+                out.append((x, h))
+                break
+            h *= 2.0
+    return out
+
+
+def _assert_exit_times_agree(normals, offs, A, b, exits):
+    for x, h in exits:
+        fast = sim._exit_time(normals, offs, A, b, x, h)
+        slow = rk4_exit_time(normals, offs, A, b, x, h)
+        assert abs(fast - slow) <= sim._EVENT_TIME_TOL
+        assert (normals @ sim._rk4_step(A, b, x, fast) - offs).max() > -1e-8
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_exit_times_match_rk4_bisection_on_fixtures(name):
+    sys, p, f, = FIXTURES[name]()
+    ctrl = synth.synth_polytope(sys, p, f)
+    normals = np.array([h.normal for h in ctrl.domain.halfspaces])
+    offs = np.array([h.offset for h in ctrl.domain.halfspaces])
+    rng = np.random.default_rng(4)
+    dt = sim.default_dt(sys, ctrl)
+    checked = 0
+    for piece in ctrl.pieces:
+        V = piece.region.vertices
+        starts = rng.dirichlet(np.full(len(V), 0.3), size=8) @ V
+        exits = _exits(rng, normals, offs, *piece.closed_loop(sys), starts, dt)
+        _assert_exit_times_agree(normals, offs, *piece.closed_loop(sys), exits)
+        checked += len(exits)
+    assert checked >= 4 * len(ctrl.pieces)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("sign", [-1.0, 1.0], ids=["stable", "unstable"])
+def test_exit_times_match_rk4_bisection_on_random_loops(n, sign):
+    rng = np.random.default_rng([n, int(sign > 0)])
+    normals = np.vstack([np.eye(n), -np.eye(n), rng.normal(size=(3, n))])
+    offs = np.concatenate([np.ones(2 * n), np.abs(rng.normal(size=3)) + 0.5])
+    checked = 0
+    for _ in range(20):
+        M = rng.normal(size=(n, n))
+        # the symmetric part, definite, sets the sign of the eigenvalues' real parts
+        A = sign * (M @ M.T / n + 0.1 * np.eye(n)) + (M - M.T)
+        b = 3.0 * rng.normal(size=n)
+        starts = rng.uniform(-1.0, 1.0, size=(5, n))
+        exits = _exits(rng, normals, offs, A, b, starts, 1e-3)
+        _assert_exit_times_agree(normals, offs, A, b, exits)
+        checked += len(exits)
+    assert checked >= 40
 
 
 def test_box_trajectory_solves_few_lps(box, monkeypatch):

@@ -1,10 +1,12 @@
 """Source checks that need no linter: every name a module of the package
 imports is used in that module or exported through its ``__all__``, no
 module imports another module's private (``_``-prefixed) names, every
-error class is raised somewhere or is the base of one that is, and every
-function reads each of its parameters."""
+error class is raised somewhere or is the base of one that is, every
+function reads each of its parameters, and every module-level constant
+is read somewhere in the package."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -195,3 +197,40 @@ def test_check_sees_an_unread_parameter():
               "g = lambda a, b: a\n")
     assert unread_parameters(source) == ["f.sys (line 9)", "lambda.b (line 11)",
                                          "m.kw (line 2)", "m.rest (line 2)"]
+
+
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def unread_constants(sources: list[str]) -> list[str]:
+    """The module-level constants (``UPPER`` or ``_UPPER`` names assigned
+    at a module's top level) that no source reads, by name or as an
+    attribute."""
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for stmt in tree.body:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+                [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+            defined |= {node.id for target in targets for node in ast.walk(target)
+                        if isinstance(node, ast.Name) and CONSTANT.fullmatch(node.id)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(defined - read)
+
+
+def test_every_constant_is_read():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unread_constants(sources) == []
+
+
+def test_check_sees_an_unread_constant():
+    first = ("TOL_A = 1e-9\n_BLOCK = 256\n_CAP: int = 8 * _BLOCK\nOLD, _SPARE = 1, 2\n"
+             "__all__ = ['f']\nlower = 3\n"
+             "def f(x):\n    LOCAL = 2\n    return x + TOL_A\n")
+    second = "from . import first\ny = first._CAP\n"
+    assert unread_constants([first]) == ["OLD", "_CAP", "_SPARE"]
+    assert unread_constants([first, second]) == ["OLD", "_SPARE"]
