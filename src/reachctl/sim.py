@@ -15,16 +15,25 @@ domain's facet rows, the controller's stacked facet table
 steps after the start and after each piece switch, and doubles after
 each block that ends with no event, up to _BLOCK_CAP.
 
-``target_screen``, built once per run from the equations of the face's
-affine hull, rules out a state more than 2 TOL_SIM (inf-norm) off that
-affine hull with no LP; every other state goes, in step order, to
-``point_in_hull``, whose closed-form certificates or LP give the
-verdict.  The block is kept up to its first event, exactly where a run
-of single steps would have stopped or switched piece, so the same steps
-are taken and tested; states differ from single steps only by rounding.
-A step that leaves the domain is bisected on its own polynomial: one RK4
-step of length s on an affine loop is a quartic in s, so each facet's
-violation along it is a quartic whose coefficients are computed once.
+What does not depend on the start is built once per controller and
+system, in a runner (``_Runner``) that the controller holds
+(``PWAController.runners``) and every run reuses: each piece's closed
+loop, the default step, and, on first use, per step dt each piece's step
+maps (at most _BLOCK_CAP of them), per domain its facet rows and per
+target face its screen.  A run builds only its own trajectory.  Since
+maps are only ever extended, a run's steps are the same bit for bit
+whichever runs came before it on the controller.
+
+``target_screen`` rules out a state more than 2 TOL_SIM (inf-norm) off
+the face's affine hull with no LP; every other state goes, in step
+order, to ``point_in_hull``, whose closed-form certificates or LP give
+the verdict.  The block is kept up to its first event, exactly where a
+run of single steps would have stopped or switched piece, so the same
+steps are taken and tested; states differ from single steps only by
+rounding.  A step that leaves the domain is bisected on its own
+polynomial: one RK4 step of length s on an affine loop is a quartic in
+s, so each facet's violation along it is a quartic whose coefficients
+are computed once.
 """
 
 from __future__ import annotations
@@ -83,12 +92,13 @@ def _rk4_step(A_cl: np.ndarray, b_cl: np.ndarray, x: np.ndarray, h: float) -> np
 
 def default_dt(sys: AffineSystem, ctrl: PWAController) -> float:
     """Step scaled to cross the domain in about a thousand steps at the
-    fastest vertex speed."""
-    return _default_step(ctrl, [pc.closed_loop(sys) for pc in ctrl.pieces])
+    fastest vertex speed: the step of the controller's runner."""
+    return _runner(sys, ctrl).dt
 
 
 def _default_step(ctrl: PWAController, loops) -> float:
-    """``default_dt`` from the pieces' closed loops (A_cl, b_cl)."""
+    """``default_dt`` from the pieces' closed loops (A_cl, b_cl), once
+    per runner."""
     lo, hi = ctrl.domain.bounding_box()
     extent = float(np.linalg.norm(hi - lo))
     vmax = 0.0
@@ -146,6 +156,64 @@ def _doubled(D: np.ndarray, c: np.ndarray):
     return np.concatenate([D, more_D]), np.concatenate([c, more_c])
 
 
+def _kept(table: dict, key, build):
+    """``table``'s entry for ``key`` by identity: ``build(key)`` on the
+    first call, stored with ``key`` so that its id cannot be reused."""
+    entry = table.get(id(key))
+    if entry is None:
+        entry = table[id(key)] = (key, build(key))
+    return entry[1]
+
+
+def _facet_rows(domain: Polytope):
+    """The rows of ``normals y <= offs`` of the domain's facets, and the
+    length of its bounding box's diagonal (for the default horizon)."""
+    lo, hi = domain.bounding_box()
+    return (np.array([h.normal for h in domain.halfspaces]),
+            np.array([h.offset for h in domain.halfspaces]), float(np.linalg.norm(hi - lo)))
+
+
+class _Runner:
+    """What every run of one controller under one system shares.
+
+    Built on a run's first use (``_runner``, keyed by the system's
+    identity in ``PWAController.runners``): each piece's closed loop
+    ``loops`` and the default step ``dt``.  Filled as runs need them: per
+    step dt, each piece's stacked RK4 maps (``step_maps``), per domain its
+    facet rows (``facets``) and per target face its ``target_screen``
+    (``screen``).  Steps are keyed by value, domains and faces by
+    identity."""
+
+    def __init__(self, sys: AffineSystem, ctrl: PWAController):
+        self.loops = [pc.closed_loop(sys) for pc in ctrl.pieces]
+        self.dt = _default_step(ctrl, self.loops)
+        self.maps = {}
+        self._domains = {}
+        self._screens = {}
+
+    def step_maps(self, dt: float, piece: int, nsteps: int):
+        """The stacked maps (D, c) of j = 1 .. k RK4 steps of length dt on
+        the piece's closed loop, k >= nsteps; doubled only when nsteps
+        needs more than are built, so k never passes _BLOCK_CAP."""
+        per_piece = self.maps.setdefault(dt, [None] * len(self.loops))
+        if per_piece[piece] is None:
+            per_piece[piece] = _step_map(*self.loops[piece], dt)
+        D, c = per_piece[piece]
+        while len(c) < nsteps:
+            D, c = per_piece[piece] = _doubled(D, c)
+        return D, c
+
+    def facets(self, domain: Polytope):
+        return _kept(self._domains, domain, _facet_rows)
+
+    def screen(self, f: Face) -> Callable[[np.ndarray], np.ndarray]:
+        return _kept(self._screens, f, lambda face: target_screen(face.vertices))
+
+
+def _runner(sys: AffineSystem, ctrl: PWAController) -> _Runner:
+    return _kept(ctrl.runners, sys, lambda system: _Runner(system, ctrl))
+
+
 def _exit_time(normals: np.ndarray, offs: np.ndarray, A_cl: np.ndarray, b_cl: np.ndarray,
                x: np.ndarray, h: float) -> float:
     """The time in (0, h] at which one RK4 step from x leaves
@@ -191,27 +259,30 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
     the step's quartic (``_exit_time``) and its state is one
     ``_rk4_step``; so is a last step shorter than dt, before tmax.
 
+    The closed loops, the default step, the step maps for dt, the
+    domain's facet rows and the target screen come from the controller's
+    runner for ``sys``, built by the first run that needs each and reused
+    by every later run; a run itself builds only its states, its tests'
+    verdicts and its outcome.
+
     A state with no containing piece ends the run with a gap outcome
     rather than extrapolating.  Raises ValueError unless dt is finite and
     positive and tmax finite and not negative.
     """
     domain = domain if domain is not None else ctrl.domain
-    loops = [pc.closed_loop(sys) for pc in ctrl.pieces]
+    run = _runner(sys, ctrl)
     if dt is None:
-        dt = _default_step(ctrl, loops)
+        dt = run.dt
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"step dt must be finite and positive, got {dt}")
+    normals, offs, extent = run.facets(domain)
     if tmax is None:
-        lo, hi = domain.bounding_box()
-        tmax = 1e4 * dt * max(1.0, float(np.linalg.norm(hi - lo)))
+        tmax = 1e4 * dt * max(1.0, extent)
     if not (math.isfinite(tmax) and tmax >= 0.0):
         raise ValueError(f"horizon tmax must be finite and not negative, got {tmax}")
     x = np.asarray(x0, dtype=float).copy()
     n = len(x)
-    normals = np.array([h.normal for h in domain.halfspaces])
-    offs = np.array([h.offset for h in domain.halfspaces])
-
-    off_target = target_screen(f.vertices) if f is not None else None
+    off_target = run.screen(f) if f is not None else None
 
     def first_hit(X) -> Optional[int]:
         """Position of the first state of X on the target, in order."""
@@ -240,7 +311,6 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
     if first_hit(x[None]) is not None:
         return finish(Outcome(REACHED, 0.0), law(x) if active >= 0 else np.zeros(sys.m), active)
 
-    maps = {}
     block = _BLOCK
     t = 0.0
     while t < tmax:
@@ -250,15 +320,12 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
         full = dt <= tmax - T[:-1]
         nsteps = block if full.all() else int(np.argmin(full))
         if nsteps:
-            D, c = maps[active] if active in maps else _step_map(*loops[active], dt)
-            while len(c) < nsteps:
-                D, c = _doubled(D, c)
-            maps[active] = D, c
+            D, c = run.step_maps(dt, active, nsteps)
             h, T = dt, T[:nsteps + 1]
             X = x + ((D[:nsteps * n] @ x).reshape(nsteps, n) + c[:nsteps])
         else:
             h = tmax - t
-            X, T = _rk4_step(*loops[active], x, h)[None], np.array([t, t + h])
+            X, T = _rk4_step(*run.loops[active], x, h)[None], np.array([t, t + h])
         # (facet, state) layout, as in the target screen: numpy reduces one
         # long axis far faster than many short ones
         viol = (normals @ X.T - offs[:, None]).max(axis=0)
@@ -288,7 +355,7 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
             block = _BLOCK
             continue
         if inside < len(X):
-            A_cl, b_cl = loops[active]
+            A_cl, b_cl = run.loops[active]
             hi_t = _exit_time(normals, offs, A_cl, b_cl, x, h)
             x_exit = _rk4_step(A_cl, b_cl, x, hi_t)
             t_exit = t + hi_t
@@ -371,7 +438,8 @@ def verify(sys: AffineSystem, ctrl: PWAController, f: Face, nsamples: int = 100,
     from uniform samples of ``ctrl.domain``, each bounded by that domain.
 
     Deterministic for a fixed seed; samples run in index order, all with
-    one step, dt or else ``default_dt`` computed once.  The report's
+    one step, dt or else ``default_dt``, the step of the controller's
+    runner, which the runs share with their maps.  The report's
     ``dwell_steps`` counts, for every piece, the steps taken under its
     law over all runs.
     """

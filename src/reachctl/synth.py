@@ -102,6 +102,12 @@ class PWAController:
     columns, each to the first block of rows that all hold.  Pieces are
     final once assembled: a region, rank or path length changed
     afterwards is not seen by ``locate`` or ``lookup``.
+
+    ``runners`` holds the controller's closed-loop runners, one per
+    system, which ``sim`` builds on a run's first use and every later run
+    reuses: each piece's closed loop, the default step and the step maps.
+    They rely on the same promise, pieces final once assembled, and on
+    ``AffineSystem`` being frozen.
     """
 
     def __init__(self, pieces: list[AffinePiece], domain: Polytope, notes=()):
@@ -117,6 +123,7 @@ class PWAController:
         self.domain = domain
         self.notes = list(notes)
         self._order = np.array(order + [-1], dtype=int)
+        self.runners = {}
 
     def locate(self, X, tol: float = TOL_MERGE) -> np.ndarray:
         """Index of the preferred piece holding each row of the (k, n)

@@ -6,8 +6,9 @@ import pytest
 from reachctl import geometry as geo
 from reachctl import lp, sim, synth
 from reachctl.errors import Degenerate
+from reachctl.system import AffineSystem
 
-from helpers import (affine_stepper, box_fixture, cube_fixture, hull_distance,
+from helpers import (affine_stepper, box_fixture, cube_fixture, facet_face, hull_distance,
                      pinned_corner_fixture, rk4_exit_time, stepwise_integrate,
                      use_reference_stepper, wedge_fixture)
 
@@ -177,9 +178,12 @@ def test_integrate_matches_reference_stepper(name, monkeypatch):
     dt = 5 * sim.default_dt(sys, ctrl)
     starts = sim.sample_states(ctrl.domain, 2, np.random.default_rng(0))
     fast = [_run(sys, ctrl, f, x0, dt) for x0 in starts]
+    # a fresh controller, so that the reference runs build their own
+    # runner with the reference's target screen
+    fresh = synth.PWAController(ctrl.pieces, ctrl.domain)
     with monkeypatch.context() as m:
         use_reference_stepper(m)
-        slow = [_run(sys, ctrl, f, x0, dt) for x0 in starts]
+        slow = [_run(sys, fresh, f, x0, dt) for x0 in starts]
     for a, b in zip(fast, slow):
         for field in ("times", "states", "controls", "piece_ids"):
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
@@ -189,14 +193,16 @@ def test_integrate_matches_reference_stepper(name, monkeypatch):
 
 # -- block stepping against one step at a time -------------------------------------
 
-def _assert_same_run(a, b):
+def _assert_same_run(a, b, tol=1e-12):
+    """Same outcome, times and piece ids, and states, controls and
+    ``max_violation`` within ``tol``; ``tol=0`` asks for equality."""
     assert a.outcome == b.outcome
     assert np.array_equal(a.times, b.times)
     assert np.array_equal(a.piece_ids, b.piece_ids)
     assert a.states.shape == b.states.shape and a.controls.shape == b.controls.shape
-    assert np.abs(a.states - b.states).max() <= 1e-12
-    assert np.abs(a.controls - b.controls).max(initial=0.0) <= 1e-12
-    assert abs(a.max_violation - b.max_violation) <= 1e-12
+    assert np.abs(a.states - b.states).max() <= tol
+    assert np.abs(a.controls - b.controls).max(initial=0.0) <= tol
+    assert abs(a.max_violation - b.max_violation) <= tol
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -311,6 +317,93 @@ def test_rk4_steps_only_at_exits_and_short_last_steps(box, monkeypatch):
     assert len(calls) == 1
     tr = sim.integrate(sys, ctrl, [0.1, 0.1], dt, tmax=(1000 + 0.5) * dt, f=f)
     assert tr.outcome.kind == sim.TIMEOUT and len(calls) == 2
+
+
+# -- one runner per controller and system -----------------------------------------
+
+@pytest.mark.parametrize("name", ["box", "cube"])
+def test_reused_runner_gives_the_same_runs(name):
+    """Runs on one controller, cold and then again after the others have
+    grown its maps, equal runs on a fresh controller of the same pieces
+    bit for bit."""
+    sys, p, f = FIXTURES[name]()
+    ctrl = synth.synth_polytope(sys, p, f)
+    dt = sim.default_dt(sys, ctrl)
+    starts = list(sim.sample_states(ctrl.domain, 3, np.random.default_rng(1)))
+    starts.append(ctrl.pieces[-1].region.centroid())
+    cold = [sim.integrate(sys, ctrl, x0, dt / 4, f=f) for x0 in starts]
+    warm = [sim.integrate(sys, ctrl, x0, dt / 4, f=f) for x0 in starts]
+    fresh = synth.PWAController(ctrl.pieces, ctrl.domain)
+    alone = [sim.integrate(sys, fresh, x0, dt / 4, f=f) for x0 in starts[::-1]][::-1]
+    assert any(len(set(tr.piece_ids.tolist())) > 1 for tr in cold)
+    for a, b, c in zip(cold, warm, alone):
+        assert a.outcome.kind == sim.REACHED
+        _assert_same_run(a, b, tol=0.0)
+        _assert_same_run(a, c, tol=0.0)
+
+
+def test_runner_keys_tell_systems_steps_faces_and_domains_apart(box):
+    """One controller run under two systems that differ only in ``a``,
+    two steps, two targets and two domains, in an order where a key that
+    ignored any of them would reuse a wrong entry: each run equals the
+    one-step reference for its own inputs."""
+    sys, p, f, ctrl = box
+    ctrl = synth.PWAController(ctrl.pieces, ctrl.domain)
+    other = AffineSystem(sys.A, sys.a + [0.2, 0.0], sys.B)
+    dt = sim.default_dt(sys, ctrl)
+    near = geo.convex_hull([(0, 0), (1.5, 0), (1.5, 1), (0, 1)])
+    near_edge = facet_face(near, [1, 0])
+    x0 = [1.2, 0.5]
+    cases = ((p, f), (near, f), (near, near_edge), (p, near_edge))
+    kinds = [set() for _ in cases]
+    for s in (sys, other):
+        for step in (dt, 2.5 * dt):
+            for case, (domain, face) in enumerate(cases):
+                tr = sim.integrate(s, ctrl, x0, step, f=face, domain=domain)
+                _assert_same_run(tr, stepwise_integrate(s, ctrl, x0, step, f=face,
+                                                        domain=domain))
+                kinds[case].add(tr.outcome.kind)
+    # each domain's edge at x = 1.5 or 2 ends the runs in it, on the target
+    # or out of the domain
+    assert kinds[:3] == [{sim.REACHED}, {sim.LEFT}, {sim.REACHED}]
+    assert sim._runner(sys, ctrl) is sim._runner(sys, ctrl)
+    assert sim._runner(other, ctrl) is not sim._runner(sys, ctrl)
+    assert sim.default_dt(other, ctrl) != dt
+
+
+def test_stored_maps_stay_within_the_cap(box):
+    """However many runs share a runner, it keeps at most _BLOCK_CAP maps
+    per piece and step."""
+    sys, p, f, ctrl = box
+    ctrl = synth.PWAController(ctrl.pieces, ctrl.domain)
+    dt = sim.default_dt(sys, ctrl)
+    for step in (dt / 20, dt):
+        for x0 in sim.sample_states(p, 4, np.random.default_rng(3)):
+            sim.integrate(sys, ctrl, x0, step, f=f)
+    maps = sim._runner(sys, ctrl).maps
+    assert sorted(maps) == [dt / 20, dt]
+    stored = [m for per_piece in maps.values() for m in per_piece if m is not None]
+    assert all(D.shape == (2 * len(c), 2) for D, c in stored)
+    assert max(len(c) for _, c in stored) == sim._BLOCK_CAP
+
+
+def test_warm_verify_builds_nothing(box, monkeypatch):
+    """A second ``verify`` on a controller builds no closed loop, step,
+    step map or target screen: its runner holds them all."""
+    sys, p, f, ctrl = box
+    ctrl = synth.PWAController(ctrl.pieces, ctrl.domain)
+    report = sim.verify(sys, ctrl, f, nsamples=8, seed=2).to_dict()
+    calls = []
+
+    def counting(name):
+        build = getattr(sim, name)
+        return lambda *args: calls.append(name) or build(*args)
+
+    for name in ("_step_map", "_doubled", "target_screen", "_default_step"):
+        monkeypatch.setattr(sim, name, counting(name))
+    monkeypatch.setattr(synth.AffinePiece, "closed_loop", lambda *args: calls.append("loop"))
+    assert sim.verify(sys, ctrl, f, nsamples=8, seed=2).to_dict() == report
+    assert calls == []
 
 
 # -- the step maps and the exit bisection ------------------------------------------

@@ -2,12 +2,15 @@
 imports is used in that module or exported through its ``__all__``, no
 module imports another module's private (``_``-prefixed) names, every
 error class is raised somewhere or is the base of one that is, every
-function reads each of its parameters, and every module-level constant
-is read somewhere in the package."""
+function reads each of its parameters, every module-level constant is
+read somewhere in the package, and no module or class binds a shared
+mutable container or a memoizing decorator (state that outlives a call
+belongs to an object the caller holds)."""
 
 import ast
 import re
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -234,3 +237,67 @@ def test_check_sees_an_unread_constant():
     second = "from . import first\ny = first._CAP\n"
     assert unread_constants([first]) == ["OLD", "_CAP", "_SPARE"]
     assert unread_constants([first, second]) == ["OLD", "_SPARE"]
+
+
+CONTAINERS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+MEMOIZERS = {"cache", "lru_cache"}
+
+
+def _name(node) -> Optional[str]:
+    """The name a Name or an Attribute ends in, through a call."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _mutable(value) -> bool:
+    """Whether an assigned value is a mutable container: a display or
+    comprehension of a dict, list or set, a call to a container's
+    constructor, or a tuple holding one."""
+    if isinstance(value, ast.Tuple):
+        return any(_mutable(e) for e in value.elts)
+    return isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                              ast.SetComp)) or \
+        (isinstance(value, ast.Call) and _name(value) in CONTAINERS)
+
+
+def shared_state(source: str) -> list[str]:
+    """Lines where a module's or a class's body binds a mutable container
+    (``__all__`` aside), and every ``functools.cache`` or ``lru_cache``
+    decorator: each is one object that every caller shares."""
+    tree = ast.parse(source)
+    out = []
+    bodies = [tree.body] + [node.body for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    for body in bodies:
+        for stmt in body:
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)) and stmt.value is not None:
+                targets = [stmt.target]
+            else:
+                continue
+            names = {t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)}
+            if _mutable(stmt.value) and names != {"__all__"}:
+                out.append(f"line {stmt.lineno}")
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out += [f"line {d.lineno}" for d in node.decorator_list if _name(d) in MEMOIZERS]
+    return sorted(out, key=lambda line: int(line.split()[1]))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_cache(path):
+    assert shared_state(path.read_text()) == []
+
+
+def test_check_sees_a_module_level_cache():
+    source = ("import functools\nfrom collections import defaultdict\n"
+              "__all__ = ['f']\nTOL = 1e-9\nKEYS = ('a', 'b')\n"
+              "_maps = {}\nSEEN: set = set()\nA, B = 1, []\n"
+              "_by_n = defaultdict(list)\nSQUARES = [k * k for k in range(4)]\n"
+              "class Runner:\n    __slots__ = ('maps',)\n    shared = dict()\n"
+              "    def __init__(self):\n        self.maps = {}\n"
+              "    @functools.lru_cache(maxsize=None)\n    def step(self, h):\n        return h\n"
+              "@functools.cache\ndef f(x):\n    local = []\n    return x\n"
+              "@lru_cache\ndef g(x):\n    return x\n")
+    assert shared_state(source) == ["line 6", "line 7", "line 8", "line 9", "line 10",
+                                    "line 13", "line 16", "line 19", "line 23"]
