@@ -84,7 +84,7 @@ TOL_ZERO = 1e-12
 TOL_VOLUME = 1e-8
 
 # decimals of the rounded keys that identify a vertex (lexicographic
-# order, simplex keys, shared facets of simplices)
+# order, the order of a triangulation's simplices, their shared facets)
 KEY_DECIMALS = 9
 # decimals of the halfspace key, which orders facet lists
 HALFSPACE_KEY_DECIMALS = 8
@@ -100,10 +100,6 @@ def _as_points(points) -> np.ndarray:
 def lex_sorted(points: np.ndarray) -> np.ndarray:
     """The rows in lexicographic order, rounded to kill float noise."""
     return points[np.lexsort(np.round(points, KEY_DECIMALS).T[::-1])]
-
-
-def point_key(v: np.ndarray) -> tuple:
-    return tuple(np.round(v, KEY_DECIMALS))
 
 
 def dedupe_points(points: np.ndarray) -> np.ndarray:
@@ -608,7 +604,7 @@ def _plane_points(p: Polytope, vals: np.ndarray) -> np.ndarray:
     ``-TOL_GEOM`` to one above ``TOL_GEOM`` reach zero: the edges of a
     full-dimensional ``p``, every vertex pair of a lower-dimensional one
     (``vals`` is affine along them)."""
-    i, j = (edges(p) if p.is_full_dim else np.transpose(np.triu_indices(len(vals), 1))).T
+    i, j = (edges(p) if p.is_full_dim else _pairs(len(vals))).T
     cut = (np.minimum(vals[i], vals[j]) < -TOL_GEOM) & (np.maximum(vals[i], vals[j]) > TOL_GEOM)
     i, j = i[cut], j[cut]
     t = vals[i] / (vals[i] - vals[j])
@@ -656,10 +652,15 @@ def edges(p: Polytope) -> np.ndarray:
         raise Degenerate("edges expects a full-dimensional polytope")
     if p._edges is None:
         on = p.incidence.astype(int)
-        pairs = np.transpose(np.triu_indices(len(on), 1))
+        pairs = _pairs(len(on))
         shared = on[pairs[:, 0]] & on[pairs[:, 1]]
         p._edges = pairs[(shared @ on.T == shared.sum(axis=1)[:, None]).sum(axis=1) == 2]
     return p._edges
+
+
+def _pairs(k: int) -> np.ndarray:
+    """The rows (i, j), 0 <= i < j < k, in lexicographic order."""
+    return np.argwhere(np.arange(k)[:, None] < np.arange(k))
 
 
 def carrying_facet(p: Polytope, f: Polytope) -> Optional[int]:
@@ -703,13 +704,14 @@ def volume(p: Polytope) -> float:
     return sum(simplex_volume(s) for s in fan(p, p.vertices[0]))
 
 
-def fan(p: Polytope, anchor) -> list[np.ndarray]:
-    """Simplices of a full-dimensional ``p``, rows of ``p.vertices`` with
-    the vertex ``anchor`` first: the cones from it over every facet that
-    misses it, triangulated by ``_cone``.  Every anchored fan of the
-    package is this one.  Raises GeometryError when no vertex lies within
-    ``TOL_MERGE`` of the anchor, or when ambiguous incidence (vertices
-    about ``TOL_INCIDENCE`` off their facets) gives a cone without n+1 rows."""
+def fan(p: Polytope, anchor) -> np.ndarray:
+    """Simplices of a full-dimensional ``p``, as an (S, n+1, n) stack of
+    rows of ``p.vertices`` with the vertex ``anchor`` first: the cones from
+    it over every facet that misses it, triangulated by ``_cone``.  Every
+    anchored fan of the package is this one.  Raises GeometryError when no
+    vertex lies within ``TOL_MERGE`` of the anchor, or when ambiguous
+    incidence (vertices about ``TOL_INCIDENCE`` off their facets) gives a
+    cone without n+1 rows."""
     if not p.is_full_dim:
         raise Degenerate("fan triangulation expects a full-dimensional polytope")
     hit = np.flatnonzero(np.abs(p.vertices - anchor).max(axis=1) <= TOL_MERGE)
@@ -718,7 +720,7 @@ def fan(p: Polytope, anchor) -> list[np.ndarray]:
     cones = _cone(p.incidence, np.arange(len(p.vertices)), int(hit[0]))
     if any(len(s) != p.n + 1 for s in cones):
         raise GeometryError("fan cone without n+1 vertices: ambiguous incidence")
-    return [p.vertices[s] for s in cones]
+    return p.vertices[np.array(cones, dtype=int).reshape(-1, p.n + 1)]
 
 
 def _cone(incidence: np.ndarray, face: np.ndarray, apex: int) -> list[list[int]]:
@@ -743,6 +745,25 @@ def _cone(incidence: np.ndarray, face: np.ndarray, apex: int) -> list[list[int]]
 # simplices with facet normals
 # ---------------------------------------------------------------------------
 
+def simplex_tables(vertices) -> np.ndarray:
+    """The ``Simplex.table`` of each of a stack of simplices, (S, n+1, n)
+    vertices in, (S, n+1, 2n+1) tables out, from one stacked rank test
+    and one stacked inverse.  Raises GeometryError when the simplices do
+    not have n+1 vertices or any one's vertices are affinely dependent."""
+    V = np.asarray(vertices, dtype=float)
+    if V.ndim != 3:
+        raise GeometryError("simplex vertices must form an (S, n+1, n) stack")
+    S, k, n = V.shape
+    if k != n + 1:
+        raise GeometryError(f"simplex in R^{n} needs {n + 1} vertices, got {k}")
+    if np.any(rank(sv=np.linalg.svd(V[:, 1:] - V[:, :1], compute_uv=False)) != n):
+        raise GeometryError("simplex vertices are affinely dependent")
+    W = np.linalg.inv(np.concatenate([V, np.ones((S, k, 1))], axis=2))
+    W[:, :n] *= -1.0
+    facets = W / np.linalg.norm(W[:, :n], axis=1, keepdims=True)
+    return np.concatenate([V, np.swapaxes(facets, 1, 2)], axis=2)
+
+
 class Simplex:
     """n+1 affinely independent vertices; facet j is the one omitting
     vertex j, with unit outward normal ``normals[j]`` and offset
@@ -752,20 +773,14 @@ class Simplex:
     facet rows are the normalized barycentric inverse W = [V | 1]^-1
     (``barycentric`` reads W back):
     column j, the coordinate lambda_j of vertex j, with its x part negated,
-    over the norm of that part."""
+    over the norm of that part.  ``Simplex(vertices)`` is
+    ``simplex_tables`` on a stack of one; a triangulation builds all its
+    tables at once and holds its simplices as views (``of_table``)."""
 
     __slots__ = ("table",)
 
     def __init__(self, vertices):
-        V = _as_points(vertices)
-        n = V.shape[1]
-        if V.shape[0] != n + 1:
-            raise GeometryError(f"simplex in R^{n} needs {n + 1} vertices, got {V.shape[0]}")
-        if rank(V[1:] - V[0]) != n:
-            raise GeometryError("simplex vertices are affinely dependent")
-        W = np.linalg.inv(np.column_stack([V, np.ones(n + 1)]))
-        W[:n] *= -1.0
-        self.table = np.column_stack([V, (W / np.linalg.norm(W[:n], axis=0)).T])
+        self.table = simplex_tables(_as_points(vertices)[None])[0]
 
     @classmethod
     def of_table(cls, table: np.ndarray) -> "Simplex":
@@ -807,9 +822,6 @@ class Simplex:
     def as_polytope(self) -> Polytope:
         hs = [HalfSpace(self.normals[j], self.offsets[j]) for j in range(self.n + 1)]
         return Polytope(lex_sorted(self.vertices), hs, self.n)
-
-    def vertex_key(self) -> tuple:
-        return tuple(point_key(v) for v in lex_sorted(self.vertices))
 
     def __repr__(self) -> str:
         return f"Simplex(n={self.n})"

@@ -13,11 +13,13 @@ Once the greedy pass has ordered a leaf triangulation, its simplices
 exactly, by enumerating the LPs' bases, so synthesis runs no simplex
 tableau; a basis is solved when it passes the relative determinant test
 of ``geometry.nonsingular``, whose verdict no row's scale changes, and
-where optima tie the control of least norm is taken.  Margins, laws and
-interpolation residuals come out as stacked arrays; only the equilibrium
-test runs once per piece.  Errors keep the greedy order: after every LP
-is solved the pieces are checked in turn, and the first that fails
-raises, as a loop over the simplices would.
+where optima tie the control of least norm is taken.  Margins, laws,
+interpolation residuals and the closed-loop equilibrium screen come out
+as stacked arrays: the screen applies ``point_in_hull``'s exact "out"
+closed forms to every piece's vertex fields at once, and only a piece it
+leaves open is tested alone (``check_no_equilibrium``).  Errors keep the
+greedy order: after every LP is solved the pieces are checked in turn,
+and the first that fails raises, as a loop over the simplices would.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from .errors import (AssumptionViolated, NotReachable, SingularVertexMatrix,
                      Stuck, SynthesisFailed)
 from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_MERGE, TOL_ZERO, Face,
                        Polytope, Simplex, barycentric, carrying_facet,
-                       nonsingular, point_in_hull, whole_facet)
+                       nonsingular, point_in_hull, rank, simplex_tables,
+                       whole_facet)
 from .reach import analyze, epsilon_cut
 from .system import (AffineSystem, SystemGeometry, check_assumptions,
                      compute_geometry)
@@ -264,6 +267,34 @@ def affine_laws(tables: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return laws, np.linalg.norm(at_vertices - u, axis=-1).max(axis=-1)
 
 
+def _no_equilibrium_screen(fields: np.ndarray) -> np.ndarray:
+    """Per member of an (S, n+1, n) stack of vertex fields: True where
+    ``point_in_hull``'s exact "out" closed forms put 0 more than
+    ``TOL_GEOM`` (inf-norm) outside the fields' hull, so the simplex holds
+    no stationary point; False leaves the answer open.
+
+    The forms are the bounding box, and rows g with g.0 - max_i g.f_i >
+    2 ``TOL_GEOM`` |g|_1: the normals to the fields' affine hull, both
+    ways (the rows of the SVD's V^T past the rank), and, for affinely
+    independent fields, the barycentric rows of their simplex.  Each
+    row's bound is its maximum over the fields themselves, so the verdict
+    holds however the rows are rounded."""
+    k, n = fields.shape[1:]
+    tol = TOL_GEOM
+    out = (np.any(0.0 < fields.min(axis=1) - tol, axis=1)
+           | np.any(0.0 > fields.max(axis=1) + tol, axis=1))
+    u, sv, vt = np.linalg.svd(fields[:, 1:] - fields[:, :1])
+    r = rank(sv=sv)
+    full = r == n
+    # lam_1.. of a point x are (x - f_0) P, and lam_0 is 1 - their sum
+    P = np.swapaxes(vt, 1, 2) @ np.swapaxes(u / np.where(full[:, None], sv, 1.0)[:, None], 1, 2)
+    G = np.concatenate([vt, -vt, P.sum(axis=2)[:, None], -np.swapaxes(P, 1, 2)], axis=1)
+    normal_rows = np.arange(n) >= r[:, None]
+    valid = np.concatenate([normal_rows, normal_rows, np.repeat(full[:, None], k, axis=1)], axis=1)
+    gap = -(fields @ np.swapaxes(G, 1, 2)).max(axis=1)
+    return out | np.any(valid & (gap > 2.0 * tol * np.abs(G).sum(axis=2)), axis=1)
+
+
 def check_no_equilibrium(sys: AffineSystem, s: Simplex, gain: np.ndarray,
                          offset: np.ndarray) -> bool:
     """True when the closed loop has no stationary point in the simplex.
@@ -271,9 +302,13 @@ def check_no_equilibrium(sys: AffineSystem, s: Simplex, gain: np.ndarray,
     The closed-loop field f(x) = (A + B gain) x + a + B offset is affine,
     so it maps the simplex onto conv{f(v_i)}: the simplex holds a
     stationary point iff 0 lies in the hull of the fields at its vertices
-    (within ``TOL_GEOM``, inf-norm), singular closed loops included."""
+    (within ``TOL_GEOM``, inf-norm), singular closed loops included.  The
+    stacked screen ``synth_simplex`` runs (``_no_equilibrium_screen``)
+    decides it on this one simplex, and ``point_in_hull`` decides where
+    the screen leaves it open."""
     fields = s.vertices @ (sys.A + sys.B @ gain).T + (sys.a + sys.B @ offset)
-    return not point_in_hull(np.zeros(s.n), fields, TOL_GEOM)
+    return bool(_no_equilibrium_screen(fields[None])[0]) or not point_in_hull(
+        np.zeros(s.n), fields, TOL_GEOM)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +339,7 @@ def _midlevel_split(geom: SystemGeometry, s: Simplex, exit_facet: int) -> list[S
     lo_verts[exit_facet] = v_prime
     up_verts = V.copy()
     up_verts[w_minus_id] = v_prime
-    return [Simplex(lo_verts), Simplex(up_verts)]
+    return [Simplex.of_table(t) for t in simplex_tables(np.stack([lo_verts, up_verts]))]
 
 
 def synth_simplex(sys: AffineSystem, geom: SystemGeometry, simplices: Sequence[Simplex],
@@ -316,9 +351,12 @@ def synth_simplex(sys: AffineSystem, geom: SystemGeometry, simplices: Sequence[S
     split applies (``_midlevel_split``) it gets two, the lower one first
     (``sub_rank`` 0 and 1).  The vertex controls of every piece come from
     one ``vertex_controls_lp`` call, and the blocking and exit margins,
-    the affine laws (barycentric interpolation, ``geometry.barycentric``)
-    and their interpolation residuals from stacked arrays; only the
-    closed-loop equilibrium test runs once per piece.  The pieces are then
+    the affine laws (barycentric interpolation, ``geometry.barycentric``),
+    their interpolation residuals and the closed-loop equilibrium screen
+    (``_no_equilibrium_screen``) from stacked arrays; only a piece the
+    screen leaves open goes to ``check_no_equilibrium``.  The split
+    pieces' tables come from one ``simplex_tables`` call per split
+    simplex.  The pieces are then
     checked in order, and the first that fails raises, as one call per
     simplex would: ``SynthesisFailed``, carrying the simplex, its exit
     facet and the error, where a vertex's LP is infeasible, the blocking
@@ -338,6 +376,10 @@ def synth_simplex(sys: AffineSystem, geom: SystemGeometry, simplices: Sequence[S
     exit_margin = np.where(np.eye(nv, dtype=bool)[exits], np.inf,
                            fields[np.arange(len(exits)), exits]).min(axis=1)
     laws, resid = affine_laws(tables, u)
+    # each piece's closed-loop field (A + B gain) v + a + B offset at its vertices
+    A_cl = sys.A + sys.B @ laws[..., :-1]
+    b_cl = sys.a + laws[..., -1] @ sys.B.T
+    clear = _no_equilibrium_screen(tables[..., :nv - 1] @ np.swapaxes(A_cl, 1, 2) + b_cl[:, None])
 
     out, j = [], 0
     for part in parts:
@@ -354,7 +396,7 @@ def synth_simplex(sys: AffineSystem, geom: SystemGeometry, simplices: Sequence[S
             if resid[j] > TOL_GEOM:
                 raise SingularVertexMatrix(f"interpolation residual {resid[j]:.2e}")
             law = laws[j].copy()
-            if not check_no_equilibrium(sys, region, law[:, :-1], law[:, -1]):
+            if not clear[j] and not check_no_equilibrium(sys, region, law[:, :-1], law[:, -1]):
                 raise SynthesisFailed({**cert, "error": "closed-loop stationary point "
                                                         "inside the simplex"})
             pieces.append(AffinePiece(region, law, e, slack=float(slack[j]),
@@ -386,17 +428,25 @@ def greedy_paths(tri: Triangulation, geom: SystemGeometry) -> GreedyResult:
     facet its triangulation records in ``target_exits``; the facet shared
     with a neighbour comes from the triangulation's adjacency.  Both kinds
     of facet take their levels from the simplex's own vertices.  A pair
-    becomes a candidate when its neighbour finishes, so each (simplex,
-    facet) level is computed once, and the candidates wait in a heap
-    keyed (level, -count, simplex, neighbour), -1 for the target."""
+    becomes a candidate when its neighbour finishes, and the candidates
+    wait in a heap keyed (level, -count, simplex, neighbour), -1 for the
+    target.  Every (simplex, facet) key is computed once, up front, from
+    one (S, n+1) array of the triangulation's vertex levels
+    (``Triangulation.levels``), the counts by the one rule for equal
+    levels (``SystemGeometry.on_level``)."""
     neighbors = tri.neighbors()
     result = GreedyResult([], {}, {}, {}, [])
+    # (simplex, facet k, vertex) drift levels, +inf at vertex k, which
+    # facet k omits: every facet's lowest level and its count at once
+    nv = tri.tables.shape[1]
+    levels = np.where(np.eye(nv, dtype=bool), np.inf, tri.levels(geom.beta)[:, None, :])
+    lows = levels.min(axis=2)
+    counts = geom.on_level(levels, lows[..., None]).sum(axis=2).tolist()
+    lows = lows.tolist()
 
     def candidate(i: int, j: int, k: int) -> tuple:
         """Simplex i exiting into j through its facet k, keyed."""
-        verts = np.delete(tri.simplices[i].vertices, k, axis=0)
-        lo = float((verts @ geom.beta).min())
-        return lo, -len(geom.at_level(verts, lo)), i, j, k
+        return lows[i][k], -counts[i][k], i, j, k
 
     heap = [candidate(i, -1, k) for i, k in tri.target_exits.items()]
     heapq.heapify(heap)

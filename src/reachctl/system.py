@@ -95,11 +95,18 @@ class SystemGeometry:
 
     def at_level(self, points, level: float) -> np.ndarray:
         """The rows of ``points``, in their order, whose drift level beta.x
-        is within ``TOL_GEOM`` of ``level``.  Every set of points at one
-        drift level (a top face, a target's lowest or highest vertices,
-        the margin cut's pivots) is taken here."""
+        is within ``TOL_GEOM`` of ``level`` (``on_level``).  Every set of
+        points at one drift level (a top face, a target's lowest or
+        highest vertices, the margin cut's pivots) is taken here."""
         points = np.asarray(points, dtype=float)
-        return points[np.abs(points @ self.beta - level) <= TOL_GEOM]
+        return points[self.on_level(points @ self.beta, level)]
+
+    @staticmethod
+    def on_level(levels, level) -> np.ndarray:
+        """Which drift levels lie within ``TOL_GEOM`` of ``level``: the one
+        rule for equal drift levels, read by ``at_level`` and by callers
+        that hold the levels already."""
+        return np.abs(levels - level) <= TOL_GEOM
 
     def input_plane_through(self, x) -> Hyperplane:
         """Translate of the input subspace passing through ``x``."""

@@ -15,7 +15,15 @@ points at one drift level (the top face, the target's end vertices)
 come from ``SystemGeometry.at_level``.  A triangulation records what
 its construction decides, the exit facet of each target simplex and the
 facet each simplex shares with a neighbour, so synthesis reads these
-instead of recomputing them."""
+instead of recomputing them.
+
+A triangulation is one (S, n+1, 2n+1) stack of simplex tables, built
+by one ``geometry.simplex_tables`` call from the fans' vertex stacks and
+ordered by one lexsort of the simplices' keys (``_key_order``).  Its
+adjacency matches facet keys, the sorted ids of a facet's vertices, in
+one sort, and the vertex levels along a direction, which the target
+marking and the greedy pass read, are one (S, n+1) product
+(``Triangulation.levels``)."""
 
 from __future__ import annotations
 
@@ -27,12 +35,12 @@ import numpy as np
 
 from .errors import (CoverIncomplete, CutConstructionFailed, EpsTooLarge,
                      NoQualifyingVertex, VStarInFbar)
-from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_MERGE, TOL_VOLUME,
-                       TOL_ZERO, HalfSpace, Hyperplane, Polytope,
+from .geometry import (KEY_DECIMALS, TOL_GEOM, TOL_INCIDENCE, TOL_MERGE,
+                       TOL_VOLUME, TOL_ZERO, HalfSpace, Hyperplane, Polytope,
                        Simplex, affine_dimension, carrying_facet,
                        clip_to_halfspace, convex_hull, fan,
                        hyperplane_through, lex_sorted, point_in_hull,
-                       point_key, section, split_by_hyperplane,
+                       section, simplex_tables, split_by_hyperplane,
                        uncovered_volume, whole_facet)
 from .reach import default_eps, epsilon_cut
 from .system import (AffineSystem, SystemGeometry, compute_geometry,
@@ -44,20 +52,31 @@ class Triangulation:
     """Simplices of an anchored triangulation with what its construction
     decided about them.
 
-    ``target_exits`` maps each simplex having a whole facet inside the
-    target to the index of that facet (facet j omits vertex j).
-    ``adjacency``, computed from the simplices, lists each pair (a, b) of
-    simplices sharing a facet as (a, b, that facet's index in a, its
-    index in b).
+    ``tables`` stacks the simplices' tables, (S, n+1, 2n+1)
+    (``geometry.simplex_tables``), in key order (``_key_order``), and
+    ``simplices`` are views of its members.  ``target_exits`` maps each
+    simplex having a whole facet inside the target to the index of that
+    facet (facet j omits vertex j).  ``adjacency``, computed from the
+    tables, lists each pair (a, b) of simplices sharing a facet as (a, b,
+    that facet's index in a, its index in b).
     """
 
-    simplices: list[Simplex]
+    tables: np.ndarray
     vstar: np.ndarray
     target_exits: dict[int, int]
+    simplices: list[Simplex] = field(init=False)
     adjacency: list[tuple[int, int, int, int]] = field(init=False)
 
     def __post_init__(self):
-        self.adjacency = _facet_adjacency(self.simplices)
+        self.simplices = [Simplex.of_table(t) for t in self.tables]
+        self.adjacency = _facet_adjacency(self.tables)
+
+    def levels(self, direction: np.ndarray) -> np.ndarray:
+        """(S, n+1) values direction.v at every vertex of every simplex, in
+        one stacked product: row i is simplex i's vertex rows times
+        ``direction``, bit for bit as that product over one simplex's or
+        one facet's rows gives it (the greedy tie-break reads last bits)."""
+        return self.tables[..., :self.tables.shape[1] - 1] @ direction
 
     def neighbors(self) -> list[list[tuple[int, int]]]:
         """Per simplex i, its (neighbour j, index in j of the facet they
@@ -82,20 +101,45 @@ class Cover:
     cut_planes: tuple[Hyperplane, ...] = ()
 
 
-def _facet_adjacency(simplices: list[Simplex]) -> list[tuple[int, int, int, int]]:
-    """Pairs sharing exactly n vertices; the shared set is their common
-    facet, which omits the one vertex of each simplex not in it."""
-    out = []
-    keys = [list(map(point_key, s.vertices)) for s in simplices]
-    keysets = [set(k) for k in keys]
-    n = simplices[0].n if simplices else 0
-    for i, j in itertools.combinations(range(len(simplices)), 2):
-        shared = keysets[i] & keysets[j]
-        if len(shared) == n:
-            ki = next(k for k, key in enumerate(keys[i]) if key not in shared)
-            kj = next(k for k, key in enumerate(keys[j]) if key not in shared)
-            out.append((i, j, ki, kj))
-    return out
+def _key_order(vertices: np.ndarray) -> np.ndarray:
+    """The order of a stack of simplices, (S, n+1, n) vertices, by key: a
+    simplex's key is its vertices rounded to ``KEY_DECIMALS`` and sorted
+    lexicographically, and keys compare lexicographically, ties keeping
+    their order."""
+    S, nv, n = vertices.shape
+    R = np.round(vertices, KEY_DECIMALS)
+    rows = np.lexsort(np.moveaxis(R, 2, 0)[::-1], axis=-1)
+    keys = np.take_along_axis(R, rows[..., None], axis=1).reshape(S, nv * n)
+    return np.lexsort(keys.T[::-1])
+
+
+def _sorted_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable lexicographic order of the rows of a 2-D array, and
+    whether each row, in that order, equals the one before it."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    return order, np.concatenate([[False], np.all(ranked[1:] == ranked[:-1], axis=1)])
+
+
+def _facet_adjacency(tables: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """The pairs (a, b, ka, kb), a < b in that order, of simplices whose
+    facets ka and kb hold the same vertices.  A vertex is identified by
+    its point rounded to ``KEY_DECIMALS``, and facet k by the sorted ids
+    of every vertex but k; in a triangulation at most two simplices hold a
+    facet, so equal facet keys are neighbours in the keys' sorted order."""
+    S, nv = tables.shape[:2]
+    n = nv - 1
+    order, same = _sorted_rows(np.round(tables[..., :n], KEY_DECIMALS).reshape(S * nv, n))
+    ids = np.empty(S * nv, dtype=int)
+    ids[order] = np.cumsum(~same)
+    # row k of ``facet``: the indices of facet k's vertices, all but k
+    facet = np.nonzero(~np.eye(nv, dtype=bool))[1].reshape(nv, n)
+    order, same = _sorted_rows(np.sort(ids.reshape(S, nv)[:, facet], axis=2).reshape(S * nv, n))
+    # the stable sort keeps a shared key's two facets in (simplex, facet)
+    # order, and a flat index is simplex * nv + facet
+    first, second = order[:-1][same[1:]], order[1:][same[1:]]
+    pairs = np.column_stack([first // nv, second // nv, first % nv, second % nv])
+    return list(map(tuple, pairs[np.lexsort(pairs[:, 1::-1].T)].tolist()))
 
 
 def qualifying_vertices(p: Polytope, f: Polytope, geom: SystemGeometry) -> np.ndarray:
@@ -124,8 +168,8 @@ def basic_triangulation(p: Polytope, vstar: np.ndarray) -> Triangulation:
     misses it (``geometry.fan``), ordered by vertex key; the anchor is
     vertex 0 of every simplex."""
     vstar = np.asarray(vstar, dtype=float)
-    simplices = sorted((Simplex(s) for s in fan(p, vstar)), key=lambda s: s.vertex_key())
-    return Triangulation(simplices, vstar, {})
+    V = fan(p, vstar)
+    return Triangulation(simplex_tables(V[_key_order(V)]), vstar, {})
 
 
 def mark_target(tri: Triangulation, target: HalfSpace) -> None:
@@ -133,11 +177,9 @@ def mark_target(tri: Triangulation, target: HalfSpace) -> None:
     its halfspace: a simplex facet lies in it exactly when its n vertices
     lie on its plane within ``TOL_INCIDENCE``, so a simplex with one vertex
     off the plane exits through the facet omitting that vertex."""
-    tri.target_exits = {}
-    for idx, s in enumerate(tri.simplices):
-        off = np.flatnonzero(np.abs(s.vertices @ target.normal - target.offset) > TOL_INCIDENCE)
-        if len(off) == 1:
-            tri.target_exits[idx] = int(off[0])
+    off = np.abs(tri.levels(target.normal) - target.offset) > TOL_INCIDENCE
+    one = np.flatnonzero(off.sum(axis=1) == 1)
+    tri.target_exits = dict(zip(one.tolist(), off[one].argmax(axis=1).tolist()))
 
 
 def triangulation_wrt_F(p: Polytope, f: Polytope, vstar: np.ndarray) -> Triangulation:
@@ -161,23 +203,24 @@ def triangulation_wrt_F(p: Polytope, f: Polytope, vstar: np.ndarray) -> Triangul
         raise VStarInFbar("anchor lies on the facet carrying the target")
 
     target = convex_hull(np.vstack([vstar, f.vertices]))
-    simplices = [Simplex(s) for s in fan(target, vstar)]
-    n_target = len(simplices)
+    cones = [fan(target, vstar)]
+    n_target = len(cones[0])
     # the fan's cones with their base on facet k give way to the cones
     # over the target and over the pieces of facet k outside it
-    simplices += [Simplex(s) for s in fan(p, vstar)
-                  if np.abs(s[1:] @ h.normal - h.offset).max() > TOL_INCIDENCE]
+    p_cones = fan(p, vstar)
+    cones.append(p_cones[np.abs(p_cones[:, 1:] @ h.normal - h.offset).max(axis=1) > TOL_INCIDENCE])
     rest = convex_hull(np.vstack([vstar, p.vertices[p.incidence[:, k]]]))
     apex = np.abs(target.vertices - vstar).max(axis=1) <= TOL_MERGE
     for g, through in zip(target.halfspaces, target.incidence[apex].any(axis=0)):
         if through:
             piece = clip_to_halfspace(rest, g.flipped())
             if piece.is_full_dim:
-                simplices += [Simplex(s) for s in fan(piece, vstar)]
+                cones.append(fan(piece, vstar))
             rest = clip_to_halfspace(rest, g)
-    order = sorted(range(len(simplices)), key=lambda i: simplices[i].vertex_key())
-    exits = {i: 0 for i, j in enumerate(order) if j < n_target}
-    return Triangulation([simplices[j] for j in order], vstar, exits)
+    V = np.concatenate(cones)
+    order = _key_order(V)
+    exits = dict.fromkeys(np.flatnonzero(order < n_target).tolist(), 0)
+    return Triangulation(simplex_tables(V[order]), vstar, exits)
 
 
 # ---------------------------------------------------------------------------

@@ -132,6 +132,14 @@ def box4d_fixture():
     return AffineSystem(A, np.zeros(4), B), p, facet_face(p, [1, 0, 0, 0])
 
 
+def tet_cover_f_fixture():
+    """Tetrahedron under the 3-D chain integrator whose only anchors lie
+    on the facet carrying its non-facet target, so the cover w.r.t. F
+    runs."""
+    p = geo.convex_hull([(0, 0, 0), (0, 1, 0), (3, 0.5, 0.5), (1, 0.5, 1)])
+    return integrator_3d(), p, face_from([(0, 0, 0), (0, 0.6, 0), (3, 0.5, 0.5)])
+
+
 def ill1_fixture():
     """Target strictly inside a slanted facet; an anchor exists off the
     carrying facet."""
@@ -509,6 +517,24 @@ def right_target_polygons(count):
         ra = reach.analyze(geom, p, f)
         if ra.reachable:
             out.append((sys, p, f, geom, ra))
+    return out
+
+
+def reference_facet_adjacency(simplices):
+    """The pairwise facet adjacency of a triangulation: every pair i < j,
+    in that order, whose vertex sets (points rounded to ``KEY_DECIMALS``)
+    share exactly n points, with the index in each of the one vertex it
+    does not share."""
+    keys = [[tuple(np.round(v, geo.KEY_DECIMALS)) for v in s.vertices] for s in simplices]
+    keysets = [set(k) for k in keys]
+    n = simplices[0].n if simplices else 0
+    out = []
+    for i, j in itertools.combinations(range(len(simplices)), 2):
+        shared = keysets[i] & keysets[j]
+        if len(shared) == n:
+            ki = next(k for k, key in enumerate(keys[i]) if key not in shared)
+            kj = next(k for k, key in enumerate(keys[j]) if key not in shared)
+            out.append((i, j, ki, kj))
     return out
 
 

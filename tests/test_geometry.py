@@ -855,6 +855,13 @@ class TestTriangulationValidity:
         self.check_valid(cube, tris)
 
 
+class TestPairs:
+    @pytest.mark.parametrize("k", range(9))
+    def test_pairs_are_the_upper_triangle_in_order(self, k):
+        assert np.array_equal(geo._pairs(k), np.transpose(np.triu_indices(k, 1)))
+        assert geo._pairs(k).shape == (k * (k - 1) // 2, 2)
+
+
 class TestFan:
     @pytest.mark.parametrize("n", [3, 4])
     def test_simplices_are_rows_of_the_vertices(self, n):
@@ -931,6 +938,32 @@ class TestSimplex:
     def test_affinely_dependent_vertices_raise(self):
         with pytest.raises(GeometryError):
             geo.Simplex([(0, 0), (1, 1), (2, 2)])
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_stacked_tables_equal_each_simplex_bit_for_bit(self, n):
+        """One ``simplex_tables`` call over simplices of every scale and
+        thinness gives each member's ``Simplex`` table, bit for bit, and
+        the per-facet reference within 1e-12 relative."""
+        rng = np.random.default_rng(90 + n)
+        V = np.stack(list(random_simplices(rng, n)))
+        tables = geo.simplex_tables(V)
+        assert tables.shape == (len(V), n + 1, 2 * n + 1)
+        for vertices, table in zip(V, tables):
+            assert np.array_equal(table, geo.Simplex(vertices).table)
+            ref = reference_simplex_table(vertices)
+            assert np.abs(table[:, n:-1] - ref[:, n:-1]).max() <= 1e-12
+            assert np.abs(table[:, -1] - ref[:, -1]).max() <= 1e-12 * np.abs(vertices).max()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_one_degenerate_member_fails_the_stack(self, n):
+        rng = np.random.default_rng(95 + n)
+        V = rng.normal(size=(6, n + 1, n))
+        geo.simplex_tables(V)
+        V[3, -1] = V[3, :-1].mean(axis=0)
+        with pytest.raises(GeometryError, match="affinely dependent"):
+            geo.simplex_tables(V)
+        with pytest.raises(GeometryError, match="needs"):
+            geo.simplex_tables(V[:, 1:])
 
     def test_contains(self):
         s = geo.Simplex([(0, 0), (1, 0), (0, 1)])

@@ -293,6 +293,22 @@ class TestAffineInterpolation:
             synth.synth_simplex(sys, compute_geometry(sys, s.as_polytope()), [s], [0])
 
 
+def near_zero_closed_loop(rng, n, singular):
+    """A random closed loop, built like ``random_closed_loop``, whose field
+    at one vertex of the simplex is within 1e-9 (inf-norm) of 0."""
+    V = rng.normal(size=(n + 1, n))
+    B = rng.normal(size=(n, n - 1))
+    beta = np.linalg.svd(B.T)[2][-1]
+    A = rng.normal(size=(n, n))
+    if singular:
+        A -= np.outer(beta, beta @ A)
+    gain = rng.normal(size=(n - 1, n))
+    offset = rng.normal(size=n - 1)
+    A_cl = A + B @ gain
+    a = -A_cl @ V[rng.integers(n + 1)] - B @ offset - rng.uniform(-0.9e-9, 0.9e-9, size=n)
+    return AffineSystem(A, a, B), geo.Simplex(V), gain, offset
+
+
 class TestNoEquilibrium:
     def test_spiral_outside(self):
         sys = AffineSystem([[0.0, 1.0], [-1.0, 0.0]], [1.0, 0.0], [[0.0], [1.0]])
@@ -334,6 +350,34 @@ class TestNoEquilibrium:
             assert got == reference_no_equilibrium(sys, s, gain, offset) == (mu >= band)
             verdicts.append(got)
         assert 10 <= sum(verdicts) <= len(verdicts) - 10
+
+    @pytest.mark.parametrize("singular", [False, True], ids=["regular", "singular"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_screen_never_clears_an_equilibrium(self, n, singular):
+        """One stacked screen over random closed loops says "no
+        equilibrium" only where the three-path reference finds none (the
+        draws within the reference's tolerance band of mu = 0 aside) and
+        ``point_in_hull`` puts 0 outside the fields' hull; it leaves open
+        every loop with a vertex field within 1e-9 of 0, and settles at
+        least a third of the others.  Singular draws have affinely
+        dependent fields, which only the affine-hull rows can settle."""
+        rng = np.random.default_rng(80 + n)
+        draws = [random_closed_loop(rng, n, singular) for _ in range(60)]
+        near = [near_zero_closed_loop(rng, n, singular) for _ in range(30)]
+        fields = np.stack([s.vertices @ (sys.A + sys.B @ gain).T + sys.a + sys.B @ offset
+                           for sys, s, gain, offset in draws + near])
+        clear = synth._no_equilibrium_screen(fields)
+        for F, cleared, (sys, s, gain, offset) in zip(fields, clear, draws + near):
+            A_cl = sys.A + sys.B @ gain
+            if cleared:
+                assert not geo.point_in_hull(np.zeros(n), F, geo.TOL_GEOM)
+                assert synth.check_no_equilibrium(sys, s, gain, offset)
+                mu = flow_margin(F)
+                if not 1e-12 < mu < 1e-6 * max(1.0, np.abs(A_cl).max()):
+                    assert reference_no_equilibrium(sys, s, gain, offset)
+        assert not clear[len(draws):].any()
+        assert not any(synth.check_no_equilibrium(*draw) for draw in near)
+        assert clear.sum() >= len(draws) // 3
 
     @pytest.mark.parametrize("singular", [False, True], ids=["regular", "singular"])
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -523,7 +567,7 @@ class TestGreedyPaths:
         sys, p, f = box_fixture()
         geom = compute_geometry(sys, p)
         s = geo.Simplex([(0.0, 0.0), (2.0, 0.0), (2.0, 1.0)])
-        t = tri.Triangulation([s], np.array([0.0, 0.0]), {0: 0})
+        t = tri.Triangulation(s.table[None], np.array([0.0, 0.0]), {0: 0})
         res = synth.greedy_paths(t, geom)
         assert res.order == [0]
         assert res.path_len[0] == 1

@@ -14,12 +14,65 @@ from helpers import (box_fixture, cube_fixture, diamond_fixture,
                      double_integrator, face_from, facet_face, ill1_fixture,
                      ill2_fixture, ill3_fixture, lp_target_exits,
                      o_cross_fixture, pinned_corner_fixture,
-                     top_edge_fixture, wedge_fixture)
+                     reference_facet_adjacency, top_edge_fixture,
+                     wedge_fixture)
 
 
 def simplices_valid(p, simplices):
     total = sum(s.volume() for s in simplices)
     assert total == pytest.approx(p.volume(), rel=1e-8, abs=1e-10)
+
+
+def random_triangulations(rng, n, count):
+    """Anchored fans of random hulls from a random vertex, and the
+    triangulations w.r.t. a random target inside a random facet."""
+    for _ in range(count):
+        p = geo.convex_hull(rng.normal(size=(n + 4, n)))
+        yield tri.basic_triangulation(p, p.vertices[rng.integers(len(p.vertices))])
+        on = p.incidence[:, rng.integers(len(p.halfspaces))]
+        weights = rng.dirichlet(np.ones(on.sum()), size=n + 1)
+        yield tri.triangulation_wrt_F(p, face_from(weights @ p.vertices[on]),
+                                      p.vertices[~on][rng.integers((~on).sum())])
+
+
+class TestTriangulationTables:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_simplices_in_rounded_key_order(self, n):
+        """The simplices come sorted by their rounded vertices in
+        lexicographic order, compared as tuples, ties in fan order."""
+        for t in random_triangulations(np.random.default_rng(60 + n), n, 8):
+            keys = [tuple(map(tuple, np.round(geo.lex_sorted(s.vertices), geo.KEY_DECIMALS)))
+                    for s in t.simplices]
+            assert keys == sorted(keys)
+            assert np.shares_memory(t.simplices[-1].table, t.tables)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_adjacency_matches_the_pairwise_reference(self, n):
+        """Facet-key matching gives the pairwise test's tuples in its
+        order, in key order and with the simplices shuffled."""
+        rng = np.random.default_rng(65 + n)
+        pairs = 0
+        for t in random_triangulations(rng, n, 8):
+            assert t.adjacency == reference_facet_adjacency(t.simplices)
+            shuffled = tri.Triangulation(t.tables[rng.permutation(len(t.tables))], t.vstar, {})
+            assert shuffled.adjacency == reference_facet_adjacency(shuffled.simplices)
+            pairs += len(t.adjacency)
+        assert pairs >= 16
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_levels_equal_each_facets_product(self, n):
+        """The stacked levels are, bit for bit, the products over each
+        simplex's rows and over each facet's rows, which the greedy
+        tie-break once took one facet at a time."""
+        rng = np.random.default_rng(75 + n)
+        for t in random_triangulations(rng, n, 4):
+            direction = rng.normal(size=n)
+            levels = t.levels(direction)
+            for s, row in zip(t.simplices, levels):
+                assert np.array_equal(s.vertices @ direction, row)
+                for k in range(n + 1):
+                    assert np.array_equal(np.delete(s.vertices, k, axis=0) @ direction,
+                                          np.delete(row, k))
 
 
 class TestSelectVstar:
