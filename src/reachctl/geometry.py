@@ -28,7 +28,8 @@ LPs check caller input, and in ``point_in_hull``, which solves its LP
 only when its exact closed forms leave the answer open: a point near a
 vertex, or near the hull of affinely independent vertices, is in; a
 point far outside the bounding box, the affine hull or the simplex of
-the vertices is out, by bounds read off the vertices themselves.
+the vertices is out, by ``hull_rows``: the package's one exclusion rule,
+which ``synth``'s equilibrium screen and ``sim``'s target test apply too.
 
 Every geometric comparison in the package uses one of the named
 constants below, each fixed to one role, and assumes inputs scaled so the
@@ -57,7 +58,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -191,9 +192,6 @@ class HalfSpace(_Plane):
     """Closed halfspace {x : normal.x <= offset} with unit normal;
     ``value`` is the signed violation (<= 0 inside)."""
 
-    def contains(self, x, tol: float = TOL_GEOM) -> bool:
-        return self.value(x) <= tol
-
     def flipped(self) -> "HalfSpace":
         return HalfSpace(-self.normal, -self.offset)
 
@@ -238,8 +236,9 @@ class Polytope:
     ``Face``, a section, a clip of a face): the constructions read its
     vertices and ``dim`` alone.
 
-    No code changes a polytope after it is built, so its vertex-facet
-    ``incidence`` and its ``edges`` are computed once and kept.
+    No code changes a polytope after it is built, so its facet table
+    ``rows``, ``incidence``, ``edges`` and ``exclusion`` are computed on
+    first use and kept.
     """
 
     def __init__(self, vertices: np.ndarray, halfspaces: list[HalfSpace], dim: int):
@@ -286,19 +285,32 @@ class Polytope:
             return False
         x = np.asarray(x, dtype=float)
         if self.is_full_dim and self.halfspaces:
-            return all(h.contains(x, tol) for h in self.halfspaces)
+            normals, offsets = self.rows
+            return bool(np.all(normals @ x - offsets <= tol))
         return point_in_hull(x, self.vertices, tol)
 
     def volume(self) -> float:
         return volume(self)
 
     @cached_property
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The facet table (normals, offsets) of ``normals y <= offsets``,
+        one row per halfspace, in their order."""
+        normals = np.array([h.normal for h in self.halfspaces]).reshape(-1, self.n)
+        return normals, np.array([h.offset for h in self.halfspaces])
+
+    @cached_property
     def incidence(self) -> np.ndarray:
         """Boolean (vertex, halfspace) table: the vertex lies within
         ``TOL_INCIDENCE`` of the halfspace's plane."""
-        normals = np.array([h.normal for h in self.halfspaces]).reshape(-1, self.n)
-        offsets = np.array([h.offset for h in self.halfspaces])
+        normals, offsets = self.rows
         return np.abs(self.vertices @ normals.T - offsets) <= TOL_INCIDENCE
+
+    @cached_property
+    def exclusion(self) -> HullRows:
+        """``hull_rows`` of the vertices: the rows that put a point outside
+        the polytope's hull, as a target face's test reads them."""
+        return hull_rows(self.vertices)
 
     def facets(self) -> list[Face]:
         """Facets as faces, ordered like ``halfspaces``: each holds the
@@ -328,26 +340,74 @@ class Face(Polytope):
 # membership: closed-form certificates, then an LP
 # ---------------------------------------------------------------------------
 
+class HullRows(NamedTuple):
+    """``hull_rows`` of a vertex set, or of each of a stack (leading S
+    axis): rows G (R, n), bounds c (R,), widths w (R,), and the
+    barycentric projection P of a single affinely independent set, else
+    None."""
+
+    rows: np.ndarray
+    bounds: np.ndarray
+    widths: np.ndarray
+    projection: Optional[np.ndarray]
+
+    def excludes(self, X, tol: float) -> np.ndarray:
+        """Whether each row x of the (m, n) array X has g.x > c + tol w for
+        a row: (m,) verdicts, or (S, m) for a stack.  The (row, state)
+        layout reduces one long axis, which numpy does far faster."""
+        return np.any(self.rows @ np.asarray(X, dtype=float).T
+                      > (self.bounds + tol * self.widths)[..., None], axis=-2)
+
+
+def hull_rows(vertices) -> HullRows:
+    """The closed-form "out" of conv(V), for a (k, n) vertex set V or an
+    (S, k, n) stack: rows g valid on the hull, bounded by c = max_i g.v_i,
+    so the bound holds however g is rounded.  As g.(x - y) <= |g|_1
+    |x - y|_inf, g.x - c > tol w puts x more than ``tol`` (inf-norm)
+    outside the hull.  The rows are the bounding box, +-e_i, exact, with
+    w = 1; the normals of the affine hull, both ways (the SVD's V^T past
+    the rank of the differences v_i - v_0); and, for affinely independent
+    vertices, the barycentric gradients of lam_1.. = (x - v_0) P and of
+    lam_0 = 1 - their sum; the last two with w = 2 |g|_1.  A single set
+    drops the rows that do not apply; a stack zeroes them, and a zero row
+    never excludes."""
+    V = np.asarray(vertices, dtype=float)
+    k, n = V.shape[-2:]
+    u, sv, vt = np.linalg.svd(V[..., 1:, :] - V[..., :1, :])
+    r = np.asarray(rank(sv=sv))[..., None, None]
+    normal = np.where(np.arange(n)[:, None] >= r, vt, 0.0)
+    box = np.broadcast_to(np.eye(n), vt.shape)
+    G, P = [box, -box, normal, -normal], None
+    if k - 1 <= n:
+        simplex = r == k - 1
+        P = np.swapaxes(vt[..., :k - 1, :], -1, -2) @ np.swapaxes(
+            u / np.where(simplex[..., 0], sv, 1.0)[..., None, :], -1, -2)
+        G.append(np.where(simplex, np.concatenate(
+            [P.sum(axis=-1)[..., None, :], -np.swapaxes(P, -1, -2)], axis=-2), 0.0))
+        P = P if V.ndim == 2 and simplex.all() else None
+    G = np.concatenate(G, axis=-2)
+    widths = 2.0 * np.abs(G).sum(axis=-1)
+    widths[..., :2 * n] = 1.0
+    if V.ndim == 2:
+        G, widths = G[widths > 0], widths[widths > 0]
+    return HullRows(G, (V @ np.swapaxes(G, -1, -2)).max(axis=-2), widths, P)
+
+
 def point_in_hull(point, vertices, tol: float = TOL_GEOM) -> bool:
     """Is ``point`` within ``tol`` (inf-norm) of conv(vertices)?
 
     Closed forms settle most points, each exactly:
 
     * a point within ``tol`` of a vertex is in;
-    * a point more than ``tol`` outside the vertices' bounding box is out,
-      because its inf-norm distance to the hull is at least its gap to the
-      box;
-    * a point is out when a row g valid on the hull, bounded by
-      c = max_i g.v_i, has g.x - c > 2 tol |g|_1, because
-      g.(x - y) <= |g|_1 |x - y|_inf for every y of the hull.  The rows
-      are the equations of the vertices' affine hull, both ways, and, for
-      affinely independent vertices, the facets of their simplex in it
-      (the barycentric gradients).  The bound comes from the vertices
-      themselves, so however the rows are rounded it holds;
+    * a point more than ``tol`` outside the vertices' bounding box is
+      out, read off the vertices' extremes before any SVD;
     * for affinely independent vertices, a point is in when lam V lies
       within ``tol`` of it, lam the barycentric coordinates of its
       projection onto the affine hull, clipped at 0 and renormalized,
-      since lam V is then a point of the hull.
+      since lam V is then a point of the hull;
+    * a point that the exclusion rule (``hull_rows``: the bounding box,
+      the affine hull and, for affinely independent vertices, their
+      simplex) puts more than ``tol`` outside the hull is out.
 
     Only the rest is solved as the LP
     min s  s.t.  |V^T lam - point| <= s, sum lam = 1, lam >= 0,
@@ -361,20 +421,14 @@ def point_in_hull(point, vertices, tol: float = TOL_GEOM) -> bool:
     near = np.min(np.max(np.abs(V - x), axis=1)) <= tol
     if near or k == 1:
         return bool(near)
-    if np.any(x < V.min(axis=0) - tol) or np.any(x > V.max(axis=0) + tol):
+    if np.any(x - V.max(axis=0) > tol) or np.any(V.min(axis=0) - x > tol):
         return False
-    D = V[1:] - V[0]
-    u, sv, vt = np.linalg.svd(D)
-    r = rank(sv=sv)
-    G = np.vstack([vt[r:], -vt[r:]])
-    if r == k - 1:
-        # lam_1.. of the projection are (x - v_0) P; lam_0 is 1 - their sum
-        P = vt[:r].T @ (u[:, :r] / sv[:r]).T
-        lam = (x - V[0]) @ P
+    rule = hull_rows(V)
+    if rule.projection is not None:
+        lam = (x - V[0]) @ rule.projection
         if _certified(np.append(1.0 - lam.sum(), lam), V, x, tol):
             return True
-        G = np.vstack([G, P.sum(axis=1), -P.T])
-    if np.any(G @ x - (V @ G.T).max(axis=0) > 2.0 * tol * np.abs(G).sum(axis=1)):
+    if rule.excludes(x[None], tol)[0]:
         return False
     # variables lam (k) and s; per coordinate V^T lam - s <= x and
     # -V^T lam - s <= -x, then -lam <= 0 (0.0 - keeps zeros unsigned)
@@ -390,6 +444,7 @@ def point_in_hull(point, vertices, tol: float = TOL_GEOM) -> bool:
         return True
     # an optimum that breaks lam >= 0 proves nothing: try the simplices of
     # r + 1 vertices, one of which holds a nearest hull point (Caratheodory)
+    r = rank(V[1:] - V[0])
     W = V[np.array(list(itertools.combinations(range(k), r + 1)))]
     lam = np.einsum("sn,snr->sr", x - W[:, 0], np.linalg.pinv(W[:, 1:] - W[:, :1]))
     return bool(_certified(np.hstack([1.0 - lam.sum(axis=1, keepdims=True), lam]), W, x, tol).any())

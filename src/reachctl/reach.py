@@ -277,7 +277,7 @@ def epsilon_cut(geom: SystemGeometry, p: Polytope, f: Polytope,
         analysis = analyze(geom, p, f)
     if eps is None:
         eps = default_eps(geom, p)
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
 
     beta = geom.beta

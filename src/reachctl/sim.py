@@ -10,22 +10,23 @@ are built by doubling, stacked as a (k n, n) array of the D_k and a
 longer block needs them, so the maps already built never change.  A
 block is one matrix-vector product of that stack with its first state,
 and each of the three tests is one product over the block's states: the
-domain's facet rows, the controller's stacked facet table
-(``PWAController.locate``), and the target screen.  A block is _BLOCK
-steps after the start and after each piece switch, and doubles after
-each block that ends with no event, up to _BLOCK_CAP.
+domain's facet rows (``Polytope.rows``), the controller's stacked facet
+table (``PWAController.locate``), and the target face's exclusion rows
+(``Polytope.exclusion``).  A block is _BLOCK steps after the start and
+after each piece switch, and doubles after each block that ends with no
+event, up to _BLOCK_CAP.
 
-What does not depend on the start is built once per controller and
-system, in a runner (``_Runner``) that the controller holds
-(``PWAController.runners``) and every run reuses: each piece's closed
-loop, the default step, and, on first use, per step dt each piece's step
-maps (at most _BLOCK_CAP of them), per domain its facet rows and per
-target face its screen.  A run builds only its own trajectory.  Since
-maps are only ever extended, a run's steps are the same bit for bit
-whichever runs came before it on the controller.
+The domain and the face keep their rows; what depends on the controller
+and the system alone is built once, in a runner (``_Runner``) that the
+controller holds (``PWAController.runners``) and every run reuses: each
+piece's closed loop, the default step, and, on first use, per step dt
+each piece's step maps (at most _BLOCK_CAP of them).  Since maps are only
+ever extended, a run's steps are the same bit for bit whichever runs
+came before it on the controller.
 
-``target_screen`` rules out a state more than 2 TOL_SIM (inf-norm) off
-the face's affine hull with no LP; every other state goes, in step
+The face's exclusion rows are ``point_in_hull``'s closed-form "out"
+(``geometry.hull_rows``): they rule out with no LP only states more than
+TOL_SIM (inf-norm) outside the face; every other state goes, in step
 order, to ``point_in_hull``, whose closed-form certificates or LP give
 the verdict.  The block is kept up to its first event, exactly where a
 run of single steps would have stopped or switched piece, so the same
@@ -41,12 +42,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import Degenerate
-from .geometry import TOL_GEOM, Face, Polytope, affine_basis, point_in_hull
+from .geometry import TOL_GEOM, Face, Polytope, point_in_hull
 from .synth import PWAController
 from .system import AffineSystem
 
@@ -107,24 +108,6 @@ def _default_step(ctrl: PWAController, loops) -> float:
     return 1e-3 * extent / max(float(vmax), 1e-9)
 
 
-def target_screen(vertices) -> Callable[[np.ndarray], np.ndarray]:
-    """A test that is true only for states more than 2 TOL_SIM (inf-norm)
-    from conv(vertices), applied to a (k, n) array of states.
-
-    It checks the equations of the hull's affine hull, both ways, as
-    valid inequalities G y <= c.  Each bound is its row's maximum over the
-    vertices, so the inequalities hold however the rows are rounded, and
-    a state with g.x - c > 2 |g|_1 TOL_SIM is more than 2 TOL_SIM from
-    every point of the hull."""
-    V = np.asarray(vertices, dtype=float)
-    _, basis = affine_basis(V)
-    normal = np.eye(V.shape[1]) - basis @ basis.T
-    G = np.vstack([normal, -normal])
-    c = (V @ G.T).max(axis=0)
-    reject = 2.0 * TOL_SIM * np.abs(G).sum(axis=1)
-    return lambda states: np.any(G @ states.T - c[:, None] > reject[:, None], axis=0)
-
-
 def _step_map(A_cl: np.ndarray, b_cl: np.ndarray, h: float):
     """The map x -> x + D x + c of one RK4 step of length h on
     x' = A_cl x + b_cl, as the stacks (D, c) of one map: an affine field
@@ -156,40 +139,18 @@ def _doubled(D: np.ndarray, c: np.ndarray):
     return np.concatenate([D, more_D]), np.concatenate([c, more_c])
 
 
-def _kept(table: dict, key, build):
-    """``table``'s entry for ``key`` by identity: ``build(key)`` on the
-    first call, stored with ``key`` so that its id cannot be reused."""
-    entry = table.get(id(key))
-    if entry is None:
-        entry = table[id(key)] = (key, build(key))
-    return entry[1]
-
-
-def _facet_rows(domain: Polytope):
-    """The rows of ``normals y <= offs`` of the domain's facets, and the
-    length of its bounding box's diagonal (for the default horizon)."""
-    lo, hi = domain.bounding_box()
-    return (np.array([h.normal for h in domain.halfspaces]),
-            np.array([h.offset for h in domain.halfspaces]), float(np.linalg.norm(hi - lo)))
-
-
 class _Runner:
-    """What every run of one controller under one system shares.
-
-    Built on a run's first use (``_runner``, keyed by the system's
-    identity in ``PWAController.runners``): each piece's closed loop
-    ``loops`` and the default step ``dt``.  Filled as runs need them: per
-    step dt, each piece's stacked RK4 maps (``step_maps``), per domain its
-    facet rows (``facets``) and per target face its ``target_screen``
-    (``screen``).  Steps are keyed by value, domains and faces by
-    identity."""
+    """What every run of one controller under one system shares, and
+    nothing else: each piece's closed loop ``loops`` and the default step
+    ``dt``, built on a run's first use (``_runner``, keyed by the system's
+    identity in ``PWAController.runners``), and, per step dt keyed by
+    value, each piece's stacked RK4 maps (``step_maps``), filled as runs
+    need them."""
 
     def __init__(self, sys: AffineSystem, ctrl: PWAController):
         self.loops = [pc.closed_loop(sys) for pc in ctrl.pieces]
         self.dt = _default_step(ctrl, self.loops)
         self.maps = {}
-        self._domains = {}
-        self._screens = {}
 
     def step_maps(self, dt: float, piece: int, nsteps: int):
         """The stacked maps (D, c) of j = 1 .. k RK4 steps of length dt on
@@ -203,15 +164,14 @@ class _Runner:
             D, c = per_piece[piece] = _doubled(D, c)
         return D, c
 
-    def facets(self, domain: Polytope):
-        return _kept(self._domains, domain, _facet_rows)
-
-    def screen(self, f: Face) -> Callable[[np.ndarray], np.ndarray]:
-        return _kept(self._screens, f, lambda face: target_screen(face.vertices))
-
 
 def _runner(sys: AffineSystem, ctrl: PWAController) -> _Runner:
-    return _kept(ctrl.runners, sys, lambda system: _Runner(system, ctrl))
+    """The controller's runner for ``sys``, kept with ``sys`` so that the
+    id it is keyed by cannot be reused."""
+    entry = ctrl.runners.get(id(sys))
+    if entry is None:
+        entry = ctrl.runners[id(sys)] = (sys, _Runner(sys, ctrl))
+    return entry[1]
 
 
 def _exit_time(normals: np.ndarray, offs: np.ndarray, A_cl: np.ndarray, b_cl: np.ndarray,
@@ -259,11 +219,11 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
     the step's quartic (``_exit_time``) and its state is one
     ``_rk4_step``; so is a last step shorter than dt, before tmax.
 
-    The closed loops, the default step, the step maps for dt, the
-    domain's facet rows and the target screen come from the controller's
-    runner for ``sys``, built by the first run that needs each and reused
-    by every later run; a run itself builds only its states, its tests'
-    verdicts and its outcome.
+    The closed loops, the default step and the step maps for dt come from
+    the controller's runner for ``sys``, and the rows of the domain and
+    the face from those; each is built by the first run that needs it, so
+    a run itself builds only its states, its tests' verdicts and its
+    outcome.
 
     A state with no containing piece ends the run with a gap outcome
     rather than extrapolating.  Raises ValueError unless dt is finite and
@@ -275,20 +235,20 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
         dt = run.dt
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"step dt must be finite and positive, got {dt}")
-    normals, offs, extent = run.facets(domain)
+    normals, offs = domain.rows
     if tmax is None:
-        tmax = 1e4 * dt * max(1.0, extent)
+        lo, hi = domain.bounding_box()
+        tmax = 1e4 * dt * max(1.0, float(np.linalg.norm(hi - lo)))
     if not (math.isfinite(tmax) and tmax >= 0.0):
         raise ValueError(f"horizon tmax must be finite and not negative, got {tmax}")
     x = np.asarray(x0, dtype=float).copy()
     n = len(x)
-    off_target = run.screen(f) if f is not None else None
 
     def first_hit(X) -> Optional[int]:
         """Position of the first state of X on the target, in order."""
         if f is None:
             return None
-        for j in np.flatnonzero(~off_target(X)):
+        for j in np.flatnonzero(~f.exclusion.excludes(X, TOL_SIM)):
             if point_in_hull(X[j], f.vertices, TOL_SIM):
                 return int(j)
         return None
@@ -326,8 +286,8 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
         else:
             h = tmax - t
             X, T = _rk4_step(*run.loops[active], x, h)[None], np.array([t, t + h])
-        # (facet, state) layout, as in the target screen: numpy reduces one
-        # long axis far faster than many short ones
+        # (facet, state) layout, as in the target's exclusion rows: numpy
+        # reduces one long axis far faster than many short ones
         viol = (normals @ X.T - offs[:, None]).max(axis=0)
         exits = np.flatnonzero(viol > TOL_SIM)
         inside = exits[0] if len(exits) else len(X)
@@ -421,8 +381,7 @@ def sample_states(p: Polytope, nsamples: int, rng: np.random.Generator) -> np.nd
     if not (p.is_full_dim and p.halfspaces):
         raise Degenerate(f"cannot sample a {p.dim}-dimensional polytope in R^{p.n}")
     lo, hi = p.bounding_box()
-    normals = np.array([h.normal for h in p.halfspaces])
-    offs = np.array([h.offset for h in p.halfspaces])
+    normals, offs = p.rows
     out = []
     while len(out) < nsamples:
         batch = rng.uniform(lo, hi, size=(max(64, 4 * nsamples), p.n))

@@ -15,9 +15,10 @@ tableau; a basis is solved when it passes the relative determinant test
 of ``geometry.nonsingular``, whose verdict no row's scale changes, and
 where optima tie the control of least norm is taken.  Margins, laws,
 interpolation residuals and the closed-loop equilibrium screen come out
-as stacked arrays: the screen applies ``point_in_hull``'s exact "out"
-closed forms to every piece's vertex fields at once, and only a piece it
-leaves open is tested alone (``check_no_equilibrium``).  Errors keep the
+as stacked arrays: the screen is the exclusion rule of
+``geometry.hull_rows``, the "out" of ``point_in_hull``, applied to 0 and
+every piece's vertex fields at once, and only a piece it leaves open is
+tested alone (``check_no_equilibrium``).  Errors keep the
 greedy order: after every LP is solved the pieces are checked in turn,
 and the first that fails raises, as a loop over the simplices would.
 """
@@ -36,7 +37,7 @@ from .errors import (AssumptionViolated, NotReachable, SingularVertexMatrix,
                      Stuck, SynthesisFailed)
 from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_MERGE, TOL_ZERO, Face,
                        Polytope, Simplex, barycentric, carrying_facet,
-                       nonsingular, point_in_hull, rank, simplex_tables,
+                       hull_rows, nonsingular, point_in_hull, simplex_tables,
                        whole_facet)
 from .reach import analyze, epsilon_cut
 from .system import (AffineSystem, SystemGeometry, check_assumptions,
@@ -108,9 +109,10 @@ class PWAController:
 
     ``runners`` holds the controller's closed-loop runners, one per
     system, which ``sim`` builds on a run's first use and every later run
-    reuses: each piece's closed loop, the default step and the step maps.
-    They rely on the same promise, pieces final once assembled, and on
-    ``AffineSystem`` being frozen.
+    reuses: each piece's closed loop, the default step and the step maps,
+    state of this controller alone (a run's domain and target keep their
+    own rows).  They rely on the same promise, pieces final once
+    assembled, and on ``AffineSystem`` being frozen.
     """
 
     def __init__(self, pieces: list[AffinePiece], domain: Polytope, notes=()):
@@ -267,34 +269,6 @@ def affine_laws(tables: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return laws, np.linalg.norm(at_vertices - u, axis=-1).max(axis=-1)
 
 
-def _no_equilibrium_screen(fields: np.ndarray) -> np.ndarray:
-    """Per member of an (S, n+1, n) stack of vertex fields: True where
-    ``point_in_hull``'s exact "out" closed forms put 0 more than
-    ``TOL_GEOM`` (inf-norm) outside the fields' hull, so the simplex holds
-    no stationary point; False leaves the answer open.
-
-    The forms are the bounding box, and rows g with g.0 - max_i g.f_i >
-    2 ``TOL_GEOM`` |g|_1: the normals to the fields' affine hull, both
-    ways (the rows of the SVD's V^T past the rank), and, for affinely
-    independent fields, the barycentric rows of their simplex.  Each
-    row's bound is its maximum over the fields themselves, so the verdict
-    holds however the rows are rounded."""
-    k, n = fields.shape[1:]
-    tol = TOL_GEOM
-    out = (np.any(0.0 < fields.min(axis=1) - tol, axis=1)
-           | np.any(0.0 > fields.max(axis=1) + tol, axis=1))
-    u, sv, vt = np.linalg.svd(fields[:, 1:] - fields[:, :1])
-    r = rank(sv=sv)
-    full = r == n
-    # lam_1.. of a point x are (x - f_0) P, and lam_0 is 1 - their sum
-    P = np.swapaxes(vt, 1, 2) @ np.swapaxes(u / np.where(full[:, None], sv, 1.0)[:, None], 1, 2)
-    G = np.concatenate([vt, -vt, P.sum(axis=2)[:, None], -np.swapaxes(P, 1, 2)], axis=1)
-    normal_rows = np.arange(n) >= r[:, None]
-    valid = np.concatenate([normal_rows, normal_rows, np.repeat(full[:, None], k, axis=1)], axis=1)
-    gap = -(fields @ np.swapaxes(G, 1, 2)).max(axis=1)
-    return out | np.any(valid & (gap > 2.0 * tol * np.abs(G).sum(axis=2)), axis=1)
-
-
 def check_no_equilibrium(sys: AffineSystem, s: Simplex, gain: np.ndarray,
                          offset: np.ndarray) -> bool:
     """True when the closed loop has no stationary point in the simplex.
@@ -302,13 +276,11 @@ def check_no_equilibrium(sys: AffineSystem, s: Simplex, gain: np.ndarray,
     The closed-loop field f(x) = (A + B gain) x + a + B offset is affine,
     so it maps the simplex onto conv{f(v_i)}: the simplex holds a
     stationary point iff 0 lies in the hull of the fields at its vertices
-    (within ``TOL_GEOM``, inf-norm), singular closed loops included.  The
-    stacked screen ``synth_simplex`` runs (``_no_equilibrium_screen``)
-    decides it on this one simplex, and ``point_in_hull`` decides where
-    the screen leaves it open."""
+    (within ``TOL_GEOM``, inf-norm), singular closed loops included:
+    ``point_in_hull``, whose first "out" is the screen that
+    ``synth_simplex`` runs on every piece at once."""
     fields = s.vertices @ (sys.A + sys.B @ gain).T + (sys.a + sys.B @ offset)
-    return bool(_no_equilibrium_screen(fields[None])[0]) or not point_in_hull(
-        np.zeros(s.n), fields, TOL_GEOM)
+    return not point_in_hull(np.zeros(s.n), fields, TOL_GEOM)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +325,9 @@ def synth_simplex(sys: AffineSystem, geom: SystemGeometry, simplices: Sequence[S
     one ``vertex_controls_lp`` call, and the blocking and exit margins,
     the affine laws (barycentric interpolation, ``geometry.barycentric``),
     their interpolation residuals and the closed-loop equilibrium screen
-    (``_no_equilibrium_screen``) from stacked arrays; only a piece the
-    screen leaves open goes to ``check_no_equilibrium``.  The split
+    (``geometry.hull_rows`` of the stacked vertex fields, against 0) from
+    stacked arrays; only a piece the screen leaves open goes to
+    ``check_no_equilibrium``.  The split
     pieces' tables come from one ``simplex_tables`` call per split
     simplex.  The pieces are then
     checked in order, and the first that fails raises, as one call per
@@ -379,7 +352,8 @@ def synth_simplex(sys: AffineSystem, geom: SystemGeometry, simplices: Sequence[S
     # each piece's closed-loop field (A + B gain) v + a + B offset at its vertices
     A_cl = sys.A + sys.B @ laws[..., :-1]
     b_cl = sys.a + laws[..., -1] @ sys.B.T
-    clear = _no_equilibrium_screen(tables[..., :nv - 1] @ np.swapaxes(A_cl, 1, 2) + b_cl[:, None])
+    loop_fields = tables[..., :nv - 1] @ np.swapaxes(A_cl, 1, 2) + b_cl[:, None]
+    clear = hull_rows(loop_fields).excludes(np.zeros((1, nv - 1)), TOL_GEOM)[:, 0]
 
     out, j = [], 0
     for part in parts:
@@ -550,7 +524,10 @@ def synth_polytope(sys: AffineSystem, p: Polytope, f: Face,
     path length is set before the returned controller is built, because a
     controller copies its pieces and reads them once; a split sets the
     ranks on the pieces of each sub-problem's controller, which it then
-    discards."""
+    discards.  Raises ValueError unless a given ``eps`` is positive (NaN
+    is not)."""
+    if eps is not None and not eps > 0:
+        raise ValueError("eps must be positive")
     branch = _branch(sys, p, f, eps)
     if isinstance(branch, _Split):
         pieces: list[AffinePiece] = []

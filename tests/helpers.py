@@ -569,11 +569,13 @@ def loop_locate(ctrl, X, tol=geo.TOL_MERGE):
 
 def use_reference_stepper(monkeypatch):
     """Make ``sim.integrate`` resolve pieces by ``loop_locate`` and test the
-    target by ``lp_point_in_hull`` alone, with no target screen."""
+    target by ``lp_point_in_hull`` alone: every face's exclusion rows
+    (``Polytope.exclusion``, which ``sim`` reads) are none, whatever a face
+    has kept."""
     monkeypatch.setattr(PWAController, "locate", loop_locate)
     monkeypatch.setattr(sim, "point_in_hull", lp_point_in_hull)
-    monkeypatch.setattr(sim, "target_screen",
-                        lambda vertices: lambda states: np.zeros(len(states), dtype=bool))
+    monkeypatch.setattr(geo.Polytope, "exclusion", property(
+        lambda face: geo.HullRows(np.zeros((0, face.n)), np.zeros(0), np.zeros(0), None)))
 
 
 def rk4_exit_time(normals, offs, A_cl, b_cl, x, h):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -178,12 +179,11 @@ def test_integrate_matches_reference_stepper(name, monkeypatch):
     dt = 5 * sim.default_dt(sys, ctrl)
     starts = sim.sample_states(ctrl.domain, 2, np.random.default_rng(0))
     fast = [_run(sys, ctrl, f, x0, dt) for x0 in starts]
-    # a fresh controller, so that the reference runs build their own
-    # runner with the reference's target screen
-    fresh = synth.PWAController(ctrl.pieces, ctrl.domain)
+    # the reference reads no exclusion rows, though the face keeps those
+    # the fast runs built
     with monkeypatch.context() as m:
         use_reference_stepper(m)
-        slow = [_run(sys, fresh, f, x0, dt) for x0 in starts]
+        slow = [_run(sys, ctrl, f, x0, dt) for x0 in starts]
     for a, b in zip(fast, slow):
         for field in ("times", "states", "controls", "piece_ids"):
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
@@ -344,9 +344,9 @@ def test_reused_runner_gives_the_same_runs(name):
 
 def test_runner_keys_tell_systems_steps_faces_and_domains_apart(box):
     """One controller run under two systems that differ only in ``a``,
-    two steps, two targets and two domains, in an order where a key that
-    ignored any of them would reuse a wrong entry: each run equals the
-    one-step reference for its own inputs."""
+    two steps, two targets and two domains, in an order where a cache
+    that ignored any of them would reuse a wrong entry: each run equals
+    the one-step reference for its own inputs."""
     sys, p, f, ctrl = box
     ctrl = synth.PWAController(ctrl.pieces, ctrl.domain)
     other = AffineSystem(sys.A, sys.a + [0.2, 0.0], sys.B)
@@ -388,8 +388,9 @@ def test_stored_maps_stay_within_the_cap(box):
 
 
 def test_warm_verify_builds_nothing(box, monkeypatch):
-    """A second ``verify`` on a controller builds no closed loop, step,
-    step map or target screen: its runner holds them all."""
+    """A second ``verify`` on a controller builds no closed loop, step or
+    step map, which its runner holds, and no facet or exclusion rows,
+    which the domain and the face hold."""
     sys, p, f, ctrl = box
     ctrl = synth.PWAController(ctrl.pieces, ctrl.domain)
     report = sim.verify(sys, ctrl, f, nsamples=8, seed=2).to_dict()
@@ -399,11 +400,21 @@ def test_warm_verify_builds_nothing(box, monkeypatch):
         build = getattr(sim, name)
         return lambda *args: calls.append(name) or build(*args)
 
-    for name in ("_step_map", "_doubled", "target_screen", "_default_step"):
+    for name in ("_step_map", "_doubled", "_default_step"):
         monkeypatch.setattr(sim, name, counting(name))
+    for name in ("rows", "exclusion"):
+        build = vars(geo.Polytope)[name].func
+        kept = functools.cached_property(lambda face, name=name, build=build:
+                                         calls.append(name) or build(face))
+        kept.__set_name__(geo.Polytope, name)
+        monkeypatch.setattr(geo.Polytope, name, kept)
     monkeypatch.setattr(synth.AffinePiece, "closed_loop", lambda *args: calls.append("loop"))
     assert sim.verify(sys, ctrl, f, nsamples=8, seed=2).to_dict() == report
     assert calls == []
+    # a face that has not kept its rows builds them once
+    fresh = geo.Face(f.vertices, f.supporting, f.dim)
+    sim.verify(sys, ctrl, fresh, nsamples=8, seed=2)
+    assert calls == ["exclusion"]
 
 
 # -- the step maps and the exit bisection ------------------------------------------
@@ -533,6 +544,17 @@ def _affine_hull_distance(x, V):
     return float(np.linalg.norm(V[0] + D @ lam - x))
 
 
+def _affine_hull_screen(V, X, tol):
+    """The target screen ``sim`` used before the exclusion rule: the
+    equations of the affine hull of V, both ways, each bounded by its
+    maximum over V and compared at 2 tol |g|_1."""
+    _, basis = geo.affine_basis(V)
+    normal = np.eye(V.shape[1]) - basis @ basis.T
+    G = np.vstack([normal, -normal])
+    c = (V @ G.T).max(axis=0)
+    return np.any(G @ X.T - c[:, None] > 2.0 * tol * np.abs(G).sum(axis=1)[:, None], axis=0)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_rejections_are_sound(n):
     rng = np.random.default_rng(n)
@@ -540,7 +562,7 @@ def test_rejections_are_sound(n):
     checked = 0
     for d in range(n):
         V, pts = _face_and_points(rng, n, d)
-        off_target = sim.target_screen(V)(pts)
+        off_target = geo.hull_rows(V).excludes(pts, tol)
         for x, off in zip(pts, off_target):
             dist = hull_distance(x, V)
             if abs(dist - tol) <= 1e-9:
@@ -552,3 +574,29 @@ def test_rejections_are_sound(n):
             if _affine_hull_distance(x, V) > 0.05:
                 assert off
     assert checked > 25 * n
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_simplex_faces_exclude_states_in_their_plane(n):
+    """On a face of affinely independent vertices the exclusion rows rule
+    out states in the face's affine hull just beyond each of its facets,
+    which the affine-hull screen kept.  Beyond a segment's end the box
+    rows do it; a state inside the bounding box of a triangle or a
+    tetrahedron is ruled out by the barycentric rows alone."""
+    rng = np.random.default_rng(30 + n)
+    tol = sim.TOL_SIM
+    in_box = 0
+    for d in range(1, n):
+        for _ in range(4):
+            frame = np.linalg.qr(rng.normal(size=(n, n)))[0][:, :d]
+            V = rng.normal(size=(d + 1, d)) @ frame.T + rng.normal(size=n)
+            # each facet's centroid, pushed away from the vertex it omits
+            mids = (V.sum(axis=0) - V) / d
+            X = mids + 1e-3 * (mids - V)
+            assert not _affine_hull_screen(V, X, tol).any()
+            assert geo.hull_rows(V).excludes(X, tol).all()
+            assert all(hull_distance(x, V) > tol for x in X)
+            inside = np.all((V.min(axis=0) < X) & (X < V.max(axis=0)), axis=1)
+            assert d > 1 or not inside.any()
+            in_box += int(inside.sum())
+    assert in_box >= 4 * (n - 2)

@@ -98,17 +98,22 @@ def test_check_sees_a_second_rank_rule():
     assert tol_rank_reads(source, inside=None) == ["line 3", "line 5", "line 7"]
 
 
-def det_calls(source: str) -> list[str]:
-    """The functions (by name, "<module>" outside any) that read
-    ``np.linalg.det`` or ``numpy.linalg.det``, once per read."""
-    tree = ast.parse(source)
+def _owners(tree) -> dict:
+    """Each node's innermost enclosing function, by name: ``ast.walk``
+    reaches an enclosing function before the ones it holds."""
     owner = {}
-    # ast.walk reaches an enclosing function before the ones it holds, so
-    # each node ends with its innermost function's name
     for fn in ast.walk(tree):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             for node in ast.walk(fn):
                 owner[id(node)] = fn.name
+    return owner
+
+
+def det_calls(source: str) -> list[str]:
+    """The functions (by name, "<module>" outside any) that read
+    ``np.linalg.det`` or ``numpy.linalg.det``, once per read."""
+    tree = ast.parse(source)
+    owner = _owners(tree)
     return sorted(owner.get(id(node), "<module>") for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr == "det"
                   and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg")
@@ -130,6 +135,72 @@ def test_check_sees_a_second_determinant():
               "class A:\n    def m(self, M):\n        return abs(numpy.linalg.det(M)) > 1e-12\n"
               "d = np.linalg.det\n")
     assert det_calls(source) == ["<module>", "m", "ok"]
+
+
+def _is_abs(node) -> bool:
+    return isinstance(node, ast.Call) and _name(node) == "abs"
+
+
+def l1_norms(source: str) -> list[str]:
+    """The functions (by name, "<module>" outside any) that take rows' L1
+    norms, ``np.abs(G).sum(...)`` or ``np.sum(np.abs(G), ...)``: the
+    |g|_1 of the exclusion bound 2 tol |g|_1, once per norm."""
+    tree = ast.parse(source)
+    owner = _owners(tree)
+    return sorted(owner.get(id(node), "<module>") for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and _name(node) == "sum"
+                  and ((isinstance(node.func, ast.Attribute) and _is_abs(node.func.value))
+                       or any(_is_abs(arg) for arg in node.args)))
+
+
+def svd_reads(source: str) -> list[str]:
+    """The functions (by name, "<module>" outside any) that read
+    ``linalg.svd`` or call ``affine_basis``, once per read."""
+    tree = ast.parse(source)
+    owner = _owners(tree)
+    return sorted(owner.get(id(node), "<module>") for node in ast.walk(tree)
+                  if (isinstance(node, ast.Attribute) and node.attr == "svd"
+                      and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg")
+                  or (isinstance(node, ast.Call) and _name(node) == "affine_basis"))
+
+
+def test_one_exclusion_rule_in_geometry():
+    """One rule puts a point outside a hull by rows bounded on its
+    vertices, ``geometry.hull_rows``, which ``point_in_hull``, the
+    equilibrium screen of ``synth`` and the target test of ``sim`` read:
+    no other function takes the rows' L1 norms of its bound 2 tol |g|_1,
+    and ``synth`` and ``sim`` take no SVD.  The other SVDs are ranks,
+    bases, normals and simplex tests."""
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    norms = {name: l1_norms(text) for name, text in sources.items()}
+    assert {name: got for name, got in norms.items() if got} == {"geometry.py": ["hull_rows"]}
+    svds = {name: svd_reads(text) for name, text in sources.items()}
+    assert {name: got for name, got in svds.items() if got} == {
+        "geometry.py": ["_affine_basis", "_hull_facets", "hull_rows", "hyperplane_through",
+                        "hyperplane_through", "rank", "simplex_tables"],
+        "reach.py": ["_flat_target_pivot"],
+        "system.py": ["_invariants"]}
+
+
+def test_check_sees_a_second_exclusion_rule():
+    """The screens that ``synth`` and ``sim`` kept before the rule moved
+    to ``geometry`` are both seen, as is a norm written through
+    ``np.sum``."""
+    source = ("import numpy as np\n"
+              "def _no_equilibrium_screen(fields, tol):\n"
+              "    u, sv, vt = np.linalg.svd(fields[:, 1:] - fields[:, :1])\n"
+              "    G = np.concatenate([vt, -vt], axis=1)\n"
+              "    gap = -(fields @ np.swapaxes(G, 1, 2)).max(axis=1)\n"
+              "    return np.any(gap > 2.0 * tol * np.abs(G).sum(axis=2), axis=1)\n"
+              "def target_screen(V, tol):\n"
+              "    _, basis = affine_basis(V)\n"
+              "    G = np.eye(V.shape[1]) - basis @ basis.T\n"
+              "    reject = 2.0 * tol * np.sum(np.abs(G), axis=1)\n"
+              "    return lambda X: np.any(G @ X.T > reject[:, None], axis=0)\n"
+              "def hull_rows(V):\n"
+              "    return 2.0 * np.abs(V).sum(axis=-1)\n")
+    assert l1_norms(source) == ["_no_equilibrium_screen", "hull_rows", "target_screen"]
+    assert svd_reads(source) == ["_no_equilibrium_screen", "target_screen"]
 
 
 def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:

@@ -354,21 +354,26 @@ class TestNoEquilibrium:
     @pytest.mark.parametrize("singular", [False, True], ids=["regular", "singular"])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_screen_never_clears_an_equilibrium(self, n, singular):
-        """One stacked screen over random closed loops says "no
+        """The exclusion rule (``geometry.hull_rows``) on one stack of
+        random closed loops' vertex fields, against 0, says "no
         equilibrium" only where the three-path reference finds none (the
         draws within the reference's tolerance band of mu = 0 aside) and
-        ``point_in_hull`` puts 0 outside the fields' hull; it leaves open
-        every loop with a vertex field within 1e-9 of 0, and settles at
-        least a third of the others.  Singular draws have affinely
-        dependent fields, which only the affine-hull rows can settle."""
+        ``point_in_hull`` puts 0 outside the fields' hull, and gives each
+        member the verdict of its fields alone; it leaves open every loop
+        with a vertex field within 1e-9 of 0, and settles at least a third
+        of the others.  Singular draws have affinely dependent fields,
+        which only the affine-hull rows can settle."""
         rng = np.random.default_rng(80 + n)
         draws = [random_closed_loop(rng, n, singular) for _ in range(60)]
         near = [near_zero_closed_loop(rng, n, singular) for _ in range(30)]
         fields = np.stack([s.vertices @ (sys.A + sys.B @ gain).T + sys.a + sys.B @ offset
                            for sys, s, gain, offset in draws + near])
-        clear = synth._no_equilibrium_screen(fields)
+        origin = np.zeros((1, n))
+        clear = geo.hull_rows(fields).excludes(origin, geo.TOL_GEOM)[:, 0]
         for F, cleared, (sys, s, gain, offset) in zip(fields, clear, draws + near):
             A_cl = sys.A + sys.B @ gain
+            # a stack's member gets the verdict of its hull alone
+            assert geo.hull_rows(F).excludes(origin, geo.TOL_GEOM)[0] == cleared
             if cleared:
                 assert not geo.point_in_hull(np.zeros(n), F, geo.TOL_GEOM)
                 assert synth.check_no_equilibrium(sys, s, gain, offset)
@@ -694,6 +699,18 @@ class TestSynthPolytope:
         rng = np.random.default_rng(2)
         for x in sample_states(ctrl.domain, 50, rng):
             assert ctrl.lookup(x) is not None
+
+    @pytest.mark.parametrize("eps", [float("nan"), 0.0, -1.0])
+    @pytest.mark.parametrize("fixture", [box_fixture, wedge_fixture], ids=["box", "wedge"])
+    def test_bad_margin_raises(self, fixture, eps):
+        """A margin that is not positive is refused where synthesis takes
+        it and where the cut takes it, whether or not a cut is needed (the
+        box needs none); NaN compares false and is refused too."""
+        sys, p, f = fixture()
+        with pytest.raises(ValueError, match="eps must be positive"):
+            synth.synth_polytope(sys, p, f, eps=eps)
+        with pytest.raises(ValueError, match="eps must be positive"):
+            reach.epsilon_cut(compute_geometry(sys, p), p, f, eps)
 
     def test_vertex_near_the_scaled_equilibrium_plane_terminates(self):
         """Under A = [[0, 10], [0, 0]], beta.(A x + a) is 10 x2: the vertex
