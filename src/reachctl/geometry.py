@@ -1,8 +1,8 @@
 """Low-dimensional polytope computations (ambient dimension <= 4).
 
 Faces are read from a polytope's vertex-facet incidence
-(``Polytope.incidence``, computed once) by the combinatorial tests of the
-double description method: a facet holds the vertices of its column, two
+(``Polytope.incidence``) by the combinatorial tests of the double
+description method: a facet holds the vertices of its column, two
 vertices span an edge when no third lies on every facet they share, and
 the facets of a face F are the maximal nonempty proper sets F ∩ T_h, T_h
 a column.  The anchored ``fan`` cones its anchor over every facet that
@@ -11,16 +11,22 @@ so its simplices are rows of the polytope's vertices and no face is
 hulled again.  It is the package's only triangulation: a set of lower
 dimension is triangulated as the base of a full-dimensional pyramid.
 
+Incidence is decided once, where a polytope is built, and handed to it;
+no code reads it off the facet rows again.  ``convex_hull`` hands over
+the ``TOL_GEOM`` table of tight points that chose its facets (those of
+``vrep_to_hrep``, a plane through every n-subset of the points whose set
+of tight points is maximal among the candidates') and its vertices.
 Clipping, splitting and sectioning by a hyperplane work as the
 one-halfspace update of that method: the vertices inside (or on the
-plane) stay, and each edge the plane crosses adds its crossing point,
-computed once per split for both pieces.
-The clip and ``vrep_to_hrep`` (a plane through every n-subset of the
-points) share one facet rule: a candidate is a facet when its set of
-tight points is maximal among the candidates'.  Where incidence cannot
-tell the facets (a lower-dimensional polytope, crossing points merged
-with a vertex within about ``TOL_MERGE`` of the plane, a sliver) the
-points go to ``convex_hull``, as a section's always do.
+plane) stay with their rows, each edge (u, w) the plane crosses adds its
+crossing point, computed once per split for both pieces, with the row
+I(u) ∧ I(w), and the points on the plane get the plane's column.  The
+clip's facets are the plane and the facets of the parent that hold a
+vertex strictly inside.  Where the points no longer match their rows (a
+lower-dimensional polytope, crossing points merged with a vertex within
+about ``TOL_MERGE`` of the plane) they go to ``convex_hull``, as a
+section's may; a clip that keeps only a boundary face returns the
+vertices on the plane, which are that face's.
 
 No hull, clip, split or section solves an LP.  LPs remain only in
 ``hrep_to_vrep`` (every n-subset of the constraints), whose boundedness
@@ -29,22 +35,24 @@ only when its exact closed forms leave the answer open: a point near a
 vertex, or near the hull of affinely independent vertices, is in; a
 point far outside the bounding box, the affine hull or the simplex of
 the vertices is out, by ``hull_rows``: the package's one exclusion rule,
-which ``synth``'s equilibrium screen and ``sim``'s target test apply too.
+which ``synth``'s equilibrium screen and ``sim``'s target test apply too
+(the latter, through ``Polytope.contains``, on the rows a face keeps).
 
 Every geometric comparison in the package uses one of the named
 constants below, each fixed to one role, and assumes inputs scaled so the
-polytope diameter is O(1): ``TOL_GEOM`` (sides and levels),
-``TOL_INCIDENCE`` (incidence and membership), ``TOL_MERGE`` (coincident
-points, a target in a facet's plane), ``TOL_RANK`` (read by ``rank``
-alone), ``TOL_ZERO`` (ties, and the relative determinant test of
-``nonsingular``, the one rule for a singular square system) and
-``TOL_VOLUME`` (negligible gaps), plus the decimals of the rounded point
-and halfspace keys.  ``rank`` and ``nonsingular`` are relative: scaling
-a matrix, or a row of a square one, does not change their verdicts.
-``TOL_GEOM`` is the only tolerance for equal drift levels: every set of
-points at one level comes from ``SystemGeometry.at_level``.  The LP
-solver, the synthesis margins and the simulator keep their own constants
-(``lp.TOL_LP``, ``synth.TOL_INV``, ``sim.TOL_SIM``).
+polytope diameter is O(1): ``TOL_GEOM`` (sides and levels, and the
+tight points of a hull's facets), ``TOL_INCIDENCE`` (membership),
+``TOL_MERGE`` (coincident points, a target in a facet's plane),
+``TOL_RANK`` (read by ``rank`` alone), ``TOL_ZERO`` (ties, and the
+relative determinant test of ``nonsingular``, the one rule for a
+singular square system) and ``TOL_VOLUME`` (negligible gaps), plus the
+decimals of the rounded point and halfspace keys.  ``rank`` and
+``nonsingular`` are relative: scaling a matrix, or a row of a square
+one, does not change their verdicts.  ``TOL_GEOM`` is the only tolerance
+for equal drift levels: every set of points at one level comes from
+``SystemGeometry.at_level``.  The LP solver, the synthesis margins and
+the simulator keep their own constants (``lp.TOL_LP``, ``synth.TOL_INV``,
+``sim.TOL_SIM``).
 
 Constructions take no tolerance argument.  Only predicates that callers
 use at more than one tolerance keep a ``tol`` argument: ``point_in_hull``,
@@ -68,8 +76,10 @@ from . import lp
 # absolute: which side of a plane a point lies on, equal drift levels (the
 # only tolerance for them), which points a hull's facet holds
 TOL_GEOM = 1e-9
-# absolute: a vertex lies on a facet, in a target's hull or on the
-# equilibrium plane; a candidate vertex satisfies an H-representation
+# absolute: a point lies in a target's hull or on the equilibrium plane; a
+# candidate vertex satisfies an H-representation.  Which vertex lies on
+# which facet is not read at any tolerance: the construction that chose
+# the facets hands it over (``Polytope.incidence``)
 TOL_INCIDENCE = 1e-8
 # absolute: points closer than this (inf-norm) are one point; a target
 # lies in a facet's plane; a cut keeps the target
@@ -236,15 +246,20 @@ class Polytope:
     ``Face``, a section, a clip of a face): the constructions read its
     vertices and ``dim`` alone.
 
-    No code changes a polytope after it is built, so its facet table
-    ``rows``, ``incidence``, ``edges`` and ``exclusion`` are computed on
-    first use and kept.
+    ``incidence`` is the boolean (vertex, halfspace) table: the vertex
+    lies on the halfspace's plane.  The construction that chose the
+    facets hands it over (``convex_hull``, the clip), and no code derives
+    it again; a polytope without halfspaces has no columns.  No code
+    changes a polytope after it is built, so its facet table ``rows``,
+    ``edges`` and ``exclusion`` are computed on first use and kept.
     """
 
-    def __init__(self, vertices: np.ndarray, halfspaces: list[HalfSpace], dim: int):
+    def __init__(self, vertices: np.ndarray, halfspaces: list[HalfSpace], dim: int,
+                 incidence: Optional[np.ndarray] = None):
         self.vertices = vertices
         self.halfspaces = halfspaces
         self.dim = dim
+        self.incidence = np.zeros((len(vertices), 0), bool) if incidence is None else incidence
         self._edges: Optional[np.ndarray] = None
 
     # -- constructors -------------------------------------------------------
@@ -281,13 +296,19 @@ class Polytope:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def contains(self, x, tol: float = TOL_GEOM) -> bool:
+        """Whether ``x`` lies within ``tol`` of the polytope: by the facet
+        table when there is one, else as ``point_in_hull`` does, with the
+        exclusion rows the polytope keeps."""
         if self.is_empty:
             return False
         x = np.asarray(x, dtype=float)
         if self.is_full_dim and self.halfspaces:
             normals, offsets = self.rows
             return bool(np.all(normals @ x - offsets <= tol))
-        return point_in_hull(x, self.vertices, tol)
+        near = np.min(np.max(np.abs(self.vertices - x), axis=1)) <= tol
+        if near or len(self.vertices) == 1:
+            return bool(near)
+        return _in_hull(x, self.vertices, self.exclusion, tol)
 
     def volume(self) -> float:
         return volume(self)
@@ -298,13 +319,6 @@ class Polytope:
         one row per halfspace, in their order."""
         normals = np.array([h.normal for h in self.halfspaces]).reshape(-1, self.n)
         return normals, np.array([h.offset for h in self.halfspaces])
-
-    @cached_property
-    def incidence(self) -> np.ndarray:
-        """Boolean (vertex, halfspace) table: the vertex lies within
-        ``TOL_INCIDENCE`` of the halfspace's plane."""
-        normals, offsets = self.rows
-        return np.abs(self.vertices @ normals.T - offsets) <= TOL_INCIDENCE
 
     @cached_property
     def exclusion(self) -> HullRows:
@@ -423,7 +437,14 @@ def point_in_hull(point, vertices, tol: float = TOL_GEOM) -> bool:
         return bool(near)
     if np.any(x - V.max(axis=0) > tol) or np.any(V.min(axis=0) - x > tol):
         return False
-    rule = hull_rows(V)
+    return _in_hull(x, V, hull_rows(V), tol)
+
+
+def _in_hull(x: np.ndarray, V: np.ndarray, rule: HullRows, tol: float) -> bool:
+    """``point_in_hull`` past its vertex and box exits, for at least two
+    vertices ``V`` and their ``hull_rows``, ``rule``: the certificate, the
+    exclusion rule, then the LP."""
+    k, n = V.shape
     if rule.projection is not None:
         lam = (x - V[0]) @ rule.projection
         if _certified(np.append(1.0 - lam.sum(), lam), V, x, tol):
@@ -543,13 +564,14 @@ def _hull_facets(V: np.ndarray) -> list[HalfSpace]:
               for i in one_side[_maximal_sets(np.abs(vals[:, one_side].T) <= TOL_GEOM)]]
     if not facets:
         raise Degenerate("no facets found")
-    return _facet_order(facets)
+    return [facets[i] for i in _facet_order(facets)]
 
 
-def _facet_order(facets: list[HalfSpace]) -> list[HalfSpace]:
-    """Every facet list's order: rounded (normal, offset), ties stable."""
+def _facet_order(facets: list[HalfSpace]) -> np.ndarray:
+    """Every facet list's order, as indices into it: rounded (normal,
+    offset), ties stable."""
     keys = np.round([np.append(h.normal, h.offset) for h in facets], HALFSPACE_KEY_DECIMALS)
-    return [facets[i] for i in np.lexsort(keys.T[::-1])]
+    return np.lexsort(keys.T[::-1])
 
 
 def convex_hull(points) -> "Polytope":
@@ -558,11 +580,12 @@ def convex_hull(points) -> "Polytope":
     The facets are ``vrep_to_hrep`` of the points, in the coordinates of
     their affine hull when that is lower-dimensional, and a given point is
     a vertex when the normals of its tight facets have the hull's rank; no
-    LP is solved.  A hull of lower dimension d comes back as a polytope
-    with vertices only, of ``dim`` d.  Raises Degenerate when a
-    d-dimensional hull keeps fewer than d+1 vertices: tightness is read at
-    the absolute ``TOL_GEOM``, which coordinates of about 1e7 no longer
-    resolve.
+    LP is solved.  A full-dimensional hull keeps its vertices' rows of
+    that table of tight facets as its ``incidence``.  A hull of lower
+    dimension d comes back as a polytope with vertices only, of ``dim``
+    d.  Raises Degenerate when a d-dimensional hull keeps fewer than d+1
+    vertices: tightness is read at the absolute ``TOL_GEOM``, which
+    coordinates of about 1e7 no longer resolve.
     """
     pts = lex_sorted(dedupe_points(_as_points(points)))
     n = pts.shape[1]
@@ -576,10 +599,11 @@ def convex_hull(points) -> "Polytope":
     hs = _hull_facets(coords)
     normals = np.array([h.normal for h in hs])
     tight = np.abs(coords @ normals.T - [h.offset for h in hs]) <= TOL_GEOM
-    verts = pts[[rank(normals[t]) == d for t in tight]]
+    keep = np.array([rank(normals[t]) == d for t in tight])
+    verts = pts[keep]
     if len(verts) <= d:
         raise Degenerate(f"a {d}-dimensional hull kept {len(verts)} vertices")
-    return Polytope(verts, hs if d == n else [], d)
+    return Polytope(verts, hs, d, tight[keep]) if d == n else Polytope(verts, [], d)
 
 
 def extreme_points(points) -> np.ndarray:
@@ -619,13 +643,13 @@ def clip_to_halfspace(p: Polytope, half: HalfSpace) -> Polytope:
     segment from a vertex below ``-TOL_GEOM`` to one above ``TOL_GEOM``
     adds its crossing point: the edges of a full-dimensional ``p``, every
     vertex pair of a lower-dimensional one.  When ``p`` is
-    full-dimensional and no two points merged (``TOL_MERGE``), the facets
-    are those of ``p.halfspaces`` and ``half`` whose sets of tight
-    vertices are maximal (``_maximal_sets``), and the clip needs no LP,
-    hull or rank; otherwise, or when fewer than n+1 facets remain (a
-    sliver), the points are hulled.  A halfspace holding every vertex
-    returns ``p`` itself, and one that meets ``p`` only on its boundary
-    plane returns the face there.
+    full-dimensional and no two points merged (``TOL_MERGE``), each point
+    carries its row of incidence (``_plane_points``), the facets are
+    ``half`` and those of ``p`` that hold a vertex strictly inside, and
+    the clip needs no LP, hull or rank; otherwise the points are hulled.
+    A halfspace holding every vertex returns ``p`` itself, and one that
+    meets ``p`` only on its boundary plane returns the vertices there,
+    the vertices of that face, as a polytope without halfspaces.
     """
     if p.is_empty:
         return p
@@ -634,37 +658,46 @@ def clip_to_halfspace(p: Polytope, half: HalfSpace) -> Polytope:
         return p
     if np.all(vals >= -TOL_GEOM):
         kept = p.vertices[vals <= TOL_GEOM]
-        return convex_hull(kept) if len(kept) else Polytope.empty(p.n)
+        return Polytope(kept, [], affine_dimension(kept))
     return _clip_across(p, half, vals, _plane_points(p, vals))
 
 
-def _clip_across(p: Polytope, half: HalfSpace, vals: np.ndarray, on: np.ndarray) -> Polytope:
-    """The clip by a halfspace crossing ``p``, given ``vals`` and ``on``."""
+def _clip_across(p: Polytope, half: HalfSpace, vals: np.ndarray, on: tuple) -> Polytope:
+    """The clip by a halfspace crossing ``p``, given ``vals`` and ``on``,
+    the points on the plane with their rows of incidence."""
     # the points on the plane come first: a vertex merging with them gives
     # way, and the clip's face on the plane is ``section``'s
-    pts = np.vstack([on, p.vertices[vals < -TOL_GEOM]])
-    verts = lex_sorted(dedupe_points(pts))
-    cands = p.halfspaces + [half]
-    facets = [cands[i] for i in _maximal_sets(Polytope(verts, cands, p.n).incidence.T)]
-    if not p.is_full_dim or len(verts) < len(pts) or len(facets) <= p.n:
+    inside = vals < -TOL_GEOM
+    pts = np.vstack([on[0], p.vertices[inside]])
+    if not p.is_full_dim or len(dedupe_points(pts)) < len(pts):
         # a vertex within about TOL_MERGE of the plane merged with its
-        # crossing points, or a sliver: incidence no longer tells the facets
-        return convex_hull(verts)
-    return Polytope(verts, _facet_order(facets), p.n)
+        # crossing points: the points no longer match their rows
+        return convex_hull(pts)
+    # the facets of p that hold a vertex strictly inside, and the plane,
+    # which holds the points on it
+    facets = p.incidence[inside].any(axis=0)
+    hs = [h for h, kept in zip(p.halfspaces, facets) if kept] + [half]
+    table = np.hstack([np.vstack([on[1], p.incidence[inside]])[:, facets],
+                       (np.arange(len(pts)) < len(on[0]))[:, None]])
+    rows, cols = np.lexsort(np.round(pts, KEY_DECIMALS).T[::-1]), _facet_order(hs)
+    return Polytope(pts[rows], [hs[k] for k in cols], p.n, table[rows][:, cols])
 
 
-def _plane_points(p: Polytope, vals: np.ndarray) -> np.ndarray:
+def _plane_points(p: Polytope, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The vertices of ``p`` whose ``vals`` lie within ``TOL_GEOM`` of
     zero, then the points where the segments from a vertex below
     ``-TOL_GEOM`` to one above ``TOL_GEOM`` reach zero: the edges of a
     full-dimensional ``p``, every vertex pair of a lower-dimensional one
-    (``vals`` is affine along them)."""
+    (``vals`` is affine along them).  With them, each point's row of
+    ``p.incidence``: a vertex keeps its own, and a crossing point gets the
+    facets that hold both ends of its segment."""
     i, j = (edges(p) if p.is_full_dim else _pairs(len(vals))).T
     cut = (np.minimum(vals[i], vals[j]) < -TOL_GEOM) & (np.maximum(vals[i], vals[j]) > TOL_GEOM)
     i, j = i[cut], j[cut]
     t = vals[i] / (vals[i] - vals[j])
     cross = p.vertices[i] + t[:, None] * (p.vertices[j] - p.vertices[i])
-    return np.vstack([p.vertices[np.abs(vals) <= TOL_GEOM], cross])
+    on, I = np.abs(vals) <= TOL_GEOM, p.incidence
+    return np.vstack([p.vertices[on], cross]), np.vstack([I[on], I[i] & I[j]])
 
 
 def section(p: Polytope, plane: Hyperplane) -> Polytope:
@@ -675,7 +708,7 @@ def section(p: Polytope, plane: Hyperplane) -> Polytope:
     vertex pairs are not all edges, or merged points) they are hulled.
     Empty when the plane misses ``p``."""
     vals = p.vertices @ plane.normal - plane.offset
-    pts = _plane_points(p, vals)
+    pts = _plane_points(p, vals)[0]
     verts = lex_sorted(dedupe_points(pts))
     if not p.is_full_dim or len(verts) < len(pts):
         return convex_hull(verts)
@@ -764,9 +797,9 @@ def fan(p: Polytope, anchor) -> np.ndarray:
     rows of ``p.vertices`` with the vertex ``anchor`` first: the cones from
     it over every facet that misses it, triangulated by ``_cone``.  Every
     anchored fan of the package is this one.  Raises GeometryError when no
-    vertex lies within ``TOL_MERGE`` of the anchor, or when ambiguous
-    incidence (vertices about ``TOL_INCIDENCE`` off their facets) gives a
-    cone without n+1 rows."""
+    vertex lies within ``TOL_MERGE`` of the anchor, or when an incidence
+    that does not describe ``p`` (a hull of points merged within about
+    ``TOL_MERGE``) gives a cone without n+1 rows."""
     if not p.is_full_dim:
         raise Degenerate("fan triangulation expects a full-dimensional polytope")
     hit = np.flatnonzero(np.abs(p.vertices - anchor).max(axis=1) <= TOL_MERGE)
@@ -873,10 +906,6 @@ class Simplex:
 
     def volume(self) -> float:
         return simplex_volume(self.vertices)
-
-    def as_polytope(self) -> Polytope:
-        hs = [HalfSpace(self.normals[j], self.offsets[j]) for j in range(self.n + 1)]
-        return Polytope(lex_sorted(self.vertices), hs, self.n)
 
     def __repr__(self) -> str:
         return f"Simplex(n={self.n})"

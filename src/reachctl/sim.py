@@ -27,14 +27,14 @@ came before it on the controller.
 The face's exclusion rows are ``point_in_hull``'s closed-form "out"
 (``geometry.hull_rows``): they rule out with no LP only states more than
 TOL_SIM (inf-norm) outside the face; every other state goes, in step
-order, to ``point_in_hull``, whose closed-form certificates or LP give
-the verdict.  The block is kept up to its first event, exactly where a
-run of single steps would have stopped or switched piece, so the same
-steps are taken and tested; states differ from single steps only by
-rounding.  A step that leaves the domain is bisected on its own
-polynomial: one RK4 step of length s on an affine loop is a quartic in
-s, so each facet's violation along it is a quartic whose coefficients
-are computed once.
+order, to the face's ``contains``, whose closed-form certificates or LP
+give the verdict on the same kept rows.  The block is kept up to its
+first event, exactly where a run of single steps would have stopped or
+switched piece, so the same steps are taken and tested; states differ
+from single steps only by rounding.  A step that leaves the domain is
+bisected on its own polynomial: one RK4 step of length s on an affine
+loop is a quartic in s, so each facet's violation along it is a quartic
+whose coefficients are computed once.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import Degenerate
-from .geometry import TOL_GEOM, Face, Polytope, point_in_hull
+from .geometry import TOL_GEOM, Face, Polytope
 from .synth import PWAController
 from .system import AffineSystem
 
@@ -55,6 +55,7 @@ TOL_SIM = 1e-6
 _EVENT_TIME_TOL = 1e-10
 _BLOCK = 256             # steps of a block at the start and after a piece switch
 _BLOCK_CAP = 8 * _BLOCK  # longest block, reached by doubling on one piece
+_SAMPLE_BATCHES = 1000   # rejection-sampling batches before a polytope counts as too thin
 
 REACHED = "reached_target"
 LEFT = "left_domain"
@@ -249,7 +250,7 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
         if f is None:
             return None
         for j in np.flatnonzero(~f.exclusion.excludes(X, TOL_SIM)):
-            if point_in_hull(X[j], f.vertices, TOL_SIM):
+            if f.contains(X[j], TOL_SIM):
                 return int(j)
         return None
 
@@ -375,18 +376,24 @@ class VerifyReport:
 
 
 def sample_states(p: Polytope, nsamples: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform rejection sampling inside the polytope's bounding box.
-    Raises ``Degenerate`` for an empty or lower-dimensional polytope,
-    which holds no sample."""
+    """Uniform rejection sampling inside the polytope's bounding box, in
+    at most _SAMPLE_BATCHES batches.  Raises ``Degenerate`` for an empty
+    or lower-dimensional polytope, which holds no sample, and for one so
+    thin that the batches do not find ``nsamples`` states."""
     if not (p.is_full_dim and p.halfspaces):
         raise Degenerate(f"cannot sample a {p.dim}-dimensional polytope in R^{p.n}")
     lo, hi = p.bounding_box()
     normals, offs = p.rows
     out = []
-    while len(out) < nsamples:
+    for _ in range(_SAMPLE_BATCHES):
+        if len(out) >= nsamples:
+            break
         batch = rng.uniform(lo, hi, size=(max(64, 4 * nsamples), p.n))
         inside = np.all(batch @ normals.T - offs <= -TOL_GEOM, axis=1)
         out.extend(batch[inside][: nsamples - len(out)])
+    if len(out) < nsamples:
+        raise Degenerate(f"rejection sampling found {len(out)} of {nsamples} states in "
+                         f"{_SAMPLE_BATCHES} batches: the polytope is too thin for its box")
     return np.array(out)
 
 

@@ -189,6 +189,50 @@ def diamond_fixture():
     return sys, p, f
 
 
+def box_left_fixture():
+    """The box with its left edge as target: the drift pushes every state
+    right, away from it, so nothing is reachable."""
+    p = geo.convex_hull([(0, 0), (2, 0), (2, 1), (0, 1)])
+    return double_integrator(), p, facet_face(p, [-1, 0])
+
+
+def direct_cut_fixture():
+    """A quadrilateral under a random controllable system, crossed by the
+    equilibrium plane (perfbench's synth2d ``rand15_sub``, seed 1): at the
+    default margin the cover's direct cut on side 1 would cut into its
+    target's top level."""
+    sys = AffineSystem([[-0.5416846289690264, -1.2388114913812769],
+                        [-2.061313131034168, -0.23568654281141188]],
+                       [-0.49508498568095355, -0.8406850554826133],
+                       [[0.2804473730592139], [0.768946600204179]])
+    p = geo.convex_hull([(-0.697198553867967, 0.8042379490121353),
+                         (-0.5849212736771275, -0.4987768644698712),
+                         (0.227292705877739, 0.8152671785903032),
+                         (0.4792308958384556, -0.7855470253833517)])
+    f = face_from([(0.23782064961111227, 0.748372668196118),
+                   (0.36749034587971385, -0.07554803887927042)])
+    return sys, p, f
+
+
+def interface_cut_fixture():
+    """A pentagon under a random controllable system, crossed by the
+    equilibrium plane (perfbench's synth2d ``rand19_sub``, seed 1): at the
+    default margin the cover's interface cut on side 0 exceeds that
+    side's drift extent."""
+    sys = AffineSystem([[-0.9749031089011143, -0.39360151803375576],
+                        [-0.04034756151388599, 2.8934728752629666]],
+                       [0.7415838903948831, -1.1538503820163837],
+                       [[1.4614027168674653], [0.3639882773298222]])
+    p = geo.convex_hull([(-0.6162503404056896, -0.5859323059909806),
+                         (-0.5748277196823831, 0.5541123876936042),
+                         (-0.1866123087710027, -0.3476208360333839),
+                         (0.24508998111679015, 0.4176403824989794),
+                         (0.5613825776906767, 0.11937210326747458)])
+    f = face_from([(-0.5994182794429797, -0.12267572180493841),
+                   (-0.5772305294408486, 0.48798160052371153)])
+    return sys, p, f
+
+
 # -- exact affine stepping ---------------------------------------------------
 
 def affine_stepper(A, dt):
@@ -569,11 +613,12 @@ def loop_locate(ctrl, X, tol=geo.TOL_MERGE):
 
 def use_reference_stepper(monkeypatch):
     """Make ``sim.integrate`` resolve pieces by ``loop_locate`` and test the
-    target by ``lp_point_in_hull`` alone: every face's exclusion rows
+    target by ``lp_point_in_hull`` alone, past the exact vertex exit of the
+    face's ``contains``: every face's exclusion rows
     (``Polytope.exclusion``, which ``sim`` reads) are none, whatever a face
     has kept."""
     monkeypatch.setattr(PWAController, "locate", loop_locate)
-    monkeypatch.setattr(sim, "point_in_hull", lp_point_in_hull)
+    monkeypatch.setattr(geo, "_in_hull", lambda x, V, rule, tol: lp_point_in_hull(x, V, tol))
     monkeypatch.setattr(geo.Polytope, "exclusion", property(
         lambda face: geo.HullRows(np.zeros((0, face.n)), np.zeros(0), np.zeros(0), None)))
 

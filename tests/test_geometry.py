@@ -27,6 +27,20 @@ def lp_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def hull_calls(monkeypatch):
+    """A list that gains one entry per ``geometry.convex_hull`` call."""
+    calls = []
+    hull = geo.convex_hull
+
+    def counting(points):
+        calls.append(1)
+        return hull(points)
+
+    monkeypatch.setattr(geo, "convex_hull", counting)
+    return calls
+
+
 def random_polygon(rng, nmax=8):
     """Random full-dimensional 2-D polytope from a point cloud."""
     pts = rng.normal(size=(rng.integers(4, nmax + 1), 2))
@@ -179,6 +193,17 @@ class TestConvexHull:
         p = geo.convex_hull([(0, 0), (1, 1), (2, 2)])
         assert p.dim == 1
         assert len(p.vertices) == 2
+
+    def test_thin_triangle_keeps_the_incidence_of_its_hull(self):
+        """A triangle 5e-9 high: its apex is past TOL_GEOM from the long
+        facet, though within TOL_INCIDENCE, so each vertex lies on the two
+        facets the hull's table gives it, and the fan sees a triangle.
+        Read off the planes at TOL_INCIDENCE, every vertex lay on every
+        facet and the volume was 0."""
+        p = geo.convex_hull([(0, 0), (1, 1), (0.5, 0.5 + 5e-9)])
+        assert p.dim == 2 and len(p.vertices) == 3
+        assert p.incidence.sum(axis=1).tolist() == [2, 2, 2]
+        assert p.volume() == pytest.approx(2.5e-9, rel=1e-6)
 
 
 def simplex_probes(rng, n, d, tol):
@@ -483,7 +508,11 @@ class TestFacetOrder:
                 hs = base + grid + signed + close + copies
                 hs = [hs[i] for i in rng.permutation(len(hs))]
                 expect = sorted(hs, key=halfspace_key)
-                assert [id(h) for h in geo._facet_order(hs)] == [id(h) for h in expect]
+                assert [id(hs[i]) for i in geo._facet_order(hs)] == [id(h) for h in expect]
+
+
+def fan_volume(simplices):
+    return sum(geo.simplex_volume(s) for s in simplices)
 
 
 def random_hull(rng, n):
@@ -634,26 +663,37 @@ class TestClip:
         assert not out.contains(np.array([5.0, 0.5]))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_incidence_rules_match_rank_oracles(self, n):
+    def test_incidence_rules_match_rank_oracles(self, n, hull_calls):
         """Edges, facets and the clip's facets by incidence against the
         rank rules, on the clouds of
         test_full_dimensional_clip_matches_enumeration.  Off a vertex by
-        TOL_GEOM or more, the clip's vertices lie up to 4e-7 off its
-        planes, both rules read an incidence that tolerances decide, and
-        they disagree on 5 of the 4-D clips: neither is a reference."""
+        TOL_GEOM or more, a clip whose points merged is hulled, its
+        vertices lie up to 4e-7 off its planes, and both rules read an
+        incidence that tolerances decide: neither is a reference.  A clip
+        that keeps the rows of its points is checked wherever the rank
+        rules, which read the planes at TOL_INCIDENCE, see its table."""
         rng = np.random.default_rng(10 + n)
+        far = 0
         for _ in range(4):
             p = random_hull(rng, n)
             assert np.array_equal(geo.edges(p), rank_edges(p))
             for h, shift in clip_cases(rng, p):
+                hull_calls.clear()
                 out = geo.clip_to_halfspace(p, h)
-                if not out.is_full_dim or abs(shift) >= geo.TOL_GEOM:
+                if not out.is_full_dim:
                     continue
+                if abs(shift) >= geo.TOL_GEOM:
+                    normals, offsets = out.rows
+                    seen = np.abs(out.vertices @ normals.T - offsets) <= geo.TOL_INCIDENCE
+                    if hull_calls or not np.array_equal(seen, out.incidence):
+                        continue
+                    far += 1
                 assert np.array_equal(geo.edges(out), rank_edges(out))
                 for face, (ref, dim) in zip(out.facets(), rank_facets(out)):
                     assert np.array_equal(face.vertices, ref) and face.dim == dim == n - 1
                 assert [halfspace_key(g) for g in out.halfspaces] == \
                     [halfspace_key(g) for g in rank_clip_facets(p, h, out.vertices)]
+        assert far, "no clip off a vertex was checked"
 
     def test_faces_and_clip_hull_nothing(self, monkeypatch):
         p = random_hull(np.random.default_rng(32), 4)
@@ -883,22 +923,44 @@ class TestFan:
 
     @pytest.mark.parametrize("seed, n, case, hull_volume", [
         (33, 3, 6, 0.068046), (6, 4, 7, 0.018028)], ids=["3d", "4d"])
-    def test_cone_without_n_plus_1_rows_raises(self, seed, n, case, hull_volume):
+    def test_near_vertex_clip_fans_to_the_hull_volume(self, seed, n, case, hull_volume):
         """Clips TOL_MERGE/2 off a vertex whose vertices lie off their own
-        facet planes by about TOL_INCIDENCE: the incidence gives the fan a
-        cone of more than n+1 rows (5 in 3-D, 6 in 4-D), which ``volume``
-        used to read as zero volume (0.06592 and 0.00836 against scipy's
-        hull volumes)."""
+        facet planes by about TOL_INCIDENCE.  Read off the planes at
+        TOL_INCIDENCE, the incidence gave the fan a cone of more than n+1
+        rows (5 in 3-D, 6 in 4-D), and ``fan`` raised (``volume`` once
+        read 0.06592 and 0.00836).  With the rows the clip carries, the fan
+        from every vertex sums to scipy's hull volume."""
         rng = np.random.default_rng(seed)
         p = random_hull(rng, n)
         h, shift = list(clip_cases(rng, p))[case]
         out = geo.clip_to_halfspace(p, h)
         assert abs(shift) == 0.5 * geo.TOL_MERGE and out.is_full_dim
-        assert ConvexHull(out.vertices).volume == pytest.approx(hull_volume, abs=1e-6)
-        with pytest.raises(GeometryError):
-            geo.fan(out, out.vertices[0])
-        with pytest.raises(GeometryError):
-            out.volume()
+        ref = ConvexHull(out.vertices).volume
+        assert ref == pytest.approx(hull_volume, abs=1e-6)
+        for anchor in out.vertices:
+            assert fan_volume(geo.fan(out, anchor)) == pytest.approx(ref, rel=1e-6)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_near_vertex_clips_by_incidence_fan_to_the_hull_volume(self, n, hull_calls):
+        """Every clip off a vertex by TOL_GEOM or more whose points did not
+        merge (the clip hulls nothing) fans, from every vertex, to scipy's
+        hull volume, on 40 seeded hulls.  Read off the planes at
+        TOL_INCIDENCE, the incidence gave 5 of these clips a fan that
+        raised or summed to another volume from some vertex."""
+        checked = 0
+        for s in range(40):
+            rng = np.random.default_rng(1000 + s)
+            p = random_hull(rng, n)
+            for h, shift in clip_cases(rng, p):
+                hull_calls.clear()
+                out = geo.clip_to_halfspace(p, h)
+                if hull_calls or not out.is_full_dim or abs(shift) < geo.TOL_GEOM:
+                    continue
+                checked += 1
+                ref = ConvexHull(out.vertices).volume
+                for anchor in out.vertices:
+                    assert fan_volume(geo.fan(out, anchor)) == pytest.approx(ref, rel=1e-6)
+        assert checked >= 40
 
 
 class TestSimplex:

@@ -9,7 +9,8 @@ from reachctl import lp, reach
 from reachctl.errors import CutConstructionFailed, EpsTooLarge
 from reachctl.system import compute_geometry
 
-from helpers import (box4d_fixture, box_fixture, cube_fixture, face_from, ill1_fixture,
+from helpers import (box4d_fixture, box_fixture, box_left_fixture, cube_fixture, face_from,
+                     ill1_fixture,
                      ill2_fixture, ill3_fixture, interior_grid, lp_hull_meets_planes,
                      oracle_reaches, pinned_corner_fixture, probe_everything_condition_a,
                      right_target_polygons, top_edge_fixture, wedge_fixture)
@@ -282,6 +283,26 @@ class TestEpsilonCut:
         geom, ra = analysis_for(sys, p, f)
         with pytest.raises(EpsTooLarge):
             reach.epsilon_cut(geom, p, f, 5.0, analysis=ra)
+
+    def test_margin_into_the_target_top_level_raises(self):
+        """The pinned corner's only failure is at the top drift level 0,
+        and the target's top level is -2.5: a margin of 3 would put the
+        cut below the target."""
+        sys, p, f = pinned_corner_fixture()
+        geom, ra = analysis_for(sys, p, f)
+        assert ra.a_minus.is_empty and not ra.a_plus.is_empty
+        with pytest.raises(EpsTooLarge, match="^margin would cut into the target's top level$"):
+            reach.epsilon_cut(geom, p, f, 3.0, analysis=ra)
+
+    def test_total_failure_keeps_nothing(self):
+        """A target on the top drift level fails everywhere: the whole
+        polytope is the low failure set, nothing remains to reach from,
+        and no plane is cut."""
+        sys, p, f = box_left_fixture()
+        geom, ra = analysis_for(sys, p, f)
+        cut = reach.epsilon_cut(geom, p, f, 0.1, analysis=ra)
+        assert cut.a_eps_minus is p and cut.a_eps_plus.is_empty and cut.reach_eps.is_empty
+        assert cut.cut_planes == () and cut.eps == 0.1
 
 
 class TestFlatTargetPivot:

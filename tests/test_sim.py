@@ -151,6 +151,29 @@ def test_sampling_needs_a_full_dimensional_polytope(polytope):
         sim.sample_states(polytope, 3, np.random.default_rng(0))
 
 
+def test_sampling_a_thin_polytope_raises():
+    """A full-dimensional triangle 3e-8 high fills 1.5e-8 of its bounding
+    box: sampling gives up after its bounded number of batches, where it
+    used to draw forever."""
+    p = geo.convex_hull([(0, 0), (1, 1), (0.5, 0.5 + 3e-8)])
+    assert p.dim == 2 and len(p.vertices) == 3
+    assert p.volume() == pytest.approx(1.5e-8, rel=1e-6)
+    with pytest.raises(Degenerate, match=f"found 0 of 1 states in {sim._SAMPLE_BATCHES} batches"):
+        sim.sample_states(p, 1, np.random.default_rng(0))
+
+
+def test_sampling_draws_as_the_unbounded_loop():
+    """Below the bound, the samples are those of the loop that drew until
+    it had enough."""
+    sys, p, f = wedge_fixture()
+    for nsamples, seed in ((1, 0), (20, 1), (100, 2)):
+        rng, out = np.random.default_rng(seed), []
+        while len(out) < nsamples:
+            batch = rng.uniform(*p.bounding_box(), size=(max(64, 4 * nsamples), p.n))
+            out.extend(batch[[p.contains(x, -geo.TOL_GEOM) for x in batch]][: nsamples - len(out)])
+        assert np.array_equal(sim.sample_states(p, nsamples, np.random.default_rng(seed)), out)
+
+
 def test_wedge_verify_samples_the_cut_domain():
     """The wedge's domain is the polytope less its cut-off failure sets;
     runs start there, so none starts outside every piece."""
@@ -415,6 +438,21 @@ def test_warm_verify_builds_nothing(box, monkeypatch):
     fresh = geo.Face(f.vertices, f.supporting, f.dim)
     sim.verify(sys, ctrl, fresh, nsamples=8, seed=2)
     assert calls == ["exclusion"]
+
+
+def test_warm_target_test_builds_no_hull_rows(box, monkeypatch):
+    """The states a face's exclusion rows leave open go to the face's
+    ``contains``, which reads the rows the face keeps: a warm ``verify``
+    builds no ``hull_rows``, where each of its 8 runs, which end on the
+    target, used to build them once more."""
+    sys, p, f, ctrl = box
+    report = sim.verify(sys, ctrl, f, nsamples=8, seed=2)
+    assert report.outcomes == [sim.REACHED] * 8
+    calls = []
+    build = geo.hull_rows
+    monkeypatch.setattr(geo, "hull_rows", lambda V: calls.append(1) or build(V))
+    assert sim.verify(sys, ctrl, f, nsamples=8, seed=2).to_dict() == report.to_dict()
+    assert calls == []
 
 
 # -- the step maps and the exit bisection ------------------------------------------

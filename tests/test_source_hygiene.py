@@ -203,6 +203,89 @@ def test_check_sees_a_second_exclusion_rule():
     assert svd_reads(source) == ["_no_equilibrium_screen", "target_screen"]
 
 
+def polytope_builds(source: str) -> list[str]:
+    """The functions (by name, "<module>" outside any) that build a
+    ``Polytope`` with a halfspace list other than a literal ``[]``, each
+    marked by whether it hands over an incidence table (a fourth argument
+    or ``incidence=``)."""
+    tree = ast.parse(source)
+    owner = _owners(tree)
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and _name(node) == "Polytope"):
+            continue
+        args = node.args + [k.value for k in node.keywords if k.arg == "halfspaces"]
+        if len(args) < 2 or (isinstance(args[1], ast.List) and not args[1].elts):
+            continue
+        given = len(node.args) > 3 or any(k.arg == "incidence" for k in node.keywords)
+        mark = "with" if given else "without"
+        out.append(f"{owner.get(id(node), '<module>')} ({mark} incidence)")
+    return sorted(out)
+
+
+def tolerance_incidence(source: str) -> list[str]:
+    """The functions (by name, "<module>" outside any) that compare
+    ``abs`` of a product of some ``.vertices`` with a ``TOL_`` constant:
+    vertex-facet incidence read off the facet rows."""
+    tree = ast.parse(source)
+    owner = _owners(tree)
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare) and _is_abs(node.left) \
+                and any(_name(c) and _name(c).startswith("TOL_") for c in node.comparators):
+            inner = list(ast.walk(node.left))
+            if any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult) for n in inner) \
+                    and any(isinstance(n, ast.Attribute) and n.attr == "vertices" for n in inner):
+                out.append(owner.get(id(node), "<module>"))
+    return sorted(out)
+
+
+def class_names(source: str, cls: str) -> set[str]:
+    """The names that the body of class ``cls`` reads."""
+    return {node.id for c in ast.walk(ast.parse(source))
+            if isinstance(c, ast.ClassDef) and c.name == cls
+            for node in ast.walk(c) if isinstance(node, ast.Name)}
+
+
+def test_incidence_is_decided_where_a_polytope_is_built():
+    """Incidence is data of a construction: only ``convex_hull`` and the
+    clip build a polytope with facets, each handing over the table that
+    chose them, and no code reads incidence off the facet rows with a
+    tolerance, ``Polytope`` included, which reads no ``TOL_INCIDENCE``."""
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    builds = {name: polytope_builds(text) for name, text in sources.items()}
+    assert {name: got for name, got in builds.items() if got} == {
+        "geometry.py": ["_clip_across (with incidence)", "convex_hull (with incidence)"]}
+    assert {name: got for name, got in
+            ((name, tolerance_incidence(text)) for name, text in sources.items()) if got} == {}
+    assert "TOL_INCIDENCE" not in class_names(sources["geometry.py"], "Polytope")
+
+
+def test_check_sees_incidence_derived_again():
+    """The lazy table, the clip's candidate polytope and the simplex's
+    polytope without a table, which incidence used to be re-derived
+    through, are all seen."""
+    source = ("import numpy as np\n"
+              "class Polytope:\n"
+              "    @cached_property\n"
+              "    def incidence(self):\n"
+              "        normals, offsets = self.rows\n"
+              "        return np.abs(self.vertices @ normals.T - offsets) <= TOL_INCIDENCE\n"
+              "def _clip_across(p, half, verts):\n"
+              "    cands = p.halfspaces + [half]\n"
+              "    tight = Polytope(verts, cands, p.n).incidence.T\n"
+              "    return Polytope(verts, [cands[i] for i in _maximal_sets(tight)], p.n)\n"
+              "def as_polytope(s, hs):\n"
+              "    return Polytope(s.vertices, halfspaces=hs, dim=s.n)\n"
+              "def face(p):\n"
+              "    return Polytope(p.vertices, [], p.n - 1)\n")
+    assert polytope_builds(source) == ["_clip_across (without incidence)",
+                                       "_clip_across (without incidence)",
+                                       "as_polytope (without incidence)"]
+    assert tolerance_incidence(source) == ["incidence"]
+    assert "TOL_INCIDENCE" in class_names(source, "Polytope")
+
+
 def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:
     """The classes of ``errors_source`` that no source raises (by name, as
     ``raise X`` or ``raise X(...)``) and that are no base of one raised."""

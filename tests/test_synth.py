@@ -6,13 +6,13 @@ from reachctl import geometry as geo
 from reachctl import lp, reach, synth
 from reachctl import triangulate as tri
 from reachctl.errors import (AssumptionViolated, CoverIncomplete,
-                             ReachctlError, SingularVertexMatrix,
+                             NotReachable, ReachctlError, SingularVertexMatrix,
                              SynthesisFailed)
 from reachctl.sim import sample_states
 from reachctl.system import (AffineSystem, AssumptionReport, SystemGeometry,
                              compute_geometry)
 
-from helpers import (box4d_fixture, box_fixture, cube_fixture,
+from helpers import (box4d_fixture, box_fixture, box_left_fixture, cube_fixture,
                      diamond_fixture, double_integrator, face_from, facet_face,
                      flow_margin, hull_distance, ill1_fixture, ill2_fixture,
                      ill3_fixture, lp_target_exits, o_cross_fixture,
@@ -50,7 +50,7 @@ def random_reachable_simplex(rng, n=2):
         if geo.affine_dimension(V) < n:
             continue
         s = geo.Simplex(V)
-        p = s.as_polytope()
+        p = geo.convex_hull(s.vertices)
         try:
             geom = compute_geometry(sys, p)
         except Exception:
@@ -138,7 +138,7 @@ class TestVertexControlsLP:
         s = geo.Simplex([(0.0, 1.0), (1.0, 1.0), (1.0, 2.0)])
         _, margins = synth.vertex_controls_lp(sys, [s], [2])
         assert np.flatnonzero(margins[0] < -lp.TOL_LP)[0] == 1
-        geom = compute_geometry(sys, s.as_polytope())
+        geom = compute_geometry(sys, geo.convex_hull(s.vertices))
         with pytest.raises(SynthesisFailed) as ei:
             synth.synth_simplex(sys, geom, [s], [2])
         assert ei.value.certificate == {"simplex": s.vertices.tolist(), "exit_facet": 2,
@@ -290,7 +290,7 @@ class TestAffineInterpolation:
         assert resid > geo.TOL_GEOM
         sys = double_integrator()
         with pytest.raises(SingularVertexMatrix):
-            synth.synth_simplex(sys, compute_geometry(sys, s.as_polytope()), [s], [0])
+            synth.synth_simplex(sys, compute_geometry(sys, geo.convex_hull(s.vertices)), [s], [0])
 
 
 def near_zero_closed_loop(rng, n, singular):
@@ -428,7 +428,7 @@ class TestSynthSimplex:
 
     def test_split_case_two_pieces(self):
         sys, s, e = split_case_simplex()
-        geom = compute_geometry(sys, s.as_polytope())
+        geom = compute_geometry(sys, geo.convex_hull(s.vertices))
         [pieces] = synth.synth_simplex(sys, geom, [s], [e])
         assert len(pieces) == 2
         # pieces tile the simplex
@@ -442,11 +442,11 @@ class TestSynthSimplex:
     def test_unreachable_exit_fails(self):
         sys = double_integrator()
         s = geo.Simplex([(0.0, 0.0), (2.0, 0.0), (0.0, 1.0)])
-        geom = compute_geometry(sys, s.as_polytope())
+        geom = compute_geometry(sys, geo.convex_hull(s.vertices))
         # exit through the facet opposite (2,0): dragging everything
         # against the drift is infeasible
         f = s.facet(1)
-        ra = reach.analyze(geom, s.as_polytope(), geo.Face(f.vertices, None, 1))
+        ra = reach.analyze(geom, geo.convex_hull(s.vertices), geo.Face(f.vertices, None, 1))
         assert not ra.reachable
         with pytest.raises(SynthesisFailed):
             synth.synth_simplex(sys, geom, [s], [1])
@@ -761,6 +761,16 @@ class TestSynthPolytope:
         assert [k for k, ok in flags.items() if not ok] == [failing]
         assert f"{failing}=FAIL" in str(ei.value)
         assert all(f"{k}=pass" in str(ei.value) for k in flags if k != failing)
+
+    def test_unreachable_target_raises_with_its_analysis(self):
+        """Nothing full-dimensional survives the cut of a total failure, so
+        the branch raises NotReachable carrying the analysis."""
+        sys, p, f = box_left_fixture()
+        with pytest.raises(NotReachable) as ei:
+            synth.synth_polytope(sys, p, f)
+        ra = ei.value.analysis
+        assert str(ei.value) == "target not reachable from the given polytope"
+        assert not ra.reachable and ra.a_minus.volume() == pytest.approx(p.volume(), rel=1e-9)
 
     def test_cover_wrt_O_incomplete(self):
         sys, p, f = diamond_fixture()

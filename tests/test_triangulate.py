@@ -10,8 +10,9 @@ from reachctl.errors import (CoverIncomplete, GeometryError, NoQualifyingVertex,
                              VStarInFbar)
 from reachctl.system import compute_geometry
 
-from helpers import (box_fixture, cube_fixture, diamond_fixture,
+from helpers import (box_fixture, cube_fixture, diamond_fixture, direct_cut_fixture,
                      double_integrator, face_from, facet_face, ill1_fixture,
+                     interface_cut_fixture,
                      ill2_fixture, ill3_fixture, lp_target_exits,
                      o_cross_fixture, pinned_corner_fixture,
                      reference_facet_adjacency, top_edge_fixture,
@@ -436,6 +437,19 @@ class TestSplitFarCase:
 
 
 class TestCoverWrtO:
+    @pytest.mark.parametrize("fixture, message", [
+        (direct_cut_fixture,
+         "direct cut on side 1 failed: margin would cut into the target's top level"),
+        (interface_cut_fixture,
+         "interface cut on side 0 failed: margin exceeds the drift extent of the polytope"),
+    ], ids=["direct", "interface"])
+    def test_failed_cut_leaves_the_cover_incomplete(self, fixture, message):
+        """A side's margin cut that raises ends the cover with an infinite
+        gap and the cut's reason, at the default margin."""
+        sys, p, f = fixture()
+        with pytest.raises(CoverIncomplete) as ei:
+            tri.cover_wrt_O(sys, p, f)
+        assert str(ei.value) == message and ei.value.gap_volume == np.inf
     def test_pentagon_cover_exact(self):
         sys, p, f = o_cross_fixture()
         cover = tri.cover_wrt_O(sys, p, f, 0.1)
