@@ -2,31 +2,40 @@
 
 Faces are read from a polytope's vertex-facet incidence
 (``Polytope.incidence``) by the combinatorial tests of the double
-description method: a facet holds the vertices of its column, two
-vertices span an edge when no third lies on every facet they share, and
-the facets of a face F are the maximal nonempty proper sets F ∩ T_h, T_h
-a column.  The anchored ``fan`` cones its anchor over every facet that
-misses it and each lower face from its lexicographically first vertex,
-so its simplices are rows of the polytope's vertices and no face is
-hulled again.  It is the package's only triangulation: a set of lower
-dimension is triangulated as the base of a full-dimensional pyramid.
+description method, in every dimension: a facet holds the vertices of
+its column, two vertices span an edge when no third lies on every column
+they share (``Polytope.edges``), and the facets of a face F are the
+maximal nonempty proper sets F ∩ T_h, T_h a column.  The anchored
+``fan`` cones its anchor over every facet that misses it and each lower
+face from its lexicographically first vertex, so its simplices are rows
+of the polytope's vertices, which it returns as indices: a caller reads
+their incidence off the table, and no face is hulled again.  It is the
+package's only triangulation: a set of lower dimension is triangulated
+as the base of a full-dimensional pyramid.
 
 Incidence is decided once, where a polytope is built, and handed to it;
 no code reads it off the facet rows again.  ``convex_hull`` hands over
 the ``TOL_GEOM`` table of tight points that chose its facets (those of
 ``vrep_to_hrep``, a plane through every n-subset of the points whose set
-of tight points is maximal among the candidates') and its vertices.
-Clipping, splitting and sectioning by a hyperplane work as the
-one-halfspace update of that method: the vertices inside (or on the
-plane) stay with their rows, each edge (u, w) the plane crosses adds its
-crossing point, computed once per split for both pieces, with the row
-I(u) ∧ I(w), and the points on the plane get the plane's column.  The
-clip's facets are the plane and the facets of the parent that hold a
-vertex strictly inside.  Where the points no longer match their rows (a
-lower-dimensional polytope, crossing points merged with a vertex within
-about ``TOL_MERGE`` of the plane) they go to ``convex_hull``, as a
-section's may; a clip that keeps only a boundary face returns the
-vertices on the plane, which are that face's.
+of tight points is maximal among the candidates') and its vertices, in
+the coordinates of the points' affine hull when that is
+lower-dimensional.  A face of a polytope (``Polytope.facets``, a
+simplex's facet, the top face of ``reach.analyze``) keeps its vertices'
+rows of its parent's table, whose columns restricted to it hold its own
+facets.  Clipping, splitting and sectioning by a hyperplane work as the
+one-halfspace update of that method, for a polytope of any dimension:
+the vertices inside (or on the plane) stay with their rows, each edge
+(u, w) the plane crosses adds its crossing point, computed once per
+split for both pieces, with the row I(u) ∧ I(w), and the points on the
+plane get the plane's column.  The clip's columns are the plane and the
+columns of the parent that hold a vertex strictly inside; a section's
+are its points' rows.  Only where crossing points merged with a vertex
+within about ``TOL_MERGE`` of the plane, so that the points no longer
+match their rows, do the clip and the section go to ``convex_hull``; a
+clip that keeps only a boundary face returns the vertices on the plane,
+which are that face's, with their rows.  A lower-dimensional set that a
+caller builds from its vertices alone gets its table at construction,
+as ``convex_hull`` reads it.
 
 No hull, clip, split or section solves an LP.  LPs remain only in
 ``hrep_to_vrep`` (every n-subset of the constraints), whose boundedness
@@ -240,18 +249,23 @@ class Polytope:
     """Bounded convex polytope carrying both representations.
 
     Full-dimensional polytopes have a consistent (minimal) halfspace list.
-    Lower-dimensional ones carry vertices only; ``dim`` is the affine-hull
-    dimension, -1 for the empty polytope.  The vertices are in
-    lexicographic order.  A target is any polytope of dimension n-1 (a
-    ``Face``, a section, a clip of a face): the constructions read its
-    vertices and ``dim`` alone.
+    Lower-dimensional ones carry vertices and their table only; ``dim`` is
+    the affine-hull dimension, -1 for the empty polytope.  The vertices
+    are in lexicographic order.  A target is any polytope of dimension n-1
+    (a ``Face``, a section, a clip of a face): the constructions read its
+    vertices, table and ``dim`` alone.
 
-    ``incidence`` is the boolean (vertex, halfspace) table: the vertex
-    lies on the halfspace's plane.  The construction that chose the
-    facets hands it over (``convex_hull``, the clip), and no code derives
-    it again; a polytope without halfspaces has no columns.  No code
-    changes a polytope after it is built, so its facet table ``rows``,
-    ``edges`` and ``exclusion`` are computed on first use and kept.
+    ``incidence`` is the boolean (vertex, column) table: the vertex lies
+    on the column's facet.  For a full-dimensional polytope the columns
+    are its halfspaces, in their order; for a lower-dimensional one they
+    are facets of a polytope it is a face, clip or section of, or its own
+    facets in its affine hull, and the faces of the set are read off them
+    alike.  The construction that chose the facets hands it over, and no
+    code derives it again; a point, a segment or a full-dimensional set
+    built without one has no columns, and any other lower-dimensional
+    set gets its table here (``_caller_table``).  No code changes a
+    polytope after it is built, so its facet table ``rows``, ``edges``
+    and ``exclusion`` are computed on first use and kept.
     """
 
     def __init__(self, vertices: np.ndarray, halfspaces: list[HalfSpace], dim: int,
@@ -259,8 +273,7 @@ class Polytope:
         self.vertices = vertices
         self.halfspaces = halfspaces
         self.dim = dim
-        self.incidence = np.zeros((len(vertices), 0), bool) if incidence is None else incidence
-        self._edges: Optional[np.ndarray] = None
+        self.incidence = _caller_table(vertices, dim) if incidence is None else incidence
 
     # -- constructors -------------------------------------------------------
 
@@ -321,6 +334,18 @@ class Polytope:
         return normals, np.array([h.offset for h in self.halfspaces])
 
     @cached_property
+    def edges(self) -> np.ndarray:
+        """The rows (i, j), i < j, of index pairs of the vertices that span
+        an edge: no third vertex lies on every column of ``incidence`` the
+        two share, the combinatorial adjacency test of the double
+        description method, in any dimension.  Two vertices that share no
+        column and have no third beside them, a segment's, span one."""
+        on = self.incidence.astype(int)
+        pairs = _pairs(len(on))
+        shared = on[pairs[:, 0]] & on[pairs[:, 1]]
+        return pairs[(shared @ on.T == shared.sum(axis=1)[:, None]).sum(axis=1) == 2]
+
+    @cached_property
     def exclusion(self) -> HullRows:
         """``hull_rows`` of the vertices: the rows that put a point outside
         the polytope's hull, as a target face's test reads them."""
@@ -328,8 +353,8 @@ class Polytope:
 
     def facets(self) -> list[Face]:
         """Facets as faces, ordered like ``halfspaces``: each holds the
-        vertices of its column of ``incidence``."""
-        return [Face(self.vertices[tight], h, self.n - 1)
+        vertices of its column of ``incidence``, with their rows."""
+        return [Face(self.vertices[tight], h, self.n - 1, self.incidence[tight])
                 for h, tight in zip(self.halfspaces, self.incidence.T)]
 
     def __repr__(self) -> str:
@@ -337,17 +362,34 @@ class Polytope:
 
 
 class Face(Polytope):
-    """A lower-dimensional polytope, vertices only, with the halfspace
-    ``supporting`` it when it is a facet (``Polytope.facets``), else None."""
+    """A lower-dimensional polytope, vertices and their table only, with
+    the halfspace ``supporting`` it when it is a facet
+    (``Polytope.facets``), else None."""
 
-    def __init__(self, vertices: np.ndarray, supporting: Optional[HalfSpace], dim: int):
-        super().__init__(vertices, [], dim)
+    def __init__(self, vertices: np.ndarray, supporting: Optional[HalfSpace], dim: int,
+                 incidence: Optional[np.ndarray] = None):
+        super().__init__(vertices, [], dim, incidence)
         self.supporting = supporting
 
     @staticmethod
     def from_vertices(points) -> "Face":
         hull = convex_hull(points)
-        return Face(hull.vertices, None, hull.dim)
+        return Face(hull.vertices, None, hull.dim, hull.incidence)
+
+
+def _caller_table(vertices, dim: int) -> np.ndarray:
+    """The table of a polytope built without one: no columns for a
+    full-dimensional set (a caller that gives facets gives their table),
+    a point or a segment; else, for a lower-dimensional set of three or
+    more vertices, the table of the facets of the vertices in the
+    coordinates of their affine hull, as ``convex_hull`` reads it.  The
+    points must be the set's vertices: the table gives a point that is
+    not one no edge."""
+    V = np.asarray(vertices, dtype=float)
+    if len(V) < 3 or dim >= V.shape[1]:
+        return np.zeros((len(V), 0), bool)
+    origin, basis = _affine_basis(V)
+    return _hull_table((V - origin) @ basis)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -580,10 +622,10 @@ def convex_hull(points) -> "Polytope":
     The facets are ``vrep_to_hrep`` of the points, in the coordinates of
     their affine hull when that is lower-dimensional, and a given point is
     a vertex when the normals of its tight facets have the hull's rank; no
-    LP is solved.  A full-dimensional hull keeps its vertices' rows of
-    that table of tight facets as its ``incidence``.  A hull of lower
-    dimension d comes back as a polytope with vertices only, of ``dim``
-    d.  Raises Degenerate when a d-dimensional hull keeps fewer than d+1
+    LP is solved.  The hull keeps its vertices' rows of that table of
+    tight facets as its ``incidence``, in any dimension; a hull of lower
+    dimension d comes back without halfspaces, of ``dim`` d, its columns
+    the facets in its affine hull.  Raises Degenerate when a d-dimensional hull keeps fewer than d+1
     vertices: tightness is read at the absolute ``TOL_GEOM``, which
     coordinates of about 1e7 no longer resolve.
     """
@@ -595,15 +637,21 @@ def convex_hull(points) -> "Polytope":
     d = basis.shape[1]
     if d == 0:
         return Polytope(pts[:1], [], 0)
-    coords = pts if d == n else (pts - origin) @ basis
-    hs = _hull_facets(coords)
-    normals = np.array([h.normal for h in hs])
-    tight = np.abs(coords @ normals.T - [h.offset for h in hs]) <= TOL_GEOM
+    hs, normals, tight = _hull_table(pts if d == n else (pts - origin) @ basis)
     keep = np.array([rank(normals[t]) == d for t in tight])
     verts = pts[keep]
     if len(verts) <= d:
         raise Degenerate(f"a {d}-dimensional hull kept {len(verts)} vertices")
-    return Polytope(verts, hs, d, tight[keep]) if d == n else Polytope(verts, [], d)
+    return Polytope(verts, hs if d == n else [], d, tight[keep])
+
+
+def _hull_table(coords: np.ndarray) -> tuple[list[HalfSpace], np.ndarray, np.ndarray]:
+    """The facets of deduplicated, full-dimensional points
+    (``_hull_facets``), their normals, and the table of the points within
+    ``TOL_GEOM`` of each facet's plane."""
+    hs = _hull_facets(coords)
+    normals = np.array([h.normal for h in hs])
+    return hs, normals, np.abs(coords @ normals.T - [h.offset for h in hs]) <= TOL_GEOM
 
 
 def extreme_points(points) -> np.ndarray:
@@ -640,16 +688,16 @@ def clip_to_halfspace(p: Polytope, half: HalfSpace) -> Polytope:
     """Intersection with a halfspace, by incidence for every dimension.
 
     The vertices within ``TOL_GEOM`` of the halfspace stay, and every
-    segment from a vertex below ``-TOL_GEOM`` to one above ``TOL_GEOM``
-    adds its crossing point: the edges of a full-dimensional ``p``, every
-    vertex pair of a lower-dimensional one.  When ``p`` is
-    full-dimensional and no two points merged (``TOL_MERGE``), each point
-    carries its row of incidence (``_plane_points``), the facets are
-    ``half`` and those of ``p`` that hold a vertex strictly inside, and
-    the clip needs no LP, hull or rank; otherwise the points are hulled.
-    A halfspace holding every vertex returns ``p`` itself, and one that
-    meets ``p`` only on its boundary plane returns the vertices there,
-    the vertices of that face, as a polytope without halfspaces.
+    edge of ``p`` (``Polytope.edges``) from a vertex below ``-TOL_GEOM``
+    to one above ``TOL_GEOM`` adds its crossing point.  When no two
+    points merged (``TOL_MERGE``), each point carries its row of
+    incidence (``_plane_points``), the columns are the plane's and those
+    of ``p`` that hold a vertex strictly inside (with their halfspaces,
+    when ``p`` is full-dimensional), and the clip needs no LP, hull or
+    rank; otherwise the points are hulled.  A halfspace holding every
+    vertex returns ``p`` itself, and one that meets ``p`` only on its
+    boundary plane returns the vertices there, the vertices of that face
+    with their rows, as a polytope without halfspaces.
     """
     if p.is_empty:
         return p
@@ -657,8 +705,9 @@ def clip_to_halfspace(p: Polytope, half: HalfSpace) -> Polytope:
     if np.all(vals <= TOL_GEOM):
         return p
     if np.all(vals >= -TOL_GEOM):
-        kept = p.vertices[vals <= TOL_GEOM]
-        return Polytope(kept, [], affine_dimension(kept))
+        on = vals <= TOL_GEOM
+        kept = p.vertices[on]
+        return Polytope(kept, [], affine_dimension(kept), p.incidence[on])
     return _clip_across(p, half, vals, _plane_points(p, vals))
 
 
@@ -669,29 +718,31 @@ def _clip_across(p: Polytope, half: HalfSpace, vals: np.ndarray, on: tuple) -> P
     # way, and the clip's face on the plane is ``section``'s
     inside = vals < -TOL_GEOM
     pts = np.vstack([on[0], p.vertices[inside]])
-    if not p.is_full_dim or len(dedupe_points(pts)) < len(pts):
+    if len(dedupe_points(pts)) < len(pts):
         # a vertex within about TOL_MERGE of the plane merged with its
         # crossing points: the points no longer match their rows
         return convex_hull(pts)
-    # the facets of p that hold a vertex strictly inside, and the plane,
+    # the columns of p that hold a vertex strictly inside, and the plane,
     # which holds the points on it
     facets = p.incidence[inside].any(axis=0)
-    hs = [h for h, kept in zip(p.halfspaces, facets) if kept] + [half]
     table = np.hstack([np.vstack([on[1], p.incidence[inside]])[:, facets],
                        (np.arange(len(pts)) < len(on[0]))[:, None]])
-    rows, cols = np.lexsort(np.round(pts, KEY_DECIMALS).T[::-1]), _facet_order(hs)
+    rows = np.lexsort(np.round(pts, KEY_DECIMALS).T[::-1])
+    if not p.is_full_dim:
+        return Polytope(pts[rows], [], p.dim, table[rows])
+    hs = [h for h, kept in zip(p.halfspaces, facets) if kept] + [half]
+    cols = _facet_order(hs)
     return Polytope(pts[rows], [hs[k] for k in cols], p.n, table[rows][:, cols])
 
 
 def _plane_points(p: Polytope, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The vertices of ``p`` whose ``vals`` lie within ``TOL_GEOM`` of
-    zero, then the points where the segments from a vertex below
-    ``-TOL_GEOM`` to one above ``TOL_GEOM`` reach zero: the edges of a
-    full-dimensional ``p``, every vertex pair of a lower-dimensional one
+    zero, then the points where the edges of ``p`` (``Polytope.edges``)
+    from a vertex below ``-TOL_GEOM`` to one above ``TOL_GEOM`` reach zero
     (``vals`` is affine along them).  With them, each point's row of
     ``p.incidence``: a vertex keeps its own, and a crossing point gets the
-    facets that hold both ends of its segment."""
-    i, j = (edges(p) if p.is_full_dim else _pairs(len(vals))).T
+    columns that hold both ends of its edge."""
+    i, j = p.edges.T
     cut = (np.minimum(vals[i], vals[j]) < -TOL_GEOM) & (np.maximum(vals[i], vals[j]) > TOL_GEOM)
     i, j = i[cut], j[cut]
     t = vals[i] / (vals[i] - vals[j])
@@ -703,16 +754,16 @@ def _plane_points(p: Polytope, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def section(p: Polytope, plane: Hyperplane) -> Polytope:
     """p intersected with a hyperplane, by incidence, as a polytope
     without halfspaces: ``_plane_points``, the points the clip keeps on
-    the plane.  For a full-dimensional ``p`` these are the section's
-    vertices; where the clip hulls (a lower-dimensional ``p``, whose
-    vertex pairs are not all edges, or merged points) they are hulled.
-    Empty when the plane misses ``p``."""
+    the plane, which are the section's vertices, with their rows, its
+    table, in any dimension of ``p``.  Where two points merged
+    (``TOL_MERGE``), as the clip does, they are hulled.  Empty when the
+    plane misses ``p``."""
     vals = p.vertices @ plane.normal - plane.offset
-    pts = _plane_points(p, vals)[0]
-    verts = lex_sorted(dedupe_points(pts))
-    if not p.is_full_dim or len(verts) < len(pts):
-        return convex_hull(verts)
-    return Polytope(verts, [], affine_dimension(verts))
+    pts, table = _plane_points(p, vals)
+    if len(dedupe_points(pts)) < len(pts):
+        return convex_hull(pts)
+    rows = np.lexsort(np.round(pts, KEY_DECIMALS).T[::-1])
+    return Polytope(pts[rows], [], affine_dimension(pts[rows]), table[rows])
 
 
 def intersect(p: Polytope, q: Polytope) -> Polytope:
@@ -729,22 +780,6 @@ def intersect(p: Polytope, q: Polytope) -> Polytope:
 # ---------------------------------------------------------------------------
 # faces and volumes
 # ---------------------------------------------------------------------------
-
-def edges(p: Polytope) -> np.ndarray:
-    """The rows (i, j), i < j, of index pairs of the vertices of a
-    full-dimensional polytope that span an edge: no third vertex lies on
-    every facet the two share (``incidence``), the combinatorial
-    adjacency test of the double description method.  Computed once per
-    polytope."""
-    if not p.is_full_dim:
-        raise Degenerate("edges expects a full-dimensional polytope")
-    if p._edges is None:
-        on = p.incidence.astype(int)
-        pairs = _pairs(len(on))
-        shared = on[pairs[:, 0]] & on[pairs[:, 1]]
-        p._edges = pairs[(shared @ on.T == shared.sum(axis=1)[:, None]).sum(axis=1) == 2]
-    return p._edges
-
 
 def _pairs(k: int) -> np.ndarray:
     """The rows (i, j), 0 <= i < j < k, in lexicographic order."""
@@ -789,17 +824,19 @@ def volume(p: Polytope) -> float:
     for lower-dimensional polytopes."""
     if p.is_empty or p.dim < p.n:
         return 0.0
-    return sum(simplex_volume(s) for s in fan(p, p.vertices[0]))
+    return sum(simplex_volume(s) for s in p.vertices[fan(p, p.vertices[0])])
 
 
 def fan(p: Polytope, anchor) -> np.ndarray:
-    """Simplices of a full-dimensional ``p``, as an (S, n+1, n) stack of
-    rows of ``p.vertices`` with the vertex ``anchor`` first: the cones from
-    it over every facet that misses it, triangulated by ``_cone``.  Every
-    anchored fan of the package is this one.  Raises GeometryError when no
-    vertex lies within ``TOL_MERGE`` of the anchor, or when an incidence
-    that does not describe ``p`` (a hull of points merged within about
-    ``TOL_MERGE``) gives a cone without n+1 rows."""
+    """Simplices of a full-dimensional ``p``, as an (S, n+1) array of the
+    indices of their rows of ``p.vertices`` (``p.vertices[fan(p, a)]``
+    stacks their vertices), with the vertex ``anchor`` first: the cones
+    from it over every facet that misses it, triangulated by ``_cone``.
+    A caller reads the rows' incidence off ``p.incidence``.  Every
+    anchored fan of the package is this one.  Raises GeometryError when
+    no vertex lies within ``TOL_MERGE`` of the anchor, or when an
+    incidence that does not describe ``p`` (a hull of points merged
+    within about ``TOL_MERGE``) gives a cone without n+1 rows."""
     if not p.is_full_dim:
         raise Degenerate("fan triangulation expects a full-dimensional polytope")
     hit = np.flatnonzero(np.abs(p.vertices - anchor).max(axis=1) <= TOL_MERGE)
@@ -808,7 +845,7 @@ def fan(p: Polytope, anchor) -> np.ndarray:
     cones = _cone(p.incidence, np.arange(len(p.vertices)), int(hit[0]))
     if any(len(s) != p.n + 1 for s in cones):
         raise GeometryError("fan cone without n+1 vertices: ambiguous incidence")
-    return p.vertices[np.array(cones, dtype=int).reshape(-1, p.n + 1)]
+    return np.array(cones, dtype=int).reshape(-1, p.n + 1)
 
 
 def _cone(incidence: np.ndarray, face: np.ndarray, apex: int) -> list[list[int]]:
@@ -898,8 +935,11 @@ class Simplex:
         return bool(np.all(self.normals @ x - self.offsets <= tol))
 
     def facet(self, j: int) -> Face:
+        """Facet j as a face with its table: each of its n vertices lies on
+        every facet of it but the one omitting that vertex, in any order."""
         verts = np.delete(self.vertices, j, axis=0)
-        return Face(lex_sorted(verts), HalfSpace(self.normals[j], self.offsets[j]), self.n - 1)
+        return Face(lex_sorted(verts), HalfSpace(self.normals[j], self.offsets[j]), self.n - 1,
+                    ~np.eye(self.n, dtype=bool))
 
     def centroid(self) -> np.ndarray:
         return self.vertices.mean(axis=0)
@@ -939,7 +979,7 @@ def uncovered_volume(domain: Polytope, pieces: list[Polytope],
         for c in cells:
             lo, hi = split_by_hyperplane(c, plane)
             for part in (lo, hi):
-                if not part.is_empty and part.is_full_dim:
+                if part.is_full_dim:
                     nxt.append(part)
         if nxt:
             cells = nxt

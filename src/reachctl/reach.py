@@ -114,8 +114,8 @@ def analyze(geom: SystemGeometry, p: Polytope, f: Polytope) -> ReachAnalysis:
     below = beta_min < lvl_minus - TOL_GEOM
     h_minus = clip_to_halfspace(p, b_plane.lower()) if below else section(p, b_plane)
 
-    top_verts = geom.at_level(p.vertices, beta_max)
-    p_plus = Face(lex_sorted(top_verts), None, affine_dimension(top_verts))
+    top = geom.on_level(p_levels, beta_max)
+    p_plus = Face(p.vertices[top], None, affine_dimension(p.vertices[top]), p.incidence[top])
 
     # equilibrium slice at the target's low level, active only when it
     # meets the target

@@ -35,7 +35,7 @@ import numpy as np
 from . import lp
 from .errors import (AssumptionViolated, NotReachable, SingularVertexMatrix,
                      Stuck, SynthesisFailed)
-from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_MERGE, TOL_ZERO, Face,
+from .geometry import (TOL_GEOM, TOL_MERGE, TOL_ZERO, Face,
                        Polytope, Simplex, barycentric, carrying_facet,
                        hull_rows, nonsingular, point_in_hull, simplex_tables,
                        whole_facet)
@@ -43,7 +43,7 @@ from .reach import analyze, epsilon_cut
 from .system import (AffineSystem, SystemGeometry, check_assumptions,
                      compute_geometry)
 from .triangulate import (Cover, Triangulation, basic_triangulation,
-                          cover_wrt_F, cover_wrt_O, mark_target,
+                          cover_wrt_F, cover_wrt_O,
                           qualifying_vertices, select_vstar, split_far_case,
                           triangulation_wrt_F)
 
@@ -482,19 +482,16 @@ def _branch(sys: AffineSystem, p: Polytope, f: Face, eps: Optional[float]
 
     k = whole_facet(p, f)
     if k is not None:
-        tri = basic_triangulation(p, select_vstar(p, f, geom))
-        mark_target(tri, p.halfspaces[k])
-        return tri, geom
+        return basic_triangulation(p, select_vstar(p, f, geom), k), geom
     # non-facet target: prefer an anchor clear of the carrying facet, then
     # a cover pivoting on a top-face target vertex, and finally the far split
     k = carrying_facet(p, f)
     if k is None:
         raise AssumptionViolated(rep, "target does not lie in a facet")
-    fbar = p.halfspaces[k]
-    off_fbar = [v for v in qualifying_vertices(p, f, geom)
-                if abs(fbar.value(v)) > TOL_INCIDENCE]
-    if off_fbar:
-        return triangulation_wrt_F(p, f, off_fbar[0]), geom
+    quals = qualifying_vertices(p, f, geom)
+    off_fbar = quals[~p.incidence[quals, k]]
+    if len(off_fbar):
+        return triangulation_wrt_F(p, f, p.vertices[off_fbar[0]]), geom
     if len(geom.at_level(f.vertices, float((p.vertices @ geom.beta).max()))):
         return _Split(_cover_subs(cover_wrt_F(p, f, geom)),
                       "covered around the non-facet target", p)

@@ -7,13 +7,17 @@ Both triangulations are ``geometry.fan`` of one anchor, a vertex chosen
 by one rule (``select_vstar`` takes the first of ``qualifying_vertices``
 off the equilibrium plane).  The fan reads the faces from the polytope's
 vertex-facet incidence, so its simplices are rows of its vertices, and
-it is the only triangulation routine.  For a target inside a facet, the
-cones over that facet give way to the fans of pyramids from the anchor:
-the pyramid over the target, and the pieces of the pyramid over the
-facet outside it, so nothing is projected into a facet's frame.  The
-points at one drift level (the top face, the target's end vertices)
-come from ``SystemGeometry.at_level``.  A triangulation records what
-its construction decides, the exit facet of each target simplex and the
+it is the only triangulation routine.  Which of those rows lie on the
+target's facet k is column k of the incidence, read once: a simplex with
+exactly one vertex off it exits through the facet omitting that vertex
+(``basic_triangulation``), and the fan's cones whose base is on it give
+way (``triangulation_wrt_F``).  For a target inside a facet, the cones
+over that facet give way to the fans of pyramids from the anchor: the
+pyramid over the target, and the pieces of the pyramid over the facet
+outside it, so nothing is projected into a facet's frame.  The points at
+one drift level (the top face, the target's end vertices) come from
+``SystemGeometry.at_level``.  A triangulation records what its
+construction decides, the exit facet of each target simplex and the
 facet each simplex shares with a neighbour, so synthesis reads these
 instead of recomputing them.
 
@@ -21,9 +25,8 @@ A triangulation is one (S, n+1, 2n+1) stack of simplex tables, built
 by one ``geometry.simplex_tables`` call from the fans' vertex stacks and
 ordered by one lexsort of the simplices' keys (``_key_order``).  Its
 adjacency matches facet keys, the sorted ids of a facet's vertices, in
-one sort, and the vertex levels along a direction, which the target
-marking and the greedy pass read, are one (S, n+1) product
-(``Triangulation.levels``)."""
+one sort, and the vertex levels along a direction, which the greedy pass
+reads, are one (S, n+1) product (``Triangulation.levels``)."""
 
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ import numpy as np
 from .errors import (CoverIncomplete, CutConstructionFailed, EpsTooLarge,
                      NoQualifyingVertex, VStarInFbar)
 from .geometry import (KEY_DECIMALS, TOL_GEOM, TOL_INCIDENCE, TOL_MERGE,
-                       TOL_VOLUME, TOL_ZERO, HalfSpace, Hyperplane, Polytope,
+                       TOL_VOLUME, TOL_ZERO, Hyperplane, Polytope,
                        Simplex, affine_dimension, carrying_facet,
                        clip_to_halfspace, convex_hull, fan,
                        hyperplane_through, lex_sorted, point_in_hull,
@@ -143,43 +146,42 @@ def _facet_adjacency(tables: np.ndarray) -> list[tuple[int, int, int, int]]:
 
 
 def qualifying_vertices(p: Polytope, f: Polytope, geom: SystemGeometry) -> np.ndarray:
-    """Vertices on the top drift face admissible as fan anchors, in
-    lexicographic order: off the equilibrium plane or inside the target."""
-    top = geom.at_level(p.vertices, float((p.vertices @ geom.beta).max()))
-    quals = [v for v in top
-             if not geom.on_equilibrium_plane(v)
-             or point_in_hull(v, f.vertices, TOL_INCIDENCE)]
-    return lex_sorted(np.array(quals)) if quals else np.zeros((0, p.n))
+    """The indices of the vertices of ``p`` on the top drift face that are
+    admissible as fan anchors, in the vertices' (lexicographic) order:
+    off the equilibrium plane or inside the target.  A caller reads their
+    rows of ``p.incidence`` by these indices."""
+    levels = p.vertices @ geom.beta
+    top = np.flatnonzero(geom.on_level(levels, float(levels.max())))
+    return np.array([i for i in top if not geom.on_equilibrium_plane(p.vertices[i])
+                     or point_in_hull(p.vertices[i], f.vertices, TOL_INCIDENCE)], dtype=int)
 
 
 def select_vstar(p: Polytope, f: Polytope, geom: SystemGeometry) -> np.ndarray:
     """The anchor: the first qualifying vertex off the equilibrium plane,
     else the first one (which lies inside the target).  With none, the
     reachability premise is violated."""
-    quals = qualifying_vertices(p, f, geom)
+    quals = p.vertices[qualifying_vertices(p, f, geom)]
     if not len(quals):
         raise NoQualifyingVertex("no admissible anchor vertex on the top face")
     off_plane = [v for v in quals if not geom.on_equilibrium_plane(v)]
     return off_plane[0] if off_plane else quals[0]
 
 
-def basic_triangulation(p: Polytope, vstar: np.ndarray) -> Triangulation:
+def basic_triangulation(p: Polytope, vstar: np.ndarray, k: int) -> Triangulation:
     """The fan of the vertex ``vstar`` over every facet of ``p`` that
-    misses it (``geometry.fan``), ordered by vertex key; the anchor is
-    vertex 0 of every simplex."""
+    misses it (``geometry.fan``), ordered by vertex key, with its exits
+    through facet ``k`` of ``p``, the target.  The anchor is vertex 0 of
+    every simplex.  The fan's simplices are rows of ``p.vertices``, so
+    column k of ``p.incidence`` tells which of their vertices lie on the
+    target: a simplex with exactly one vertex off it exits through the
+    facet omitting that vertex, which is its only facet in the target."""
     vstar = np.asarray(vstar, dtype=float)
-    V = fan(p, vstar)
-    return Triangulation(simplex_tables(V[_key_order(V)]), vstar, {})
-
-
-def mark_target(tri: Triangulation, target: HalfSpace) -> None:
-    """Set ``tri.target_exits`` for a target that is a whole facet, given by
-    its halfspace: a simplex facet lies in it exactly when its n vertices
-    lie on its plane within ``TOL_INCIDENCE``, so a simplex with one vertex
-    off the plane exits through the facet omitting that vertex."""
-    off = np.abs(tri.levels(target.normal) - target.offset) > TOL_INCIDENCE
+    rows = fan(p, vstar)
+    rows = rows[_key_order(p.vertices[rows])]
+    off = ~p.incidence[rows, k]
     one = np.flatnonzero(off.sum(axis=1) == 1)
-    tri.target_exits = dict(zip(one.tolist(), off[one].argmax(axis=1).tolist()))
+    exits = dict(zip(one.tolist(), off[one].argmax(axis=1).tolist()))
+    return Triangulation(simplex_tables(p.vertices[rows]), vstar, exits)
 
 
 def triangulation_wrt_F(p: Polytope, f: Polytope, vstar: np.ndarray) -> Triangulation:
@@ -203,19 +205,20 @@ def triangulation_wrt_F(p: Polytope, f: Polytope, vstar: np.ndarray) -> Triangul
         raise VStarInFbar("anchor lies on the facet carrying the target")
 
     target = convex_hull(np.vstack([vstar, f.vertices]))
-    cones = [fan(target, vstar)]
+    cones = [target.vertices[fan(target, vstar)]]
     n_target = len(cones[0])
-    # the fan's cones with their base on facet k give way to the cones
-    # over the target and over the pieces of facet k outside it
-    p_cones = fan(p, vstar)
-    cones.append(p_cones[np.abs(p_cones[:, 1:] @ h.normal - h.offset).max(axis=1) > TOL_INCIDENCE])
+    # the fan's cones with their base on facet k, which column k of the
+    # incidence tells, give way to the cones over the target and over the
+    # pieces of facet k outside it
+    rows = fan(p, vstar)
+    cones.append(p.vertices[rows[~p.incidence[rows[:, 1:], k].all(axis=1)]])
     rest = convex_hull(np.vstack([vstar, p.vertices[p.incidence[:, k]]]))
     apex = np.abs(target.vertices - vstar).max(axis=1) <= TOL_MERGE
     for g, through in zip(target.halfspaces, target.incidence[apex].any(axis=0)):
         if through:
             piece = clip_to_halfspace(rest, g.flipped())
             if piece.is_full_dim:
-                cones.append(fan(piece, vstar))
+                cones.append(piece.vertices[fan(piece, vstar)])
             rest = clip_to_halfspace(rest, g)
     V = np.concatenate(cones)
     order = _key_order(V)

@@ -596,6 +596,27 @@ def lp_target_exits(tri, f):
     return exits
 
 
+# -- plane references for the target exits and the cones over a facet -------
+
+def plane_target_exits(t, target):
+    """The plane rule for the exits of a triangulation through a target
+    facet, given by its halfspace: a simplex facet lies in it when its n
+    vertices lie on its plane within TOL_INCIDENCE, so a simplex with
+    exactly one vertex off the plane exits through the facet omitting
+    that vertex."""
+    off = np.abs(t.levels(target.normal) - target.offset) > geo.TOL_INCIDENCE
+    one = np.flatnonzero(off.sum(axis=1) == 1)
+    return dict(zip(one.tolist(), off[one].argmax(axis=1).tolist()))
+
+
+def plane_cones_off_facet(p, vstar, h):
+    """The simplices of the fan of p from vstar whose base, every vertex
+    but the anchor, does not lie on the plane of h within TOL_INCIDENCE,
+    as an (S, n+1, n) stack."""
+    V = p.vertices[geo.fan(p, vstar)]
+    return V[np.abs(V[:, 1:] @ h.normal - h.offset).max(axis=1) > geo.TOL_INCIDENCE]
+
+
 def loop_locate(ctrl, X, tol=geo.TOL_MERGE):
     """Index of the preferred piece holding each row of X, or -1, by a
     scan over every piece for every state."""

@@ -7,7 +7,8 @@ bit for bit.  Run from the repository's root:
     PYTHONPATH=src python tests/output_digest.py
 
 It prints one line per workload (its digest and outcome counts) and the
-digest of all three.  A synthesis item hashes its outcome kind (and, for an
+digest of all three; ``main`` returns the counts, which
+``tests/test_output_digest.py`` pins.  A synthesis item hashes its outcome kind (and, for an
 error, its message) or, for a controller, its stacked region table, laws,
 exit facets, ranks, path lengths, sub-ranks, slacks, exit margins, domain
 (vertices and facet rows) and notes; a run hashes its times, states,
@@ -87,8 +88,10 @@ def verify_runs(h, seed: int) -> Counter:
     return counts
 
 
-def main() -> None:
+def main() -> dict:
+    """Print the digests and return each workload's outcome counts."""
     total = hashlib.sha256()
+    outcomes = {}
     for name in ("synth2d", "synth3d", "verify"):
         h = hashlib.sha256()
         counts = Counter()
@@ -97,9 +100,11 @@ def main() -> None:
                 counts += verify_runs(h, seed)
             else:
                 counts.update(synth_output(h, pr) for pr in synth_items(name, seed))
-        print(f"{name}: {h.hexdigest()} {dict(sorted(counts.items()))}")
+        outcomes[name] = dict(sorted(counts.items()))
+        print(f"{name}: {h.hexdigest()} {outcomes[name]}")
         total.update(h.digest())
     print(f"all: {total.hexdigest()}")
+    return outcomes
 
 
 if __name__ == "__main__":

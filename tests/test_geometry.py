@@ -639,10 +639,72 @@ class TestClip:
                         # a face past the plane by under TOL_INCIDENCE: the
                         # clip drops it, the enumeration keeps its vertex
                         continue
-                    out = geo.clip_to_halfspace(geo.Polytope(face.vertices, [], n - 1), h)
+                    out = geo.clip_to_halfspace(face, h)
                     ref = geo.hrep_to_vrep(p.halfspaces + [h, face.supporting.flipped()])
                     assert matches(out.vertices, ref, shift)
                     assert out.halfspaces == [] and out.dim == geo.affine_dimension(ref)
+
+    @staticmethod
+    def clip_points(face, vals):
+        """The points that the clip of ``face`` keeps, by its three cases: the
+        face whole, its face on the plane, or the points on the plane and
+        the vertices strictly inside."""
+        if vals.max() <= geo.TOL_GEOM:
+            return face.vertices
+        if vals.min() >= -geo.TOL_GEOM:
+            return face.vertices[vals <= geo.TOL_GEOM]
+        return np.vstack([geo._plane_points(face, vals)[0], face.vertices[vals < -geo.TOL_GEOM]])
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_facet_clips_and_sections_hull_only_merged_points(self, n, hull_calls):
+        """On every facet of seeded hulls, the clip and the section read the
+        facet's edges off its table: neither hulls unless two of its points
+        merged (``TOL_MERGE``), and both give, bit for bit, the vertices of
+        ``convex_hull`` of the same points, and the edges of that hull."""
+        rng = np.random.default_rng(90 + n)
+        merged = hulled = 0
+        for _ in range(3 if n < 4 else 2):
+            p = random_hull(rng, n)
+            for h, _ in clip_cases(rng, p):
+                plane = geo.Hyperplane(h.normal, h.offset)
+                for face in p.facets():
+                    vals = face.vertices @ h.normal - h.offset
+                    for cut, pts in [(geo.clip_to_halfspace, self.clip_points(face, vals)),
+                                     (geo.section, geo._plane_points(face, vals)[0])]:
+                        hull_calls.clear()
+                        out = cut(face, h if cut is geo.clip_to_halfspace else plane)
+                        joined = len(geo.dedupe_points(pts)) < len(pts)
+                        assert len(hull_calls) == joined
+                        merged += joined
+                        if joined or not len(pts):
+                            continue
+                        ref = geo.convex_hull(pts)
+                        hulled += 1
+                        assert np.array_equal(out.vertices, ref.vertices)
+                        assert out.dim == ref.dim and out.halfspaces == []
+                        assert np.array_equal(out.edges, ref.edges)
+        assert merged and hulled
+
+    def test_caller_built_polygon_clips_right(self, hull_calls):
+        """A hexagon in 3-D built from its vertices alone gets its table at
+        construction, without a hull, and clips by its sides: the crossing
+        points of the two sides the plane cuts, with the vertices inside."""
+        rng = np.random.default_rng(7)
+        frame = np.linalg.qr(rng.normal(size=(3, 3)))[0][:, :2]
+        ang = np.sort(rng.uniform(0, 2 * np.pi, 6))
+        ring = np.stack([np.cos(ang), np.sin(ang)], axis=1) @ frame.T + [0.3, -0.2, 0.5]
+        poly = geo.Polytope(geo.lex_sorted(ring), [], 2)
+        normal = np.array([1.0, 0.4, -0.3])
+        half = geo.HalfSpace(normal, float(normal @ ring.mean(axis=0)))
+        out = geo.clip_to_halfspace(poly, half)
+        assert len(hull_calls) == 0 and len(poly.edges) == 6
+        vals = ring @ half.normal - half.offset
+        cross = [ring[i] + vals[i] / (vals[i] - vals[j]) * (ring[j] - ring[i])
+                 for i, j in zip(range(6), np.roll(range(6), -1)) if vals[i] * vals[j] < 0]
+        assert len(cross) == 2
+        ref = geo.convex_hull(np.vstack([cross, ring[vals < 0]]))
+        assert out.dim == 2 and out.halfspaces == [] and same_points(out.vertices, ref.vertices)
+        assert np.array_equal(out.edges, ref.edges)
 
     def test_clip_near_a_vertex_keeps_every_facet(self):
         # the crossing points on the edges from the z = 0 vertices merge
@@ -676,7 +738,7 @@ class TestClip:
         far = 0
         for _ in range(4):
             p = random_hull(rng, n)
-            assert np.array_equal(geo.edges(p), rank_edges(p))
+            assert np.array_equal(p.edges, rank_edges(p))
             for h, shift in clip_cases(rng, p):
                 hull_calls.clear()
                 out = geo.clip_to_halfspace(p, h)
@@ -688,7 +750,7 @@ class TestClip:
                     if hull_calls or not np.array_equal(seen, out.incidence):
                         continue
                     far += 1
-                assert np.array_equal(geo.edges(out), rank_edges(out))
+                assert np.array_equal(out.edges, rank_edges(out))
                 for face, (ref, dim) in zip(out.facets(), rank_facets(out)):
                     assert np.array_equal(face.vertices, ref) and face.dim == dim == n - 1
                 assert [halfspace_key(g) for g in out.halfspaces] == \
@@ -705,7 +767,7 @@ class TestClip:
 
         for name in ("convex_hull", "affine_basis", "affine_dimension", "rank"):
             monkeypatch.setattr(geo, name, refuse)
-        assert len(geo.edges(p)) and geo.whole_facet(p, p.facets()[0]) == 0
+        assert len(p.edges) and geo.whole_facet(p, p.facets()[0]) == 0
         assert len(geo.fan(p, p.vertices[-1])) and geo.clip_to_halfspace(p, half).is_full_dim
 
     def test_full_dimensional_split_solves_no_lp(self, lp_calls):
@@ -770,7 +832,7 @@ class TestSection:
                         # a face missing the plane by under TOL_INCIDENCE:
                         # the section is empty, the enumeration keeps its vertex
                         continue
-                    out = geo.section(geo.Polytope(face.vertices, [], n - 1), plane)
+                    out = geo.section(face, plane)
                     ref = geo.hrep_to_vrep(p.halfspaces + [face.supporting.flipped(),
                                                            plane.lower(), plane.upper()])
                     assert self.agree(out.vertices, ref, shift)
@@ -850,7 +912,7 @@ class TestFaces:
 
     def test_fan_shared_diagonal(self):
         square = geo.convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
-        tris = geo.fan(square, square.vertices[0])
+        tris = square.vertices[geo.fan(square, square.vertices[0])]
         assert len(tris) == 2
         s1 = geo.convex_hull(tris[0])
         s2 = geo.convex_hull(tris[1])
@@ -860,9 +922,9 @@ class TestFaces:
     def test_faces_of_cube(self):
         cube = geo.Polytope.box([0, 0, 0], [1, 1, 1])
         assert len(cube.facets()) == 6
-        assert len(geo.edges(cube)) == 12
+        assert len(cube.edges) == 12
         assert len(cube.vertices) == 8
-        assert len(geo.edges(geo.Polytope.box([0] * 4, [1] * 4))) == 32
+        assert len(geo.Polytope.box([0] * 4, [1] * 4).edges) == 32
 
 
 class TestTriangulationValidity:
@@ -883,14 +945,14 @@ class TestTriangulationValidity:
         rng = np.random.default_rng(5)
         for _ in range(20):
             p = random_polygon(rng)
-            self.check_valid(p, geo.fan(p, p.vertices[0]))
+            self.check_valid(p, p.vertices[geo.fan(p, p.vertices[0])])
         for _ in range(10):
             p = random_polytope_3d(rng)
-            self.check_valid(p, geo.fan(p, p.vertices[0]))
+            self.check_valid(p, p.vertices[geo.fan(p, p.vertices[0])])
 
     def test_cube_fan_from_corner(self):
         cube = geo.Polytope.box([0, 0, 0], [1, 1, 1])
-        tris = geo.fan(cube, np.zeros(3))
+        tris = cube.vertices[geo.fan(cube, np.zeros(3))]
         assert len(tris) == 6
         self.check_valid(cube, tris)
 
@@ -908,13 +970,11 @@ class TestFan:
         rng = np.random.default_rng(60 + n)
         for _ in range(3):
             p = random_hull(rng, n)
-            rows = {v.tobytes() for v in p.vertices}
-            for anchor in p.vertices:
-                simplices = geo.fan(p, anchor)
-                assert all(s.shape == (n + 1, n) and np.array_equal(s[0], anchor)
-                           and all(v.tobytes() in rows for v in s) for s in simplices)
-                assert sum(geo.simplex_volume(s) for s in simplices) == \
-                    pytest.approx(p.volume(), rel=1e-9)
+            for i, anchor in enumerate(p.vertices):
+                rows = geo.fan(p, anchor)
+                assert rows.shape[1] == n + 1 and np.all(rows[:, 0] == i)
+                assert np.all((0 <= rows) & (rows < len(p.vertices)))
+                assert fan_volume(p.vertices[rows]) == pytest.approx(p.volume(), rel=1e-9)
 
     def test_anchor_off_the_vertices_raises(self):
         cube = geo.Polytope.box([0, 0, 0], [1, 1, 1])
@@ -938,7 +998,7 @@ class TestFan:
         ref = ConvexHull(out.vertices).volume
         assert ref == pytest.approx(hull_volume, abs=1e-6)
         for anchor in out.vertices:
-            assert fan_volume(geo.fan(out, anchor)) == pytest.approx(ref, rel=1e-6)
+            assert fan_volume(out.vertices[geo.fan(out, anchor)]) == pytest.approx(ref, rel=1e-6)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_near_vertex_clips_by_incidence_fan_to_the_hull_volume(self, n, hull_calls):
@@ -959,7 +1019,8 @@ class TestFan:
                 checked += 1
                 ref = ConvexHull(out.vertices).volume
                 for anchor in out.vertices:
-                    assert fan_volume(geo.fan(out, anchor)) == pytest.approx(ref, rel=1e-6)
+                    assert fan_volume(out.vertices[geo.fan(out, anchor)]) == \
+                        pytest.approx(ref, rel=1e-6)
         assert checked >= 40
 
 

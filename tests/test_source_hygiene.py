@@ -205,17 +205,13 @@ def test_check_sees_a_second_exclusion_rule():
 
 def polytope_builds(source: str) -> list[str]:
     """The functions (by name, "<module>" outside any) that build a
-    ``Polytope`` with a halfspace list other than a literal ``[]``, each
-    marked by whether it hands over an incidence table (a fourth argument
-    or ``incidence=``)."""
+    ``Polytope`` or a ``Face``, each marked by whether it hands over an
+    incidence table (a fourth argument or ``incidence=``)."""
     tree = ast.parse(source)
     owner = _owners(tree)
     out = []
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call) and _name(node) == "Polytope"):
-            continue
-        args = node.args + [k.value for k in node.keywords if k.arg == "halfspaces"]
-        if len(args) < 2 or (isinstance(args[1], ast.List) and not args[1].elts):
+        if not (isinstance(node, ast.Call) and _name(node) in ("Polytope", "Face")):
             continue
         given = len(node.args) > 3 or any(k.arg == "incidence" for k in node.keywords)
         mark = "with" if given else "without"
@@ -240,6 +236,31 @@ def tolerance_incidence(source: str) -> list[str]:
     return sorted(out)
 
 
+def stacked_plane_tests(source: str) -> list[str]:
+    """The functions (by name, "<module>" outside any) that compare a
+    ``TOL_`` constant with ``abs`` of an expression holding a
+    ``.levels(...)`` call or a product of a sliced stack: a facet plane
+    tested against the stacked vertices of simplices, which are rows of
+    a polytope's vertices whose incidence the polytope holds."""
+    tree = ast.parse(source)
+    owner = _owners(tree)
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Compare) and any(
+                _name(c) and _name(c).startswith("TOL_") for c in node.comparators)):
+            continue
+        for call in ast.walk(node.left):
+            if not _is_abs(call):
+                continue
+            inner = list(ast.walk(call))
+            if any(isinstance(n, ast.Call) and _name(n) == "levels" for n in inner) or any(
+                    isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)
+                    and isinstance(n.left, ast.Subscript) for n in inner):
+                out.append(owner.get(id(node), "<module>"))
+                break
+    return sorted(out)
+
+
 def class_names(source: str, cls: str) -> set[str]:
     """The names that the body of class ``cls`` reads."""
     return {node.id for c in ast.walk(ast.parse(source))
@@ -248,23 +269,31 @@ def class_names(source: str, cls: str) -> set[str]:
 
 
 def test_incidence_is_decided_where_a_polytope_is_built():
-    """Incidence is data of a construction: only ``convex_hull`` and the
-    clip build a polytope with facets, each handing over the table that
-    chose them, and no code reads incidence off the facet rows with a
-    tolerance, ``Polytope`` included, which reads no ``TOL_INCIDENCE``."""
+    """Incidence is data of a construction, in every dimension: every
+    ``Polytope`` and ``Face`` that the package builds hands over its
+    table, but the empty polytope and the hull of one point, which have
+    at most one vertex (a caller's set of three or more vertices gets its
+    table at construction).  No code reads incidence off the facet rows
+    with a tolerance, ``Polytope`` included, which reads no
+    ``TOL_INCIDENCE``."""
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     builds = {name: polytope_builds(text) for name, text in sources.items()}
     assert {name: got for name, got in builds.items() if got} == {
-        "geometry.py": ["_clip_across (with incidence)", "convex_hull (with incidence)"]}
+        "geometry.py": ["_clip_across (with incidence)", "_clip_across (with incidence)",
+                        "clip_to_halfspace (with incidence)", "convex_hull (with incidence)",
+                        "convex_hull (without incidence)", "empty (without incidence)",
+                        "facet (with incidence)", "facets (with incidence)",
+                        "from_vertices (with incidence)", "section (with incidence)"],
+        "reach.py": ["analyze (with incidence)"]}
     assert {name: got for name, got in
             ((name, tolerance_incidence(text)) for name, text in sources.items()) if got} == {}
     assert "TOL_INCIDENCE" not in class_names(sources["geometry.py"], "Polytope")
 
 
 def test_check_sees_incidence_derived_again():
-    """The lazy table, the clip's candidate polytope and the simplex's
-    polytope without a table, which incidence used to be re-derived
-    through, are all seen."""
+    """The lazy table, the clip's candidate polytope, the simplex's
+    polytope without a table and a section without its rows, which
+    incidence used to be re-derived through, are all seen."""
     source = ("import numpy as np\n"
               "class Polytope:\n"
               "    @cached_property\n"
@@ -277,13 +306,46 @@ def test_check_sees_incidence_derived_again():
               "    return Polytope(verts, [cands[i] for i in _maximal_sets(tight)], p.n)\n"
               "def as_polytope(s, hs):\n"
               "    return Polytope(s.vertices, halfspaces=hs, dim=s.n)\n"
-              "def face(p):\n"
-              "    return Polytope(p.vertices, [], p.n - 1)\n")
+              "def section(verts):\n"
+              "    return Polytope(verts, [], affine_dimension(verts))\n"
+              "def from_vertices(points):\n"
+              "    hull = convex_hull(points)\n"
+              "    return Face(hull.vertices, None, hull.dim, incidence=hull.incidence)\n")
     assert polytope_builds(source) == ["_clip_across (without incidence)",
                                        "_clip_across (without incidence)",
-                                       "as_polytope (without incidence)"]
+                                       "as_polytope (without incidence)",
+                                       "from_vertices (with incidence)",
+                                       "section (without incidence)"]
     assert tolerance_incidence(source) == ["incidence"]
     assert "TOL_INCIDENCE" in class_names(source, "Polytope")
+
+
+def test_exits_and_cones_read_the_incidence():
+    """``triangulate`` and ``synth`` read which rows of a polytope's
+    vertices lie on its facet k off ``p.incidence``: no function there
+    tests a facet plane against the stacked vertices of simplices (their
+    levels, or a fan's stack) at a tolerance."""
+    sources = {name: (PACKAGE / name).read_text() for name in ("triangulate.py", "synth.py")}
+    assert {name: got for name, got in
+            ((name, stacked_plane_tests(text)) for name, text in sources.items()) if got} == {}
+
+
+def test_check_sees_a_stacked_plane_test():
+    """The level rule for the target exits and the plane filter of the
+    fan's cones are seen; a plane tested at one point, levels compared by
+    the drift rule and an anchor matched among vertices are not."""
+    source = ("import numpy as np\n"
+              "def mark_target(tri, target):\n"
+              "    off = np.abs(tri.levels(target.normal) - target.offset) > TOL_INCIDENCE\n"
+              "    return off\n"
+              "def cones(p_cones, h):\n"
+              "    keep = np.abs(p_cones[:, 1:] @ h.normal - h.offset).max(axis=1) > TOL_INCIDENCE\n"
+              "    return p_cones[keep]\n"
+              "def guard(h, vstar, target, tri, geom):\n"
+              "    assert abs(h.value(vstar)) > TOL_GEOM\n"
+              "    assert np.abs(target.vertices - vstar).max() <= TOL_MERGE\n"
+              "    return geom.on_level(tri.levels(geom.beta), 0.0)\n")
+    assert stacked_plane_tests(source) == ["cones", "mark_target"]
 
 
 def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:

@@ -457,8 +457,7 @@ def fixture_leaf(fixture):
     of a facet-target fixture's leaf triangulation."""
     sys, p, f = fixture()
     geom = compute_geometry(sys, p)
-    t = tri.basic_triangulation(p, tri.select_vstar(p, f, geom))
-    tri.mark_target(t, f.supporting)
+    t = tri.basic_triangulation(p, tri.select_vstar(p, f, geom), geo.whole_facet(p, f))
     res = synth.greedy_paths(t, geom)
     return sys, geom, [t.simplices[i] for i in res.order], [res.exit_facet[i] for i in res.order]
 
@@ -582,8 +581,7 @@ class TestGreedyPaths:
         geom = compute_geometry(sys, p)
         cut = reach.epsilon_cut(geom, p, f, 0.1)
         vstar = tri.select_vstar(cut.reach_eps, f, geom)
-        t = tri.basic_triangulation(cut.reach_eps, vstar)
-        tri.mark_target(t, cut.reach_eps.halfspaces[geo.whole_facet(cut.reach_eps, f)])
+        t = tri.basic_triangulation(cut.reach_eps, vstar, geo.whole_facet(cut.reach_eps, f))
         res = synth.greedy_paths(t, geom)
         # finish order follows a chain of increasing path lengths
         assert [res.path_len[i] for i in res.order] == [1, 2, 3]
@@ -597,8 +595,7 @@ class TestGreedyPaths:
     def test_random_fixtures_terminate(self):
         for sys, p, f, geom, ra in right_target_polygons(20):
             vstar = tri.select_vstar(p, f, geom)
-            t = tri.basic_triangulation(p, vstar)
-            tri.mark_target(t, f.supporting)
+            t = tri.basic_triangulation(p, vstar, geo.whole_facet(p, f))
             assert t.target_exits == lp_target_exits(t, f)
             res = synth.greedy_paths(t, geom)
             assert len(res.order) == len(t.simplices)
@@ -611,8 +608,7 @@ class TestGreedyPaths:
             p = geo.convex_hull(p.vertices * scale)
             f = facet_face(p, [1, 0])
             geom = compute_geometry(sys, p)
-            t = tri.basic_triangulation(p, tri.select_vstar(p, f, geom))
-            tri.mark_target(t, f.supporting)
+            t = tri.basic_triangulation(p, tri.select_vstar(p, f, geom), geo.whole_facet(p, f))
             res = synth.greedy_paths(t, geom)
             raw = [(np.delete(t.simplices[i].vertices, res.exit_facet[i], axis=0) @ geom.beta).min()
                    for i in res.order]
@@ -622,7 +618,7 @@ class TestGreedyPaths:
     def test_marking_and_ordering_solve_no_lp(self, fixture, monkeypatch):
         sys, p, f = fixture()
         geom = compute_geometry(sys, p)
-        t = tri.basic_triangulation(p, tri.select_vstar(p, f, geom))
+        vstar, k = tri.select_vstar(p, f, geom), geo.whole_facet(p, f)
         calls = []
         solve = lp.solve
 
@@ -631,7 +627,7 @@ class TestGreedyPaths:
             return solve(*args)
 
         monkeypatch.setattr(lp, "solve", counting)
-        tri.mark_target(t, f.supporting)
+        t = tri.basic_triangulation(p, vstar, k)
         res = synth.greedy_paths(t, geom)
         assert len(calls) == 0
         assert t.target_exits and len(res.order) == len(t.simplices)
@@ -646,8 +642,7 @@ class TestGreedyPaths:
         the target exits plus the adjacent pairs."""
         sys, p, f = fixture()
         geom = compute_geometry(sys, p)
-        t = tri.basic_triangulation(p, tri.select_vstar(p, f, geom))
-        tri.mark_target(t, f.supporting)
+        t = tri.basic_triangulation(p, tri.select_vstar(p, f, geom), geo.whole_facet(p, f))
         seen = []
         at_level = SystemGeometry.at_level
 

@@ -15,6 +15,7 @@ from helpers import (box_fixture, cube_fixture, diamond_fixture, direct_cut_fixt
                      interface_cut_fixture,
                      ill2_fixture, ill3_fixture, lp_target_exits,
                      o_cross_fixture, pinned_corner_fixture,
+                     plane_cones_off_facet, plane_target_exits,
                      reference_facet_adjacency, top_edge_fixture,
                      wedge_fixture)
 
@@ -29,8 +30,10 @@ def random_triangulations(rng, n, count):
     triangulations w.r.t. a random target inside a random facet."""
     for _ in range(count):
         p = geo.convex_hull(rng.normal(size=(n + 4, n)))
-        yield tri.basic_triangulation(p, p.vertices[rng.integers(len(p.vertices))])
-        on = p.incidence[:, rng.integers(len(p.halfspaces))]
+        anchor = p.vertices[rng.integers(len(p.vertices))]
+        k = rng.integers(len(p.halfspaces))
+        yield tri.basic_triangulation(p, anchor, k)
+        on = p.incidence[:, k]
         weights = rng.dirichlet(np.ones(on.sum()), size=n + 1)
         yield tri.triangulation_wrt_F(p, face_from(weights @ p.vertices[on]),
                                       p.vertices[~on][rng.integers((~on).sum())])
@@ -87,7 +90,7 @@ class TestSelectVstar:
         # the other top-face vertex sits on the equilibrium line and off
         # the target, so the qualifier is unique
         quals = tri.qualifying_vertices(cut.reach_eps, f, geom)
-        assert len(quals) == 1
+        assert len(quals) == 1 and np.array_equal(cut.reach_eps.vertices[quals[0]], vstar)
 
     def test_box_lex_tiebreak(self):
         sys = double_integrator()
@@ -107,7 +110,7 @@ class TestSelectVstar:
 class TestBasicTriangulation:
     def test_square_two_triangles(self):
         p = geo.convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
-        t = tri.basic_triangulation(p, np.array([0.0, 0.0]))
+        t = tri.basic_triangulation(p, np.array([0.0, 0.0]), 0)
         assert len(t.simplices) == 2
         simplices_valid(p, t.simplices)
 
@@ -119,7 +122,7 @@ class TestBasicTriangulation:
                 continue
             p = geo.convex_hull(pts)
             anchor = p.vertices[0]
-            t = tri.basic_triangulation(p, anchor)
+            t = tri.basic_triangulation(p, anchor, 0)
             simplices_valid(p, t.simplices)
             for s in t.simplices:
                 assert any(np.allclose(v, anchor, atol=1e-9) for v in s.vertices)
@@ -129,13 +132,13 @@ class TestBasicTriangulation:
         geom = compute_geometry(sys, p)
         cut = reach.epsilon_cut(geom, p, f, 0.1)
         vstar = tri.select_vstar(cut.reach_eps, f, geom)
-        t = tri.basic_triangulation(cut.reach_eps, vstar)
+        t = tri.basic_triangulation(cut.reach_eps, vstar, geo.whole_facet(cut.reach_eps, f))
         assert len(t.simplices) == 3
         simplices_valid(cut.reach_eps, t.simplices)
 
     def test_cube_from_corner(self):
         cube = geo.Polytope.box([0, 0, 0], [1, 1, 1])
-        t = tri.basic_triangulation(cube, np.zeros(3))
+        t = tri.basic_triangulation(cube, np.zeros(3), 0)
         assert len(t.simplices) == 6
         simplices_valid(cube, t.simplices)
 
@@ -146,14 +149,14 @@ class TestBasicTriangulation:
             p = geo.convex_hull(rng.normal(size=(n + 4, n)))
             rows = {v.tobytes() for v in p.vertices}
             for anchor in p.vertices:
-                t = tri.basic_triangulation(p, anchor)
+                t = tri.basic_triangulation(p, anchor, 0)
                 assert all(v.tobytes() in rows for s in t.simplices for v in s.vertices)
                 simplices_valid(p, t.simplices)
 
     def test_anchor_off_the_vertices_raises(self):
         cube = geo.Polytope.box([0, 0, 0], [1, 1, 1])
         with pytest.raises(GeometryError):
-            tri.basic_triangulation(cube, np.array([0.5, 0.5, 1.0]))
+            tri.basic_triangulation(cube, np.array([0.5, 0.5, 1.0]), 0)
 
 
 def _marked_leaf(fixture, eps):
@@ -167,28 +170,86 @@ def _marked_leaf(fixture, eps):
         geom = compute_geometry(sys, p)
     k = geo.whole_facet(p, f)
     assert k is not None
-    t = tri.basic_triangulation(p, tri.select_vstar(p, f, geom))
-    tri.mark_target(t, p.halfspaces[k])
-    return t, f
+    return tri.basic_triangulation(p, tri.select_vstar(p, f, geom), k), f, p.halfspaces[k]
 
 
 class TestMarkTarget:
+    """The target exits that ``basic_triangulation`` reads off column k of
+    the incidence, against the plane rule (``plane_target_exits``) and the
+    LP rule."""
+
     @pytest.mark.parametrize("fixture,eps", [(box_fixture, None), (wedge_fixture, 0.1),
                                              (pinned_corner_fixture, None),
                                              (cube_fixture, None), (top_edge_fixture, None)])
     def test_plane_rule_matches_lp_rule(self, fixture, eps):
-        t, f = _marked_leaf(fixture, eps)
+        t, f, h = _marked_leaf(fixture, eps)
         assert t.target_exits
-        assert t.target_exits == lp_target_exits(t, f)
+        assert t.target_exits == lp_target_exits(t, f) == plane_target_exits(t, h)
 
     def test_anchor_on_target_exits_elsewhere(self):
-        t, f = _marked_leaf(top_edge_fixture, None)
+        t, f, h = _marked_leaf(top_edge_fixture, None)
         assert geo.point_in_hull(t.vstar, f.vertices, 1e-9)
-        assert list(t.target_exits) == [1]
+        assert list(t.target_exits) == [1] and t.target_exits == plane_target_exits(t, h)
         # the exit omits the one vertex off the target's line, not the anchor
         j = t.target_exits[1]
         off = [abs(f.supporting.value(v)) > 1e-9 for v in t.simplices[1].vertices]
         assert j != 0 and off == [i == j for i in range(3)]
+
+
+def simplex_keys(V):
+    """The sorted keys of a stack of simplices: each one's vertices, rounded
+    and sorted lexicographically."""
+    return sorted(tuple(map(tuple, np.round(geo.lex_sorted(s), geo.KEY_DECIMALS))) for s in V)
+
+
+class TestExitsByIncidence:
+    """The exits and the cones that the triangulations read off the
+    incidence, column k of the rows of the fan, against the plane rules
+    at TOL_INCIDENCE (``plane_target_exits``, ``plane_cones_off_facet``)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_basic_exits_match_the_plane_rule(self, n):
+        rng = np.random.default_rng(80 + n)
+        marked = 0
+        for _ in range(3):
+            p = geo.convex_hull(rng.normal(size=(n + 4, n)))
+            for anchor in p.vertices:
+                for k, h in enumerate(p.halfspaces):
+                    t = tri.basic_triangulation(p, anchor, k)
+                    assert t.target_exits == plane_target_exits(t, h)
+                    marked += len(t.target_exits)
+        assert marked
+
+    @staticmethod
+    def cones_off(t, h):
+        """The simplices of ``t`` whose base does not lie on h's plane."""
+        off = [np.abs(s.vertices[1:] @ h.normal - h.offset).max() > geo.TOL_INCIDENCE
+               for s in t.simplices]
+        return t.tables[off, :, :t.tables.shape[1] - 1]
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_wrt_F_cones_match_the_plane_rule(self, n):
+        """Off the carrying facet, a triangulation w.r.t. a target inside
+        it keeps exactly the fan's cones that the plane rule keeps."""
+        rng = np.random.default_rng(85 + n)
+        for _ in range(6):
+            p = geo.convex_hull(rng.normal(size=(n + 4, n)))
+            k = rng.integers(len(p.halfspaces))
+            h, on = p.halfspaces[k], p.incidence[:, k]
+            f = face_from(rng.dirichlet(np.ones(on.sum()), size=n + 1) @ p.vertices[on])
+            vstar = p.vertices[~on][rng.integers((~on).sum())]
+            t = tri.triangulation_wrt_F(p, f, vstar)
+            assert simplex_keys(self.cones_off(t, h)) == \
+                simplex_keys(plane_cones_off_facet(p, vstar, h))
+
+    @pytest.mark.parametrize("fixture, anchor", [(ill1_fixture, (0.0, 1.0)),
+                                                 (box_fixture, (0.0, 1.0))])
+    def test_wrt_F_cones_on_the_fixtures(self, fixture, anchor):
+        sys, p, f = fixture()
+        h = p.halfspaces[geo.carrying_facet(p, f)]
+        t = tri.triangulation_wrt_F(p, f, np.array(anchor))
+        ref = plane_cones_off_facet(p, np.array(anchor), h)
+        assert len(ref) and simplex_keys(self.cones_off(t, h)) == simplex_keys(ref)
 
 
 class TestWholeFacet:
@@ -212,7 +273,7 @@ class TestTriangulationWrtF:
     def test_ill1_refinement(self):
         sys, p, f = ill1_fixture()
         geom = compute_geometry(sys, p)
-        quals = tri.qualifying_vertices(p, f, geom)
+        quals = p.vertices[tri.qualifying_vertices(p, f, geom)]
         assert any(np.allclose(q, [0, 1]) for q in quals)
         t = tri.triangulation_wrt_F(p, f, np.array([0.0, 1.0]))
         assert len(t.simplices) == 3
@@ -232,7 +293,7 @@ class TestTriangulationWrtF:
     def test_full_facet_reduces_to_basic(self):
         sys, p, f = box_fixture()
         t = tri.triangulation_wrt_F(p, f, np.array([0.0, 1.0]))
-        b = tri.basic_triangulation(p, np.array([0.0, 1.0]))
+        b = tri.basic_triangulation(p, np.array([0.0, 1.0]), geo.whole_facet(p, f))
         assert len(t.simplices) == len(b.simplices)
         simplices_valid(p, t.simplices)
 
