@@ -398,14 +398,15 @@ def _caller_table(vertices, dim: int) -> np.ndarray:
 
 class HullRows(NamedTuple):
     """``hull_rows`` of a vertex set, or of each of a stack (leading S
-    axis): rows G (R, n), bounds c (R,), widths w (R,), and the
-    barycentric projection P of a single affinely independent set, else
-    None."""
+    axis): rows G (R, n), bounds c (R,), widths w (R,), the barycentric
+    projection P of a single affinely independent set, else None, and
+    the number ``plane`` of leading rows that are the affine hull's."""
 
     rows: np.ndarray
     bounds: np.ndarray
     widths: np.ndarray
     projection: Optional[np.ndarray]
+    plane: int = 0
 
     def excludes(self, X, tol: float) -> np.ndarray:
         """Whether each row x of the (m, n) array X has g.x > c + tol w for
@@ -414,26 +415,42 @@ class HullRows(NamedTuple):
         return np.any(self.rows @ np.asarray(X, dtype=float).T
                       > (self.bounds + tol * self.widths)[..., None], axis=-2)
 
+    def excludes_plane_first(self, X, tol: float) -> np.ndarray:
+        """``excludes`` of a single set, staged: the affine hull's rows
+        on every state, which rule out each state more than ``tol`` off
+        the set's plane, then the other rows on the states they leave
+        open.  Each row's verdict on a state is read alone, so the
+        verdicts are those of ``excludes``."""
+        X = np.asarray(X, dtype=float)
+        limit = (self.bounds + tol * self.widths)[:, None]
+        p = self.plane
+        out = (self.rows[:p] @ X.T > limit[:p]).any(axis=0)
+        if not out.all():
+            kept = ~out
+            out[kept] = (self.rows[p:] @ X[kept].T > limit[p:]).any(axis=0)
+        return out
+
 
 def hull_rows(vertices) -> HullRows:
     """The closed-form "out" of conv(V), for a (k, n) vertex set V or an
     (S, k, n) stack: rows g valid on the hull, bounded by c = max_i g.v_i,
     so the bound holds however g is rounded.  As g.(x - y) <= |g|_1
     |x - y|_inf, g.x - c > tol w puts x more than ``tol`` (inf-norm)
-    outside the hull.  The rows are the bounding box, +-e_i, exact, with
-    w = 1; the normals of the affine hull, both ways (the SVD's V^T past
-    the rank of the differences v_i - v_0); and, for affinely independent
-    vertices, the barycentric gradients of lam_1.. = (x - v_0) P and of
-    lam_0 = 1 - their sum; the last two with w = 2 |g|_1.  A single set
-    drops the rows that do not apply; a stack zeroes them, and a zero row
-    never excludes."""
+    outside the hull.  The rows are, first, the normals of the affine
+    hull, both ways (the SVD's V^T past the rank of the differences
+    v_i - v_0), the ``plane`` rows; then the bounding box, +-e_i, exact,
+    with w = 1; and, for affinely independent vertices, the barycentric
+    gradients of lam_1.. = (x - v_0) P and of lam_0 = 1 - their sum; the
+    normals and the gradients with w = 2 |g|_1.  A single set drops the
+    rows that do not apply; a stack zeroes them, and a zero row never
+    excludes."""
     V = np.asarray(vertices, dtype=float)
     k, n = V.shape[-2:]
     u, sv, vt = np.linalg.svd(V[..., 1:, :] - V[..., :1, :])
     r = np.asarray(rank(sv=sv))[..., None, None]
     normal = np.where(np.arange(n)[:, None] >= r, vt, 0.0)
     box = np.broadcast_to(np.eye(n), vt.shape)
-    G, P = [box, -box, normal, -normal], None
+    G, P = [normal, -normal, box, -box], None
     if k - 1 <= n:
         simplex = r == k - 1
         P = np.swapaxes(vt[..., :k - 1, :], -1, -2) @ np.swapaxes(
@@ -443,10 +460,12 @@ def hull_rows(vertices) -> HullRows:
         P = P if V.ndim == 2 and simplex.all() else None
     G = np.concatenate(G, axis=-2)
     widths = 2.0 * np.abs(G).sum(axis=-1)
-    widths[..., :2 * n] = 1.0
+    widths[..., 2 * n:4 * n] = 1.0
+    plane = 2 * n
     if V.ndim == 2:
-        G, widths = G[widths > 0], widths[widths > 0]
-    return HullRows(G, (V @ np.swapaxes(G, -1, -2)).max(axis=-2), widths, P)
+        keep = widths > 0
+        G, widths, plane = G[keep], widths[keep], int(keep[:2 * n].sum())
+    return HullRows(G, (V @ np.swapaxes(G, -1, -2)).max(axis=-2), widths, P, plane)
 
 
 def point_in_hull(point, vertices, tol: float = TOL_GEOM) -> bool:

@@ -9,12 +9,17 @@ are built by doubling, stacked as a (k n, n) array of the D_k and a
 (k, n) array of the c_k, and extended by the same doubling only when a
 longer block needs them, so the maps already built never change.  A
 block is one matrix-vector product of that stack with its first state,
-and each of the three tests is one product over the block's states: the
-domain's facet rows (``Polytope.rows``), the controller's stacked facet
-table (``PWAController.locate``), and the target face's exclusion rows
-(``Polytope.exclusion``).  A block is _BLOCK steps after the start and
-after each piece switch, and doubles after each block that ends with no
-event, up to _BLOCK_CAP.
+and each of the three tests reads only the rows that can end the block:
+the domain's facet rows (``Polytope.rows``) on every state; the rows of
+the active piece and of the pieces preferred over it
+(``PWAController.departure``), as only those can change a state's
+preferred piece, and ``PWAController.locate`` on the one state where
+the active piece's stretch ends; and the target face's exclusion rows
+(``Polytope.exclusion``), those of its affine hull on every state and
+the others only on the states near its plane
+(``HullRows.excludes_plane_first``).  A block is _BLOCK steps after the
+start and after each piece switch, and doubles after each block that
+ends with no event, up to _BLOCK_CAP.
 
 The domain and the face keep their rows; what depends on the controller
 and the system alone is built once, in a runner (``_Runner``) that the
@@ -213,12 +218,19 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
     one matrix-vector product, and every state is tested (domain, target,
     piece) as if stepped alone.  The block is kept up to its first event,
     a step that leaves the domain, a state on the target or a state whose
-    preferred piece is another one, and the run goes on from there.  A
-    block is _BLOCK steps at the start and after a piece switch, and twice
-    the last one, up to _BLOCK_CAP, after a block with no event.  Times
-    are summed step by step, as ``t += dt``.  A domain exit is bisected on
-    the step's quartic (``_exit_time``) and its state is one
-    ``_rk4_step``; so is a last step shorter than dt, before tmax.
+    preferred piece is another one, and the run goes on from there.  The
+    piece test is ``PWAController.departure``: a state's preferred piece
+    changes only where the active piece stops holding it or a piece
+    preferred over it starts to, so only those pieces' rows are read,
+    and ``locate`` resolves the one state where the stretch ends.  The
+    target test reads the face's affine-hull rows on every state and its
+    other exclusion rows only on the states those leave open
+    (``HullRows.excludes_plane_first``).  A block is _BLOCK steps at the
+    start and after a piece switch, and twice the last one, up to
+    _BLOCK_CAP, after a block with no event.  Times are summed step by
+    step, as ``t += dt``.  A domain exit is bisected on the step's
+    quartic (``_exit_time``) and its state is one ``_rk4_step``; so is a
+    last step shorter than dt, before tmax.
 
     The closed loops, the default step and the step maps for dt come from
     the controller's runner for ``sys``, and the rows of the domain and
@@ -249,7 +261,7 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
         """Position of the first state of X on the target, in order."""
         if f is None:
             return None
-        for j in np.flatnonzero(~f.exclusion.excludes(X, TOL_SIM)):
+        for j in np.flatnonzero(~f.exclusion.excludes_plane_first(X, TOL_SIM)):
             if f.contains(X[j], TOL_SIM):
                 return int(j)
         return None
@@ -292,14 +304,13 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
         viol = (normals @ X.T - offs[:, None]).max(axis=0)
         exits = np.flatnonzero(viol > TOL_SIM)
         inside = exits[0] if len(exits) else len(X)
-        after = ctrl.locate(X[:inside], TOL_SIM)
-        moved = np.flatnonzero(after != active)
+        moved = ctrl.departure(X[:inside], active, TOL_SIM)
         # a state is tested for the target before its piece is resolved
-        hit = first_hit(X[:moved[0] + 1] if len(moved) else X[:inside])
+        hit = first_hit(X[:min(moved + 1, inside)])
         if hit is not None:
             kept = hit + 1
-        elif len(moved):
-            kept = moved[0] + 1
+        elif moved < inside:
+            kept = moved + 1
         else:
             kept = inside
         if kept:
@@ -311,8 +322,8 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
             x, t = X[kept - 1], float(T[kept])
         if hit is not None:
             return finish(Outcome(REACHED, t), law(x), active)
-        if len(moved):
-            active = int(after[moved[0]])
+        if moved < inside:
+            active = int(ctrl.locate(x[None], TOL_SIM)[0])
             block = _BLOCK
             continue
         if inside < len(X):

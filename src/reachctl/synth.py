@@ -91,6 +91,11 @@ class AffinePiece:
         return sys.A + sys.B @ self.gain, sys.a + sys.B @ self.offset
 
 
+def _first(flags: np.ndarray) -> int:
+    """Position of the first True of a 1-D boolean array, or its length."""
+    return int(np.append(flags, True).argmax())
+
+
 class PWAController:
     """Piecewise-affine feedback over simplex regions.
 
@@ -103,9 +108,13 @@ class PWAController:
     that order of preference, into one table, of which the copies'
     regions are views, so a controller holds each region once; ``locate``
     resolves a batch of states with one matrix product over its facet
-    columns, each to the first block of rows that all hold.  Pieces are
-    final once assembled: a region, rank or path length changed
-    afterwards is not seen by ``locate`` or ``lookup``.
+    columns, each to the first block of rows that all hold.  A closed-loop
+    run needs less: its preferred piece changes only where the active
+    piece stops holding a state or a piece before it in that order starts
+    to, so ``departure`` finds the first such state of a block from those
+    pieces' rows alone, read off the same table.  Pieces are final once
+    assembled: a region, rank or path length changed afterwards is not
+    seen by ``locate``, ``departure`` or ``lookup``.
 
     ``runners`` holds the controller's closed-loop runners, one per
     system, which ``sim`` builds on a run's first use and every later run
@@ -142,6 +151,25 @@ class PWAController:
         # a last row that always holds stands for "no piece"
         held = np.concatenate([held, np.ones((1, len(X)), dtype=bool)])
         return self._order[held.argmax(axis=0)]
+
+    def departure(self, X, active: int, tol: float = TOL_MERGE) -> int:
+        """Position of the first row of the (k, n) array X that ``locate``
+        gives a piece other than ``active`` (a piece's index), or k where
+        every row stays with it.  A row leaves ``active`` only where that
+        piece does not hold it, or where a piece preferred over it does,
+        so only their rows of the table are read: the active piece's on
+        every state, and those of the pieces before it in the order of
+        preference on the states up to the first it does not hold."""
+        X = np.asarray(X, dtype=float)
+        n = self.domain.n
+        at = self._order.tolist().index(active) * (n + 1)
+        own = self._table[at:at + n + 1]
+        end = _first(~(own[:, n:-1] @ X.T - own[:, -1:] <= tol).all(axis=0))
+        if at and end:
+            before = self._table[:at]
+            taken = before[:, n:-1] @ X[:end].T - before[:, -1:] <= tol
+            end = _first(taken.reshape(-1, n + 1, end).all(axis=1).any(axis=0))
+        return end
 
     def lookup(self, x, tol: float = TOL_MERGE) -> Optional[AffinePiece]:
         index = self.locate(np.asarray(x, dtype=float)[None], tol)[0]
@@ -326,10 +354,10 @@ def synth_simplex(sys: AffineSystem, geom: SystemGeometry, simplices: Sequence[S
     the affine laws (barycentric interpolation, ``geometry.barycentric``),
     their interpolation residuals and the closed-loop equilibrium screen
     (``geometry.hull_rows`` of the stacked vertex fields, against 0) from
-    stacked arrays; only a piece the screen leaves open goes to
-    ``check_no_equilibrium``.  The split
-    pieces' tables come from one ``simplex_tables`` call per split
-    simplex.  The pieces are then
+    stacked arrays; the screen reads only the pieces whose fields are
+    finite, and only a piece it leaves open goes to
+    ``check_no_equilibrium``.  The split pieces' tables come from one
+    ``simplex_tables`` call per split simplex.  The pieces are then
     checked in order, and the first that fails raises, as one call per
     simplex would: ``SynthesisFailed``, carrying the simplex, its exit
     facet and the error, where a vertex's LP is infeasible, the blocking
@@ -353,7 +381,11 @@ def synth_simplex(sys: AffineSystem, geom: SystemGeometry, simplices: Sequence[S
     A_cl = sys.A + sys.B @ laws[..., :-1]
     b_cl = sys.a + laws[..., -1] @ sys.B.T
     loop_fields = tables[..., :nv - 1] @ np.swapaxes(A_cl, 1, 2) + b_cl[:, None]
-    clear = hull_rows(loop_fields).excludes(np.zeros((1, nv - 1)), TOL_GEOM)[:, 0]
+    # a vertex LP with no feasible basis leaves NaN fields, which the
+    # ordered checks below reject before the screen is read
+    finite = np.isfinite(loop_fields).all(axis=(1, 2))
+    clear = np.zeros(len(regions), dtype=bool)
+    clear[finite] = hull_rows(loop_fields[finite]).excludes(np.zeros((1, nv - 1)), TOL_GEOM)[:, 0]
 
     out, j = [], 0
     for part in parts:

@@ -1,5 +1,6 @@
 import functools
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from reachctl.errors import Degenerate
 from reachctl.system import AffineSystem
 
 from helpers import (affine_stepper, box_fixture, cube_fixture, facet_face, hull_distance,
-                     pinned_corner_fixture, rk4_exit_time, stepwise_integrate,
+                     ill3_fixture, pinned_corner_fixture, rk4_exit_time, stepwise_integrate,
                      use_reference_stepper, wedge_fixture)
 
 
@@ -294,33 +295,87 @@ def test_blocks_match_stepwise_events(box):
 
 
 def test_long_run_locates_in_blocks(box, monkeypatch):
-    """A run resolves its pieces once per block, not once per step."""
+    """A run resolves its pieces once per block, not once per step: one
+    departure test per block, on blocks that double up to _BLOCK_CAP, and
+    ``locate`` only on the single state that starts a stretch."""
     sys, p, f, ctrl = box
-    calls = []
-    locate = synth.PWAController.locate
+    tests, located = [], []
+    departure, locate = synth.PWAController.departure, synth.PWAController.locate
 
-    def counting(self, X, tol=geo.TOL_MERGE):
-        calls.append(len(X))
+    def counting_departure(self, X, active, tol=geo.TOL_MERGE):
+        tests.append(len(X))
+        return departure(self, X, active, tol)
+
+    def counting_locate(self, X, tol=geo.TOL_MERGE):
+        located.append(len(X))
         return locate(self, X, tol)
 
-    monkeypatch.setattr(synth.PWAController, "locate", counting)
+    monkeypatch.setattr(synth.PWAController, "departure", counting_departure)
+    monkeypatch.setattr(synth.PWAController, "locate", counting_locate)
     x0 = sim.sample_states(p, 1, np.random.default_rng(0))[0]
     tr = sim.integrate(sys, ctrl, x0, dt=sim.default_dt(sys, ctrl) / 20, f=f)
     assert tr.outcome.kind == sim.REACHED
     assert _steps(tr) > 10_000
-    assert len(calls) <= _steps(tr) / 1024 + 8
-    assert max(calls) == sim._BLOCK_CAP
+    assert len(tests) <= _steps(tr) / 1024 + 8
+    assert max(tests) == sim._BLOCK_CAP
+    assert located == [1] * len(_stays(tr))
 
     # blocks double on one piece and start again at _BLOCK after a switch
-    calls.clear()
+    tests.clear()
+    located.clear()
     tr = sim.integrate(sys, ctrl, [0.1, 0.1], dt=sim.default_dt(sys, ctrl) / 2, f=f)
     (_, to_switch), _ = _stays(tr)
     block = sim._BLOCK
     assert 3 * block < to_switch <= 7 * block
-    # the third block holds the switch (its states are located up to the
+    # the third block holds the switch (its states are tested up to the
     # first that the frozen law would take out of the domain)
-    assert calls[:3] == [1, block, 2 * block] and calls[4:6] == [block, 2 * block]
-    assert to_switch - 3 * block < calls[3] <= 4 * block
+    assert tests[:2] == [block, 2 * block] and tests[3:5] == [block, 2 * block]
+    assert to_switch - 3 * block < tests[2] <= 4 * block
+    assert located == [1, 1]
+
+
+def _near_facets(rng, ctrl, count):
+    """States within 2 TOL_SIM (inf-norm) of random points on the facets
+    of the controller's regions, which neighbouring pieces share."""
+    V = np.stack([pc.region.vertices for pc in ctrl.pieces])
+    pieces, k, _ = V.shape
+    w = rng.dirichlet(np.ones(k), size=count)
+    w[np.arange(count), rng.integers(k, size=count)] = 0.0
+    w /= w.sum(axis=1, keepdims=True)
+    on = np.einsum("sk,skn->sn", w, V[rng.integers(pieces, size=count)])
+    return on + rng.uniform(-2.0, 2.0, size=on.shape) * sim.TOL_SIM
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES) + ["ill3"])
+def test_departure_is_the_first_state_located_elsewhere(name):
+    """``PWAController.departure`` gives the first state of a block that
+    ``locate`` puts on a piece other than the active one, or the block's
+    length, for every active piece.  The blocks start with states inside
+    the active region and go on with states near shared facets and
+    anywhere in the domain.  ill3's cover has overlapping pieces of two
+    ranks, so a preferred piece also takes states the active one holds."""
+    fixture = ill3_fixture if name == "ill3" else FIXTURES[name]
+    ctrl = synth.synth_polytope(*fixture())
+    rng = np.random.default_rng(11)
+    pool = np.vstack([_near_facets(rng, ctrl, 400),
+                      sim.sample_states(ctrl.domain, 100, rng)])
+    position = ctrl._order.tolist().index
+    kinds = Counter()
+    for active in range(len(ctrl.pieces)):
+        V = ctrl.pieces[active].region.vertices
+        for _ in range(60):
+            head = rng.dirichlet(np.ones(len(V)), size=rng.integers(0, 30)) @ V
+            X = np.vstack([head, pool[rng.integers(len(pool), size=rng.integers(0, 30))]])
+            after = ctrl.locate(X, sim.TOL_SIM)
+            moved = np.flatnonzero(after != active)
+            if not len(moved):
+                kinds["stays"] += 1
+                assert ctrl.departure(X, active, sim.TOL_SIM) == len(X)
+                continue
+            kinds["preferred" if position(after[moved[0]]) < position(active) else "left"] += 1
+            assert ctrl.departure(X, active, sim.TOL_SIM) == moved[0]
+    assert kinds["stays"] and kinds["left"]
+    assert kinds["preferred"] or name != "ill3"
 
 
 def test_rk4_steps_only_at_exits_and_short_last_steps(box, monkeypatch):
@@ -638,3 +693,30 @@ def test_simplex_faces_exclude_states_in_their_plane(n):
             assert d > 1 or not inside.any()
             in_box += int(inside.sum())
     assert in_box >= 4 * (n - 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_plane_first_target_test_gives_the_exclusion_verdicts(n):
+    """``HullRows.excludes_plane_first`` reads a face's affine-hull rows
+    (its first ``plane`` rows) on every state and the others only on the
+    states they leave open, and gives exactly the verdicts of
+    ``excludes``: for faces of every dimension below n, and states on,
+    near and off their plane, inside and outside the face."""
+    rng = np.random.default_rng(40 + n)
+    tol = sim.TOL_SIM
+    for d in range(n):
+        for _ in range(3):
+            V, pts = _face_and_points(rng, n, d)
+            # in the plane, beyond the face: affine weights, some negative
+            w = rng.dirichlet(np.ones(len(V)), size=20)
+            z = rng.normal(size=w.shape)
+            in_plane = (w + z - z.mean(axis=1, keepdims=True)) @ V
+            X = np.vstack([pts, in_plane, in_plane + rng.uniform(-2, 2, in_plane.shape) * tol])
+            rule = geo.hull_rows(V)
+            assert rule.plane == 2 * (n - d)
+            off_plane = (rule.rows[:rule.plane] @ X.T
+                         > (rule.bounds + tol * rule.widths)[:rule.plane, None]).any(axis=0)
+            want = rule.excludes(X, tol)
+            assert np.array_equal(rule.excludes_plane_first(X, tol), want)
+            assert off_plane.any() and (want & ~off_plane).any() and not want.all()
+            assert not rule.excludes_plane_first(X[:0], tol).size

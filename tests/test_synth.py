@@ -813,6 +813,27 @@ class TestSynthPolytope:
             return
         assert ctrl.pieces
 
+    def test_a_vertex_lp_without_a_basis_ends_in_a_typed_error(self, monkeypatch):
+        """The 4-D box at 1e8: a vertex LP finds no feasible basis and
+        leaves NaN controls.  The stacked equilibrium screen took the SVD
+        of their NaN fields before the pieces were checked in order, and
+        numpy raised LinAlgError; it screens only finite fields, so the
+        ordered checks end synthesis in a ReachctlError."""
+        sys, p, f = box4d_fixture()
+        pk = geo.convex_hull(p.vertices * 1e8)
+        margins = []
+        solve = synth.vertex_controls_lp
+
+        def recording(*args):
+            u, m = solve(*args)
+            margins.append(m)
+            return u, m
+
+        monkeypatch.setattr(synth, "vertex_controls_lp", recording)
+        with pytest.raises(ReachctlError):
+            synth.synth_polytope(sys, pk, facet_face(pk, f.supporting.normal))
+        assert any(np.isneginf(m).any() for m in margins)
+
 
 def synthesis_record(sys, p, f, eps):
     """Everything a synthesis returns, bit for bit: each piece's table,
