@@ -106,7 +106,7 @@ TOL_VOLUME = 1e-8
 # decimals of the rounded keys that identify a vertex (lexicographic
 # order, the order of a triangulation's simplices, their shared facets)
 KEY_DECIMALS = 9
-# decimals of the halfspace key, which orders facet lists
+# decimals of the halfspace key, which orders facet tables
 HALFSPACE_KEY_DECIMALS = 8
 
 
@@ -206,6 +206,16 @@ class _Plane:
     def value(self, x) -> float:
         return float(np.dot(self.normal, x) - self.offset)
 
+    @classmethod
+    def of_row(cls, normal: np.ndarray, offset) -> "_Plane":
+        """The plane of a row of a facet table, which is unit already: the
+        normal is a view of the row, not renormalized, so every bit of the
+        row stays."""
+        plane = object.__new__(cls)
+        object.__setattr__(plane, "normal", normal)
+        object.__setattr__(plane, "offset", float(offset))
+        return plane
+
 
 class HalfSpace(_Plane):
     """Closed halfspace {x : normal.x <= offset} with unit normal;
@@ -248,30 +258,35 @@ def hyperplane_through(points) -> Optional[Hyperplane]:
 class Polytope:
     """Bounded convex polytope carrying both representations.
 
-    Full-dimensional polytopes have a consistent (minimal) halfspace list.
-    Lower-dimensional ones carry vertices and their table only; ``dim`` is
-    the affine-hull dimension, -1 for the empty polytope.  The vertices
-    are in lexicographic order.  A target is any polytope of dimension n-1
-    (a ``Face``, a section, a clip of a face): the constructions read its
+    Full-dimensional polytopes have a consistent (minimal) facet table
+    ``rows``: the pair (normals (h, n), offsets (h,)) of ``normals y <=
+    offsets``, C-contiguous, unit normals, one row per facet.  The pair is
+    the polytope's storage, and ``halfspaces`` is derived from it, one
+    ``HalfSpace`` view per row.  Lower-dimensional ones carry vertices
+    and their table only, and a table of no rows; ``dim`` is the
+    affine-hull dimension, -1 for the empty polytope.  The vertices are
+    in lexicographic order.  A target is any polytope of dimension n-1 (a
+    ``Face``, a section, a clip of a face): the constructions read its
     vertices, table and ``dim`` alone.
 
     ``incidence`` is the boolean (vertex, column) table: the vertex lies
     on the column's facet.  For a full-dimensional polytope the columns
-    are its halfspaces, in their order; for a lower-dimensional one they
+    are its facet rows, in their order; for a lower-dimensional one they
     are facets of a polytope it is a face, clip or section of, or its own
     facets in its affine hull, and the faces of the set are read off them
     alike.  The construction that chose the facets hands it over, and no
     code derives it again; a point, a segment or a full-dimensional set
     built without one has no columns, and any other lower-dimensional
     set gets its table here (``_caller_table``).  No code changes a
-    polytope after it is built, so its facet table ``rows``, ``edges``
-    and ``exclusion`` are computed on first use and kept.
+    polytope after it is built, so its ``edges`` and ``exclusion`` are
+    computed on first use and kept.
     """
 
-    def __init__(self, vertices: np.ndarray, halfspaces: list[HalfSpace], dim: int,
-                 incidence: Optional[np.ndarray] = None):
+    def __init__(self, vertices: np.ndarray, rows: Optional[tuple[np.ndarray, np.ndarray]],
+                 dim: int, incidence: Optional[np.ndarray] = None):
         self.vertices = vertices
-        self.halfspaces = halfspaces
+        n = vertices.shape[1]
+        self.rows = (np.zeros((0, n)), np.zeros(0)) if rows is None else rows
         self.dim = dim
         self.incidence = _caller_table(vertices, dim) if incidence is None else incidence
 
@@ -279,7 +294,7 @@ class Polytope:
 
     @staticmethod
     def empty(n: int) -> "Polytope":
-        return Polytope(np.zeros((0, n)), [], -1)
+        return Polytope(np.zeros((0, n)), None, -1)
 
     @staticmethod
     def box(lower, upper) -> "Polytope":
@@ -315,8 +330,8 @@ class Polytope:
         if self.is_empty:
             return False
         x = np.asarray(x, dtype=float)
-        if self.is_full_dim and self.halfspaces:
-            normals, offsets = self.rows
+        normals, offsets = self.rows
+        if self.is_full_dim and len(offsets):
             return bool(np.all(normals @ x - offsets <= tol))
         near = np.min(np.max(np.abs(self.vertices - x), axis=1)) <= tol
         if near or len(self.vertices) == 1:
@@ -326,12 +341,11 @@ class Polytope:
     def volume(self) -> float:
         return volume(self)
 
-    @cached_property
-    def rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """The facet table (normals, offsets) of ``normals y <= offsets``,
-        one row per halfspace, in their order."""
-        normals = np.array([h.normal for h in self.halfspaces]).reshape(-1, self.n)
-        return normals, np.array([h.offset for h in self.halfspaces])
+    @property
+    def halfspaces(self) -> list[HalfSpace]:
+        """The facets as halfspaces, in the order of ``rows``: views of its
+        rows (``HalfSpace.of_row``), built on each call."""
+        return [HalfSpace.of_row(a, b) for a, b in zip(*self.rows)]
 
     @cached_property
     def edges(self) -> np.ndarray:
@@ -352,13 +366,16 @@ class Polytope:
         return hull_rows(self.vertices)
 
     def facets(self) -> list[Face]:
-        """Facets as faces, ordered like ``halfspaces``: each holds the
-        vertices of its column of ``incidence``, with their rows."""
-        return [Face(self.vertices[tight], h, self.n - 1, self.incidence[tight])
-                for h, tight in zip(self.halfspaces, self.incidence.T)]
+        """Facets as faces, ordered like ``rows``: each holds the vertices
+        of its column of ``incidence``, with their rows, and its row as the
+        halfspace supporting it."""
+        return [Face(self.vertices[tight], HalfSpace.of_row(a, b), self.n - 1,
+                     self.incidence[tight])
+                for a, b, tight in zip(*self.rows, self.incidence.T)]
 
     def __repr__(self) -> str:
-        return f"Polytope(n={self.n}, dim={self.dim}, nv={len(self.vertices)}, nh={len(self.halfspaces)})"
+        return (f"Polytope(n={self.n}, dim={self.dim}, nv={len(self.vertices)}, "
+                f"nh={len(self.rows[1])})")
 
 
 class Face(Polytope):
@@ -368,7 +385,7 @@ class Face(Polytope):
 
     def __init__(self, vertices: np.ndarray, supporting: Optional[HalfSpace], dim: int,
                  incidence: Optional[np.ndarray] = None):
-        super().__init__(vertices, [], dim, incidence)
+        super().__init__(vertices, None, dim, incidence)
         self.supporting = supporting
 
     @staticmethod
@@ -389,7 +406,7 @@ def _caller_table(vertices, dim: int) -> np.ndarray:
     if len(V) < 3 or dim >= V.shape[1]:
         return np.zeros((len(V), 0), bool)
     origin, basis = _affine_basis(V)
-    return _hull_table((V - origin) @ basis)[2]
+    return _hull_table((V - origin) @ basis)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -602,16 +619,17 @@ def vrep_to_hrep(vertices) -> list[HalfSpace]:
     d = affine_dimension(V)
     if d < V.shape[1]:
         raise Degenerate(f"vertex set spans only dimension {d}")
-    return _hull_facets(V)
+    return [HalfSpace.of_row(a, b) for a, b in zip(*_hull_facets(V))]
 
 
-def _hull_facets(V: np.ndarray) -> list[HalfSpace]:
-    """``vrep_to_hrep`` of deduplicated points: one SVD per n-subset
-    tells whether it spans a hyperplane and gives its normal."""
+def _hull_facets(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The facet rows (normals, offsets) of deduplicated points, in facet
+    order (``_facet_order``): one SVD per n-subset tells whether it spans
+    a hyperplane and gives its normal, which ``HalfSpace`` normalizes."""
     k, n = V.shape
     if n == 1:
         lo, hi = float(V.min()), float(V.max())
-        return [HalfSpace(np.array([-1.0]), -lo), HalfSpace(np.array([1.0]), hi)]
+        return np.array([[-1.0], [1.0]]), np.array([-lo, hi])
     subsets = np.array(list(itertools.combinations(range(k), n)))
     _, sv, vt = np.linalg.svd(V[subsets[:, 1:]] - V[subsets[:, :1]])
     spans = rank(sv=sv) == n - 1
@@ -625,13 +643,15 @@ def _hull_facets(V: np.ndarray) -> list[HalfSpace]:
               for i in one_side[_maximal_sets(np.abs(vals[:, one_side].T) <= TOL_GEOM)]]
     if not facets:
         raise Degenerate("no facets found")
-    return [facets[i] for i in _facet_order(facets)]
+    normals, offsets = np.array([h.normal for h in facets]), np.array([h.offset for h in facets])
+    order = _facet_order(normals, offsets)
+    return normals[order], offsets[order]
 
 
-def _facet_order(facets: list[HalfSpace]) -> np.ndarray:
-    """Every facet list's order, as indices into it: rounded (normal,
-    offset), ties stable."""
-    keys = np.round([np.append(h.normal, h.offset) for h in facets], HALFSPACE_KEY_DECIMALS)
+def _facet_order(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Every facet table's order, as indices into its rows: rounded
+    (normal, offset), ties stable."""
+    keys = np.round(np.column_stack([normals, offsets]), HALFSPACE_KEY_DECIMALS)
     return np.lexsort(keys.T[::-1])
 
 
@@ -643,7 +663,7 @@ def convex_hull(points) -> "Polytope":
     a vertex when the normals of its tight facets have the hull's rank; no
     LP is solved.  The hull keeps its vertices' rows of that table of
     tight facets as its ``incidence``, in any dimension; a hull of lower
-    dimension d comes back without halfspaces, of ``dim`` d, its columns
+    dimension d comes back without facet rows, of ``dim`` d, its columns
     the facets in its affine hull.  Raises Degenerate when a d-dimensional hull keeps fewer than d+1
     vertices: tightness is read at the absolute ``TOL_GEOM``, which
     coordinates of about 1e7 no longer resolve.
@@ -655,22 +675,21 @@ def convex_hull(points) -> "Polytope":
     origin, basis = _affine_basis(pts)
     d = basis.shape[1]
     if d == 0:
-        return Polytope(pts[:1], [], 0)
-    hs, normals, tight = _hull_table(pts if d == n else (pts - origin) @ basis)
-    keep = np.array([rank(normals[t]) == d for t in tight])
+        return Polytope(pts[:1], None, 0)
+    rows, tight = _hull_table(pts if d == n else (pts - origin) @ basis)
+    keep = np.array([rank(rows[0][t]) == d for t in tight])
     verts = pts[keep]
     if len(verts) <= d:
         raise Degenerate(f"a {d}-dimensional hull kept {len(verts)} vertices")
-    return Polytope(verts, hs if d == n else [], d, tight[keep])
+    return Polytope(verts, rows if d == n else None, d, tight[keep])
 
 
-def _hull_table(coords: np.ndarray) -> tuple[list[HalfSpace], np.ndarray, np.ndarray]:
-    """The facets of deduplicated, full-dimensional points
-    (``_hull_facets``), their normals, and the table of the points within
+def _hull_table(coords: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The facet rows (normals, offsets) of deduplicated, full-dimensional
+    points (``_hull_facets``), and the table of the points within
     ``TOL_GEOM`` of each facet's plane."""
-    hs = _hull_facets(coords)
-    normals = np.array([h.normal for h in hs])
-    return hs, normals, np.abs(coords @ normals.T - [h.offset for h in hs]) <= TOL_GEOM
+    normals, offsets = _hull_facets(coords)
+    return (normals, offsets), np.abs(coords @ normals.T - offsets) <= TOL_GEOM
 
 
 def extreme_points(points) -> np.ndarray:
@@ -711,12 +730,12 @@ def clip_to_halfspace(p: Polytope, half: HalfSpace) -> Polytope:
     to one above ``TOL_GEOM`` adds its crossing point.  When no two
     points merged (``TOL_MERGE``), each point carries its row of
     incidence (``_plane_points``), the columns are the plane's and those
-    of ``p`` that hold a vertex strictly inside (with their halfspaces,
+    of ``p`` that hold a vertex strictly inside (with their facet rows,
     when ``p`` is full-dimensional), and the clip needs no LP, hull or
     rank; otherwise the points are hulled.  A halfspace holding every
     vertex returns ``p`` itself, and one that meets ``p`` only on its
     boundary plane returns the vertices there, the vertices of that face
-    with their rows, as a polytope without halfspaces.
+    with their rows, as a polytope without facet rows.
     """
     if p.is_empty:
         return p
@@ -726,7 +745,7 @@ def clip_to_halfspace(p: Polytope, half: HalfSpace) -> Polytope:
     if np.all(vals >= -TOL_GEOM):
         on = vals <= TOL_GEOM
         kept = p.vertices[on]
-        return Polytope(kept, [], affine_dimension(kept), p.incidence[on])
+        return Polytope(kept, None, affine_dimension(kept), p.incidence[on])
     return _clip_across(p, half, vals, _plane_points(p, vals))
 
 
@@ -746,12 +765,13 @@ def _clip_across(p: Polytope, half: HalfSpace, vals: np.ndarray, on: tuple) -> P
     facets = p.incidence[inside].any(axis=0)
     table = np.hstack([np.vstack([on[1], p.incidence[inside]])[:, facets],
                        (np.arange(len(pts)) < len(on[0]))[:, None]])
-    rows = np.lexsort(np.round(pts, KEY_DECIMALS).T[::-1])
+    order = np.lexsort(np.round(pts, KEY_DECIMALS).T[::-1])
     if not p.is_full_dim:
-        return Polytope(pts[rows], [], p.dim, table[rows])
-    hs = [h for h, kept in zip(p.halfspaces, facets) if kept] + [half]
-    cols = _facet_order(hs)
-    return Polytope(pts[rows], [hs[k] for k in cols], p.n, table[rows][:, cols])
+        return Polytope(pts[order], None, p.dim, table[order])
+    normals = np.vstack([p.rows[0][facets], half.normal])
+    offsets = np.append(p.rows[1][facets], half.offset)
+    cols = _facet_order(normals, offsets)
+    return Polytope(pts[order], (normals[cols], offsets[cols]), p.n, table[order][:, cols])
 
 
 def _plane_points(p: Polytope, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -772,7 +792,7 @@ def _plane_points(p: Polytope, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def section(p: Polytope, plane: Hyperplane) -> Polytope:
     """p intersected with a hyperplane, by incidence, as a polytope
-    without halfspaces: ``_plane_points``, the points the clip keeps on
+    without facet rows: ``_plane_points``, the points the clip keeps on
     the plane, which are the section's vertices, with their rows, its
     table, in any dimension of ``p``.  Where two points merged
     (``TOL_MERGE``), as the clip does, they are hulled.  Empty when the
@@ -781,15 +801,15 @@ def section(p: Polytope, plane: Hyperplane) -> Polytope:
     pts, table = _plane_points(p, vals)
     if len(dedupe_points(pts)) < len(pts):
         return convex_hull(pts)
-    rows = np.lexsort(np.round(pts, KEY_DECIMALS).T[::-1])
-    return Polytope(pts[rows], [], affine_dimension(pts[rows]), table[rows])
+    order = np.lexsort(np.round(pts, KEY_DECIMALS).T[::-1])
+    return Polytope(pts[order], None, affine_dimension(pts[order]), table[order])
 
 
 def intersect(p: Polytope, q: Polytope) -> Polytope:
     """p intersect q: p clipped to each halfspace of q in turn
     (``clip_to_halfspace``), possibly lower-dimensional, possibly
     empty."""
-    if not q.halfspaces:
+    if not len(q.rows[1]):
         raise GeometryError("intersection requires halfspace data")
     for h in q.halfspaces:
         p = clip_to_halfspace(p, h)
@@ -806,12 +826,13 @@ def _pairs(k: int) -> np.ndarray:
 
 
 def carrying_facet(p: Polytope, f: Polytope) -> Optional[int]:
-    """Index into ``p.halfspaces`` (and ``p.facets()``) of the first facet
-    whose plane holds every vertex of ``f``; None when no facet does."""
-    for k, h in enumerate(p.halfspaces):
-        if all(abs(h.value(v)) <= TOL_MERGE for v in f.vertices):
-            return k
-    return None
+    """Index into ``p.rows`` (and ``p.facets()``) of the first facet whose
+    plane holds every vertex of ``f`` within ``TOL_MERGE``; None when no
+    facet does."""
+    normals, offsets = p.rows
+    farthest = np.abs(f.vertices @ normals.T - offsets).max(axis=0, initial=0.0)
+    hit = np.flatnonzero(farthest <= TOL_MERGE)
+    return int(hit[0]) if len(hit) else None
 
 
 def whole_facet(p: Polytope, f: Polytope) -> Optional[int]:
@@ -850,38 +871,45 @@ def fan(p: Polytope, anchor) -> np.ndarray:
     """Simplices of a full-dimensional ``p``, as an (S, n+1) array of the
     indices of their rows of ``p.vertices`` (``p.vertices[fan(p, a)]``
     stacks their vertices), with the vertex ``anchor`` first: the cones
-    from it over every facet that misses it, triangulated by ``_cone``.
-    A caller reads the rows' incidence off ``p.incidence``.  Every
-    anchored fan of the package is this one.  Raises GeometryError when
-    no vertex lies within ``TOL_MERGE`` of the anchor, or when an
-    incidence that does not describe ``p`` (a hull of points merged
-    within about ``TOL_MERGE``) gives a cone without n+1 rows."""
+    from it over every facet that misses it, triangulated by ``_cone``,
+    which pulls each face from its first vertex and ends at the faces that
+    are simplices, each its own triangulation (De Loera, Rambau & Santos
+    2010, ch. 4).  A caller reads the rows' incidence off
+    ``p.incidence``.  Every anchored fan of the package is this one.
+    Raises GeometryError when no vertex lies within ``TOL_MERGE`` of the
+    anchor, or when an incidence that does not describe ``p`` (a hull of
+    points merged within about ``TOL_MERGE``) gives a cone without n+1
+    rows."""
     if not p.is_full_dim:
         raise Degenerate("fan triangulation expects a full-dimensional polytope")
     hit = np.flatnonzero(np.abs(p.vertices - anchor).max(axis=1) <= TOL_MERGE)
     if not len(hit):
         raise GeometryError("fan anchor is not a vertex of the polytope")
-    cones = _cone(p.incidence, np.arange(len(p.vertices)), int(hit[0]))
+    cones = _cone(p.incidence, np.arange(len(p.vertices)), int(hit[0]), p.n)
     if any(len(s) != p.n + 1 for s in cones):
         raise GeometryError("fan cone without n+1 vertices: ambiguous incidence")
     return np.array(cones, dtype=int).reshape(-1, p.n + 1)
 
 
-def _cone(incidence: np.ndarray, face: np.ndarray, apex: int) -> list[list[int]]:
-    """Vertex index lists of the simplices coning vertex ``apex`` of
-    ``face`` (indices of ``incidence``'s rows, in lexicographic order)
-    over each facet of the face that misses it, each coned in turn from
-    its first vertex; a vertex is its own simplex.  The facets of a face
-    F are the maximal nonempty proper sets F ∩ T_h, T_h a column."""
-    if len(face) == 1:
-        return [[apex]]
+def _cone(incidence: np.ndarray, face: np.ndarray, apex: int, d: int) -> list[list[int]]:
+    """Vertex index lists of the simplices coning vertex ``apex`` of the
+    d-dimensional ``face`` (indices of ``incidence``'s rows, in
+    lexicographic order) over each facet of the face that misses it, each
+    coned in turn from its first vertex.  The facets of a face F are the
+    maximal nonempty proper sets F ∩ T_h, T_h a column.  A face of d + 1
+    vertices is a simplex, its own triangulation: ``apex``, then its other
+    vertices in face order, the row that coning it down to its vertices
+    gives.  Only an incidence that does not describe the polytope gives a
+    face fewer vertices; its row comes back short, and ``fan`` raises."""
+    if len(face) <= d + 1:
+        return [[apex] + face[face != apex].tolist()]
     on = incidence[face]
     proper = on[:, ~on.all(axis=0)].T
     out = []
     for r in _maximal_sets(proper):
         sub = face[proper[r]]
         if apex not in sub:
-            out += [[apex] + s for s in _cone(incidence, sub, int(sub[0]))]
+            out += [[apex] + s for s in _cone(incidence, sub, int(sub[0]), d - 1)]
     return out
 
 
@@ -978,33 +1006,3 @@ def barycentric(tables: np.ndarray) -> np.ndarray:
     V, N, offsets = tables[..., :n], tables[..., n:-1], tables[..., -1:]
     heights = offsets - np.einsum("...ij,...ij->...i", N, V)[..., None]
     return np.swapaxes(np.concatenate([-N, offsets], axis=-1) / heights, -1, -2)
-
-
-# ---------------------------------------------------------------------------
-# cover / subdivision checks
-# ---------------------------------------------------------------------------
-
-def uncovered_volume(domain: Polytope, pieces: list[Polytope],
-                     cut_planes: list[Hyperplane]) -> float:
-    """Volume of domain not covered by any piece.
-
-    The cut planes must include every hyperplane used to carve the pieces
-    out of the domain, so that each arrangement cell is covered either
-    fully or not at all; cell membership is then decided at the centroid.
-    """
-    cells = [domain]
-    for plane in cut_planes:
-        nxt = []
-        for c in cells:
-            lo, hi = split_by_hyperplane(c, plane)
-            for part in (lo, hi):
-                if part.is_full_dim:
-                    nxt.append(part)
-        if nxt:
-            cells = nxt
-    gap = 0.0
-    for c in cells:
-        x = c.centroid()
-        if not any(piece.contains(x, TOL_INCIDENCE) for piece in pieces if not piece.is_empty):
-            gap += c.volume()
-    return gap

@@ -391,7 +391,7 @@ def sample_states(p: Polytope, nsamples: int, rng: np.random.Generator) -> np.nd
     at most _SAMPLE_BATCHES batches.  Raises ``Degenerate`` for an empty
     or lower-dimensional polytope, which holds no sample, and for one so
     thin that the batches do not find ``nsamples`` states."""
-    if not (p.is_full_dim and p.halfspaces):
+    if not (p.is_full_dim and len(p.rows[1])):
         raise Degenerate(f"cannot sample a {p.dim}-dimensional polytope in R^{p.n}")
     lo, hi = p.bounding_box()
     normals, offs = p.rows

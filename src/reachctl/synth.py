@@ -49,7 +49,6 @@ from .triangulate import (Cover, Triangulation, basic_triangulation,
 
 TOL_INV = 1e-8      # invariance residual tolerance
 _CAP = 1.0          # upper bound of both margins of the vertex-control LP
-_PUSH = 1e-3        # weight of the exit push against the blocking margin
 
 
 @dataclass(frozen=True)
@@ -184,18 +183,19 @@ def vertex_controls_lp(sys: AffineSystem, simplices: Sequence[Simplex],
                        exit_facets: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Per-vertex controls (Habets, Collins & van Schuppen 2006) of every
     simplex of a sequence, each exiting through its facet of
-    ``exit_facets``, the apex included: at each vertex the optimum of the LP
+    ``exit_facets``, the apex included: at each vertex the lexicographic
+    optimum of the LP
 
-        max t_b + _PUSH t_e  over z = (u, t_b, t_e)
+        max t_b, then max t_e,  over z = (u, t_b, t_e)
         s.t. n_j.(drift + B u) <= -t_b  for each blocked facet j,
              n_e.(drift + B u) >= t_e,  t_b <= _CAP,  t_e <= _CAP,
 
     where the blocked facets are all but the exit facet e and the
     vertex's own opposite facet.  t_b is the blocking margin, t_e the
-    outward push across the exit facet.  The push weight is small so that
-    the margin comes first and the push only breaks its ties: at a vertex
-    on the equilibrium plane the margin is pinned at 0, and among the
-    controls that attain it the margin alone may pick a zero field, a
+    outward push across the exit facet.  The margin comes first, and the
+    push only breaks its ties, so no margin is given up for push: at a
+    vertex on the equilibrium plane the margin is pinned at 0, and among
+    the controls that attain it the margin alone may pick a zero field, a
     closed-loop equilibrium at the vertex; the push picks one that points
     out across the exit.
 
@@ -219,10 +219,12 @@ def vertex_controls_lp(sys: AffineSystem, simplices: Sequence[Simplex],
     ``nonsingular`` passes (|det M| above ``TOL_ZERO`` times the product
     of M's row norms, a test no row's scale changes) are solved in one
     stacked ``np.linalg.solve``.  Of the solutions that satisfy every row
-    of their vertex within ``lp.TOL_LP``, the best is the optimum.
-    Where optima tie (the caps bind) the control is the optimal basic one
-    of least norm, and then the one of the lexicographically first
-    subset, so it does not depend on a pivoting rule.
+    of their vertex within ``lp.TOL_LP``, those of the largest t_b are
+    the optimal face of the margin, a face of the LP's pointed
+    polyhedron, so its largest t_e lies at one of them too.  Where optima
+    tie (the caps bind) the control is the optimal basic one of least
+    norm, and then the one of the lexicographically first subset, so it
+    does not depend on a pivoting rule.
     """
     tables = np.stack([s.table for s in simplices])
     q, nv = tables.shape[:2]
@@ -256,10 +258,13 @@ def vertex_controls_lp(sys: AffineSystem, simplices: Sequence[Simplex],
     z[kk[solved], ii[solved], cc[solved]] = np.linalg.solve(M[solved], b[solved][..., None])[..., 0]
     feasible = np.all(np.einsum("qirk,qisk->qisr", rows, z) <= rhs[:, :, None] + lp.TOL_LP,
                       axis=3)
-    score = np.where(feasible, z[..., m] + _PUSH * z[..., m + 1], -np.inf)
     tie = TOL_ZERO * np.maximum(1.0, np.abs(rhs).max(axis=2, keepdims=True))
-    norm = np.where(feasible & (score >= score.max(axis=2, keepdims=True) - tie),
-                    np.linalg.norm(z[..., :m], axis=3), np.inf)
+    # the largest t_b, then among its ties the largest t_e
+    top = feasible
+    for t in (z[..., m], z[..., m + 1]):
+        score = np.where(top, t, -np.inf)
+        top = top & (score >= score.max(axis=2, keepdims=True) - tie)
+    norm = np.where(top, np.linalg.norm(z[..., :m], axis=3), np.inf)
     pick = np.argmax(norm <= norm.min(axis=2, keepdims=True) + tie, axis=2)
     best = np.take_along_axis(z, pick[..., None, None], axis=2)[:, :, 0]
     return best[..., :m], np.where(feasible.any(axis=2), best[..., m], -np.inf)
@@ -363,8 +368,10 @@ def synth_simplex(sys: AffineSystem, geom: SystemGeometry, simplices: Sequence[S
     facet and the error, where a vertex's LP is infeasible, the blocking
     margin is below -``TOL_INV`` or the closed loop has a stationary point
     in the simplex, and ``SingularVertexMatrix`` where the law misses a
-    vertex control by ``TOL_GEOM``.  Each piece's law is a copy that owns
-    its data."""
+    vertex control by ``TOL_GEOM`` times the largest control entry, or 1
+    when that is smaller: the controls of a sliver reach 1e5, and the
+    float solve misses them by more than ``TOL_GEOM`` alone.  Each
+    piece's law is a copy that owns its data."""
     parts = [_midlevel_split(geom, s, e) for s, e in zip(simplices, exit_facets)]
     regions = [r for part in parts for r in part]
     exits = [e for part, e in zip(parts, exit_facets) for _ in part]
@@ -377,6 +384,7 @@ def synth_simplex(sys: AffineSystem, geom: SystemGeometry, simplices: Sequence[S
     exit_margin = np.where(np.eye(nv, dtype=bool)[exits], np.inf,
                            fields[np.arange(len(exits)), exits]).min(axis=1)
     laws, resid = affine_laws(tables, u)
+    resid_tol = TOL_GEOM * np.maximum(1.0, np.abs(u).max(axis=(1, 2)))
     # each piece's closed-loop field (A + B gain) v + a + B offset at its vertices
     A_cl = sys.A + sys.B @ laws[..., :-1]
     b_cl = sys.a + laws[..., -1] @ sys.B.T
@@ -399,7 +407,7 @@ def synth_simplex(sys: AffineSystem, geom: SystemGeometry, simplices: Sequence[S
                                                         f"at vertex {short[0]}"})
             if slack[j] < -TOL_INV:
                 raise SynthesisFailed({**cert, "error": f"blocking margin {slack[j]:.2e}"})
-            if resid[j] > TOL_GEOM:
+            if resid[j] > resid_tol[j]:
                 raise SingularVertexMatrix(f"interpolation residual {resid[j]:.2e}")
             law = laws[j].copy()
             if not clear[j] and not check_no_equilibrium(sys, region, law[:, :-1], law[:, -1]):

@@ -184,7 +184,7 @@ def check_assumptions(sys: AffineSystem, p: Polytope, f: Polytope) -> Assumption
             # an (n-1)-dimensional convex subset of the boundary lies in a facet
             k = carrying_facet(p, f)
             if k is not None:
-                details["target_facet_normal"] = p.halfspaces[k].normal.tolist()
+                details["target_facet_normal"] = p.rows[0][k].tolist()
             on_boundary = k is not None
         if not on_boundary:
             a4 = False

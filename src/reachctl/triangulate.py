@@ -39,12 +39,12 @@ import numpy as np
 from .errors import (CoverIncomplete, CutConstructionFailed, EpsTooLarge,
                      NoQualifyingVertex, VStarInFbar)
 from .geometry import (KEY_DECIMALS, TOL_GEOM, TOL_INCIDENCE, TOL_MERGE,
-                       TOL_VOLUME, TOL_ZERO, Hyperplane, Polytope,
+                       TOL_VOLUME, TOL_ZERO, HalfSpace, Hyperplane, Polytope,
                        Simplex, affine_dimension, carrying_facet,
                        clip_to_halfspace, convex_hull, fan,
-                       hyperplane_through, lex_sorted, point_in_hull,
-                       section, simplex_tables, split_by_hyperplane,
-                       uncovered_volume, whole_facet)
+                       hyperplane_through, intersect, lex_sorted,
+                       point_in_hull, section, simplex_tables,
+                       split_by_hyperplane, whole_facet)
 from .reach import default_eps, epsilon_cut
 from .system import (AffineSystem, SystemGeometry, compute_geometry,
                      equilibrium_plane)
@@ -200,7 +200,7 @@ def triangulation_wrt_F(p: Polytope, f: Polytope, vstar: np.ndarray) -> Triangul
     k = carrying_facet(p, f)
     if k is None:
         raise ValueError("target does not lie in any facet of the polytope")
-    h = p.halfspaces[k]
+    h = HalfSpace.of_row(p.rows[0][k], p.rows[1][k])
     if abs(h.value(vstar)) <= TOL_GEOM:
         raise VStarInFbar("anchor lies on the facet carrying the target")
 
@@ -307,6 +307,20 @@ def split_far_case(p: Polytope, f: Polytope, geom: SystemGeometry) -> Cover:
 # cover with respect to the equilibrium plane
 # ---------------------------------------------------------------------------
 
+def _cover_gap(volume: float, sides: list[tuple[Optional[Polytope], ...]]) -> float:
+    """The volume a cover misses of a polytope of ``volume``, given per
+    side of the equilibrium plane its (direct, feeder) pieces, each None
+    when the side has none.  Every piece lies in its side, so the gap is
+    |p| less, per side, |a ∪ b| = |a| + |b| - |a ∩ b|."""
+    gap = volume
+    for pieces in sides:
+        present = [q for q in pieces if q is not None]
+        gap -= sum(q.volume() for q in present)
+        if len(present) == 2:
+            gap += intersect(*present).volume()
+    return gap
+
+
 def cover_wrt_O(sys: AffineSystem, p: Polytope, f: Polytope,
                 eps: Optional[float] = None) -> Cover:
     """Cover of a polytope crossed by the equilibrium plane.
@@ -315,10 +329,12 @@ def cover_wrt_O(sys: AffineSystem, p: Polytope, f: Polytope,
     whose crossing fails A3, so a polytope that passes A3 comes back as
     one piece.  Each side gets a margin-cut reach set toward its share of
     the target (when that share is a facet) and toward the interface: the
-    section of the other side's direct piece by the plane.
-    Raises CoverIncomplete when the pieces miss a region of positive
-    volume, which signals that the margin must shrink or that some states
-    are forced through a low-dimensional bottleneck.
+    section of the other side's direct piece by the plane.  So each side
+    holds at most two pieces, and the gap is read off their volumes and
+    their intersection (``_cover_gap``), not off an arrangement of the
+    cut planes.  Raises CoverIncomplete when the pieces miss a region of
+    positive volume, which signals that the margin must shrink or that
+    some states are forced through a low-dimensional bottleneck.
     """
     o_plane = equilibrium_plane(sys)
     side1, side2 = split_by_hyperplane(p, o_plane)
@@ -334,6 +350,7 @@ def cover_wrt_O(sys: AffineSystem, p: Polytope, f: Polytope,
     pieces: list[CoverPiece] = []
     planes: list[Hyperplane] = [o_plane]
     direct: list[Optional[Polytope]] = [None, None]
+    feeder: list[Optional[Polytope]] = [None, None]
     for i in (0, 1):
         if targets[i].dim == p.n - 1:
             try:
@@ -359,10 +376,12 @@ def cover_wrt_O(sys: AffineSystem, p: Polytope, f: Polytope,
             raise CoverIncomplete(np.inf, f"interface cut on side {i} failed: {exc}")
         if cut.reach_eps.is_empty:
             continue
+        feeder[i] = cut.reach_eps
         pieces.append(CoverPiece(cut.reach_eps, iface, "feeder"))
         planes.extend(cut.cut_planes)
 
-    gap = uncovered_volume(p, [piece.polytope for piece in pieces], planes)
-    if gap > TOL_VOLUME * max(p.volume(), 1.0):
+    volume = p.volume()
+    gap = _cover_gap(volume, list(zip(direct, feeder)))
+    if gap > TOL_VOLUME * max(volume, 1.0):
         raise CoverIncomplete(gap)
     return Cover(tuple(pieces), tuple(planes))

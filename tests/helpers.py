@@ -108,11 +108,15 @@ def pinned_corner_fixture():
     return double_integrator(), p, f
 
 
+def chain_integrator(n):
+    """x1' = xn, with x2..xn driven by the n-1 inputs."""
+    A = np.zeros((n, n))
+    A[0, n - 1] = 1.0
+    return AffineSystem(A, np.zeros(n), np.vstack([np.zeros((1, n - 1)), np.eye(n - 1)]))
+
+
 def integrator_3d():
-    A = np.zeros((3, 3))
-    A[0, 2] = 1.0
-    B = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    return AffineSystem(A, np.zeros(3), B)
+    return chain_integrator(3)
 
 
 def cube_fixture():
@@ -125,11 +129,24 @@ def cube_fixture():
 def box4d_fixture():
     """Unit 4-D box under the 4-D chain integrator, with the x1 = 1 facet
     as target."""
-    A = np.zeros((4, 4))
-    A[0, 3] = 1.0
-    B = np.vstack([np.zeros((1, 3)), np.eye(3)])
     p = geo.Polytope.box([0] * 4, [1] * 4)
-    return AffineSystem(A, np.zeros(4), B), p, facet_face(p, [1, 0, 0, 0])
+    return chain_integrator(4), p, facet_face(p, [1, 0, 0, 0])
+
+
+def sweep_problem(n, k, r):
+    """Item (n, k, r) of the seeded sweep of crossing-plane hulls: k
+    points in [0, 1]^(n-1) x [-0.5, 1] from default_rng([7, n, k, r]),
+    drawn again until they span R^n, so that the chain integrator's
+    equilibrium plane x_n = 0 crosses their hull; the target is the facet
+    whose normal is closest to +x1."""
+    rng = np.random.default_rng([7, n, k, r])
+    while True:
+        pts = rng.uniform([0.0] * (n - 1) + [-0.5], [1.0] * n, size=(k, n))
+        if geo.affine_dimension(pts) == n:
+            break
+    p = geo.convex_hull(pts)
+    f = max(p.facets(), key=lambda face: float(face.supporting.normal[0]))
+    return chain_integrator(n), p, f
 
 
 def tet_cover_f_fixture():
@@ -615,6 +632,47 @@ def plane_cones_off_facet(p, vstar, h):
     as an (S, n+1, n) stack."""
     V = p.vertices[geo.fan(p, vstar)]
     return V[np.abs(V[:, 1:] @ h.normal - h.offset).max(axis=1) > geo.TOL_INCIDENCE]
+
+
+# -- references for the fan and the cover gap --------------------------------
+
+def reference_fan(p, anchor):
+    """``geo.fan`` by the full recursion: every face, simplices included,
+    coned from its first vertex over each of its facets that misses it,
+    down to single vertices, the facets of a face read off ``p.incidence``
+    by ``reference_maximal_sets``; an (S, n+1) array of vertex indices."""
+    def cone(face, apex):
+        if len(face) == 1:
+            return [[apex]]
+        on = p.incidence[face]
+        proper = on[:, ~on.all(axis=0)].T
+        out = []
+        for r in reference_maximal_sets(proper):
+            sub = face[proper[r]]
+            if apex not in sub:
+                out += [[apex] + s for s in cone(sub, int(sub[0]))]
+        return out
+
+    hit = np.flatnonzero(np.abs(p.vertices - anchor).max(axis=1) <= geo.TOL_MERGE)
+    rows = cone(np.arange(len(p.vertices)), int(hit[0]))
+    return np.array(rows, dtype=int).reshape(-1, p.n + 1)
+
+
+def uncovered_volume(domain, pieces, cut_planes):
+    """Volume of ``domain`` that no piece covers, by the arrangement of the
+    cut planes.  The cut planes must include every hyperplane used to carve
+    the pieces out of the domain, so that each arrangement cell is covered
+    either fully or not at all; cell membership is then decided at the
+    centroid, within TOL_INCIDENCE."""
+    cells = [domain]
+    for plane in cut_planes:
+        nxt = [part for c in cells for part in geo.split_by_hyperplane(c, plane)
+               if part.is_full_dim]
+        if nxt:
+            cells = nxt
+    return sum(c.volume() for c in cells
+               if not any(piece.contains(c.centroid(), geo.TOL_INCIDENCE)
+                          for piece in pieces if not piece.is_empty))
 
 
 def loop_locate(ctrl, X, tol=geo.TOL_MERGE):

@@ -6,8 +6,8 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from helpers import (halfspace_key, hull_distance, rank_clip_facets, rank_edges,
-                     rank_facets, random_simplices, reference_maximal_sets,
-                     reference_simplex_table)
+                     rank_facets, random_simplices, reference_fan, reference_maximal_sets,
+                     reference_simplex_table, uncovered_volume)
 from reachctl import geometry as geo
 from reachctl import lp
 from reachctl.errors import GeometryError
@@ -490,7 +490,7 @@ class TestSplitSharesCrossings:
 
 class TestFacetOrder:
     def test_matches_sorting_by_the_rounded_key(self):
-        """The one-lexsort order of facet lists is the order of sorting by
+        """The one-lexsort order of facet tables is the order of sorting by
         each halfspace's rounded key: ties (copies, and normals that agree
         to ``HALFSPACE_KEY_DECIMALS``) keep their order, and -0.0 ties
         with 0.0."""
@@ -508,7 +508,9 @@ class TestFacetOrder:
                 hs = base + grid + signed + close + copies
                 hs = [hs[i] for i in rng.permutation(len(hs))]
                 expect = sorted(hs, key=halfspace_key)
-                assert [id(hs[i]) for i in geo._facet_order(hs)] == [id(h) for h in expect]
+                order = geo._facet_order(np.array([h.normal for h in hs]),
+                                         np.array([h.offset for h in hs]))
+                assert [id(hs[i]) for i in order] == [id(h) for h in expect]
 
 
 def fan_volume(simplices):
@@ -892,10 +894,23 @@ class TestFaces:
         cube = geo.Polytope.box([0, 0, 0], [1, 1, 1])
         facet = cube.facets()[0]
         assert isinstance(facet, geo.Polytope) and facet.dim == 2 and facet.halfspaces == []
-        assert facet.supporting is cube.halfspaces[0]
+        assert np.array_equal(facet.supporting.normal, cube.rows[0][0])
+        assert facet.supporting.offset == cube.rows[1][0]
         half = geo.clip_to_halfspace(facet, geo.HalfSpace(np.array([0.0, 1.0, 0.0]), 0.5))
         assert half.dim == 2 and len(half.vertices) == 4
         assert geo.carrying_facet(cube, half) == 0
+
+    def test_halfspaces_are_views_of_the_rows(self):
+        """The facet table ``rows`` is the polytope's storage, C-contiguous,
+        and ``halfspaces`` is derived from it: each halfspace holds its row
+        bit for bit, as a view, not renormalized."""
+        for p in (random_hull(np.random.default_rng(9), 3), geo.Polytope.box([0] * 4, [1] * 4)):
+            normals, offsets = p.rows
+            assert normals.flags.c_contiguous and offsets.flags.c_contiguous
+            assert len(p.halfspaces) == len(offsets) == len(normals)
+            for h, a, b in zip(p.halfspaces, normals, offsets):
+                assert np.shares_memory(h.normal, normals)
+                assert h.normal.tobytes() == a.tobytes() and h.offset == b
 
     def test_shared_edge(self):
         a = geo.convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -975,6 +990,22 @@ class TestFan:
                 assert rows.shape[1] == n + 1 and np.all(rows[:, 0] == i)
                 assert np.all((0 <= rows) & (rows < len(p.vertices)))
                 assert fan_volume(p.vertices[rows]) == pytest.approx(p.volume(), rel=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_equals_the_full_recursion(self, n):
+        """The fan ends its recursion at the faces that are simplices, and
+        its rows equal, row for row, those of coning every face down to
+        its vertices (``helpers.reference_fan``), from every anchor: on
+        random hulls, whose faces are simplices, and on the box and a box
+        clipped across a corner, whose faces are not."""
+        rng = np.random.default_rng(70 + n)
+        box = geo.Polytope.box([0] * n, [1] * n)
+        corner = geo.HalfSpace(np.ones(n), n - 0.5)
+        polytopes = [random_hull(rng, n) for _ in range(4)] + [
+            box, geo.clip_to_halfspace(box, corner)]
+        for p in polytopes:
+            for anchor in p.vertices:
+                assert np.array_equal(geo.fan(p, anchor), reference_fan(p, anchor))
 
     def test_anchor_off_the_vertices_raises(self):
         cube = geo.Polytope.box([0, 0, 0], [1, 1, 1])
@@ -1099,11 +1130,11 @@ class TestUncoveredVolume:
         p = geo.convex_hull([(0, 0), (2, 0), (2, 1), (0, 1)])
         plane = geo.Hyperplane(np.array([1.0, 0.0]), 1.0)
         lo, hi = geo.split_by_hyperplane(p, plane)
-        assert geo.uncovered_volume(p, [lo, hi], [plane]) == pytest.approx(0.0, abs=1e-12)
+        assert uncovered_volume(p, [lo, hi], [plane]) == pytest.approx(0.0, abs=1e-12)
 
     def test_gap_detected(self):
         p = geo.convex_hull([(0, 0), (2, 0), (2, 1), (0, 1)])
         plane = geo.Hyperplane(np.array([1.0, 0.0]), 1.0)
         lo, _ = geo.split_by_hyperplane(p, plane)
-        gap = geo.uncovered_volume(p, [lo], [plane])
+        gap = uncovered_volume(p, [lo], [plane])
         assert gap == pytest.approx(1.0, abs=1e-9)

@@ -467,8 +467,9 @@ def test_stored_maps_stay_within_the_cap(box):
 
 def test_warm_verify_builds_nothing(box, monkeypatch):
     """A second ``verify`` on a controller builds no closed loop, step or
-    step map, which its runner holds, and no facet or exclusion rows,
-    which the domain and the face hold."""
+    step map, which its runner holds, no exclusion rows, which the face
+    holds, and no halfspace views of the domain: its facet rows are its
+    storage, which the run reads."""
     sys, p, f, ctrl = box
     ctrl = synth.PWAController(ctrl.pieces, ctrl.domain)
     report = sim.verify(sys, ctrl, f, nsamples=8, seed=2).to_dict()
@@ -480,12 +481,13 @@ def test_warm_verify_builds_nothing(box, monkeypatch):
 
     for name in ("_step_map", "_doubled", "_default_step"):
         monkeypatch.setattr(sim, name, counting(name))
-    for name in ("rows", "exclusion"):
-        build = vars(geo.Polytope)[name].func
-        kept = functools.cached_property(lambda face, name=name, build=build:
-                                         calls.append(name) or build(face))
-        kept.__set_name__(geo.Polytope, name)
-        monkeypatch.setattr(geo.Polytope, name, kept)
+    build = vars(geo.Polytope)["exclusion"].func
+    kept = functools.cached_property(lambda face: calls.append("exclusion") or build(face))
+    kept.__set_name__(geo.Polytope, "exclusion")
+    monkeypatch.setattr(geo.Polytope, "exclusion", kept)
+    views = vars(geo.Polytope)["halfspaces"].fget
+    monkeypatch.setattr(geo.Polytope, "halfspaces",
+                        property(lambda poly: calls.append("halfspaces") or views(poly)))
     monkeypatch.setattr(synth.AffinePiece, "closed_loop", lambda *args: calls.append("loop"))
     assert sim.verify(sys, ctrl, f, nsamples=8, seed=2).to_dict() == report
     assert calls == []

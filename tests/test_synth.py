@@ -5,7 +5,7 @@ from scipy.optimize import linprog
 from reachctl import geometry as geo
 from reachctl import lp, reach, synth
 from reachctl import triangulate as tri
-from reachctl.errors import (AssumptionViolated, CoverIncomplete,
+from reachctl.errors import (AssumptionViolated, CoverIncomplete, CutConstructionFailed,
                              NotReachable, ReachctlError, SingularVertexMatrix,
                              SynthesisFailed)
 from reachctl.sim import sample_states
@@ -18,7 +18,7 @@ from helpers import (box4d_fixture, box_fixture, box_left_fixture, cube_fixture,
                      ill3_fixture, lp_target_exits, o_cross_fixture,
                      pinned_corner_fixture, random_simplices,
                      reference_no_equilibrium, right_target_polygons,
-                     top_edge_fixture, wedge_fixture)
+                     sweep_problem, top_edge_fixture, wedge_fixture)
 
 
 def split_case_simplex():
@@ -162,10 +162,12 @@ class TestVertexControlsLP:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_controls_attain_the_highs_optimum(self, n):
-        """Each vertex's t_b + _PUSH t_e, read off its control, is the
-        optimum scipy's HiGHS finds for its LP, and the returned slack
-        holds on every blocked row within lp.TOL_LP.  The 2-D draws add
-        the apex on the equilibrium plane, where the caps do not bind."""
+        """Each vertex's t_b, then its t_e, read off its control, is the
+        lexicographic optimum scipy's HiGHS finds for its LP in two
+        stages: max t_b, then max t_e with t_b held at its optimum.  The
+        returned slack holds on every blocked row within lp.TOL_LP.  The
+        2-D draws add the apex on the equilibrium plane, where the caps do
+        not bind."""
         rng = np.random.default_rng(60 + n)
         cases = [random_reachable_simplex(rng, n) for _ in range(10)]
         if n == 2:
@@ -182,13 +184,17 @@ class TestVertexControlsLP:
                                                    np.zeros(len(blocked))]),
                                   np.append(-(n_exit @ sys.B), (0.0, 1.0))])
                 b_ub = np.append(-(blocked @ drift), n_exit @ drift)
-                res = linprog(np.append(np.zeros(m), (-1.0, -synth._PUSH)), A_ub=A_ub, b_ub=b_ub,
-                              bounds=[(None, None)] * m + [(None, synth._CAP)] * 2,
-                              method="highs")
+                bounds = [(None, None)] * m + [(None, synth._CAP)] * 2
+                first = linprog(np.append(np.zeros(m), (-1.0, 0.0)), A_ub=A_ub, b_ub=b_ub,
+                                bounds=bounds, method="highs")
+                bounds[m] = (-first.fun, synth._CAP)
+                second = linprog(np.append(np.zeros(m), (0.0, -1.0)), A_ub=A_ub, b_ub=b_ub,
+                                 bounds=bounds, method="highs")
                 field = sys.field(s.vertices[i], vc.u[i])
                 t_b = min(-(blocked @ field).max(), synth._CAP)
                 t_e = min(n_exit @ field, synth._CAP)
-                assert t_b + synth._PUSH * t_e == pytest.approx(-res.fun, abs=1e-9)
+                assert t_b == pytest.approx(-first.fun, abs=1e-9)
+                assert t_e == pytest.approx(-second.fun, abs=1e-9)
                 assert (blocked @ field).max() <= -vc.slack + lp.TOL_LP
                 margins.append(t_b)
             assert vc.slack == pytest.approx(min(margins), abs=1e-9)
@@ -408,7 +414,7 @@ class TestNoEquilibrium:
         xi.f(v_i) >= mu > 0 at its vertices.  The diamond's cover misses a
         region, so its pieces are taken with the gap test off."""
         if fixture is diamond_fixture:
-            monkeypatch.setattr(tri, "uncovered_volume", lambda *args: 0.0)
+            monkeypatch.setattr(tri, "_cover_gap", lambda *args: 0.0)
         sys, p, f = fixture()
         ctrl = synth.synth_polytope(sys, p, f, eps=0.1 if fixture is wedge_fixture else None)
         for piece in ctrl.pieces:
@@ -833,6 +839,77 @@ class TestSynthPolytope:
         with pytest.raises(ReachctlError):
             synth.synth_polytope(sys, pk, facet_face(pk, f.supporting.normal))
         assert any(np.isneginf(m).any() for m in margins)
+
+
+def assert_controller_holds(sys, ctrl, seed=2):
+    """Every piece blocks its non-exit facets (margin >= -1e-8) and has
+    no closed-loop equilibrium, and ``lookup`` finds a piece at samples
+    of the domain."""
+    for piece in ctrl.pieces:
+        vc = synth.VertexControls(np.array([piece.control(v) for v in piece.region.vertices]),
+                                  0.0)
+        assert synth.invariance_margin(sys, piece.region, vc, piece.exit_facet) >= -1e-8
+        assert synth.check_no_equilibrium(sys, piece.region, piece.gain, piece.offset)
+    for x in sample_states(ctrl.domain, 20, np.random.default_rng(seed)):
+        assert ctrl.lookup(x) is not None
+
+
+# (n, k, r) items of the seeded sweep of crossing-plane hulls
+# (``helpers.sweep_problem``): items that ended in SingularVertexMatrix
+# (an absolute interpolation residual) or SynthesisFailed (margin traded for
+# push) before, the one that ends in CutConstructionFailed, and covers that
+# end in CoverIncomplete or finish
+STRESS = [(3, 6, 0), (3, 6, 1), (3, 6, 9), (3, 6, 10), (3, 8, 0), (3, 10, 3), (3, 12, 2),
+          (3, 12, 13), (4, 5, 0), (4, 5, 1), (4, 5, 19), (4, 6, 2), (4, 6, 4), (4, 6, 9),
+          (4, 7, 0), (4, 7, 2), (4, 8, 3), (4, 8, 6), (4, 8, 8), (4, 10, 6), (4, 10, 9),
+          (4, 12, 2), (4, 12, 3)]
+
+
+class TestStressSet:
+    @pytest.mark.parametrize("n, k, r", STRESS)
+    def test_outcomes_are_controllers_or_cover_failures(self, n, k, r):
+        """Synthesis on a sweep hull ends in a controller that holds, or in
+        an unreachable target or a failed cover, nothing else."""
+        sys, p, f = sweep_problem(n, k, r)
+        try:
+            ctrl = synth.synth_polytope(sys, p, f)
+        except (NotReachable, CoverIncomplete, CutConstructionFailed):
+            return
+        assert_controller_holds(sys, ctrl)
+
+    def test_a_sliver_synthesizes_at_a_relative_residual(self, monkeypatch):
+        """Item (3, 6, 9) has a sliver whose vertex controls reach about
+        950: its law misses them by 1.6e-9, more than TOL_GEOM, but by
+        4e-12 of the largest control.  It raised SingularVertexMatrix
+        under the absolute residual; the residual is read against
+        TOL_GEOM max(1, max|U|), and it gives a controller that holds."""
+        misses = []
+        laws = synth.affine_laws
+
+        def recording(tables, u):
+            out = laws(tables, u)
+            misses.append((out[1], np.maximum(1.0, np.abs(u).max(axis=(-2, -1)))))
+            return out
+
+        monkeypatch.setattr(synth, "affine_laws", recording)
+        sys, p, f = sweep_problem(3, 6, 9)
+        ctrl = synth.synth_polytope(sys, p, f)
+        resid = np.concatenate([r for r, _ in misses])
+        scale = np.concatenate([u for _, u in misses])
+        assert resid.max() > geo.TOL_GEOM
+        assert np.all(resid <= geo.TOL_GEOM * scale)
+        assert_controller_holds(sys, ctrl)
+
+    def test_the_margin_comes_first(self):
+        """Item (4, 7, 2) has a vertex of drift exactly 0, where u = 0
+        gives margin 0.  The weighted objective t_b + 1e-3 t_e gave up
+        2.1e-4 of margin for push there, and synthesis raised
+        SynthesisFailed; the lexicographic choice keeps the margin and
+        gives a controller that holds."""
+        sys, p, f = sweep_problem(4, 7, 2)
+        ctrl = synth.synth_polytope(sys, p, f)
+        assert min(piece.slack for piece in ctrl.pieces) >= -synth.TOL_INV
+        assert_controller_holds(sys, ctrl)
 
 
 def synthesis_record(sys, p, f, eps):

@@ -16,8 +16,8 @@ from helpers import (box_fixture, cube_fixture, diamond_fixture, direct_cut_fixt
                      ill2_fixture, ill3_fixture, lp_target_exits,
                      o_cross_fixture, pinned_corner_fixture,
                      plane_cones_off_facet, plane_target_exits,
-                     reference_facet_adjacency, top_edge_fixture,
-                     wedge_fixture)
+                     reference_facet_adjacency, sweep_problem, top_edge_fixture,
+                     uncovered_volume, wedge_fixture)
 
 
 def simplices_valid(p, simplices):
@@ -262,7 +262,9 @@ class TestWholeFacet:
 
     def test_strict_sub_segment_is_not(self):
         sys, p, f = box_fixture()
-        assert p.halfspaces[geo.whole_facet(p, f)] is f.supporting
+        k = geo.whole_facet(p, f)
+        assert np.array_equal(p.rows[0][k], f.supporting.normal)
+        assert p.rows[1][k] == f.supporting.offset
         assert geo.whole_facet(p, face_from([(2, 0), (2, 0.5)])) is None
         assert geo.whole_facet(p, face_from([(2, 0.5), (2, 1)])) is None
         # no facet plane holds both ends
@@ -445,8 +447,7 @@ class TestCoverWrtF:
                 hit = True
         assert hit
         # pieces cover the polytope
-        gap = geo.uncovered_volume(p, [cp.polytope for cp in cover.pieces],
-                                   list(cover.cut_planes))
+        gap = uncovered_volume(p, [cp.polytope for cp in cover.pieces], list(cover.cut_planes))
         assert gap <= 1e-8 * p.volume()
 
     def test_ill3_pieces_reachable(self):
@@ -517,8 +518,7 @@ class TestCoverWrtO:
         assert len(cover.pieces) == 2
         roles = {cp.role for cp in cover.pieces}
         assert roles == {"target", "feeder"}
-        gap = geo.uncovered_volume(p, [cp.polytope for cp in cover.pieces],
-                                   list(cover.cut_planes))
+        gap = uncovered_volume(p, [cp.polytope for cp in cover.pieces], list(cover.cut_planes))
         assert gap <= 1e-8 * p.volume()
 
     def test_no_crossing_passthrough(self):
@@ -543,3 +543,48 @@ class TestCoverWrtO:
             seen = seen or ok
             if seen:
                 assert ok
+
+
+class TestCoverGap:
+    """``cover_wrt_O`` reads its gap off its pieces (``_cover_gap``): |p|
+    less, per side of the equilibrium plane, |direct| + |feeder| - |their
+    intersection|.  It equals the arrangement of every cut plane
+    (``helpers.uncovered_volume``), the rule it replaced."""
+
+    @staticmethod
+    def gap_and_sides(monkeypatch, sys, p, f, eps):
+        """The cover, the gap it read and its (direct, feeder) pieces per
+        side, with the gap test off so that every cover comes back."""
+        monkeypatch.setattr(tri, "TOL_VOLUME", np.inf)
+        seen = []
+        gap = tri._cover_gap
+
+        def recording(volume, sides):
+            seen.append((gap(volume, sides), sides))
+            return seen[-1][0]
+
+        monkeypatch.setattr(tri, "_cover_gap", recording)
+        cover = tri.cover_wrt_O(sys, p, f, eps)
+        assert len(seen) == 1
+        return (cover, *seen[0])
+
+    @pytest.mark.parametrize("fixture, eps", [(o_cross_fixture, 0.1), (diamond_fixture, 2e-3),
+                                              (diamond_fixture, 6.25e-5), (diamond_fixture, None)])
+    def test_gap_on_the_fixtures(self, monkeypatch, fixture, eps):
+        sys, p, f = fixture()
+        cover, gap, _ = self.gap_and_sides(monkeypatch, sys, p, f, eps)
+        ref = uncovered_volume(p, [cp.polytope for cp in cover.pieces], list(cover.cut_planes))
+        assert gap == pytest.approx(ref, rel=1e-9, abs=1e-12 * max(p.volume(), 1.0))
+
+    @pytest.mark.parametrize("n, k, r", [(3, 6, 3), (3, 6, 19), (3, 8, 12), (4, 5, 11),
+                                         (4, 6, 4), (4, 7, 7)])
+    def test_gap_with_two_pieces_per_side(self, monkeypatch, n, k, r):
+        """Hulls of the seeded sweep whose covers hold a direct piece and a
+        feeder on each side, so both intersections are read."""
+        sys, p, f = sweep_problem(n, k, r)
+        cover, gap, sides = self.gap_and_sides(monkeypatch, sys, p, f, None)
+        assert len(cover.pieces) == 4
+        assert all(direct is not None and feeder is not None for direct, feeder in sides)
+        ref = uncovered_volume(p, [cp.polytope for cp in cover.pieces], list(cover.cut_planes))
+        assert ref > 0.0
+        assert gap == pytest.approx(ref, rel=1e-9, abs=1e-12 * max(p.volume(), 1.0))
