@@ -639,8 +639,12 @@ def _hull_facets(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     below = np.all(vals <= TOL_GEOM, axis=0)
     one_side = np.flatnonzero(below | np.all(vals >= -TOL_GEOM, axis=0))
     sign = np.where(below, 1.0, -1.0)
+    tight = np.abs(vals[:, one_side].T) <= TOL_GEOM
+    # coplanar points give many candidates with one tight set, and the rule
+    # keeps the first of equal sets: only the first of each goes in
+    first = np.sort(np.unique(tight, axis=0, return_index=True)[1])
     facets = [HalfSpace(sign[i] * normals[i], sign[i] * offsets[i])
-              for i in one_side[_maximal_sets(np.abs(vals[:, one_side].T) <= TOL_GEOM)]]
+              for i in one_side[first[_maximal_sets(tight[first])]]]
     if not facets:
         raise Degenerate("no facets found")
     normals, offsets = np.array([h.normal for h in facets]), np.array([h.offset for h in facets])

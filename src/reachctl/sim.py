@@ -19,7 +19,14 @@ the active piece's stretch ends; and the target face's exclusion rows
 the others only on the states near its plane
 (``HullRows.excludes_plane_first``).  A block is _BLOCK steps after the
 start and after each piece switch, and doubles after each block that
-ends with no event, up to _BLOCK_CAP.
+ends with no event, up to _BLOCK_CAP.  The horizon is tested on a
+block's last full step, and step by step only on the block that passes
+it.
+
+A run builds only what decides it and what it returns: states, times,
+piece ids, the deepest violation and the outcome.  Its controls are
+derived when first read (``Trajectory.controls``), from the stretches
+of states that one piece's law acted on.
 
 The domain and the face keep their rows; what depends on the controller
 and the system alone is built once, in a runner (``_Runner``) that the
@@ -39,14 +46,16 @@ switched piece, so the same steps are taken and tested; states differ
 from single steps only by rounding.  A step that leaves the domain is
 bisected on its own polynomial: one RK4 step of length s on an affine
 loop is a quartic in s, so each facet's violation along it is a quartic
-whose coefficients are computed once.
+whose coefficients are computed once, and each halving stops at the
+first facet whose quartic is positive.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -77,16 +86,46 @@ class Outcome:
 
 @dataclass
 class Trajectory:
+    """One closed-loop run: its ``times`` and ``states``, row by row, the
+    piece whose law acts at each state (``piece_ids``, -1 on the last
+    state of a run that times out or finds no piece), its ``outcome`` and
+    its deepest domain violation.
+
+    A run does not build its ``controls``: their first read derives them
+    from its ``stretches``, one (first row, row count, piece) per block
+    of steps the run kept and one per domain exit's step.  A stretch's
+    rows are one product, ``states[i:i + k] @ gain.T + offset`` under its
+    piece's law, of the states its steps start from; stretches are not
+    merged, since numpy can round a row of a one-row product differently
+    from the same row of a longer one.  The last state's row is the law
+    of ``piece_ids[-1]`` at it, or zeros where that id is -1.  ``pieces``
+    are the controller's pieces and ``m`` the input dimension."""
     times: np.ndarray
     states: np.ndarray
-    controls: np.ndarray
     piece_ids: np.ndarray
     outcome: Outcome
-    max_violation: float = 0.0
+    max_violation: float
+    pieces: list = field(repr=False)
+    stretches: list = field(repr=False)
+    m: int = field(repr=False)
 
     @property
     def success(self) -> bool:
         return self.outcome.kind == REACHED
+
+    @cached_property
+    def controls(self) -> np.ndarray:
+        rows = []
+        for first, count, piece in self.stretches:
+            pc = self.pieces[piece]
+            rows.append(self.states[first:first + count] @ pc.gain.T + pc.offset)
+        last = self.piece_ids[-1]
+        if last >= 0:
+            pc = self.pieces[last]
+            rows.append((self.states[-1] @ pc.gain.T + pc.offset)[None])
+        else:
+            rows.append(np.zeros((1, self.m)))
+        return np.concatenate(rows)
 
 
 def _rk4_step(A_cl: np.ndarray, b_cl: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
@@ -189,16 +228,18 @@ def _exit_time(normals: np.ndarray, offs: np.ndarray, A_cl: np.ndarray, b_cl: np
     A step of length s is x + sum_{k=1..4} s^k A^(k-1) (A x + b) / k!,
     so each facet's violation is a quartic in s: its coefficients are
     computed once, and each bisection point costs one Horner pass per
-    facet."""
+    facet up to the first that is positive.  The facets go most violated
+    at h first, so a point past the crossing mostly costs one pass."""
     terms = [A_cl @ x + b_cl]
     for k in (2, 3, 4):
         terms.append(A_cl @ terms[-1] / k)
     # per facet, the coefficients of s^4, s^3, s^2, s and 1
-    quartics = np.column_stack([normals @ np.array(terms[::-1]).T, normals @ x - offs]).tolist()
+    coeffs = np.column_stack([normals @ np.array(terms[::-1]).T, normals @ x - offs])
+    quartics = coeffs[np.argsort(-(coeffs @ h ** np.arange(4.0, -1.0, -1.0)))].tolist()
     lo_t, hi_t = 0.0, h
     while hi_t - lo_t > _EVENT_TIME_TOL:
         s = 0.5 * (lo_t + hi_t)
-        if max((((a * s + b) * s + c) * s + d) * s + e for a, b, c, d, e in quartics) > 0.0:
+        if any((((a * s + b) * s + c) * s + d) * s + e > 0.0 for a, b, c, d, e in quartics):
             hi_t = s
         else:
             lo_t = s
@@ -228,15 +269,19 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
     (``HullRows.excludes_plane_first``).  A block is _BLOCK steps at the
     start and after a piece switch, and twice the last one, up to
     _BLOCK_CAP, after a block with no event.  Times are summed step by
-    step, as ``t += dt``.  A domain exit is bisected on the step's
+    step, as ``t += dt``; they only rise, so a block whose last full step
+    ends by tmax takes every step, and only the block that passes tmax
+    tests its steps one by one.  A domain exit is bisected on the step's
     quartic (``_exit_time``) and its state is one ``_rk4_step``; so is a
     last step shorter than dt, before tmax.
 
     The closed loops, the default step and the step maps for dt come from
     the controller's runner for ``sys``, and the rows of the domain and
     the face from those; each is built by the first run that needs it, so
-    a run itself builds only its states, its tests' verdicts and its
-    outcome.
+    a run itself builds only its states, times and piece ids, its tests'
+    verdicts and its outcome.  It records which piece's law acted on
+    which rows, and its controls are derived from that when read
+    (``Trajectory``).
 
     A state with no containing piece ends the run with a gap outcome
     rather than extrapolating.  Raises ValueError unless dt is finite and
@@ -266,32 +311,31 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
                 return int(j)
         return None
 
-    times, states, controls, ids = [np.zeros(1)], [x[None]], [], []
+    times, states, ids, stretches = [np.zeros(1)], [x[None]], [], []
+    row = 0  # the row of x in the run's states
     max_viol = max(float((normals @ x - offs).max()), 0.0)
     active = int(ctrl.locate(x[None], TOL_SIM)[0])
 
-    def finish(outcome, last_control, last_id):
-        controls.append(last_control[None])
+    def finish(outcome, last_id):
         ids.append([last_id])
         return Trajectory(np.concatenate(times), np.concatenate(states),
-                          np.concatenate(controls), np.concatenate(ids).astype(int),
-                          outcome, max_viol)
-
-    def law(X):
-        piece = ctrl.pieces[active]
-        return X @ piece.gain.T + piece.offset
+                          np.concatenate(ids).astype(int), outcome, max_viol,
+                          ctrl.pieces, stretches, sys.m)
 
     if first_hit(x[None]) is not None:
-        return finish(Outcome(REACHED, 0.0), law(x) if active >= 0 else np.zeros(sys.m), active)
+        return finish(Outcome(REACHED, 0.0), active)
 
     block = _BLOCK
     t = 0.0
     while t < tmax:
         if active < 0:
-            return finish(Outcome(GAP, t), np.zeros(sys.m), -1)
+            return finish(Outcome(GAP, t), -1)
         T = np.add.accumulate(np.concatenate([[t], np.full(block, dt)]))
-        full = dt <= tmax - T[:-1]
-        nsteps = block if full.all() else int(np.argmin(full))
+        # T rises, so tmax - T falls: the last full step decides the block
+        if dt <= tmax - T[-2]:
+            nsteps = block
+        else:
+            nsteps = int(np.argmin(dt <= tmax - T[:-1]))
         if nsteps:
             D, c = run.step_maps(dt, active, nsteps)
             h, T = dt, T[:nsteps + 1]
@@ -316,12 +360,12 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
         if kept:
             times.append(T[1:kept + 1])
             states.append(X[:kept])
-            controls.append(law(np.vstack([x[None], X[:kept - 1]])))
+            stretches.append((row, kept, active))
             ids.append(np.full(kept, active))
             max_viol = max(max_viol, float(viol[:kept].max()))
-            x, t = X[kept - 1], float(T[kept])
+            x, t, row = X[kept - 1], float(T[kept]), row + kept
         if hit is not None:
-            return finish(Outcome(REACHED, t), law(x), active)
+            return finish(Outcome(REACHED, t), active)
         if moved < inside:
             active = int(ctrl.locate(x[None], TOL_SIM)[0])
             block = _BLOCK
@@ -331,16 +375,16 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
             hi_t = _exit_time(normals, offs, A_cl, b_cl, x, h)
             x_exit = _rk4_step(A_cl, b_cl, x, hi_t)
             t_exit = t + hi_t
-            controls.append(law(x[None]))
+            stretches.append((row, 1, active))
             ids.append([active])
             times.append([t_exit])
             states.append(x_exit[None])
             if first_hit(x_exit[None]) is not None:
-                return finish(Outcome(REACHED, t_exit), law(x_exit), active)
+                return finish(Outcome(REACHED, t_exit), active)
             facet = int(np.argmax(normals @ x_exit - offs))
-            return finish(Outcome(LEFT, t_exit, facet), law(x_exit), active)
+            return finish(Outcome(LEFT, t_exit, facet), active)
         block = min(2 * block, _BLOCK_CAP)
-    return finish(Outcome(TIMEOUT, t), np.zeros(sys.m), -1)
+    return finish(Outcome(TIMEOUT, t), -1)
 
 
 @dataclass

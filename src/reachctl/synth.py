@@ -161,7 +161,7 @@ class PWAController:
         preference on the states up to the first it does not hold."""
         X = np.asarray(X, dtype=float)
         n = self.domain.n
-        at = self._order.tolist().index(active) * (n + 1)
+        at = int((self._order == active).argmax()) * (n + 1)
         own = self._table[at:at + n + 1]
         end = _first(~(own[:, n:-1] @ X.T - own[:, -1:] <= tol).all(axis=0))
         if at and end:

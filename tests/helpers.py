@@ -1,6 +1,7 @@
 """Shared fixtures and independent oracles for the test suite."""
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -43,6 +44,28 @@ def reference_maximal_sets(tight):
     sizes = counts.sum(axis=1)
     inside = (counts @ counts.T == sizes[:, None]) & (sizes[None, :] > sizes[:, None])
     return sorted(first[(sizes > 0) & ~inside.any(axis=1)].tolist())
+
+
+def all_candidates_hull_facets(V):
+    """``geo._hull_facets`` with every candidate plane handed to the facet
+    rule, equal tight sets included: the facet rows (normals, offsets) of
+    deduplicated points in ``geo._facet_order``."""
+    k, n = V.shape
+    subsets = np.array(list(itertools.combinations(range(k), n)))
+    _, sv, vt = np.linalg.svd(V[subsets[:, 1:]] - V[subsets[:, :1]])
+    spans = geo.rank(sv=sv) == n - 1
+    subsets, normals = subsets[spans], vt[spans, -1]
+    offsets = np.einsum("ij,ij->i", normals, V[subsets[:, 0]])
+    vals = V @ normals.T - offsets
+    below = np.all(vals <= geo.TOL_GEOM, axis=0)
+    one_side = np.flatnonzero(below | np.all(vals >= -geo.TOL_GEOM, axis=0))
+    sign = np.where(below, 1.0, -1.0)
+    facets = [geo.HalfSpace(sign[i] * normals[i], sign[i] * offsets[i])
+              for i in one_side[geo._maximal_sets(np.abs(vals[:, one_side].T) <= geo.TOL_GEOM)]]
+    normals = np.array([h.normal for h in facets])
+    offsets = np.array([h.offset for h in facets])
+    order = geo._facet_order(normals, offsets)
+    return normals[order], offsets[order]
 
 
 # -- rank rules for faces, the oracles of the incidence rules ----------------
@@ -702,6 +725,39 @@ def use_reference_stepper(monkeypatch):
         lambda face: geo.HullRows(np.zeros((0, face.n)), np.zeros(0), np.zeros(0), None)))
 
 
+def law_rows(ctrl, states, piece_ids, m):
+    """Each state's control under the law of its piece id, zeros at -1,
+    rounded both ways numpy rounds a product of a law and states:
+    ``alone``, the state's row in a product by itself, and ``in_block``,
+    the row in a product of two rows (and of any more, which round each
+    row alike)."""
+    alone, in_block = np.zeros((len(states), m)), np.zeros((len(states), m))
+    for j, (x, piece) in enumerate(zip(states, piece_ids)):
+        if piece >= 0:
+            pc = ctrl.pieces[piece]
+            alone[j] = x[None] @ pc.gain.T + pc.offset
+            in_block[j] = (np.vstack([x, x]) @ pc.gain.T + pc.offset)[0]
+    return alone, in_block
+
+
+def max_exit_time(normals, offs, A_cl, b_cl, x, h):
+    """``sim._exit_time`` with each halving decided by the largest facet
+    quartic, every facet evaluated: the same coefficients and the same
+    Horner pass per facet."""
+    terms = [A_cl @ x + b_cl]
+    for k in (2, 3, 4):
+        terms.append(A_cl @ terms[-1] / k)
+    quartics = np.column_stack([normals @ np.array(terms[::-1]).T, normals @ x - offs]).tolist()
+    lo_t, hi_t = 0.0, h
+    while hi_t - lo_t > sim._EVENT_TIME_TOL:
+        s = 0.5 * (lo_t + hi_t)
+        if max((((a * s + b) * s + c) * s + d) * s + e for a, b, c, d, e in quartics) > 0.0:
+            hi_t = s
+        else:
+            lo_t = s
+    return hi_t
+
+
 def rk4_exit_time(normals, offs, A_cl, b_cl, x, h):
     """The reference of ``sim._exit_time``: the same bisection, with each
     point's state stepped by ``sim._rk4_step`` and tested against every
@@ -714,6 +770,18 @@ def rk4_exit_time(normals, offs, A_cl, b_cl, x, h):
         else:
             lo_t = mid
     return hi_t
+
+
+@dataclass
+class SteppedRun:
+    """The record of ``stepwise_integrate``: the fields a ``sim.Trajectory``
+    reads, each control built as its step is taken."""
+    times: np.ndarray
+    states: np.ndarray
+    controls: np.ndarray
+    piece_ids: np.ndarray
+    outcome: sim.Outcome
+    max_violation: float
 
 
 def stepwise_integrate(sys, ctrl, x0, dt=None, tmax=None, f=None, domain=None):
@@ -737,8 +805,8 @@ def stepwise_integrate(sys, ctrl, x0, dt=None, tmax=None, f=None, domain=None):
         return f is not None and geo.point_in_hull(state, f.vertices, sim.TOL_SIM)
 
     def done(outcome):
-        return sim.Trajectory(np.array(times), np.array(states), np.array(controls),
-                              np.array(ids), outcome, max_viol)
+        return SteppedRun(np.array(times), np.array(states), np.array(controls),
+                          np.array(ids), outcome, max_viol)
 
     times, states, controls, ids = [0.0], [x.copy()], [], []
     max_viol = max(violation(x), 0.0)

@@ -4,11 +4,12 @@ run of ``verify``, built from ``perfbench/problems.py`` as the benchmark
 builds them.  Two checkouts whose digests agree produce the same outputs
 bit for bit.  Run from the repository's root:
 
-    PYTHONPATH=src python tests/output_digest.py
+    PYTHONPATH=src python tests/output_digest.py [WORKLOAD ...]
 
-It prints one line per workload (its digest and outcome counts) and the
-digest of all three; ``main`` returns the counts, which
-``tests/test_output_digest.py`` pins.  A synthesis item hashes its outcome kind (and, for an
+It prints one line per workload (its digest and outcome counts) and, with
+no workload named, the digest of all three; naming workloads (``verify``,
+say, which takes about a second) prints only theirs.  ``main`` returns
+the counts, which ``tests/test_output_digest.py`` pins.  A synthesis item hashes its outcome kind (and, for an
 error, its message) or, for a controller, its stacked region table, laws,
 exit facets, ranks, path lengths, sub-ranks, slacks, exit margins, domain
 (vertices and facet rows) and notes; a run hashes its times, states,
@@ -88,11 +89,20 @@ def verify_runs(h, seed: int) -> Counter:
     return counts
 
 
-def main() -> dict:
-    """Print the digests and return each workload's outcome counts."""
+WORKLOADS = ("synth2d", "synth3d", "verify")
+
+
+def main(names=WORKLOADS) -> dict:
+    """Print the digests of the named workloads, and of all three when
+    all are named, and return each named workload's outcome counts."""
+    unknown = set(names) - set(WORKLOADS)
+    if unknown:
+        raise SystemExit(f"unknown workloads {sorted(unknown)}; choose from {WORKLOADS}")
     total = hashlib.sha256()
     outcomes = {}
-    for name in ("synth2d", "synth3d", "verify"):
+    for name in WORKLOADS:
+        if name not in names:
+            continue
         h = hashlib.sha256()
         counts = Counter()
         for seed in SEEDS:
@@ -103,9 +113,10 @@ def main() -> dict:
         outcomes[name] = dict(sorted(counts.items()))
         print(f"{name}: {h.hexdigest()} {outcomes[name]}")
         total.update(h.digest())
-    print(f"all: {total.hexdigest()}")
+    if set(names) == set(WORKLOADS):
+        print(f"all: {total.hexdigest()}")
     return outcomes
 
 
 if __name__ == "__main__":
-    main()
+    main(tuple(sys.argv[1:]) or WORKLOADS)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from helpers import (halfspace_key, hull_distance, rank_clip_facets, rank_edges,
+from helpers import (all_candidates_hull_facets, halfspace_key, hull_distance,
+                     rank_clip_facets, rank_edges,
                      rank_facets, random_simplices, reference_fan, reference_maximal_sets,
                      reference_simplex_table, uncovered_volume)
 from reachctl import geometry as geo
@@ -607,6 +608,51 @@ class TestMaximalSets:
     def test_tables_without_rows_or_points(self):
         assert geo._maximal_sets(np.zeros((0, 4), dtype=bool)).tolist() == []
         assert geo._maximal_sets(np.zeros((3, 0), dtype=bool)).tolist() == []
+
+
+def _pyramid(rng, n, base):
+    """``base`` random points of the facet x_n = 0 of the unit n-box,
+    its corners among them, and an apex above it: the hull that
+    ``triangulation_wrt_F`` builds over a carrying facet, whose n-subsets
+    of base points all span the base's plane."""
+    corners = np.array(list(itertools.product((0.0, 1.0), repeat=n - 1)))
+    pts = np.vstack([corners, rng.uniform(size=(base - len(corners), n - 1))])
+    return np.vstack([np.column_stack([pts, np.zeros(base)]),
+                      np.append(rng.uniform(size=n - 1), 1.0)])
+
+
+def _box_with_facet_points(rng, n, extra):
+    """The unit n-box's corners and ``extra`` random points on its facets."""
+    corners = np.array(list(itertools.product((0.0, 1.0), repeat=n)))
+    pts = rng.uniform(size=(extra, n))
+    pts[np.arange(extra), rng.integers(n, size=extra)] = rng.integers(2, size=extra)
+    return np.vstack([corners, pts])
+
+
+class TestHullFacets:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_coplanar_points_give_the_rows_of_every_candidate(self, n, monkeypatch):
+        """Candidates with equal tight sets go to the facet rule once, the
+        first of each: on hulls where many n-subsets span one plane, the
+        facet rows equal, bit for bit, those of the rule given every
+        candidate, and the rule gets no two equal rows."""
+        tables = []
+        rule = geo._maximal_sets
+        monkeypatch.setattr(geo, "_maximal_sets", lambda tight: tables.append(tight) or rule(tight))
+        rng = np.random.default_rng(60 + n)
+        # a pyramid over the (n-1)-box has 2n - 1 facets, the box 2n
+        clouds = ([(_pyramid(rng, n, 12), 2 * n - 1) for _ in range(2)]
+                  + [(_box_with_facet_points(rng, n, {2: 10, 3: 12, 4: 4}[n]), 2 * n)
+                     for _ in range(2)])
+        for V, facets in clouds:
+            V = geo.dedupe_points(V)
+            tables.clear()
+            normals, offsets = geo._hull_facets(V)
+            (tight,) = tables
+            assert len(np.unique(tight, axis=0)) == len(tight)
+            want = all_candidates_hull_facets(V)
+            assert np.array_equal(normals, want[0]) and np.array_equal(offsets, want[1])
+            assert len(offsets) == facets
 
 
 class TestClip:

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -11,8 +12,8 @@ from reachctl.errors import Degenerate
 from reachctl.system import AffineSystem
 
 from helpers import (affine_stepper, box_fixture, cube_fixture, facet_face, hull_distance,
-                     ill3_fixture, pinned_corner_fixture, rk4_exit_time, stepwise_integrate,
-                     use_reference_stepper, wedge_fixture)
+                     ill3_fixture, law_rows, max_exit_time, pinned_corner_fixture,
+                     rk4_exit_time, stepwise_integrate, use_reference_stepper, wedge_fixture)
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +295,83 @@ def test_blocks_match_stepwise_events(box):
     assert on_target.outcome == sim.Outcome(sim.REACHED, 0.0)
 
 
+@pytest.mark.parametrize("name", sorted(FIXTURES) + ["ill3"])
+def test_derived_controls_are_each_states_law(name):
+    """The controls a run derives on read are, row for row and bit for
+    bit, each state's law under its piece id, zeros at -1, for every
+    outcome: runs that reach the target, from inside and from on it, leave
+    the domain, time out in a block, and find no piece.  A block's product
+    rounds each row as a product of two rows does, and a stretch of one
+    row (a domain exit's step, the last state) as that row alone; the
+    digest of ``tests/output_digest.py`` holds them to the loop's product."""
+    fixture = ill3_fixture if name == "ill3" else FIXTURES[name]
+    sys, p, f = fixture()
+    ctrl = synth.synth_polytope(sys, p, f)
+    dt = sim.default_dt(sys, ctrl)
+    rng = np.random.default_rng(8)
+    starts = sim.sample_states(ctrl.domain, 3, rng)
+    runs = [(ctrl, sim.integrate(sys, ctrl, x0, dt, 3000 * dt, f=f)) for x0 in starts[:2]]
+    runs.append((ctrl, sim.integrate(sys, ctrl, starts[2], dt)))
+    runs.append((ctrl, sim.integrate(sys, ctrl, f.vertices.mean(axis=0), dt, f=f)))
+    runs.append((ctrl, sim.integrate(sys, ctrl, starts[0], dt, 37.25 * dt, f=f)))
+    # a piece alone, which leaves its region short of the target
+    for pc in ctrl.pieces:
+        if pc.path_len:
+            alone = synth.PWAController([pc], ctrl.domain)
+            runs.append((alone, sim.integrate(sys, alone, pc.region.centroid(), dt, f=f)))
+    kinds = Counter(tr.outcome.kind for _, tr in runs)
+    assert kinds[sim.REACHED] >= 2 and kinds[sim.LEFT] and kinds[sim.TIMEOUT] and kinds[sim.GAP]
+    assert runs[3][1].outcome == sim.Outcome(sim.REACHED, 0.0)
+    for c, tr in runs:
+        assert "controls" not in vars(tr)
+        alone, in_block = law_rows(c, tr.states, tr.piece_ids, sys.m)
+        assert tr.controls.shape == alone.shape
+        assert np.all((tr.controls == alone).all(axis=1) | (tr.controls == in_block).all(axis=1))
+        assert np.array_equal(tr.controls[-1], alone[-1])
+
+
+def test_runs_whose_controls_go_unread_compute_none(box, monkeypatch):
+    """Neither ``verify`` nor a caller that reads a run's outcome and
+    length, as the benchmark does, reads a law: the controls are derived
+    only when read."""
+    sys, p, f, ctrl = box
+    report = sim.verify(sys, ctrl, f, nsamples=4, seed=2).to_dict()
+    reads = []
+    for name in ("gain", "offset", "law"):
+        read = getattr(synth.AffinePiece, name).__get__
+        monkeypatch.setattr(synth.AffinePiece, name, property(
+            lambda pc, read=read, name=name: reads.append(name) or read(pc)))
+    assert sim.verify(sys, ctrl, f, nsamples=4, seed=2).to_dict() == report
+    dt = sim.default_dt(sys, ctrl)
+    runs = [sim.integrate(sys, ctrl, x0, f=f, domain=ctrl.domain, **kw)
+            for x0, kw in (([0.5, 0.5], {}), ([0.1, 0.1], {"tmax": 300 * dt}))]
+    runs.append(sim.integrate(sys, ctrl, [0.5, 0.5]))
+    assert [(tr.outcome.kind, len(tr.times) > 1) for tr in runs] == [
+        (sim.REACHED, True), (sim.TIMEOUT, True), (sim.LEFT, True)]
+    assert reads == [] and not any("controls" in vars(tr) for tr in runs)
+    assert all(len(tr.controls) == len(tr.times) for tr in runs)
+    assert reads
+
+
+@pytest.mark.parametrize("steps", [sim._BLOCK + 100, sim._BLOCK, 3 * sim._BLOCK])
+def test_horizon_on_a_grid_time_or_inside_a_block(box, steps):
+    """A horizon is tested once per block, on its last full step: a
+    horizon half a step past a grid time, inside a block, and one exactly
+    on a grid time, inside a block or at a block's end, stop the run at
+    the step count and last time of the one-step reference.  A step of a
+    power of two sums exactly, so there the horizon's last step is dt to
+    the bit."""
+    sys, p, f, ctrl = box
+    half = sim.default_dt(sys, ctrl) / 2
+    for dt in (half, 2.0 ** math.floor(math.log2(half))):
+        grid = np.add.accumulate(np.concatenate([[0.0], np.full(steps, dt)]))
+        for tmax in (grid[steps], grid[steps] - 0.5 * dt):
+            tr = sim.integrate(sys, ctrl, [0.1, 0.1], dt, tmax, f=f)
+            assert tr.outcome == sim.Outcome(sim.TIMEOUT, tmax)
+            assert len(tr.times) - 1 == steps and tr.times[-1] == tmax
+            _assert_same_run(tr, stepwise_integrate(sys, ctrl, [0.1, 0.1], dt, tmax, f=f))
+
+
 def test_long_run_locates_in_blocks(box, monkeypatch):
     """A run resolves its pieces once per block, not once per step: one
     departure test per block, on blocks that double up to _BLOCK_CAP, and
@@ -556,6 +634,7 @@ def _exits(rng, normals, offs, A, b, starts, h0):
 def _assert_exit_times_agree(normals, offs, A, b, exits):
     for x, h in exits:
         fast = sim._exit_time(normals, offs, A, b, x, h)
+        assert fast == max_exit_time(normals, offs, A, b, x, h)
         slow = rk4_exit_time(normals, offs, A, b, x, h)
         assert abs(fast - slow) <= sim._EVENT_TIME_TOL
         assert (normals @ sim._rk4_step(A, b, x, fast) - offs).max() > -1e-8
@@ -596,6 +675,28 @@ def test_exit_times_match_rk4_bisection_on_random_loops(n, sign):
         _assert_exit_times_agree(normals, offs, A, b, exits)
         checked += len(exits)
     assert checked >= 40
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_exit_halving_stops_at_the_first_crossing(n):
+    """Each halving stops at the first facet whose quartic is positive:
+    the exit time is the float the bisection on every facet's maximum
+    gives, on random loops and facets, a third of them through the state
+    (quartics exactly 0 at s = 0), and steps that may leave no facet."""
+    rng = np.random.default_rng(70 + n)
+    through = 0
+    for _ in range(150):
+        A, b = rng.normal(size=(n, n)), 3.0 * rng.normal(size=n)
+        x = rng.uniform(-0.5, 0.5, size=n)
+        normals = rng.normal(size=(rng.integers(n + 1, 2 * n + 4), n))
+        offs = normals @ x
+        on = rng.random(len(offs)) < 1 / 3
+        offs[~on] += rng.uniform(1e-3, 1.0, size=int((~on).sum()))
+        through += int(on.sum())
+        assert not (normals @ x - offs)[on].any()
+        h = 10 ** rng.uniform(-3, 0)
+        assert sim._exit_time(normals, offs, A, b, x, h) == max_exit_time(normals, offs, A, b, x, h)
+    assert through >= 100
 
 
 def test_box_trajectory_solves_few_lps(box, monkeypatch):
