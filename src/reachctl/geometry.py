@@ -5,13 +5,16 @@ Faces are read from a polytope's vertex-facet incidence
 description method, in every dimension: a facet holds the vertices of
 its column, two vertices span an edge when no third lies on every column
 they share (``Polytope.edges``), and the facets of a face F are the
-maximal nonempty proper sets F ∩ T_h, T_h a column.  The anchored
-``fan`` cones its anchor over every facet that misses it and each lower
-face from its lexicographically first vertex, so its simplices are rows
-of the polytope's vertices, which it returns as indices: a caller reads
-their incidence off the table, and no face is hulled again.  It is the
-package's only triangulation: a set of lower dimension is triangulated
-as the base of a full-dimensional pyramid.
+maximal nonempty proper sets F ∩ T_h, T_h a column, or every vertex
+but one of a simplex (``_facet_sets``, the one facet rule for faces).
+The anchored ``fan`` cones its anchor over every facet that misses it
+and each lower face from its lexicographically first vertex, so its
+simplices are rows of the polytope's vertices, which it returns as
+indices: a caller reads their incidence off the table, and no face is
+hulled again.  A set of lower dimension is triangulated as the base of
+a full-dimensional pyramid by the same recursion on the base's own
+table: ``pyramid`` cones an apex over it, and ``pyramid_rows`` gives the
+pyramid's facet rows through the apex, with no hull.
 
 Incidence is decided once, where a polytope is built, and handed to it;
 no code reads it off the facet rows again.  ``convex_hull`` hands over
@@ -898,23 +901,59 @@ def fan(p: Polytope, anchor) -> np.ndarray:
 def _cone(incidence: np.ndarray, face: np.ndarray, apex: int, d: int) -> list[list[int]]:
     """Vertex index lists of the simplices coning vertex ``apex`` of the
     d-dimensional ``face`` (indices of ``incidence``'s rows, in
-    lexicographic order) over each facet of the face that misses it, each
-    coned in turn from its first vertex.  The facets of a face F are the
-    maximal nonempty proper sets F ∩ T_h, T_h a column.  A face of d + 1
-    vertices is a simplex, its own triangulation: ``apex``, then its other
-    vertices in face order, the row that coning it down to its vertices
-    gives.  Only an incidence that does not describe the polytope gives a
-    face fewer vertices; its row comes back short, and ``fan`` raises."""
+    lexicographic order) over each facet of the face that misses it
+    (``_facet_sets``), each coned in turn from its first vertex.  A face
+    of d + 1 vertices is a simplex, its own triangulation: ``apex``, then
+    its other vertices in face order, the row that coning it down to its
+    vertices gives.  Only an incidence that does not describe the
+    polytope gives a face fewer vertices; its row comes back short, and
+    ``fan`` raises."""
     if len(face) <= d + 1:
         return [[apex] + face[face != apex].tolist()]
-    on = incidence[face]
-    proper = on[:, ~on.all(axis=0)].T
     out = []
-    for r in _maximal_sets(proper):
-        sub = face[proper[r]]
+    for facet in _facet_sets(incidence[face], d):
+        sub = face[facet]
         if apex not in sub:
             out += [[apex] + s for s in _cone(incidence, sub, int(sub[0]), d - 1)]
     return out
+
+
+def _facet_sets(on: np.ndarray, d: int) -> np.ndarray:
+    """The facets of a d-dimensional face, as boolean masks over its
+    vertices, from their rows ``on`` of a table: every vertex but one of
+    a simplex (d + 1 vertices), else the maximal nonempty proper sets
+    F ∩ T_h, T_h a column (``_maximal_sets``).  The one rule for the
+    facets of a face, which ``_cone`` and the pyramids read."""
+    if len(on) == d + 1:
+        return ~np.eye(d + 1, dtype=bool)
+    proper = on[:, ~on.all(axis=0)].T
+    return proper[_maximal_sets(proper)]
+
+
+def pyramid(apex, base: Polytope) -> np.ndarray:
+    """The simplices of the pyramid from ``apex`` over an
+    (n-1)-dimensional ``base``, as an (S, n+1, n) vertex stack: the apex,
+    then a simplex of the base's pulling triangulation from its first
+    vertex (``_cone``, on the base's own table).  It is what ``fan``
+    gives of the hull of the apex and the base from the apex, with no
+    hull: the apex misses only the base."""
+    V = base.vertices[np.array(_cone(base.incidence, np.arange(len(base.vertices)), 0,
+                                     base.dim), dtype=int)]
+    return np.concatenate([np.broadcast_to(apex, (len(V), 1, base.n)), V], axis=1)
+
+
+def pyramid_rows(apex, base: Polytope) -> tuple[np.ndarray, np.ndarray]:
+    """The facet rows (normals, offsets) of the pyramid from ``apex`` over
+    an (n-1)-dimensional ``base`` that pass through the apex: per facet of
+    the base (``_facet_sets``), the plane through it and the apex, its
+    unit normal pointing away from the base, in facet order
+    (``_facet_order``), as the pyramid's hull would give them."""
+    normals = np.array([hyperplane_through(np.vstack([apex, base.vertices[facet]])).normal
+                        for facet in _facet_sets(base.incidence, base.dim)])
+    normals *= np.where(normals @ (base.vertices.mean(axis=0) - apex) > 0.0, -1.0, 1.0)[:, None]
+    offsets = normals @ apex
+    order = _facet_order(normals, offsets)
+    return normals[order], offsets[order]
 
 
 # ---------------------------------------------------------------------------

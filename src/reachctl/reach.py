@@ -12,10 +12,12 @@ interface) is one ``geometry.section``, and the plane is the one
 ``compute_geometry`` reads from ``system.equilibrium_plane``.  Every set
 of points at one drift level (the target's lowest and highest vertices,
 the top face, the cut's pivots) comes from ``SystemGeometry.at_level``.
-Condition (a) is settled on the vertices of the level face when the
-target holds them all: the target is convex, so it then holds the whole
-face, and nothing is probed.  LPs are solved only inside
-``point_in_hull``, for a vertex or probe its closed forms leave open.
+Condition (a) is settled on the vertices of the level face alone: the
+face is convex, and the equilibrium slice is all of it or of lower
+dimension, so the target and the slice cover it exactly when the target
+holds every vertex or the slice does.  No other point is tested, and
+LPs are solved only inside ``point_in_hull``, for a vertex its closed
+forms leave open.
 """
 
 from __future__ import annotations
@@ -92,10 +94,14 @@ def analyze(geom: SystemGeometry, p: Polytope, f: Polytope) -> ReachAnalysis:
     With every vertex covered, condition (a) asks whether the convex
     ``h_minus`` lies in the union of the target and the slice.  The
     points within ``TOL_INCIDENCE`` (inf-norm) of the convex target form a
-    convex set, as the distance to it is a convex function, so when the
-    target holds every vertex it holds ``h_minus`` and nothing is probed.
-    Otherwise every edge midpoint and the centroid are probed against
-    both sets.
+    closed convex set, as the distance to it is a convex function, so it
+    holds ``h_minus`` when it holds every vertex.  The slice is
+    ``h_minus`` cut by the equilibrium plane: all of it when the face lies
+    in the plane, else of lower dimension, and then the union holds the
+    face only if the closed target holds the dense rest of it, so all of
+    it.  Condition (a) thus holds exactly when the target holds every
+    vertex or the slice does; otherwise the whole level face is kept as
+    the failure closure, with a note.  Only vertices are tested.
     """
     beta = geom.beta
     f_levels = f.vertices @ beta
@@ -126,12 +132,11 @@ def analyze(geom: SystemGeometry, p: Polytope, f: Polytope) -> ReachAnalysis:
     if b_minus_active:
         b_minus = section(section(p, b_plane) if below else h_minus, o_plane)
 
-    # condition (a)
+    # condition (a): h_minus is convex, and b_minus is all of it or of
+    # lower dimension, so they cover it when the target holds every
+    # vertex or the slice does
     def in_b(x) -> bool:
         return not b_minus.is_empty and point_in_hull(x, b_minus.vertices, TOL_INCIDENCE)
-
-    def covered(x) -> bool:
-        return point_in_hull(x, f.vertices, TOL_INCIDENCE) or in_b(x)
 
     verts = h_minus.vertices
     in_f = [point_in_hull(v, f.vertices, TOL_INCIDENCE) for v in verts]
@@ -143,19 +148,9 @@ def analyze(geom: SystemGeometry, p: Polytope, f: Polytope) -> ReachAnalysis:
         condition_a = False
         a_minus = convex_hull(uncovered)
     else:
-        # vertices all covered.  The target holds h_minus if it holds
-        # every vertex; otherwise probe the edge midpoints and the
-        # centroid, without exact repeats (the centroid of one vertex, of
-        # two or of a parallelogram is a vertex or a midpoint)
-        probes = []
-        if not all(in_f):
-            nv = len(verts)
-            probes = list(verts)
-            for i, j in itertools.combinations(range(nv), 2):
-                probes.append(0.5 * (verts[i] + verts[j]))
-            probes.append(verts.mean(axis=0))
-            probes = list({x.tobytes(): x for x in probes}.values())[nv:]
-        condition_a = all(covered(x) for x in probes)
+        # vertices all covered: the vertices in the target are tested
+        # against the slice too, the others are in it already
+        condition_a = all(in_f) or all(in_b(v) for a, v in zip(in_f, verts) if a)
         if condition_a:
             a_minus = Polytope.empty(p.n)
         else:

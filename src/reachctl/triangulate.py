@@ -6,23 +6,24 @@ crosses the polytope.
 Both triangulations are ``geometry.fan`` of one anchor, a vertex chosen
 by one rule (``select_vstar`` takes the first of ``qualifying_vertices``
 off the equilibrium plane).  The fan reads the faces from the polytope's
-vertex-facet incidence, so its simplices are rows of its vertices, and
-it is the only triangulation routine.  Which of those rows lie on the
-target's facet k is column k of the incidence, read once: a simplex with
-exactly one vertex off it exits through the facet omitting that vertex
-(``basic_triangulation``), and the fan's cones whose base is on it give
-way (``triangulation_wrt_F``).  For a target inside a facet, the cones
-over that facet give way to the fans of pyramids from the anchor: the
-pyramid over the target, and the pieces of the pyramid over the facet
-outside it, so nothing is projected into a facet's frame.  The points at
-one drift level (the top face, the target's end vertices) come from
-``SystemGeometry.at_level``.  A triangulation records what its
+vertex-facet incidence, so its simplices are rows of its vertices.
+Which of those rows lie on the target's facet k is column k of the
+incidence, read once: a simplex with exactly one vertex off it exits
+through the facet omitting that vertex (``basic_triangulation``), and
+the fan's cones whose base is on it give way (``triangulation_wrt_F``).
+For a target inside a facet, they give way to pyramids from the anchor
+(``geometry.pyramid``) over the target and over the pieces of facet k
+that the planes through the anchor and the target's facets cut off
+(``geometry.pyramid_rows``), each read from its own incidence: no
+triangulation hulls, and nothing is projected into a facet's frame.
+The points at one drift level (the top face, the target's end vertices)
+come from ``SystemGeometry.at_level``.  A triangulation records what its
 construction decides, the exit facet of each target simplex and the
 facet each simplex shares with a neighbour, so synthesis reads these
 instead of recomputing them.
 
 A triangulation is one (S, n+1, 2n+1) stack of simplex tables, built
-by one ``geometry.simplex_tables`` call from the fans' vertex stacks and
+by one ``geometry.simplex_tables`` call from the cones' vertex stacks and
 ordered by one lexsort of the simplices' keys (``_key_order``).  Its
 adjacency matches facet keys, the sorted ids of a facet's vertices, in
 one sort, and the vertex levels along a direction, which the greedy pass
@@ -38,13 +39,13 @@ import numpy as np
 
 from .errors import (CoverIncomplete, CutConstructionFailed, EpsTooLarge,
                      NoQualifyingVertex, VStarInFbar)
-from .geometry import (KEY_DECIMALS, TOL_GEOM, TOL_INCIDENCE, TOL_MERGE,
-                       TOL_VOLUME, TOL_ZERO, HalfSpace, Hyperplane, Polytope,
-                       Simplex, affine_dimension, carrying_facet,
-                       clip_to_halfspace, convex_hull, fan,
-                       hyperplane_through, intersect, lex_sorted,
-                       point_in_hull, section, simplex_tables,
-                       split_by_hyperplane, whole_facet)
+from .geometry import (KEY_DECIMALS, TOL_GEOM, TOL_INCIDENCE, TOL_VOLUME,
+                       TOL_ZERO, HalfSpace, Hyperplane, Polytope, Simplex,
+                       affine_dimension, carrying_facet, clip_to_halfspace,
+                       convex_hull, fan, hyperplane_through, intersect,
+                       lex_sorted, point_in_hull, pyramid, pyramid_rows,
+                       section, simplex_tables, split_by_hyperplane,
+                       whole_facet)
 from .reach import default_eps, epsilon_cut
 from .system import (AffineSystem, SystemGeometry, compute_geometry,
                      equilibrium_plane)
@@ -189,12 +190,12 @@ def triangulation_wrt_F(p: Polytope, f: Polytope, vstar: np.ndarray) -> Triangul
     the one carrying the target, with cones over the target and over the
     pieces of that facet outside it, ordered by vertex key.
 
-    Every cone is ``geometry.fan`` of a pyramid from the anchor.  The
-    cones over the target are the fan of ``target``, the hull of the
-    anchor and the target.  The pyramid over the carrying facet is
-    clipped to the outside of each facet of ``target`` through the
-    anchor in turn, and each full-dimensional piece is fanned; what
-    remains is ``target``.  Each cone over the target exits through its
+    Every cone over the carrying facet k is ``geometry.pyramid`` from the
+    anchor, and no set is hulled.  Facet k (``p.facets()[k]``, with its
+    rows of the incidence) is split by the planes through the anchor and
+    each facet of the target (``geometry.pyramid_rows``), in their order:
+    each (n-1)-dimensional piece outside a plane is coned, and what
+    remains is the target.  Each cone over the target exits through its
     base, which is facet 0 because the anchor is vertex 0."""
     vstar = np.asarray(vstar, dtype=float)
     k = carrying_facet(p, f)
@@ -204,22 +205,18 @@ def triangulation_wrt_F(p: Polytope, f: Polytope, vstar: np.ndarray) -> Triangul
     if abs(h.value(vstar)) <= TOL_GEOM:
         raise VStarInFbar("anchor lies on the facet carrying the target")
 
-    target = convex_hull(np.vstack([vstar, f.vertices]))
-    cones = [target.vertices[fan(target, vstar)]]
+    cones = [pyramid(vstar, f)]
     n_target = len(cones[0])
     # the fan's cones with their base on facet k, which column k of the
     # incidence tells, give way to the cones over the target and over the
     # pieces of facet k outside it
     rows = fan(p, vstar)
     cones.append(p.vertices[rows[~p.incidence[rows[:, 1:], k].all(axis=1)]])
-    rest = convex_hull(np.vstack([vstar, p.vertices[p.incidence[:, k]]]))
-    apex = np.abs(target.vertices - vstar).max(axis=1) <= TOL_MERGE
-    for g, through in zip(target.halfspaces, target.incidence[apex].any(axis=0)):
-        if through:
-            piece = clip_to_halfspace(rest, g.flipped())
-            if piece.is_full_dim:
-                cones.append(piece.vertices[fan(piece, vstar)])
-            rest = clip_to_halfspace(rest, g)
+    rest = p.facets()[k]
+    for normal, offset in zip(*pyramid_rows(vstar, f)):
+        rest, piece = split_by_hyperplane(rest, Hyperplane.of_row(normal, offset))
+        if piece.dim == p.n - 1:
+            cones.append(pyramid(vstar, piece))
     V = np.concatenate(cones)
     order = _key_order(V)
     exits = dict.fromkeys(np.flatnonzero(order < n_target).tolist(), 0)

@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 
 from reachctl import geometry as geo
 from reachctl import lp, reach, sim
+from reachctl import triangulate as tri
 from reachctl.synth import PWAController
 from reachctl.system import AffineSystem, compute_geometry
 
@@ -557,27 +558,29 @@ def lp_hull_meets_planes(vertices, planes):
     return out.status == lp.OPTIMAL
 
 
-def probe_everything_condition_a(f, analysis):
-    """Condition (a) and its failure closure for an analysis with nothing
-    below the target's lowest level, by the rule ``reach.analyze`` once
-    had for every level face: with every vertex of ``h_minus`` covered by
-    the target or ``b_minus``, every pair's midpoint and the centroid are
-    probed too, whichever sets hold the vertices."""
+# fractions along each edge of a level face at which ``uncovered_samples``
+# tests it, dense towards the ends, where a target that misses a vertex by
+# little misses the edges near it
+EDGE_FRACTIONS = (1e-3, 5e-3, 0.02, 0.1, 0.25, 0.5, 0.75, 0.9, 0.98, 0.995, 0.999)
+
+
+def uncovered_samples(f, analysis, count=100, seed=0):
+    """The points of a sample of ``h_minus`` covered by neither the target
+    nor ``b_minus`` at TOL_INCIDENCE: its vertices, the points at
+    ``EDGE_FRACTIONS`` along each of its edges, and ``count`` random
+    convex combinations of its vertices (seeded)."""
     h_minus, b_minus = analysis.h_minus, analysis.b_minus
+    V = h_minus.vertices
+    t = np.array(EDGE_FRACTIONS)[:, None]
+    edges = [(1 - t) * V[i] + t * V[j] for i, j in h_minus.edges]
+    inner = np.random.default_rng(seed).dirichlet(np.ones(len(V)), size=count) @ V
 
     def covered(x):
         return geo.point_in_hull(x, f.vertices, geo.TOL_INCIDENCE) or \
             (not b_minus.is_empty and geo.point_in_hull(x, b_minus.vertices, geo.TOL_INCIDENCE))
 
-    verts = h_minus.vertices
-    uncovered = verts[[not covered(v) for v in verts]]
-    if len(uncovered):
-        return False, geo.convex_hull(uncovered)
-    probes = [0.5 * (verts[i] + verts[j]) for i, j in itertools.combinations(range(len(verts)), 2)]
-    probes.append(verts.mean(axis=0))
-    if all(covered(x) for x in probes):
-        return True, geo.Polytope.empty(h_minus.n)
-    return False, h_minus
+    pts = np.vstack([V, *edges, inner])
+    return pts[[not covered(x) for x in pts]]
 
 
 def right_target_polygons(count):
@@ -655,6 +658,34 @@ def plane_cones_off_facet(p, vstar, h):
     as an (S, n+1, n) stack."""
     V = p.vertices[geo.fan(p, vstar)]
     return V[np.abs(V[:, 1:] @ h.normal - h.offset).max(axis=1) > geo.TOL_INCIDENCE]
+
+
+def reference_wrt_F(p, f, vstar):
+    """``triangulate.triangulation_wrt_F`` by the hulls it once took: the
+    fan from the anchor of the hull of the anchor and the target, and of
+    each full-dimensional piece of the hull of the anchor and the
+    carrying facet outside each facet of the first hull through the
+    anchor, clipped off in that hull's facet order; the fan's cones off
+    the carrying facet as ``triangulation_wrt_F`` keeps them."""
+    vstar = np.asarray(vstar, dtype=float)
+    k = geo.carrying_facet(p, f)
+    target = geo.convex_hull(np.vstack([vstar, f.vertices]))
+    cones = [target.vertices[geo.fan(target, vstar)]]
+    n_target = len(cones[0])
+    rows = geo.fan(p, vstar)
+    cones.append(p.vertices[rows[~p.incidence[rows[:, 1:], k].all(axis=1)]])
+    rest = geo.convex_hull(np.vstack([vstar, p.vertices[p.incidence[:, k]]]))
+    apex = np.abs(target.vertices - vstar).max(axis=1) <= geo.TOL_MERGE
+    for g, through in zip(target.halfspaces, target.incidence[apex].any(axis=0)):
+        if through:
+            piece = geo.clip_to_halfspace(rest, g.flipped())
+            if piece.is_full_dim:
+                cones.append(piece.vertices[geo.fan(piece, vstar)])
+            rest = geo.clip_to_halfspace(rest, g)
+    V = np.concatenate(cones)
+    order = tri._key_order(V)
+    exits = dict.fromkeys(np.flatnonzero(order < n_target).tolist(), 0)
+    return tri.Triangulation(geo.simplex_tables(V[order]), vstar, exits)
 
 
 # -- references for the fan and the cover gap --------------------------------

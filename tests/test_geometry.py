@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 from scipy.spatial import ConvexHull
 
 from helpers import (all_candidates_hull_facets, halfspace_key, hull_distance,
@@ -1099,6 +1100,56 @@ class TestFan:
                     assert fan_volume(out.vertices[geo.fan(out, anchor)]) == \
                         pytest.approx(ref, rel=1e-6)
         assert checked >= 40
+
+
+def pyramid_bases(rng, n, count):
+    """(apex, base) pairs: the sections of ``count`` random hulls by
+    planes through an interior point, and the clips of their facets by
+    those planes' halfspaces that keep an (n-1)-dimensional piece, each
+    with the vertex of the hull farthest from the base's plane as apex."""
+    for _ in range(count):
+        p = random_hull(rng, n)
+        h, _ = next(clip_cases(rng, p))
+        bases = [geo.section(p, geo.Hyperplane(h.normal, h.offset))]
+        bases += [geo.clip_to_halfspace(face, h) for face in p.facets()]
+        for base in bases:
+            if base.dim != n - 1:
+                continue
+            origin, basis = geo.affine_basis(base.vertices)
+            normal = null_space(basis.T)[:, 0]
+            yield p.vertices[np.abs((p.vertices - origin) @ normal).argmax()], base
+
+
+class TestPyramid:
+    """``pyramid`` and ``pyramid_rows`` cone an apex over an
+    (n-1)-dimensional base from the base's own table, against the volume
+    of the pyramid and the rows of its hull."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_simplex_volumes_sum_to_the_pyramid(self, n):
+        """|base| height / n, the base's volume by scipy in its own plane."""
+        checked = 0
+        for apex, base in pyramid_bases(np.random.default_rng(110 + n), n, 6):
+            V = geo.pyramid(apex, base)
+            assert V.shape[1:] == (n + 1, n) and np.all(V[:, 0] == apex)
+            origin, basis = geo.affine_basis(base.vertices)
+            area = ConvexHull((base.vertices - origin) @ basis).volume
+            height = abs((apex - origin) @ null_space(basis.T)[:, 0])
+            assert fan_volume(V) == pytest.approx(area * height / n, rel=1e-9)
+            checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_rows_are_the_hulls_rows_through_the_apex(self, n):
+        """In the hull's order, within 1e-12."""
+        for apex, base in pyramid_bases(np.random.default_rng(120 + n), n, 4):
+            normals, offsets = geo.pyramid_rows(apex, base)
+            hull = geo.convex_hull(np.vstack([apex, base.vertices]))
+            top = np.flatnonzero((hull.vertices == apex).all(axis=1))
+            through = hull.incidence[top[0]]
+            assert normals.shape == (through.sum(), n) and through.sum() >= n
+            assert np.allclose(normals, hull.rows[0][through], rtol=0, atol=1e-12)
+            assert np.allclose(offsets, hull.rows[1][through], rtol=0, atol=1e-12)
 
 
 class TestSimplex:

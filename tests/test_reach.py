@@ -10,10 +10,10 @@ from reachctl.errors import CutConstructionFailed, EpsTooLarge
 from reachctl.system import compute_geometry
 
 from helpers import (box4d_fixture, box_fixture, box_left_fixture, cube_fixture, face_from,
-                     ill1_fixture,
-                     ill2_fixture, ill3_fixture, interior_grid, lp_hull_meets_planes,
-                     oracle_reaches, pinned_corner_fixture, probe_everything_condition_a,
-                     right_target_polygons, top_edge_fixture, wedge_fixture)
+                     facet_face, ill1_fixture, ill2_fixture, ill3_fixture, integrator_3d,
+                     interior_grid, lp_hull_meets_planes, oracle_reaches,
+                     pinned_corner_fixture, right_target_polygons, top_edge_fixture,
+                     uncovered_samples, wedge_fixture)
 
 
 def analysis_for(sys, p, f):
@@ -72,9 +72,8 @@ class TestAnalyze:
     ])
     def test_level_face_probes_are_tested_once(self, monkeypatch, fixture, target, failing):
         """A target inside the level face leaves corners of that face
-        uncovered: condition (a) fails on a vertex.  Each probe point is
-        tested once against each hull (the square's and the segment's
-        centroids are midpoints), within an LP budget of one per test."""
+        uncovered: condition (a) fails on a vertex.  Each vertex is tested
+        once against each hull, within an LP budget of one per test."""
         sys, p, _ = fixture()
         tests, lps = [], []
         in_hull, solve = reach.point_in_hull, lp.solve
@@ -124,8 +123,8 @@ class TestAnalyze:
         (box4d_fixture, 0)])
     def test_lp_budget(self, monkeypatch, fixture, lps):
         """The analysis solves LPs only in ``point_in_hull``, and none on
-        these fixtures: their level faces lie in the target, so no probe
-        runs, and each vertex is settled in closed form."""
+        these fixtures: each vertex of their level faces is settled in
+        closed form."""
         calls = []
         solve = lp.solve
 
@@ -140,7 +139,7 @@ class TestAnalyze:
     @pytest.mark.parametrize("fixture", [cube_fixture, box4d_fixture])
     def test_level_face_in_the_target_is_not_probed(self, monkeypatch, fixture):
         """Every vertex of the level face lies in the target, which is
-        convex, so condition (a) holds without a probe: ``point_in_hull``
+        convex, so condition (a) holds on them alone: ``point_in_hull``
         is called once per vertex, on the target's vertices alone."""
         sys, p, f = fixture()
         tests = []
@@ -156,29 +155,79 @@ class TestAnalyze:
         assert sorted(x for x, _ in tests) == sorted(v.tobytes() for v in ra.h_minus.vertices)
         assert {V for _, V in tests} == {f.vertices.tobytes()}
 
-    def test_mixed_cover_matches_probing_everything(self):
+    NOTE = "sub-level face not convexly covered by target and equilibrium slice"
+
+    def test_condition_a_matches_the_sampled_level_face(self):
         """Targets in the cube's level face that hold its top corners and
         reach its bottom edge, which is ``b_minus``, at points near or far
-        from the bottom corners: where the vertices split between the
-        target and ``b_minus``, the verdict, ``a_minus`` and the notes
-        equal those of probing every midpoint and the centroid."""
+        from the bottom corners: condition (a) fails exactly where a
+        sample of the level face finds a point that neither the target
+        nor ``b_minus`` covers.  Where the bottom corners lie in
+        ``b_minus`` alone, the whole level face is the failure closure,
+        with the note; the five targets that miss a corner by 1.5e-8 at
+        most leave no probe of an edge midpoint or the centroid
+        uncovered, yet leave uncovered points near that corner, such as
+        (1, 0, 0.005)."""
         sys, p, _ = cube_fixture()
         geom = compute_geometry(sys, p)
-        mixed = set()
+        band = 0
         for d0, d1 in itertools.product([0.0, 5e-9, 1.5e-8, 3e-8, 0.2], repeat=2):
             f = face_from([(1, d0, 0), (1, 1 - d1, 0), (1, 0, 1), (1, 1, 1)])
             ra = reach.analyze(geom, p, f)
-            condition_a, a_minus = probe_everything_condition_a(f, ra)
-            assert ra.condition_a == condition_a
-            assert np.array_equal(ra.a_minus.vertices, a_minus.vertices)
-            assert ra.a_minus.dim == a_minus.dim
-            in_f = [geo.point_in_hull(v, f.vertices, geo.TOL_INCIDENCE)
-                    for v in ra.h_minus.vertices]
-            if not len(ra.uncovered) and not all(in_f):
-                mixed.add(condition_a)
-                assert ra.notes == (() if condition_a else (
-                    "sub-level face not convexly covered by target and equilibrium slice",))
-        assert mixed == {False, True}
+            uncovered = uncovered_samples(f, ra)
+            assert ra.condition_a == (len(uncovered) == 0)
+            assert not len(ra.uncovered)
+            if ra.condition_a:
+                assert ra.a_minus.is_empty and ra.notes == ()
+            else:
+                assert ra.a_minus is ra.h_minus and ra.notes == (self.NOTE,)
+            if max(d0, d1) == 1.5e-8:
+                band += 1
+                if d0 == 1.5e-8:
+                    assert (np.abs(uncovered - [1, 0, 0.005]).max(axis=1) <= 1e-15).any()
+        assert band == 5
+
+    def test_level_face_in_the_equilibrium_plane(self):
+        """A prism whose level face is a bottom edge along beta x A^T beta,
+        so it lies in the equilibrium plane and ``b_minus`` is all of it:
+        the target, a facet, holds one end of the edge and the slice
+        holds both, so condition (a) holds."""
+        sys = integrator_3d()
+        p = geo.convex_hull([(0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 1, 0)])
+        f = facet_face(p, [0, -1, 0])
+        geom, ra = analysis_for(sys, p, f)
+        edge = np.cross(geom.beta, sys.A.T @ geom.beta)
+        assert ra.h_minus.dim == 1 and ra.b_minus_active
+        assert np.allclose(np.abs(ra.h_minus.vertices[1] - ra.h_minus.vertices[0]), np.abs(edge))
+        assert np.array_equal(ra.b_minus.vertices, ra.h_minus.vertices)
+        assert not geo.point_in_hull(ra.h_minus.vertices[1], f.vertices, geo.TOL_INCIDENCE)
+        assert ra.condition_a and ra.reachable and ra.a_minus.is_empty and ra.notes == ()
+        assert not len(uncovered_samples(f, ra))
+
+    @pytest.mark.parametrize("fixture", [box_fixture, wedge_fixture, pinned_corner_fixture,
+                                         cube_fixture, box4d_fixture, ill1_fixture])
+    def test_only_vertices_of_the_level_face_are_tested(self, monkeypatch, fixture):
+        """``analyze`` hands ``point_in_hull`` no point but a vertex of
+        ``h_minus``: on the fixtures and on the cube's targets above."""
+        sys, p, f = fixture()
+        geom = compute_geometry(sys, p)
+        targets = [f]
+        if fixture is cube_fixture:
+            targets += [face_from([(1, d, 0), (1, 1 - d, 0), (1, 0, 1), (1, 1, 1)])
+                        for d in (5e-9, 1.5e-8, 0.2)]
+        points = []
+        in_hull = reach.point_in_hull
+
+        def recording(x, V, tol):
+            points.append(np.asarray(x))
+            return in_hull(x, V, tol)
+
+        monkeypatch.setattr(reach, "point_in_hull", recording)
+        for target in targets:
+            del points[:]
+            ra = reach.analyze(geom, p, target)
+            assert points
+            assert all((ra.h_minus.vertices == x).all(axis=1).any() for x in points)
 
 
 class TestEquilibriumSlice:

@@ -348,6 +348,39 @@ def test_check_sees_a_stacked_plane_test():
     assert stacked_plane_tests(source) == ["cones", "mark_target"]
 
 
+def readers(source: str, name: str) -> list[str]:
+    """The functions (by name, "<module>" outside any) that read ``name``
+    (a call reads it too), once per read."""
+    tree = ast.parse(source)
+    owner = _owners(tree)
+    return sorted(owner.get(id(node), "<module>") for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == name
+                  and isinstance(node.ctx, ast.Load))
+
+
+def test_no_triangulation_hulls():
+    """Every triangulation reads its faces off an incidence table: in
+    ``triangulate`` only the cover w.r.t. a target hulls (its lead
+    piece), and one facet rule serves faces (``_facet_sets``) and one
+    hulls (``_hull_facets``), both through ``_maximal_sets``."""
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert readers(sources["triangulate.py"], "convex_hull") == ["cover_wrt_F"]
+    assert {name: got for name, got in
+            ((name, readers(text, "_maximal_sets")) for name, text in sources.items())
+            if got} == {"geometry.py": ["_facet_sets", "_hull_facets"]}
+
+
+def test_check_sees_a_second_reader():
+    source = ("from .geometry import convex_hull\n"
+              "def cover(p):\n    return convex_hull(p)\n"
+              "def wrt(p, f):\n    hull = convex_hull\n    return hull(f), convex_hull(p)\n"
+              "def _maximal_sets(t):\n    return t\n"
+              "class A:\n    def m(self, t):\n        return _maximal_sets(t)\n"
+              "RULE = _maximal_sets\n")
+    assert readers(source, "convex_hull") == ["cover", "wrt", "wrt"]
+    assert readers(source, "_maximal_sets") == ["<module>", "m"]
+
+
 def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:
     """The classes of ``errors_source`` that no source raises (by name, as
     ``raise X`` or ``raise X(...)``) and that are no base of one raised."""

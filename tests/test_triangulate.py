@@ -16,7 +16,7 @@ from helpers import (box_fixture, cube_fixture, diamond_fixture, direct_cut_fixt
                      ill2_fixture, ill3_fixture, lp_target_exits,
                      o_cross_fixture, pinned_corner_fixture,
                      plane_cones_off_facet, plane_target_exits,
-                     reference_facet_adjacency, sweep_problem, top_edge_fixture,
+                     reference_facet_adjacency, reference_wrt_F, sweep_problem, top_edge_fixture,
                      uncovered_volume, wedge_fixture)
 
 
@@ -355,6 +355,76 @@ class TestTriangulationWrtF:
         sys, p, f = ill1_fixture()
         with pytest.raises(VStarInFbar):
             tri.triangulation_wrt_F(p, f, np.array([2.0, 1.0]))
+
+
+def wrt_F_cases(rng, n, count):
+    """(polytope, target, anchor) triples as ``random_triangulations``
+    draws them for its triangulations w.r.t. a target inside a facet."""
+    for _ in range(count):
+        p = geo.convex_hull(rng.normal(size=(n + 4, n)))
+        rng.integers(len(p.vertices))
+        k = rng.integers(len(p.halfspaces))
+        on = p.incidence[:, k]
+        f = face_from(rng.dirichlet(np.ones(on.sum()), size=n + 1) @ p.vertices[on])
+        yield p, f, p.vertices[~on][rng.integers((~on).sum())]
+
+
+def same_triangulation(t, ref):
+    """Simplex count, exits and adjacency equal, vertex rows within 1e-11."""
+    n = t.tables.shape[1] - 1
+    return (t.tables.shape == ref.tables.shape and t.target_exits == ref.target_exits
+            and t.adjacency == ref.adjacency
+            and np.allclose(t.tables[..., :n], ref.tables[..., :n], rtol=0, atol=1e-11))
+
+
+class TestWrtFByIncidence:
+    """``triangulation_wrt_F`` cuts facet k by the planes through the
+    anchor and the target's facets, and cones with ``geometry.pyramid``,
+    against the pyramid hulls it once took (``helpers.reference_wrt_F``)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_the_hull_reference(self, n):
+        for seed in range(60, 75):
+            for p, f, vstar in wrt_F_cases(np.random.default_rng(seed), n, 8):
+                assert same_triangulation(tri.triangulation_wrt_F(p, f, vstar),
+                                          reference_wrt_F(p, f, vstar))
+
+    @pytest.mark.parametrize("fixture, anchor", [
+        (ill1_fixture, (0.0, 1.0)), (box_fixture, (0.0, 1.0)),
+        (lambda: (None, geo.Polytope.box([0, 0], [1, 1]), face_from([(0, 0), (0.5, 0)])),
+         (1.0, 1.0))], ids=["ill1", "box", "half_bottom_edge"])
+    def test_matches_the_hull_reference_on_the_fixtures(self, fixture, anchor):
+        _, p, f = fixture()
+        t = tri.triangulation_wrt_F(p, f, np.array(anchor))
+        assert t.target_exits and same_triangulation(t, reference_wrt_F(p, f, np.array(anchor)))
+
+    def test_the_plane_order_decides_the_cells(self, monkeypatch):
+        """In 4-D the order of the cuts decides the cells: on this case
+        the facet order gives the reference's 34 simplices, and the
+        planes in reverse order give 38."""
+        p, f, vstar = next(wrt_F_cases(np.random.default_rng(60), 4, 1))
+        t = tri.triangulation_wrt_F(p, f, vstar)
+        assert len(t.simplices) == 34 and same_triangulation(t, reference_wrt_F(p, f, vstar))
+        rows = geo.pyramid_rows
+        monkeypatch.setattr(tri, "pyramid_rows",
+                            lambda apex, base: tuple(x[::-1] for x in rows(apex, base)))
+        assert len(tri.triangulation_wrt_F(p, f, vstar).simplices) == 38
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_no_hull(self, monkeypatch, n):
+        cases = list(wrt_F_cases(np.random.default_rng(90 + n), n, 6))
+        calls = []
+        hull = geo.convex_hull
+
+        def counting(points):
+            calls.append(1)
+            return hull(points)
+
+        monkeypatch.setattr(geo, "convex_hull", counting)
+        monkeypatch.setattr(tri, "convex_hull", counting)
+        for p, f, vstar in cases:
+            tri.triangulation_wrt_F(p, f, vstar)
+        assert calls == []
 
 
 def split_plane_candidates(p, a, b):
