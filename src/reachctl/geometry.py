@@ -855,23 +855,27 @@ def whole_facet(p: Polytope, f: Polytope) -> Optional[int]:
     return k if matched else None
 
 
-def simplex_volume(vertices: np.ndarray) -> float:
+def simplex_volume(vertices: np.ndarray):
     """Volume |det(V_1 - V_0, ..., V_n - V_0)| / n! of the simplex of n+1
-    points of R^n.  Raises GeometryError for any other number of points,
-    as ``Simplex`` does."""
-    V = _as_points(vertices)
-    n = V.shape[1]
-    if V.shape[0] != n + 1:
-        raise GeometryError(f"simplex in R^{n} needs {n + 1} vertices, got {V.shape[0]}")
-    return abs(np.linalg.det(V[1:] - V[0])) / math.factorial(n)
+    points of R^n, or the S volumes of an (S, n+1, n) stack of them, each
+    bit for bit as the simplex alone gives it.  Raises GeometryError for
+    any other number of points, as ``Simplex`` does."""
+    V = np.asarray(vertices, dtype=float)
+    if V.ndim != 3:
+        V = _as_points(V)
+    n = V.shape[-1]
+    if V.shape[-2] != n + 1:
+        raise GeometryError(f"simplex in R^{n} needs {n + 1} vertices, got {V.shape[-2]}")
+    return np.abs(np.linalg.det(V[..., 1:, :] - V[..., :1, :])) / math.factorial(n)
 
 
 def volume(p: Polytope) -> float:
-    """Volume by the fan from the lexicographically smallest vertex; zero
+    """Volume by the fan from the lexicographically smallest vertex, one
+    stacked determinant over its simplices, summed left to right; zero
     for lower-dimensional polytopes."""
     if p.is_empty or p.dim < p.n:
         return 0.0
-    return sum(simplex_volume(s) for s in p.vertices[fan(p, p.vertices[0])])
+    return sum(simplex_volume(p.vertices[fan(p, p.vertices[0])]).tolist())
 
 
 def fan(p: Polytope, anchor) -> np.ndarray:

@@ -7,8 +7,12 @@ interpolation (``geometry.barycentric``), checked for a closed-loop
 equilibrium; the laws are assembled over a triangulation ordered by a
 greedy pass that always finishes the lowest-drift exit facet first.
 
-Once the greedy pass has ordered a leaf triangulation, its simplices
-(split at a drift midlevel where that applies) are synthesized together.
+A problem is synthesized in one pass.  One depth-first walk over its
+branch tree (margin cuts, covers, far splits) orders each leaf
+triangulation greedily and collects the leaves; then the simplices of
+every leaf (split at a drift midlevel where that applies) are
+synthesized together, and one controller is built from their pieces: no
+sub-problem controller is built or discarded.
 ``vertex_controls_lp`` solves the LPs of all their vertices at once and
 exactly, by enumerating the LPs' bases, so synthesis runs no simplex
 tableau; a basis is solved when it passes the relative determinant test
@@ -18,9 +22,11 @@ interpolation residuals and the closed-loop equilibrium screen come out
 as stacked arrays: the screen is the exclusion rule of
 ``geometry.hull_rows``, the "out" of ``point_in_hull``, applied to 0 and
 every piece's vertex fields at once, and only a piece it leaves open is
-tested alone (``check_no_equilibrium``).  Errors keep the
-greedy order: after every LP is solved the pieces are checked in turn,
-and the first that fails raises, as a loop over the simplices would.
+tested alone (``check_no_equilibrium``).  Errors keep the order of a
+depth-first synthesis that solves each leaf as it reaches it: after
+every LP is solved the pieces are checked in turn, and the first that
+fails raises, as a loop over the simplices would, before an error the
+walk met after their leaves.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import numpy as np
 from . import lp
 from .errors import (AssumptionViolated, NotReachable, SingularVertexMatrix,
                      Stuck, SynthesisFailed)
-from .geometry import (TOL_GEOM, TOL_MERGE, TOL_ZERO, Face,
+from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_MERGE, TOL_ZERO, Face,
                        Polytope, Simplex, barycentric, carrying_facet,
                        hull_rows, nonsingular, point_in_hull, simplex_tables,
                        whole_facet)
@@ -347,36 +353,70 @@ def _midlevel_split(geom: SystemGeometry, s: Simplex, exit_facet: int) -> list[S
     return [Simplex.of_table(t) for t in simplex_tables(np.stack([lo_verts, up_verts]))]
 
 
-def synth_simplex(sys: AffineSystem, geom: SystemGeometry, simplices: Sequence[Simplex],
+def _may_split(geoms: Sequence[SystemGeometry], tables: np.ndarray,
+               exit_facets: Sequence[int]) -> np.ndarray:
+    """Which simplices of an (S, n+1, 2n+1) table stack ``_midlevel_split``
+    may split, by one stacked product: a split needs every exit vertex
+    within ``TOL_INCIDENCE`` of the equilibrium plane of the simplex's
+    geometry (``SystemGeometry.on_equilibrium_plane``), and a simplex
+    with an exit vertex farther off than that, by more than the rounding
+    of either product, cannot split.  The margin is 2(n+1) ulps of
+    |v| + |offset|, which bounds the magnitudes of the terms (the normal
+    is a unit vector) and so how far the stacked product and the one-row
+    dot of the exact test can round apart: the screen clears no simplex
+    that the exact test splits."""
+    n = tables.shape[1] - 1
+    V = tables[..., :n]
+    normals = np.array([g.equilibrium_plane.normal for g in geoms])
+    offsets = np.array([g.equilibrium_plane.offset for g in geoms])[:, None]
+    slop = 2 * (n + 1) * np.finfo(float).eps * (np.linalg.norm(V, axis=2) + np.abs(offsets))
+    near = np.abs(np.einsum("sij,sj->si", V, normals) - offsets) <= TOL_INCIDENCE + slop
+    near[np.arange(len(tables)), exit_facets] = True     # the apex is not an exit vertex
+    return near.all(axis=1)
+
+
+def synth_simplex(sys: AffineSystem, geoms: Sequence[SystemGeometry],
+                  simplices: Sequence[Simplex],
                   exit_facets: Sequence[int]) -> list[list[AffinePiece]]:
     """Feedback for each simplex of a sequence, exiting through its facet
-    of ``exit_facets``: one list of pieces per simplex.
+    of ``exit_facets``, with the geometry of its leaf in ``geoms`` (beta's
+    sign differs between the two sides of the equilibrium plane): one
+    list of pieces per simplex.
 
     A simplex normally gets a single affine piece; where the midlevel
     split applies (``_midlevel_split``) it gets two, the lower one first
-    (``sub_rank`` 0 and 1).  The vertex controls of every piece come from
-    one ``vertex_controls_lp`` call, and the blocking and exit margins,
-    the affine laws (barycentric interpolation, ``geometry.barycentric``),
-    their interpolation residuals and the closed-loop equilibrium screen
+    (``sub_rank`` 0 and 1).  One stacked screen (``_may_split``) rules
+    out the simplices whose exit vertices are clearly off the equilibrium
+    plane, and only the rest go to ``_midlevel_split``.  The vertex
+    controls of every piece come from one ``vertex_controls_lp`` call,
+    and the blocking and exit margins, the affine laws (barycentric
+    interpolation, ``geometry.barycentric``), their interpolation
+    residuals and the closed-loop equilibrium screen
     (``geometry.hull_rows`` of the stacked vertex fields, against 0) from
     stacked arrays; the screen reads only the pieces whose fields are
-    finite, and only a piece it leaves open goes to
-    ``check_no_equilibrium``.  The split pieces' tables come from one
-    ``simplex_tables`` call per split simplex.  The pieces are then
-    checked in order, and the first that fails raises, as one call per
-    simplex would: ``SynthesisFailed``, carrying the simplex, its exit
-    facet and the error, where a vertex's LP is infeasible, the blocking
-    margin is below -``TOL_INV`` or the closed loop has a stationary point
-    in the simplex, and ``SingularVertexMatrix`` where the law misses a
-    vertex control by ``TOL_GEOM`` times the largest control entry, or 1
-    when that is smaller: the controls of a sliver reach 1e5, and the
-    float solve misses them by more than ``TOL_GEOM`` alone.  Each
-    piece's law is a copy that owns its data."""
-    parts = [_midlevel_split(geom, s, e) for s, e in zip(simplices, exit_facets)]
+    finite.  The split pieces' tables come from one ``simplex_tables``
+    call per split simplex.  The pieces are then checked in order, and
+    the first that fails raises, as one call per simplex would:
+    ``SynthesisFailed``, carrying the simplex, its exit facet and the
+    error, where a vertex's LP is infeasible, the blocking margin is below
+    -``TOL_INV`` or the closed loop has a stationary point in the simplex,
+    and ``SingularVertexMatrix`` where the law misses a vertex control by
+    ``TOL_GEOM`` times the largest control entry, or 1 when that is
+    smaller: the controls of a sliver reach 1e5, and the float solve
+    misses them by more than ``TOL_GEOM`` alone.  Those checks run only
+    on the pieces one stacked flag marks: an infeasible vertex, a blocking
+    margin below -``TOL_INV``, a residual over its bound, or the
+    equilibrium screen leaving the piece open, and only a piece the screen
+    leaves open goes to ``check_no_equilibrium``.  Each piece's law is a
+    copy that owns its data."""
+    first = np.stack([s.table for s in simplices])
+    may_split = _may_split(geoms, first, exit_facets).tolist()
+    parts = [_midlevel_split(g, s, e) if split else [s]
+             for g, s, e, split in zip(geoms, simplices, exit_facets, may_split)]
     regions = [r for part in parts for r in part]
     exits = [e for part, e in zip(parts, exit_facets) for _ in part]
     u, margins = vertex_controls_lp(sys, regions, exits)
-    tables = np.stack([r.table for r in regions])
+    tables = first if len(regions) == len(first) else np.stack([r.table for r in regions])
     nv = tables.shape[1]
     fields = _facet_fields(sys, tables, u)
     slack = -np.where(_blocked(nv, exits), fields, -np.inf).max(axis=(1, 2))
@@ -394,27 +434,31 @@ def synth_simplex(sys: AffineSystem, geom: SystemGeometry, simplices: Sequence[S
     finite = np.isfinite(loop_fields).all(axis=(1, 2))
     clear = np.zeros(len(regions), dtype=bool)
     clear[finite] = hull_rows(loop_fields[finite]).excludes(np.zeros((1, nv - 1)), TOL_GEOM)[:, 0]
+    short = margins < -lp.TOL_LP
+    suspect = short.any(axis=1) | (slack < -TOL_INV) | (resid > resid_tol) | ~clear
 
+    for j in np.flatnonzero(suspect).tolist():
+        region, e = regions[j], exits[j]
+        cert = {"simplex": region.vertices.tolist(), "exit_facet": e}
+        if short[j].any():
+            raise SynthesisFailed({**cert, "error": "invariance conditions infeasible "
+                                                    f"at vertex {np.flatnonzero(short[j])[0]}"})
+        if slack[j] < -TOL_INV:
+            raise SynthesisFailed({**cert, "error": f"blocking margin {slack[j]:.2e}"})
+        if resid[j] > resid_tol[j]:
+            raise SingularVertexMatrix(f"interpolation residual {resid[j]:.2e}")
+        if not clear[j] and not check_no_equilibrium(sys, region, laws[j, :, :-1],
+                                                     laws[j, :, -1]):
+            raise SynthesisFailed({**cert, "error": "closed-loop stationary point "
+                                                    "inside the simplex"})
+
+    slack, exit_margin = slack.tolist(), exit_margin.tolist()
     out, j = [], 0
     for part in parts:
         pieces = []
         for sub_rank, region in enumerate(part):
-            e = exits[j]
-            cert = {"simplex": region.vertices.tolist(), "exit_facet": e}
-            short = np.flatnonzero(margins[j] < -lp.TOL_LP)
-            if len(short):
-                raise SynthesisFailed({**cert, "error": "invariance conditions infeasible "
-                                                        f"at vertex {short[0]}"})
-            if slack[j] < -TOL_INV:
-                raise SynthesisFailed({**cert, "error": f"blocking margin {slack[j]:.2e}"})
-            if resid[j] > resid_tol[j]:
-                raise SingularVertexMatrix(f"interpolation residual {resid[j]:.2e}")
-            law = laws[j].copy()
-            if not clear[j] and not check_no_equilibrium(sys, region, law[:, :-1], law[:, -1]):
-                raise SynthesisFailed({**cert, "error": "closed-loop stationary point "
-                                                        "inside the simplex"})
-            pieces.append(AffinePiece(region, law, e, slack=float(slack[j]),
-                                      exit_margin=float(exit_margin[j]), sub_rank=sub_rank))
+            pieces.append(AffinePiece(region, laws[j].copy(), exits[j], slack=slack[j],
+                                      exit_margin=exit_margin[j], sub_rank=sub_rank))
             j += 1
         out.append(pieces)
     return out
@@ -487,7 +531,7 @@ def greedy_paths(tri: Triangulation, geom: SystemGeometry) -> GreedyResult:
 
 @dataclass(frozen=True)
 class _Split:
-    """A branch that hands sub-problems back to ``synth_polytope``:
+    """A branch that hands sub-problems to the walk of ``synth_polytope``:
     (polytope, target, rank prefix or None) each, in synthesis order, plus
     the note it adds and the domain of the assembled controller."""
 
@@ -539,9 +583,46 @@ def _branch(sys: AffineSystem, p: Polytope, f: Face, eps: Optional[float]
                   "split away from the far target", p)
 
 
+def _walk(sys: AffineSystem, p: Polytope, f: Face, eps: Optional[float], rank: tuple,
+          leaves: list, notes: list) -> Polytope:
+    """Depth-first walk of the branch tree below (p, f): appends each leaf
+    to ``leaves`` as (triangulation, geometry, greedy result, rank), the
+    rank being the prefixes of the splits above it from the root down,
+    and each split's note to ``notes``, in pre-order, and returns the
+    domain of the instance, the split's or ``p`` for a leaf."""
+    branch = _branch(sys, p, f, eps)
+    if isinstance(branch, _Split):
+        notes.append(branch.note)
+        for sub_p, sub_f, prefix in branch.subs:
+            _walk(sys, sub_p, sub_f, eps, rank if prefix is None else rank + (prefix,),
+                  leaves, notes)
+        return branch.domain
+    tri, geom = branch
+    leaves.append((tri, geom, greedy_paths(tri, geom), rank))
+    return p
+
+
+def _leaf_pieces(sys: AffineSystem, leaves: list) -> list[AffinePiece]:
+    """The pieces of every leaf, in order, from one ``synth_simplex`` call,
+    each with its leaf's rank and its simplex's greedy path length."""
+    simplices, geoms, exits, tags = [], [], [], []
+    for tri, geom, greedy, rank in leaves:
+        simplices += [tri.simplices[i] for i in greedy.order]
+        exits += [greedy.exit_facet[i] for i in greedy.order]
+        tags += [(rank, greedy.path_len[i]) for i in greedy.order]
+        geoms += [geom] * len(greedy.order)
+    pieces = []
+    for (rank, path_len), part in zip(tags, synth_simplex(sys, geoms, simplices, exits)):
+        for piece in part:
+            piece.rank, piece.path_len = rank, path_len
+            pieces.append(piece)
+    return pieces
+
+
 def synth_polytope(sys: AffineSystem, p: Polytope, f: Face,
                    eps: Optional[float] = None) -> PWAController:
-    """End-to-end synthesis, one branch per call, tried in this order:
+    """End-to-end synthesis, one branch per (polytope, target) instance,
+    tried in this order:
 
     1. equilibrium plane crossing the interior: cover w.r.t. the plane;
     2. target not reachable: cut the failure sets off with margin ``eps``
@@ -552,39 +633,35 @@ def synth_polytope(sys: AffineSystem, p: Polytope, f: Face,
     5. a target vertex lies on the top drift face: cover w.r.t. the target;
     6. otherwise: the far split.
 
-    Branches 1, 2, 5 and 6 recurse on their sub-problems in order and
-    concatenate the pieces and notes, the branch's note first.  A cover or
-    split prefixes each sub-piece's rank with 0 when its sub-problem drives
-    to the original target and with 1 when it feeds an interface; the cut
-    leaves ranks as they are.  Leaves are ordered greedily and get one
-    affine law per simplex (two where a split is needed).  Every rank and
-    path length is set before the returned controller is built, because a
-    controller copies its pieces and reads them once; a split sets the
-    ranks on the pieces of each sub-problem's controller, which it then
-    discards.  Raises ValueError unless a given ``eps`` is positive (NaN
+    Branches 1, 2, 5 and 6 split the instance into sub-problems.  One
+    depth-first walk (``_walk``) takes the branches and orders each leaf
+    greedily, collecting the leaves and the notes in pre-order, each
+    split's note before its sub-problems'.  A cover or split prefixes the
+    rank of its sub-problem's pieces with 0 when that sub-problem drives
+    to the original target and with 1 when it feeds an interface; the
+    cut adds no prefix.  Then one ``synth_simplex`` call solves, checks
+    and builds the pieces of every leaf, one affine law per simplex (two
+    where a split is needed), and one controller is built from them, on
+    the top branch's domain: no sub-problem controller is built or
+    discarded.
+
+    Errors keep the order of a depth-first synthesis that solves each leaf
+    as the walk reaches it.  When the walk raises (a failed cover, a
+    stuck greedy pass, an unreachable target, a cut that cannot be
+    made...), the leaves collected before it are solved first, and the
+    first of their pieces that fails raises; otherwise the walk's error
+    is raised.  Raises ValueError unless a given ``eps`` is positive (NaN
     is not)."""
     if eps is not None and not eps > 0:
         raise ValueError("eps must be positive")
-    branch = _branch(sys, p, f, eps)
-    if isinstance(branch, _Split):
-        pieces: list[AffinePiece] = []
-        notes = [branch.note]
-        for sub_p, sub_f, prefix in branch.subs:
-            sub = synth_polytope(sys, sub_p, sub_f, eps)
-            if prefix is not None:
-                for piece in sub.pieces:
-                    piece.rank = (prefix,) + piece.rank
-            pieces += sub.pieces
-            notes += sub.notes
-        return PWAController(pieces, branch.domain, notes)
-
-    tri, geom = branch
-    greedy = greedy_paths(tri, geom)
-    pieces = []
-    leaf = synth_simplex(sys, geom, [tri.simplices[i] for i in greedy.order],
-                         [greedy.exit_facet[i] for i in greedy.order])
-    for i, split in zip(greedy.order, leaf):
-        for piece in split:
-            piece.path_len = greedy.path_len[i]
-            pieces.append(piece)
-    return PWAController(pieces, p)
+    leaves: list[tuple] = []
+    notes: list[str] = []
+    try:
+        domain = _walk(sys, p, f, eps, (), leaves, notes)
+    except Exception as exc:
+        walk_error = exc
+    else:
+        return PWAController(_leaf_pieces(sys, leaves), domain, notes)
+    if leaves:
+        _leaf_pieces(sys, leaves)
+    raise walk_error

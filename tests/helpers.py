@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from scipy.optimize import linprog
 
 from reachctl import geometry as geo
-from reachctl import lp, reach, sim
+from reachctl import lp, reach, sim, synth
 from reachctl import triangulate as tri
 from reachctl.synth import PWAController
 from reachctl.system import AffineSystem, compute_geometry
@@ -727,6 +727,40 @@ def uncovered_volume(domain, pieces, cut_planes):
     return sum(c.volume() for c in cells
                if not any(piece.contains(c.centroid(), geo.TOL_INCIDENCE)
                           for piece in pieces if not piece.is_empty))
+
+
+def reference_synth_polytope(sys, p, f, eps=None):
+    """``synth.synth_polytope`` as a recursion: each split synthesizes its
+    sub-problems by calling itself, in order, and each leaf is ordered
+    greedily and solved by its own ``synth_simplex`` call as it is
+    reached, so an error raises where the recursion meets it.  Every
+    level builds its own controller; a split prefixes the rank of each
+    piece of its sub-problems' controllers, copies the pieces into its
+    own and discards theirs."""
+    if eps is not None and not eps > 0:
+        raise ValueError("eps must be positive")
+    branch = synth._branch(sys, p, f, eps)
+    if isinstance(branch, synth._Split):
+        pieces, notes = [], [branch.note]
+        for sub_p, sub_f, prefix in branch.subs:
+            sub = reference_synth_polytope(sys, sub_p, sub_f, eps)
+            if prefix is not None:
+                for piece in sub.pieces:
+                    piece.rank = (prefix,) + piece.rank
+            pieces += sub.pieces
+            notes += sub.notes
+        return PWAController(pieces, branch.domain, notes)
+    t, geom = branch
+    greedy = synth.greedy_paths(t, geom)
+    pieces = []
+    leaf = synth.synth_simplex(sys, [geom] * len(greedy.order),
+                               [t.simplices[i] for i in greedy.order],
+                               [greedy.exit_facet[i] for i in greedy.order])
+    for i, split in zip(greedy.order, leaf):
+        for piece in split:
+            piece.path_len = greedy.path_len[i]
+            pieces.append(piece)
+    return PWAController(pieces, p)
 
 
 def loop_locate(ctrl, X, tol=geo.TOL_MERGE):

@@ -935,6 +935,21 @@ class TestVolume:
             with pytest.raises(GeometryError):
                 geo.simplex_volume(np.vstack([corner, np.ones((1, n))])[:k])
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_stacked_volumes_are_the_simplices_own(self, n):
+        """A stack of simplices gives each one's volume bit for bit, and a
+        polytope's volume is their left-to-right sum over its fan, as a
+        sum of one determinant per simplex gives it."""
+        rng = np.random.default_rng(40 + n)
+        for _ in range(10):
+            p = random_hull(rng, n)
+            stack = p.vertices[geo.fan(p, p.vertices[0])]
+            one_by_one = [geo.simplex_volume(s) for s in stack]
+            assert geo.simplex_volume(stack).tolist() == one_by_one
+            assert p.volume() == sum(one_by_one)
+        with pytest.raises(GeometryError):
+            geo.simplex_volume(np.zeros((3, n + 2, n)))
+
 
 class TestFaces:
     def test_a_face_is_a_lower_dimensional_polytope(self):

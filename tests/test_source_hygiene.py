@@ -3,9 +3,10 @@ imports is used in that module or exported through its ``__all__``, no
 module imports another module's private (``_``-prefixed) names, every
 error class is raised somewhere or is the base of one that is, every
 function reads each of its parameters, every module-level constant is
-read somewhere in the package, and no module or class binds a shared
+read somewhere in the package, no module or class binds a shared
 mutable container or a memoizing decorator (state that outlives a call
-belongs to an object the caller holds)."""
+belongs to an object the caller holds), and ``synth`` builds a
+controller at one site."""
 
 import ast
 import re
@@ -379,6 +380,35 @@ def test_check_sees_a_second_reader():
               "RULE = _maximal_sets\n")
     assert readers(source, "convex_hull") == ["cover", "wrt", "wrt"]
     assert readers(source, "_maximal_sets") == ["<module>", "m"]
+
+
+def constructions(source: str, cls: str) -> list[str]:
+    """The functions (by name, "<module>" outside any) that call ``cls``,
+    by its name or as an attribute, once per call."""
+    tree = ast.parse(source)
+    owner = _owners(tree)
+    return sorted(owner.get(id(node), "<module>") for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and _name(node.func) == cls)
+
+
+def test_one_controller_per_synthesis():
+    """``synth`` builds a ``PWAController`` at one site, the end of
+    ``synth_polytope``'s one pass: no sub-problem builds its own
+    controller for its parent to copy and discard."""
+    source = (PACKAGE / "synth.py").read_text()
+    assert constructions(source, "PWAController") == ["synth_polytope"]
+
+
+def test_check_sees_a_second_controller():
+    source = ("from . import synth\n"
+              "def synth_polytope(pieces, p):\n"
+              "    sub = PWAController(pieces[:1], p)\n"
+              "    return PWAController(sub.pieces + pieces[1:], p)\n"
+              "class A:\n    def m(self, p):\n        return synth.PWAController([], p)\n"
+              "EMPTY = PWAController([], None)\n"
+              "kind = PWAController\n")
+    assert constructions(source, "PWAController") == ["<module>", "m", "synth_polytope",
+                                                      "synth_polytope"]
 
 
 def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:

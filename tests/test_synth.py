@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -6,19 +8,21 @@ from reachctl import geometry as geo
 from reachctl import lp, reach, synth
 from reachctl import triangulate as tri
 from reachctl.errors import (AssumptionViolated, CoverIncomplete, CutConstructionFailed,
-                             NotReachable, ReachctlError, SingularVertexMatrix,
+                             NotReachable, ReachctlError, SingularVertexMatrix, Stuck,
                              SynthesisFailed)
 from reachctl.sim import sample_states
 from reachctl.system import (AffineSystem, AssumptionReport, SystemGeometry,
-                             compute_geometry)
+                             compute_geometry, equilibrium_plane)
 
+import output_digest
 from helpers import (box4d_fixture, box_fixture, box_left_fixture, cube_fixture,
-                     diamond_fixture, double_integrator, face_from, facet_face,
-                     flow_margin, hull_distance, ill1_fixture, ill2_fixture,
-                     ill3_fixture, lp_target_exits, o_cross_fixture,
-                     pinned_corner_fixture, random_simplices,
-                     reference_no_equilibrium, right_target_polygons,
-                     sweep_problem, top_edge_fixture, wedge_fixture)
+                     diamond_fixture, direct_cut_fixture, double_integrator, face_from,
+                     facet_face, flow_margin, hull_distance, ill1_fixture, ill2_fixture,
+                     ill3_fixture, interface_cut_fixture, lp_target_exits,
+                     o_cross_fixture, pinned_corner_fixture, random_simplices,
+                     reference_no_equilibrium, reference_synth_polytope,
+                     right_target_polygons, sweep_problem, tet_cover_f_fixture,
+                     top_edge_fixture, wedge_fixture)
 
 
 def split_case_simplex():
@@ -140,7 +144,7 @@ class TestVertexControlsLP:
         assert np.flatnonzero(margins[0] < -lp.TOL_LP)[0] == 1
         geom = compute_geometry(sys, geo.convex_hull(s.vertices))
         with pytest.raises(SynthesisFailed) as ei:
-            synth.synth_simplex(sys, geom, [s], [2])
+            synth.synth_simplex(sys, [geom], [s], [2])
         assert ei.value.certificate == {"simplex": s.vertices.tolist(), "exit_facet": 2,
                                         "error": "invariance conditions infeasible at vertex 1"}
 
@@ -295,8 +299,9 @@ class TestAffineInterpolation:
         _, resid = synth.affine_laws(table, np.array([[1.0], [2.0], [3.0]]))
         assert resid > geo.TOL_GEOM
         sys = double_integrator()
+        geom = compute_geometry(sys, geo.convex_hull(s.vertices))
         with pytest.raises(SingularVertexMatrix):
-            synth.synth_simplex(sys, compute_geometry(sys, geo.convex_hull(s.vertices)), [s], [0])
+            synth.synth_simplex(sys, [geom], [s], [0])
 
 
 def near_zero_closed_loop(rng, n, singular):
@@ -428,14 +433,14 @@ class TestSynthSimplex:
         rng = np.random.default_rng(11)
         for _ in range(10):
             sys, geom, s, e = random_reachable_simplex(rng)
-            [pieces] = synth.synth_simplex(sys, geom, [s], [e])
+            [pieces] = synth.synth_simplex(sys, [geom], [s], [e])
             for piece in pieces:
                 assert synth.check_no_equilibrium(sys, piece.region, piece.gain, piece.offset)
 
     def test_split_case_two_pieces(self):
         sys, s, e = split_case_simplex()
         geom = compute_geometry(sys, geo.convex_hull(s.vertices))
-        [pieces] = synth.synth_simplex(sys, geom, [s], [e])
+        [pieces] = synth.synth_simplex(sys, [geom], [s], [e])
         assert len(pieces) == 2
         # pieces tile the simplex
         total = sum(p.region.volume() for p in pieces)
@@ -455,7 +460,7 @@ class TestSynthSimplex:
         ra = reach.analyze(geom, geo.convex_hull(s.vertices), geo.Face(f.vertices, None, 1))
         assert not ra.reachable
         with pytest.raises(SynthesisFailed):
-            synth.synth_simplex(sys, geom, [s], [1])
+            synth.synth_simplex(sys, [geom], [s], [1])
 
 
 def fixture_leaf(fixture):
@@ -479,7 +484,7 @@ SPLIT_SIMPLICES = {
 
 
 def one_at_a_time(sys, geom, simplices, exits):
-    return [synth.synth_simplex(sys, geom, [s], [e])[0] for s, e in zip(simplices, exits)]
+    return [synth.synth_simplex(sys, [geom], [s], [e])[0] for s, e in zip(simplices, exits)]
 
 
 def first_error(fn):
@@ -513,7 +518,7 @@ class TestLeafBatching:
         gives, the midlevel split included, and each law owns its data."""
         sys, geom, S, E = fixture_leaf(LEAVES[n])
         S, E = S[:1] + [geo.Simplex(SPLIT_SIMPLICES[n])] + S[1:], E[:1] + [0] + E[1:]
-        batched = synth.synth_simplex(sys, geom, S, E)
+        batched = synth.synth_simplex(sys, [geom] * len(S), S, E)
         single = one_at_a_time(sys, geom, S, E)
         assert [len(pieces) for pieces in batched] == [len(pieces) for pieces in single]
         assert len(batched[1]) == 2
@@ -537,10 +542,10 @@ class TestLeafBatching:
         later, later_exit = failing_simplex("singular" if kind == "infeasible" else "infeasible",
                                             S, E)
         S, E = S[:2] + [bad] + S[2:] + [later], E[:2] + [bad_exit] + E[2:] + [later_exit]
-        got = first_error(lambda: synth.synth_simplex(sys, geom, S, E))
+        got = first_error(lambda: synth.synth_simplex(sys, [geom] * len(S), S, E))
         assert got is not None
         assert got == first_error(lambda: one_at_a_time(sys, geom, S, E))
-        assert got == first_error(lambda: synth.synth_simplex(sys, geom, [bad], [bad_exit]))
+        assert got == first_error(lambda: synth.synth_simplex(sys, [geom], [bad], [bad_exit]))
         expected = {"infeasible": "invariance conditions infeasible at vertex",
                     "equilibrium": "closed-loop stationary point inside the simplex"}
         if kind == "singular":
@@ -912,17 +917,22 @@ class TestStressSet:
         assert_controller_holds(sys, ctrl)
 
 
-def synthesis_record(sys, p, f, eps):
-    """Everything a synthesis returns, bit for bit: each piece's table,
-    law, exit facet, ranks, path length and margins, the domain and the
+def synthesis_record(sys, p, f, eps, synthesize=None):
+    """Everything ``synthesize`` (``synth.synth_polytope`` by default)
+    returns, bit for bit: the controller's stacked table and its
+    order, each piece's table, law, exit facet, ranks, path length,
+    sub-rank, index and margins, the domain's vertices and rows and the
     notes; or the error's type and message."""
     try:
-        ctrl = synth.synth_polytope(sys, p, f, eps=eps)
+        ctrl = (synthesize or synth.synth_polytope)(sys, p, f, eps=eps)
     except ReachctlError as exc:
         return type(exc).__name__, str(exc)
     pieces = [(pc.region.table.tobytes(), pc.law.tobytes(), pc.exit_facet, pc.rank,
-               pc.sub_rank, pc.path_len, pc.slack, pc.exit_margin) for pc in ctrl.pieces]
-    return pieces, ctrl.domain.vertices.tobytes(), ctrl.notes
+               pc.sub_rank, pc.path_len, pc.index, float(pc.slack).hex(),
+               float(pc.exit_margin).hex()) for pc in ctrl.pieces]
+    normals, offsets = ctrl.domain.rows
+    return (pieces, ctrl._table.tobytes(), ctrl._order.tobytes(),
+            ctrl.domain.vertices.tobytes(), normals.tobytes(), offsets.tobytes(), ctrl.notes)
 
 
 NAMED_FIXTURES = [(box_fixture, None), (wedge_fixture, 0.1), (pinned_corner_fixture, None),
@@ -964,3 +974,193 @@ class TestStoredInvariants:
         calls.clear()
         synth.synth_polytope(sys, p, f)
         assert sum(calls) == 0 and len(calls) > 0
+
+
+def both_records(sys, p, f, eps=None):
+    """The synthesis records of ``synth_polytope`` and of its recursive
+    reference, ``reference_synth_polytope``."""
+    return (synthesis_record(sys, p, f, eps),
+            synthesis_record(sys, p, f, eps, synthesize=reference_synth_polytope))
+
+
+ONE_PASS_FIXTURES = NAMED_FIXTURES + [(tet_cover_f_fixture, None), (box_left_fixture, None),
+                                      (direct_cut_fixture, None), (interface_cut_fixture, None)]
+
+
+def corrupt(t):
+    """The leaf triangulation ``t`` with each simplex's first facet row
+    moved off its vertices, so every law misses its vertex controls."""
+    for i, s in enumerate(t.simplices):
+        table = s.table.copy()
+        table[0, -1] += 0.1
+        t.simplices[i] = geo.Simplex.of_table(table)
+    return t
+
+
+def patch_cover(monkeypatch, first_leaf_fails, later):
+    """Make the crossing cover of ``o_cross_fixture`` (a split into two
+    leaves) fail: its first leaf in synthesis, when ``first_leaf_fails``,
+    and its second sub-problem by ``later``, a CoverIncomplete from
+    ``_branch`` or a Stuck from ``greedy_paths``.  Each call starts the
+    counts afresh, so it is made once per synthesis."""
+    branch, greedy = synth._branch, synth.greedy_paths
+    calls = {"branch": 0, "greedy": 0}
+
+    def patched_branch(sys, p, f, eps):
+        calls["branch"] += 1
+        if later == "CoverIncomplete" and calls["branch"] == 3:
+            raise CoverIncomplete(0.25)
+        out = branch(sys, p, f, eps)
+        if first_leaf_fails and calls["branch"] == 2:
+            out = corrupt(out[0]), out[1]
+        return out
+
+    def patched_greedy(t, geom):
+        calls["greedy"] += 1
+        if later == "Stuck" and calls["greedy"] == 2:
+            raise Stuck([0])
+        return greedy(t, geom)
+
+    monkeypatch.setattr(synth, "_branch", patched_branch)
+    monkeypatch.setattr(synth, "greedy_paths", patched_greedy)
+
+
+def screen_simplices(rng, n, geoms):
+    """Random simplices whose exit vertices lie 0, ±(1 ∓ 1e-9) and ±2
+    times ``TOL_INCIDENCE`` off the equilibrium plane, some moved by
+    single ulps to the last point inside that band or the first outside
+    it, with the apex above or below them along the drift normal of a
+    geometry drawn from ``geoms``: (geometry, simplex, exit facet) each."""
+    plane = geoms[0].equilibrium_plane
+    basis = np.linalg.svd(plane.normal[None])[2][1:].T
+    tol = geo.TOL_INCIDENCE
+    inside = tol * np.array([0.0, 1 - 1e-9, -(1 - 1e-9)])
+    outside = tol * np.array([1 + 1e-9, -(1 + 1e-9), 2.0, -2.0])
+    out = []
+    for _ in range(60):
+        d = rng.choice(inside, size=n)
+        if rng.random() < 0.5:
+            d[rng.integers(n)] = rng.choice(outside)
+        W = plane.normal * plane.offset + 0.2 * rng.normal(size=(n, n - 1)) @ basis.T \
+            + d[:, None] * plane.normal
+        for j in np.flatnonzero(rng.random(n) < 0.3):
+            W[j] = to_band_edge(plane, W[j], bool(rng.integers(2)))
+        geom = geoms[rng.integers(len(geoms))]
+        apex = W.mean(axis=0) + rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * geom.beta
+        e = int(rng.integers(n + 1))
+        out.append((geom, geo.Simplex(np.insert(W, e, apex, axis=0)), e))
+    return out
+
+
+def to_band_edge(plane, v, inside, tol=geo.TOL_INCIDENCE):
+    """``v`` moved along the plane's normal to ``tol`` off the plane, on
+    its side, and then along one coordinate by single ulps, away from the
+    plane to the first point past ``tol`` by ``plane.value``, and then,
+    when ``inside``, back to the first point within it."""
+    side = 1.0 if plane.value(v) >= 0 else -1.0
+    v = v + (side * tol - plane.value(v)) * plane.normal
+    k = int(np.argmax(np.abs(plane.normal)))
+    away = np.sign(plane.normal[k]) * side
+    while abs(plane.value(v)) <= tol:
+        v[k] = np.nextafter(v[k], away * np.inf)
+    while inside and abs(plane.value(v)) > tol:
+        v[k] = np.nextafter(v[k], -away * np.inf)
+    return v
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("fixture, eps", ONE_PASS_FIXTURES,
+                             ids=[fx.__name__ for fx, _ in ONE_PASS_FIXTURES])
+    def test_fixtures_match_the_recursion(self, fixture, eps):
+        """One walk and one leaf pass give the controller, or the error,
+        of the recursion that solves each leaf as it reaches it, bit for
+        bit: tables, laws, exits, ranks, path lengths, sub-ranks, indices,
+        margins, domain and notes."""
+        new, ref = both_records(*fixture(), eps)
+        assert new == ref
+
+    @pytest.mark.parametrize("n, k, r", STRESS)
+    def test_stress_items_match_the_recursion(self, n, k, r):
+        new, ref = both_records(*sweep_problem(n, k, r))
+        assert new == ref
+
+    @pytest.mark.parametrize("workload", ["synth2d", "synth3d"])
+    def test_benchmark_items_match_the_recursion(self, workload):
+        """Every synthesis item of the benchmark's problem set at seed 1."""
+        for item in output_digest.synth_items(workload, 1):
+            new, ref = both_records(item.sys, item.p, item.f, item.eps)
+            assert new == ref, item.name
+
+    @pytest.mark.parametrize("later", ["CoverIncomplete", "Stuck"])
+    @pytest.mark.parametrize("first_leaf_fails", [True, False])
+    def test_a_leaf_before_a_failing_branch_raises_first(self, monkeypatch, later,
+                                                         first_leaf_fails):
+        """The cover's second sub-problem fails in the walk, after its first
+        leaf was collected: the leaves collected so far are solved first,
+        and a failing one raises, as the recursion raised it before it
+        reached the second sub-problem; a sound first leaf lets the walk's
+        error through."""
+        sys, p, f = o_cross_fixture()
+        patch_cover(monkeypatch, first_leaf_fails, later)
+        new = synthesis_record(sys, p, f, None)
+        patch_cover(monkeypatch, first_leaf_fails, later)
+        ref = synthesis_record(sys, p, f, None, synthesize=reference_synth_polytope)
+        assert new == ref
+        assert new[0] == ("SingularVertexMatrix" if first_leaf_fails else later)
+
+    @pytest.mark.parametrize("fixture", [box_fixture, cube_fixture, tet_cover_f_fixture,
+                                         o_cross_fixture])
+    def test_one_solve_and_one_controller_per_synthesis(self, fixture, monkeypatch):
+        """A leaf, a leaf in 3-D, a cover around a non-facet target and a
+        crossing cover each take one ``synth_simplex`` call and build one
+        controller."""
+        calls = {"synth_simplex": 0, "PWAController": 0}
+        solve = synth.synth_simplex
+
+        def counting(*args):
+            calls["synth_simplex"] += 1
+            return solve(*args)
+
+        class Counted(synth.PWAController):
+            def __init__(self, *args):
+                calls["PWAController"] += 1
+                super().__init__(*args)
+
+        monkeypatch.setattr(synth, "synth_simplex", counting)
+        monkeypatch.setattr(synth, "PWAController", Counted)
+        assert synth.synth_polytope(*fixture()).pieces
+        assert calls == {"synth_simplex": 1, "PWAController": 1}
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_the_screen_splits_as_the_exact_test(self, n, monkeypatch):
+        """Simplices at the edge of the on-plane band, on both sides of
+        it and with the apex above and below, reach the vertex controls as
+        the regions ``_midlevel_split`` gives each of them, table for
+        table: the stacked screen clears none that the exact test splits."""
+        rng = np.random.default_rng(70 + n)
+        while True:
+            A, a, B = rng.normal(size=(n, n)), rng.normal(size=n), rng.normal(size=(n, n - 1))
+            sys = AffineSystem(A, a, B)
+            if sys.input_rank() == n - 1 and sys.controllability_rank() == n:
+                break
+        plane = equilibrium_plane(sys)
+        side = geo.convex_hull(plane.normal * (plane.offset + 2.0)
+                               + 0.1 * rng.normal(size=(n + 1, n)))
+        geom = compute_geometry(sys, side)
+        cases = screen_simplices(rng, n, [geom, replace(geom, beta=-geom.beta)])
+        seen = []
+
+        class Stop(Exception):
+            pass
+
+        def capture(sys, regions, exits):
+            seen.extend(regions)
+            raise Stop
+
+        monkeypatch.setattr(synth, "vertex_controls_lp", capture)
+        with pytest.raises(Stop):
+            synth.synth_simplex(sys, *zip(*cases))
+        parts = [synth._midlevel_split(g, s, e) for g, s, e in cases]
+        assert [r.table.tobytes() for r in seen] == \
+            [r.table.tobytes() for part in parts for r in part]
+        assert 0 < sum(len(part) == 2 for part in parts) < len(cases)
