@@ -62,7 +62,7 @@ import numpy as np
 
 from .errors import Degenerate
 from .geometry import TOL_GEOM, Face, Polytope
-from .synth import PWAController
+from .synth import PWAController, closed_loop
 from .system import AffineSystem
 
 TOL_SIM = 1e-6
@@ -98,14 +98,15 @@ class Trajectory:
     piece's law, of the states its steps start from; stretches are not
     merged, since numpy can round a row of a one-row product differently
     from the same row of a longer one.  The last state's row is the law
-    of ``piece_ids[-1]`` at it, or zeros where that id is -1.  ``pieces``
-    are the controller's pieces and ``m`` the input dimension."""
+    of ``piece_ids[-1]`` at it, or zeros where that id is -1.  ``laws``
+    is the controller's law stack (``PWAController.laws``) and ``m`` the
+    input dimension."""
     times: np.ndarray
     states: np.ndarray
     piece_ids: np.ndarray
     outcome: Outcome
     max_violation: float
-    pieces: list = field(repr=False)
+    laws: np.ndarray = field(repr=False)
     stretches: list = field(repr=False)
     m: int = field(repr=False)
 
@@ -117,12 +118,12 @@ class Trajectory:
     def controls(self) -> np.ndarray:
         rows = []
         for first, count, piece in self.stretches:
-            pc = self.pieces[piece]
-            rows.append(self.states[first:first + count] @ pc.gain.T + pc.offset)
+            law = self.laws[piece]
+            rows.append(self.states[first:first + count] @ law[:, :-1].T + law[:, -1])
         last = self.piece_ids[-1]
         if last >= 0:
-            pc = self.pieces[last]
-            rows.append((self.states[-1] @ pc.gain.T + pc.offset)[None])
+            law = self.laws[last]
+            rows.append((self.states[-1] @ law[:, :-1].T + law[:, -1])[None])
         else:
             rows.append(np.zeros((1, self.m)))
         return np.concatenate(rows)
@@ -148,8 +149,8 @@ def _default_step(ctrl: PWAController, loops) -> float:
     lo, hi = ctrl.domain.bounding_box()
     extent = float(np.linalg.norm(hi - lo))
     vmax = 0.0
-    for piece, (A_cl, b_cl) in zip(ctrl.pieces, loops):
-        vmax = max(vmax, np.linalg.norm(piece.region.vertices @ A_cl.T + b_cl, axis=1).max())
+    for k, (A_cl, b_cl) in enumerate(loops):
+        vmax = max(vmax, np.linalg.norm(ctrl.region(k).vertices @ A_cl.T + b_cl, axis=1).max())
     return 1e-3 * extent / max(float(vmax), 1e-9)
 
 
@@ -186,14 +187,14 @@ def _doubled(D: np.ndarray, c: np.ndarray):
 
 class _Runner:
     """What every run of one controller under one system shares, and
-    nothing else: each piece's closed loop ``loops`` and the default step
-    ``dt``, built on a run's first use (``_runner``, keyed by the system's
-    identity in ``PWAController.runners``), and, per step dt keyed by
-    value, each piece's stacked RK4 maps (``step_maps``), filled as runs
-    need them."""
+    nothing else: each piece's closed loop ``loops``, from the
+    controller's law stack, and the default step ``dt``, built on a run's
+    first use (``_runner``, keyed by the system's identity in
+    ``PWAController.runners``), and, per step dt keyed by value, each
+    piece's stacked RK4 maps (``step_maps``), filled as runs need them."""
 
     def __init__(self, sys: AffineSystem, ctrl: PWAController):
-        self.loops = [pc.closed_loop(sys) for pc in ctrl.pieces]
+        self.loops = [closed_loop(sys, law) for law in ctrl.laws]
         self.dt = _default_step(ctrl, self.loops)
         self.maps = {}
 
@@ -320,7 +321,7 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
         ids.append([last_id])
         return Trajectory(np.concatenate(times), np.concatenate(states),
                           np.concatenate(ids).astype(int), outcome, max_viol,
-                          ctrl.pieces, stretches, sys.m)
+                          ctrl.laws, stretches, sys.m)
 
     if first_hit(x[None]) is not None:
         return finish(Outcome(REACHED, 0.0), active)
@@ -462,23 +463,29 @@ def verify(sys: AffineSystem, ctrl: PWAController, f: Face, nsamples: int = 100,
     one step, dt or else ``default_dt``, the step of the controller's
     runner, which the runs share with their maps.  The report's
     ``dwell_steps`` counts, for every piece, the steps taken under its
-    law over all runs.
+    law over all runs.  Each run is folded into the report as it ends
+    (its outcome, time, deepest violation and steps per piece), so no
+    run's states outlive it.
     """
+    pieces = len(ctrl.pieces)
     if nsamples <= 0:
-        return VerifyReport(0, 0, [], [], 0.0, [], seed, {pc.index: 0 for pc in ctrl.pieces})
+        return VerifyReport(0, 0, [], [], 0.0, [], seed, dict.fromkeys(range(pieces), 0))
     rng = np.random.default_rng(seed)
     starts = sample_states(ctrl.domain, nsamples, rng)
     if dt is None:
         dt = default_dt(sys, ctrl)
-    trajs = [integrate(sys, ctrl, x0, dt, tmax, f) for x0 in starts]
-
-    outcomes = [tr.outcome.kind for tr in trajs]
-    successes = sum(tr.success for tr in trajs)
-    times = [tr.outcome.time for tr in trajs if tr.success]
-    max_viol = max((tr.max_violation for tr in trajs), default=0.0)
-    failures = [i for i, tr in enumerate(trajs) if not tr.success]
-    # a run's last piece id labels its final state, not a step
-    steps = np.concatenate([tr.piece_ids[:-1] for tr in trajs])
-    counts = np.bincount(steps, minlength=len(ctrl.pieces))
+    outcomes, times, violations, failures = [], [], [], []
+    counts = np.zeros(pieces, dtype=int)
+    for i, x0 in enumerate(starts):
+        tr = integrate(sys, ctrl, x0, dt, tmax, f)
+        outcomes.append(tr.outcome.kind)
+        violations.append(tr.max_violation)
+        if tr.success:
+            times.append(tr.outcome.time)
+        else:
+            failures.append(i)
+        # a run's last piece id labels its final state, not a step
+        counts += np.bincount(tr.piece_ids[:-1], minlength=pieces)
     dwell = {index: int(count) for index, count in enumerate(counts)}
-    return VerifyReport(nsamples, successes, outcomes, times, max_viol, failures, seed, dwell)
+    return VerifyReport(nsamples, nsamples - len(failures), outcomes, times,
+                        max(violations, default=0.0), failures, seed, dwell)

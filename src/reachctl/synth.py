@@ -11,8 +11,11 @@ A problem is synthesized in one pass.  One depth-first walk over its
 branch tree (margin cuts, covers, far splits) orders each leaf
 triangulation greedily and collects the leaves; then the simplices of
 every leaf (split at a drift midlevel where that applies) are
-synthesized together, and one controller is built from their pieces: no
-sub-problem controller is built or discarded.
+synthesized together, and one controller is built from their stacked
+pieces: no sub-problem controller and no piece object is built.  A
+controller keeps its pieces as read-only stacks (laws, region tables,
+scalars, ranks) and derives each piece, an ``AffinePiece`` view, when
+it is read.
 ``vertex_controls_lp`` solves the LPs of all their vertices at once and
 exactly, by enumerating the LPs' bases, so synthesis runs no simplex
 tableau; a basis is solved when it passes the relative determinant test
@@ -33,8 +36,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import Optional, Union
 
 import numpy as np
 
@@ -63,13 +68,19 @@ class VertexControls:
     slack: float       # certified margin of the blocking conditions
 
 
+def closed_loop(sys: AffineSystem, law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The closed loop x' = A_cl x + b_cl of a law [gain | offset]:
+    (A + B gain, a + B offset)."""
+    return sys.A + sys.B @ law[:, :-1], sys.a + sys.B @ law[:, -1]
+
+
 @dataclass(slots=True)
 class AffinePiece:
-    """One affine law u = gain x + offset on a simplex region.
-
-    Slotted, with gain and offset kept as one array ``law`` = [gain |
-    offset] that owns its data: a controller holds several pieces, and a
-    caller may keep many controllers."""
+    """One affine law u = gain x + offset on a simplex region: a view of
+    one piece of a ``PWAController``, built when read.  Its region is a
+    view of the controller's stacked table and its ``law`` = [gain |
+    offset] a view of its law stack, both read-only; the rest are Python
+    scalars and the rank tuple the controller keeps."""
 
     region: Simplex
     law: np.ndarray
@@ -92,13 +103,64 @@ class AffinePiece:
     def control(self, x) -> np.ndarray:
         return self.gain @ np.asarray(x, dtype=float) + self.offset
 
-    def closed_loop(self, sys: AffineSystem) -> tuple[np.ndarray, np.ndarray]:
-        return sys.A + sys.B @ self.gain, sys.a + sys.B @ self.offset
+
+@dataclass(frozen=True)
+class PieceStack:
+    """The pieces ``synth_simplex`` builds for a sequence of simplices, one
+    row of each stack per piece, in order: region ``tables`` (P, n+1,
+    2n+1), ``laws`` (P, m, n+1) = [gain | offset], ``exit_facets``,
+    ``sub_ranks`` (1 for the upper part of a midlevel split, else 0),
+    blocking ``slacks``, ``exit_margins``, and ``sources``, the position
+    of the simplex each piece comes from."""
+
+    tables: np.ndarray
+    laws: np.ndarray
+    exit_facets: np.ndarray
+    sub_ranks: np.ndarray
+    slacks: np.ndarray
+    exit_margins: np.ndarray
+    sources: np.ndarray
 
 
 def _first(flags: np.ndarray) -> int:
     """Position of the first True of a 1-D boolean array, or its length."""
     return int(np.append(flags, True).argmax())
+
+
+# a controller's scalars per piece, one 32 B record each
+# (``PWAController.scalars``); its counts fit 32 bits
+PIECE_SCALARS = np.dtype([("exit_facet", np.int32), ("path_len", np.int32),
+                          ("sub_rank", np.int32), ("place", np.int32),
+                          ("slack", float), ("exit_margin", float)])
+
+
+def _frozen(a, dtype) -> np.ndarray:
+    """``a`` as a C-contiguous array of ``dtype``, copied only where it is
+    not one already, and made read-only."""
+    a = np.ascontiguousarray(a, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
+class PieceViews(Sequence):
+    """A controller's pieces, derived on read: ``len`` builds nothing, and
+    each read of a piece (by index, negative ones too, or by iteration)
+    builds a fresh ``AffinePiece`` view of the controller's stacks."""
+
+    __slots__ = ("_ctrl",)
+
+    def __init__(self, ctrl: "PWAController"):
+        self._ctrl = ctrl
+
+    def __len__(self) -> int:
+        return len(self._ctrl.laws)
+
+    def __getitem__(self, k) -> AffinePiece:
+        c = self._ctrl
+        k = range(len(c.laws))[operator.index(k)]
+        exit_facet, path_len, sub_rank, _, slack, exit_margin = c.scalars[k].item()
+        return AffinePiece(c.region(k), c.laws[k], exit_facet, path_len, slack, exit_margin,
+                           c.ranks[k], sub_rank, k)
 
 
 class PWAController:
@@ -107,42 +169,85 @@ class PWAController:
     On overlaps the lookup prefers pieces closer to the original target:
     lower cover rank first, then shorter path, then fixed index order.
 
-    The constructor keeps copies of the pieces it is given, numbered by
-    position (``index``), so the pieces it was given keep their own
-    numbers.  It stacks the tables of the regions (``Simplex.table``), in
-    that order of preference, into one table, of which the copies'
-    regions are views, so a controller holds each region once; ``locate``
-    resolves a batch of states with one matrix product over its facet
-    columns, each to the first block of rows that all hold.  A closed-loop
-    run needs less: its preferred piece changes only where the active
-    piece stops holding a state or a piece before it in that order starts
-    to, so ``departure`` finds the first such state of a block from those
-    pieces' rows alone, read off the same table.  Pieces are final once
-    assembled: a region, rank or path length changed afterwards is not
-    seen by ``locate``, ``departure`` or ``lookup``.
+    A controller is a record of stacks, one row per piece, numbered by
+    position (the piece's ``index``): its ``laws`` (P, m, n+1) =
+    [gain | offset], its ``scalars``, one ``PIECE_SCALARS`` record per
+    piece (exit facet, path length, sub-rank, place in the order of
+    preference, slack and exit margin), and its ``ranks``, one tuple per
+    piece, shared by the pieces of a leaf; and its ``domain`` and
+    ``notes`` (a tuple).  The region tables (``Simplex.table``) are
+    stacked, in the order of preference, into one table, one block of
+    rows per place, which ``_order`` maps back to pieces; ``region`` gives
+    a piece's region as a view of its block.  Every stack is built once, by the
+    constructor, and is read-only, so the pieces are final once
+    assembled: a write through a stack or a view raises ``ValueError``.
+    ``pieces`` derives the pieces on read (``PieceViews``):
+    ``len(pieces)`` builds nothing, and each read piece is an
+    ``AffinePiece`` view of the stacks.  ``from_pieces`` stacks pieces
+    built by hand, or read from another controller.
+
+    ``locate`` resolves a batch of states with one matrix product over
+    the table's facet columns, each to the first block of rows that all
+    hold.  A closed-loop run needs less: its preferred piece changes only
+    where the active piece stops holding a state or a piece before it in
+    that order starts to, so ``departure`` finds the first such state of
+    a block from those pieces' rows alone, read off the same table.
 
     ``runners`` holds the controller's closed-loop runners, one per
     system, which ``sim`` builds on a run's first use and every later run
     reuses: each piece's closed loop, the default step and the step maps,
     state of this controller alone (a run's domain and target keep their
-    own rows).  They rely on the same promise, pieces final once
-    assembled, and on ``AffineSystem`` being frozen.
+    own rows).  They rely on the stacks being final and on
+    ``AffineSystem`` being frozen.
     """
 
-    def __init__(self, pieces: list[AffinePiece], domain: Polytope, notes=()):
+    __slots__ = ("_table", "_order", "laws", "scalars", "ranks", "domain", "notes", "runners")
+
+    def __init__(self, stack: PieceStack, ranks: Sequence[tuple], path_lens,
+                 domain: Polytope, notes=()):
         n = domain.n
-        order = sorted(range(len(pieces)), key=lambda k: (pieces[k].rank, pieces[k].path_len,
-                                                          pieces[k].sub_rank, k))
-        self._table = np.vstack([pieces[k].region.table for k in order]
-                                + [np.zeros((0, 2 * n + 1))])
-        row = {k: r * (n + 1) for r, k in enumerate(order)}
-        self.pieces = [replace(pc, index=k,
-                               region=Simplex.of_table(self._table[row[k]:row[k] + n + 1]))
-                       for k, pc in enumerate(pieces)]
+        scalars = np.empty(len(stack.laws), PIECE_SCALARS)
+        for name, column in (("exit_facet", stack.exit_facets), ("path_len", path_lens),
+                             ("sub_rank", stack.sub_ranks), ("slack", stack.slacks),
+                             ("exit_margin", stack.exit_margins)):
+            scalars[name] = column
+        keys = scalars[["path_len", "sub_rank"]].tolist()
+        order = sorted(range(len(keys)), key=lambda k: (ranks[k], *keys[k], k))
+        scalars["place"][order] = range(len(order))
+        tables = np.asarray(stack.tables, dtype=float)[order]
+        self._table = _frozen(tables.reshape(-1, 2 * n + 1), float)
+        self._order = _frozen(order + [-1], int)
+        self.laws = _frozen(stack.laws, float)
+        self.scalars = _frozen(scalars, PIECE_SCALARS)
+        self.ranks = tuple(ranks)
         self.domain = domain
-        self.notes = list(notes)
-        self._order = np.array(order + [-1], dtype=int)
+        self.notes = tuple(notes)
         self.runners = {}
+
+    @classmethod
+    def from_pieces(cls, pieces: Sequence[AffinePiece], domain: Polytope,
+                    notes=()) -> "PWAController":
+        """The controller of the given pieces, numbered by position: their
+        fields stacked, their own ``index`` ignored."""
+        pieces = list(pieces)
+        stack = PieceStack(np.array([pc.region.table for pc in pieces]),
+                           np.array([pc.law for pc in pieces]),
+                           [pc.exit_facet for pc in pieces], [pc.sub_rank for pc in pieces],
+                           [pc.slack for pc in pieces], [pc.exit_margin for pc in pieces],
+                           np.arange(len(pieces)))
+        return cls(stack, [pc.rank for pc in pieces], [pc.path_len for pc in pieces],
+                   domain, notes)
+
+    @property
+    def pieces(self) -> PieceViews:
+        return PieceViews(self)
+
+    def region(self, k: int) -> Simplex:
+        """Piece k's region (negative k counts from the end), a view of
+        its block of rows of the stacked table."""
+        nv = self.domain.n + 1
+        at = int(self.scalars[k]["place"]) * nv
+        return Simplex.of_table(self._table[at:at + nv])
 
     def locate(self, X, tol: float = TOL_MERGE) -> np.ndarray:
         """Index of the preferred piece holding each row of the (k, n)
@@ -152,7 +257,7 @@ class PWAController:
         # (row, state) layout: numpy reduces a long last axis far faster
         # than many short ones
         held = self._table[:, n:-1] @ X.T - self._table[:, -1:] <= tol
-        held = held.reshape(len(self.pieces), n + 1, len(X)).all(axis=1)
+        held = held.reshape(len(self.laws), n + 1, len(X)).all(axis=1)
         # a last row that always holds stands for "no piece"
         held = np.concatenate([held, np.ones((1, len(X)), dtype=bool)])
         return self._order[held.argmax(axis=0)]
@@ -167,7 +272,7 @@ class PWAController:
         preference on the states up to the first it does not hold."""
         X = np.asarray(X, dtype=float)
         n = self.domain.n
-        at = int((self._order == active).argmax()) * (n + 1)
+        at = int(self.scalars[active]["place"]) * (n + 1)
         own = self._table[at:at + n + 1]
         end = _first(~(own[:, n:-1] @ X.T - own[:, -1:] <= tol).all(axis=0))
         if at and end:
@@ -177,6 +282,7 @@ class PWAController:
         return end
 
     def lookup(self, x, tol: float = TOL_MERGE) -> Optional[AffinePiece]:
+        """A view of the preferred piece holding x, or None."""
         index = self.locate(np.asarray(x, dtype=float)[None], tol)[0]
         return self.pieces[index] if index >= 0 else None
 
@@ -377,11 +483,11 @@ def _may_split(geoms: Sequence[SystemGeometry], tables: np.ndarray,
 
 def synth_simplex(sys: AffineSystem, geoms: Sequence[SystemGeometry],
                   simplices: Sequence[Simplex],
-                  exit_facets: Sequence[int]) -> list[list[AffinePiece]]:
+                  exit_facets: Sequence[int]) -> PieceStack:
     """Feedback for each simplex of a sequence, exiting through its facet
     of ``exit_facets``, with the geometry of its leaf in ``geoms`` (beta's
-    sign differs between the two sides of the equilibrium plane): one
-    list of pieces per simplex.
+    sign differs between the two sides of the equilibrium plane): the
+    pieces of every simplex, in order, as one ``PieceStack``.
 
     A simplex normally gets a single affine piece; where the midlevel
     split applies (``_midlevel_split``) it gets two, the lower one first
@@ -407,8 +513,8 @@ def synth_simplex(sys: AffineSystem, geoms: Sequence[SystemGeometry],
     on the pieces one stacked flag marks: an infeasible vertex, a blocking
     margin below -``TOL_INV``, a residual over its bound, or the
     equilibrium screen leaving the piece open, and only a piece the screen
-    leaves open goes to ``check_no_equilibrium``.  Each piece's law is a
-    copy that owns its data."""
+    leaves open goes to ``check_no_equilibrium``.  No piece object is
+    built: the stacks go on as they are."""
     first = np.stack([s.table for s in simplices])
     may_split = _may_split(geoms, first, exit_facets).tolist()
     parts = [_midlevel_split(g, s, e) if split else [s]
@@ -452,16 +558,10 @@ def synth_simplex(sys: AffineSystem, geoms: Sequence[SystemGeometry],
             raise SynthesisFailed({**cert, "error": "closed-loop stationary point "
                                                     "inside the simplex"})
 
-    slack, exit_margin = slack.tolist(), exit_margin.tolist()
-    out, j = [], 0
-    for part in parts:
-        pieces = []
-        for sub_rank, region in enumerate(part):
-            pieces.append(AffinePiece(region, laws[j].copy(), exits[j], slack=slack[j],
-                                      exit_margin=exit_margin[j], sub_rank=sub_rank))
-            j += 1
-        out.append(pieces)
-    return out
+    sub_ranks = [r for part in parts for r in range(len(part))]
+    sources = [j for j, part in enumerate(parts) for _ in part]
+    return PieceStack(tables, laws, np.array(exits), np.array(sub_ranks), slack, exit_margin,
+                      np.array(sources))
 
 
 # ---------------------------------------------------------------------------
@@ -602,21 +702,19 @@ def _walk(sys: AffineSystem, p: Polytope, f: Face, eps: Optional[float], rank: t
     return p
 
 
-def _leaf_pieces(sys: AffineSystem, leaves: list) -> list[AffinePiece]:
+def _leaf_pieces(sys: AffineSystem, leaves: list) -> tuple[PieceStack, list, np.ndarray]:
     """The pieces of every leaf, in order, from one ``synth_simplex`` call,
-    each with its leaf's rank and its simplex's greedy path length."""
-    simplices, geoms, exits, tags = [], [], [], []
+    with each piece's rank, its leaf's (one tuple per leaf), and path
+    length, its simplex's greedy one."""
+    simplices, geoms, exits, ranks, path_lens = [], [], [], [], []
     for tri, geom, greedy, rank in leaves:
         simplices += [tri.simplices[i] for i in greedy.order]
         exits += [greedy.exit_facet[i] for i in greedy.order]
-        tags += [(rank, greedy.path_len[i]) for i in greedy.order]
+        ranks += [rank] * len(greedy.order)
+        path_lens += [greedy.path_len[i] for i in greedy.order]
         geoms += [geom] * len(greedy.order)
-    pieces = []
-    for (rank, path_len), part in zip(tags, synth_simplex(sys, geoms, simplices, exits)):
-        for piece in part:
-            piece.rank, piece.path_len = rank, path_len
-            pieces.append(piece)
-    return pieces
+    stack = synth_simplex(sys, geoms, simplices, exits)
+    return stack, [ranks[j] for j in stack.sources.tolist()], np.array(path_lens)[stack.sources]
 
 
 def synth_polytope(sys: AffineSystem, p: Polytope, f: Face,
@@ -640,10 +738,10 @@ def synth_polytope(sys: AffineSystem, p: Polytope, f: Face,
     rank of its sub-problem's pieces with 0 when that sub-problem drives
     to the original target and with 1 when it feeds an interface; the
     cut adds no prefix.  Then one ``synth_simplex`` call solves, checks
-    and builds the pieces of every leaf, one affine law per simplex (two
-    where a split is needed), and one controller is built from them, on
-    the top branch's domain: no sub-problem controller is built or
-    discarded.
+    and stacks the pieces of every leaf, one affine law per simplex (two
+    where a split is needed), and one controller is built from the
+    stacks, on the top branch's domain: no sub-problem controller and no
+    piece object is built.
 
     Errors keep the order of a depth-first synthesis that solves each leaf
     as the walk reaches it.  When the walk raises (a failed cover, a
@@ -661,7 +759,7 @@ def synth_polytope(sys: AffineSystem, p: Polytope, f: Face,
     except Exception as exc:
         walk_error = exc
     else:
-        return PWAController(_leaf_pieces(sys, leaves), domain, notes)
+        return PWAController(*_leaf_pieces(sys, leaves), domain, notes)
     if leaves:
         _leaf_pieces(sys, leaves)
     raise walk_error

@@ -734,9 +734,10 @@ def reference_synth_polytope(sys, p, f, eps=None):
     sub-problems by calling itself, in order, and each leaf is ordered
     greedily and solved by its own ``synth_simplex`` call as it is
     reached, so an error raises where the recursion meets it.  Every
-    level builds its own controller; a split prefixes the rank of each
-    piece of its sub-problems' controllers, copies the pieces into its
-    own and discards theirs."""
+    level builds its own controller; a split reads the pieces of its
+    sub-problems' controllers into a list (each read piece is a view),
+    prefixes their ranks, and stacks them into its own controller,
+    discarding theirs."""
     if eps is not None and not eps > 0:
         raise ValueError("eps must be positive")
     branch = synth._branch(sys, p, f, eps)
@@ -744,23 +745,20 @@ def reference_synth_polytope(sys, p, f, eps=None):
         pieces, notes = [], [branch.note]
         for sub_p, sub_f, prefix in branch.subs:
             sub = reference_synth_polytope(sys, sub_p, sub_f, eps)
+            sub_pieces = list(sub.pieces)
             if prefix is not None:
-                for piece in sub.pieces:
+                for piece in sub_pieces:
                     piece.rank = (prefix,) + piece.rank
-            pieces += sub.pieces
+            pieces += sub_pieces
             notes += sub.notes
-        return PWAController(pieces, branch.domain, notes)
+        return PWAController.from_pieces(pieces, branch.domain, notes)
     t, geom = branch
     greedy = synth.greedy_paths(t, geom)
-    pieces = []
     leaf = synth.synth_simplex(sys, [geom] * len(greedy.order),
                                [t.simplices[i] for i in greedy.order],
                                [greedy.exit_facet[i] for i in greedy.order])
-    for i, split in zip(greedy.order, leaf):
-        for piece in split:
-            piece.path_len = greedy.path_len[i]
-            pieces.append(piece)
-    return PWAController(pieces, p)
+    path_lens = [greedy.path_len[greedy.order[j]] for j in leaf.sources.tolist()]
+    return PWAController(leaf, [()] * len(path_lens), path_lens, p)
 
 
 def loop_locate(ctrl, X, tol=geo.TOL_MERGE):
@@ -889,7 +887,7 @@ def stepwise_integrate(sys, ctrl, x0, dt=None, tmax=None, f=None, domain=None):
             controls.append(np.zeros(sys.m))
             ids.append(-1)
             return done(sim.Outcome(sim.GAP, t))
-        A_cl, b_cl = piece.closed_loop(sys)
+        A_cl, b_cl = synth.closed_loop(sys, piece.law)
         controls.append(piece.control(x))
         ids.append(piece.index)
 

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -51,8 +52,8 @@ class TestIntegrate:
         full = synth.synth_polytope(sys, p, f)
         feeder = full.pieces[-1]
         x0 = feeder.region.centroid()
-        assert full.lookup(x0) is feeder
-        partial = synth.PWAController([feeder], p)
+        assert full.lookup(x0).index == feeder.index
+        partial = synth.PWAController.from_pieces([feeder], p)
         tr = sim.integrate(sys, partial, x0, f=f)
         assert tr.outcome.kind == sim.GAP
         assert tr.outcome.time > 0.0
@@ -62,10 +63,10 @@ class TestIntegrate:
     def test_a_second_controller_keeps_the_first_ones_indices(self):
         sys, p, f = box_fixture()
         ctrl = synth.synth_polytope(sys, p, f)
-        partial = synth.PWAController([ctrl.pieces[1]], p)
+        partial = synth.PWAController.from_pieces([ctrl.pieces[1]], p)
         assert [pc.index for pc in ctrl.pieces] == [0, 1]
         assert [pc.index for pc in partial.pieces] == [0]
-        assert ctrl.lookup(ctrl.pieces[1].region.centroid()) is ctrl.pieces[1]
+        assert ctrl.lookup(ctrl.pieces[1].region.centroid()).index == 1
 
     def test_steps_follow_each_pieces_closed_loop(self, box):
         sys, p, f, ctrl = box
@@ -281,7 +282,7 @@ def test_blocks_match_stepwise_events(box):
     to_exit = _stays(left)[-1][1]
     assert to_exit > 3 * block and to_exit % block
 
-    partial = synth.PWAController([ctrl.pieces[-1]], p)
+    partial = synth.PWAController.from_pieces([ctrl.pieces[-1]], p)
     gap = run(ctrl.pieces[-1].region.centroid(), c=partial)
     assert gap.outcome.kind == sim.GAP and gap.piece_ids[-1] == -1
 
@@ -317,7 +318,7 @@ def test_derived_controls_are_each_states_law(name):
     # a piece alone, which leaves its region short of the target
     for pc in ctrl.pieces:
         if pc.path_len:
-            alone = synth.PWAController([pc], ctrl.domain)
+            alone = synth.PWAController.from_pieces([pc], ctrl.domain)
             runs.append((alone, sim.integrate(sys, alone, pc.region.centroid(), dt, f=f)))
     kinds = Counter(tr.outcome.kind for _, tr in runs)
     assert kinds[sim.REACHED] >= 2 and kinds[sim.LEFT] and kinds[sim.TIMEOUT] and kinds[sim.GAP]
@@ -332,15 +333,18 @@ def test_derived_controls_are_each_states_law(name):
 
 def test_runs_whose_controls_go_unread_compute_none(box, monkeypatch):
     """Neither ``verify`` nor a caller that reads a run's outcome and
-    length, as the benchmark does, reads a law: the controls are derived
-    only when read."""
+    length, as the benchmark does, derives a run's controls: they are
+    derived only when read, from the law stack the run keeps, and no run
+    builds a piece view."""
     sys, p, f, ctrl = box
     report = sim.verify(sys, ctrl, f, nsamples=4, seed=2).to_dict()
-    reads = []
-    for name in ("gain", "offset", "law"):
-        read = getattr(synth.AffinePiece, name).__get__
-        monkeypatch.setattr(synth.AffinePiece, name, property(
-            lambda pc, read=read, name=name: reads.append(name) or read(pc)))
+    derived, views = [], []
+    controls = vars(sim.Trajectory)["controls"]
+    monkeypatch.setattr(controls, "func",
+                        lambda tr, derive=controls.func: derived.append(tr) or derive(tr))
+    init = synth.AffinePiece.__init__
+    monkeypatch.setattr(synth.AffinePiece, "__init__",
+                        lambda pc, *args: views.append(args) or init(pc, *args))
     assert sim.verify(sys, ctrl, f, nsamples=4, seed=2).to_dict() == report
     dt = sim.default_dt(sys, ctrl)
     runs = [sim.integrate(sys, ctrl, x0, f=f, domain=ctrl.domain, **kw)
@@ -348,9 +352,12 @@ def test_runs_whose_controls_go_unread_compute_none(box, monkeypatch):
     runs.append(sim.integrate(sys, ctrl, [0.5, 0.5]))
     assert [(tr.outcome.kind, len(tr.times) > 1) for tr in runs] == [
         (sim.REACHED, True), (sim.TIMEOUT, True), (sim.LEFT, True)]
-    assert reads == [] and not any("controls" in vars(tr) for tr in runs)
+    assert derived == [] and not any("controls" in vars(tr) for tr in runs)
+    assert all(tr.laws is ctrl.laws for tr in runs)
     assert all(len(tr.controls) == len(tr.times) for tr in runs)
-    assert reads
+    assert list(map(id, derived)) == list(map(id, runs))
+    assert all("controls" in vars(tr) for tr in runs)
+    assert views == []
 
 
 @pytest.mark.parametrize("steps", [sim._BLOCK + 100, sim._BLOCK, 3 * sim._BLOCK])
@@ -475,6 +482,52 @@ def test_rk4_steps_only_at_exits_and_short_last_steps(box, monkeypatch):
     assert tr.outcome.kind == sim.TIMEOUT and len(calls) == 2
 
 
+# -- verify folds each run as it ends ----------------------------------------------
+
+def reference_verify(sys, ctrl, f, nsamples, seed, tmax=None):
+    """``sim.verify`` as a loop that keeps every run and reads the report
+    off the list at the end."""
+    starts = sim.sample_states(ctrl.domain, nsamples, np.random.default_rng(seed))
+    dt = sim.default_dt(sys, ctrl)
+    trajs = [sim.integrate(sys, ctrl, x0, dt, tmax, f) for x0 in starts]
+    steps = np.concatenate([tr.piece_ids[:-1] for tr in trajs])
+    counts = np.bincount(steps, minlength=len(ctrl.pieces))
+    return sim.VerifyReport(nsamples, sum(tr.success for tr in trajs),
+                            [tr.outcome.kind for tr in trajs],
+                            [tr.outcome.time for tr in trajs if tr.success],
+                            max(tr.max_violation for tr in trajs),
+                            [i for i, tr in enumerate(trajs) if not tr.success], seed,
+                            {index: int(count) for index, count in enumerate(counts)})
+
+
+@pytest.mark.parametrize("name, seed, tmax", [("box", 2, None), ("box", 2, 0.05),
+                                              ("wedge", 1, None), ("cube", 0, None)])
+def test_verify_equals_the_loop_over_kept_runs(name, seed, tmax, monkeypatch):
+    """``verify`` folds each run into its report as the run ends, and its
+    report equals the one read off every run kept to the end: runs that
+    reach the target, and the wedge's and a short horizon's timeouts.  No
+    run outlives the next one's start: the run before last is freed."""
+    sys, p, f = FIXTURES[name]()
+    ctrl = synth.synth_polytope(sys, p, f)
+    ref = reference_verify(sys, ctrl, f, 8, seed, tmax)
+    runs = []
+    integrate = sim.integrate
+
+    def tracked(*args):
+        # the loop still holds the last run while the next one is taken
+        assert len(runs) < 2 or runs[-2]() is None
+        tr = integrate(*args)
+        runs.append(weakref.ref(tr))
+        return tr
+
+    monkeypatch.setattr(sim, "integrate", tracked)
+    report = sim.verify(sys, ctrl, f, nsamples=8, seed=seed, tmax=tmax)
+    assert len(runs) == 8
+    assert report == ref and report.to_dict() == ref.to_dict()
+    if name == "wedge" or tmax is not None:
+        assert sim.TIMEOUT in report.outcomes
+
+
 # -- one runner per controller and system -----------------------------------------
 
 @pytest.mark.parametrize("name", ["box", "cube"])
@@ -489,7 +542,7 @@ def test_reused_runner_gives_the_same_runs(name):
     starts.append(ctrl.pieces[-1].region.centroid())
     cold = [sim.integrate(sys, ctrl, x0, dt / 4, f=f) for x0 in starts]
     warm = [sim.integrate(sys, ctrl, x0, dt / 4, f=f) for x0 in starts]
-    fresh = synth.PWAController(ctrl.pieces, ctrl.domain)
+    fresh = synth.PWAController.from_pieces(ctrl.pieces, ctrl.domain)
     alone = [sim.integrate(sys, fresh, x0, dt / 4, f=f) for x0 in starts[::-1]][::-1]
     assert any(len(set(tr.piece_ids.tolist())) > 1 for tr in cold)
     for a, b, c in zip(cold, warm, alone):
@@ -504,7 +557,7 @@ def test_runner_keys_tell_systems_steps_faces_and_domains_apart(box):
     that ignored any of them would reuse a wrong entry: each run equals
     the one-step reference for its own inputs."""
     sys, p, f, ctrl = box
-    ctrl = synth.PWAController(ctrl.pieces, ctrl.domain)
+    ctrl = synth.PWAController.from_pieces(ctrl.pieces, ctrl.domain)
     other = AffineSystem(sys.A, sys.a + [0.2, 0.0], sys.B)
     dt = sim.default_dt(sys, ctrl)
     near = geo.convex_hull([(0, 0), (1.5, 0), (1.5, 1), (0, 1)])
@@ -531,7 +584,7 @@ def test_stored_maps_stay_within_the_cap(box):
     """However many runs share a runner, it keeps at most _BLOCK_CAP maps
     per piece and step."""
     sys, p, f, ctrl = box
-    ctrl = synth.PWAController(ctrl.pieces, ctrl.domain)
+    ctrl = synth.PWAController.from_pieces(ctrl.pieces, ctrl.domain)
     dt = sim.default_dt(sys, ctrl)
     for step in (dt / 20, dt):
         for x0 in sim.sample_states(p, 4, np.random.default_rng(3)):
@@ -549,7 +602,7 @@ def test_warm_verify_builds_nothing(box, monkeypatch):
     holds, and no halfspace views of the domain: its facet rows are its
     storage, which the run reads."""
     sys, p, f, ctrl = box
-    ctrl = synth.PWAController(ctrl.pieces, ctrl.domain)
+    ctrl = synth.PWAController.from_pieces(ctrl.pieces, ctrl.domain)
     report = sim.verify(sys, ctrl, f, nsamples=8, seed=2).to_dict()
     calls = []
 
@@ -566,7 +619,7 @@ def test_warm_verify_builds_nothing(box, monkeypatch):
     views = vars(geo.Polytope)["halfspaces"].fget
     monkeypatch.setattr(geo.Polytope, "halfspaces",
                         property(lambda poly: calls.append("halfspaces") or views(poly)))
-    monkeypatch.setattr(synth.AffinePiece, "closed_loop", lambda *args: calls.append("loop"))
+    monkeypatch.setattr(sim, "closed_loop", lambda *args: calls.append("loop"))
     assert sim.verify(sys, ctrl, f, nsamples=8, seed=2).to_dict() == report
     assert calls == []
     # a face that has not kept its rows builds them once
@@ -652,8 +705,8 @@ def test_exit_times_match_rk4_bisection_on_fixtures(name):
     for piece in ctrl.pieces:
         V = piece.region.vertices
         starts = rng.dirichlet(np.full(len(V), 0.3), size=8) @ V
-        exits = _exits(rng, normals, offs, *piece.closed_loop(sys), starts, dt)
-        _assert_exit_times_agree(normals, offs, *piece.closed_loop(sys), exits)
+        exits = _exits(rng, normals, offs, *synth.closed_loop(sys, piece.law), starts, dt)
+        _assert_exit_times_agree(normals, offs, *synth.closed_loop(sys, piece.law), exits)
         checked += len(exits)
     assert checked >= 4 * len(ctrl.pieces)
 

@@ -5,8 +5,8 @@ error class is raised somewhere or is the base of one that is, every
 function reads each of its parameters, every module-level constant is
 read somewhere in the package, no module or class binds a shared
 mutable container or a memoizing decorator (state that outlives a call
-belongs to an object the caller holds), and ``synth`` builds a
-controller at one site."""
+belongs to an object the caller holds), ``synth`` builds a controller at
+one site, and a controller's pieces are views of its stacks."""
 
 import ast
 import re
@@ -382,33 +382,89 @@ def test_check_sees_a_second_reader():
     assert readers(source, "_maximal_sets") == ["<module>", "m"]
 
 
-def constructions(source: str, cls: str) -> list[str]:
-    """The functions (by name, "<module>" outside any) that call ``cls``,
-    by its name or as an attribute, once per call."""
+def constructions(source: str, name: str) -> list[str]:
+    """The functions (by name, "<module>" outside any) that call the class
+    ``name``, by its name or as an attribute, or, inside its own body, as
+    ``cls``, once per call."""
     tree = ast.parse(source)
     owner = _owners(tree)
+    own = {id(node) for body in ast.walk(tree)
+           if isinstance(body, ast.ClassDef) and body.name == name for node in ast.walk(body)}
     return sorted(owner.get(id(node), "<module>") for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and _name(node.func) == cls)
+                  if isinstance(node, ast.Call) and (_name(node.func) == name or (
+                      id(node) in own and isinstance(node.func, ast.Name)
+                      and node.func.id == "cls")))
 
 
 def test_one_controller_per_synthesis():
-    """``synth`` builds a ``PWAController`` at one site, the end of
-    ``synth_polytope``'s one pass: no sub-problem builds its own
-    controller for its parent to copy and discard."""
-    source = (PACKAGE / "synth.py").read_text()
-    assert constructions(source, "PWAController") == ["synth_polytope"]
+    """``synth`` builds a ``PWAController`` at two sites: the end of
+    ``synth_polytope``'s one pass, and ``from_pieces``, which stacks
+    pieces built by hand and which nothing in the package calls: no
+    sub-problem builds its own controller for its parent to copy and
+    discard."""
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert constructions(sources["synth.py"], "PWAController") == ["from_pieces",
+                                                                   "synth_polytope"]
+    assert {name: readers(text, "from_pieces") + attribute_readers(text, "from_pieces")
+            for name, text in sources.items()} == dict.fromkeys(sources, [])
 
 
 def test_check_sees_a_second_controller():
     source = ("from . import synth\n"
               "def synth_polytope(pieces, p):\n"
               "    sub = PWAController(pieces[:1], p)\n"
-              "    return PWAController(sub.pieces + pieces[1:], p)\n"
+              "    return PWAController.from_pieces(sub.pieces + pieces[1:], p)\n"
               "class A:\n    def m(self, p):\n        return synth.PWAController([], p)\n"
+              "    @classmethod\n    def other(cls, p):\n        return cls(p)\n"
+              "class PWAController:\n    @classmethod\n"
+              "    def from_pieces(cls, pieces, p):\n        return cls(pieces, p)\n"
               "EMPTY = PWAController([], None)\n"
               "kind = PWAController\n")
-    assert constructions(source, "PWAController") == ["<module>", "m", "synth_polytope",
+    assert constructions(source, "PWAController") == ["<module>", "from_pieces", "m",
                                                       "synth_polytope"]
+    assert attribute_readers(source, "from_pieces") == ["synth_polytope"]
+
+
+def attribute_readers(source: str, attr: str) -> list[str]:
+    """The functions (by name, "<module>" outside any) that read an
+    attribute ``attr`` of anything, once per read."""
+    tree = ast.parse(source)
+    owner = _owners(tree)
+    return sorted(owner.get(id(node), "<module>") for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == attr
+                  and isinstance(node.ctx, ast.Load))
+
+
+def imported_names(source: str, module: str) -> list[str]:
+    """The names a source imports from ``module`` (``from module import``)."""
+    return sorted(alias.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and node.module == module
+                  for alias in node.names)
+
+
+def test_pieces_are_views_of_the_stacks():
+    """A controller keeps stacks, not piece objects: ``synth`` builds an
+    ``AffinePiece`` only in the view accessor (``PieceViews``'s
+    ``__getitem__``) and copies no piece with ``dataclasses.replace``, and
+    ``sim`` reads a controller's ``pieces`` only in ``verify``, for their
+    count: a run, its runner and its controls read the stacks."""
+    synth_source = (PACKAGE / "synth.py").read_text()
+    sim_source = (PACKAGE / "sim.py").read_text()
+    assert constructions(synth_source, "AffinePiece") == ["__getitem__"]
+    assert "replace" not in imported_names(synth_source, "dataclasses")
+    assert attribute_readers(sim_source, "pieces") == ["verify"]
+
+
+def test_check_sees_a_piece_built_or_read_elsewhere():
+    source = ("from dataclasses import dataclass, replace\n"
+              "class PieceViews:\n"
+              "    def __getitem__(self, k):\n        return AffinePiece(k)\n"
+              "def integrate(ctrl):\n    def finish():\n        return ctrl.pieces\n"
+              "    return [synth.AffinePiece(pc) for pc in ctrl.pieces], finish\n"
+              "def verify(ctrl):\n    ctrl.pieces = None\n    return len(ctrl.pieces)\n")
+    assert constructions(source, "AffinePiece") == ["__getitem__", "integrate"]
+    assert imported_names(source, "dataclasses") == ["dataclass", "replace"]
+    assert attribute_readers(source, "pieces") == ["finish", "integrate", "verify"]
 
 
 def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:

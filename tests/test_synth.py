@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -423,7 +425,7 @@ class TestNoEquilibrium:
         sys, p, f = fixture()
         ctrl = synth.synth_polytope(sys, p, f, eps=0.1 if fixture is wedge_fixture else None)
         for piece in ctrl.pieces:
-            A_cl, b_cl = piece.closed_loop(sys)
+            A_cl, b_cl = synth.closed_loop(sys, piece.law)
             assert flow_margin(piece.region.vertices @ A_cl.T + b_cl) > 1e-3
             assert reference_no_equilibrium(sys, piece.region, piece.gain, piece.offset)
 
@@ -433,22 +435,24 @@ class TestSynthSimplex:
         rng = np.random.default_rng(11)
         for _ in range(10):
             sys, geom, s, e = random_reachable_simplex(rng)
-            [pieces] = synth.synth_simplex(sys, [geom], [s], [e])
-            for piece in pieces:
-                assert synth.check_no_equilibrium(sys, piece.region, piece.gain, piece.offset)
+            out = synth.synth_simplex(sys, [geom], [s], [e])
+            for table, law in zip(out.tables, out.laws):
+                assert synth.check_no_equilibrium(sys, geo.Simplex.of_table(table),
+                                                  law[:, :-1], law[:, -1])
 
     def test_split_case_two_pieces(self):
         sys, s, e = split_case_simplex()
         geom = compute_geometry(sys, geo.convex_hull(s.vertices))
-        [pieces] = synth.synth_simplex(sys, [geom], [s], [e])
-        assert len(pieces) == 2
+        out = synth.synth_simplex(sys, [geom], [s], [e])
+        assert out.sources.tolist() == [0, 0] and out.sub_ranks.tolist() == [0, 1]
+        regions = [geo.Simplex.of_table(table) for table in out.tables]
         # pieces tile the simplex
-        total = sum(p.region.volume() for p in pieces)
+        total = sum(r.volume() for r in regions)
         assert total == pytest.approx(s.volume(), rel=1e-9)
         # the shared facet contains the split point on the apex segment
         v_prime = np.array([1.5, 0.25])
-        for piece in pieces:
-            assert piece.region.contains(v_prime, 1e-9)
+        for region in regions:
+            assert region.contains(v_prime, 1e-9)
 
     def test_unreachable_exit_fails(self):
         sys = double_integrator()
@@ -484,7 +488,7 @@ SPLIT_SIMPLICES = {
 
 
 def one_at_a_time(sys, geom, simplices, exits):
-    return [synth.synth_simplex(sys, [geom], [s], [e])[0] for s, e in zip(simplices, exits)]
+    return [synth.synth_simplex(sys, [geom], [s], [e]) for s, e in zip(simplices, exits)]
 
 
 def first_error(fn):
@@ -515,20 +519,24 @@ class TestLeafBatching:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_batched_leaf_matches_one_simplex_at_a_time(self, n):
         """A leaf in one call gives every piece that one call per simplex
-        gives, the midlevel split included, and each law owns its data."""
+        gives, the midlevel split included."""
         sys, geom, S, E = fixture_leaf(LEAVES[n])
         S, E = S[:1] + [geo.Simplex(SPLIT_SIMPLICES[n])] + S[1:], E[:1] + [0] + E[1:]
         batched = synth.synth_simplex(sys, [geom] * len(S), S, E)
         single = one_at_a_time(sys, geom, S, E)
-        assert [len(pieces) for pieces in batched] == [len(pieces) for pieces in single]
-        assert len(batched[1]) == 2
-        for a, b in zip(sum(batched, []), sum(single, [])):
-            assert np.array_equal(a.region.table, b.region.table)
-            assert (a.exit_facet, a.sub_rank) == (b.exit_facet, b.sub_rank)
-            assert np.abs(a.law - b.law).max() <= 1e-12 * max(1.0, np.abs(b.law).max())
-            assert a.slack == pytest.approx(b.slack, rel=1e-12, abs=1e-14)
-            assert a.exit_margin == pytest.approx(b.exit_margin, rel=1e-12, abs=1e-14)
-            assert a.law.base is None
+        assert batched.sources.tolist() == [j for j, one in enumerate(single)
+                                            for _ in one.sources]
+        assert np.bincount(batched.sources)[1] == 2
+
+        def joined(name):
+            return np.concatenate([getattr(one, name) for one in single])
+
+        for name in ("tables", "exit_facets", "sub_ranks"):
+            assert np.array_equal(getattr(batched, name), joined(name))
+        for a, b in zip(batched.laws, joined("laws")):
+            assert np.abs(a - b).max() <= 1e-12 * max(1.0, np.abs(b).max())
+        assert batched.slacks == pytest.approx(joined("slacks"), rel=1e-12, abs=1e-14)
+        assert batched.exit_margins == pytest.approx(joined("exit_margins"), rel=1e-12, abs=1e-14)
 
     @pytest.mark.parametrize("n, kind", [(2, "infeasible"), (2, "singular"), (2, "equilibrium"),
                                          (3, "infeasible"), (3, "singular"),
@@ -670,15 +678,15 @@ class TestGreedyPaths:
 # one case per branch of synth_polytope: fixture, eps, piece count (None:
 # not pinned), ranks (None: all empty), notes, whether the domain shrinks
 BRANCH_CASES = {
-    "box": (box_fixture, None, 2, None, [], False),
-    "wedge": (wedge_fixture, 0.1, 3, None, ["failure sets cut off with margin 0.1"], True),
-    "ill1": (ill1_fixture, None, 3, None, [], False),
+    "box": (box_fixture, None, 2, None, (), False),
+    "wedge": (wedge_fixture, 0.1, 3, None, ("failure sets cut off with margin 0.1",), True),
+    "ill1": (ill1_fixture, None, 3, None, (), False),
     "ill3": (ill3_fixture, None, None, [(0,), (1,), (1,)],
-             ["covered around the non-facet target"], False),
+             ("covered around the non-facet target",), False),
     "ill2": (ill2_fixture, None, None, [(0,), (1,), (1,)],
-             ["split away from the far target"], False),
+             ("split away from the far target",), False),
     "o_cross": (o_cross_fixture, None, None, [(0,), (0,), (1,), (1,)],
-                ["covered along the equilibrium plane"], False),
+                ("covered along the equilibrium plane",), False),
 }
 
 
@@ -920,9 +928,11 @@ class TestStressSet:
 def synthesis_record(sys, p, f, eps, synthesize=None):
     """Everything ``synthesize`` (``synth.synth_polytope`` by default)
     returns, bit for bit: the controller's stacked table and its
-    order, each piece's table, law, exit facet, ranks, path length,
-    sub-rank, index and margins, the domain's vertices and rows and the
-    notes; or the error's type and message."""
+    order, its stacks (laws; exit facets, path lengths, sub-ranks,
+    slacks and exit margins; ranks), each piece's table, law, exit facet,
+    ranks, path length, sub-rank, index and margins as its view reads
+    them, the domain's vertices and rows and the notes; or the error's
+    type and message."""
     try:
         ctrl = (synthesize or synth.synth_polytope)(sys, p, f, eps=eps)
     except ReachctlError as exc:
@@ -930,8 +940,9 @@ def synthesis_record(sys, p, f, eps, synthesize=None):
     pieces = [(pc.region.table.tobytes(), pc.law.tobytes(), pc.exit_facet, pc.rank,
                pc.sub_rank, pc.path_len, pc.index, float(pc.slack).hex(),
                float(pc.exit_margin).hex()) for pc in ctrl.pieces]
+    stacks = [(stack.dtype.descr, stack.tobytes()) for stack in (ctrl.laws, ctrl.scalars)]
     normals, offsets = ctrl.domain.rows
-    return (pieces, ctrl._table.tobytes(), ctrl._order.tobytes(),
+    return (pieces, ctrl._table.tobytes(), ctrl._order.tobytes(), stacks, ctrl.ranks,
             ctrl.domain.vertices.tobytes(), normals.tobytes(), offsets.tobytes(), ctrl.notes)
 
 
@@ -1164,3 +1175,133 @@ class TestOnePass:
         assert [r.table.tobytes() for r in seen] == \
             [r.table.tobytes() for part in parts for r in part]
         assert 0 < sum(len(part) == 2 for part in parts) < len(cases)
+
+
+def retained(build):
+    """What ``build()`` returns and the bytes allocated while it ran that
+    are still held once it has returned (tracemalloc)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = build()
+        gc.collect()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def crossing_hull_fixture():
+    """A 3-D hull crossed by the equilibrium plane, like the benchmark's
+    ``hull3d`` items: a cover with two leaf ranks."""
+    return sweep_problem(3, 6, 9)
+
+
+STACK_FIXTURES = [cube_fixture, box4d_fixture, crossing_hull_fixture]
+STACKS = ("_table", "_order", "laws", "scalars")
+
+
+class TestControllerStacks:
+    @pytest.mark.parametrize("fixture", STACK_FIXTURES, ids=lambda fx: fx.__name__)
+    def test_a_kept_controller_holds_its_stacks_and_little_more(self, fixture):
+        """A controller holds per piece its table rows, its law and at most
+        64 B more (its place in the order, its scalars and a reference to
+        its rank), and at most 2 KiB of its own, as tracemalloc sees
+        controllers of one piece and of all the pieces stacked anew."""
+        sys, p, f = fixture()
+        ctrl = synth.synth_polytope(sys, p, f)
+        pieces = list(ctrl.pieces)
+        n, m, count = p.n, sys.m, len(pieces)
+        assert count > 1 and (fixture is not crossing_hull_fixture
+                              or len(set(ctrl.ranks)) > 1)
+        per_piece = 8 * (n + 1) * (2 * n + 1) + 8 * m * (n + 1) + 64
+        _, one = retained(lambda: synth.PWAController.from_pieces(pieces[:1], ctrl.domain))
+        kept, every = retained(lambda: synth.PWAController.from_pieces(pieces, ctrl.domain,
+                                                                       ctrl.notes))
+        assert len(kept.pieces) == count
+        assert one <= per_piece + 2048
+        assert every <= count * per_piece + 2048
+        assert (every - one) / (count - 1) <= per_piece
+
+    @pytest.mark.parametrize("fixture", STACK_FIXTURES, ids=lambda fx: fx.__name__)
+    def test_pieces_are_views_built_on_read(self, fixture, monkeypatch):
+        """``len(pieces)`` builds no piece; each read builds one view, of
+        the controller's own stacks, with Python scalars, and a view reads
+        what the stacks hold: its region is the block of the table at its
+        place, and an index past either end raises."""
+        sys, p, f = fixture()
+        ctrl = synth.synth_polytope(sys, p, f)
+        built = []
+        init = synth.AffinePiece.__init__
+        monkeypatch.setattr(synth.AffinePiece, "__init__",
+                            lambda pc, *args: built.append(args[-1]) or init(pc, *args))
+        count = len(ctrl.pieces)
+        assert built == []
+        last = ctrl.pieces[-1]
+        assert built == [count - 1] and last.index == count - 1
+        with pytest.raises(IndexError):
+            ctrl.pieces[count]
+        views = list(ctrl.pieces)
+        assert built[1:] == list(range(count))
+        hit = ctrl.lookup(views[0].region.centroid())
+        assert built[-1] == hit.index == int(ctrl.locate(views[0].region.centroid()[None])[0])
+        for k, pc in enumerate(views):
+            assert np.shares_memory(pc.law, ctrl.laws) and np.shares_memory(pc.region.table,
+                                                                             ctrl._table)
+            assert np.array_equal(pc.law, ctrl.laws[k])
+            exit_facet, path_len, sub_rank, place, slack, exit_margin = ctrl.scalars[k].item()
+            assert (pc.exit_facet, pc.path_len, pc.sub_rank, pc.slack, pc.exit_margin) == \
+                (exit_facet, path_len, sub_rank, slack, exit_margin)
+            assert ctrl._order[place] == k
+            nv = p.n + 1
+            assert np.array_equal(pc.region.table, ctrl._table[place * nv:(place + 1) * nv])
+            assert (pc.index, pc.rank) == (k, ctrl.ranks[k])
+            assert all(type(v) is int for v in (pc.exit_facet, pc.path_len, pc.sub_rank,
+                                                pc.index))
+            assert type(pc.slack) is float and type(pc.exit_margin) is float
+        assert np.array_equal(ctrl.region(-1).table, views[-1].region.table)
+        for bad in (count, -count - 1):
+            with pytest.raises(IndexError):
+                ctrl.region(bad)
+
+    def test_pieces_are_final_once_assembled(self):
+        """Every stack is read-only, so a write through a stack or through
+        a piece's law, gain, offset or region raises ``ValueError``; a
+        view's own fields are its own, and the controller does not see
+        them change."""
+        sys, p, f = ill3_fixture()
+        ctrl = synth.synth_polytope(sys, p, f)
+        before = synthesis_record(sys, p, f, None)
+        for name in STACKS:
+            assert not getattr(ctrl, name).flags.writeable, name
+        pc = ctrl.pieces[0]
+        with pytest.raises(ValueError):
+            pc.law[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            pc.gain[:] = 0.0
+        with pytest.raises(ValueError):
+            pc.offset += 1.0
+        with pytest.raises(ValueError):
+            pc.region.table[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            ctrl.scalars["slack"][0] = -1.0
+        pc.rank, pc.path_len = (7,), 99
+        assert ctrl.pieces[0].rank == (0,) and ctrl.pieces[0].path_len != 99
+        with pytest.raises(AttributeError):
+            ctrl.extra = 1
+        assert synthesis_record(sys, p, f, None) == before
+
+    @pytest.mark.parametrize("fixture, eps", NAMED_FIXTURES + [(crossing_hull_fixture, None)],
+                             ids=[fx.__name__ for fx, _ in NAMED_FIXTURES] + ["crossing_hull"])
+    def test_from_pieces_stacks_what_the_views_read(self, fixture, eps):
+        """A controller stacked from another's pieces, as read, is the
+        same controller bit for bit: table, order, stacks, ranks, views,
+        domain and notes."""
+        sys, p, f = fixture()
+
+        def restacked(sys, p, f, eps):
+            ctrl = synth.synth_polytope(sys, p, f, eps=eps)
+            return synth.PWAController.from_pieces(ctrl.pieces, ctrl.domain, ctrl.notes)
+
+        assert synthesis_record(sys, p, f, eps, synthesize=restacked) == \
+            synthesis_record(sys, p, f, eps)
