@@ -82,7 +82,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import Degenerate, GeometryError, Unbounded
+from .errors import Degenerate, GeometryError, NumericalFailure, Unbounded
 from . import lp
 
 # absolute: which side of a plane a point lies on, equal drift levels (the
@@ -538,14 +538,19 @@ def _in_hull(x: np.ndarray, V: np.ndarray, rule: HullRows, tol: float) -> bool:
     rows = np.vstack([np.stack([np.hstack([V.T, -ones]), np.hstack([0.0 - V.T, -ones])],
                                axis=1).reshape(2 * n, k + 1), 0.0 - np.eye(k, k + 1)])
     rhs = np.concatenate([np.stack([x, -x], axis=1).ravel(), np.zeros(k)])
-    out = lp.solve(np.eye(k + 1)[-1], rows, rhs, np.append(np.ones(k), 0.0)[None, :],
-                   np.array([1.0]))
-    if out.status != lp.OPTIMAL or out.value > tol:
-        return False
-    if _certified(out.x[:k], V, x, tol):
-        return True
-    # an optimum that breaks lam >= 0 proves nothing: try the simplices of
-    # r + 1 vertices, one of which holds a nearest hull point (Caratheodory)
+    try:
+        out = lp.solve(np.eye(k + 1)[-1], rows, rhs, np.append(np.ones(k), 0.0)[None, :],
+                       np.array([1.0]))
+    except NumericalFailure:
+        out = None
+    if out is not None:
+        if out.status != lp.OPTIMAL or out.value > tol:
+            return False
+        if _certified(out.x[:k], V, x, tol):
+            return True
+    # an optimum that breaks lam >= 0, or a tableau that lost its
+    # constraints, proves nothing: try the simplices of r + 1 vertices,
+    # one of which holds a nearest hull point (Caratheodory)
     r = rank(V[1:] - V[0])
     W = V[np.array(list(itertools.combinations(range(k), r + 1)))]
     lam = np.einsum("sn,snr->sr", x - W[:, 0], np.linalg.pinv(W[:, 1:] - W[:, :1]))
@@ -994,7 +999,14 @@ class Simplex:
     column j, the coordinate lambda_j of vertex j, with its x part negated,
     over the norm of that part.  ``Simplex(vertices)`` is
     ``simplex_tables`` on a stack of one; a triangulation builds all its
-    tables at once and holds its simplices as views (``of_table``)."""
+    tables at once and holds its simplices as views (``of_table``).
+
+    A simplex stores its table.  A ``PWAController`` stores only its
+    regions' vertices and derives their tables on first read, by one
+    ``simplex_tables`` call over its vertex stack, and gets the tables
+    synthesis built bit for bit: a stacked call computes each member's
+    rank test and inverse from that member alone, so a table depends on
+    its vertices and not on the stack they came in."""
 
     __slots__ = ("table",)
 

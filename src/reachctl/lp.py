@@ -30,6 +30,7 @@ UNBOUNDED = "unbounded"
 
 _PIVOT_TOL = 1e-10
 _RATIO_TIE = 1e-12      # ratio-test values closer than this tie (Bland's rule breaks it)
+_PHASE1_ZERO = 1e-12    # a phase-1 objective this close to 0 is feasible: phase 1 stops
 _MAX_ITERS = 50_000
 
 
@@ -55,12 +56,26 @@ def _run_simplex(T: np.ndarray, basis: list[int], ncols: int, bounded: bool = Fa
     A pivot must exceed ``_PIVOT_TOL`` times the largest entry of its
     column (or 1): on degenerate tableaus, a tie of zero ratios would
     otherwise pick entries of 1e-10 and blow the tableau up to 1e20.  A
-    column with a negative reduced cost but no pivot proves the LP
-    unbounded, unless the caller knows it is ``bounded`` (phase 1 is
-    bounded below by 0): then the reduced cost is roundoff, and the
-    column is passed over."""
+    row whose entry is positive but below that floor still bounds the
+    step: a column whose step would take such a row's right-hand side
+    below -``TOL_LP`` is passed over, so the basis stays primal feasible
+    within ``TOL_LP``; when every column with a negative reduced cost is
+    passed over so, no pivot above the floor improves the tableau, and
+    NumericalFailure is raised.  A column with a negative reduced cost
+    but no pivot proves the LP unbounded, unless the caller knows it is
+    ``bounded``: phase 1, whose objective is bounded below by 0, where
+    such a reduced cost is roundoff and the column is passed over.
+    Phase 1 stops once its objective is 0 within ``_PHASE1_ZERO``: any
+    pivot after that is degenerate, and on degenerate clouds such pivots
+    went on through ever smaller entries until the tableau lost the
+    constraints.  (``TOL_LP`` is too coarse a zero there: the artificials
+    it leaves, scaled by the vertices of a hull 1e3 wide, move the point
+    by more than ``TOL_GEOM``.)"""
     for _ in range(_MAX_ITERS):
+        if bounded and T[-1, -1] >= -_PHASE1_ZERO:
+            return OPTIMAL
         costs, rhs = T[-1, :ncols].tolist(), T[:-1, -1].tolist()
+        blocked = False
         for enter in (j for j, cost in enumerate(costs) if cost < -TOL_LP):
             column = T[:-1, enter].tolist()
             least = _PIVOT_TOL * max([1.0] + column)
@@ -70,11 +85,17 @@ def _run_simplex(T: np.ndarray, basis: list[int], ncols: int, bounded: bool = Fa
                     ratio = b / a
                     if ratio < best - _RATIO_TIE or (abs(ratio - best) <= _RATIO_TIE and (leave < 0 or basis[i] < basis[leave])):
                         best, leave = ratio, i
-            if leave >= 0:
-                break
-            if not bounded:
-                return UNBOUNDED
+            if leave < 0:
+                if not bounded:
+                    return UNBOUNDED
+                continue
+            if any(0.0 < a <= least and b - a * best < -TOL_LP for a, b in zip(column, rhs)):
+                blocked = True
+                continue
+            break
         else:
+            if blocked:
+                raise NumericalFailure("simplex blocked by pivots below the floor")
             return OPTIMAL
         _pivot(T, leave, enter)
         basis[leave] = enter
@@ -83,7 +104,10 @@ def _run_simplex(T: np.ndarray, basis: list[int], ncols: int, bounded: bool = Fa
 
 def solve(c, G, h, E=None, f=None) -> LPOutcome:
     """Solve the small dense LP  min c.x  s.t.  G x <= h,  E x == f;
-    statuses are exact (optimal / infeasible / unbounded) up to TOL_LP."""
+    statuses are exact (optimal / infeasible / unbounded) up to TOL_LP.
+    An optimal x is checked against every constraint, within TOL_LP
+    times the largest |h|, |f| or 1; raises NumericalFailure where it
+    breaks one."""
     c = np.asarray(c, dtype=float)
     n = len(c)
     G = np.asarray(G, dtype=float).reshape(-1, n)
@@ -130,9 +154,12 @@ def solve(c, G, h, E=None, f=None) -> LPOutcome:
         _run_simplex(T, basis, ncols, bounded=True)
         if T[-1, -1] < -TOL_LP:
             return LPOutcome(INFEASIBLE, None, None)
-        # drive remaining artificials out of the basis
+        # drive remaining artificials out of the basis; each is 0 within
+        # TOL_LP, and set to 0 first, so that no pivot moves a right-hand
+        # side
         for i in range(m):
             if basis[i] >= 2 * n + mi:
+                T[i, -1] = 0.0
                 for j in range(2 * n + mi):
                     if abs(T[i, j]) > _PIVOT_TOL:
                         _pivot(T, i, j)
@@ -160,4 +187,7 @@ def solve(c, G, h, E=None, f=None) -> LPOutcome:
     for i, bi in enumerate(basis):
         xfull[bi] = T[i, -1]
     x = xfull[:n] - xfull[n:2 * n]
+    tol = TOL_LP * max(1.0, np.abs(b).max(initial=0.0))
+    if np.any(G @ x - h > tol) or np.any(np.abs(E @ x - f) > tol):
+        raise NumericalFailure("simplex optimum breaks its constraints")
     return LPOutcome(OPTIMAL, x, float(c @ x))

@@ -28,8 +28,11 @@ piece ids, the deepest violation and the outcome.  Its controls are
 derived when first read (``Trajectory.controls``), from the stretches
 of states that one piece's law acted on.
 
-The domain and the face keep their rows; what depends on the controller
-and the system alone is built once, in a runner (``_Runner``) that the
+The domain and the face keep their rows, and the controller derives
+its facet rows (``PWAController._table``) on its first read, so the
+first ``locate`` or ``departure`` of a controller's first run derives
+them, once per controller; what depends on the controller and the
+system alone is built once, in a runner (``_Runner``) that the
 controller holds (``PWAController.runners``) and every run reuses: each
 piece's closed loop, the default step, and, on first use, per step dt
 each piece's step maps (at most _BLOCK_CAP of them).  Since maps are only

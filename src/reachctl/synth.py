@@ -13,9 +13,9 @@ triangulation greedily and collects the leaves; then the simplices of
 every leaf (split at a drift midlevel where that applies) are
 synthesized together, and one controller is built from their stacked
 pieces: no sub-problem controller and no piece object is built.  A
-controller keeps its pieces as read-only stacks (laws, region tables,
-scalars, ranks) and derives each piece, an ``AffinePiece`` view, when
-it is read.
+controller keeps its pieces as read-only stacks (region vertices,
+laws, scalars, ranks), derives its facet rows on first read, and
+derives each piece, an ``AffinePiece`` view, when it is read.
 ``vertex_controls_lp`` solves the LPs of all their vertices at once and
 exactly, by enumerating the LPs' bases, so synthesis runs no simplex
 tableau; a basis is solved when it passes the relative determinant test
@@ -78,9 +78,9 @@ def closed_loop(sys: AffineSystem, law: np.ndarray) -> tuple[np.ndarray, np.ndar
 class AffinePiece:
     """One affine law u = gain x + offset on a simplex region: a view of
     one piece of a ``PWAController``, built when read.  Its region is a
-    view of the controller's stacked table and its ``law`` = [gain |
-    offset] a view of its law stack, both read-only; the rest are Python
-    scalars and the rank tuple the controller keeps."""
+    view of the controller's facet rows (``PWAController.region``) and its
+    ``law`` = [gain | offset] a view of its law stack, both read-only; the
+    rest are Python scalars and the rank tuple the controller keeps."""
 
     region: Simplex
     law: np.ndarray
@@ -134,10 +134,33 @@ PIECE_SCALARS = np.dtype([("exit_facet", np.int32), ("path_len", np.int32),
                           ("slack", float), ("exit_margin", float)])
 
 
-def _frozen(a, dtype) -> np.ndarray:
-    """``a`` as a C-contiguous array of ``dtype``, copied only where it is
-    not one already, and made read-only."""
-    a = np.ascontiguousarray(a, dtype=dtype)
+def _piece_scalars(exit_facets, path_lens, sub_ranks, slacks, exit_margins) -> np.ndarray:
+    """The ``PIECE_SCALARS`` records of pieces from their columns, each
+    place 0 until ``PWAController.ordered`` sets it."""
+    scalars = np.zeros(len(exit_facets), PIECE_SCALARS)
+    for name, column in (("exit_facet", exit_facets), ("path_len", path_lens),
+                         ("sub_rank", sub_ranks), ("slack", slacks),
+                         ("exit_margin", exit_margins)):
+        scalars[name] = column
+    return scalars
+
+
+def _checked(a, dtype, shape: tuple, name: str) -> np.ndarray:
+    """``a`` as an array, which must have ``dtype`` and ``shape``, where
+    None matches any length; raises ValueError otherwise."""
+    a = np.asarray(a)
+    if a.dtype != dtype or a.ndim != len(shape) or any(
+            want is not None and want != have for want, have in zip(shape, a.shape)):
+        raise ValueError(f"{name}: {a.dtype} array of shape {a.shape}, expected "
+                         f"{np.dtype(dtype)} of shape "
+                         f"{tuple('*' if want is None else want for want in shape)}")
+    return a
+
+
+def _stored(a, dtype, shape: tuple, name: str) -> np.ndarray:
+    """``_checked`` ``a`` copied into a read-only C-contiguous array that
+    owns its data, so no view keeps a larger temporary alive."""
+    a = _checked(a, dtype, shape, name).copy()
     a.flags.writeable = False
     return a
 
@@ -169,22 +192,38 @@ class PWAController:
     On overlaps the lookup prefers pieces closer to the original target:
     lower cover rank first, then shorter path, then fixed index order.
 
-    A controller is a record of stacks, one row per piece, numbered by
-    position (the piece's ``index``): its ``laws`` (P, m, n+1) =
-    [gain | offset], its ``scalars``, one ``PIECE_SCALARS`` record per
-    piece (exit facet, path length, sub-rank, place in the order of
-    preference, slack and exit margin), and its ``ranks``, one tuple per
+    A controller stores what defines its pieces, one row per piece,
+    numbered by position (the piece's ``index``): the vertex stack of
+    their regions (P, n+1, n), in the order of preference (by place);
+    ``_order``, which maps each place back to its piece and ends in -1;
+    the ``laws`` (P, m, n+1) = [gain | offset], by index, which
+    interpolate each region's vertex controls; its ``scalars``, one
+    ``PIECE_SCALARS`` record per piece (exit facet, path length,
+    sub-rank, place, slack and exit margin); its ``ranks``, one tuple per
     piece, shared by the pieces of a leaf; and its ``domain`` and
-    ``notes`` (a tuple).  The region tables (``Simplex.table``) are
-    stacked, in the order of preference, into one table, one block of
-    rows per place, which ``_order`` maps back to pieces; ``region`` gives
-    a piece's region as a view of its block.  Every stack is built once, by the
-    constructor, and is read-only, so the pieces are final once
+    ``notes`` (a tuple).  Each stored array is checked for shape and
+    dtype, owns its data and is read-only, so the pieces are final once
     assembled: a write through a stack or a view raises ``ValueError``.
+    Synthesis (``ordered``), ``from_pieces`` and ``from_arrays`` all end
+    in the one constructor, which takes the stored fields.
+
+    Two things are derived on first read and kept.  ``_table``, the
+    regions' facet rows (``Simplex.table``) stacked by place, one block
+    of n+1 rows each, comes from one ``simplex_tables`` call over the
+    vertex stack on the first ``region``, ``locate``, ``departure`` or
+    ``lookup``.  It is the table synthesis built, bit for bit: each
+    region's table came from ``simplex_tables`` of the same vertices, and
+    a stacked call computes each member's rank test and inverse alone
+    (``test_stacked_tables_equal_each_simplex_bit_for_bit``).  So a
+    controller that is kept but never located holds no facet rows, which
+    are (n+1)(2n+1) floats per piece against the n(n+1) of its vertices.
+    ``runners`` is made on first use.
+
     ``pieces`` derives the pieces on read (``PieceViews``):
     ``len(pieces)`` builds nothing, and each read piece is an
-    ``AffinePiece`` view of the stacks.  ``from_pieces`` stacks pieces
-    built by hand, or read from another controller.
+    ``AffinePiece`` view of the stacks.  ``to_arrays`` is the stored form,
+    the stored arrays themselves, and ``from_arrays`` rebuilds the
+    controller from it bit for bit.
 
     ``locate`` resolves a batch of states with one matrix product over
     the table's facet columns, each to the first block of rows that all
@@ -201,50 +240,134 @@ class PWAController:
     ``AffineSystem`` being frozen.
     """
 
-    __slots__ = ("_table", "_order", "laws", "scalars", "ranks", "domain", "notes", "runners")
+    __slots__ = ("_vertices", "_order", "laws", "scalars", "ranks", "domain", "notes",
+                 "_facet_rows", "_runners")
 
-    def __init__(self, stack: PieceStack, ranks: Sequence[tuple], path_lens,
+    def __init__(self, vertices, order, laws, scalars, ranks: Sequence[tuple],
                  domain: Polytope, notes=()):
+        """The controller of its stored fields: the vertex stack by place,
+        the order, the laws, the scalars (whose places must invert the
+        order) and the ranks by index.  Raises ValueError on a shape or
+        dtype that disagrees, or on places that do not invert the order."""
         n = domain.n
-        scalars = np.empty(len(stack.laws), PIECE_SCALARS)
-        for name, column in (("exit_facet", stack.exit_facets), ("path_len", path_lens),
-                             ("sub_rank", stack.sub_ranks), ("slack", stack.slacks),
-                             ("exit_margin", stack.exit_margins)):
-            scalars[name] = column
-        keys = scalars[["path_len", "sub_rank"]].tolist()
-        order = sorted(range(len(keys)), key=lambda k: (ranks[k], *keys[k], k))
-        scalars["place"][order] = range(len(order))
-        tables = np.asarray(stack.tables, dtype=float)[order]
-        self._table = _frozen(tables.reshape(-1, 2 * n + 1), float)
-        self._order = _frozen(order + [-1], int)
-        self.laws = _frozen(stack.laws, float)
-        self.scalars = _frozen(scalars, PIECE_SCALARS)
+        self.laws = _stored(laws, float, (None, None, n + 1), "laws")
+        count = len(self.laws)
+        self._vertices = _stored(vertices, float, (count, n + 1, n), "vertices")
+        self._order = _stored(order, np.intp, (count + 1,), "order")
+        self.scalars = _stored(scalars, PIECE_SCALARS, (count,), "scalars")
+        places = self.scalars["place"]
+        if not (np.array_equal(np.sort(places), np.arange(count)) and self._order[-1] == -1
+                and np.array_equal(self._order[places], np.arange(count))):
+            raise ValueError("the places of the scalars do not invert the order")
         self.ranks = tuple(ranks)
+        if len(self.ranks) != count:
+            raise ValueError(f"ranks: {len(self.ranks)} for {count} pieces")
         self.domain = domain
         self.notes = tuple(notes)
-        self.runners = {}
+        self._facet_rows = self._runners = None
+
+    @classmethod
+    def ordered(cls, vertices, laws, scalars, ranks: Sequence[tuple], domain: Polytope,
+                notes=()) -> "PWAController":
+        """The controller of pieces given by index: their (P, n+1, n)
+        vertex stack, laws, ``PIECE_SCALARS`` records and ranks.  Their
+        places, the order of preference, are set here: by rank, then path
+        length, then sub-rank, then index."""
+        keys = scalars[["path_len", "sub_rank"]].tolist()
+        order = sorted(range(len(keys)), key=lambda k: (ranks[k], *keys[k], k))
+        scalars = scalars.copy()
+        scalars["place"][order] = range(len(order))
+        return cls(np.asarray(vertices, dtype=float)[order], np.array(order + [-1], np.intp),
+                   laws, scalars, ranks, domain, notes)
 
     @classmethod
     def from_pieces(cls, pieces: Sequence[AffinePiece], domain: Polytope,
                     notes=()) -> "PWAController":
         """The controller of the given pieces, numbered by position: their
-        fields stacked, their own ``index`` ignored."""
+        regions' vertices and their other fields stacked, their own
+        ``index`` ignored."""
         pieces = list(pieces)
-        stack = PieceStack(np.array([pc.region.table for pc in pieces]),
-                           np.array([pc.law for pc in pieces]),
-                           [pc.exit_facet for pc in pieces], [pc.sub_rank for pc in pieces],
-                           [pc.slack for pc in pieces], [pc.exit_margin for pc in pieces],
-                           np.arange(len(pieces)))
-        return cls(stack, [pc.rank for pc in pieces], [pc.path_len for pc in pieces],
-                   domain, notes)
+        n = domain.n
+        scalars = _piece_scalars(*([getattr(pc, name) for pc in pieces] for name in (
+            "exit_facet", "path_len", "sub_rank", "slack", "exit_margin")))
+        # no pieces give empty stacks of the shapes the constructor checks
+        vertices = np.array([pc.region.vertices for pc in pieces]).reshape(-1, n + 1, n)
+        laws = np.array([pc.law for pc in pieces]) if pieces else np.empty((0, 0, n + 1))
+        return cls.ordered(vertices, laws, scalars, [pc.rank for pc in pieces], domain, notes)
+
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        """The stored form, by name: the stored arrays themselves, not
+        copies (``vertices`` by place, ``order``, ``laws``, ``scalars``),
+        the domain's (``domain_vertices``, ``domain_normals``,
+        ``domain_offsets``, ``domain_incidence`` and a 0-d ``domain_dim``),
+        the ranks as one int row per piece padded with -1, and the notes
+        as a str array.  ``np.savez`` writes it as it is.  Raises
+        ValueError on a negative rank entry, which the padding would
+        hide."""
+        if any(min(rank, default=0) < 0 for rank in set(self.ranks)):
+            raise ValueError("a rank entry is negative")
+        ranks = np.full((len(self.ranks), max(map(len, self.ranks), default=0)), -1, np.intp)
+        for k, rank in enumerate(self.ranks):
+            ranks[k, :len(rank)] = rank
+        d = self.domain
+        normals, offsets = d.rows
+        return {"vertices": self._vertices, "order": self._order, "laws": self.laws,
+                "scalars": self.scalars, "ranks": ranks, "notes": np.array(self.notes, str),
+                "domain_vertices": d.vertices, "domain_normals": normals,
+                "domain_offsets": offsets, "domain_incidence": d.incidence,
+                "domain_dim": np.array(d.dim, np.intp)}
+
+    @classmethod
+    def from_arrays(cls, arrays) -> "PWAController":
+        """The controller whose stored form (``to_arrays``) is ``arrays``,
+        any mapping of those names (a dict, or ``np.load`` of a saved
+        file), equal to it bit for bit and sharing no memory with it; the
+        pieces of one rank share its tuple.  Raises ValueError where a
+        shape or dtype disagrees, and KeyError where an array is missing."""
+        V = _checked(arrays["domain_vertices"], float, (None, None), "domain_vertices")
+        k, n = V.shape
+        normals = _checked(arrays["domain_normals"], float, (None, n), "domain_normals")
+        rows = (normals.copy(), _checked(arrays["domain_offsets"], float, (len(normals),),
+                                         "domain_offsets").copy())
+        incidence = _checked(arrays["domain_incidence"], bool, (k, None), "domain_incidence")
+        dim = _checked(arrays["domain_dim"], np.intp, (), "domain_dim")
+        domain = Polytope(V.copy(), rows, int(dim), incidence.copy())
+        laws = _checked(arrays["laws"], float, (None, None, n + 1), "laws")
+        padded = _checked(arrays["ranks"], np.intp, (len(laws), None), "ranks")
+        shared: dict[tuple, tuple] = {}
+        ranks = [shared.setdefault(rank, rank) for rank in (
+            tuple(v for v in row if v >= 0) for row in padded.tolist())]
+        notes = np.asarray(arrays["notes"])
+        if notes.dtype.kind != "U" or notes.ndim != 1:
+            raise ValueError(f"notes: {notes.dtype} array of shape {notes.shape}, expected "
+                             "a 1-D str array")
+        return cls(arrays["vertices"], arrays["order"], laws, arrays["scalars"], ranks, domain,
+                   notes.tolist())
 
     @property
     def pieces(self) -> PieceViews:
         return PieceViews(self)
 
+    @property
+    def runners(self) -> dict:
+        if self._runners is None:
+            self._runners = {}
+        return self._runners
+
+    @property
+    def _table(self) -> np.ndarray:
+        """The regions' facet rows by place, (P (n+1), 2n+1), derived from
+        the vertex stack by one ``simplex_tables`` call on first read and
+        kept, read-only."""
+        if self._facet_rows is None:
+            tables = simplex_tables(self._vertices)
+            tables.flags.writeable = False
+            self._facet_rows = tables.reshape(-1, tables.shape[2])
+        return self._facet_rows
+
     def region(self, k: int) -> Simplex:
         """Piece k's region (negative k counts from the end), a view of
-        its block of rows of the stacked table."""
+        its block of rows of the facet rows."""
         nv = self.domain.n + 1
         at = int(self.scalars[k]["place"]) * nv
         return Simplex.of_table(self._table[at:at + nv])
@@ -254,9 +377,10 @@ class PWAController:
         array X, or -1 where none does."""
         X = np.asarray(X, dtype=float)
         n = self.domain.n
+        table = self._table
         # (row, state) layout: numpy reduces a long last axis far faster
         # than many short ones
-        held = self._table[:, n:-1] @ X.T - self._table[:, -1:] <= tol
+        held = table[:, n:-1] @ X.T - table[:, -1:] <= tol
         held = held.reshape(len(self.laws), n + 1, len(X)).all(axis=1)
         # a last row that always holds stands for "no piece"
         held = np.concatenate([held, np.ones((1, len(X)), dtype=bool)])
@@ -272,11 +396,12 @@ class PWAController:
         preference on the states up to the first it does not hold."""
         X = np.asarray(X, dtype=float)
         n = self.domain.n
+        table = self._table
         at = int(self.scalars[active]["place"]) * (n + 1)
-        own = self._table[at:at + n + 1]
+        own = table[at:at + n + 1]
         end = _first(~(own[:, n:-1] @ X.T - own[:, -1:] <= tol).all(axis=0))
         if at and end:
-            before = self._table[:at]
+            before = table[:at]
             taken = before[:, n:-1] @ X[:end].T - before[:, -1:] <= tol
             end = _first(taken.reshape(-1, n + 1, end).all(axis=1).any(axis=0))
         return end
@@ -702,10 +827,11 @@ def _walk(sys: AffineSystem, p: Polytope, f: Face, eps: Optional[float], rank: t
     return p
 
 
-def _leaf_pieces(sys: AffineSystem, leaves: list) -> tuple[PieceStack, list, np.ndarray]:
+def _leaf_pieces(sys: AffineSystem, leaves: list) -> tuple:
     """The pieces of every leaf, in order, from one ``synth_simplex`` call,
-    with each piece's rank, its leaf's (one tuple per leaf), and path
-    length, its simplex's greedy one."""
+    as ``PWAController.ordered`` takes them: their vertex stack, laws and
+    scalars, with each piece's path length its simplex's greedy one, and
+    their ranks, each its leaf's (one tuple per leaf)."""
     simplices, geoms, exits, ranks, path_lens = [], [], [], [], []
     for tri, geom, greedy, rank in leaves:
         simplices += [tri.simplices[i] for i in greedy.order]
@@ -714,7 +840,11 @@ def _leaf_pieces(sys: AffineSystem, leaves: list) -> tuple[PieceStack, list, np.
         path_lens += [greedy.path_len[i] for i in greedy.order]
         geoms += [geom] * len(greedy.order)
     stack = synth_simplex(sys, geoms, simplices, exits)
-    return stack, [ranks[j] for j in stack.sources.tolist()], np.array(path_lens)[stack.sources]
+    n = stack.tables.shape[1] - 1
+    scalars = _piece_scalars(stack.exit_facets, np.array(path_lens)[stack.sources],
+                             stack.sub_ranks, stack.slacks, stack.exit_margins)
+    return (stack.tables[..., :n], stack.laws, scalars,
+            [ranks[j] for j in stack.sources.tolist()])
 
 
 def synth_polytope(sys: AffineSystem, p: Polytope, f: Face,
@@ -759,7 +889,7 @@ def synth_polytope(sys: AffineSystem, p: Polytope, f: Face,
     except Exception as exc:
         walk_error = exc
     else:
-        return PWAController(*_leaf_pieces(sys, leaves), domain, notes)
+        return PWAController.ordered(*_leaf_pieces(sys, leaves), domain, notes)
     if leaves:
         _leaf_pieces(sys, leaves)
     raise walk_error

@@ -465,6 +465,25 @@ def random_simplices(rng, n):
                 yield cap * scale
 
 
+def vertex_cloud(rng, n, d, offset):
+    """Points spanning a random d-plane of R^n: the vertices of a random
+    d-simplex, a random point inside it, a random point of each facet moved
+    ``offset`` along the facet's outward normal, the edge midpoints and the
+    centroid."""
+    pts = rng.normal(size=(d + 1, d))
+    cloud = [pts, [rng.dirichlet(np.ones(d + 1)) @ pts, pts.mean(axis=0)]]
+    # row j: gradient of the barycentric coordinate of vertex j, which
+    # points into the simplex from the facet omitting vertex j
+    grads = np.linalg.inv(np.vstack([pts.T, np.ones(d + 1)]))[:, :d]
+    for j in range(d + 1):
+        facet = np.delete(pts, j, axis=0)
+        out = -grads[j] / np.linalg.norm(grads[j])
+        cloud.append([rng.dirichlet(np.ones(d)) @ facet + offset * out])
+    cloud.append([(a + b) / 2 for a, b in itertools.combinations(pts, 2)])
+    basis, _ = np.linalg.qr(rng.normal(size=(n, d)))
+    return np.vstack(cloud) @ basis.T + rng.normal(size=n)
+
+
 # -- references for the closed loop ------------------------------------------
 
 def hull_distance(point, vertices):
@@ -758,7 +777,10 @@ def reference_synth_polytope(sys, p, f, eps=None):
                                [t.simplices[i] for i in greedy.order],
                                [greedy.exit_facet[i] for i in greedy.order])
     path_lens = [greedy.path_len[greedy.order[j]] for j in leaf.sources.tolist()]
-    return PWAController(leaf, [()] * len(path_lens), path_lens, p)
+    scalars = synth._piece_scalars(leaf.exit_facets, path_lens, leaf.sub_ranks, leaf.slacks,
+                                   leaf.exit_margins)
+    return PWAController.ordered(leaf.tables[..., :p.n], leaf.laws, scalars,
+                                 [()] * len(path_lens), p)
 
 
 def loop_locate(ctrl, X, tol=geo.TOL_MERGE):

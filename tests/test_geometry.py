@@ -9,7 +9,7 @@ from scipy.spatial import ConvexHull
 from helpers import (all_candidates_hull_facets, halfspace_key, hull_distance,
                      rank_clip_facets, rank_edges,
                      rank_facets, random_simplices, reference_fan, reference_maximal_sets,
-                     reference_simplex_table, uncovered_volume)
+                     reference_simplex_table, uncovered_volume, vertex_cloud)
 from reachctl import geometry as geo
 from reachctl import lp
 from reachctl.errors import GeometryError
@@ -120,25 +120,6 @@ class TestDedupe:
 # on it, inside and past the TOL_GEOM band on either side, and clearly past
 FACET_OFFSETS = [0.0, 0.5 * geo.TOL_GEOM, -0.5 * geo.TOL_GEOM,
                  3 * geo.TOL_GEOM, -3 * geo.TOL_GEOM, 1e-6]
-
-
-def vertex_cloud(rng, n, d, offset):
-    """Points spanning a random d-plane of R^n: the vertices of a random
-    d-simplex, a random point inside it, a random point of each facet moved
-    ``offset`` along the facet's outward normal, the edge midpoints and the
-    centroid."""
-    pts = rng.normal(size=(d + 1, d))
-    cloud = [pts, [rng.dirichlet(np.ones(d + 1)) @ pts, pts.mean(axis=0)]]
-    # row j: gradient of the barycentric coordinate of vertex j, which
-    # points into the simplex from the facet omitting vertex j
-    grads = np.linalg.inv(np.vstack([pts.T, np.ones(d + 1)]))[:, :d]
-    for j in range(d + 1):
-        facet = np.delete(pts, j, axis=0)
-        out = -grads[j] / np.linalg.norm(grads[j])
-        cloud.append([rng.dirichlet(np.ones(d)) @ facet + offset * out])
-    cloud.append([(a + b) / 2 for a, b in itertools.combinations(pts, 2)])
-    basis, _ = np.linalg.qr(rng.normal(size=(n, d)))
-    return np.vstack(cloud) @ basis.T + rng.normal(size=n)
 
 
 class TestConvexHull:

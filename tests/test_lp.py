@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from reachctl import geometry as geo
 from reachctl import lp
+from reachctl.errors import NumericalFailure
+
+from helpers import vertex_cloud
 
 
 def brute_force_2d_lp(c, G, h):
@@ -115,3 +120,58 @@ def test_determinism_bit_for_bit():
     assert a.status == b.status
     assert a.value == b.value
     assert np.array_equal(a.x, b.x)
+
+
+@pytest.mark.parametrize("seed", [6, 7, 10, 20])
+def test_degenerate_cloud_lps_match_highs(seed, monkeypatch):
+    """The LPs ``point_in_hull`` solves on the degenerate 4-D clouds of
+    ``TestPointInHull.test_clouds_match_distance_oracle`` (points 3
+    TOL_GEOM off the facets of a simplex): no pivot takes a right-hand
+    side below -TOL_LP, and each LP ends as scipy's HiGHS ends it, at its
+    optimal value within 1e-7 and at a point that holds every constraint
+    within TOL_LP.  The ratio test once passed over rows whose entries lay
+    below the pivot floor, and such rows' right-hand sides fell to -8e-8;
+    at seed 20 an optimum of 0 had a weight of -1."""
+    solved, lows = [], []
+    solve, pivot = lp.solve, lp._pivot
+
+    def recording(c, G, h, E=None, f=None):
+        out = solve(c, G, h, E, f)
+        solved.append((c, G, h, E, f, out))
+        return out
+
+    def watched(T, row, col):
+        pivot(T, row, col)
+        lows.append(T[:-1, -1].min())
+
+    monkeypatch.setattr(lp, "solve", recording)
+    monkeypatch.setattr(lp, "_pivot", watched)
+    pts = geo.dedupe_points(vertex_cloud(np.random.default_rng(seed), 4, 4, 3 * geo.TOL_GEOM))
+    for i, x in enumerate(pts):
+        geo.point_in_hull(x, np.delete(pts, i, axis=0))
+    assert solved and min(lows) >= -lp.TOL_LP
+    for c, G, h, E, f, out in solved:
+        ref = linprog(c, A_ub=G, b_ub=h, A_eq=E, b_eq=f, bounds=[(None, None)] * len(c),
+                      method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                               "dual_feasibility_tolerance": 1e-10})
+        assert ref.status == 0 and out.status == lp.OPTIMAL
+        assert out.value == pytest.approx(ref.fun, abs=1e-7)
+        assert np.all(G @ out.x - h <= lp.TOL_LP)
+        assert np.all(np.abs(E @ out.x - f) <= lp.TOL_LP)
+
+
+def test_an_optimum_that_breaks_a_constraint_raises(monkeypatch):
+    """``solve`` checks its optimum against the constraints: a tableau
+    whose right-hand sides drift after a pivot ends in NumericalFailure,
+    not in an OPTIMAL that breaks one."""
+    G = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 1.0]])
+    h = np.array([0.0, 0.0, 2.0])
+    pivot = lp._pivot
+
+    def drifting(T, row, col):
+        pivot(T, row, col)
+        T[:-1, -1] += 1.0
+
+    monkeypatch.setattr(lp, "_pivot", drifting)
+    with pytest.raises(NumericalFailure, match="breaks its constraints"):
+        lp.solve([-1.0, -1.0], G, h)

@@ -419,6 +419,25 @@ def test_long_run_locates_in_blocks(box, monkeypatch):
     assert located == [1, 1]
 
 
+def test_runs_derive_the_facet_rows_once(monkeypatch):
+    """A fresh controller holds no facet rows and no runners; its first
+    run derives the rows, by one ``simplex_tables`` call, and its runner,
+    and later runs, under the same system or another, derive neither
+    again."""
+    sys, p, f = box_fixture()
+    ctrl = synth.synth_polytope(sys, p, f)
+    calls = []
+    tables = synth.simplex_tables
+    monkeypatch.setattr(synth, "simplex_tables", lambda V: calls.append(len(V)) or tables(V))
+    assert ctrl._facet_rows is None and ctrl._runners is None
+    starts = sim.sample_states(p, 3, np.random.default_rng(4))
+    for x0 in starts:
+        sim.integrate(sys, ctrl, x0, f=f)
+    assert calls == [len(ctrl.pieces)] and len(ctrl.runners) == 1
+    sim.integrate(AffineSystem(sys.A, sys.a, sys.B), ctrl, starts[0], f=f)
+    assert calls == [len(ctrl.pieces)] and len(ctrl.runners) == 2
+
+
 def _near_facets(rng, ctrl, count):
     """States within 2 TOL_SIM (inf-norm) of random points on the facets
     of the controller's regions, which neighbouring pieces share."""

@@ -274,7 +274,8 @@ def test_incidence_is_decided_where_a_polytope_is_built():
     ``Polytope`` and ``Face`` that the package builds hands over its
     table, but the empty polytope and the hull of one point, which have
     at most one vertex (a caller's set of three or more vertices gets its
-    table at construction).  No code reads incidence off the facet rows
+    table at construction); a controller read from its stored form
+    (``PWAController.from_arrays``) hands over its domain's stored table.  No code reads incidence off the facet rows
     with a tolerance, ``Polytope`` included, which reads no
     ``TOL_INCIDENCE``."""
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
@@ -285,7 +286,8 @@ def test_incidence_is_decided_where_a_polytope_is_built():
                         "convex_hull (without incidence)", "empty (without incidence)",
                         "facet (with incidence)", "facets (with incidence)",
                         "from_vertices (with incidence)", "section (with incidence)"],
-        "reach.py": ["analyze (with incidence)"]}
+        "reach.py": ["analyze (with incidence)"],
+        "synth.py": ["from_arrays (with incidence)"]}
     assert {name: got for name, got in
             ((name, tolerance_incidence(text)) for name, text in sources.items()) if got} == {}
     assert "TOL_INCIDENCE" not in class_names(sources["geometry.py"], "Polytope")
@@ -397,16 +399,25 @@ def constructions(source: str, name: str) -> list[str]:
 
 
 def test_one_controller_per_synthesis():
-    """``synth`` builds a ``PWAController`` at two sites: the end of
-    ``synth_polytope``'s one pass, and ``from_pieces``, which stacks
-    pieces built by hand and which nothing in the package calls: no
-    sub-problem builds its own controller for its parent to copy and
-    discard."""
+    """``synth`` builds a ``PWAController`` at two sites, both through the
+    one constructor: ``ordered``, which orders pieces given by index and
+    which only ``synth_polytope``'s one pass and ``from_pieces`` call,
+    and ``from_arrays``, which reads the stored form.  Nothing in the
+    package calls ``from_pieces`` (pieces built by hand) or
+    ``from_arrays``: no sub-problem builds its own controller for its
+    parent to copy and discard."""
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert constructions(sources["synth.py"], "PWAController") == ["from_pieces",
-                                                                   "synth_polytope"]
-    assert {name: readers(text, "from_pieces") + attribute_readers(text, "from_pieces")
-            for name, text in sources.items()} == dict.fromkeys(sources, [])
+    assert constructions(sources["synth.py"], "PWAController") == ["from_arrays", "ordered"]
+    assert attribute_readers(sources["synth.py"], "ordered") == ["from_pieces",
+                                                                 "synth_polytope"]
+    assert {name: [reader for attr in ("ordered", "from_pieces", "from_arrays")
+                   for reader in readers(text, attr) + attribute_readers(text, attr)]
+            for name, text in sources.items() if name != "synth.py"} == \
+        dict.fromkeys(set(sources) - {"synth.py"}, [])
+    assert readers(sources["synth.py"], "from_pieces") + \
+        attribute_readers(sources["synth.py"], "from_pieces") + \
+        readers(sources["synth.py"], "from_arrays") + \
+        attribute_readers(sources["synth.py"], "from_arrays") == []
 
 
 def test_check_sees_a_second_controller():

@@ -1198,30 +1198,67 @@ def crossing_hull_fixture():
 
 
 STACK_FIXTURES = [cube_fixture, box4d_fixture, crossing_hull_fixture]
-STACKS = ("_table", "_order", "laws", "scalars")
+STACKS = ("_vertices", "_table", "_order", "laws", "scalars")
 
 
 class TestControllerStacks:
     @pytest.mark.parametrize("fixture", STACK_FIXTURES, ids=lambda fx: fx.__name__)
     def test_a_kept_controller_holds_its_stacks_and_little_more(self, fixture):
-        """A controller holds per piece its table rows, its law and at most
-        64 B more (its place in the order, its scalars and a reference to
-        its rank), and at most 2 KiB of its own, as tracemalloc sees
-        controllers of one piece and of all the pieces stacked anew."""
+        """A controller that was never located holds per piece its region's
+        vertices, its law and at most 64 B more (its place in the order,
+        its scalars and a reference to its rank), and at most 2 KiB of its
+        own, as tracemalloc sees controllers of one piece and of all the
+        pieces stacked anew.  Its first ``locate`` adds the facet rows,
+        (n+1)(2n+1) floats per piece, once, and a second adds nothing."""
         sys, p, f = fixture()
         ctrl = synth.synth_polytope(sys, p, f)
         pieces = list(ctrl.pieces)
         n, m, count = p.n, sys.m, len(pieces)
         assert count > 1 and (fixture is not crossing_hull_fixture
                               or len(set(ctrl.ranks)) > 1)
-        per_piece = 8 * (n + 1) * (2 * n + 1) + 8 * m * (n + 1) + 64
+        per_piece = 8 * (n + 1) * n + 8 * m * (n + 1) + 64
+        X = np.array([pc.region.centroid() for pc in pieces])
+        # numpy keeps freed shape and small data buffers for reuse, and
+        # tracemalloc counts them: one untimed build and locate fill those
+        # caches first
+        synth.PWAController.from_pieces(pieces, ctrl.domain, ctrl.notes).locate(X)
         _, one = retained(lambda: synth.PWAController.from_pieces(pieces[:1], ctrl.domain))
         kept, every = retained(lambda: synth.PWAController.from_pieces(pieces, ctrl.domain,
                                                                        ctrl.notes))
-        assert len(kept.pieces) == count
+        assert len(kept.pieces) == count and kept._facet_rows is None
         assert one <= per_piece + 2048
         assert every <= count * per_piece + 2048
         assert (every - one) / (count - 1) <= per_piece
+        table = 8 * count * (n + 1) * (2 * n + 1)
+        _, first = retained(lambda: kept.locate(X) is None)
+        rows = kept._facet_rows
+        _, second = retained(lambda: kept.locate(X) is None)
+        assert table <= first <= table + 1024
+        # at most one block of numpy's shape cache, allocated while traced
+        assert second <= 64 and kept._facet_rows is rows
+        assert kept.locate(X).tolist() == ctrl.locate(X).tolist()
+
+    @pytest.mark.parametrize("fixture", STACK_FIXTURES, ids=lambda fx: fx.__name__)
+    def test_the_derived_table_is_the_synthesized_one(self, fixture, monkeypatch):
+        """A controller stores its regions' vertices, not their tables; its
+        facet rows, derived on first read, are the tables of the stack
+        ``synth_simplex`` returned, reordered by ``_order``, byte for byte,
+        and are kept from then on."""
+        stacks = []
+        solve = synth.synth_simplex
+        monkeypatch.setattr(synth, "synth_simplex",
+                            lambda *args: stacks.append(solve(*args)) or stacks[-1])
+        sys, p, f = fixture()
+        ctrl = synth.synth_polytope(sys, p, f)
+        assert len(stacks) == 1 and ctrl._facet_rows is None and ctrl._runners is None
+        tables = stacks[0].tables[ctrl._order[:-1]]
+        assert ctrl._vertices.tobytes() == np.ascontiguousarray(tables[..., :p.n]).tobytes()
+        table = ctrl._table
+        assert table.shape == (tables.shape[0] * (p.n + 1), 2 * p.n + 1)
+        assert table.tobytes() == tables.tobytes()
+        assert ctrl._table is table and not table.flags.writeable
+        for name in ("_vertices", "_order", "laws", "scalars"):
+            assert getattr(ctrl, name).base is None, name
 
     @pytest.mark.parametrize("fixture", STACK_FIXTURES, ids=lambda fx: fx.__name__)
     def test_pieces_are_views_built_on_read(self, fixture, monkeypatch):
@@ -1305,3 +1342,148 @@ class TestControllerStacks:
 
         assert synthesis_record(sys, p, f, eps, synthesize=restacked) == \
             synthesis_record(sys, p, f, eps)
+
+
+GOLDEN_FIXTURES = [(box_fixture, None), (wedge_fixture, 0.1), (pinned_corner_fixture, None),
+                   (cube_fixture, None), (box4d_fixture, None), (tet_cover_f_fixture, None)]
+
+
+def stored_record(ctrl) -> dict:
+    """A controller bit for bit: each array of its stored form (dtype,
+    shape and bytes), its derived facet rows, its ranks and notes, its
+    domain's kind and every field of its piece views."""
+    record = {name: (a.dtype, a.shape, a.tobytes()) for name, a in ctrl.to_arrays().items()}
+    record["table"] = ctrl._table.tobytes()
+    record["ranks"], record["notes"], record["domain"] = ctrl.ranks, ctrl.notes, type(ctrl.domain)
+    record["pieces"] = [(pc.region.table.tobytes(), pc.law.tobytes(), pc.exit_facet, pc.rank,
+                         pc.sub_rank, pc.path_len, pc.index, float(pc.slack).hex(),
+                         float(pc.exit_margin).hex()) for pc in ctrl.pieces]
+    return record
+
+
+def assert_round_trip(ctrl):
+    """``from_arrays(to_arrays())`` rebuilds ``ctrl`` bit for bit, in
+    arrays of its own, read-only where the controller stores them."""
+    arrays = ctrl.to_arrays()
+    back = synth.PWAController.from_arrays(arrays)
+    assert stored_record(back) == stored_record(ctrl)
+    for name, a in back.to_arrays().items():
+        assert not np.shares_memory(a, arrays[name]), name
+    for name in ("_vertices", "_order", "laws", "scalars"):
+        a = getattr(back, name)
+        assert a.base is None and not a.flags.writeable, name
+    assert len({id(rank) for rank in back.ranks}) == len(set(back.ranks))
+
+
+def verify_controllers(seed):
+    """The controllers the benchmark's ``verify`` workload runs."""
+    problems = output_digest.problems
+    fixtures = {pr.name: pr for pr in problems.fixtures_2d()}
+    fixtures["cube"] = problems.unit_cube()
+    return [synth.synth_polytope(fixtures[name].sys, fixtures[name].p, fixtures[name].f)
+            for name in output_digest.STARTS]
+
+
+class TestStoredForm:
+    @pytest.mark.parametrize("fixture, eps", GOLDEN_FIXTURES,
+                             ids=[fx.__name__ for fx, _ in GOLDEN_FIXTURES])
+    def test_golden_fixtures_round_trip(self, fixture, eps):
+        sys, p, f = fixture()
+        assert_round_trip(synth.synth_polytope(sys, p, f, eps=eps))
+
+    @pytest.mark.parametrize("workload", ["synth2d", "synth3d", "verify"])
+    def test_benchmark_controllers_round_trip(self, workload):
+        """Every controller of the benchmark's problem sets at seed 1."""
+        if workload == "verify":
+            ctrls = verify_controllers(1)
+        else:
+            ctrls = []
+            for item in output_digest.synth_items(workload, 1):
+                try:
+                    ctrls.append(synth.synth_polytope(item.sys, item.p, item.f, eps=item.eps))
+                except ReachctlError:
+                    pass
+        assert len(ctrls) == {"synth2d": 51, "synth3d": 6, "verify": 4}[workload]
+        for ctrl in ctrls:
+            assert_round_trip(ctrl)
+
+    @pytest.mark.parametrize("n, k, r", STRESS)
+    def test_stress_hulls_round_trip(self, n, k, r):
+        sys, p, f = sweep_problem(n, k, r)
+        try:
+            ctrl = synth.synth_polytope(sys, p, f)
+        except (NotReachable, CoverIncomplete, CutConstructionFailed):
+            return
+        assert_round_trip(ctrl)
+
+    def test_the_stored_form_is_the_stored_arrays(self, tmp_path):
+        """``to_arrays`` copies nothing the controller stores: its stacks and
+        its domain's arrays are the controller's own; ``np.savez`` writes it
+        as it is, and the file reads back as the same controller."""
+        sys, p, f = crossing_hull_fixture()
+        ctrl = synth.synth_polytope(sys, p, f)
+        arrays = ctrl.to_arrays()
+        for name, attr in (("vertices", "_vertices"), ("order", "_order"), ("laws", "laws"),
+                           ("scalars", "scalars")):
+            assert arrays[name] is getattr(ctrl, attr), name
+        normals, offsets = ctrl.domain.rows
+        assert arrays["domain_vertices"] is ctrl.domain.vertices
+        assert arrays["domain_normals"] is normals and arrays["domain_offsets"] is offsets
+        assert arrays["domain_incidence"] is ctrl.domain.incidence
+        assert ctrl._facet_rows is None
+        assert len(set(ctrl.ranks)) > 1 and arrays["ranks"].shape[1] >= 1
+        np.savez(tmp_path / "ctrl.npz", **arrays)
+        with np.load(tmp_path / "ctrl.npz") as stored:
+            back = synth.PWAController.from_arrays(stored)
+        assert stored_record(back) == stored_record(ctrl)
+
+    @pytest.mark.parametrize("change", [
+        "laws float32", "laws width", "vertices short", "vertices float32", "order int32",
+        "order short", "order not inverse", "scalars plain", "ranks float", "ranks short",
+        "notes bytes", "normals width", "offsets short", "incidence int", "dim float"])
+    def test_disagreeing_arrays_raise(self, change):
+        """``from_arrays`` raises ``ValueError`` on an array whose shape or
+        dtype disagrees with the others, or on an order its places do not
+        invert."""
+        sys, p, f = cube_fixture()
+        arrays = dict(synth.synth_polytope(sys, p, f).to_arrays())
+        key = {"normals": "domain_normals", "offsets": "domain_offsets",
+               "incidence": "domain_incidence", "dim": "domain_dim"}.get(change.split()[0],
+                                                                         change.split()[0])
+        a = arrays[key]
+        arrays[key] = {
+            "laws float32": lambda: a.astype(np.float32),
+            "laws width": lambda: a[..., 1:],
+            "vertices short": lambda: a[:-1],
+            "vertices float32": lambda: a.astype(np.float32),
+            "order int32": lambda: a.astype(np.int32),
+            "order short": lambda: a[1:],
+            "order not inverse": lambda: np.append(a[:-1][::-1], -1),
+            "scalars plain": lambda: a["slack"],
+            "ranks float": lambda: a.astype(float),
+            "ranks short": lambda: a[1:],
+            "notes bytes": lambda: a.astype(bytes),
+            "normals width": lambda: a[:, 1:],
+            "offsets short": lambda: a[1:],
+            "incidence int": lambda: a.astype(int),
+            "dim float": lambda: a.astype(float),
+        }[change]()
+        with pytest.raises(ValueError):
+            synth.PWAController.from_arrays(arrays)
+
+    def test_a_controller_of_no_pieces_round_trips(self):
+        """``from_pieces`` of no pieces is a controller that holds no state,
+        and it has a stored form like any other."""
+        sys, p, f = box_fixture()
+        ctrl = synth.PWAController.from_pieces([], p)
+        assert len(ctrl.pieces) == 0 and ctrl.lookup(p.centroid()) is None
+        assert ctrl.locate(p.vertices).tolist() == [-1] * len(p.vertices)
+        assert_round_trip(ctrl)
+
+    def test_a_negative_rank_entry_has_no_stored_form(self):
+        sys, p, f = box_fixture()
+        ctrl = synth.synth_polytope(sys, p, f)
+        pieces = list(ctrl.pieces)
+        pieces[0].rank = (-1,)
+        with pytest.raises(ValueError, match="negative"):
+            synth.PWAController.from_pieces(pieces, p).to_arrays()
