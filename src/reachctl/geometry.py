@@ -41,14 +41,15 @@ caller builds from its vertices alone gets its table at construction,
 as ``convex_hull`` reads it.
 
 No hull, clip, split or section solves an LP.  LPs remain only in
-``hrep_to_vrep`` (every n-subset of the constraints), whose boundedness
-LPs check caller input, and in ``point_in_hull``, which solves its LP
-only when its exact closed forms leave the answer open: a point near a
-vertex, or near the hull of affinely independent vertices, is in; a
-point far outside the bounding box, the affine hull or the simplex of
-the vertices is out, by ``hull_rows``: the package's one exclusion rule,
-which ``synth``'s equilibrium screen and ``sim``'s target test apply too
-(the latter, through ``Polytope.contains``, on the rows a face keeps).
+``hrep_to_vrep`` (every n-subset of the constraints), whose feasibility
+LP and recession-cone LPs check caller input, and in ``point_in_hull``,
+which solves its LP only when its exact closed forms leave the answer
+open: a point near a vertex, or near the hull of affinely independent
+vertices, is in; a point far outside the bounding box, the affine hull
+or the simplex of the vertices is out, by ``hull_rows``: the package's
+one exclusion rule, which ``synth``'s equilibrium screen and ``sim``'s
+target test apply too (the latter, through ``Polytope.contains``, on the
+rows a face keeps).  Each LP starts at a feasible origin (``lp``).
 
 Every geometric comparison in the package uses one of the named
 constants below, each fixed to one role, and assumes inputs scaled so the
@@ -506,7 +507,8 @@ def point_in_hull(point, vertices, tol: float = TOL_GEOM) -> bool:
 
     Only the rest is solved as the LP
     min s  s.t.  |V^T lam - point| <= s, sum lam = 1, lam >= 0,
-    whose "in" needs the same certificate, from its lam or a simplex.
+    stated to start at the first vertex, whose "in" needs the same
+    certificate, from its lam or a simplex.
     """
     V = _as_points(vertices)
     if len(V) == 0:
@@ -532,21 +534,27 @@ def _in_hull(x: np.ndarray, V: np.ndarray, rule: HullRows, tol: float) -> bool:
             return True
     if rule.excludes(x[None], tol)[0]:
         return False
-    # variables lam (k) and s; per coordinate V^T lam - s <= x and
-    # -V^T lam - s <= -x, then -lam <= 0 (0.0 - keeps zeros unsigned)
+    # the LP starts at V[0], at distance s0: variables the weights lam of
+    # V[1:] (V[0] takes 1 - sum lam) and sigma = s - s0; per coordinate
+    # D^T lam - sigma <= s0 - d and -D^T lam - sigma <= s0 + d, whose
+    # right-hand sides are >= 0 exactly, then -lam <= 0 and sum lam <= 1
+    # (0.0 - keeps zeros unsigned)
+    d, D = V[0] - x, V[1:] - V[0]
+    s0 = np.abs(d).max()
     ones = np.ones((n, 1))
-    rows = np.vstack([np.stack([np.hstack([V.T, -ones]), np.hstack([0.0 - V.T, -ones])],
-                               axis=1).reshape(2 * n, k + 1), 0.0 - np.eye(k, k + 1)])
-    rhs = np.concatenate([np.stack([x, -x], axis=1).ravel(), np.zeros(k)])
+    rows = np.vstack([np.stack([np.hstack([D.T, -ones]), np.hstack([0.0 - D.T, -ones])],
+                               axis=1).reshape(2 * n, k), 0.0 - np.eye(k - 1, k),
+                      np.append(np.ones(k - 1), 0.0)])
+    rhs = np.concatenate([np.stack([s0 - d, s0 + d], axis=1).ravel(), np.zeros(k - 1), [1.0]])
     try:
-        out = lp.solve(np.eye(k + 1)[-1], rows, rhs, np.append(np.ones(k), 0.0)[None, :],
-                       np.array([1.0]))
+        out = lp.solve(np.eye(k)[-1], rows, rhs)
     except NumericalFailure:
         out = None
     if out is not None:
-        if out.status != lp.OPTIMAL or out.value > tol:
+        if out.status != lp.OPTIMAL or s0 + out.value > tol:
             return False
-        if _certified(out.x[:k], V, x, tol):
+        lam = out.x[:-1]
+        if _certified(np.append(1.0 - lam.sum(), lam), V, x, tol):
             return True
     # an optimum that breaks lam >= 0, or a tableau that lost its
     # constraints, proves nothing: try the simplices of r + 1 vertices,
@@ -574,7 +582,11 @@ def hrep_to_vrep(halfspaces: list[HalfSpace]) -> np.ndarray:
 
     Solves every n-subset of the constraints that ``nonsingular`` passes
     as equations; a solution is kept when it satisfies every constraint within
-    ``TOL_INCIDENCE``.  Boundedness is certified by coordinate LPs.
+    ``TOL_INCIDENCE``.  An LP decides first whether the system is feasible,
+    min t  s.t.  A x - t <= b, within ``TOL_LP``: an infeasible one has no
+    vertices, whatever the count of its constraints.  Coordinate LPs over
+    the recession cone A d <= 0 then certify that a feasible one is
+    bounded; one of fewer than n constraints never is.
     """
     hs = list(halfspaces)
     if not hs:
@@ -582,17 +594,15 @@ def hrep_to_vrep(halfspaces: list[HalfSpace]) -> np.ndarray:
     n = len(hs[0].normal)
     A = np.array([h.normal for h in hs])
     b = np.array([h.offset for h in hs])
-    if len(hs) < n:
-        raise Unbounded("fewer constraints than dimensions")
-
+    # t starts at the origin's largest violation, t0; t - t0 is the variable,
+    # and a min t without bound is a feasible system's too
+    t0 = max(0.0, -b.min())
+    out = lp.solve(np.eye(n + 1)[-1], np.hstack([A, -np.ones((len(A), 1))]), b + t0)
+    if out.status == lp.OPTIMAL and t0 + out.value > lp.TOL_LP:
+        return np.zeros((0, n))
     for i, sgn in itertools.product(range(n), (1.0, -1.0)):
-        c = np.zeros(n)
-        c[i] = sgn
-        out = lp.solve(c, A, b)
-        if out.status == lp.UNBOUNDED:
+        if lp.solve(sgn * np.eye(n)[i], A, np.zeros(len(A))).status == lp.UNBOUNDED:
             raise Unbounded(f"direction {i} unbounded")
-        if out.status == lp.INFEASIBLE:
-            return np.zeros((0, n))
 
     subsets = np.array(list(itertools.combinations(range(len(A)), n)))
     subsets = subsets[nonsingular(A[subsets])]

@@ -1,16 +1,24 @@
 """Dense linear-program solver for small problems.
 
 Everything solved here is tiny (tens of variables, tens of constraints),
-dense, and must behave deterministically, so a self-contained two-phase
+dense, and must behave deterministically, so a self-contained one-phase
 tableau simplex with Bland's anti-cycling rule is used instead of an
 external solver.  Variables are free (unrestricted in sign): internally
-each is split into a difference of two nonnegative variables.
+each is split into a difference of two nonnegative variables.  Every LP
+is stated so that the origin is feasible (h >= 0), so the slack basis
+starts the simplex and no phase 1 is needed.
 
-Two callers remain, both in ``geometry``: ``point_in_hull``, for the
-points its closed-form certificates leave open, and ``hrep_to_vrep``,
-whose coordinate LPs certify that caller input is bounded.  The vertex
-controls of synthesis (``synth.vertex_controls_lp``) enumerate their
-LPs' bases instead and keep only ``TOL_LP`` from here.
+Two callers remain, both in ``geometry``, and each states its LP so:
+``point_in_hull``, for the points its closed-form certificates leave
+open, measures its weights and its distance from the first vertex's,
+and ``hrep_to_vrep`` checks caller input by one feasibility LP, whose
+violation bound starts at the largest violation of the origin, and by
+coordinate LPs over the recession cone, whose right-hand sides are 0.
+The vertex controls of synthesis (``synth.vertex_controls_lp``)
+enumerate their LPs' bases instead and keep only ``TOL_LP`` from here.
+An LP over one affine law (K, g) and its vertex margin t starts
+feasible the same way, with t shifted to the least margin of the law
+K = 0, g = 0.
 """
 
 from __future__ import annotations
@@ -25,12 +33,10 @@ from .errors import NumericalFailure
 TOL_LP = 1e-8
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _PIVOT_TOL = 1e-10
 _RATIO_TIE = 1e-12      # ratio-test values closer than this tie (Bland's rule breaks it)
-_PHASE1_ZERO = 1e-12    # a phase-1 objective this close to 0 is feasible: phase 1 stops
 _MAX_ITERS = 50_000
 
 
@@ -48,7 +54,7 @@ def _pivot(T: np.ndarray, row: int, col: int) -> None:
             T[r] -= T[r, col] * T[row]
 
 
-def _run_simplex(T: np.ndarray, basis: list[int], ncols: int, bounded: bool = False) -> str:
+def _run_simplex(T: np.ndarray, basis: list[int]) -> str:
     """Iterate to optimality with Bland's rule.  Objective row is last,
     written as z-row with reduced costs; we minimize, so we pivot while a
     reduced cost is negative.
@@ -61,20 +67,13 @@ def _run_simplex(T: np.ndarray, basis: list[int], ncols: int, bounded: bool = Fa
     below -``TOL_LP`` is passed over, so the basis stays primal feasible
     within ``TOL_LP``; when every column with a negative reduced cost is
     passed over so, no pivot above the floor improves the tableau, and
-    NumericalFailure is raised.  A column with a negative reduced cost
-    but no pivot proves the LP unbounded, unless the caller knows it is
-    ``bounded``: phase 1, whose objective is bounded below by 0, where
-    such a reduced cost is roundoff and the column is passed over.
-    Phase 1 stops once its objective is 0 within ``_PHASE1_ZERO``: any
-    pivot after that is degenerate, and on degenerate clouds such pivots
-    went on through ever smaller entries until the tableau lost the
-    constraints.  (``TOL_LP`` is too coarse a zero there: the artificials
-    it leaves, scaled by the vertices of a hull 1e3 wide, move the point
-    by more than ``TOL_GEOM``.)"""
+    NumericalFailure is raised.  The pivot row's right-hand side, which
+    rounding can leave a few ulps below 0, is set to 0 before the pivot
+    divides it: divided by a pivot near the floor, -1e-15 became -4e-8.
+    A column with a negative reduced cost but no pivot proves the LP
+    unbounded."""
     for _ in range(_MAX_ITERS):
-        if bounded and T[-1, -1] >= -_PHASE1_ZERO:
-            return OPTIMAL
-        costs, rhs = T[-1, :ncols].tolist(), T[:-1, -1].tolist()
+        costs, rhs = T[-1, :-1].tolist(), T[:-1, -1].tolist()
         blocked = False
         for enter in (j for j, cost in enumerate(costs) if cost < -TOL_LP):
             column = T[:-1, enter].tolist()
@@ -86,9 +85,7 @@ def _run_simplex(T: np.ndarray, basis: list[int], ncols: int, bounded: bool = Fa
                     if ratio < best - _RATIO_TIE or (abs(ratio - best) <= _RATIO_TIE and (leave < 0 or basis[i] < basis[leave])):
                         best, leave = ratio, i
             if leave < 0:
-                if not bounded:
-                    return UNBOUNDED
-                continue
+                return UNBOUNDED
             if any(0.0 < a <= least and b - a * best < -TOL_LP for a, b in zip(column, rhs)):
                 blocked = True
                 continue
@@ -97,97 +94,43 @@ def _run_simplex(T: np.ndarray, basis: list[int], ncols: int, bounded: bool = Fa
             if blocked:
                 raise NumericalFailure("simplex blocked by pivots below the floor")
             return OPTIMAL
+        T[leave, -1] = max(T[leave, -1], 0.0)
         _pivot(T, leave, enter)
         basis[leave] = enter
     raise NumericalFailure("simplex iteration limit exceeded")
 
 
-def solve(c, G, h, E=None, f=None) -> LPOutcome:
-    """Solve the small dense LP  min c.x  s.t.  G x <= h,  E x == f;
-    statuses are exact (optimal / infeasible / unbounded) up to TOL_LP.
+def solve(c, G, h) -> LPOutcome:
+    """Solve the small dense LP  min c.x  s.t.  G x <= h  over free x,
+    from the origin, which ``h >= 0`` makes feasible (ValueError
+    otherwise); statuses are exact (optimal / unbounded) up to TOL_LP.
     An optimal x is checked against every constraint, within TOL_LP
-    times the largest |h|, |f| or 1; raises NumericalFailure where it
-    breaks one."""
+    times the largest h or 1; raises NumericalFailure where it breaks
+    one."""
     c = np.asarray(c, dtype=float)
     n = len(c)
     G = np.asarray(G, dtype=float).reshape(-1, n)
     h = np.asarray(h, dtype=float).ravel()
-    E = np.zeros((0, n)) if E is None else np.asarray(E, dtype=float).reshape(-1, n)
-    f = np.zeros(0) if f is None else np.asarray(f, dtype=float).ravel()
+    if np.any(h < 0.0):
+        raise ValueError("the origin must be feasible: h >= 0")
+    m = len(h)
 
-    mi, me = G.shape[0], E.shape[0]
-    m = mi + me
-
-    # columns: x+ (n), x- (n), slacks (mi); rows: inequalities then equalities
-    A = np.zeros((m, 2 * n + mi))
-    b = np.concatenate([h, f])
-    A[:mi, :n] = G
-    A[:mi, n:2 * n] = -G
-    A[:mi, 2 * n:] = np.eye(mi)
-    A[mi:, :n] = E
-    A[mi:, n:2 * n] = -E
-
-    flip = b < 0
-    A[flip] *= -1.0
-    b = np.abs(b)
-
-    # identity columns available from un-flipped slack rows
-    basis: list[int] = [-1] * m
-    for i in range(mi):
-        if not flip[i]:
-            basis[i] = 2 * n + i
-    art_rows = [i for i in range(m) if basis[i] < 0]
-    na = len(art_rows)
-    ncols = 2 * n + mi + na
+    # columns: x+ (n), x- (n), slacks (m); the objective row last
+    ncols = 2 * n + m
     T = np.zeros((m + 1, ncols + 1))
-    T[:m, :2 * n + mi] = A
-    T[:m, -1] = b
-    for k, i in enumerate(art_rows):
-        T[i, 2 * n + mi + k] = 1.0
-        basis[i] = 2 * n + mi + k
-
-    if na:
-        # phase 1: minimize sum of artificials
-        T[-1, 2 * n + mi:ncols] = 1.0
-        for i in art_rows:
-            T[-1] -= T[i]
-        _run_simplex(T, basis, ncols, bounded=True)
-        if T[-1, -1] < -TOL_LP:
-            return LPOutcome(INFEASIBLE, None, None)
-        # drive remaining artificials out of the basis; each is 0 within
-        # TOL_LP, and set to 0 first, so that no pivot moves a right-hand
-        # side
-        for i in range(m):
-            if basis[i] >= 2 * n + mi:
-                T[i, -1] = 0.0
-                for j in range(2 * n + mi):
-                    if abs(T[i, j]) > _PIVOT_TOL:
-                        _pivot(T, i, j)
-                        basis[i] = j
-                        break
-        keep = [i for i in range(m) if basis[i] < 2 * n + mi]
-        rows = keep + [m]
-        T = T[rows][:, list(range(2 * n + mi)) + [ncols]]
-        basis = [basis[i] for i in keep]
-        m = len(basis)
-        ncols = 2 * n + mi
-
-    # phase 2 objective
-    T[-1, :] = 0.0
+    T[:m, :n] = G
+    T[:m, n:2 * n] = -G
+    T[:m, 2 * n:ncols] = np.eye(m)
+    T[:m, -1] = h
     T[-1, :n] = c
     T[-1, n:2 * n] = -c
-    for i, bi in enumerate(basis):
-        if abs(T[-1, bi]) > 0.0:
-            T[-1] -= T[-1, bi] * T[i]
-    status = _run_simplex(T, basis, ncols)
-    if status == UNBOUNDED:
+    basis = list(range(2 * n, ncols))
+    if _run_simplex(T, basis) == UNBOUNDED:
         return LPOutcome(UNBOUNDED, None, None)
 
     xfull = np.zeros(ncols)
-    for i, bi in enumerate(basis):
-        xfull[bi] = T[i, -1]
+    xfull[basis] = T[:m, -1]
     x = xfull[:n] - xfull[n:2 * n]
-    tol = TOL_LP * max(1.0, np.abs(b).max(initial=0.0))
-    if np.any(G @ x - h > tol) or np.any(np.abs(E @ x - f) > tol):
+    if np.any(G @ x - h > TOL_LP * max(1.0, h.max(initial=0.0))):
         raise NumericalFailure("simplex optimum breaks its constraints")
     return LPOutcome(OPTIMAL, x, float(c @ x))

@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from scipy.optimize import linprog
 
 from reachctl import geometry as geo
-from reachctl import lp, reach, sim, synth
+from reachctl import reach, sim, synth
 from reachctl import triangulate as tri
 from reachctl.synth import PWAController
 from reachctl.system import AffineSystem, compute_geometry
@@ -486,6 +486,10 @@ def vertex_cloud(rng, n, d, offset):
 
 # -- references for the closed loop ------------------------------------------
 
+# HiGHS at its tightest feasibility tolerances, for the LP references
+TIGHT_HIGHS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
 def hull_distance(point, vertices):
     """Inf-norm distance from ``point`` to conv(vertices), by scipy's LP:
     min s  s.t.  |V^T lam - point| <= s, sum lam = 1, lam >= 0.  HiGHS
@@ -499,9 +503,7 @@ def hull_distance(point, vertices):
     b_ub = np.concatenate([x, -x])
     A_eq = np.concatenate([np.ones(k), [0.0]])[None, :]
     res = linprog(np.eye(k + 1)[-1], A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
-                  bounds=[(0, None)] * (k + 1), method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
+                  bounds=[(0, None)] * (k + 1), method="highs", options=TIGHT_HIGHS)
     assert res.status == 0, res.message
     return float(res.fun)
 
@@ -509,7 +511,7 @@ def hull_distance(point, vertices):
 def reference_no_equilibrium(sys, s, gain, offset):
     """Reference for ``synth.check_no_equilibrium`` by three paths: solve
     for the stationary point of a nonsingular closed loop and test it
-    against the simplex; for a singular one, ask the package's LP for a
+    against the simplex; for a singular one, ask scipy's HiGHS for a
     point of the simplex on the stationary set."""
     A_cl = sys.A + sys.B @ gain
     b_cl = sys.a + sys.B @ offset
@@ -517,8 +519,10 @@ def reference_no_equilibrium(sys, s, gain, offset):
     if abs(np.linalg.det(A_cl)) > geo.TOL_ZERO * scale ** s.n:
         x_star = np.linalg.solve(A_cl, -b_cl)
         return not s.contains(x_star, geo.TOL_GEOM)
-    out = lp.solve(np.zeros(s.n), s.normals, s.offsets, A_cl, -b_cl)
-    return out.status != lp.OPTIMAL
+    res = linprog(np.zeros(s.n), A_ub=s.normals, b_ub=s.offsets, A_eq=A_cl, b_eq=-b_cl,
+                  bounds=[(None, None)] * s.n, method="highs", options=TIGHT_HIGHS)
+    assert res.status in (0, 2), res.message
+    return res.status == 2
 
 
 def flow_margin(fields):
@@ -538,31 +542,13 @@ def flow_margin(fields):
 
 
 def lp_point_in_hull(point, vertices, tol=geo.TOL_GEOM):
-    """Membership by the package's own LP after the vertex check alone,
-    with no closed-form rejection."""
+    """Membership by scipy's LP (``hull_distance``) after the vertex check
+    alone, with no closed-form rejection."""
     V = np.atleast_2d(np.asarray(vertices, dtype=float))
     x = np.asarray(point, dtype=float)
-    k, n = V.shape
     if np.min(np.max(np.abs(V - x), axis=1)) <= tol:
         return True
-    c = np.zeros(k + 1)
-    c[-1] = 1.0
-    rows, rhs = [], []
-    for i in range(n):
-        r = np.zeros(k + 1)
-        r[:k] = V[:, i]
-        r[-1] = -1.0
-        rows += [r, -r + np.concatenate([np.zeros(k), [-2.0]])]
-        rhs += [x[i], -x[i]]
-    for j in range(k):
-        r = np.zeros(k + 1)
-        r[j] = -1.0
-        rows.append(r)
-        rhs.append(0.0)
-    eq = np.zeros((1, k + 1))
-    eq[0, :k] = 1.0
-    out = lp.solve(c, np.array(rows), np.array(rhs), eq, np.array([1.0]))
-    return out.status == lp.OPTIMAL and out.value <= tol
+    return hull_distance(x, V) <= tol
 
 
 def lp_hull_meets_planes(vertices, planes):
@@ -573,8 +559,10 @@ def lp_hull_meets_planes(vertices, planes):
     k = len(V)
     eq = np.array([np.ones(k)] + [V @ pl.normal for pl in planes])
     rhs = np.array([1.0] + [pl.offset for pl in planes])
-    out = lp.solve(np.zeros(k), -np.eye(k), np.zeros(k), eq, rhs)
-    return out.status == lp.OPTIMAL
+    res = linprog(np.zeros(k), A_eq=eq, b_eq=rhs, bounds=[(0, None)] * k, method="highs",
+                  options=TIGHT_HIGHS)
+    assert res.status in (0, 2), res.message
+    return res.status == 0
 
 
 # fractions along each edge of a level face at which ``uncovered_samples``

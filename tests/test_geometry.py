@@ -12,7 +12,7 @@ from helpers import (all_candidates_hull_facets, halfspace_key, hull_distance,
                      reference_simplex_table, uncovered_volume, vertex_cloud)
 from reachctl import geometry as geo
 from reachctl import lp
-from reachctl.errors import GeometryError
+from reachctl.errors import GeometryError, Unbounded
 
 
 @pytest.fixture
@@ -219,11 +219,9 @@ def simplex_probes(rng, n, d, tol):
 
 
 class TestPointInHull:
-    def test_degenerate_phase_one_reaches_its_optimum(self, lp_calls):
+    def test_degenerate_lp_reaches_its_optimum(self, lp_calls):
         """Point 18 of this 4-D cloud lies in the hull of the others.  Its
-        LP is degenerate: phase 1 meets a column with a negative reduced
-        cost and no pivot above 1e-10, which it must pass over, since a
-        sum of artificials bounded below by 0 cannot be unbounded.  No
+        LP is degenerate: two of its six pivots take a step of 0.  No
         closed form settles the point, so the tableau decides it."""
         pts = geo.dedupe_points(vertex_cloud(np.random.default_rng(0), 4, 4, 3 * geo.TOL_GEOM))
         rest = np.delete(pts, 18, axis=0)
@@ -251,14 +249,16 @@ class TestPointInHull:
         point far off decides nothing: the point is in exactly when a
         simplex of the vertices certifies it.  The hull of 12 corners of
         the 4-cube is x0 + x1 <= 1 in the cube; the second point is 3e-9
-        (inf-norm) past that facet, inside the bounding box."""
+        (inf-norm) past that facet, inside the bounding box.  The LP
+        measures its distance from the first vertex's, s0, so distance 0
+        is the value -s0; its weights are those of the other vertices, -1
+        each, which leave the first vertex 12."""
         V = np.array(list(itertools.product((0.0, 1.0), repeat=4))[:12])
         assert (hull_distance(x, V) <= geo.TOL_GEOM) == inside
+        s0 = np.abs(V[0] - np.array(x)).max()
 
-        def uncertified(c, G, h, E, f):
-            lam = np.full(len(c) - 1, -1.0)
-            lam[0] = len(lam)
-            return lp.LPOutcome(lp.OPTIMAL, np.append(lam, 0.0), 0.0)
+        def uncertified(c, G, h):
+            return lp.LPOutcome(lp.OPTIMAL, np.append(np.full(len(c) - 1, -1.0), -s0), -s0)
 
         monkeypatch.setattr(lp, "solve", uncertified)
         assert geo.point_in_hull(x, V) == inside
@@ -405,6 +405,52 @@ class TestRepConversion:
             back = geo.lex_sorted(geo.hrep_to_vrep(p.halfspaces))
             assert back.shape == p.vertices.shape
             assert np.allclose(back, p.vertices, atol=1e-7)
+
+
+def box_halfspaces(low, high):
+    """The halfspaces low <= x_i <= high of a box in len(low) dimensions."""
+    eye = np.eye(len(low))
+    return [geo.HalfSpace(e, hi) for e, hi in zip(eye, high)] + \
+        [geo.HalfSpace(-e, -lo) for e, lo in zip(eye, low)]
+
+
+class TestHrepVerdicts:
+    """``hrep_to_vrep`` gives no vertices for an infeasible system, whether
+    or not its recession cone is 0, and raises ``Unbounded`` for a
+    nonempty unbounded one; a box away from the origin, whose feasibility
+    LP starts at the origin's violation, keeps its corners."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_a_box_away_from_the_origin(self, n):
+        verts = geo.hrep_to_vrep(box_halfspaces(np.full(n, 2.0), np.full(n, 3.0)))
+        corners = np.array(list(itertools.product((2.0, 3.0), repeat=n)))
+        assert np.array_equal(verts, geo.lex_sorted(corners))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_infeasible_bounded_system(self, n):
+        """The box [2, 3]^n cut by sum x <= 1: the cone A d <= 0 is 0."""
+        hs = box_halfspaces(np.full(n, 2.0), np.full(n, 3.0)) + [geo.HalfSpace(np.ones(n), 1.0)]
+        assert geo.hrep_to_vrep(hs).shape == (0, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_infeasible_system_with_a_recession_cone(self, n):
+        """1 <= x_0 <= -1, with and without x_i <= 1: every -e_i, i > 0, is
+        a recession direction, yet there is no point, also where the two
+        constraints on x_0 are all there are."""
+        eye = np.eye(n)
+        slab = [geo.HalfSpace(eye[0], -1.0), geo.HalfSpace(-eye[0], -1.0)]
+        assert geo.hrep_to_vrep(slab + [geo.HalfSpace(e, 1.0) for e in eye[1:]]).shape == (0, n)
+        assert geo.hrep_to_vrep(slab).shape == (0, n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_nonempty_unbounded_system(self, n):
+        """The orthant shifted to 2 with x_0 <= 3, and the halfspace
+        x_0 <= 3 alone: x_1 grows without bound."""
+        eye = np.eye(n)
+        for hs in ([geo.HalfSpace(-e, -2.0) for e in eye] + [geo.HalfSpace(eye[0], 3.0)],
+                   [geo.HalfSpace(eye[0], 3.0)]):
+            with pytest.raises(Unbounded):
+                geo.hrep_to_vrep(hs)
 
 
 class TestSplit:

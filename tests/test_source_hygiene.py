@@ -6,7 +6,9 @@ function reads each of its parameters, every module-level constant is
 read somewhere in the package, no module or class binds a shared
 mutable container or a memoizing decorator (state that outlives a call
 belongs to an object the caller holds), ``synth`` builds a controller at
-one site, and a controller's pieces are views of its stacks."""
+one site, a controller's pieces are views of its stacks, only
+``geometry`` solves an LP, and arrays are made read-only by
+``setflags``."""
 
 import ast
 import re
@@ -476,6 +478,69 @@ def test_check_sees_a_piece_built_or_read_elsewhere():
     assert constructions(source, "AffinePiece") == ["__getitem__", "integrate"]
     assert imported_names(source, "dataclasses") == ["dataclass", "replace"]
     assert attribute_readers(source, "pieces") == ["finish", "integrate", "verify"]
+
+
+def lp_solves(source: str) -> list[str]:
+    """The functions (by name, "<module>" outside any) that call the
+    package's LP, as ``lp.solve`` or as ``solve`` imported from ``lp``,
+    once per call."""
+    tree = ast.parse(source)
+    owner = _owners(tree)
+    bound = {alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "lp"
+             for alias in node.names if alias.name == "solve"}
+    return sorted(owner.get(id(node), "<module>") for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and (
+                      (isinstance(node.func, ast.Attribute) and node.func.attr == "solve"
+                       and isinstance(node.func.value, ast.Name) and node.func.value.id == "lp")
+                      or (isinstance(node.func, ast.Name) and node.func.id in bound)))
+
+
+def test_lps_are_solved_only_in_geometry():
+    """The package's LP has two callers, both in ``geometry``: the
+    membership LP of ``_in_hull`` and ``hrep_to_vrep``'s feasibility and
+    recession-cone LPs, each stated with a feasible origin.  No synthesis
+    or simulation code reaches the tableau."""
+    calls = {path.name: lp_solves(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: got for name, got in calls.items() if got} == {
+        "geometry.py": ["_in_hull", "hrep_to_vrep", "hrep_to_vrep"]}
+
+
+def test_check_sees_an_lp_elsewhere():
+    source = ("from . import lp\nfrom .lp import solve as lp_solve, TOL_LP\n"
+              "def vertex_controls(c, G, h):\n    return lp.solve(c, G, h)\n"
+              "class A:\n    def m(self, c):\n        return lp_solve(c, [], [])\n"
+              "def other(q):\n    return q.solve() or np.linalg.solve(q, q)\n"
+              "OUT = lp.solve([1.0], [[1.0]], [1.0])\n")
+    assert lp_solves(source) == ["<module>", "m", "vertex_controls"]
+
+
+def writeable_sets(source: str) -> list[str]:
+    """The functions (by name, "<module>" outside any) that assign an
+    array's ``flags.writeable``, once per assignment."""
+    tree = ast.parse(source)
+    owner = _owners(tree)
+    return sorted(owner.get(id(node), "<module>") for node in ast.walk(tree)
+                  if isinstance(node, ast.Assign) for target in node.targets
+                  if isinstance(target, ast.Attribute) and target.attr == "writeable"
+                  and isinstance(target.value, ast.Attribute) and target.value.attr == "flags")
+
+
+def test_arrays_are_made_read_only_by_setflags():
+    """numpy's ``flags.writeable`` setter looks ``setflags`` up by a new
+    string on each call, which CPython's type cache keeps: 57 B per call
+    that a controller's retained bytes (``TestControllerStacks``) read
+    or not, as earlier lookups left the cache.  The package calls
+    ``setflags(write=False)`` instead."""
+    assert {path.name: got for path in sorted(PACKAGE.glob("*.py"))
+            if (got := writeable_sets(path.read_text()))} == {}
+
+
+def test_check_sees_a_writeable_flag_set():
+    source = ("def stored(a):\n    a.flags.writeable = False\n    return a\n"
+              "class C:\n    def m(self, t):\n        t.setflags(write=False)\n"
+              "        t.flags.writeable = True\n        self.writeable = False\n")
+    assert writeable_sets(source) == ["m", "stored"]
 
 
 def unraised_errors(errors_source: str, sources: list[str]) -> list[str]:
