@@ -115,7 +115,10 @@ HALFSPACE_KEY_DECIMALS = 8
 
 
 def _as_points(points) -> np.ndarray:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    """``points`` as a 2-D array, one point per row; an empty input is no
+    point, of shape (0, 0), not one point of R^0."""
+    pts = np.asarray(points, dtype=float)
+    pts = np.atleast_2d(pts) if pts.shape != (0,) else pts.reshape(0, 0)
     if pts.ndim != 2:
         raise GeometryError("points must form a 2-D array")
     return pts
@@ -207,8 +210,12 @@ class _Plane:
         object.__setattr__(self, "normal", n / nrm)
         object.__setattr__(self, "offset", float(self.offset) / nrm)
 
-    def value(self, x) -> float:
-        return float(np.dot(self.normal, x) - self.offset)
+    def value(self, x):
+        """normal.x - offset at a point, or at each point of an (..., n)
+        stack: one product summed along the last axis, which gives a point
+        the same bits alone, in a stack or as a strided view (``np.dot``
+        and ``@`` round by the operands' layout)."""
+        return (self.normal * x).sum(-1) - self.offset
 
     @classmethod
     def of_row(cls, normal: np.ndarray, offset) -> "_Plane":
@@ -686,12 +693,18 @@ def convex_hull(points) -> "Polytope":
     LP is solved.  The hull keeps its vertices' rows of that table of
     tight facets as its ``incidence``, in any dimension; a hull of lower
     dimension d comes back without facet rows, of ``dim`` d, its columns
-    the facets in its affine hull.  Raises Degenerate when a d-dimensional hull keeps fewer than d+1
-    vertices: tightness is read at the absolute ``TOL_GEOM``, which
-    coordinates of about 1e7 no longer resolve.
+    the facets in its affine hull; no points of R^n give the empty
+    polytope of R^n.  Raises Degenerate when a d-dimensional hull keeps
+    fewer than d+1 vertices: tightness is read at the absolute
+    ``TOL_GEOM``, which coordinates of about 1e7 no longer resolve.
+    Raises GeometryError for points without coordinates (an empty list),
+    whose space is unknown.
     """
-    pts = lex_sorted(dedupe_points(_as_points(points)))
+    pts = dedupe_points(_as_points(points))
     n = pts.shape[1]
+    if n == 0:
+        raise GeometryError("points without coordinates have no hull")
+    pts = lex_sorted(pts)
     if len(pts) == 0:
         return Polytope.empty(n)
     origin, basis = _affine_basis(pts)

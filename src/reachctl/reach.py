@@ -159,7 +159,7 @@ def analyze(geom: SystemGeometry, p: Polytope, f: Polytope) -> ReachAnalysis:
             notes.append("sub-level face not convexly covered by target and equilibrium slice")
 
     # condition (b)
-    in_o = all(geom.on_equilibrium_plane(v) for v in p_plus.vertices)
+    in_o = bool(geom.on_equilibrium_plane(p_plus.vertices).all())
     strictly_above = beta_max > lvl_plus + TOL_GEOM
     condition_b = (not in_o) or (not strictly_above)
     a_plus = p_plus if not condition_b else Polytope.empty(p.n)
@@ -188,7 +188,7 @@ def _flat_target_pivot(f: Polytope, offenders: np.ndarray) -> np.ndarray:
     hull = convex_hull((f.vertices - origin) @ basis)
     off_proj = (offenders - origin) @ basis
     for face in hull.facets():
-        if all(face.supporting.value(o) >= -TOL_GEOM for o in off_proj):
+        if np.all(face.supporting.value(off_proj) >= -TOL_GEOM):
             return face.vertices @ basis.T + origin
     raise CutConstructionFailed("no target face separates the offending points")
 
@@ -234,7 +234,7 @@ def _cut_low_failure(p: Polytope, f: Polytope, geom: SystemGeometry,
         if plane is None:
             continue
         # orient: failure side is where the offenders live
-        off_vals = np.array([plane.value(o) for o in offenders])
+        off_vals = plane.value(offenders)
         if np.all(off_vals >= -TOL_INCIDENCE):
             sign = 1
         elif np.all(off_vals <= TOL_INCIDENCE):
@@ -242,7 +242,7 @@ def _cut_low_failure(p: Polytope, f: Polytope, geom: SystemGeometry,
         else:
             continue
         # the target must sit entirely on the keep side
-        f_vals = np.array([plane.value(v) for v in f_verts]) * sign
+        f_vals = plane.value(f_verts) * sign
         if np.any(f_vals > TOL_INCIDENCE):
             continue
         # both sides solid, and margin attained: every point of the plane

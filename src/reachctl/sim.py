@@ -133,11 +133,10 @@ class Trajectory:
 
 
 def _rk4_step(A_cl: np.ndarray, b_cl: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
-    k1 = A_cl @ x + b_cl
-    k2 = A_cl @ (x + 0.5 * h * k1) + b_cl
-    k3 = A_cl @ (x + 0.5 * h * k2) + b_cl
-    k4 = A_cl @ (x + h * k3) + b_cl
-    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    """One RK4 step of length h from x on x' = A_cl x + b_cl, taken as
+    blocks take theirs: x + (D x + c) of its ``_step_map``."""
+    D, c = _step_map(A_cl, b_cl, h)
+    return x + (D @ x + c[0])
 
 
 def default_dt(sys: AffineSystem, ctrl: PWAController) -> float:
@@ -197,7 +196,8 @@ class _Runner:
     piece's stacked RK4 maps (``step_maps``), filled as runs need them."""
 
     def __init__(self, sys: AffineSystem, ctrl: PWAController):
-        self.loops = [closed_loop(sys, law) for law in ctrl.laws]
+        # the laws of a controller of no pieces have no input rows either
+        self.loops = list(zip(*closed_loop(sys, ctrl.laws))) if len(ctrl.laws) else []
         self.dt = _default_step(ctrl, self.loops)
         self.maps = {}
 
@@ -453,7 +453,7 @@ def sample_states(p: Polytope, nsamples: int, rng: np.random.Generator) -> np.nd
     if len(out) < nsamples:
         raise Degenerate(f"rejection sampling found {len(out)} of {nsamples} states in "
                          f"{_SAMPLE_BATCHES} batches: the polytope is too thin for its box")
-    return np.array(out)
+    return np.array(out).reshape(len(out), p.n)
 
 
 def verify(sys: AffineSystem, ctrl: PWAController, f: Face, nsamples: int = 100,

@@ -9,27 +9,30 @@ greedy pass that always finishes the lowest-drift exit facet first.
 
 A problem is synthesized in one pass.  One depth-first walk over its
 branch tree (margin cuts, covers, far splits) orders each leaf
-triangulation greedily and collects the leaves; then the simplices of
-every leaf (split at a drift midlevel where that applies) are
-synthesized together, and one controller is built from their stacked
-pieces: no sub-problem controller and no piece object is built.  A
-controller keeps its pieces as read-only stacks (region vertices,
-laws, scalars, ranks), derives its facet rows on first read, and
-derives each piece, an ``AffinePiece`` view, when it is read.
-``vertex_controls_lp`` solves the LPs of all their vertices at once and
-exactly, by enumerating the LPs' bases, so synthesis runs no simplex
-tableau; a basis is solved when it passes the relative determinant test
-of ``geometry.nonsingular``, whose verdict no row's scale changes, and
-where optima tie the control of least norm is taken.  Margins, laws,
-interpolation residuals and the closed-loop equilibrium screen come out
-as stacked arrays: the screen is the exclusion rule of
+triangulation greedily and collects the leaves, and an error of the walk
+raises where the walk meets it.  Then one leaf pass runs on the leaves'
+table stacks in greedy order, (S, n+1, 2n+1) with the vertices' drift
+levels (``Triangulation.levels``) and the exit facets: one stacked
+``_midlevel_split``, whose on-plane test is
+``SystemGeometry.on_equilibrium_plane``, then the vertex controls, the
+laws and the checks of every piece, and one controller built from the
+stacked pieces: no per-simplex object, sub-problem controller or piece
+object is built.  A controller keeps its pieces as read-only stacks
+(region vertices, laws, scalars, ranks), derives its facet rows on
+first read, and derives each piece, an ``AffinePiece`` view, when it is
+read.  ``vertex_controls_lp`` solves the LPs of all their vertices at
+once and exactly, by enumerating the LPs' bases, so synthesis runs no
+simplex tableau; a basis is solved when it passes the relative
+determinant test of ``geometry.nonsingular``, whose verdict no row's
+scale changes, and where optima tie the control of least norm is taken.
+Margins, laws, interpolation residuals and the closed-loop equilibrium
+screen come out as stacked arrays: the screen is the exclusion rule of
 ``geometry.hull_rows``, the "out" of ``point_in_hull``, applied to 0 and
-every piece's vertex fields at once, and only a piece it leaves open is
-tested alone (``check_no_equilibrium``).  Errors keep the order of a
-depth-first synthesis that solves each leaf as it reaches it: after
-every LP is solved the pieces are checked in turn, and the first that
-fails raises, as a loop over the simplices would, before an error the
-walk met after their leaves.
+every piece's vertex fields at once (``closed_loop`` of the law stack),
+and only a piece it leaves open is tested alone
+(``check_no_equilibrium``).  After every LP is solved the pieces are
+checked in order, and the first that fails raises, as a loop over the
+simplices would.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ import numpy as np
 from . import lp
 from .errors import (AssumptionViolated, NotReachable, SingularVertexMatrix,
                      Stuck, SynthesisFailed)
-from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_MERGE, TOL_ZERO, Face,
+from .geometry import (TOL_GEOM, TOL_MERGE, TOL_ZERO, Face,
                        Polytope, Simplex, barycentric, carrying_facet,
                        hull_rows, nonsingular, point_in_hull, simplex_tables,
                        whole_facet)
@@ -68,10 +71,12 @@ class VertexControls:
     slack: float       # certified margin of the blocking conditions
 
 
-def closed_loop(sys: AffineSystem, law: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The closed loop x' = A_cl x + b_cl of a law [gain | offset]:
-    (A + B gain, a + B offset)."""
-    return sys.A + sys.B @ law[:, :-1], sys.a + sys.B @ law[:, -1]
+def closed_loop(sys: AffineSystem, laws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The closed loop x' = A_cl x + b_cl of a law [gain | offset], or of
+    each of a (P, m, n+1) stack: (A + B gain, a + B offset).  B offset is
+    a product with the offset column, which gives a law's loop the same
+    bits alone or in a stack."""
+    return sys.A + sys.B @ laws[..., :-1], sys.a + (sys.B @ laws[..., -1:])[..., 0]
 
 
 @dataclass(slots=True)
@@ -106,7 +111,7 @@ class AffinePiece:
 
 @dataclass(frozen=True)
 class PieceStack:
-    """The pieces ``synth_simplex`` builds for a sequence of simplices, one
+    """The pieces ``synth_simplex`` builds for a stack of simplices, one
     row of each stack per piece, in order: region ``tables`` (P, n+1,
     2n+1), ``laws`` (P, m, n+1) = [gain | offset], ``exit_facets``,
     ``sub_ranks`` (1 for the upper part of a midlevel split, else 0),
@@ -419,12 +424,12 @@ class PWAController:
 # vertex controls
 # ---------------------------------------------------------------------------
 
-def vertex_controls_lp(sys: AffineSystem, simplices: Sequence[Simplex],
+def vertex_controls_lp(sys: AffineSystem, tables: np.ndarray,
                        exit_facets: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Per-vertex controls (Habets, Collins & van Schuppen 2006) of every
-    simplex of a sequence, each exiting through its facet of
-    ``exit_facets``, the apex included: at each vertex the lexicographic
-    optimum of the LP
+    simplex of an (S, n+1, 2n+1) stack of tables (``Simplex.table``),
+    each exiting through its facet of ``exit_facets``, the apex included:
+    at each vertex the lexicographic optimum of the LP
 
         max t_b, then max t_e,  over z = (u, t_b, t_e)
         s.t. n_j.(drift + B u) <= -t_b  for each blocked facet j,
@@ -466,7 +471,6 @@ def vertex_controls_lp(sys: AffineSystem, simplices: Sequence[Simplex],
     norm, and then the one of the lexicographically first subset, so it
     does not depend on a pivoting rule.
     """
-    tables = np.stack([s.table for s in simplices])
     q, nv = tables.shape[:2]
     m = sys.m
     V, N = tables[..., :nv - 1], tables[..., nv - 1:-1]
@@ -552,7 +556,8 @@ def check_no_equilibrium(sys: AffineSystem, s: Simplex, gain: np.ndarray,
     (within ``TOL_GEOM``, inf-norm), singular closed loops included:
     ``point_in_hull``, whose first "out" is the screen that
     ``synth_simplex`` runs on every piece at once."""
-    fields = s.vertices @ (sys.A + sys.B @ gain).T + (sys.a + sys.B @ offset)
+    A_cl, b_cl = closed_loop(sys, np.column_stack([gain, offset]))
+    fields = s.vertices @ A_cl.T + b_cl
     return not point_in_hull(np.zeros(s.n), fields, TOL_GEOM)
 
 
@@ -560,97 +565,82 @@ def check_no_equilibrium(sys: AffineSystem, s: Simplex, gain: np.ndarray,
 # simplex synthesis
 # ---------------------------------------------------------------------------
 
-def _midlevel_split(geom: SystemGeometry, s: Simplex, exit_facet: int) -> list[Simplex]:
-    """The simplex itself, or, when the apex sits above the whole exit
-    facet and that facet lies on the equilibrium plane, its split at the
-    drift midlevel of the exit facet: the lower part keeps the original
-    exit, the upper one keeps the apex and drains through the fresh
-    interior facet, which is the same facet index."""
-    V, beta = s.vertices, geom.beta
-    apex = V[exit_facet]
-    exit_ids = [j for j in range(s.n + 1) if j != exit_facet]
-    levels = np.array([beta @ V[j] for j in exit_ids])
-    lvl_minus, lvl_plus = float(levels.min()), float(levels.max())
-    lvl_apex = float(beta @ apex)
-    if not (lvl_apex > lvl_plus + TOL_GEOM
-            and all(geom.on_equilibrium_plane(V[j]) for j in exit_ids)):
-        return [s]
-    w_minus_id = exit_ids[int(np.argmin(levels))]
-    w_minus = V[w_minus_id]
-    mid = 0.5 * (lvl_minus + lvl_plus)
-    t = (mid - lvl_minus) / (lvl_apex - lvl_minus)
-    v_prime = w_minus + t * (apex - w_minus)
-    lo_verts = V.copy()
-    lo_verts[exit_facet] = v_prime
-    up_verts = V.copy()
-    up_verts[w_minus_id] = v_prime
-    return [Simplex.of_table(t) for t in simplex_tables(np.stack([lo_verts, up_verts]))]
+def _midlevel_split(geom: SystemGeometry, tables: np.ndarray, exit_facets: Sequence[int],
+                    levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pieces of an (S, n+1, 2n+1) stack of simplex tables, each
+    simplex with its exit facet and its vertices' drift ``levels``
+    (S, n+1): the simplex itself, or, when its apex (the vertex off the
+    exit facet) sits more than ``TOL_GEOM`` above the whole exit facet and
+    that facet lies on the equilibrium plane
+    (``SystemGeometry.on_equilibrium_plane`` of its vertices), its split
+    at the drift midlevel of the exit facet: the lower part keeps the
+    original exit, the upper one keeps the apex and drains through the
+    fresh interior facet, which is the same facet index.  Returns the
+    pieces' tables, the position of the simplex each comes from and its
+    sub-rank (1 for the upper part, else 0), in order, the lower part
+    first; the parts' tables come from one ``simplex_tables`` call."""
+    S, nv = tables.shape[:2]
+    V = tables[..., :nv - 1]
+    e = np.asarray(exit_facets, dtype=int)
+    k = np.arange(S)
+    on_exit = np.arange(nv) != e[:, None]
+    low = np.where(on_exit, levels, np.inf).argmin(axis=1)
+    lvl_minus, lvl_apex = levels[k, low], levels[k, e]
+    lvl_plus = np.where(on_exit, levels, -np.inf).max(axis=1)
+    split = (lvl_apex > lvl_plus + TOL_GEOM) & (geom.on_equilibrium_plane(V) | ~on_exit).all(axis=1)
+    sources = np.repeat(k, 1 + split)
+    sub_ranks = (np.diff(sources, prepend=-1) == 0).astype(int)
+    pieces = tables[sources]
+    s = np.flatnonzero(split)
+    if len(s):
+        mid = 0.5 * (lvl_minus[s] + lvl_plus[s])
+        t = (mid - lvl_minus[s]) / (lvl_apex[s] - lvl_minus[s])
+        w_minus = V[s, low[s]]
+        v_prime = w_minus + t[:, None] * (V[s, e[s]] - w_minus)
+        parts = np.repeat(V[s], 2, axis=0)
+        parts[0::2][np.arange(len(s)), e[s]] = v_prime
+        parts[1::2][np.arange(len(s)), low[s]] = v_prime
+        upper = np.flatnonzero(sub_ranks)
+        pieces[np.column_stack([upper - 1, upper]).ravel()] = simplex_tables(parts)
+    return pieces, sources, sub_ranks
 
 
-def _may_split(geoms: Sequence[SystemGeometry], tables: np.ndarray,
-               exit_facets: Sequence[int]) -> np.ndarray:
-    """Which simplices of an (S, n+1, 2n+1) table stack ``_midlevel_split``
-    may split, by one stacked product: a split needs every exit vertex
-    within ``TOL_INCIDENCE`` of the equilibrium plane of the simplex's
-    geometry (``SystemGeometry.on_equilibrium_plane``), and a simplex
-    with an exit vertex farther off than that, by more than the rounding
-    of either product, cannot split.  The margin is 2(n+1) ulps of
-    |v| + |offset|, which bounds the magnitudes of the terms (the normal
-    is a unit vector) and so how far the stacked product and the one-row
-    dot of the exact test can round apart: the screen clears no simplex
-    that the exact test splits."""
-    n = tables.shape[1] - 1
-    V = tables[..., :n]
-    normals = np.array([g.equilibrium_plane.normal for g in geoms])
-    offsets = np.array([g.equilibrium_plane.offset for g in geoms])[:, None]
-    slop = 2 * (n + 1) * np.finfo(float).eps * (np.linalg.norm(V, axis=2) + np.abs(offsets))
-    near = np.abs(np.einsum("sij,sj->si", V, normals) - offsets) <= TOL_INCIDENCE + slop
-    near[np.arange(len(tables)), exit_facets] = True     # the apex is not an exit vertex
-    return near.all(axis=1)
-
-
-def synth_simplex(sys: AffineSystem, geoms: Sequence[SystemGeometry],
-                  simplices: Sequence[Simplex],
-                  exit_facets: Sequence[int]) -> PieceStack:
-    """Feedback for each simplex of a sequence, exiting through its facet
-    of ``exit_facets``, with the geometry of its leaf in ``geoms`` (beta's
-    sign differs between the two sides of the equilibrium plane): the
-    pieces of every simplex, in order, as one ``PieceStack``.
+def synth_simplex(sys: AffineSystem, geom: SystemGeometry, tables: np.ndarray,
+                  exit_facets: Sequence[int], levels: np.ndarray) -> PieceStack:
+    """Feedback for each simplex of an (S, n+1, 2n+1) stack of tables,
+    exiting through its facet of ``exit_facets``, with its vertices' drift
+    ``levels`` (S, n+1), those of ``Triangulation.levels`` along its
+    leaf's beta (whose sign differs between the two sides of the
+    equilibrium plane): the pieces of every simplex, in order, as one
+    ``PieceStack``.  Of ``geom``, a geometry of ``sys``, only the
+    equilibrium plane is read, which every geometry of one system shares.
 
     A simplex normally gets a single affine piece; where the midlevel
-    split applies (``_midlevel_split``) it gets two, the lower one first
-    (``sub_rank`` 0 and 1).  One stacked screen (``_may_split``) rules
-    out the simplices whose exit vertices are clearly off the equilibrium
-    plane, and only the rest go to ``_midlevel_split``.  The vertex
-    controls of every piece come from one ``vertex_controls_lp`` call,
-    and the blocking and exit margins, the affine laws (barycentric
+    split applies it gets two, the lower one first (``sub_rank`` 0 and
+    1), all from one stacked ``_midlevel_split``.  The vertex controls of
+    every piece come from one ``vertex_controls_lp`` call, and the
+    blocking and exit margins, the affine laws (barycentric
     interpolation, ``geometry.barycentric``), their interpolation
     residuals and the closed-loop equilibrium screen
-    (``geometry.hull_rows`` of the stacked vertex fields, against 0) from
-    stacked arrays; the screen reads only the pieces whose fields are
-    finite.  The split pieces' tables come from one ``simplex_tables``
-    call per split simplex.  The pieces are then checked in order, and
-    the first that fails raises, as one call per simplex would:
-    ``SynthesisFailed``, carrying the simplex, its exit facet and the
-    error, where a vertex's LP is infeasible, the blocking margin is below
-    -``TOL_INV`` or the closed loop has a stationary point in the simplex,
-    and ``SingularVertexMatrix`` where the law misses a vertex control by
-    ``TOL_GEOM`` times the largest control entry, or 1 when that is
-    smaller: the controls of a sliver reach 1e5, and the float solve
-    misses them by more than ``TOL_GEOM`` alone.  Those checks run only
-    on the pieces one stacked flag marks: an infeasible vertex, a blocking
-    margin below -``TOL_INV``, a residual over its bound, or the
-    equilibrium screen leaving the piece open, and only a piece the screen
-    leaves open goes to ``check_no_equilibrium``.  No piece object is
-    built: the stacks go on as they are."""
-    first = np.stack([s.table for s in simplices])
-    may_split = _may_split(geoms, first, exit_facets).tolist()
-    parts = [_midlevel_split(g, s, e) if split else [s]
-             for g, s, e, split in zip(geoms, simplices, exit_facets, may_split)]
-    regions = [r for part in parts for r in part]
-    exits = [e for part, e in zip(parts, exit_facets) for _ in part]
-    u, margins = vertex_controls_lp(sys, regions, exits)
-    tables = first if len(regions) == len(first) else np.stack([r.table for r in regions])
+    (``geometry.hull_rows`` of the stacked vertex fields of
+    ``closed_loop``, against 0) from stacked arrays; the screen reads
+    only the pieces whose fields are finite.  The pieces are then checked
+    in order, and the first that fails raises, as one call per simplex
+    would: ``SynthesisFailed``, carrying the simplex, its exit facet and
+    the error, where a vertex's LP is infeasible, the blocking margin is
+    below -``TOL_INV`` or the closed loop has a stationary point in the
+    simplex, and ``SingularVertexMatrix`` where the law misses a vertex
+    control by ``TOL_GEOM`` times the largest control entry, or 1 when
+    that is smaller: the controls of a sliver reach 1e5, and the float
+    solve misses them by more than ``TOL_GEOM`` alone.  Those checks run
+    only on the pieces one stacked flag marks: an infeasible vertex, a
+    blocking margin below -``TOL_INV``, a residual over its bound, or the
+    equilibrium screen leaving the piece open, and only a piece the
+    screen leaves open goes to ``check_no_equilibrium``.  No piece object
+    is built: the stacks go on as they are."""
+    tables, sources, sub_ranks = _midlevel_split(geom, tables, exit_facets, levels)
+    exits = np.asarray(exit_facets, dtype=int)[sources]
+    u, margins = vertex_controls_lp(sys, tables, exits)
     nv = tables.shape[1]
     fields = _facet_fields(sys, tables, u)
     slack = -np.where(_blocked(nv, exits), fields, -np.inf).max(axis=(1, 2))
@@ -659,21 +649,19 @@ def synth_simplex(sys: AffineSystem, geoms: Sequence[SystemGeometry],
                            fields[np.arange(len(exits)), exits]).min(axis=1)
     laws, resid = affine_laws(tables, u)
     resid_tol = TOL_GEOM * np.maximum(1.0, np.abs(u).max(axis=(1, 2)))
-    # each piece's closed-loop field (A + B gain) v + a + B offset at its vertices
-    A_cl = sys.A + sys.B @ laws[..., :-1]
-    b_cl = sys.a + laws[..., -1] @ sys.B.T
+    # each piece's closed-loop field at its vertices
+    A_cl, b_cl = closed_loop(sys, laws)
     loop_fields = tables[..., :nv - 1] @ np.swapaxes(A_cl, 1, 2) + b_cl[:, None]
     # a vertex LP with no feasible basis leaves NaN fields, which the
     # ordered checks below reject before the screen is read
     finite = np.isfinite(loop_fields).all(axis=(1, 2))
-    clear = np.zeros(len(regions), dtype=bool)
+    clear = np.zeros(len(tables), dtype=bool)
     clear[finite] = hull_rows(loop_fields[finite]).excludes(np.zeros((1, nv - 1)), TOL_GEOM)[:, 0]
     short = margins < -lp.TOL_LP
     suspect = short.any(axis=1) | (slack < -TOL_INV) | (resid > resid_tol) | ~clear
 
     for j in np.flatnonzero(suspect).tolist():
-        region, e = regions[j], exits[j]
-        cert = {"simplex": region.vertices.tolist(), "exit_facet": e}
+        cert = {"simplex": tables[j, :, :nv - 1].tolist(), "exit_facet": int(exits[j])}
         if short[j].any():
             raise SynthesisFailed({**cert, "error": "invariance conditions infeasible "
                                                     f"at vertex {np.flatnonzero(short[j])[0]}"})
@@ -681,15 +669,11 @@ def synth_simplex(sys: AffineSystem, geoms: Sequence[SystemGeometry],
             raise SynthesisFailed({**cert, "error": f"blocking margin {slack[j]:.2e}"})
         if resid[j] > resid_tol[j]:
             raise SingularVertexMatrix(f"interpolation residual {resid[j]:.2e}")
-        if not clear[j] and not check_no_equilibrium(sys, region, laws[j, :, :-1],
-                                                     laws[j, :, -1]):
+        if not clear[j] and not check_no_equilibrium(sys, Simplex.of_table(tables[j]),
+                                                     laws[j, :, :-1], laws[j, :, -1]):
             raise SynthesisFailed({**cert, "error": "closed-loop stationary point "
                                                     "inside the simplex"})
-
-    sub_ranks = [r for part in parts for r in range(len(part))]
-    sources = [j for j, part in enumerate(parts) for _ in part]
-    return PieceStack(tables, laws, np.array(exits), np.array(sub_ranks), slack, exit_margin,
-                      np.array(sources))
+    return PieceStack(tables, laws, exits, sub_ranks, slack, exit_margin, sources)
 
 
 # ---------------------------------------------------------------------------
@@ -748,8 +732,8 @@ def greedy_paths(tri: Triangulation, geom: SystemGeometry) -> GreedyResult:
         for b, kb in neighbors[i]:
             if b not in result.exit_facet:
                 heapq.heappush(heap, candidate(b, i, kb))
-    if len(result.order) < len(tri.simplices):
-        raise Stuck(sorted(set(range(len(tri.simplices))) - set(result.order)))
+    if len(result.order) < len(tri.tables):
+        raise Stuck(sorted(set(range(len(tri.tables))) - set(result.order)))
     return result
 
 
@@ -831,18 +815,20 @@ def _walk(sys: AffineSystem, p: Polytope, f: Face, eps: Optional[float], rank: t
 
 
 def _leaf_pieces(sys: AffineSystem, leaves: list) -> tuple:
-    """The pieces of every leaf, in order, from one ``synth_simplex`` call,
-    as ``PWAController.ordered`` takes them: their vertex stack, laws and
-    scalars, with each piece's path length its simplex's greedy one, and
-    their ranks, each its leaf's (one tuple per leaf)."""
-    simplices, geoms, exits, ranks, path_lens = [], [], [], [], []
+    """The pieces of every leaf, in order, from one ``synth_simplex`` call
+    on their stacked tables in greedy order, as ``PWAController.ordered``
+    takes them: their vertex stack, laws and scalars, with each piece's
+    path length its simplex's greedy one, and their ranks, each its
+    leaf's (one tuple per leaf)."""
+    tables, levels, exits, ranks, path_lens = [], [], [], [], []
     for tri, geom, greedy, rank in leaves:
-        simplices += [tri.simplices[i] for i in greedy.order]
+        tables.append(tri.tables[greedy.order])
+        levels.append(tri.levels(geom.beta)[greedy.order])
         exits += [greedy.exit_facet[i] for i in greedy.order]
         ranks += [rank] * len(greedy.order)
         path_lens += [greedy.path_len[i] for i in greedy.order]
-        geoms += [geom] * len(greedy.order)
-    stack = synth_simplex(sys, geoms, simplices, exits)
+    stack = synth_simplex(sys, leaves[0][1], np.concatenate(tables), exits,
+                          np.concatenate(levels))
     n = stack.tables.shape[1] - 1
     scalars = _piece_scalars(stack.exit_facets, np.array(path_lens)[stack.sources],
                              stack.sub_ranks, stack.slacks, stack.exit_margins)
@@ -870,29 +856,19 @@ def synth_polytope(sys: AffineSystem, p: Polytope, f: Face,
     split's note before its sub-problems'.  A cover or split prefixes the
     rank of its sub-problem's pieces with 0 when that sub-problem drives
     to the original target and with 1 when it feeds an interface; the
-    cut adds no prefix.  Then one ``synth_simplex`` call solves, checks
-    and stacks the pieces of every leaf, one affine law per simplex (two
-    where a split is needed), and one controller is built from the
-    stacks, on the top branch's domain: no sub-problem controller and no
-    piece object is built.
-
-    Errors keep the order of a depth-first synthesis that solves each leaf
-    as the walk reaches it.  When the walk raises (a failed cover, a
-    stuck greedy pass, an unreachable target, a cut that cannot be
-    made...), the leaves collected before it are solved first, and the
-    first of their pieces that fails raises; otherwise the walk's error
-    is raised.  Raises ValueError unless a given ``eps`` is positive (NaN
-    is not)."""
+    cut adds no prefix.  An error of the walk (a failed cover, a stuck
+    greedy pass, an unreachable target, a cut that cannot be made...)
+    raises as it is met, and no leaf is solved.  Otherwise one
+    ``synth_simplex`` call solves, checks and stacks the pieces of every
+    leaf, from the leaves' table stacks in greedy order, one affine law
+    per simplex (two where a split is needed), and the first failing
+    piece raises; one controller is built from the stacks, on the top
+    branch's domain: no sub-problem controller, per-simplex object or
+    piece object is built.  Raises ValueError unless a given ``eps`` is
+    positive (NaN is not)."""
     if eps is not None and not eps > 0:
         raise ValueError("eps must be positive")
     leaves: list[tuple] = []
     notes: list[str] = []
-    try:
-        domain = _walk(sys, p, f, eps, (), leaves, notes)
-    except Exception as exc:
-        walk_error = exc
-    else:
-        return PWAController.ordered(*_leaf_pieces(sys, leaves), domain, notes)
-    if leaves:
-        _leaf_pieces(sys, leaves)
-    raise walk_error
+    domain = _walk(sys, p, f, eps, (), leaves, notes)
+    return PWAController.ordered(*_leaf_pieces(sys, leaves), domain, notes)

@@ -89,9 +89,12 @@ class SystemGeometry:
     input_basis: np.ndarray
     equilibrium_plane: Hyperplane
 
-    def on_equilibrium_plane(self, x) -> bool:
-        """``x`` lies within ``TOL_INCIDENCE`` of the equilibrium plane."""
-        return self.equilibrium_plane.side(x, TOL_INCIDENCE) == 0
+    def on_equilibrium_plane(self, x):
+        """Whether a point ``x``, or each point of an (..., n) stack, lies
+        within ``TOL_INCIDENCE`` of the equilibrium plane, by the plane's
+        ``value``: the one on-plane rule, whose verdict on a point does not
+        depend on the stack it comes in."""
+        return np.abs(self.equilibrium_plane.value(x)) <= TOL_INCIDENCE
 
     def at_level(self, points, level: float) -> np.ndarray:
         """The rows of ``points``, in their order, whose drift level beta.x

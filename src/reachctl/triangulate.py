@@ -57,23 +57,27 @@ class Triangulation:
     decided about them.
 
     ``tables`` stacks the simplices' tables, (S, n+1, 2n+1)
-    (``geometry.simplex_tables``), in key order (``_key_order``), and
-    ``simplices`` are views of its members.  ``target_exits`` maps each
-    simplex having a whole facet inside the target to the index of that
-    facet (facet j omits vertex j).  ``adjacency``, computed from the
-    tables, lists each pair (a, b) of simplices sharing a facet as (a, b,
-    that facet's index in a, its index in b).
+    (``geometry.simplex_tables``), in key order (``_key_order``), which
+    synthesis reads, and ``simplices`` derives views of its members on
+    each read.  ``target_exits`` maps each simplex having a whole facet
+    inside the target to the index of that facet (facet j omits vertex
+    j).  ``adjacency``, computed from the tables, lists each pair (a, b)
+    of simplices sharing a facet as (a, b, that facet's index in a, its
+    index in b).
     """
 
     tables: np.ndarray
     vstar: np.ndarray
     target_exits: dict[int, int]
-    simplices: list[Simplex] = field(init=False)
     adjacency: list[tuple[int, int, int, int]] = field(init=False)
 
     def __post_init__(self):
-        self.simplices = [Simplex.of_table(t) for t in self.tables]
         self.adjacency = _facet_adjacency(self.tables)
+
+    @property
+    def simplices(self) -> list[Simplex]:
+        """A ``Simplex`` view of each member of ``tables``, built on read."""
+        return [Simplex.of_table(t) for t in self.tables]
 
     def levels(self, direction: np.ndarray) -> np.ndarray:
         """(S, n+1) values direction.v at every vertex of every simplex, in
@@ -85,7 +89,7 @@ class Triangulation:
     def neighbors(self) -> list[list[tuple[int, int]]]:
         """Per simplex i, its (neighbour j, index in j of the facet they
         share) pairs, in adjacency order, from one pass over it."""
-        out: list[list[tuple[int, int]]] = [[] for _ in self.simplices]
+        out: list[list[tuple[int, int]]] = [[] for _ in self.tables]
         for a, b, ka, kb in self.adjacency:
             out[a].append((b, kb))
             out[b].append((a, ka))
@@ -164,8 +168,8 @@ def select_vstar(p: Polytope, f: Polytope, geom: SystemGeometry) -> np.ndarray:
     quals = p.vertices[qualifying_vertices(p, f, geom)]
     if not len(quals):
         raise NoQualifyingVertex("no admissible anchor vertex on the top face")
-    off_plane = [v for v in quals if not geom.on_equilibrium_plane(v)]
-    return off_plane[0] if off_plane else quals[0]
+    off_plane = quals[~geom.on_equilibrium_plane(quals)]
+    return off_plane[0] if len(off_plane) else quals[0]
 
 
 def basic_triangulation(p: Polytope, vstar: np.ndarray, k: int) -> Triangulation:

@@ -736,15 +736,61 @@ def uncovered_volume(domain, pieces, cut_planes):
                           for piece in pieces if not piece.is_empty))
 
 
+def simplex_levels(geom, simplices):
+    """The (S, n+1) drift levels of the vertices of a list of simplices
+    along ``geom.beta``, as ``Triangulation.levels`` gives them: one
+    simplex's rows times beta, the same bits alone or stacked."""
+    return np.array([s.vertices @ geom.beta for s in simplices])
+
+
+def synth_simplices(sys, geom, simplices, exit_facets):
+    """``synth.synth_simplex`` of a list of simplices of one leaf of
+    geometry ``geom``: their table stack, their exit facets and their
+    vertex levels (``simplex_levels``)."""
+    return synth.synth_simplex(sys, geom, np.stack([s.table for s in simplices]),
+                               exit_facets, simplex_levels(geom, simplices))
+
+
+def reference_midlevel_split(geom, s, exit_facet):
+    """``synth._midlevel_split`` of one simplex, as a list of its pieces'
+    simplices: the simplex itself, or, when the apex sits above the whole
+    exit facet and that facet lies on the equilibrium plane, its split at
+    the drift midlevel of the exit facet, the lower part (the original
+    exit) first and the upper one (the apex, draining through the fresh
+    interior facet of the same index) second.  The levels are those of
+    ``simplex_levels``; each vertex is tested on the plane alone."""
+    V = s.vertices
+    levels = V @ geom.beta
+    apex = V[exit_facet]
+    exit_ids = [j for j in range(s.n + 1) if j != exit_facet]
+    lvl_minus, lvl_plus = float(levels[exit_ids].min()), float(levels[exit_ids].max())
+    lvl_apex = float(levels[exit_facet])
+    if not (lvl_apex > lvl_plus + geo.TOL_GEOM
+            and all(geom.on_equilibrium_plane(V[j]) for j in exit_ids)):
+        return [s]
+    w_minus_id = exit_ids[int(np.argmin(levels[exit_ids]))]
+    w_minus = V[w_minus_id]
+    mid = 0.5 * (lvl_minus + lvl_plus)
+    t = (mid - lvl_minus) / (lvl_apex - lvl_minus)
+    v_prime = w_minus + t * (apex - w_minus)
+    lo_verts = V.copy()
+    lo_verts[exit_facet] = v_prime
+    up_verts = V.copy()
+    up_verts[w_minus_id] = v_prime
+    return [geo.Simplex(lo_verts), geo.Simplex(up_verts)]
+
+
 def reference_synth_polytope(sys, p, f, eps=None):
     """``synth.synth_polytope`` as a recursion: each split synthesizes its
     sub-problems by calling itself, in order, and each leaf is ordered
     greedily and solved by its own ``synth_simplex`` call as it is
-    reached, so an error raises where the recursion meets it.  Every
-    level builds its own controller; a split reads the pieces of its
-    sub-problems' controllers into a list (each read piece is a view),
-    prefixes their ranks, and stacks them into its own controller,
-    discarding theirs."""
+    reached, so an error raises where the recursion meets it.
+    ``synth_polytope`` gives the same controller, and the same error
+    unless a branch fails after a failing leaf: its walk raises the
+    branch's error before any leaf is solved.  Every level builds its own
+    controller; a split reads the pieces of its sub-problems' controllers
+    into a list (each read piece is a view), prefixes their ranks, and
+    stacks them into its own controller, discarding theirs."""
     if eps is not None and not eps > 0:
         raise ValueError("eps must be positive")
     branch = synth._branch(sys, p, f, eps)
@@ -761,9 +807,8 @@ def reference_synth_polytope(sys, p, f, eps=None):
         return PWAController.from_pieces(pieces, branch.domain, notes)
     t, geom = branch
     greedy = synth.greedy_paths(t, geom)
-    leaf = synth.synth_simplex(sys, [geom] * len(greedy.order),
-                               [t.simplices[i] for i in greedy.order],
-                               [greedy.exit_facet[i] for i in greedy.order])
+    leaf = synth_simplices(sys, geom, [t.simplices[i] for i in greedy.order],
+                           [greedy.exit_facet[i] for i in greedy.order])
     path_lens = [greedy.path_len[greedy.order[j]] for j in leaf.sources.tolist()]
     scalars = synth._piece_scalars(leaf.exit_facets, path_lens, leaf.sub_ranks, leaf.slacks,
                                    leaf.exit_margins)
@@ -829,6 +874,17 @@ def max_exit_time(normals, offs, A_cl, b_cl, x, h):
         else:
             lo_t = s
     return hi_t
+
+
+def reference_rk4_step(A_cl, b_cl, x, h):
+    """One classical RK4 step of length h from x on x' = A_cl x + b_cl,
+    by its four stages: the reference of ``sim._rk4_step``, which takes
+    the step as its map x + (D x + c)."""
+    k1 = A_cl @ x + b_cl
+    k2 = A_cl @ (x + 0.5 * h * k1) + b_cl
+    k3 = A_cl @ (x + 0.5 * h * k2) + b_cl
+    k4 = A_cl @ (x + h * k3) + b_cl
+    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def rk4_exit_time(normals, offs, A_cl, b_cl, x, h):

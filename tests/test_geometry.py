@@ -122,6 +122,23 @@ FACET_OFFSETS = [0.0, 0.5 * geo.TOL_GEOM, -0.5 * geo.TOL_GEOM,
                  3 * geo.TOL_GEOM, -3 * geo.TOL_GEOM, 1e-6]
 
 
+class TestEmptyInput:
+    """An empty list is no point, not one point of R^0."""
+
+    def test_affine_dimension(self):
+        assert geo.affine_dimension([]) == geo.affine_dimension(np.zeros((0, 3))) == -1
+
+    def test_point_in_no_hull(self):
+        assert not geo.point_in_hull([0.0, 0.0], [])
+        assert not geo.point_in_hull([0.0, 0.0], np.zeros((0, 2)))
+
+    def test_convex_hull(self):
+        with pytest.raises(geo.GeometryError, match="no hull"):
+            geo.convex_hull([])
+        empty = geo.convex_hull(np.zeros((0, 3)))
+        assert empty.is_empty and empty.n == 3
+
+
 class TestConvexHull:
     def test_unit_square(self):
         p = geo.convex_hull([(0, 0), (1, 0), (1, 1), (0, 1)])

@@ -14,7 +14,8 @@ from reachctl.system import AffineSystem
 
 from helpers import (affine_stepper, box_fixture, cube_fixture, facet_face, hull_distance,
                      ill3_fixture, law_rows, max_exit_time, pinned_corner_fixture,
-                     rk4_exit_time, stepwise_integrate, use_reference_stepper, wedge_fixture)
+                     reference_rk4_step, rk4_exit_time, stepwise_integrate,
+                     use_reference_stepper, wedge_fixture)
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +153,12 @@ def test_verify_takes_one_default_step_for_all_runs(fixture, monkeypatch):
 def test_sampling_needs_a_full_dimensional_polytope(polytope):
     with pytest.raises(Degenerate):
         sim.sample_states(polytope, 3, np.random.default_rng(0))
+
+
+def test_no_samples_are_rows_of_the_polytope_s_space():
+    p = geo.Polytope.box([0.0] * 3, [1.0] * 3)
+    assert sim.sample_states(p, 0, np.random.default_rng(0)).shape == (0, 3)
+    assert sim.sample_states(p, 2, np.random.default_rng(0)).shape == (2, 3)
 
 
 def test_sampling_a_thin_polytope_raises():
@@ -617,9 +624,10 @@ def test_stored_maps_stay_within_the_cap(box):
 
 def test_warm_verify_builds_nothing(box, monkeypatch):
     """A second ``verify`` on a controller builds no closed loop, step or
-    step map, which its runner holds, no exclusion rows, which the face
-    holds, and no halfspace views of the domain: its facet rows are its
-    storage, which the run reads."""
+    step map of dt, which its runner holds, no exclusion rows, which the
+    face holds, and no halfspace views of the domain: its facet rows are
+    its storage, which the run reads.  The one map each run builds is
+    that of its domain exit's step, whose length is its own."""
     sys, p, f, ctrl = box
     ctrl = synth.PWAController.from_pieces(ctrl.pieces, ctrl.domain)
     report = sim.verify(sys, ctrl, f, nsamples=8, seed=2).to_dict()
@@ -640,11 +648,13 @@ def test_warm_verify_builds_nothing(box, monkeypatch):
                         property(lambda poly: calls.append("halfspaces") or views(poly)))
     monkeypatch.setattr(sim, "closed_loop", lambda *args: calls.append("loop"))
     assert sim.verify(sys, ctrl, f, nsamples=8, seed=2).to_dict() == report
-    assert calls == []
+    # every run reaches the target by leaving the domain across it
+    assert calls == ["_step_map"] * 8
     # a face that has not kept its rows builds them once
+    calls.clear()
     fresh = geo.Face(f.vertices, f.supporting, f.dim)
     sim.verify(sys, ctrl, fresh, nsamples=8, seed=2)
-    assert calls == ["exclusion"]
+    assert calls == ["exclusion"] + ["_step_map"] * 8
 
 
 def test_warm_target_test_builds_no_hull_rows(box, monkeypatch):
@@ -682,7 +692,7 @@ def test_grown_maps_keep_their_first_entries():
     X = x + ((D_cap @ x).reshape(-1, 3) + c_cap)
     y = x
     for j in range(sim._BLOCK_CAP):
-        y = sim._rk4_step(A, b, y, dt)
+        y = reference_rk4_step(A, b, y, dt)
         if (j + 1) % 97 == 0 or j + 1 == sim._BLOCK_CAP:
             assert np.abs(X[j] - y).max() <= 1e-12 * max(1.0, np.abs(y).max())
 

@@ -6,9 +6,9 @@ function reads each of its parameters, every module-level constant is
 read somewhere in the package, no module or class binds a shared
 mutable container or a memoizing decorator (state that outlives a call
 belongs to an object the caller holds), ``synth`` builds a controller at
-one site, a controller's pieces are views of its stacks, only
-``geometry`` solves an LP, and arrays are made read-only by
-``setflags``."""
+one site, a controller's pieces are views of its stacks, ``synth``
+solves a leaf on its table stack, only ``geometry`` solves an LP, and
+arrays are made read-only by ``setflags``."""
 
 import ast
 import re
@@ -478,6 +478,54 @@ def test_check_sees_a_piece_built_or_read_elsewhere():
     assert constructions(source, "AffinePiece") == ["__getitem__", "integrate"]
     assert imported_names(source, "dataclasses") == ["dataclass", "replace"]
     assert attribute_readers(source, "pieces") == ["finish", "integrate", "verify"]
+
+
+def leaf_pass(source: str) -> dict:
+    """What a source's leaf pass is built of: the reads of
+    ``Simplex.of_table``, each as the function that holds it (by name,
+    "<module>" outside any) with " in a loop" where a ``for`` statement
+    holds it; the functions defined as ``_may_split``; and the functions
+    that hold a ``try`` statement."""
+    tree = ast.parse(source)
+    owner = _owners(tree)
+    looped = {id(node) for loop in ast.walk(tree) if isinstance(loop, ast.For)
+              for node in ast.walk(loop)}
+    functions = [fn for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return {"of_table": sorted(owner.get(id(node), "<module>")
+                               + (" in a loop" if id(node) in looped else "")
+                               for node in ast.walk(tree)
+                               if isinstance(node, ast.Attribute) and node.attr == "of_table"
+                               and _name(node.value) == "Simplex"),
+            "_may_split": sorted(fn.name for fn in functions if fn.name == "_may_split"),
+            "try": sorted(fn.name for fn in functions
+                          if any(isinstance(node, ast.Try) for node in ast.walk(fn)))}
+
+
+def test_one_leaf_pass_on_the_table_stack():
+    """``synth`` solves a leaf on its table stack: it views a table as a
+    ``Simplex`` only for a controller's ``region`` and, in the loop over
+    the flagged pieces of ``synth_simplex``, for the one piece that goes
+    to ``check_no_equilibrium``.  No screen stands before the stacked
+    midlevel split, and ``synth_polytope`` lets the walk's error raise."""
+    got = leaf_pass((PACKAGE / "synth.py").read_text())
+    assert got["of_table"] == ["region", "synth_simplex in a loop"]
+    assert got["_may_split"] == []
+    assert "synth_polytope" not in got["try"]
+
+
+def test_check_sees_a_per_simplex_leaf_pass():
+    source = ("def _may_split(tables):\n    return tables\n"
+              "def synth_simplex(tables, flagged):\n"
+              "    regions = [Simplex.of_table(t) for t in tables]\n"
+              "    for j in flagged:\n        check(geometry.Simplex.of_table(tables[j]))\n"
+              "    return regions\n"
+              "def synth_polytope(walk):\n    try:\n        walk()\n    except Exception:\n"
+              "        pass\n"
+              "VIEW = Simplex.of_table\n")
+    assert leaf_pass(source) == {
+        "of_table": ["<module>", "synth_simplex", "synth_simplex in a loop"],
+        "_may_split": ["_may_split"], "try": ["synth_polytope"]}
 
 
 def lp_solves(source: str) -> list[str]:

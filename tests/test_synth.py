@@ -22,9 +22,10 @@ from helpers import (box4d_fixture, box_fixture, box_left_fixture, cube_fixture,
                      facet_face, flow_margin, hull_distance, ill1_fixture, ill2_fixture,
                      ill3_fixture, interface_cut_fixture, lp_target_exits,
                      o_cross_fixture, pinned_corner_fixture, random_simplices,
-                     reference_no_equilibrium, reference_synth_polytope,
-                     right_target_polygons, sweep_problem, tet_cover_f_fixture,
-                     top_edge_fixture, wedge_fixture)
+                     reference_midlevel_split, reference_no_equilibrium,
+                     reference_synth_polytope, right_target_polygons, simplex_levels,
+                     sweep_problem, synth_simplices, tet_cover_f_fixture, top_edge_fixture,
+                     wedge_fixture)
 
 
 def split_case_simplex():
@@ -38,7 +39,7 @@ def split_case_simplex():
 def controls(sys, s, exit_facet):
     """The vertex controls of one simplex, a leaf of one, with its least
     vertex margin as the slack."""
-    u, margins = synth.vertex_controls_lp(sys, [s], [exit_facet])
+    u, margins = synth.vertex_controls_lp(sys, s.table[None], [exit_facet])
     return synth.VertexControls(u[0], float(margins[0].min()))
 
 
@@ -142,11 +143,11 @@ class TestVertexControlsLP:
         # component is x2 = 1 whatever the control
         sys = double_integrator()
         s = geo.Simplex([(0.0, 1.0), (1.0, 1.0), (1.0, 2.0)])
-        _, margins = synth.vertex_controls_lp(sys, [s], [2])
+        _, margins = synth.vertex_controls_lp(sys, s.table[None], [2])
         assert np.flatnonzero(margins[0] < -lp.TOL_LP)[0] == 1
         geom = compute_geometry(sys, geo.convex_hull(s.vertices))
         with pytest.raises(SynthesisFailed) as ei:
-            synth.synth_simplex(sys, [geom], [s], [2])
+            synth_simplices(sys, geom, [s], [2])
         assert ei.value.certificate == {"simplex": s.vertices.tolist(), "exit_facet": 2,
                                         "error": "invariance conditions infeasible at vertex 1"}
 
@@ -303,7 +304,7 @@ class TestAffineInterpolation:
         sys = double_integrator()
         geom = compute_geometry(sys, geo.convex_hull(s.vertices))
         with pytest.raises(SingularVertexMatrix):
-            synth.synth_simplex(sys, [geom], [s], [0])
+            synth_simplices(sys, geom, [s], [0])
 
 
 def near_zero_closed_loop(rng, n, singular):
@@ -320,6 +321,21 @@ def near_zero_closed_loop(rng, n, singular):
     A_cl = A + B @ gain
     a = -A_cl @ V[rng.integers(n + 1)] - B @ offset - rng.uniform(-0.9e-9, 0.9e-9, size=n)
     return AffineSystem(A, a, B), geo.Simplex(V), gain, offset
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_closed_loop_of_a_stack_is_each_law_s(n):
+    """``closed_loop`` of a law stack gives each law the loop it has
+    alone, bit for bit: A + B gain and a + B offset."""
+    rng = np.random.default_rng(90 + n)
+    sys = AffineSystem(rng.normal(size=(n, n)), rng.normal(size=n), rng.normal(size=(n, n - 1)))
+    laws = rng.normal(size=(6, n - 1, n + 1))
+    A_cl, b_cl = synth.closed_loop(sys, laws)
+    for law, A, b in zip(laws, A_cl, b_cl):
+        one_A, one_b = synth.closed_loop(sys, law)
+        assert np.array_equal(one_A, A) and np.array_equal(one_b, b)
+        assert np.allclose(A, sys.A + sys.B @ law[:, :-1], rtol=0, atol=1e-12)
+        assert np.allclose(b, sys.a + sys.B @ law[:, -1], rtol=0, atol=1e-12)
 
 
 class TestNoEquilibrium:
@@ -435,7 +451,7 @@ class TestSynthSimplex:
         rng = np.random.default_rng(11)
         for _ in range(10):
             sys, geom, s, e = random_reachable_simplex(rng)
-            out = synth.synth_simplex(sys, [geom], [s], [e])
+            out = synth_simplices(sys, geom, [s], [e])
             for table, law in zip(out.tables, out.laws):
                 assert synth.check_no_equilibrium(sys, geo.Simplex.of_table(table),
                                                   law[:, :-1], law[:, -1])
@@ -443,7 +459,7 @@ class TestSynthSimplex:
     def test_split_case_two_pieces(self):
         sys, s, e = split_case_simplex()
         geom = compute_geometry(sys, geo.convex_hull(s.vertices))
-        out = synth.synth_simplex(sys, [geom], [s], [e])
+        out = synth_simplices(sys, geom, [s], [e])
         assert out.sources.tolist() == [0, 0] and out.sub_ranks.tolist() == [0, 1]
         regions = [geo.Simplex.of_table(table) for table in out.tables]
         # pieces tile the simplex
@@ -464,7 +480,7 @@ class TestSynthSimplex:
         ra = reach.analyze(geom, geo.convex_hull(s.vertices), geo.Face(f.vertices, None, 1))
         assert not ra.reachable
         with pytest.raises(SynthesisFailed):
-            synth.synth_simplex(sys, [geom], [s], [1])
+            synth_simplices(sys, geom, [s], [1])
 
 
 def fixture_leaf(fixture):
@@ -488,7 +504,7 @@ SPLIT_SIMPLICES = {
 
 
 def one_at_a_time(sys, geom, simplices, exits):
-    return [synth.synth_simplex(sys, [geom], [s], [e]) for s, e in zip(simplices, exits)]
+    return [synth_simplices(sys, geom, [s], [e]) for s, e in zip(simplices, exits)]
 
 
 def first_error(fn):
@@ -522,7 +538,7 @@ class TestLeafBatching:
         gives, the midlevel split included."""
         sys, geom, S, E = fixture_leaf(LEAVES[n])
         S, E = S[:1] + [geo.Simplex(SPLIT_SIMPLICES[n])] + S[1:], E[:1] + [0] + E[1:]
-        batched = synth.synth_simplex(sys, [geom] * len(S), S, E)
+        batched = synth_simplices(sys, geom, S, E)
         single = one_at_a_time(sys, geom, S, E)
         assert batched.sources.tolist() == [j for j, one in enumerate(single)
                                             for _ in one.sources]
@@ -550,10 +566,10 @@ class TestLeafBatching:
         later, later_exit = failing_simplex("singular" if kind == "infeasible" else "infeasible",
                                             S, E)
         S, E = S[:2] + [bad] + S[2:] + [later], E[:2] + [bad_exit] + E[2:] + [later_exit]
-        got = first_error(lambda: synth.synth_simplex(sys, [geom] * len(S), S, E))
+        got = first_error(lambda: synth_simplices(sys, geom, S, E))
         assert got is not None
         assert got == first_error(lambda: one_at_a_time(sys, geom, S, E))
-        assert got == first_error(lambda: synth.synth_simplex(sys, [geom], [bad], [bad_exit]))
+        assert got == first_error(lambda: synth_simplices(sys, geom, [bad], [bad_exit]))
         expected = {"infeasible": "invariance conditions infeasible at vertex",
                     "equilibrium": "closed-loop stationary point inside the simplex"}
         if kind == "singular":
@@ -577,11 +593,11 @@ class TestLeafBatching:
             return verdicts[-1]
 
         monkeypatch.setattr(synth, "nonsingular", recording)
-        synth.vertex_controls_lp(sys, S, E)
+        synth.vertex_controls_lp(sys, np.stack([s.table for s in S]), E)
         solved = verdicts.pop()
         assert 0 < solved.sum() < len(solved)
         for k in (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 10.0, 100.0, 1e3, 1e4, 1e5):
-            synth.vertex_controls_lp(sys, [geo.Simplex(s.vertices * k) for s in S], E)
+            synth.vertex_controls_lp(sys, geo.simplex_tables([s.vertices * k for s in S]), E)
             assert np.array_equal(verdicts.pop(), solved)
 
 
@@ -1001,10 +1017,7 @@ ONE_PASS_FIXTURES = NAMED_FIXTURES + [(tet_cover_f_fixture, None), (box_left_fix
 def corrupt(t):
     """The leaf triangulation ``t`` with each simplex's first facet row
     moved off its vertices, so every law misses its vertex controls."""
-    for i, s in enumerate(t.simplices):
-        table = s.table.copy()
-        table[0, -1] += 0.1
-        t.simplices[i] = geo.Simplex.of_table(table)
+    t.tables[:, 0, -1] += 0.1
     return t
 
 
@@ -1104,20 +1117,24 @@ class TestOnePass:
 
     @pytest.mark.parametrize("later", ["CoverIncomplete", "Stuck"])
     @pytest.mark.parametrize("first_leaf_fails", [True, False])
-    def test_a_leaf_before_a_failing_branch_raises_first(self, monkeypatch, later,
-                                                         first_leaf_fails):
+    def test_the_walks_error_raises_before_any_leaf_is_solved(self, monkeypatch, later,
+                                                              first_leaf_fails):
         """The cover's second sub-problem fails in the walk, after its first
-        leaf was collected: the leaves collected so far are solved first,
-        and a failing one raises, as the recursion raised it before it
-        reached the second sub-problem; a sound first leaf lets the walk's
-        error through."""
+        leaf, sound or failing, was collected: the walk's error raises as
+        it is met, and no leaf is solved.  With a sound first leaf, the
+        recursion raises the same error."""
         sys, p, f = o_cross_fixture()
+        calls = []
+        solve = synth.synth_simplex
+        monkeypatch.setattr(synth, "synth_simplex",
+                            lambda *args: calls.append(1) or solve(*args))
         patch_cover(monkeypatch, first_leaf_fails, later)
         new = synthesis_record(sys, p, f, None)
+        assert new[0] == later and calls == []
         patch_cover(monkeypatch, first_leaf_fails, later)
         ref = synthesis_record(sys, p, f, None, synthesize=reference_synth_polytope)
-        assert new == ref
-        assert new[0] == ("SingularVertexMatrix" if first_leaf_fails else later)
+        assert ref[0] == ("SingularVertexMatrix" if first_leaf_fails else later)
+        assert (ref == new) is not first_leaf_fails
 
     @pytest.mark.parametrize("fixture", [box_fixture, cube_fixture, tet_cover_f_fixture,
                                          o_cross_fixture])
@@ -1144,10 +1161,12 @@ class TestOnePass:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_the_screen_splits_as_the_exact_test(self, n, monkeypatch):
-        """Simplices at the edge of the on-plane band, on both sides of
-        it and with the apex above and below, reach the vertex controls as
-        the regions ``_midlevel_split`` gives each of them, table for
-        table: the stacked screen clears none that the exact test splits."""
+        """Simplices at the edge of the on-plane band (``screen_simplices``),
+        on both sides of it and with the apex above and below, reach the
+        vertex controls as the regions that the per-simplex reference
+        (``reference_midlevel_split``) gives each of them, table for
+        table: the stacked split tests each vertex on the plane as it
+        tests the vertex alone."""
         rng = np.random.default_rng(70 + n)
         while True:
             A, a, B = rng.normal(size=(n, n)), rng.normal(size=n), rng.normal(size=(n, n - 1))
@@ -1164,15 +1183,18 @@ class TestOnePass:
         class Stop(Exception):
             pass
 
-        def capture(sys, regions, exits):
-            seen.extend(regions)
+        def capture(sys, tables, exits):
+            seen.extend(tables)
             raise Stop
 
         monkeypatch.setattr(synth, "vertex_controls_lp", capture)
+        geoms, simplices, exits = zip(*cases)
+        levels = np.concatenate([simplex_levels(g, [s]) for g, s in zip(geoms, simplices)])
         with pytest.raises(Stop):
-            synth.synth_simplex(sys, *zip(*cases))
-        parts = [synth._midlevel_split(g, s, e) for g, s, e in cases]
-        assert [r.table.tobytes() for r in seen] == \
+            synth.synth_simplex(sys, geom, np.stack([s.table for s in simplices]), exits,
+                                levels)
+        parts = [reference_midlevel_split(g, s, e) for g, s, e in cases]
+        assert [t.tobytes() for t in seen] == \
             [r.table.tobytes() for part in parts for r in part]
         assert 0 < sum(len(part) == 2 for part in parts) < len(cases)
 
