@@ -50,7 +50,12 @@ from single steps only by rounding.  A step that leaves the domain is
 bisected on its own polynomial: one RK4 step of length s on an affine
 loop is a quartic in s, so each facet's violation along it is a quartic
 whose coefficients are computed once, and each halving stops at the
-first facet whose quartic is positive.
+first facet whose quartic is positive.  Unless it ends on the target,
+the same step is bisected on the active piece's rows too: where the
+domain's boundary is no facet of the piece, the closed-loop field may
+point out of the domain there while the piece drains through its exit
+facet, and a step can cross both.  If it leaves the piece first for
+another, the run goes on from that state.
 """
 
 from __future__ import annotations
@@ -277,7 +282,12 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
     ends by tmax takes every step, and only the block that passes tmax
     tests its steps one by one.  A domain exit is bisected on the step's
     quartic (``_exit_time``) and its state is one ``_rk4_step``; so is a
-    last step shorter than dt, before tmax.
+    last step shorter than dt, before tmax.  Unless that state is on the
+    target, the step is bisected on the active piece's rows as well,
+    their offsets raised by TOL_SIM as ``departure`` reads them; if it
+    leaves the piece first and ``locate`` puts the state there on
+    another piece, the run records that state and goes on from it, so
+    each such switch advances t.  Otherwise the run has left the domain.
 
     The closed loops, the default step and the step maps for dt come from
     the controller's runner for ``sys``, and the rows of the domain and
@@ -378,13 +388,28 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
             A_cl, b_cl = run.loops[active]
             hi_t = _exit_time(normals, offs, A_cl, b_cl, x, h)
             x_exit = _rk4_step(A_cl, b_cl, x, hi_t)
+            reached = first_hit(x_exit[None]) is not None
+            switch = active
+            if not reached:
+                # the same step may leave the active piece first, by its
+                # exit facet, where a neighbour takes over
+                own = ctrl.region(active)
+                s = _exit_time(own.normals, own.offsets + TOL_SIM, A_cl, b_cl, x, h)
+                if s < hi_t:
+                    x_piece = _rk4_step(A_cl, b_cl, x, s)
+                    switch = int(ctrl.locate(x_piece[None], TOL_SIM)[0])
+                    if switch != active:
+                        x_exit, hi_t = x_piece, s
             t_exit = t + hi_t
             stretches.append((row, 1, active))
             ids.append([active])
             times.append([t_exit])
             states.append(x_exit[None])
-            if first_hit(x_exit[None]) is not None:
+            if reached:
                 return finish(Outcome(REACHED, t_exit), active)
+            if switch != active:
+                x, t, row, active, block = x_exit, t_exit, row + 1, switch, _BLOCK
+                continue
             facet = int(np.argmax(normals @ x_exit - offs))
             return finish(Outcome(LEFT, t_exit, facet), active)
         block = min(2 * block, _BLOCK_CAP)

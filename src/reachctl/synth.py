@@ -17,12 +17,13 @@ levels (``Triangulation.levels``) and the exit facets: one stacked
 ``SystemGeometry.on_equilibrium_plane``, then the vertex controls, the
 laws and the checks of every piece, and one controller built from the
 stacked pieces: no per-simplex object, sub-problem controller or piece
-object is built.  A controller keeps its pieces as read-only stacks
-(region vertices, laws, scalars, ranks), derives its facet rows on
-first read, and derives each piece, an ``AffinePiece`` view, when it is
-read.  ``vertex_controls_lp`` solves the LPs of all their vertices at
-once and exactly, by enumerating the LPs' bases, so synthesis runs no
-simplex tableau; a basis is solved when it passes the relative
+object is built.  A controller keeps its pieces as read-only stacks by
+index (region vertices, laws, scalars, ranks), derives its order of
+preference and its facet rows in that order together on first read, and
+derives each piece, an ``AffinePiece`` view, when it is read.
+``vertex_controls_lp`` solves the LPs of all their vertices at once and
+exactly, by enumerating the LPs' bases, so synthesis runs no simplex
+tableau; a basis is solved when it passes the relative
 determinant test of ``geometry.nonsingular``, whose verdict no row's
 scale changes, and where optima tie the control of least norm is taken.
 Margins, laws, interpolation residuals and the closed-loop equilibrium
@@ -109,39 +110,20 @@ class AffinePiece:
         return self.gain @ np.asarray(x, dtype=float) + self.offset
 
 
-@dataclass(frozen=True)
-class PieceStack:
-    """The pieces ``synth_simplex`` builds for a stack of simplices, one
-    row of each stack per piece, in order: region ``tables`` (P, n+1,
-    2n+1), ``laws`` (P, m, n+1) = [gain | offset], ``exit_facets``,
-    ``sub_ranks`` (1 for the upper part of a midlevel split, else 0),
-    blocking ``slacks``, ``exit_margins``, and ``sources``, the position
-    of the simplex each piece comes from."""
-
-    tables: np.ndarray
-    laws: np.ndarray
-    exit_facets: np.ndarray
-    sub_ranks: np.ndarray
-    slacks: np.ndarray
-    exit_margins: np.ndarray
-    sources: np.ndarray
-
-
 def _first(flags: np.ndarray) -> int:
     """Position of the first True of a 1-D boolean array, or its length."""
     return int(np.append(flags, True).argmax())
 
 
-# a controller's scalars per piece, one 32 B record each
+# a controller's scalars per piece, one 28 B record each
 # (``PWAController.scalars``); its counts fit 32 bits
 PIECE_SCALARS = np.dtype([("exit_facet", np.int32), ("path_len", np.int32),
-                          ("sub_rank", np.int32), ("place", np.int32),
-                          ("slack", float), ("exit_margin", float)])
+                          ("sub_rank", np.int32), ("slack", float), ("exit_margin", float)])
 
 
 def _piece_scalars(exit_facets, path_lens, sub_ranks, slacks, exit_margins) -> np.ndarray:
-    """The ``PIECE_SCALARS`` records of pieces from their columns, each
-    place 0 until ``PWAController.ordered`` sets it."""
+    """The ``PIECE_SCALARS`` records of pieces from their columns, where
+    a scalar fills its whole column."""
     scalars = np.zeros(len(exit_facets), PIECE_SCALARS)
     for name, column in (("exit_facet", exit_facets), ("path_len", path_lens),
                          ("sub_rank", sub_ranks), ("slack", slacks),
@@ -189,7 +171,7 @@ class PieceViews(Sequence):
     def __getitem__(self, k) -> AffinePiece:
         c = self._ctrl
         k = range(len(c.laws))[operator.index(k)]
-        exit_facet, path_len, sub_rank, _, slack, exit_margin = c.scalars[k].item()
+        exit_facet, path_len, sub_rank, slack, exit_margin = c.scalars[k].item()
         return AffinePiece(c.region(k), c.laws[k], exit_facet, path_len, slack, exit_margin,
                            c.ranks[k], sub_rank, k)
 
@@ -200,32 +182,33 @@ class PWAController:
     On overlaps the lookup prefers pieces closer to the original target:
     lower cover rank first, then shorter path, then fixed index order.
 
-    A controller stores what defines its pieces, one row per piece,
+    A controller stores what defines its pieces, one row per piece, all
     numbered by position (the piece's ``index``): the vertex stack of
-    their regions (P, n+1, n), in the order of preference (by place);
-    ``_order``, which maps each place back to its piece and ends in -1;
-    the ``laws`` (P, m, n+1) = [gain | offset], by index, which
-    interpolate each region's vertex controls; its ``scalars``, one
+    their regions (P, n+1, n); the ``laws`` (P, m, n+1) = [gain | offset],
+    which interpolate each region's vertex controls; its ``scalars``, one
     ``PIECE_SCALARS`` record per piece (exit facet, path length,
-    sub-rank, place, slack and exit margin); its ``ranks``, one tuple per
-    piece, shared by the pieces of a leaf; and its ``domain`` and
-    ``notes`` (a tuple).  Each stored array is checked for shape and
-    dtype, owns its data and is read-only, so the pieces are final once
-    assembled: a write through a stack or a view raises ``ValueError``.
-    Synthesis (``ordered``), ``from_pieces`` and ``from_arrays`` all end
-    in the one constructor, which takes the stored fields.
+    sub-rank, slack and exit margin); its ``ranks``, one tuple per piece,
+    shared by the pieces of a leaf; and its ``domain`` and ``notes`` (a
+    tuple).  Each stored array is checked for shape and dtype, owns its
+    data and is read-only, so the pieces are final once assembled: a
+    write through a stack or a view raises ``ValueError``.  Synthesis,
+    ``from_pieces`` and ``from_arrays`` all call the one constructor,
+    which takes the stored fields.
 
-    Two things are derived on first read and kept.  ``_table``, the
-    regions' facet rows (``Simplex.table``) stacked by place, one block
-    of n+1 rows each, comes from one ``simplex_tables`` call over the
-    vertex stack on the first ``region``, ``locate``, ``departure`` or
-    ``lookup``.  It is the table synthesis built, bit for bit: each
-    region's table came from ``simplex_tables`` of the same vertices, and
-    a stacked call computes each member's rank test and inverse alone
+    The order of preference is stored nowhere.  The first ``region``,
+    ``locate``, ``departure`` or ``lookup`` derives it, with each piece's
+    place in it and the regions' facet rows in that order, in one step
+    (``_preference``), and keeps the three, read-only: ``_order`` maps
+    each place to its piece and ends in -1, and ``_table`` stacks the
+    rows (``Simplex.table``) by place, one block of n+1 rows each, from
+    one ``simplex_tables`` call over the vertices in that order.  It is
+    the table synthesis built, bit for bit: each region's table came from
+    ``simplex_tables`` of the same vertices, and a stacked call computes
+    each member's rank test and inverse alone
     (``test_stacked_tables_equal_each_simplex_bit_for_bit``).  So a
-    controller that is kept but never located holds no facet rows, which
-    are (n+1)(2n+1) floats per piece against the n(n+1) of its vertices.
-    ``runners`` is made on first use.
+    controller that is kept but never located holds no order and no
+    facet rows, which are (n+1)(2n+1) floats per piece against the
+    n(n+1) of its vertices.  ``runners`` is made on first use.
 
     ``pieces`` derives the pieces on read (``PieceViews``):
     ``len(pieces)`` builds nothing, and each read piece is an
@@ -248,45 +231,25 @@ class PWAController:
     ``AffineSystem`` being frozen.
     """
 
-    __slots__ = ("_vertices", "_order", "laws", "scalars", "ranks", "domain", "notes",
-                 "_facet_rows", "_runners")
+    __slots__ = ("_vertices", "laws", "scalars", "ranks", "domain", "notes", "_derived",
+                 "_runners")
 
-    def __init__(self, vertices, order, laws, scalars, ranks: Sequence[tuple],
-                 domain: Polytope, notes=()):
-        """The controller of its stored fields: the vertex stack by place,
-        the order, the laws, the scalars (whose places must invert the
-        order) and the ranks by index.  Raises ValueError on a shape or
-        dtype that disagrees, or on places that do not invert the order."""
+    def __init__(self, vertices, laws, scalars, ranks: Sequence[tuple], domain: Polytope,
+                 notes=()):
+        """The controller of its stored fields, each by index: the vertex
+        stack, the laws, the scalars and the ranks.  Raises ValueError on
+        a shape or dtype that disagrees."""
         n = domain.n
         self.laws = _stored(laws, float, (None, None, n + 1), "laws")
         count = len(self.laws)
         self._vertices = _stored(vertices, float, (count, n + 1, n), "vertices")
-        self._order = _stored(order, np.intp, (count + 1,), "order")
         self.scalars = _stored(scalars, PIECE_SCALARS, (count,), "scalars")
-        places = self.scalars["place"]
-        if not (np.array_equal(np.sort(places), np.arange(count)) and self._order[-1] == -1
-                and np.array_equal(self._order[places], np.arange(count))):
-            raise ValueError("the places of the scalars do not invert the order")
         self.ranks = tuple(ranks)
         if len(self.ranks) != count:
             raise ValueError(f"ranks: {len(self.ranks)} for {count} pieces")
         self.domain = domain
         self.notes = tuple(notes)
-        self._facet_rows = self._runners = None
-
-    @classmethod
-    def ordered(cls, vertices, laws, scalars, ranks: Sequence[tuple], domain: Polytope,
-                notes=()) -> "PWAController":
-        """The controller of pieces given by index: their (P, n+1, n)
-        vertex stack, laws, ``PIECE_SCALARS`` records and ranks.  Their
-        places, the order of preference, are set here: by rank, then path
-        length, then sub-rank, then index."""
-        keys = scalars[["path_len", "sub_rank"]].tolist()
-        order = sorted(range(len(keys)), key=lambda k: (ranks[k], *keys[k], k))
-        scalars = scalars.copy()
-        scalars["place"][order] = range(len(order))
-        return cls(np.asarray(vertices, dtype=float)[order], np.array(order + [-1], np.intp),
-                   laws, scalars, ranks, domain, notes)
+        self._derived = self._runners = None
 
     @classmethod
     def from_pieces(cls, pieces: Sequence[AffinePiece], domain: Polytope,
@@ -301,17 +264,17 @@ class PWAController:
         # no pieces give empty stacks of the shapes the constructor checks
         vertices = np.array([pc.region.vertices for pc in pieces]).reshape(-1, n + 1, n)
         laws = np.array([pc.law for pc in pieces]) if pieces else np.empty((0, 0, n + 1))
-        return cls.ordered(vertices, laws, scalars, [pc.rank for pc in pieces], domain, notes)
+        return cls(vertices, laws, scalars, [pc.rank for pc in pieces], domain, notes)
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         """The stored form, by name: the stored arrays themselves, not
-        copies (``vertices`` by place, ``order``, ``laws``, ``scalars``),
-        the domain's (``domain_vertices``, ``domain_normals``,
-        ``domain_offsets``, ``domain_incidence`` and a 0-d ``domain_dim``),
-        the ranks as one int row per piece padded with -1, and the notes
-        as a str array.  ``np.savez`` writes it as it is.  Raises
-        ValueError on a negative rank entry, which the padding would
-        hide."""
+        copies (``vertices``, ``laws``, ``scalars``), the domain's
+        (``domain_vertices``, ``domain_normals``, ``domain_offsets``,
+        ``domain_incidence`` and a 0-d ``domain_dim``), the ranks as one
+        int row per piece padded with -1, and the notes as a str array;
+        no order, which the ranks and scalars give.  ``np.savez`` writes
+        it as it is.  Raises ValueError on a negative rank entry, which
+        the padding would hide."""
         if any(min(rank, default=0) < 0 for rank in set(self.ranks)):
             raise ValueError("a rank entry is negative")
         ranks = np.full((len(self.ranks), max(map(len, self.ranks), default=0)), -1, np.intp)
@@ -319,7 +282,7 @@ class PWAController:
             ranks[k, :len(rank)] = rank
         d = self.domain
         normals, offsets = d.rows
-        return {"vertices": self._vertices, "order": self._order, "laws": self.laws,
+        return {"vertices": self._vertices, "laws": self.laws,
                 "scalars": self.scalars, "ranks": ranks, "notes": np.array(self.notes, str),
                 "domain_vertices": d.vertices, "domain_normals": normals,
                 "domain_offsets": offsets, "domain_incidence": d.incidence,
@@ -349,8 +312,7 @@ class PWAController:
         if notes.dtype.kind != "U" or notes.ndim != 1:
             raise ValueError(f"notes: {notes.dtype} array of shape {notes.shape}, expected "
                              "a 1-D str array")
-        return cls(arrays["vertices"], arrays["order"], laws, arrays["scalars"], ranks, domain,
-                   notes.tolist())
+        return cls(arrays["vertices"], laws, arrays["scalars"], ranks, domain, notes.tolist())
 
     @property
     def pieces(self) -> PieceViews:
@@ -362,37 +324,52 @@ class PWAController:
             self._runners = {}
         return self._runners
 
+    def _preference(self) -> tuple:
+        """The order of preference (by rank, then path length, then
+        sub-rank, then index), ending in -1, each piece's place in it and
+        the facet rows by place, (P (n+1), 2n+1), from one
+        ``simplex_tables`` call on the vertices in that order: derived
+        together on first read and kept, read-only."""
+        if self._derived is None:
+            keys = self.scalars[["path_len", "sub_rank"]].tolist()
+            order = np.array(sorted(range(len(keys)), key=lambda k: (self.ranks[k], *keys[k], k))
+                             + [-1], np.intp)
+            places = np.argsort(order[:-1])
+            tables = simplex_tables(self._vertices[order[:-1]])
+            for a in (order, places, tables):
+                a.setflags(write=False)
+            self._derived = order, places, tables.reshape(-1, tables.shape[2])
+        return self._derived
+
+    @property
+    def _order(self) -> np.ndarray:
+        return self._preference()[0]
+
     @property
     def _table(self) -> np.ndarray:
-        """The regions' facet rows by place, (P (n+1), 2n+1), derived from
-        the vertex stack by one ``simplex_tables`` call on first read and
-        kept, read-only."""
-        if self._facet_rows is None:
-            tables = simplex_tables(self._vertices)
-            tables.setflags(write=False)
-            self._facet_rows = tables.reshape(-1, tables.shape[2])
-        return self._facet_rows
+        return self._preference()[2]
 
     def region(self, k: int) -> Simplex:
         """Piece k's region (negative k counts from the end), a view of
         its block of rows of the facet rows."""
+        _, places, table = self._preference()
         nv = self.domain.n + 1
-        at = int(self.scalars[k]["place"]) * nv
-        return Simplex.of_table(self._table[at:at + nv])
+        at = int(places[k]) * nv
+        return Simplex.of_table(table[at:at + nv])
 
     def locate(self, X, tol: float = TOL_MERGE) -> np.ndarray:
         """Index of the preferred piece holding each row of the (k, n)
         array X, or -1 where none does."""
         X = np.asarray(X, dtype=float)
         n = self.domain.n
-        table = self._table
+        order, _, table = self._preference()
         # (row, state) layout: numpy reduces a long last axis far faster
         # than many short ones
         held = table[:, n:-1] @ X.T - table[:, -1:] <= tol
         held = held.reshape(len(self.laws), n + 1, len(X)).all(axis=1)
         # a last row that always holds stands for "no piece"
         held = np.concatenate([held, np.ones((1, len(X)), dtype=bool)])
-        return self._order[held.argmax(axis=0)]
+        return order[held.argmax(axis=0)]
 
     def departure(self, X, active: int, tol: float = TOL_MERGE) -> int:
         """Position of the first row of the (k, n) array X that ``locate``
@@ -404,8 +381,8 @@ class PWAController:
         preference on the states up to the first it does not hold."""
         X = np.asarray(X, dtype=float)
         n = self.domain.n
-        table = self._table
-        at = int(self.scalars[active]["place"]) * (n + 1)
+        _, places, table = self._preference()
+        at = int(places[active]) * (n + 1)
         own = table[at:at + n + 1]
         end = _first(~(own[:, n:-1] @ X.T - own[:, -1:] <= tol).all(axis=0))
         if at and end:
@@ -606,14 +583,18 @@ def _midlevel_split(geom: SystemGeometry, tables: np.ndarray, exit_facets: Seque
 
 
 def synth_simplex(sys: AffineSystem, geom: SystemGeometry, tables: np.ndarray,
-                  exit_facets: Sequence[int], levels: np.ndarray) -> PieceStack:
+                  exit_facets: Sequence[int], levels: np.ndarray) -> tuple:
     """Feedback for each simplex of an (S, n+1, 2n+1) stack of tables,
     exiting through its facet of ``exit_facets``, with its vertices' drift
     ``levels`` (S, n+1), those of ``Triangulation.levels`` along its
     leaf's beta (whose sign differs between the two sides of the
-    equilibrium plane): the pieces of every simplex, in order, as one
-    ``PieceStack``.  Of ``geom``, a geometry of ``sys``, only the
-    equilibrium plane is read, which every geometry of one system shares.
+    equilibrium plane): the pieces of every simplex, in order, one row of
+    each stack per piece, as (tables, laws, scalars, sources): the region
+    ``tables`` (P, n+1, 2n+1), the ``laws`` (P, m, n+1) = [gain | offset],
+    the ``PIECE_SCALARS`` records (path length 0, which the greedy pass
+    knows) and ``sources``, the position of the simplex each piece comes
+    from.  Of ``geom``, a geometry of ``sys``, only the equilibrium plane
+    is read, which every geometry of one system shares.
 
     A simplex normally gets a single affine piece; where the midlevel
     split applies it gets two, the lower one first (``sub_rank`` 0 and
@@ -673,7 +654,7 @@ def synth_simplex(sys: AffineSystem, geom: SystemGeometry, tables: np.ndarray,
                                                      laws[j, :, :-1], laws[j, :, -1]):
             raise SynthesisFailed({**cert, "error": "closed-loop stationary point "
                                                     "inside the simplex"})
-    return PieceStack(tables, laws, exits, sub_ranks, slack, exit_margin, sources)
+    return tables, laws, _piece_scalars(exits, 0, sub_ranks, slack, exit_margin), sources
 
 
 # ---------------------------------------------------------------------------
@@ -816,10 +797,10 @@ def _walk(sys: AffineSystem, p: Polytope, f: Face, eps: Optional[float], rank: t
 
 def _leaf_pieces(sys: AffineSystem, leaves: list) -> tuple:
     """The pieces of every leaf, in order, from one ``synth_simplex`` call
-    on their stacked tables in greedy order, as ``PWAController.ordered``
-    takes them: their vertex stack, laws and scalars, with each piece's
-    path length its simplex's greedy one, and their ranks, each its
-    leaf's (one tuple per leaf)."""
+    on their stacked tables in greedy order, as ``PWAController`` takes
+    them: their vertex stack, laws and scalars, with each piece's path
+    length its simplex's greedy one, and their ranks, each its leaf's
+    (one tuple per leaf)."""
     tables, levels, exits, ranks, path_lens = [], [], [], [], []
     for tri, geom, greedy, rank in leaves:
         tables.append(tri.tables[greedy.order])
@@ -827,13 +808,10 @@ def _leaf_pieces(sys: AffineSystem, leaves: list) -> tuple:
         exits += [greedy.exit_facet[i] for i in greedy.order]
         ranks += [rank] * len(greedy.order)
         path_lens += [greedy.path_len[i] for i in greedy.order]
-    stack = synth_simplex(sys, leaves[0][1], np.concatenate(tables), exits,
-                          np.concatenate(levels))
-    n = stack.tables.shape[1] - 1
-    scalars = _piece_scalars(stack.exit_facets, np.array(path_lens)[stack.sources],
-                             stack.sub_ranks, stack.slacks, stack.exit_margins)
-    return (stack.tables[..., :n], stack.laws, scalars,
-            [ranks[j] for j in stack.sources.tolist()])
+    tables, laws, scalars, sources = synth_simplex(sys, leaves[0][1], np.concatenate(tables),
+                                                   exits, np.concatenate(levels))
+    scalars["path_len"] = np.array(path_lens)[sources]
+    return tables[..., :tables.shape[1] - 1], laws, scalars, [ranks[j] for j in sources.tolist()]
 
 
 def synth_polytope(sys: AffineSystem, p: Polytope, f: Face,
@@ -871,4 +849,4 @@ def synth_polytope(sys: AffineSystem, p: Polytope, f: Face,
     leaves: list[tuple] = []
     notes: list[str] = []
     domain = _walk(sys, p, f, eps, (), leaves, notes)
-    return PWAController.ordered(*_leaf_pieces(sys, leaves), domain, notes)
+    return PWAController(*_leaf_pieces(sys, leaves), domain, notes)

@@ -11,7 +11,7 @@ from reachctl import geometry as geo
 from reachctl import reach, sim, synth
 from reachctl import triangulate as tri
 from reachctl.synth import PWAController
-from reachctl.system import AffineSystem, compute_geometry
+from reachctl.system import AffineSystem, compute_geometry, equilibrium_plane
 
 VIOL_TOL = 1e-6
 
@@ -171,6 +171,25 @@ def sweep_problem(n, k, r):
     p = geo.convex_hull(pts)
     f = max(p.facets(), key=lambda face: float(face.supporting.normal[0]))
     return chain_integrator(n), p, f
+
+
+def general_problem(n, r):
+    """Problem r of the general population at dimension n: a standard
+    normal system (A, a, B) with n - 1 inputs, the hull of n + 3 points
+    uniform in [-1, 1]^n around the point of the equilibrium plane
+    nearest the origin, and one of its facets, drawn in this order from
+    default_rng([11, n, r]).  Unlike the chain integrator's, its drift
+    direction and equilibrium plane are oblique."""
+    rng = np.random.default_rng([11, n, r])
+    A = rng.standard_normal((n, n))
+    a = rng.standard_normal(n)
+    B = rng.standard_normal((n, n - 1))
+    sys = AffineSystem(A, a, B)
+    plane = equilibrium_plane(sys)
+    c = plane.offset * plane.normal
+    p = geo.convex_hull(c + rng.uniform(-1, 1, (n + 3, n)))
+    f = p.facets()[rng.integers(len(p.facets()))]
+    return sys, p, f
 
 
 def tet_cover_f_fixture():
@@ -807,13 +826,11 @@ def reference_synth_polytope(sys, p, f, eps=None):
         return PWAController.from_pieces(pieces, branch.domain, notes)
     t, geom = branch
     greedy = synth.greedy_paths(t, geom)
-    leaf = synth_simplices(sys, geom, [t.simplices[i] for i in greedy.order],
-                           [greedy.exit_facet[i] for i in greedy.order])
-    path_lens = [greedy.path_len[greedy.order[j]] for j in leaf.sources.tolist()]
-    scalars = synth._piece_scalars(leaf.exit_facets, path_lens, leaf.sub_ranks, leaf.slacks,
-                                   leaf.exit_margins)
-    return PWAController.ordered(leaf.tables[..., :p.n], leaf.laws, scalars,
-                                 [()] * len(path_lens), p)
+    tables, laws, scalars, sources = synth_simplices(
+        sys, geom, [t.simplices[i] for i in greedy.order],
+        [greedy.exit_facet[i] for i in greedy.order])
+    scalars["path_len"] = [greedy.path_len[greedy.order[j]] for j in sources.tolist()]
+    return PWAController(tables[..., :p.n], laws, scalars, [()] * len(sources), p)
 
 
 def loop_locate(ctrl, X, tol=geo.TOL_MERGE):
@@ -916,7 +933,9 @@ class SteppedRun:
 def stepwise_integrate(sys, ctrl, x0, dt=None, tmax=None, f=None, domain=None):
     """``sim.integrate`` one RK4 step at a time: the piece is looked up,
     the step taken by ``sim._rk4_step`` and the domain and target tested
-    for each step in turn."""
+    for each step in turn.  A step that leaves the domain off the target
+    is bisected on the piece's rows too, and where it leaves the piece
+    first for another, the run goes on from there."""
     domain = domain if domain is not None else ctrl.domain
     if dt is None:
         dt = sim.default_dt(sys, ctrl)
@@ -963,6 +982,19 @@ def stepwise_integrate(sys, ctrl, x0, dt=None, tmax=None, f=None, domain=None):
         if viol > sim.TOL_SIM:
             hi_t = rk4_exit_time(normals, offs, A_cl, b_cl, x, h)
             x_exit = sim._rk4_step(A_cl, b_cl, x, hi_t)
+            if not on_target(x_exit):
+                region = piece.region
+                s = rk4_exit_time(region.normals, region.offsets + sim.TOL_SIM,
+                                  A_cl, b_cl, x, h)
+                x_piece = sim._rk4_step(A_cl, b_cl, x, s)
+                after = ctrl.lookup(x_piece, sim.TOL_SIM) if s < hi_t else piece
+                if after is None or after.index != piece.index:
+                    # the piece is left first: go on from there
+                    t += s
+                    x = x_piece
+                    times.append(t)
+                    states.append(x.copy())
+                    continue
             t_exit = t + hi_t
             times.append(t_exit)
             states.append(x_exit.copy())

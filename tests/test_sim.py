@@ -12,8 +12,8 @@ from reachctl import lp, sim, synth
 from reachctl.errors import Degenerate
 from reachctl.system import AffineSystem
 
-from helpers import (affine_stepper, box_fixture, cube_fixture, facet_face, hull_distance,
-                     ill3_fixture, law_rows, max_exit_time, pinned_corner_fixture,
+from helpers import (affine_stepper, box_fixture, cube_fixture, facet_face, general_problem,
+                     hull_distance, ill3_fixture, law_rows, max_exit_time, pinned_corner_fixture,
                      reference_rk4_step, rk4_exit_time, stepwise_integrate,
                      use_reference_stepper, wedge_fixture)
 
@@ -248,6 +248,56 @@ def test_blocks_match_stepwise_runs(name):
                          stepwise_integrate(sys, ctrl, x0, dt, f=f))
 
 
+# runs of the general population (``helpers.general_problem``) whose one
+# step crosses the active piece's exit facet and the domain's boundary
+# together, by (n, r) and sample of ``sim.verify(nsamples=20, seed=0)``,
+# each with the outcome its run at a hundredth of the step has
+BOUNDARY_STEPS = {
+    (3, 28): {14: sim.REACHED}, (3, 34): {12: sim.REACHED},
+    (3, 39): {3: sim.REACHED, 10: sim.TIMEOUT},
+    (3, 63): {0: sim.REACHED, 1: sim.REACHED, 9: sim.TIMEOUT, 10: sim.TIMEOUT,
+              13: sim.TIMEOUT},
+    (4, 19): {9: sim.REACHED},
+    (4, 28): {3: sim.TIMEOUT, 5: sim.REACHED, 7: sim.TIMEOUT, 11: sim.TIMEOUT,
+              13: sim.REACHED, 16: sim.REACHED}}
+
+
+@pytest.mark.parametrize("n, r", sorted(BOUNDARY_STEPS))
+def test_a_step_that_leaves_the_piece_first_goes_on_in_the_next(n, r):
+    """At the pieces' vertices on a domain facet that is no facet of
+    theirs, the closed-loop field may point out of the domain; the piece
+    drains through its exit facet first.  A step that crosses both is
+    bisected on the piece's rows too, and the run goes on in the next
+    piece: no run leaves the domain, and each pinned run ends as it does
+    at a hundredth of the step."""
+    sys, p, f = general_problem(n, r)
+    ctrl = synth.synth_polytope(sys, p, f)
+    report = sim.verify(sys, ctrl, f, nsamples=20, seed=0)
+    assert sim.LEFT not in report.outcomes
+    expected = BOUNDARY_STEPS[n, r]
+    assert {i: report.outcomes[i] for i in expected} == expected
+
+
+@pytest.mark.parametrize("n, r, sample", [(3, 28, 14), (4, 19, 9)])
+def test_a_piece_left_inside_a_boundary_step_matches_stepwise(n, r, sample):
+    """The hand-over inside a boundary step is the one-step reference's:
+    the run's state where the piece changes is the piece's exit, off the
+    step grid, inside the domain."""
+    sys, p, f = general_problem(n, r)
+    ctrl = synth.synth_polytope(sys, p, f)
+    x0 = sim.sample_states(ctrl.domain, 20, np.random.default_rng(0))[sample]
+    tr = sim.integrate(sys, ctrl, x0, f=f)
+    # controls reach 1e2 to 1e3 here, so their rounding does too
+    _assert_same_run(tr, stepwise_integrate(sys, ctrl, x0, f=f), tol=1e-10)
+    dt = sim.default_dt(sys, ctrl)
+    short = np.flatnonzero(np.diff(tr.times)[:-1] < 0.999 * dt)
+    assert len(short) and tr.outcome.kind == sim.REACHED
+    normals, offs = ctrl.domain.rows
+    for j in short + 1:
+        assert tr.piece_ids[j] != tr.piece_ids[j - 1]
+        assert (normals @ tr.states[j] - offs).max() <= sim.TOL_SIM
+
+
 def _steps(tr):
     return len(tr.times) - 1
 
@@ -427,16 +477,16 @@ def test_long_run_locates_in_blocks(box, monkeypatch):
 
 
 def test_runs_derive_the_facet_rows_once(monkeypatch):
-    """A fresh controller holds no facet rows and no runners; its first
-    run derives the rows, by one ``simplex_tables`` call, and its runner,
-    and later runs, under the same system or another, derive neither
-    again."""
+    """A fresh controller holds no order, no facet rows and no runners;
+    its first run derives the order and the rows, by one
+    ``simplex_tables`` call, and its runner, and later runs, under the
+    same system or another, derive neither again."""
     sys, p, f = box_fixture()
     ctrl = synth.synth_polytope(sys, p, f)
     calls = []
     tables = synth.simplex_tables
     monkeypatch.setattr(synth, "simplex_tables", lambda V: calls.append(len(V)) or tables(V))
-    assert ctrl._facet_rows is None and ctrl._runners is None
+    assert ctrl._derived is None and ctrl._runners is None
     starts = sim.sample_states(p, 3, np.random.default_rng(4))
     for x0 in starts:
         sim.integrate(sys, ctrl, x0, f=f)

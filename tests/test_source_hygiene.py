@@ -5,10 +5,11 @@ error class is raised somewhere or is the base of one that is, every
 function reads each of its parameters, every module-level constant is
 read somewhere in the package, no module or class binds a shared
 mutable container or a memoizing decorator (state that outlives a call
-belongs to an object the caller holds), ``synth`` builds a controller at
-one site, a controller's pieces are views of its stacks, ``synth``
-solves a leaf on its table stack, only ``geometry`` solves an LP, and
-arrays are made read-only by ``setflags``."""
+belongs to an object the caller holds), ``synth`` builds a controller
+only through its constructor, a controller stores no order and its
+pieces are views of its stacks, ``synth`` solves a leaf on its table
+stack, only ``geometry`` solves an LP, and arrays are made read-only by
+``setflags``."""
 
 import ast
 import re
@@ -401,25 +402,18 @@ def constructions(source: str, name: str) -> list[str]:
 
 
 def test_one_controller_per_synthesis():
-    """``synth`` builds a ``PWAController`` at two sites, both through the
-    one constructor: ``ordered``, which orders pieces given by index and
-    which only ``synth_polytope``'s one pass and ``from_pieces`` call,
-    and ``from_arrays``, which reads the stored form.  Nothing in the
-    package calls ``from_pieces`` (pieces built by hand) or
+    """``synth`` builds a ``PWAController`` at three sites, each a call of
+    the one constructor: ``synth_polytope``'s one pass, ``from_pieces``
+    (pieces built by hand) and ``from_arrays``, which reads the stored
+    form.  Nothing in the package calls ``from_pieces`` or
     ``from_arrays``: no sub-problem builds its own controller for its
     parent to copy and discard."""
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert constructions(sources["synth.py"], "PWAController") == ["from_arrays", "ordered"]
-    assert attribute_readers(sources["synth.py"], "ordered") == ["from_pieces",
-                                                                 "synth_polytope"]
-    assert {name: [reader for attr in ("ordered", "from_pieces", "from_arrays")
+    assert constructions(sources["synth.py"], "PWAController") == [
+        "from_arrays", "from_pieces", "synth_polytope"]
+    assert {name: [reader for attr in ("from_pieces", "from_arrays")
                    for reader in readers(text, attr) + attribute_readers(text, attr)]
-            for name, text in sources.items() if name != "synth.py"} == \
-        dict.fromkeys(set(sources) - {"synth.py"}, [])
-    assert readers(sources["synth.py"], "from_pieces") + \
-        attribute_readers(sources["synth.py"], "from_pieces") + \
-        readers(sources["synth.py"], "from_arrays") + \
-        attribute_readers(sources["synth.py"], "from_arrays") == []
+            for name, text in sources.items()} == dict.fromkeys(sources, [])
 
 
 def test_check_sees_a_second_controller():
@@ -436,6 +430,49 @@ def test_check_sees_a_second_controller():
     assert constructions(source, "PWAController") == ["<module>", "from_pieces", "m",
                                                       "synth_polytope"]
     assert attribute_readers(source, "from_pieces") == ["synth_polytope"]
+
+
+def stored_order(source: str) -> dict:
+    """What a source keeps of a controller's order of preference: the
+    functions and classes it defines as ``ordered`` or ``PieceStack``,
+    the field names of ``PIECE_SCALARS`` (an ``np.dtype`` of (name, type)
+    pairs) and the parameters of ``PWAController.__init__``."""
+    tree = ast.parse(source)
+    return {
+        "defined": sorted(node.name for node in ast.walk(tree)
+                          if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                          and node.name in ("ordered", "PieceStack")),
+        "scalars": [pair.elts[0].value for node in ast.walk(tree)
+                    if isinstance(node, ast.Assign)
+                    and any(_name(target) == "PIECE_SCALARS" for target in node.targets)
+                    for pair in node.value.args[0].elts],
+        "init": [arg.arg for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) and cls.name == "PWAController"
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
+                 for arg in fn.args.args]}
+
+
+def test_a_controller_stores_no_order():
+    """A controller stores each piece once, by its index, and derives its
+    order of preference on first read: ``synth`` defines no ``ordered``
+    and no ``PieceStack``, a piece's scalars hold no place, and the
+    constructor takes no order."""
+    assert stored_order((PACKAGE / "synth.py").read_text()) == {
+        "defined": [],
+        "scalars": ["exit_facet", "path_len", "sub_rank", "slack", "exit_margin"],
+        "init": ["self", "vertices", "laws", "scalars", "ranks", "domain", "notes"]}
+
+
+def test_check_sees_a_stored_order():
+    source = ("PIECE_SCALARS = np.dtype([('exit_facet', np.int32), ('place', np.int32)])\n"
+              "class PieceStack:\n    pass\n"
+              "class PWAController:\n"
+              "    def __init__(self, vertices, order, laws):\n        self.order = order\n"
+              "    @classmethod\n    def ordered(cls, vertices):\n        return cls(vertices)\n"
+              "def __init__(order):\n    return order\n")
+    assert stored_order(source) == {"defined": ["PieceStack", "ordered"],
+                                    "scalars": ["exit_facet", "place"],
+                                    "init": ["self", "vertices", "order", "laws"]}
 
 
 def attribute_readers(source: str, attr: str) -> list[str]:
