@@ -618,9 +618,10 @@ def hrep_to_vrep(halfspaces: list[HalfSpace]) -> np.ndarray:
 
 
 def _maximal_sets(tight: np.ndarray) -> np.ndarray:
-    """The facet rule: indices of the rows of a boolean (candidate, point)
-    table whose set of points is nonempty and lies in no other row's
-    larger set, the first row of each such set.  One product tells, for
+    """The maximal-set rule: indices of the rows of a boolean table whose
+    set is nonempty and lies in no other row's larger set, the first row
+    of each such set.  Read by (candidate, point) rows it picks facets,
+    by (point, facet) rows a hull's vertices.  One product tells, for
     every pair of rows, whether the first set lies in the second."""
     counts = tight.astype(float)
     sizes = counts.sum(axis=1)
@@ -688,10 +689,12 @@ def convex_hull(points) -> "Polytope":
     """Convex hull with minimal V-rep (and H-rep when full-dimensional).
 
     The facets are ``vrep_to_hrep`` of the points, in the coordinates of
-    their affine hull when that is lower-dimensional, and a given point is
-    a vertex when the normals of its tight facets have the hull's rank; no
-    LP is solved.  The hull keeps its vertices' rows of that table of
-    tight facets as its ``incidence``, in any dimension; a hull of lower
+    their affine hull when that is lower-dimensional.  The vertices are
+    the points whose sets of tight facets are maximal (``_maximal_sets``):
+    a vertex is the one point on all of its facets, and a point on a
+    larger face lies on fewer facets than that face's vertices.  No LP is
+    solved.  The hull keeps its vertices' rows of that table of tight
+    facets as its ``incidence``, in any dimension; a hull of lower
     dimension d comes back without facet rows, of ``dim`` d, its columns
     the facets in its affine hull; no points of R^n give the empty
     polytope of R^n.  Raises Degenerate when a d-dimensional hull keeps
@@ -712,7 +715,7 @@ def convex_hull(points) -> "Polytope":
     if d == 0:
         return Polytope(pts[:1], None, 0)
     rows, tight = _hull_table(pts if d == n else (pts - origin) @ basis)
-    keep = np.array([rank(rows[0][t]) == d for t in tight])
+    keep = _maximal_sets(tight)
     verts = pts[keep]
     if len(verts) <= d:
         raise Degenerate(f"a {d}-dimensional hull kept {len(verts)} vertices")

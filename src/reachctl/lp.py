@@ -8,17 +8,15 @@ each is split into a difference of two nonnegative variables.  Every LP
 is stated so that the origin is feasible (h >= 0), so the slack basis
 starts the simplex and no phase 1 is needed.
 
-Two callers remain, both in ``geometry``, and each states its LP so:
-``point_in_hull``, for the points its closed-form certificates leave
-open, measures its weights and its distance from the first vertex's,
-and ``hrep_to_vrep`` checks caller input by one feasibility LP, whose
-violation bound starts at the largest violation of the origin, and by
-coordinate LPs over the recession cone, whose right-hand sides are 0.
-The vertex controls of synthesis (``synth.vertex_controls_lp``)
-enumerate their LPs' bases instead and keep only ``TOL_LP`` from here.
-An LP over one affine law (K, g) and its vertex margin t starts
-feasible the same way, with t shifted to the least margin of the law
-K = 0, g = 0.
+Two functions solve LPs here, both in ``geometry``, and each states its
+LP so: ``point_in_hull``, for the points its closed-form certificates
+leave open, measures its weights and its distance from the first
+vertex's, and ``hrep_to_vrep`` checks caller input by one feasibility
+LP, whose violation bound starts at the largest violation of the origin,
+and by coordinate LPs over the recession cone, whose right-hand sides
+are 0.  No other code calls ``solve``: the vertex controls of synthesis
+(``synth.vertex_controls_lp``) enumerate their LPs' bases instead and
+keep only ``TOL_LP`` from here.
 """
 
 from __future__ import annotations

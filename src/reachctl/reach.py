@@ -4,7 +4,9 @@ The analysis decides whether every state of the polytope can be steered
 to the target while remaining inside, exposes the two failure sets (the
 sub-level block at the target's low end, and the possible equilibria
 pinned on the top face), and cuts the failure sets off with a margin to
-produce a closed polytope on which the problem is solvable.
+produce a closed polytope on which the problem is solvable.  Each margin
+cut is one ``clip_to_halfspace`` of the polytope kept so far to the side
+of the cut plane away from its failure set: only what is kept is built.
 
 Every slice of the polytope at a drift level or along the equilibrium
 plane (the level face, the equilibrium slice, the cut's anchors and
@@ -32,8 +34,7 @@ from .errors import CutConstructionFailed, EpsTooLarge
 from .geometry import (TOL_GEOM, TOL_INCIDENCE, TOL_MERGE, Face, Hyperplane,
                        Polytope, affine_basis, affine_dimension,
                        clip_to_halfspace, convex_hull, hyperplane_through,
-                       lex_sorted, point_in_hull, section,
-                       split_by_hyperplane)
+                       lex_sorted, point_in_hull, section)
 from .system import SystemGeometry
 
 
@@ -67,11 +68,11 @@ class ReachAnalysis:
 
 @dataclass(frozen=True)
 class EpsilonCut:
-    """Result of cutting the failure sets off with margin ``eps``."""
+    """Result of cutting the failure sets off with margin ``eps``: the
+    polytope kept, ``reach_eps`` (empty when the whole polytope fails),
+    and the planes of the cuts made, low cut first."""
 
     eps: float
-    a_eps_minus: Polytope
-    a_eps_plus: Polytope
     reach_eps: Polytope
     cut_planes: tuple = ()
 
@@ -221,15 +222,9 @@ def _cut_low_failure(p: Polytope, f: Polytope, geom: SystemGeometry,
     if len(anchors) == 0:
         raise EpsTooLarge("no boundary points at the shifted level")
 
-    need = n - affine_dimension(pivots) - 1
-    if need <= 0:
-        cand_sets = [()]
-    else:
-        cand_sets = list(itertools.combinations(range(len(anchors)), need))
-
-    f_verts = f.vertices
-    for combo in cand_sets:
-        pts = np.vstack([pivots] + [anchors[list(combo)]]) if combo else pivots
+    need = max(n - affine_dimension(pivots) - 1, 0)
+    for combo in itertools.combinations(range(len(anchors)), need):
+        pts = np.vstack([pivots, anchors[list(combo)]])
         plane = hyperplane_through(pts)
         if plane is None:
             continue
@@ -242,7 +237,7 @@ def _cut_low_failure(p: Polytope, f: Polytope, geom: SystemGeometry,
         else:
             continue
         # the target must sit entirely on the keep side
-        f_vals = plane.value(f_verts) * sign
+        f_vals = plane.value(f.vertices) * sign
         if np.any(f_vals > TOL_INCIDENCE):
             continue
         # both sides solid, and margin attained: every point of the plane
@@ -264,9 +259,11 @@ def epsilon_cut(geom: SystemGeometry, p: Polytope, f: Polytope,
 
     The low-end failure is cut along a tilted hyperplane pivoting on the
     target at its lowest drift level; the equilibrium failure on the top
-    face is cut along a drift-level plane.  Either cut is skipped when
-    its failure set is empty; with no failure sets the polytope comes
-    back whole.
+    face is cut along a drift-level plane.  Each cut is one
+    ``clip_to_halfspace`` of the polytope kept so far to the side away
+    from its failure set, so the failure side is never built.  Either cut
+    is skipped when its failure set is empty; with no failure sets the
+    polytope comes back whole.
     """
     if analysis is None:
         analysis = analyze(geom, p, f)
@@ -277,8 +274,6 @@ def epsilon_cut(geom: SystemGeometry, p: Polytope, f: Polytope,
 
     beta = geom.beta
     reach = p
-    a_eps_minus = Polytope.empty(p.n)
-    a_eps_plus = Polytope.empty(p.n)
     planes: list[Hyperplane] = []
 
     # total failure: the target sits on the top drift level, so no
@@ -287,23 +282,20 @@ def epsilon_cut(geom: SystemGeometry, p: Polytope, f: Polytope,
     lvl_minus = float(beta @ analysis.v_minus)
     beta_max = float((p.vertices @ beta).max())
     if not analysis.a_minus.is_empty and lvl_minus >= beta_max - TOL_GEOM:
-        return EpsilonCut(float(eps), p, Polytope.empty(p.n), Polytope.empty(p.n), ())
+        return EpsilonCut(float(eps), Polytope.empty(p.n), ())
 
     if not analysis.a_minus.is_empty:
         plane, sign = _cut_low_failure(p, f, geom, analysis, eps)
-        lo, hi = split_by_hyperplane(reach, plane)
-        a_eps_minus, reach = (hi, lo) if sign > 0 else (lo, hi)
+        reach = clip_to_halfspace(reach, plane.lower() if sign > 0 else plane.upper())
         planes.append(plane)
 
     if not analysis.a_plus.is_empty:
-        beta_max = float((p.vertices @ beta).max())
         lvl_plus = float(beta @ analysis.v_plus)
         cut_level = beta_max - eps
         if cut_level <= lvl_plus + TOL_GEOM:
             raise EpsTooLarge("margin would cut into the target's top level")
         plane = Hyperplane(beta, cut_level)
-        lo, hi = split_by_hyperplane(reach, plane)
-        reach, a_eps_plus = lo, hi
+        reach = clip_to_halfspace(reach, plane.lower())
         planes.append(plane)
 
     if reach.is_empty or not reach.is_full_dim:
@@ -311,4 +303,4 @@ def epsilon_cut(geom: SystemGeometry, p: Polytope, f: Polytope,
     for v in f.vertices:
         if not reach.contains(v, TOL_MERGE):
             raise EpsTooLarge("cut removed part of the target")
-    return EpsilonCut(float(eps), a_eps_minus, a_eps_plus, reach, tuple(planes))
+    return EpsilonCut(float(eps), reach, tuple(planes))

@@ -201,8 +201,7 @@ class _Runner:
     piece's stacked RK4 maps (``step_maps``), filled as runs need them."""
 
     def __init__(self, sys: AffineSystem, ctrl: PWAController):
-        # the laws of a controller of no pieces have no input rows either
-        self.loops = list(zip(*closed_loop(sys, ctrl.laws))) if len(ctrl.laws) else []
+        self.loops = list(zip(*closed_loop(sys, ctrl.laws)))
         self.dt = _default_step(ctrl, self.loops)
         self.maps = {}
 

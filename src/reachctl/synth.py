@@ -238,7 +238,11 @@ class PWAController:
                  notes=()):
         """The controller of its stored fields, each by index: the vertex
         stack, the laws, the scalars and the ranks.  Raises ValueError on
-        a shape or dtype that disagrees."""
+        a shape or dtype that disagrees, and for no pieces: synthesis
+        gives every leaf a simplex, and a controller without a law would
+        not know its input dimension."""
+        if not len(laws):
+            raise ValueError("a controller has at least one piece")
         n = domain.n
         self.laws = _stored(laws, float, (None, None, n + 1), "laws")
         count = len(self.laws)
@@ -258,12 +262,10 @@ class PWAController:
         regions' vertices and their other fields stacked, their own
         ``index`` ignored."""
         pieces = list(pieces)
-        n = domain.n
         scalars = _piece_scalars(*([getattr(pc, name) for pc in pieces] for name in (
             "exit_facet", "path_len", "sub_rank", "slack", "exit_margin")))
-        # no pieces give empty stacks of the shapes the constructor checks
-        vertices = np.array([pc.region.vertices for pc in pieces]).reshape(-1, n + 1, n)
-        laws = np.array([pc.law for pc in pieces]) if pieces else np.empty((0, 0, n + 1))
+        vertices = np.array([pc.region.vertices for pc in pieces])
+        laws = np.array([pc.law for pc in pieces])
         return cls(vertices, laws, scalars, [pc.rank for pc in pieces], domain, notes)
 
     def to_arrays(self) -> dict[str, np.ndarray]:

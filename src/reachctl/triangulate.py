@@ -41,11 +41,10 @@ from .errors import (CoverIncomplete, CutConstructionFailed, EpsTooLarge,
                      NoQualifyingVertex, VStarInFbar)
 from .geometry import (KEY_DECIMALS, TOL_GEOM, TOL_INCIDENCE, TOL_VOLUME,
                        TOL_ZERO, HalfSpace, Hyperplane, Polytope, Simplex,
-                       affine_dimension, carrying_facet, clip_to_halfspace,
-                       convex_hull, fan, hyperplane_through, intersect,
-                       lex_sorted, point_in_hull, pyramid, pyramid_rows,
-                       section, simplex_tables, split_by_hyperplane,
-                       whole_facet)
+                       affine_dimension, carrying_facet, convex_hull, fan,
+                       hyperplane_through, intersect, lex_sorted,
+                       point_in_hull, pyramid, pyramid_rows, section,
+                       simplex_tables, split_by_hyperplane, whole_facet)
 from .reach import default_eps, epsilon_cut
 from .system import (AffineSystem, SystemGeometry, compute_geometry,
                      equilibrium_plane)
@@ -326,60 +325,57 @@ def cover_wrt_O(sys: AffineSystem, p: Polytope, f: Polytope,
                 eps: Optional[float] = None) -> Cover:
     """Cover of a polytope crossed by the equilibrium plane.
 
-    The polytope is split along ``system.equilibrium_plane``, the plane
-    whose crossing fails A3, so a polytope that passes A3 comes back as
-    one piece.  Each side gets a margin-cut reach set toward its share of
-    the target (when that share is a facet) and toward the interface: the
-    section of the other side's direct piece by the plane.  So each side
-    holds at most two pieces, and the gap is read off their volumes and
-    their intersection (``_cover_gap``), not off an arrangement of the
-    cut planes.  Raises CoverIncomplete when the pieces miss a region of
-    positive volume, which signals that the margin must shrink or that
+    The polytope and the target are split along
+    ``system.equilibrium_plane``, the plane whose crossing fails A3, so a
+    polytope that passes A3 comes back as one piece.  Each side gets a
+    margin-cut reach set (``epsilon_cut``) toward its half of the target,
+    when that half is a facet: the direct piece.  Then it gets one toward
+    the interface, the section of the other side's direct piece by the
+    plane: the feeder piece.  Both kinds of cut are made by one local
+    path, which names the kind and the side when a cut fails.  So each
+    side holds at most two pieces, and the gap is read off their volumes
+    and their intersection (``_cover_gap``), not off an arrangement of
+    the cut planes.  Raises CoverIncomplete when the pieces miss a region
+    of positive volume, which signals that the margin must shrink or that
     some states are forced through a low-dimensional bottleneck.
     """
     o_plane = equilibrium_plane(sys)
-    side1, side2 = split_by_hyperplane(p, o_plane)
-    if side1.is_empty or side2.is_empty:
+    sides = split_by_hyperplane(p, o_plane)
+    if sides[0].is_empty or sides[1].is_empty:
         return Cover((CoverPiece(p, f, "target"),))
 
-    sides = [side1, side2]
-    targets = [clip_to_halfspace(f, o_plane.lower()), clip_to_halfspace(f, o_plane.upper())]
+    targets = split_by_hyperplane(f, o_plane)
     geoms = [compute_geometry(sys, s) for s in sides]
     if eps is None:
         eps = min(default_eps(geoms[0], sides[0]), default_eps(geoms[1], sides[1]))
 
     pieces: list[CoverPiece] = []
     planes: list[Hyperplane] = [o_plane]
-    direct: list[Optional[Polytope]] = [None, None]
-    feeder: list[Optional[Polytope]] = [None, None]
-    for i in (0, 1):
-        if targets[i].dim == p.n - 1:
-            try:
-                cut = epsilon_cut(geoms[i], sides[i], targets[i], eps)
-            except (EpsTooLarge, CutConstructionFailed) as exc:
-                raise CoverIncomplete(np.inf, f"direct cut on side {i} failed: {exc}")
-            if not cut.reach_eps.is_empty:
-                direct[i] = cut.reach_eps
-                pieces.append(CoverPiece(cut.reach_eps, targets[i], "target"))
-                planes.extend(cut.cut_planes)
 
+    def cut(i: int, target: Polytope, kind: str, role: str) -> Optional[Polytope]:
+        """Side i's margin-cut reach set toward ``target``, appended with
+        its cut planes; None when nothing of the side remains."""
+        try:
+            out = epsilon_cut(geoms[i], sides[i], target, eps)
+        except (EpsTooLarge, CutConstructionFailed) as exc:
+            raise CoverIncomplete(np.inf, f"{kind} cut on side {i} failed: {exc}")
+        if out.reach_eps.is_empty:
+            return None
+        pieces.append(CoverPiece(out.reach_eps, target, role))
+        planes.extend(out.cut_planes)
+        return out.reach_eps
+
+    direct = [cut(i, targets[i], "direct", "target") if targets[i].dim == p.n - 1 else None
+              for i in (0, 1)]
+    feeder: list[Optional[Polytope]] = [None, None]
     for i, j in ((0, 1), (1, 0)):
-        if direct[j] is None:
+        # a side that epsilon_cut cut nothing off is covered already
+        if direct[j] is None or direct[i] is sides[i]:
             continue
-        if direct[i] is sides[i]:
-            continue  # epsilon_cut cut nothing: this side is covered
         iface = section(direct[j], o_plane)
         if iface.is_empty or iface.dim != p.n - 1:
             continue
-        try:
-            cut = epsilon_cut(geoms[i], sides[i], iface, eps)
-        except (EpsTooLarge, CutConstructionFailed) as exc:
-            raise CoverIncomplete(np.inf, f"interface cut on side {i} failed: {exc}")
-        if cut.reach_eps.is_empty:
-            continue
-        feeder[i] = cut.reach_eps
-        pieces.append(CoverPiece(cut.reach_eps, iface, "feeder"))
-        planes.extend(cut.cut_planes)
+        feeder[i] = cut(i, iface, "interface", "feeder")
 
     volume = p.volume()
     gap = _cover_gap(volume, list(zip(direct, feeder)))

@@ -271,12 +271,19 @@ class TestEquilibriumSlice:
 
 
 class TestEpsilonCut:
+    @staticmethod
+    def assert_beyond(plane, kept, failing):
+        """``kept`` lies on one side of ``plane`` and every point of
+        ``failing`` on the other, up to the tolerance of a closed cut."""
+        side = 1.0 if np.all(plane.value(kept.vertices) <= 1e-9) else -1.0
+        assert np.all(side * plane.value(kept.vertices) <= 1e-9)
+        assert np.all(side * plane.value(failing) >= -1e-7)
+
     def test_no_failure_sets_returns_whole(self):
         sys, p, f = box_fixture()
         geom, ra = analysis_for(sys, p, f)
         cut = reach.epsilon_cut(geom, p, f, 0.1, analysis=ra)
-        assert cut.a_eps_minus.is_empty and cut.a_eps_plus.is_empty
-        assert cut.reach_eps.volume() == pytest.approx(p.volume())
+        assert cut.reach_eps is p and cut.cut_planes == ()
 
     def test_wedge_cut_shape(self):
         sys, p, f = wedge_fixture()
@@ -286,14 +293,24 @@ class TestEpsilonCut:
         assert len(cut.reach_eps.vertices) == 5
         expected = np.array([(eps, 0), (2.5 - eps, 0), (2.5, 1), (1, 1), (eps, eps)])
         assert np.allclose(geo.lex_sorted(expected), cut.reach_eps.vertices, atol=1e-9)
-        # failure sets contained in their margins
-        for v in ra.a_minus.vertices:
-            assert cut.a_eps_minus.contains(v, 1e-7)
-        for v in ra.a_plus.vertices:
-            assert cut.a_eps_plus.contains(v, 1e-7)
+        # each failure set lies beyond its cut plane, low cut first
+        low, top = cut.cut_planes
+        self.assert_beyond(low, cut.reach_eps, ra.a_minus.vertices)
+        self.assert_beyond(top, cut.reach_eps, ra.a_plus.vertices)
         # target survives
         for v in f.vertices:
             assert cut.reach_eps.contains(v, 1e-7)
+
+    def test_each_cut_is_one_clip_of_the_kept_side(self, monkeypatch):
+        """The wedge has both failure sets, and each cut clips the polytope
+        kept so far once: the failure sides are never built."""
+        sys, p, f = wedge_fixture()
+        geom, ra = analysis_for(sys, p, f)
+        calls = []
+        clip = geo._clip_across
+        monkeypatch.setattr(geo, "_clip_across", lambda *a: calls.append(a) or clip(*a))
+        cut = reach.epsilon_cut(geom, p, f, 0.1, analysis=ra)
+        assert len(cut.cut_planes) == 2 and len(calls) == 2
 
     def test_convergence_of_gap(self):
         sys, p, f = wedge_fixture()
@@ -322,9 +339,12 @@ class TestEpsilonCut:
         assert ra.a_minus.is_empty and not ra.a_plus.is_empty
         eps = 0.1
         cut = reach.epsilon_cut(geom, p, f, eps, analysis=ra)
-        assert cut.a_eps_minus.is_empty
-        assert cut.a_eps_plus.contains([0, 0], 1e-9)
-        levels = cut.a_eps_plus.vertices @ geom.beta
+        (top,) = cut.cut_planes
+        self.assert_beyond(top, cut.reach_eps, ra.a_plus.vertices)
+        # the margin set the top cut removes spans eps in drift level
+        _, a_eps_plus = geo.split_by_hyperplane(p, top)
+        assert a_eps_plus.contains([0, 0], 1e-9)
+        levels = a_eps_plus.vertices @ geom.beta
         assert levels.max() - levels.min() == pytest.approx(eps, abs=1e-9)
 
     def test_eps_too_large(self):
@@ -350,7 +370,7 @@ class TestEpsilonCut:
         sys, p, f = box_left_fixture()
         geom, ra = analysis_for(sys, p, f)
         cut = reach.epsilon_cut(geom, p, f, 0.1, analysis=ra)
-        assert cut.a_eps_minus is p and cut.a_eps_plus.is_empty and cut.reach_eps.is_empty
+        assert cut.reach_eps.is_empty and cut.reach_eps.n == p.n
         assert cut.cut_planes == () and cut.eps == 0.1
 
 

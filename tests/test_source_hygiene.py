@@ -367,13 +367,14 @@ def readers(source: str, name: str) -> list[str]:
 def test_no_triangulation_hulls():
     """Every triangulation reads its faces off an incidence table: in
     ``triangulate`` only the cover w.r.t. a target hulls (its lead
-    piece), and one facet rule serves faces (``_facet_sets``) and one
-    hulls (``_hull_facets``), both through ``_maximal_sets``."""
+    piece), and one maximal-set rule serves the facets of faces
+    (``_facet_sets``) and of hulls (``_hull_facets``) and a hull's
+    vertices (``convex_hull``): all go through ``_maximal_sets``."""
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert readers(sources["triangulate.py"], "convex_hull") == ["cover_wrt_F"]
     assert {name: got for name, got in
             ((name, readers(text, "_maximal_sets")) for name, text in sources.items())
-            if got} == {"geometry.py": ["_facet_sets", "_hull_facets"]}
+            if got} == {"geometry.py": ["_facet_sets", "_hull_facets", "convex_hull"]}
 
 
 def test_check_sees_a_second_reader():
