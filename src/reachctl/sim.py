@@ -23,10 +23,13 @@ ends with no event, up to _BLOCK_CAP.  The horizon is tested on a
 block's last full step, and step by step only on the block that passes
 it.
 
-A run builds only what decides it and what it returns: states, times,
-piece ids, the deepest violation and the outcome.  Its controls are
-derived when first read (``Trajectory.controls``), from the stretches
-of states that one piece's law acted on.
+A run builds only what decides it: its tests' verdicts, the deepest
+violation and the outcome.  Of its states and times it keeps the views
+of each block's kept rows, and of its pieces one stretch (first row, row
+count, piece) per block and per domain exit's step.  Its ``Trajectory``
+derives its times, states, piece ids and controls from those when each
+is first read, so a caller that reads only outcomes, as ``verify``
+does, builds none of them.
 
 The domain and the face keep their rows, and the controller derives
 its facet rows (``PWAController._table``) on its first read, so the
@@ -94,33 +97,54 @@ class Outcome:
 
 @dataclass
 class Trajectory:
-    """One closed-loop run: its ``times`` and ``states``, row by row, the
-    piece whose law acts at each state (``piece_ids``, -1 on the last
-    state of a run that times out or finds no piece), its ``outcome`` and
-    its deepest domain violation.
+    """One closed-loop run: its ``outcome`` and its deepest domain
+    violation, and, derived on read, its ``times`` and ``states``, row by
+    row, and the piece whose law acts at each state (``piece_ids``, -1 on
+    the last state of a run that times out or finds no piece).
 
-    A run does not build its ``controls``: their first read derives them
-    from its ``stretches``, one (first row, row count, piece) per block
-    of steps the run kept and one per domain exit's step.  A stretch's
-    rows are one product, ``states[i:i + k] @ gain.T + offset`` under its
-    piece's law, of the states its steps start from; stretches are not
-    merged, since numpy can round a row of a one-row product differently
-    from the same row of a longer one.  The last state's row is the law
-    of ``piece_ids[-1]`` at it, or zeros where that id is -1.  ``laws``
-    is the controller's law stack (``PWAController.laws``) and ``m`` the
-    input dimension."""
-    times: np.ndarray
-    states: np.ndarray
-    piece_ids: np.ndarray
+    A run keeps, per block of steps, only what it computed: the views of
+    its kept times and states (``time_chunks``, ``state_chunks``) and one
+    stretch (first row, row count, piece) per block and per domain exit's
+    step (``stretches``), with the id of its last state (``last_id``).
+    ``times`` and ``states`` are their chunks concatenated and
+    ``piece_ids`` each stretch's piece over its rows, then ``last_id``;
+    each is built on its first read and kept, and its chunks dropped, so
+    a run that is only folded into a report builds none of them.
+
+    ``controls`` are derived the same way.  A stretch's rows are one
+    product, ``states[i:i + k] @ gain.T + offset`` under its piece's law,
+    of the states its steps start from; stretches are not merged, since
+    numpy can round a row of a one-row product differently from the same
+    row of a longer one.  The last state's row is the law of ``last_id``
+    at it, or zeros where that id is -1.  ``laws`` is the controller's
+    law stack (``PWAController.laws``) and ``m`` the input dimension."""
     outcome: Outcome
     max_violation: float
     laws: np.ndarray = field(repr=False)
     stretches: list = field(repr=False)
+    last_id: int = field(repr=False)
     m: int = field(repr=False)
+    time_chunks: Optional[list] = field(repr=False)
+    state_chunks: Optional[list] = field(repr=False)
 
     @property
     def success(self) -> bool:
         return self.outcome.kind == REACHED
+
+    @cached_property
+    def times(self) -> np.ndarray:
+        times, self.time_chunks = np.concatenate(self.time_chunks), None
+        return times
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        states, self.state_chunks = np.concatenate(self.state_chunks), None
+        return states
+
+    @cached_property
+    def piece_ids(self) -> np.ndarray:
+        rows = np.array(self.stretches, dtype=int).reshape(-1, 3)
+        return np.append(np.repeat(rows[:, 2], rows[:, 1]), self.last_id)
 
     @cached_property
     def controls(self) -> np.ndarray:
@@ -128,9 +152,8 @@ class Trajectory:
         for first, count, piece in self.stretches:
             law = self.laws[piece]
             rows.append(self.states[first:first + count] @ law[:, :-1].T + law[:, -1])
-        last = self.piece_ids[-1]
-        if last >= 0:
-            law = self.laws[last]
+        if self.last_id >= 0:
+            law = self.laws[self.last_id]
             rows.append((self.states[-1] @ law[:, :-1].T + law[:, -1])[None])
         else:
             rows.append(np.zeros((1, self.m)))
@@ -291,10 +314,11 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
     The closed loops, the default step and the step maps for dt come from
     the controller's runner for ``sys``, and the rows of the domain and
     the face from those; each is built by the first run that needs it, so
-    a run itself builds only its states, times and piece ids, its tests'
-    verdicts and its outcome.  It records which piece's law acted on
-    which rows, and its controls are derived from that when read
-    (``Trajectory``).
+    a run itself builds only its tests' verdicts and its outcome.  It
+    keeps each block's kept times and states as views, records which
+    piece's law acted on which rows, and hands those to its
+    ``Trajectory``, which derives its times, states, piece ids and
+    controls when each is first read.
 
     A state with no containing piece ends the run with a gap outcome
     rather than extrapolating.  Raises ValueError unless dt is finite and
@@ -324,16 +348,13 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
                 return int(j)
         return None
 
-    times, states, ids, stretches = [np.zeros(1)], [x[None]], [], []
+    times, states, stretches = [np.zeros(1)], [x[None]], []
     row = 0  # the row of x in the run's states
     max_viol = max(float((normals @ x - offs).max()), 0.0)
     active = int(ctrl.locate(x[None], TOL_SIM)[0])
 
     def finish(outcome, last_id):
-        ids.append([last_id])
-        return Trajectory(np.concatenate(times), np.concatenate(states),
-                          np.concatenate(ids).astype(int), outcome, max_viol,
-                          ctrl.laws, stretches, sys.m)
+        return Trajectory(outcome, max_viol, ctrl.laws, stretches, last_id, sys.m, times, states)
 
     if first_hit(x[None]) is not None:
         return finish(Outcome(REACHED, 0.0), active)
@@ -374,7 +395,6 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
             times.append(T[1:kept + 1])
             states.append(X[:kept])
             stretches.append((row, kept, active))
-            ids.append(np.full(kept, active))
             max_viol = max(max_viol, float(viol[:kept].max()))
             x, t, row = X[kept - 1], float(T[kept]), row + kept
         if hit is not None:
@@ -401,7 +421,6 @@ def integrate(sys: AffineSystem, ctrl: PWAController, x0, dt: Optional[float] = 
                         x_exit, hi_t = x_piece, s
             t_exit = t + hi_t
             stretches.append((row, 1, active))
-            ids.append([active])
             times.append([t_exit])
             states.append(x_exit[None])
             if reached:
@@ -492,7 +511,9 @@ def verify(sys: AffineSystem, ctrl: PWAController, f: Face, nsamples: int = 100,
     ``dwell_steps`` counts, for every piece, the steps taken under its
     law over all runs.  Each run is folded into the report as it ends
     (its outcome, time, deepest violation and steps per piece), so no
-    run's states outlive it.
+    run outlives the next one's start; its steps per piece are summed
+    from its ``stretches``, so no run's times, states or piece ids are
+    built.
     """
     pieces = len(ctrl.pieces)
     if nsamples <= 0:
@@ -502,7 +523,7 @@ def verify(sys: AffineSystem, ctrl: PWAController, f: Face, nsamples: int = 100,
     if dt is None:
         dt = default_dt(sys, ctrl)
     outcomes, times, violations, failures = [], [], [], []
-    counts = np.zeros(pieces, dtype=int)
+    counts = [0] * pieces
     for i, x0 in enumerate(starts):
         tr = integrate(sys, ctrl, x0, dt, tmax, f)
         outcomes.append(tr.outcome.kind)
@@ -511,8 +532,8 @@ def verify(sys: AffineSystem, ctrl: PWAController, f: Face, nsamples: int = 100,
             times.append(tr.outcome.time)
         else:
             failures.append(i)
-        # a run's last piece id labels its final state, not a step
-        counts += np.bincount(tr.piece_ids[:-1], minlength=pieces)
+        for _, count, piece in tr.stretches:
+            counts[piece] += count
     dwell = {index: int(count) for index, count in enumerate(counts)}
     return VerifyReport(nsamples, nsamples - len(failures), outcomes, times,
                         max(violations, default=0.0), failures, seed, dwell)

@@ -311,13 +311,17 @@ def _cover_gap(volume: float, sides: list[tuple[Optional[Polytope], ...]]) -> fl
     """The volume a cover misses of a polytope of ``volume``, given per
     side of the equilibrium plane its (direct, feeder) pieces, each None
     when the side has none.  Every piece lies in its side, so the gap is
-    |p| less, per side, |a ∪ b| = |a| + |b| - |a ∩ b|."""
+    |p| less, per side, |a ∪ b| = |a| + |b| - |a ∩ b|.  Where b's
+    halfspaces already hold a, ``intersect`` returns a itself, whose
+    volume is taken already."""
     gap = volume
     for pieces in sides:
         present = [q for q in pieces if q is not None]
-        gap -= sum(q.volume() for q in present)
+        volumes = [q.volume() for q in present]
+        gap -= sum(volumes)
         if len(present) == 2:
-            gap += intersect(*present).volume()
+            both = intersect(*present)
+            gap += volumes[0] if both is present[0] else both.volume()
     return gap
 
 

@@ -227,11 +227,12 @@ def test_integrate_matches_reference_stepper(name, monkeypatch):
 # -- block stepping against one step at a time -------------------------------------
 
 def _assert_same_run(a, b, tol=1e-12):
-    """Same outcome, times and piece ids, and states, controls and
-    ``max_violation`` within ``tol``; ``tol=0`` asks for equality."""
+    """Same outcome, and times and piece ids bit for bit, of one dtype,
+    and states, controls and ``max_violation`` within ``tol``; ``tol=0``
+    asks for equality."""
     assert a.outcome == b.outcome
-    assert np.array_equal(a.times, b.times)
-    assert np.array_equal(a.piece_ids, b.piece_ids)
+    assert a.times.dtype == b.times.dtype and np.array_equal(a.times, b.times)
+    assert a.piece_ids.dtype == b.piece_ids.dtype and np.array_equal(a.piece_ids, b.piece_ids)
     assert a.states.shape == b.states.shape and a.controls.shape == b.controls.shape
     assert np.abs(a.states - b.states).max() <= tol
     assert np.abs(a.controls - b.controls).max(initial=0.0) <= tol
@@ -361,59 +362,72 @@ def test_derived_controls_are_each_states_law(name):
     the domain, time out in a block, and find no piece.  A block's product
     rounds each row as a product of two rows does, and a stretch of one
     row (a domain exit's step, the last state) as that row alone; the
-    digest of ``tests/output_digest.py`` holds them to the loop's product."""
+    digest of ``tests/output_digest.py`` holds them to the loop's product.
+    No array of a run is built before its first read, each read after it
+    gives the same array, the chunks it was built from are dropped, and
+    controls read before the states give the same rows."""
     fixture = ill3_fixture if name == "ill3" else FIXTURES[name]
     sys, p, f = fixture()
     ctrl = synth.synth_polytope(sys, p, f)
     dt = sim.default_dt(sys, ctrl)
     rng = np.random.default_rng(8)
     starts = sim.sample_states(ctrl.domain, 3, rng)
-    runs = [(ctrl, sim.integrate(sys, ctrl, x0, dt, 3000 * dt, f=f)) for x0 in starts[:2]]
-    runs.append((ctrl, sim.integrate(sys, ctrl, starts[2], dt)))
-    runs.append((ctrl, sim.integrate(sys, ctrl, f.vertices.mean(axis=0), dt, f=f)))
-    runs.append((ctrl, sim.integrate(sys, ctrl, starts[0], dt, 37.25 * dt, f=f)))
+    cases = [(ctrl, (x0, dt, 3000 * dt, f)) for x0 in starts[:2]]
+    cases.append((ctrl, (starts[2], dt)))
+    cases.append((ctrl, (f.vertices.mean(axis=0), dt, None, f)))
+    cases.append((ctrl, (starts[0], dt, 37.25 * dt, f)))
     # a piece alone, which leaves its region short of the target
     for pc in ctrl.pieces:
         if pc.path_len:
             alone = synth.PWAController.from_pieces([pc], ctrl.domain)
-            runs.append((alone, sim.integrate(sys, alone, pc.region.centroid(), dt, f=f)))
+            cases.append((alone, (pc.region.centroid(), dt, None, f)))
+    runs = [(c, sim.integrate(sys, c, *args)) for c, args in cases]
     kinds = Counter(tr.outcome.kind for _, tr in runs)
     assert kinds[sim.REACHED] >= 2 and kinds[sim.LEFT] and kinds[sim.TIMEOUT] and kinds[sim.GAP]
     assert runs[3][1].outcome == sim.Outcome(sim.REACHED, 0.0)
-    for c, tr in runs:
-        assert "controls" not in vars(tr)
+    for (c, tr), (_, args) in zip(runs, cases):
+        assert not {"times", "states", "piece_ids", "controls"} & set(vars(tr))
         alone, in_block = law_rows(c, tr.states, tr.piece_ids, sys.m)
+        assert tr.states is tr.states and tr.piece_ids is tr.piece_ids and tr.times is tr.times
+        assert tr.state_chunks is None and tr.time_chunks is None
+        twin = sim.integrate(sys, c, *args)
+        assert np.array_equal(twin.controls, tr.controls) and "states" in vars(twin)
         assert tr.controls.shape == alone.shape
         assert np.all((tr.controls == alone).all(axis=1) | (tr.controls == in_block).all(axis=1))
         assert np.array_equal(tr.controls[-1], alone[-1])
 
 
 def test_runs_whose_controls_go_unread_compute_none(box, monkeypatch):
-    """Neither ``verify`` nor a caller that reads a run's outcome and
-    length, as the benchmark does, derives a run's controls: they are
-    derived only when read, from the law stack the run keeps, and no run
-    builds a piece view."""
+    """``verify`` derives none of a run's arrays, and a caller that reads
+    a run's outcome and length, as the benchmark does, derives its times
+    alone: each array is derived only when read, the controls from the
+    law stack the run keeps and from its states, not its piece ids, and
+    no run builds a piece view."""
     sys, p, f, ctrl = box
     report = sim.verify(sys, ctrl, f, nsamples=4, seed=2).to_dict()
     derived, views = [], []
-    controls = vars(sim.Trajectory)["controls"]
-    monkeypatch.setattr(controls, "func",
-                        lambda tr, derive=controls.func: derived.append(tr) or derive(tr))
+    for name in ("times", "states", "piece_ids", "controls"):
+        prop = vars(sim.Trajectory)[name]
+        monkeypatch.setattr(prop, "func", lambda tr, derive=prop.func, name=name:
+                            derived.append((name, id(tr))) or derive(tr))
     init = synth.AffinePiece.__init__
     monkeypatch.setattr(synth.AffinePiece, "__init__",
                         lambda pc, *args: views.append(args) or init(pc, *args))
     assert sim.verify(sys, ctrl, f, nsamples=4, seed=2).to_dict() == report
+    assert derived == []
     dt = sim.default_dt(sys, ctrl)
     runs = [sim.integrate(sys, ctrl, x0, f=f, domain=ctrl.domain, **kw)
             for x0, kw in (([0.5, 0.5], {}), ([0.1, 0.1], {"tmax": 300 * dt}))]
     runs.append(sim.integrate(sys, ctrl, [0.5, 0.5]))
     assert [(tr.outcome.kind, len(tr.times) > 1) for tr in runs] == [
         (sim.REACHED, True), (sim.TIMEOUT, True), (sim.LEFT, True)]
-    assert derived == [] and not any("controls" in vars(tr) for tr in runs)
+    assert derived == [("times", id(tr)) for tr in runs]
+    assert not any(name in vars(tr) for tr in runs for name in ("states", "piece_ids", "controls"))
     assert all(tr.laws is ctrl.laws for tr in runs)
+    derived.clear()
     assert all(len(tr.controls) == len(tr.times) for tr in runs)
-    assert list(map(id, derived)) == list(map(id, runs))
-    assert all("controls" in vars(tr) for tr in runs)
+    assert derived == [(name, id(tr)) for tr in runs for name in ("controls", "states")]
+    assert all("controls" in vars(tr) and "piece_ids" not in vars(tr) for tr in runs)
     assert views == []
 
 
@@ -562,12 +576,12 @@ def test_rk4_steps_only_at_exits_and_short_last_steps(box, monkeypatch):
 
 def reference_verify(sys, ctrl, f, nsamples, seed, tmax=None):
     """``sim.verify`` as a loop that keeps every run and reads the report
-    off the list at the end."""
+    off the list at the end, its dwell steps off each run's piece ids: a
+    run's last id labels its final state, not a step."""
     starts = sim.sample_states(ctrl.domain, nsamples, np.random.default_rng(seed))
     dt = sim.default_dt(sys, ctrl)
     trajs = [sim.integrate(sys, ctrl, x0, dt, tmax, f) for x0 in starts]
-    steps = np.concatenate([tr.piece_ids[:-1] for tr in trajs])
-    counts = np.bincount(steps, minlength=len(ctrl.pieces))
+    counts = sum(np.bincount(tr.piece_ids[:-1], minlength=len(ctrl.pieces)) for tr in trajs)
     return sim.VerifyReport(nsamples, sum(tr.success for tr in trajs),
                             [tr.outcome.kind for tr in trajs],
                             [tr.outcome.time for tr in trajs if tr.success],
@@ -600,6 +614,9 @@ def test_verify_equals_the_loop_over_kept_runs(name, seed, tmax, monkeypatch):
     report = sim.verify(sys, ctrl, f, nsamples=8, seed=seed, tmax=tmax)
     assert len(runs) == 8
     assert report == ref and report.to_dict() == ref.to_dict()
+    assert all(type(count) is int for count in report.dwell_steps.values())
+    if name in ("wedge", "cube"):
+        assert sum(count > 0 for count in report.dwell_steps.values()) > 1
     if name == "wedge" or tmax is not None:
         assert sim.TIMEOUT in report.outcomes
 

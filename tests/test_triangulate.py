@@ -650,7 +650,9 @@ class TestCoverGap:
                                          (4, 6, 4), (4, 7, 7)])
     def test_gap_with_two_pieces_per_side(self, monkeypatch, n, k, r):
         """Hulls of the seeded sweep whose covers hold a direct piece and a
-        feeder on each side, so both intersections are read."""
+        feeder on each side, so both intersections are read.  Where the
+        feeder's halfspaces hold the direct piece, the intersection is the
+        direct piece itself, whose volume the gap does not take again."""
         sys, p, f = sweep_problem(n, k, r)
         cover, gap, sides = self.gap_and_sides(monkeypatch, sys, p, f, None)
         assert len(cover.pieces) == 4
@@ -658,3 +660,7 @@ class TestCoverGap:
         ref = uncovered_volume(p, [cp.polytope for cp in cover.pieces], list(cover.cut_planes))
         assert ref > 0.0
         assert gap == pytest.approx(ref, rel=1e-9, abs=1e-12 * max(p.volume(), 1.0))
+        whole, volume, fans = p.volume(), geo.Polytope.volume, []
+        monkeypatch.setattr(geo.Polytope, "volume", lambda q: fans.append(q) or volume(q))
+        assert tri._cover_gap(whole, sides) == gap
+        assert len(fans) == 4 + sum(geo.intersect(a, b) is not a for a, b in sides)
